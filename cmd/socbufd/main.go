@@ -22,10 +22,12 @@
 // the in-flight bound is hit or the server is draining, 500 for solver
 // failures.
 //
+// Memory: -cache-max-entries bounds every tier of the solve cache; past it
+// a tier evicts its least recently used entry (DESIGN.md §5).
+//
 // Fleet mode (DESIGN.md §10): -remote-cache attaches a shared solve-cache
 // sidecar (socbufrouter's /v1/cache endpoint) behind the local cache —
 // fail-open, so a dead sidecar costs recomputes, never availability.
-// -batch-window enables cross-request micro-batching of analytic solves.
 //
 // Shutdown: SIGINT/SIGTERM flips readiness (so ring health checks route
 // around the backend), stops admission, cancels in-flight requests (the
@@ -53,16 +55,14 @@ import (
 
 func main() {
 	var (
-		addr        = flag.String("addr", ":8344", "listen address")
-		parallel    = flag.Int("parallel", 0, "default worker goroutines per request (0 = GOMAXPROCS)")
-		inflight    = flag.Int("max-inflight", 16, "max concurrently executing requests (0 = unbounded); excess requests get 503")
-		cache       = flag.Bool("cache", true, "route every request through the shared solve cache")
-		cacheBound  = flag.Int("cache-max-entries", 4096, "rotate the solve cache past this many stored solutions (0 = unbounded); bounds memory in a long-lived server fed client-chosen architectures")
-		remote      = flag.String("remote-cache", "", "base URL of a shared solve-cache sidecar (e.g. http://127.0.0.1:8360/v1/cache); empty = local cache only")
-		remoteTmo   = flag.Duration("remote-cache-timeout", 250*time.Millisecond, "per-lookup deadline against the remote cache; slower answers fall back to a local solve")
-		batchWindow = flag.Duration("batch-window", 0, "micro-batch concurrent analytic solves for up to this long (0 = disabled)")
-		batchMax    = flag.Int("batch-max", 16, "max analytic solves per micro-batch; a full batch dispatches early")
-		drain       = flag.Duration("drain-timeout", 30*time.Second, "shutdown drain deadline")
+		addr       = flag.String("addr", ":8344", "listen address")
+		parallel   = flag.Int("parallel", 0, "default worker goroutines per request (0 = GOMAXPROCS)")
+		inflight   = flag.Int("max-inflight", 16, "max concurrently executing requests (0 = unbounded); excess requests get 503")
+		cache      = flag.Bool("cache", true, "route every request through the shared solve cache")
+		cacheBound = flag.Int("cache-max-entries", 4096, "entries kept per solve-cache tier, least recently used evicted first (0 = unbounded); bounds memory in a long-lived server fed client-chosen architectures")
+		remote     = flag.String("remote-cache", "", "base URL of a shared solve-cache sidecar (e.g. http://127.0.0.1:8360/v1/cache); empty = local cache only")
+		remoteTmo  = flag.Duration("remote-cache-timeout", 250*time.Millisecond, "per-lookup deadline against the remote cache; slower answers fall back to a local solve")
+		drain      = flag.Duration("drain-timeout", 30*time.Second, "shutdown drain deadline")
 	)
 	flag.Parse()
 	if *parallel < 0 {
@@ -74,16 +74,11 @@ func main() {
 	if *cacheBound < 0 {
 		cliutil.Fatal("socbufd", fmt.Errorf("-cache-max-entries %d is negative; use 0 for unbounded", *cacheBound))
 	}
-	if *batchWindow < 0 {
-		cliutil.Fatal("socbufd", fmt.Errorf("-batch-window %v is negative; use 0 to disable batching", *batchWindow))
-	}
 
 	cfg := engine.Config{
 		Workers:         *parallel,
 		MaxInFlight:     *inflight,
 		MaxCacheEntries: *cacheBound,
-		BatchWindow:     *batchWindow,
-		BatchMax:        *batchMax,
 	}
 	var remoteStore *solvecache.RemoteStore
 	if *remote != "" {

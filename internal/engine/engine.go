@@ -74,48 +74,29 @@ type Config struct {
 	MaxInFlight int
 	// Cache, when non-nil, is adopted instead of a fresh solve cache. All
 	// requests with UseCache set share the engine's cache fleet-wide. An
-	// adopted cache is never rotated (the caller owns its lifetime).
+	// adopted cache keeps whatever bound it was built with (the caller owns
+	// its lifetime); MaxCacheEntries does not apply to it.
 	Cache *solvecache.Cache
-	// MaxCacheEntries bounds an engine-owned cache in a long-lived process:
-	// when the stored solution count exceeds it, the cache is swapped for a
-	// fresh one after the current request ends (solvecache itself is
-	// unbounded by design — fine for one sweep, not for a server fed
-	// client-chosen inline architectures forever). Rotation is safe: cached
-	// payloads are pure functions of their fingerprints, so dropping them
-	// costs warm starts, never correctness. 0 means unbounded; ignored for
-	// adopted caches.
+	// MaxCacheEntries bounds every tier of an engine-owned cache
+	// (solvecache.NewBounded): past it, a tier evicts its least recently
+	// used entry, which bounds a long-lived server fed client-chosen inline
+	// architectures. Eviction costs a recompute, never correctness — cached
+	// payloads are pure functions of their fingerprints. 0 means unbounded.
 	MaxCacheEntries int
 	// RemoteCache, when non-nil, attaches a shared remote store behind the
 	// engine cache's exact/analytic/robust/placement tiers (DESIGN.md §10):
 	// local misses consult it, fresh payloads are written behind it. The
-	// attachment survives cache rotation. The engine does not own the store's
-	// lifetime (callers close a RemoteStore themselves).
+	// engine does not own the store's lifetime (callers close a RemoteStore
+	// themselves).
 	RemoteCache solvecache.Store
-	// BatchWindow enables cross-request micro-batching of analytic solves
-	// (0 = disabled): an analytic methodology run waits up to this long for
-	// concurrent analytic requests to arrive, then the collected batch is
-	// grouped by analytic content fingerprint and dispatched through one
-	// fan-out — same-content solves chain serially so all but the first are
-	// answered from the analytic cache tier. Batched results are
-	// bit-identical to unbatched ones (every request still executes its own
-	// methodology run); the window only trades a bounded latency floor for
-	// amortised setup and cache traffic under concurrency.
-	BatchWindow time.Duration
-	// BatchMax bounds one batch (default 16 when BatchWindow is set): a full
-	// batch dispatches immediately without waiting out the window.
-	BatchMax int
 }
 
 // Engine is the long-lived solve service. Create with New; an Engine must
 // not be copied. All methods are safe for concurrent use.
 type Engine struct {
-	cache      *solvecache.Cache // guarded by mu (rotation swaps it)
-	ownsCache  bool
-	cacheLimit int
-	remote     solvecache.Store // re-attached to every rotated cache
-	workers    int
-	sem        chan struct{} // nil = unbounded
-	batch      *batcher      // nil = analytic micro-batching disabled
+	cache   *solvecache.Cache
+	workers int
+	sem     chan struct{} // nil = unbounded
 
 	baseCtx context.Context // cancelled on Shutdown; every request derives from it
 	cancel  context.CancelFunc
@@ -125,16 +106,14 @@ type Engine struct {
 	wg      sync.WaitGroup     // in-flight requests
 	flights map[string]*flight // coalescing table, keyed by request fingerprint
 
-	requests   atomic.Int64
-	coalesced  atomic.Int64
-	batched    atomic.Int64
-	rotCounter atomic.Int64 // amortises the cache-rotation size scan
-	solveRuns  atomic.Int64
-	sweepRuns  atomic.Int64
-	simRuns    atomic.Int64
-	placeRuns  atomic.Int64
-	busy       atomic.Int64
-	inFlight   atomic.Int64
+	requests  atomic.Int64
+	coalesced atomic.Int64
+	solveRuns atomic.Int64
+	sweepRuns atomic.Int64
+	simRuns   atomic.Int64
+	placeRuns atomic.Int64
+	busy      atomic.Int64
+	inFlight  atomic.Int64
 
 	// backends accumulates per-solver-backend counters (guarded by bmu):
 	// methodology runs executed, total wall time, and cache-hit deltas.
@@ -198,9 +177,9 @@ func (f *flight) leave() {
 
 // New builds an Engine from cfg.
 func New(cfg Config) *Engine {
-	cache, owns := cfg.Cache, false
+	cache := cfg.Cache
 	if cache == nil {
-		cache, owns = solvecache.New(), true
+		cache = solvecache.NewBounded(cfg.MaxCacheEntries)
 	}
 	if cfg.RemoteCache != nil {
 		cache.SetRemote(cfg.RemoteCache)
@@ -210,22 +189,15 @@ func New(cfg Config) *Engine {
 		sem = make(chan struct{}, cfg.MaxInFlight)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	e := &Engine{
-		cache:      cache,
-		ownsCache:  owns,
-		cacheLimit: cfg.MaxCacheEntries,
-		remote:     cfg.RemoteCache,
-		workers:    cfg.Workers,
-		sem:        sem,
-		baseCtx:    ctx,
-		cancel:     cancel,
-		flights:    map[string]*flight{},
-		backends:   map[string]*backendAcc{},
+	return &Engine{
+		cache:    cache,
+		workers:  cfg.Workers,
+		sem:      sem,
+		baseCtx:  ctx,
+		cancel:   cancel,
+		flights:  map[string]*flight{},
+		backends: map[string]*backendAcc{},
 	}
-	if cfg.BatchWindow > 0 {
-		e.batch = newBatcher(e, cfg.BatchWindow, cfg.BatchMax)
-	}
-	return e
 }
 
 // backendAcc accumulates one backend's counters.
@@ -261,55 +233,17 @@ type BackendStats struct {
 	// Solves counts methodology runs executed with this backend — sweep
 	// points individually, failed runs included (they consumed the time).
 	Solves int64 `json:"solves"`
-	// CacheHits is the solve-cache hits (exact, warm-start, joint and
-	// analytic tiers summed) observed during this backend's requests.
+	// CacheHits is the solve-cache hits (exact, warm-start, joint, analytic
+	// and robust tiers summed — solvecache.Cache.HitCount) observed during
+	// this backend's requests.
 	CacheHits int64 `json:"cacheHits"`
 	// MeanWallMS is the mean wall time per run, in milliseconds.
 	MeanWallMS float64 `json:"meanWallMs"`
 }
 
-// Cache exposes the engine's current solve cache (for stats reporting;
-// callers must not mutate it structurally). A bounded engine-owned cache
-// may be rotated between requests, so hold the returned pointer only
-// briefly.
-func (e *Engine) Cache() *solvecache.Cache {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.cache
-}
-
-// maybeRotateCache swaps a full engine-owned cache for a fresh one (see
-// Config.MaxCacheEntries). Requests already holding the old cache finish on
-// it; the swap is invisible to correctness because cached payloads are pure
-// functions of their keys.
-//
-// Counting stored solutions is an O(cache-size) scan under the cache lock
-// (Stats deduplicates promoted keys), so the check is amortised: it runs
-// once every limit/8 request completions rather than on every one, making
-// the bound approximate — the cache can overshoot by the entries of a few
-// hundred requests before the next check trips — in exchange for keeping
-// the request hot path O(1).
-func (e *Engine) maybeRotateCache() {
-	if !e.ownsCache || e.cacheLimit <= 0 {
-		return
-	}
-	every := int64(e.cacheLimit/8) + 1
-	if e.rotCounter.Add(1)%every != 0 {
-		return
-	}
-	c := e.Cache()
-	s := c.Stats()
-	if s.Entries+s.JointEntries+s.AnalyticEntries <= e.cacheLimit {
-		return
-	}
-	fresh := solvecache.New()
-	fresh.SetRemote(e.remote) // rotation must not silently drop the shared tier
-	e.mu.Lock()
-	if e.cache == c {
-		e.cache = fresh
-	}
-	e.mu.Unlock()
-}
+// Cache exposes the engine's solve cache (for stats reporting; callers must
+// not mutate it structurally). It is fixed for the engine's lifetime.
+func (e *Engine) Cache() *solvecache.Cache { return e.cache }
 
 // Stats is a point-in-time snapshot of the engine counters plus the owned
 // cache's counters. The JSON shape is served verbatim by socbufd /v1/stats.
@@ -331,9 +265,6 @@ type Stats struct {
 	// PlacementRuns counts placement executions — a placement request served
 	// from the cache's placement tier never counts here.
 	PlacementRuns int64 `json:"placementRuns"`
-	// Batched counts solve runs dispatched through the analytic micro-batch
-	// path (Config.BatchWindow); zero when batching is disabled.
-	Batched int64 `json:"batched,omitempty"`
 	// Busy counts requests rejected by the in-flight bound.
 	Busy int64 `json:"busyRejections"`
 	// InFlight is the number of currently executing requests.
@@ -364,7 +295,7 @@ func (e *Engine) Stats() Stats {
 	if len(backends) == 0 {
 		backends = nil
 	}
-	cs := e.Cache().Stats()
+	cs := e.cache.Stats()
 	return Stats{
 		Requests:      e.requests.Load(),
 		Coalesced:     e.coalesced.Load(),
@@ -372,7 +303,6 @@ func (e *Engine) Stats() Stats {
 		SweepRuns:     e.sweepRuns.Load(),
 		SimRuns:       e.simRuns.Load(),
 		PlacementRuns: e.placeRuns.Load(),
-		Batched:       e.batched.Load(),
 		Busy:          e.busy.Load(),
 		InFlight:      e.inFlight.Load(),
 		Cache:         cs,
@@ -420,7 +350,6 @@ func (e *Engine) begin(ctx context.Context) (context.Context, func(), error) {
 				<-e.sem
 			}
 			e.inFlight.Add(-1)
-			e.maybeRotateCache()
 			e.wg.Done()
 		})
 	}

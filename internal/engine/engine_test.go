@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
@@ -13,6 +14,7 @@ import (
 	"socbuf/internal/experiments"
 	"socbuf/internal/scenario"
 	"socbuf/internal/solvecache"
+	"socbuf/internal/uncertain"
 )
 
 // fast keeps the real-methodology engine tests cheap enough for -race CI.
@@ -446,41 +448,155 @@ func TestEngineJoinAfterLastWaiterLeft(t *testing.T) {
 	}
 }
 
-// TestEngineCacheRotation: an engine-owned cache past its entry bound is
-// swapped for a fresh one between requests, bounding a long-lived server's
-// memory; results stay correct across the rotation.
-func TestEngineCacheRotation(t *testing.T) {
-	e := New(Config{MaxCacheEntries: 1})
-	defer e.Close()
-	req := SolveRequest{Scenario: "twobus", Iterations: 1, Seeds: fastSeeds, Horizon: fastHorizon, WarmUp: fastWarmUp, UseCache: true}
-	before := e.Cache()
-	first, err := e.Solve(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
+// TestEngineTierBound: a seeded random mix of exact solves, budget sweeps,
+// analytic, robust and placement requests — over ten times more distinct
+// cache keys than the bound — keeps every tier of an engine-owned cache
+// within MaxCacheEntries after every request, and every answer equals an
+// unbounded engine's (eviction costs recomputes, never correctness).
+func TestEngineTierBound(t *testing.T) {
+	const bound = 2
+	bounded := New(Config{Workers: 1, MaxCacheEntries: bound})
+	defer bounded.Close()
+	unbounded := New(Config{Workers: 1})
+	defer unbounded.Close()
+
+	ctx := context.Background()
+	solve := func(method string, budget int) func(*Engine) (any, error) {
+		return func(e *Engine) (any, error) {
+			req := SolveRequest{Arch: "twobus", Budget: budget, Method: method,
+				Iterations: fastIters, Seeds: fastSeeds, Horizon: fastHorizon, WarmUp: fastWarmUp, UseCache: true}
+			if method == "robust" {
+				req.Uncertainty = &uncertain.Spec{RateSigma: 0.2, Samples: 16, Confidence: 0.9, Seed: 3}
+			}
+			res, err := e.Solve(ctx, req)
+			if err != nil {
+				return nil, err
+			}
+			return [2]int64{res.UniformLoss, res.SizedLoss}, nil
+		}
 	}
-	after := e.Cache()
-	if before == after {
-		s := before.Stats()
-		t.Fatalf("cache not rotated past the bound (entries %d + %d joint)", s.Entries, s.JointEntries)
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 50; i++ {
+		budget := 16 + rng.Intn(40)
+		var run func(*Engine) (any, error)
+		switch rng.Intn(5) {
+		case 0:
+			run = solve("exact", budget)
+		case 1:
+			run = solve("analytic", budget)
+		case 2:
+			run = solve("robust", budget)
+		case 3:
+			run = func(e *Engine) (any, error) {
+				res, err := e.BudgetSweep(ctx, BudgetSweepRequest{Arch: "twobus", Budgets: []int{budget, budget + 6},
+					Iterations: fastIters, Seeds: fastSeeds, Horizon: fastHorizon, WarmUp: fastWarmUp, UseCache: true})
+				if err != nil {
+					return nil, err
+				}
+				return [2]map[int]int64{res.Sweep.Pre, res.Sweep.Post}, nil
+			}
+		case 4:
+			run = func(e *Engine) (any, error) {
+				req := quickPlacement()
+				req.Budget, req.UseCache = budget, true
+				res, err := e.Placement(ctx, req)
+				if err != nil {
+					return nil, err
+				}
+				return res.Result, nil
+			}
+		}
+		want, err := run(unbounded)
+		if err != nil {
+			t.Fatalf("request %d (unbounded): %v", i, err)
+		}
+		got, err := run(bounded)
+		if err != nil {
+			t.Fatalf("request %d (bounded): %v", i, err)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("request %d: bounded answer differs from unbounded:\nwant %+v\ngot  %+v", i, want, got)
+		}
+		s := bounded.Stats().Cache
+		for name, n := range map[string]int{
+			"Entries": s.Entries, "JointEntries": s.JointEntries, "AnalyticEntries": s.AnalyticEntries,
+			"RobustEntries": s.RobustEntries, "PlacementEntries": s.PlacementEntries,
+		} {
+			if n > bound {
+				t.Fatalf("request %d: %s = %d exceeds the bound %d", i, name, n, bound)
+			}
+		}
 	}
-	// The rotated engine still answers, identically.
-	second, err := e.Solve(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
+	// The workload really overflowed every tier: the unbounded engine's
+	// distinct keys per tier (a miss or a warm-start promotion files a new
+	// one) each exceed the bound, and total at least ten times it.
+	s := unbounded.Stats().Cache
+	keys := map[string]int64{
+		"exact": s.Misses + s.WarmStarts, "joint": s.JointMisses, "analytic": s.AnalyticMisses,
+		"robust": s.RobustMisses, "placement": s.PlacementMisses,
 	}
-	if first.SizedLoss != second.SizedLoss || first.UniformLoss != second.UniformLoss {
-		t.Fatalf("results diverged across rotation: %+v vs %+v", first, second)
+	var total int64
+	for name, n := range keys {
+		if n <= bound {
+			t.Errorf("tier %s saw only %d distinct keys, not past the bound %d", name, n, bound)
+		}
+		total += n
+	}
+	if total < 10*bound {
+		t.Errorf("workload produced %d distinct keys, want at least %d", total, 10*bound)
 	}
 
-	// An adopted cache is never rotated, whatever the bound.
+	// An adopted cache is not bounded by MaxCacheEntries.
 	adopted := solvecache.New()
-	e2 := New(Config{Cache: adopted, MaxCacheEntries: 1})
-	defer e2.Close()
-	if _, err := e2.Solve(context.Background(), req); err != nil {
+	e := New(Config{Cache: adopted, MaxCacheEntries: 1})
+	defer e.Close()
+	if _, err := e.Solve(ctx, SolveRequest{Scenario: "twobus", Iterations: 1, Seeds: fastSeeds,
+		Horizon: fastHorizon, WarmUp: fastWarmUp, UseCache: true}); err != nil {
 		t.Fatal(err)
 	}
-	if e2.Cache() != adopted {
-		t.Fatal("adopted cache was rotated")
+	if e.Cache() != adopted {
+		t.Fatal("engine replaced its adopted cache")
+	}
+	if s := adopted.Stats(); s.Entries <= 1 {
+		t.Fatalf("adopted cache holds %d entries; MaxCacheEntries=1 must not bound it", s.Entries)
+	}
+}
+
+// TestEngineRemoteCacheSharing pins the Config.RemoteCache wiring: two
+// engines sharing one store answer the second engine's solve from the
+// first's payloads, identically.
+func TestEngineRemoteCacheSharing(t *testing.T) {
+	shared := solvecache.NewMemStore()
+	a := New(Config{RemoteCache: shared})
+	defer a.Close()
+	b := New(Config{RemoteCache: shared})
+	defer b.Close()
+
+	req := SolveRequest{Scenario: "twobus", Iterations: fastIters, Seeds: fastSeeds,
+		Horizon: fastHorizon, WarmUp: fastWarmUp, UseCache: true}
+	want, err := a.Solve(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if shared.Len() == 0 {
+		t.Fatal("first engine's solves did not populate the shared store")
+	}
+	got, err := b.Solve(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Errorf("remote-fed result differs:\nwant %+v\ngot  %+v", want, got)
+	}
+	s := b.Stats()
+	if s.Cache.RemoteHits == 0 {
+		t.Errorf("second engine must adopt remote payloads: %+v", s.Cache)
+	}
+	if s.Cache.Misses != 0 {
+		t.Errorf("second engine re-solved %d sub-models a peer had already solved", s.Cache.Misses)
+	}
+	if r := s.CacheRates["remote"]; r <= 0 {
+		t.Errorf("remote rate %g must be positive; rates %v", r, s.CacheRates)
 	}
 }
 
@@ -820,5 +936,46 @@ func TestEngineScenarioMethodOverride(t *testing.T) {
 	}
 	if _, err := e.Simulate(context.Background(), SimulateRequest{Arch: "twobus", Budget: 24, Method: "nope"}); !errors.Is(err, ErrInvalidRequest) {
 		t.Fatalf("unknown simulate method: %v, want ErrInvalidRequest", err)
+	}
+}
+
+// TestRequestFingerprints pins the exported routing fingerprints: stable
+// under normalisation, distinct across content and across request types.
+func TestRequestFingerprints(t *testing.T) {
+	s1 := SolveRequest{Budget: 160}
+	s2 := SolveRequest{Arch: "netproc", Budget: 160, Workers: 8}
+	if s1.Fingerprint() != s2.Fingerprint() {
+		t.Error("default-preset and worker normalisation must coalesce solve fingerprints")
+	}
+	if s1.Fingerprint() == (SolveRequest{Budget: 161}).Fingerprint() {
+		t.Error("different budgets must fingerprint differently")
+	}
+	if s1.Fingerprint() != s1.key() {
+		t.Error("Fingerprint must be the coalescing key")
+	}
+
+	b1 := BudgetSweepRequest{Budgets: []int{10, 20}}
+	b2 := BudgetSweepRequest{Arch: "netproc", Budgets: []int{10, 20}, Workers: 3}
+	if b1.Fingerprint() != b2.Fingerprint() {
+		t.Error("budget sweep normalisation failed")
+	}
+	c1 := ScenarioSweepRequest{Scenarios: []string{"twobus"}}
+	c2 := ScenarioSweepRequest{Scenarios: []string{"twobus"}, Workers: 2}
+	if c1.Fingerprint() != c2.Fingerprint() {
+		t.Error("scenario sweep normalisation failed")
+	}
+	p1 := PlacementRequest{Budget: 160}
+	p2 := PlacementRequest{Arch: "netproc", Budget: 160, Workers: 5}
+	if p1.Fingerprint() != p2.Fingerprint() {
+		t.Error("placement normalisation failed")
+	}
+
+	// Domain separation: four types, same-ish content, four fingerprints.
+	fps := map[string]bool{
+		s1.Fingerprint(): true, b1.Fingerprint(): true,
+		c1.Fingerprint(): true, p1.Fingerprint(): true,
+	}
+	if len(fps) != 4 {
+		t.Errorf("request types must fingerprint in disjoint domains: %v", fps)
 	}
 }

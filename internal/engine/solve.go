@@ -13,7 +13,6 @@ import (
 	"socbuf/internal/experiments"
 	"socbuf/internal/report"
 	"socbuf/internal/scenario"
-	"socbuf/internal/solvecache"
 	"socbuf/internal/solver"
 )
 
@@ -116,12 +115,7 @@ func (e *Engine) solve(ctx context.Context, req SolveRequest) (*SolveResult, err
 	}
 	cfg.Workers = e.requestWorkers(cfg.Workers)
 	e.solveRuns.Add(1)
-	var res *core.Result
-	if e.batch.eligible(cfg) {
-		res, err = e.batch.run(ctx, cfg)
-	} else {
-		res, err = e.runSolver(ctx, cfg)
-	}
+	res, err := e.runSolver(ctx, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -137,29 +131,14 @@ func validMethod(name string) error {
 	return nil
 }
 
-// cacheHitCount folds a cache snapshot's hit counters (all tiers) for the
-// per-backend delta attribution.
-func cacheHitCount(s solvecache.Stats) int64 {
-	return s.Hits + s.WarmStarts + s.JointHits + s.AnalyticHits + s.RobustHits
-}
-
 // runSolver executes one methodology run through the backend registry,
 // recording per-backend counters: one solve, its wall time, and — when the
 // run shares the engine cache — the cache-hit delta it observed.
 func (e *Engine) runSolver(ctx context.Context, cfg core.Config) (*core.Result, error) {
-	method := solver.Canonical(cfg.Method)
-	var before int64
-	if cfg.Cache != nil {
-		before = cacheHitCount(cfg.Cache.Stats())
-	}
+	before := cfg.Cache.HitCount()
 	start := time.Now()
 	res, err := solver.Run(ctx, cfg)
-	wall := time.Since(start)
-	var hits int64
-	if cfg.Cache != nil {
-		hits = cacheHitCount(cfg.Cache.Stats()) - before
-	}
-	e.recordBackend(method, 1, wall, hits)
+	e.recordBackend(solver.Canonical(cfg.Method), 1, time.Since(start), cfg.Cache.HitCount()-before)
 	return res, err
 }
 

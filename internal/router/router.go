@@ -378,10 +378,9 @@ func addStats(dst *engine.Stats, s engine.Stats) {
 	dst.SweepRuns += s.SweepRuns
 	dst.SimRuns += s.SimRuns
 	dst.PlacementRuns += s.PlacementRuns
-	dst.Batched += s.Batched
 	dst.Busy += s.Busy
 	dst.InFlight += s.InFlight
-	addCacheStats(&dst.Cache, s.Cache)
+	dst.Cache.Add(s.Cache)
 	for name, bs := range s.Backends {
 		if dst.Backends == nil {
 			dst.Backends = map[string]engine.BackendStats{}
@@ -395,30 +394,6 @@ func addStats(dst *engine.Stats, s engine.Stats) {
 		acc.CacheHits += bs.CacheHits
 		dst.Backends[name] = acc
 	}
-}
-
-func addCacheStats(dst *solvecache.Stats, s solvecache.Stats) {
-	dst.Hits += s.Hits
-	dst.WarmStarts += s.WarmStarts
-	dst.Misses += s.Misses
-	dst.JointHits += s.JointHits
-	dst.JointMisses += s.JointMisses
-	dst.AnalyticHits += s.AnalyticHits
-	dst.AnalyticMisses += s.AnalyticMisses
-	dst.RobustHits += s.RobustHits
-	dst.RobustMisses += s.RobustMisses
-	dst.PlacementHits += s.PlacementHits
-	dst.PlacementMisses += s.PlacementMisses
-	dst.DeltaResolves += s.DeltaResolves
-	dst.DeltaFallbacks += s.DeltaFallbacks
-	dst.RemoteHits += s.RemoteHits
-	dst.RemoteMisses += s.RemoteMisses
-	dst.Entries += s.Entries
-	dst.JointEntries += s.JointEntries
-	dst.AnalyticEntries += s.AnalyticEntries
-	dst.RobustEntries += s.RobustEntries
-	dst.PlacementEntries += s.PlacementEntries
-	dst.DeltaEntries += s.DeltaEntries
 }
 
 // memberJSON is one ring member in the healthz response.

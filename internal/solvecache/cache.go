@@ -34,9 +34,14 @@
 // are solved per-block rather than in one block-diagonal program); the
 // correctness gate pins the two within 1e-8 on all fixtures.
 //
-// The cache is unbounded: a sweep's distinct sub-models number in the
-// hundreds and payloads are a few KB each. Callers that sweep unrelated
-// workloads should use one cache per fleet and drop it afterwards.
+// Memory: every tier (exact, structural, joint, analytic, robust,
+// placement) is one generic LRU-bounded store (tier.go). New builds an
+// unbounded cache — a sweep's distinct sub-models number in the hundreds
+// and payloads are a few KB each; NewBounded caps each tier at a fixed
+// entry count for long-lived processes, evicting the least recently used
+// entry. Eviction costs a recompute, never correctness, because payloads
+// are pure functions of their keys. The delta tier keeps its own fixed
+// family cap (maxDeltaEntries).
 package solvecache
 
 import (
@@ -51,44 +56,38 @@ import (
 )
 
 // Cache is a concurrency-safe, content-addressed store of solved sub-models.
-// The zero value is NOT usable; call New. A nil *Cache is a valid "caching
-// disabled" receiver for SolveJoint.
+// The zero value is NOT usable; call New or NewBounded. A nil *Cache is a
+// valid "caching disabled" receiver for SolveJoint and every tier method.
 type Cache struct {
-	mu         sync.Mutex
-	exact      map[Key]*entry
-	structural map[Key]*entry
-	joint      map[Key]*jointEntry
-	analytic   map[Key]*AnalyticSolution
-	robust     map[Key]*RobustSolution
-	placement  map[Key][]byte
-
-	hits, misses, warm         atomic.Int64
-	jointHits, jointMiss       atomic.Int64
-	analyticHit, analyticMis   atomic.Int64
-	robustHit, robustMis       atomic.Int64
-	placementHit, placementMis atomic.Int64
+	// exact keys sub-model entries by full fingerprint, structural by
+	// structural fingerprint (the warm-start siblings); both hold the same
+	// *entry values. Their counters are the Hits (exact.hits), WarmStarts
+	// (structural.hits) and Misses (exact.misses) of Stats.
+	exact, structural *tier[*entry]
+	joint             *tier[*jointEntry]
+	analytic          *tier[*AnalyticSolution]
+	robust            *tier[*RobustSolution]
+	placement         *tier[json.RawMessage]
 
 	// remote is the optional shared store behind the exact/analytic/robust/
-	// placement tiers (see SetRemote and remote.go); remoteHit counts
-	// payloads adopted from it, remoteMis consults that came back empty or
-	// undecodable. Both stay zero when no store is attached.
-	remote               Store
-	remoteHit, remoteMis atomic.Int64
+	// placement tiers (see SetRemote and remote.go).
+	remote remote
 
 	// Delta tier (opt-in, see EnableDelta): capped-program resolvers keyed by
 	// JointStructuralFingerprint, each holding a retained simplex tableau
 	// that re-solves sibling programs (new cap and/or unit scalings) by a
 	// rank-one row patch instead of a fresh warm-started solve.
 	deltaEnabled         bool
+	deltaMu              sync.Mutex // guards delta
 	delta                map[Key]*deltaEntry
 	deltaHit, deltaShrug atomic.Int64
 }
 
 // deltaEntry serialises chained re-solves of one structural program family.
-// The per-entry lock (not the cache-wide mu) is held across the whole LP
-// re-solve: concurrent solves of different families proceed in parallel,
-// while two solves of the same family queue — the second usually turns the
-// first's result into an exact joint hit anyway.
+// The per-entry lock (not deltaMu) is held across the whole LP re-solve:
+// concurrent solves of different families proceed in parallel, while two
+// solves of the same family queue — the second usually turns the first's
+// result into an exact joint hit anyway.
 type deltaEntry struct {
 	mu  sync.Mutex
 	res *ctmdp.CappedResolver
@@ -96,10 +95,11 @@ type deltaEntry struct {
 
 // maxDeltaEntries bounds the delta tier: retained tableaus are dense
 // (rows × variables floats — MBs for the big joint programs), unlike the
-// few-KB payload entries, so this tier cannot be unbounded like the others.
-// A sweep has one structural family per methodology-iteration index (the
-// boundary trajectory is allocation-independent), so a handful suffice;
-// once full, new families simply solve without delta reuse.
+// few-KB payload entries, so this tier keeps a small fixed admission cap
+// whatever the other tiers' bound. A sweep has one structural family per
+// methodology-iteration index (the boundary trajectory is
+// allocation-independent), so a handful suffice; once full, new families
+// simply solve without delta reuse.
 const maxDeltaEntries = 32
 
 // entry is one cached sub-model solution, aligned to its canonical model.
@@ -123,17 +123,28 @@ type jointEntry struct {
 	capBinding bool
 }
 
-// New returns an empty cache.
-func New() *Cache {
-	return &Cache{
-		exact:      map[Key]*entry{},
-		structural: map[Key]*entry{},
-		joint:      map[Key]*jointEntry{},
-		analytic:   map[Key]*AnalyticSolution{},
-		robust:     map[Key]*RobustSolution{},
-		placement:  map[Key][]byte{},
-		delta:      map[Key]*deltaEntry{},
-	}
+// New returns an empty, unbounded cache.
+func New() *Cache { return NewBounded(0) }
+
+// NewBounded returns an empty cache whose every tier holds at most max
+// entries, evicting the least recently used one past that (0 = unbounded).
+func NewBounded(max int) *Cache {
+	c := &Cache{delta: map[Key]*deltaEntry{}}
+	r := &c.remote
+	c.exact = &tier[*entry]{max: max, remote: r, tag: "exact",
+		valid: func(e *entry) bool { return e != nil }}
+	c.structural = &tier[*entry]{max: max}
+	c.joint = &tier[*jointEntry]{max: max}
+	c.analytic = &tier[*AnalyticSolution]{max: max, remote: r, tag: "analytic", clone: (*AnalyticSolution).clone,
+		valid: func(s *AnalyticSolution) bool { return s != nil && s.Alloc != nil }}
+	c.robust = &tier[*RobustSolution]{max: max, remote: r, tag: "robust", clone: (*RobustSolution).clone,
+		valid: func(s *RobustSolution) bool { return s != nil && s.Alloc != nil }}
+	// Placement payloads are the engine's serialised results, carried
+	// verbatim.
+	c.placement = &tier[json.RawMessage]{max: max, remote: r, tag: "placement",
+		clone: func(b json.RawMessage) json.RawMessage { return append(json.RawMessage(nil), b...) },
+		valid: func(b json.RawMessage) bool { return len(b) > 0 }}
+	return c
 }
 
 // EnableDelta turns on the delta re-solve tier for capped joint programs:
@@ -168,11 +179,7 @@ type AnalyticSolution struct {
 // clone returns an aliasing-free copy (cached payloads never leak mutable
 // state to callers — the same contract as the exact tiers' rebind).
 func (s *AnalyticSolution) clone() *AnalyticSolution {
-	alloc := make(map[string]int, len(s.Alloc))
-	for id, u := range s.Alloc {
-		alloc[id] = u
-	}
-	return &AnalyticSolution{Alloc: alloc, LossRate: s.LossRate}
+	return &AnalyticSolution{Alloc: cloneAlloc(s.Alloc), LossRate: s.LossRate}
 }
 
 // LookupAnalytic fetches a cached analytic sizing by its
@@ -184,24 +191,7 @@ func (c *Cache) LookupAnalytic(k Key) (*AnalyticSolution, bool) {
 	if c == nil {
 		return nil, false
 	}
-	c.mu.Lock()
-	s := c.analytic[k]
-	c.mu.Unlock()
-	if s == nil {
-		var rs AnalyticSolution
-		if c.remoteGet(k, "analytic", &rs) && rs.Alloc != nil {
-			c.analyticHit.Add(1)
-			cp := rs.clone()
-			c.mu.Lock()
-			c.analytic[k] = cp
-			c.mu.Unlock()
-			return rs.clone(), true
-		}
-		c.analyticMis.Add(1)
-		return nil, false
-	}
-	c.analyticHit.Add(1)
-	return s.clone(), true
+	return c.analytic.lookup(k)
 }
 
 // PutAnalytic stores one analytic sizing under its AnalyticFingerprint key.
@@ -212,11 +202,7 @@ func (c *Cache) PutAnalytic(k Key, s *AnalyticSolution) {
 	if c == nil || s == nil {
 		return
 	}
-	cp := s.clone()
-	c.mu.Lock()
-	c.analytic[k] = cp
-	c.mu.Unlock()
-	c.remotePutData(k, "analytic", s)
+	c.analytic.put(k, s)
 }
 
 // RobustSolution is one cached robust sizing: the chance-constrained
@@ -232,11 +218,15 @@ type RobustSolution struct {
 // clone returns an aliasing-free copy, matching the analytic tier's
 // contract.
 func (s *RobustSolution) clone() *RobustSolution {
-	alloc := make(map[string]int, len(s.Alloc))
-	for id, u := range s.Alloc {
-		alloc[id] = u
+	return &RobustSolution{Alloc: cloneAlloc(s.Alloc), LossRate: s.LossRate, Report: s.Report}
+}
+
+func cloneAlloc(alloc map[string]int) map[string]int {
+	out := make(map[string]int, len(alloc))
+	for id, u := range alloc {
+		out[id] = u
 	}
-	return &RobustSolution{Alloc: alloc, LossRate: s.LossRate, Report: s.Report}
+	return out
 }
 
 // LookupRobust fetches a cached robust sizing by its RobustFingerprint
@@ -246,24 +236,7 @@ func (c *Cache) LookupRobust(k Key) (*RobustSolution, bool) {
 	if c == nil {
 		return nil, false
 	}
-	c.mu.Lock()
-	s := c.robust[k]
-	c.mu.Unlock()
-	if s == nil {
-		var rs RobustSolution
-		if c.remoteGet(k, "robust", &rs) && rs.Alloc != nil {
-			c.robustHit.Add(1)
-			cp := rs.clone()
-			c.mu.Lock()
-			c.robust[k] = cp
-			c.mu.Unlock()
-			return rs.clone(), true
-		}
-		c.robustMis.Add(1)
-		return nil, false
-	}
-	c.robustHit.Add(1)
-	return s.clone(), true
+	return c.robust.lookup(k)
 }
 
 // PutRobust stores one robust sizing under its RobustFingerprint key. The
@@ -274,11 +247,7 @@ func (c *Cache) PutRobust(k Key, s *RobustSolution) {
 	if c == nil || s == nil {
 		return
 	}
-	cp := s.clone()
-	c.mu.Lock()
-	c.robust[k] = cp
-	c.mu.Unlock()
-	c.remotePutData(k, "robust", s)
+	c.robust.put(k, s)
 }
 
 // LookupPlacement fetches a cached placement result by its
@@ -292,29 +261,7 @@ func (c *Cache) LookupPlacement(k Key) ([]byte, bool) {
 	if c == nil {
 		return nil, false
 	}
-	c.mu.Lock()
-	b := c.placement[k]
-	c.mu.Unlock()
-	if b == nil {
-		var raw json.RawMessage
-		if c.remoteGet(k, "placement", &raw) && len(raw) > 0 {
-			c.placementHit.Add(1)
-			cp := make([]byte, len(raw))
-			copy(cp, raw)
-			c.mu.Lock()
-			c.placement[k] = cp
-			c.mu.Unlock()
-			out := make([]byte, len(raw))
-			copy(out, raw)
-			return out, true
-		}
-		c.placementMis.Add(1)
-		return nil, false
-	}
-	c.placementHit.Add(1)
-	out := make([]byte, len(b))
-	copy(out, b)
-	return out, true
+	return c.placement.lookup(k)
 }
 
 // PutPlacement stores one serialised placement result under its
@@ -324,12 +271,7 @@ func (c *Cache) PutPlacement(k Key, b []byte) {
 	if c == nil || len(b) == 0 {
 		return
 	}
-	cp := make([]byte, len(b))
-	copy(cp, b)
-	c.mu.Lock()
-	c.placement[k] = cp
-	c.mu.Unlock()
-	c.remotePutData(k, "placement", json.RawMessage(b))
+	c.placement.put(k, b)
 }
 
 // Stats is a point-in-time snapshot of the cache counters.
@@ -368,8 +310,36 @@ type Stats struct {
 	RemoteHits, RemoteMisses int64
 	// Entries / JointEntries / AnalyticEntries / RobustEntries /
 	// PlacementEntries / DeltaEntries are the stored solution counts per
-	// tier.
+	// tier. Entries counts distinct exact-tier solutions (warm-start
+	// promotion files one solution under several keys), so it never exceeds
+	// the tier's key count — nor, therefore, its NewBounded bound.
 	Entries, JointEntries, AnalyticEntries, RobustEntries, PlacementEntries, DeltaEntries int
+}
+
+// Add accumulates o's counters and entry counts into s — the one list of
+// Stats fields a fleet-wide merge must cover (TestStatsAdd pins it).
+func (s *Stats) Add(o Stats) {
+	s.Hits += o.Hits
+	s.WarmStarts += o.WarmStarts
+	s.Misses += o.Misses
+	s.JointHits += o.JointHits
+	s.JointMisses += o.JointMisses
+	s.AnalyticHits += o.AnalyticHits
+	s.AnalyticMisses += o.AnalyticMisses
+	s.RobustHits += o.RobustHits
+	s.RobustMisses += o.RobustMisses
+	s.PlacementHits += o.PlacementHits
+	s.PlacementMisses += o.PlacementMisses
+	s.DeltaResolves += o.DeltaResolves
+	s.DeltaFallbacks += o.DeltaFallbacks
+	s.RemoteHits += o.RemoteHits
+	s.RemoteMisses += o.RemoteMisses
+	s.Entries += o.Entries
+	s.JointEntries += o.JointEntries
+	s.AnalyticEntries += o.AnalyticEntries
+	s.RobustEntries += o.RobustEntries
+	s.PlacementEntries += o.PlacementEntries
+	s.DeltaEntries += o.DeltaEntries
 }
 
 // Rates derives per-tier hit rates from the counters, keyed by tier name.
@@ -409,60 +379,63 @@ func (c *Cache) Stats() Stats {
 	if c == nil {
 		return Stats{}
 	}
-	c.mu.Lock()
-	// Warm-start promotion registers one stored solution under several full
-	// keys; Entries counts solutions, not keys.
-	distinct := make(map[*entry]struct{}, len(c.exact))
-	for _, e := range c.exact {
-		distinct[e] = struct{}{}
-	}
-	entries, jointEntries, analyticEntries, robustEntries, placementEntries, deltaEntries := len(distinct), len(c.joint), len(c.analytic), len(c.robust), len(c.placement), len(c.delta)
-	c.mu.Unlock()
+	distinct := map[*entry]struct{}{}
+	c.exact.each(func(e *entry) { distinct[e] = struct{}{} })
+	c.deltaMu.Lock()
+	deltaEntries := len(c.delta)
+	c.deltaMu.Unlock()
 	return Stats{
-		Hits:             c.hits.Load(),
-		WarmStarts:       c.warm.Load(),
-		Misses:           c.misses.Load(),
-		JointHits:        c.jointHits.Load(),
-		JointMisses:      c.jointMiss.Load(),
-		AnalyticHits:     c.analyticHit.Load(),
-		AnalyticMisses:   c.analyticMis.Load(),
-		RobustHits:       c.robustHit.Load(),
-		RobustMisses:     c.robustMis.Load(),
-		PlacementHits:    c.placementHit.Load(),
-		PlacementMisses:  c.placementMis.Load(),
+		Hits:             c.exact.hits.Load(),
+		WarmStarts:       c.structural.hits.Load(),
+		Misses:           c.exact.misses.Load(),
+		JointHits:        c.joint.hits.Load(),
+		JointMisses:      c.joint.misses.Load(),
+		AnalyticHits:     c.analytic.hits.Load(),
+		AnalyticMisses:   c.analytic.misses.Load(),
+		RobustHits:       c.robust.hits.Load(),
+		RobustMisses:     c.robust.misses.Load(),
+		PlacementHits:    c.placement.hits.Load(),
+		PlacementMisses:  c.placement.misses.Load(),
 		DeltaResolves:    c.deltaHit.Load(),
 		DeltaFallbacks:   c.deltaShrug.Load(),
-		RemoteHits:       c.remoteHit.Load(),
-		RemoteMisses:     c.remoteMis.Load(),
-		Entries:          entries,
-		JointEntries:     jointEntries,
-		AnalyticEntries:  analyticEntries,
-		RobustEntries:    robustEntries,
-		PlacementEntries: placementEntries,
+		RemoteHits:       c.remote.hits.Load(),
+		RemoteMisses:     c.remote.misses.Load(),
+		Entries:          len(distinct),
+		JointEntries:     c.joint.len(),
+		AnalyticEntries:  c.analytic.len(),
+		RobustEntries:    c.robust.len(),
+		PlacementEntries: c.placement.len(),
 		DeltaEntries:     deltaEntries,
 	}
+}
+
+// HitCount sums the hit counters of the tiers a methodology run reads —
+// exact, warm-start, joint, analytic and robust — without locking or
+// scanning, so callers can diff it around a run. A nil receiver reports 0.
+func (c *Cache) HitCount() int64 {
+	if c == nil {
+		return 0
+	}
+	return c.exact.hits.Load() + c.structural.hits.Load() + c.joint.hits.Load() +
+		c.analytic.hits.Load() + c.robust.hits.Load()
 }
 
 // lookup fetches the entry for the full key, or a structural sibling. The
 // second return distinguishes exact (true) from warm (false) on success.
 func (c *Cache) lookup(full, structural Key) (*entry, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.exact[full]; ok {
+	if e, ok := c.exact.get(full); ok {
 		return e, true
 	}
-	return c.structural[structural], false
+	e, _ := c.structural.get(structural)
+	return e, false
 }
 
-// put stores e under both keys. Concurrent duplicate solves of the same
-// fingerprint store bit-identical payloads, so last-write-wins is benign.
+// put stores e locally under both keys. Concurrent duplicate solves of the
+// same fingerprint store bit-identical payloads, so last-write-wins is
+// benign.
 func (c *Cache) put(full, structural Key, e *entry) {
-	c.mu.Lock()
-	c.exact[full] = e
-	if _, ok := c.structural[structural]; !ok {
-		c.structural[structural] = e
-	}
-	c.mu.Unlock()
+	c.exact.add(full, e)
+	c.structural.add(structural, e)
 }
 
 // canonicalModel clones m with clients in canonical order under neutral

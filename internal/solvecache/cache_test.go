@@ -261,7 +261,8 @@ func TestCacheInfeasibleCap(t *testing.T) {
 
 // TestCacheConcurrent hammers one shared cache from the worker pool — the
 // sweep engine's exact usage — under -race: mixed hits, warm starts and
-// misses, with every answer agreeing with an uncached reference solve.
+// misses, with every answer agreeing with an uncached reference solve. The
+// bounded variant evicts concurrently and must stay within its bound.
 func TestCacheConcurrent(t *testing.T) {
 	base := presetModels(t, arch.TwoBusAMBA, 24)
 	resized := presetModels(t, arch.TwoBusAMBA, 30)
@@ -275,28 +276,34 @@ func TestCacheConcurrent(t *testing.T) {
 		refs[i] = ref
 	}
 
-	c := solvecache.New()
-	const rounds = 64
-	err := parallel.ForEach(rounds, 8, func(i int) error {
-		k := i % len(pool)
-		got, err := c.SolveJoint([]*ctmdp.Model{pool[k]}, ctmdp.JointConfig{})
+	for _, bound := range []int{0, 2} {
+		c := solvecache.NewBounded(bound)
+		const rounds = 64
+		err := parallel.ForEach(rounds, 8, func(i int) error {
+			k := i % len(pool)
+			got, err := c.SolveJoint([]*ctmdp.Model{pool[k]}, ctmdp.JointConfig{})
+			if err != nil {
+				return err
+			}
+			if d := math.Abs(got.TotalLossRate - refs[k].TotalLossRate); d > 1e-8 {
+				t.Errorf("bound %d, round %d: objective off by %g", bound, i, d)
+			}
+			return nil
+		})
 		if err != nil {
-			return err
+			t.Fatal(err)
 		}
-		if d := math.Abs(got.TotalLossRate - refs[k].TotalLossRate); d > 1e-8 {
-			t.Errorf("round %d: objective off by %g", i, d)
+		s := c.Stats()
+		if s.Hits+s.WarmStarts+s.Misses != rounds {
+			t.Fatalf("bound %d: counters don't add up to %d solves: %+v", bound, rounds, s)
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := c.Stats()
-	if s.Hits+s.WarmStarts+s.Misses != rounds {
-		t.Fatalf("counters don't add up to %d solves: %+v", rounds, s)
-	}
-	if s.Misses == 0 || s.Hits == 0 {
-		t.Fatalf("expected a mix of hits and misses: %+v", s)
+		if bound > 0 {
+			if s.Entries > bound {
+				t.Fatalf("bounded cache holds %d entries, bound %d", s.Entries, bound)
+			}
+		} else if s.Misses == 0 || s.Hits == 0 {
+			t.Fatalf("expected a mix of hits and misses: %+v", s)
+		}
 	}
 }
 

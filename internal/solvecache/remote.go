@@ -3,6 +3,7 @@ package solvecache
 import (
 	"encoding/json"
 	"fmt"
+	"sync/atomic"
 
 	"socbuf/internal/ctmdp"
 )
@@ -30,7 +31,16 @@ import (
 //     hit therefore seeds capped re-solves slightly less well than a local
 //     one — a deliberate trade.
 
-// remoteEnvelope wraps every sidecar payload.
+// remote is a cache's attachment point for the shared store: the store
+// itself (nil = none) and the adoption counters every remote-enabled tier
+// shares. remote.hits counts payloads adopted, remote.misses consults that
+// came back empty or undecodable; both stay zero when no store is attached.
+type remote struct {
+	store        Store
+	hits, misses atomic.Int64
+}
+
+// remoteEnvelope wraps every remote payload in its tier tag.
 type remoteEnvelope struct {
 	Tier string          `json:"tier"`
 	Data json.RawMessage `json:"data"`
@@ -49,30 +59,9 @@ type exactPayload struct {
 	Iters       int            `json:"iters"`
 }
 
-// encodeRemote wraps tier-tagged data in the envelope.
-func encodeRemote(tier string, data any) ([]byte, error) {
-	raw, err := json.Marshal(data)
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(remoteEnvelope{Tier: tier, Data: raw})
-}
-
-// decodeRemote unwraps an envelope, checking the tier tag.
-func decodeRemote(b []byte, tier string, into any) error {
-	var env remoteEnvelope
-	if err := json.Unmarshal(b, &env); err != nil {
-		return err
-	}
-	if env.Tier != tier {
-		return fmt.Errorf("solvecache: remote payload tier %q, want %q", env.Tier, tier)
-	}
-	return json.Unmarshal(env.Data, into)
-}
-
-// encodeEntry serialises one exact-tier entry for the remote store.
-func encodeEntry(e *entry) ([]byte, error) {
-	return encodeRemote("exact", exactPayload{
+// MarshalJSON is the wire form of one exact-tier entry.
+func (e *entry) MarshalJSON() ([]byte, error) {
+	return json.Marshal(exactPayload{
 		ServiceRate: e.model.ServiceRate,
 		Clients:     e.model.Clients,
 		X:           e.sol.X,
@@ -84,28 +73,29 @@ func encodeEntry(e *entry) ([]byte, error) {
 	})
 }
 
-// decodeEntry reconstructs an exact-tier entry from remote bytes, validating
-// every dimension against the rebuilt canonical model. Any inconsistency
-// returns an error (the caller treats it as a miss).
-func decodeEntry(b []byte) (*entry, error) {
+// UnmarshalJSON reconstructs an exact-tier entry from its wire form,
+// validating every dimension against the rebuilt canonical model. Any
+// inconsistency is an error (the tier treats it as a remote miss).
+func (e *entry) UnmarshalJSON(data []byte) error {
 	var p exactPayload
-	if err := decodeRemote(b, "exact", &p); err != nil {
-		return nil, err
+	if err := json.Unmarshal(data, &p); err != nil {
+		return err
 	}
 	m, err := ctmdp.NewModel("sub", p.ServiceRate, p.Clients)
 	if err != nil {
-		return nil, fmt.Errorf("solvecache: remote exact payload: %w", err)
+		return fmt.Errorf("solvecache: remote exact payload: %w", err)
 	}
 	n := m.NumStates()
 	if len(p.X) != m.NumVars() || len(p.StateProb) != n || len(p.ActionProb) != n || len(p.Visited) != n {
-		return nil, fmt.Errorf("solvecache: remote exact payload dimensions do not match model")
+		return fmt.Errorf("solvecache: remote exact payload dimensions do not match model")
 	}
 	for _, row := range p.ActionProb {
 		if len(row) != len(p.Clients) {
-			return nil, fmt.Errorf("solvecache: remote exact payload policy row width mismatch")
+			return fmt.Errorf("solvecache: remote exact payload policy row width mismatch")
 		}
 	}
-	sol := &ctmdp.ModelSolution{
+	e.model, e.iters = m, p.Iters
+	e.sol = &ctmdp.ModelSolution{
 		Model:     m,
 		X:         p.X,
 		StateProb: p.StateProb,
@@ -116,7 +106,7 @@ func decodeEntry(b []byte) (*entry, error) {
 			Visited:    p.Visited,
 		},
 	}
-	return &entry{model: m, sol: sol, iters: p.Iters}, nil
+	return nil
 }
 
 // SetRemote attaches (or, with nil, detaches) the shared remote store. Local
@@ -127,77 +117,44 @@ func (c *Cache) SetRemote(s Store) {
 	if c == nil {
 		return
 	}
-	c.remote = s
+	c.remote.store = s
 }
 
-// Remote returns the attached store (nil when none).
-func (c *Cache) Remote() Store {
-	if c == nil {
-		return nil
+// fetch consults the remote store for k's payload. Absent, mistagged,
+// undecodable and invalid payloads are remote misses; only an adoptable
+// payload counts as a remote hit. A local-only tier, or a cache without a
+// store, never consults (nor counts).
+func (t *tier[V]) fetch(k Key) (V, bool) {
+	var v V
+	if t.tag == "" || t.remote.store == nil {
+		return v, false
 	}
-	return c.remote
+	if b, ok := t.remote.store.Get(nil, k); ok {
+		var env remoteEnvelope
+		if json.Unmarshal(b, &env) == nil && env.Tier == t.tag &&
+			json.Unmarshal(env.Data, &v) == nil && t.valid(v) {
+			t.remote.hits.Add(1)
+			return v, true
+		}
+	}
+	t.remote.misses.Add(1)
+	var zero V // v may hold a partly decoded payload
+	return zero, false
 }
 
-// remoteGet consults the attached store for one tier-tagged payload,
-// decoding into `into`. Misses and undecodable payloads both report false;
-// only adopted payloads count as remote hits.
-func (c *Cache) remoteGet(k Key, tier string, into any) bool {
-	if c.remote == nil {
-		return false
-	}
-	b, ok := c.remote.Get(nil, k)
-	if !ok {
-		c.remoteMis.Add(1)
-		return false
-	}
-	if err := decodeRemote(b, tier, into); err != nil {
-		c.remoteMis.Add(1)
-		return false
-	}
-	c.remoteHit.Add(1)
-	return true
-}
-
-// remotePutData writes one tier-tagged payload behind the attached store.
-func (c *Cache) remotePutData(k Key, tier string, data any) {
-	if c.remote == nil {
+// writeBehind stores v's tier-tagged envelope in the remote store (best
+// effort: an unencodable payload is simply not shared).
+func (t *tier[V]) writeBehind(k Key, v V) {
+	if t.tag == "" || t.remote.store == nil {
 		return
 	}
-	b, err := encodeRemote(tier, data)
+	data, err := json.Marshal(v)
 	if err != nil {
 		return
 	}
-	c.remote.Put(nil, k, b)
-}
-
-// remoteEntryGet is remoteGet for the exact tier (entries need model
-// reconstruction and dimension validation, not plain JSON decoding).
-func (c *Cache) remoteEntryGet(k Key) *entry {
-	if c.remote == nil {
-		return nil
-	}
-	b, ok := c.remote.Get(nil, k)
-	if !ok {
-		c.remoteMis.Add(1)
-		return nil
-	}
-	e, err := decodeEntry(b)
-	if err != nil {
-		c.remoteMis.Add(1)
-		return nil
-	}
-	c.remoteHit.Add(1)
-	return e
-}
-
-// remoteEntryPut writes one exact-tier entry behind the attached store.
-func (c *Cache) remoteEntryPut(k Key, e *entry) {
-	if c.remote == nil {
-		return
-	}
-	b, err := encodeEntry(e)
+	b, err := json.Marshal(remoteEnvelope{Tier: t.tag, Data: data})
 	if err != nil {
 		return
 	}
-	c.remote.Put(nil, k, b)
+	t.remote.store.Put(nil, k, b)
 }

@@ -79,30 +79,30 @@ func (c *Cache) solveOne(m *ctmdp.Model, opts SolveOptions, wantBasis bool) (*ct
 	iters := 0
 	if e != nil && e.matches(m, order) {
 		if exact {
-			c.hits.Add(1)
+			c.exact.hits.Add(1)
 		} else {
-			c.warm.Add(1)
+			c.structural.hits.Add(1) // a warm start
 			// Promote the sibling under the new full key: future solves of
 			// this exact model are plain hits.
-			c.put(full, structural, e)
+			c.exact.add(full, e)
 		}
-	} else if re := c.remoteEntryGet(full); re != nil && re.matches(m, order) {
+	} else if re, ok := c.exact.fetch(full); ok && re.matches(m, order) {
 		// A peer solved this exact fingerprint already: adopt its payload as a
 		// plain hit and keep a local copy. The payload is a pure function of
 		// the key (solveCold solves the canonical clone), so the adopted
 		// numbers are bit-identical to what a local cold solve would produce.
-		c.hits.Add(1)
+		c.exact.hits.Add(1)
 		c.put(full, structural, re)
 		e = re
 	} else {
-		c.misses.Add(1)
+		c.exact.misses.Add(1)
 		var err error
 		if e, err = c.solveCold(m, order, opts); err != nil {
 			return nil, nil, 0, err
 		}
 		c.put(full, structural, e)
 		iters = e.iters
-		c.remoteEntryPut(full, e)
+		c.exact.writeBehind(full, e)
 	}
 	ms, err := e.rebind(m, order)
 	if err != nil {
@@ -149,24 +149,12 @@ func (c *Cache) solveCapped(models []*ctmdp.Model, cfg ctmdp.JointConfig, opts S
 		orders[i] = canonicalOrder(m)
 	}
 
-	c.mu.Lock()
-	je := c.joint[key]
-	c.mu.Unlock()
-	if je != nil && len(je.entries) == len(models) {
-		ok := true
-		for i, m := range models {
-			if !je.entries[i].matches(m, orders[i]) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			c.jointHits.Add(1)
-			return je.assemble(models, orders)
-		}
+	if je, ok := c.joint.get(key); ok && je.matches(models, orders) {
+		c.joint.hits.Add(1)
+		return je.assemble(models, orders)
 	}
 
-	c.jointMiss.Add(1)
+	c.joint.misses.Add(1)
 	cms := make([]*ctmdp.Model, len(models))
 	for i, m := range models {
 		cm, err := canonicalModel(m, orders[i])
@@ -230,7 +218,7 @@ func (c *Cache) solveCapped(models []*ctmdp.Model, cfg ctmdp.JointConfig, opts S
 		sol.CapBinding = sol.OccupancyUsed >= cfg.OccupancyCap*(1-1e-6)
 	}
 
-	je = &jointEntry{
+	je := &jointEntry{
 		totalLoss:  sol.TotalLossRate,
 		occUsed:    sol.OccupancyUsed,
 		capBinding: sol.CapBinding,
@@ -238,9 +226,7 @@ func (c *Cache) solveCapped(models []*ctmdp.Model, cfg ctmdp.JointConfig, opts S
 	for i := range cms {
 		je.entries = append(je.entries, &entry{model: cms[i], sol: sol.PerModel[i]})
 	}
-	c.mu.Lock()
-	c.joint[key] = je
-	c.mu.Unlock()
+	c.joint.add(key, je)
 	out, err := je.assemble(models, orders)
 	if err != nil {
 		return nil, err
@@ -259,13 +245,13 @@ func (c *Cache) solveCapped(models []*ctmdp.Model, cfg ctmdp.JointConfig, opts S
 // unwrapped so the cap retry ladder sees it.
 func (c *Cache) solveDelta(cms []*ctmdp.Model, cfg, inner ctmdp.JointConfig, opts SolveOptions) (*ctmdp.JointSolution, error) {
 	key := JointStructuralFingerprint(cms, opts)
-	c.mu.Lock()
+	c.deltaMu.Lock()
 	de := c.delta[key]
 	if de == nil && len(c.delta) < maxDeltaEntries {
 		de = &deltaEntry{}
 		c.delta[key] = de
 	}
-	c.mu.Unlock()
+	c.deltaMu.Unlock()
 	if de == nil {
 		return nil, nil // tier full: solve without delta reuse
 	}
@@ -299,6 +285,20 @@ func (c *Cache) solveDelta(cms []*ctmdp.Model, cfg, inner ctmdp.JointConfig, opt
 	}
 	c.deltaHit.Add(1)
 	return sol, nil
+}
+
+// matches sanity-checks a cached joint entry block by block against the
+// requesting models (see entry.matches).
+func (je *jointEntry) matches(models []*ctmdp.Model, orders [][]int) bool {
+	if len(je.entries) != len(models) {
+		return false
+	}
+	for i, m := range models {
+		if !je.entries[i].matches(m, orders[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // assemble rebinds a cached joint entry onto the requesting models.

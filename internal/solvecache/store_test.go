@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -335,6 +336,30 @@ func TestStatsRates(t *testing.T) {
 	for _, quiet := range []string{"joint", "joint-delta", "robust", "placement"} {
 		if _, ok := r[quiet]; ok {
 			t.Errorf("tier %q saw no traffic but has a rate", quiet)
+		}
+	}
+}
+
+// TestStatsAdd: Add must carry every numeric field of Stats, so a counter
+// added later cannot silently go missing from the router's fleet merge.
+func TestStatsAdd(t *testing.T) {
+	var in solvecache.Stats
+	v := reflect.ValueOf(&in).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		switch f := v.Field(i); f.Kind() {
+		case reflect.Int, reflect.Int64:
+			f.SetInt(int64(i + 1))
+		default:
+			t.Fatalf("field %s has kind %s: extend Stats.Add and this test", v.Type().Field(i).Name, f.Kind())
+		}
+	}
+	var sum solvecache.Stats
+	sum.Add(in)
+	sum.Add(in)
+	got := reflect.ValueOf(sum)
+	for i := 0; i < got.NumField(); i++ {
+		if want := 2 * int64(i+1); got.Field(i).Int() != want {
+			t.Errorf("Add dropped %s: got %d, want %d", got.Type().Field(i).Name, got.Field(i).Int(), want)
 		}
 	}
 }

@@ -105,25 +105,6 @@ func analyticSize(a *arch.Architecture, cfg core.Config) (*solvecache.AnalyticSo
 	return sol, nil
 }
 
-// AnalyticContentKey fingerprints the analytic sizing content of a request-
-// level configuration — cfg.Arch's canonical JSON, the loss weights, the
-// budget and the fixed-point depth. It is the engine's micro-batching group
-// key: two configurations with equal keys describe the same analytic sizing
-// problem (their sizings cache-share under the analytic tier once the
-// stepper's buffer insertion has run), though they may still differ in
-// evaluation knobs (seeds, horizon) that batching deliberately ignores. The
-// second return is false when cfg carries no architecture.
-func AnalyticContentKey(cfg core.Config) (solvecache.Key, bool) {
-	if cfg.Arch == nil {
-		return solvecache.Key{}, false
-	}
-	k, err := analyticKey(cfg.Arch, cfg)
-	if err != nil {
-		return solvecache.Key{}, false
-	}
-	return k, true
-}
-
 // analyticKey fingerprints the analytic problem: the buffered
 // architecture's canonical JSON, the loss weights, the budget and the
 // fixed-point depth (solvecache.AnalyticFingerprint adds the backend tag).
