@@ -22,7 +22,7 @@ BENCH_GATES = \
 	-gate 'BenchmarkAnalyticSolve=25' \
 	-gate 'BenchmarkRobustMatrix=25'
 
-.PHONY: build test race bench bench-compare profile lint fmt scenario-smoke serve-smoke placement-smoke robust-smoke fuzz-smoke fleet-smoke fleet-bench cover
+.PHONY: build test race bench bench-test bench-compare profile lint fmt scenario-smoke serve-smoke placement-smoke robust-smoke fuzz-smoke fleet-smoke fleet-bench cover
 
 build:
 	$(GO) build ./...
@@ -38,6 +38,12 @@ race:
 
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' ./...
+
+# Vet and test the end-to-end benchmark's own module (bench/, see
+# bench/README.md). It compiles against the engine, cache, HTTP and router
+# packages, but the root ./... patterns never reach a nested module.
+bench-test:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Compare two bench runs and fail on gated regressions (BENCH_GATES above) —
 # the same list the nightly workflow applies. Produce the inputs with e.g.

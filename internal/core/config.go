@@ -19,6 +19,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"socbuf/internal/arch"
@@ -122,22 +123,33 @@ type Config struct {
 	RefineStationary bool
 }
 
+// ErrInvalidConfig tags every Config the methodology rejects before
+// running — a negative horizon or iteration count, a warm-up outside
+// [0, horizon), an invalid uncertainty spec… — so callers can tell a
+// caller's mistake from a solve failure. Match with errors.Is.
+var ErrInvalidConfig = errors.New("invalid config")
+
+// invalidf builds an ErrInvalidConfig-tagged error.
+func invalidf(format string, args ...any) error {
+	return fmt.Errorf("core: %w: %s", ErrInvalidConfig, fmt.Sprintf(format, args...))
+}
+
 // withDefaults fills zero fields.
 func (c Config) withDefaults() (Config, error) {
 	if c.Method != "" && c.Method != "exact" {
-		return c, fmt.Errorf("core: method %q is dispatched by internal/solver; core runs only the exact CTMDP/LP path", c.Method)
+		return c, invalidf("method %q is dispatched by internal/solver; core runs only the exact CTMDP/LP path", c.Method)
 	}
 	if c.Arch == nil {
-		return c, fmt.Errorf("core: nil architecture")
+		return c, invalidf("nil architecture")
 	}
 	if c.Budget <= 0 {
-		return c, fmt.Errorf("core: budget %d must be positive", c.Budget)
+		return c, invalidf("budget %d must be positive", c.Budget)
 	}
 	if c.Iterations == 0 {
 		c.Iterations = 10
 	}
 	if c.Iterations < 0 {
-		return c, fmt.Errorf("core: negative iterations %d", c.Iterations)
+		return c, invalidf("negative iterations %d", c.Iterations)
 	}
 	if len(c.Seeds) == 0 {
 		c.Seeds = []int64{1, 2, 3}
@@ -146,47 +158,49 @@ func (c Config) withDefaults() (Config, error) {
 		c.Horizon = 2000
 	}
 	if c.Horizon < 0 {
-		return c, fmt.Errorf("core: negative horizon %v", c.Horizon)
+		return c, invalidf("negative horizon %v", c.Horizon)
 	}
+	warmUp := "warm-up"
 	if c.WarmUp == 0 {
 		c.WarmUp = 100
+		warmUp = "default warm-up"
 	}
 	if c.WarmUp < 0 || c.WarmUp >= c.Horizon {
-		return c, fmt.Errorf("core: warm-up %v outside [0, horizon)", c.WarmUp)
+		return c, invalidf("%s %v outside [0, horizon %v)", warmUp, c.WarmUp, c.Horizon)
 	}
 	if c.Levels == 0 {
 		c.Levels = 2
 	}
 	if c.Levels < 1 {
-		return c, fmt.Errorf("core: levels %d < 1", c.Levels)
+		return c, invalidf("levels %d < 1", c.Levels)
 	}
 	if c.MaxClients == 0 {
 		c.MaxClients = 4
 	}
 	if c.MaxClients < 1 {
-		return c, fmt.Errorf("core: max clients %d < 1", c.MaxClients)
+		return c, invalidf("max clients %d < 1", c.MaxClients)
 	}
 	if c.Eps == 0 {
 		c.Eps = 0.05
 	}
 	if c.Eps <= 0 || c.Eps >= 1 {
-		return c, fmt.Errorf("core: eps %v outside (0,1)", c.Eps)
+		return c, invalidf("eps %v outside (0,1)", c.Eps)
 	}
 	if c.CapFactor == 0 {
 		c.CapFactor = 0.92
 	}
 	if c.CapFactor < 0 || c.CapFactor > 1 {
-		return c, fmt.Errorf("core: cap factor %v outside [0,1]", c.CapFactor)
+		return c, invalidf("cap factor %v outside [0,1]", c.CapFactor)
 	}
 	if c.BoundaryIters == 0 {
 		c.BoundaryIters = 3
 	}
 	if c.BoundaryIters < 1 {
-		return c, fmt.Errorf("core: boundary iterations %d < 1", c.BoundaryIters)
+		return c, invalidf("boundary iterations %d < 1", c.BoundaryIters)
 	}
 	if c.Uncertainty != nil {
 		if err := c.Uncertainty.Validate(); err != nil {
-			return c, fmt.Errorf("core: %w", err)
+			return c, fmt.Errorf("core: %w: %w", ErrInvalidConfig, err)
 		}
 	}
 	return c, nil

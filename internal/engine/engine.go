@@ -12,20 +12,26 @@
 //  1. admission — a closed engine rejects with ErrClosed; when
 //     Config.MaxInFlight is set and that many requests are already
 //     executing, admission fails fast with ErrBusy (callers translate to
-//     backpressure, e.g. HTTP 503);
-//  2. coalescing (Solve only) — concurrent identical requests, keyed by a
-//     content-addressed fingerprint of the normalised request, share one
-//     underlying methodology run: the first arrival registers a flight that
-//     executes on its own goroutine, later arrivals join it, and all receive
-//     the same *SolveResult (immutable once published — treat as read-only).
+//     backpressure, e.g. HTTP 503). The closed check runs first, the
+//     in-flight slot is taken last;
+//  2. result tier (Solve and BudgetSweep with UseCache) — a request whose
+//     content-addressed fingerprint already has a stored answer in the
+//     cache's result tier gets that answer back, flagged Cached, before
+//     coalescing and admission: no run, no flight, no in-flight slot.
+//     Successful answers are stored as they finish;
+//  3. coalescing (Solve only) — concurrent identical requests, keyed by the
+//     same fingerprint of the normalised request, share one underlying
+//     methodology run: the first arrival registers a flight that executes
+//     on its own goroutine, later arrivals join it, and all receive the
+//     same *SolveResult (immutable once published — treat as read-only).
 //     Waiters are refcounted: the run is cancelled only when the last one
 //     leaves, so one disconnecting client never fails its coalesced peers;
-//  3. execution — the request runs under a context derived from BOTH the
+//  4. execution — the request runs under a context derived from BOTH the
 //     caller's context and the engine's lifetime, so either a client
 //     disconnect or Shutdown cancels it; cancellation threads down through
 //     experiments → core → internal/parallel, which never abandons
 //     goroutines;
-//  4. completion — results come back typed (SolveResult, BudgetSweepResult,
+//  5. completion — results come back typed (SolveResult, BudgetSweepResult,
 //     …) with machine-readable JSON shapes, and sweep requests can stream
 //     per-point rows as they complete via their OnRow hooks.
 //
@@ -248,9 +254,9 @@ func (e *Engine) Cache() *solvecache.Cache { return e.cache }
 // Stats is a point-in-time snapshot of the engine counters plus the owned
 // cache's counters. The JSON shape is served verbatim by socbufd /v1/stats.
 type Stats struct {
-	// Requests counts every API request received, coalesced followers
-	// included — even ones later rejected by admission (Busy tracks those)
-	// or failed by validation.
+	// Requests counts every API request received, result-tier hits and
+	// coalesced followers included — even ones later rejected by admission
+	// (Busy tracks those) or failed by validation.
 	Requests int64 `json:"requests"`
 	// Coalesced counts solve requests served by another request's flight
 	// instead of their own methodology run.
@@ -275,8 +281,9 @@ type Stats struct {
 	// counters (solvecache.Stats.Rates); only tiers that saw traffic appear.
 	CacheRates map[string]float64 `json:"cacheRates,omitempty"`
 	// Backends breaks the methodology runs down by solver backend
-	// ("exact" | "analytic" | "hybrid"); only backends that have executed
-	// appear.
+	// ("exact" | "analytic" | "hybrid" | "robust"); only backends that have
+	// executed appear. A request answered from the result tier ran no
+	// backend, so it moves none of these counters.
 	Backends map[string]BackendStats `json:"backends,omitempty"`
 }
 
@@ -309,6 +316,13 @@ func (e *Engine) Stats() Stats {
 		CacheRates:    cs.Rates(),
 		Backends:      backends,
 	}
+}
+
+// isClosed reports whether Shutdown has begun.
+func (e *Engine) isClosed() bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.closed
 }
 
 // begin admits one request: closed check, in-flight slot, and a request

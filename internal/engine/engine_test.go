@@ -450,9 +450,10 @@ func TestEngineJoinAfterLastWaiterLeft(t *testing.T) {
 
 // TestEngineTierBound: a seeded random mix of exact solves, budget sweeps,
 // analytic, robust and placement requests — over ten times more distinct
-// cache keys than the bound — keeps every tier of an engine-owned cache
-// within MaxCacheEntries after every request, and every answer equals an
-// unbounded engine's (eviction costs recomputes, never correctness).
+// cache keys than the bound — keeps every tier of an engine-owned cache,
+// the result tier included, within MaxCacheEntries after every request,
+// and every answer equals an unbounded engine's (eviction costs
+// recomputes, never correctness).
 func TestEngineTierBound(t *testing.T) {
 	const bound = 2
 	bounded := New(Config{Workers: 1, MaxCacheEntries: bound})
@@ -521,6 +522,7 @@ func TestEngineTierBound(t *testing.T) {
 		for name, n := range map[string]int{
 			"Entries": s.Entries, "JointEntries": s.JointEntries, "AnalyticEntries": s.AnalyticEntries,
 			"RobustEntries": s.RobustEntries, "PlacementEntries": s.PlacementEntries,
+			"ResultEntries": s.ResultEntries,
 		} {
 			if n > bound {
 				t.Fatalf("request %d: %s = %d exceeds the bound %d", i, name, n, bound)
@@ -533,7 +535,7 @@ func TestEngineTierBound(t *testing.T) {
 	s := unbounded.Stats().Cache
 	keys := map[string]int64{
 		"exact": s.Misses + s.WarmStarts, "joint": s.JointMisses, "analytic": s.AnalyticMisses,
-		"robust": s.RobustMisses, "placement": s.PlacementMisses,
+		"robust": s.RobustMisses, "placement": s.PlacementMisses, "result": int64(s.ResultEntries),
 	}
 	var total int64
 	for name, n := range keys {

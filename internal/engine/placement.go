@@ -202,7 +202,7 @@ func (e *Engine) Placement(ctx context.Context, req PlacementRequest) (*Placemen
 	e.placeRuns.Add(1)
 	res, err := placement.Place(rctx, pc)
 	if err != nil {
-		return nil, err
+		return nil, classify(err)
 	}
 	out := &PlacementResult{
 		Scenario:      meta.scenario,

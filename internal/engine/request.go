@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 
 	"socbuf/internal/arch"
@@ -130,6 +131,17 @@ type solveMeta struct {
 // invalidf builds an ErrInvalidRequest-tagged error.
 func invalidf(format string, args ...any) error {
 	return fmt.Errorf("engine: %w: %s", ErrInvalidRequest, fmt.Sprintf(format, args...))
+}
+
+// classify tags a methodology configuration the core rejected
+// (core.ErrInvalidConfig: a negative horizon, a warm-up past it, an invalid
+// uncertainty spec…) as the caller's mistake, so it reaches clients as
+// ErrInvalidRequest (HTTP 400) rather than as a solver failure.
+func classify(err error) error {
+	if errors.Is(err, core.ErrInvalidConfig) {
+		return fmt.Errorf("engine: %w: %w", ErrInvalidRequest, err)
+	}
+	return err
 }
 
 // coreConfig normalises the request into a methodology configuration,
@@ -258,6 +270,10 @@ type SolveResult struct {
 	// Robust carries the chance-constraint report of a robust-backend run
 	// (empirical yield, Wilson bound, budget used). Nil for other backends.
 	Robust *uncertain.Report `json:"robust,omitempty"`
+	// Cached marks a result served from the engine cache's result tier: an
+	// identical earlier request's answer, bit for bit, with no run behind
+	// it.
+	Cached bool `json:"cached,omitempty"`
 }
 
 // BudgetSweepRequest fans the methodology across budgets on one architecture
@@ -299,7 +315,10 @@ type BudgetSweepRequest struct {
 type BudgetSweepResult struct {
 	ArchName string
 	Sweep    *experiments.BudgetSweepResult
-	Plan     *experiments.SweepPlan
+	// Plan of a cached result carries the stored counts only, no models.
+	Plan *experiments.SweepPlan
+	// Cached marks a sweep served from the engine cache's result tier.
+	Cached bool
 }
 
 // ScenarioSweepRequest fans the methodology over registry scenarios (engine

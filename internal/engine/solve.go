@@ -2,6 +2,8 @@ package engine
 
 import (
 	"context"
+	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -13,22 +15,35 @@ import (
 	"socbuf/internal/experiments"
 	"socbuf/internal/report"
 	"socbuf/internal/scenario"
+	"socbuf/internal/solvecache"
 	"socbuf/internal/solver"
 )
 
-// Solve runs one methodology request. Concurrent identical requests (equal
-// fingerprints) coalesce: one underlying run executes on its own goroutine
-// and every caller shares its result — so a thundering herd of equal
-// queries costs one solve. A caller whose own ctx is cancelled stops
-// waiting and returns ctx.Err(); the shared flight keeps running for the
-// remaining waiters and is cancelled only when the last of them leaves (or
-// the engine shuts down).
+// Solve runs one methodology request. With UseCache, a request whose
+// fingerprint already has a stored answer is served from the cache's result
+// tier: no run, no coalescing, no in-flight slot. Otherwise concurrent
+// identical requests (equal fingerprints) coalesce: one underlying run
+// executes on its own goroutine and every caller shares its result — so a
+// thundering herd of equal queries costs one solve. A caller whose own ctx
+// is cancelled stops waiting and returns ctx.Err(); the shared flight keeps
+// running for the remaining waiters and is cancelled only when the last of
+// them leaves (or the engine shuts down).
 func (e *Engine) Solve(ctx context.Context, req SolveRequest) (*SolveResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	e.requests.Add(1)
 	key := req.key()
+	if e.isClosed() {
+		return nil, ErrClosed
+	}
+	if req.UseCache {
+		res := &SolveResult{}
+		if e.lookupResult(key, res) {
+			res.Cached = true
+			return res, nil
+		}
+	}
 	e.mu.Lock()
 	f, ok := e.flights[key]
 	joined := ok && f.join()
@@ -64,10 +79,11 @@ func (e *Engine) Solve(ctx context.Context, req SolveRequest) (*SolveResult, err
 // engine lifetime) and publishes the outcome exactly once. Publication and
 // deregistration happen in a deferred block that also recovers a panicking
 // solve, so the key can never be left pointing at a flight that will not
-// complete. The flight is deregistered before publication, so a request
-// arriving after completion starts a fresh run — coalescing merges
-// concurrent requests only; persistent memoisation is the solve cache's
-// job.
+// complete. Coalescing merges concurrent requests only: the flight is
+// deregistered before publication, so a later request never joins a
+// finished flight. Finished answers are memoised by the cache's result
+// tier instead — with UseCache, a successful run is stored there before
+// the flight deregisters, so a request arriving after completion finds it.
 func (e *Engine) runFlight(key string, f *flight, req SolveRequest) {
 	var res *SolveResult
 	var err error
@@ -96,6 +112,9 @@ func (e *Engine) runFlight(key string, f *flight, req SolveRequest) {
 		e.testHookLeaderSolve()
 	}
 	res, err = e.solve(rctx, req)
+	if err == nil && req.UseCache {
+		e.storeResult(key, res)
+	}
 }
 
 // solve is the uncoalesced methodology run.
@@ -117,7 +136,7 @@ func (e *Engine) solve(ctx context.Context, req SolveRequest) (*SolveResult, err
 	e.solveRuns.Add(1)
 	res, err := e.runSolver(ctx, cfg)
 	if err != nil {
-		return nil, err
+		return nil, classify(err)
 	}
 	return newSolveResult(meta, solver.Canonical(cfg.Method), res), nil
 }
@@ -172,12 +191,32 @@ func newSolveResult(meta solveMeta, method string, res *core.Result) *SolveResul
 }
 
 // BudgetSweep fans the methodology across the request's budgets. With
-// UseCache it plans and prewarms first (one cold solve per structural
-// class) and hands the plan back alongside the sweep. Partial failures
-// follow the experiments contract: the result carries every successful
-// point, the error joins the per-point failures.
+// UseCache it first consults the cache's result tier — a repeated sweep is
+// answered from the stored result, its rows replayed through OnRow in
+// budget order — and otherwise plans and prewarms (one cold solve per
+// structural class) and hands the plan back alongside the sweep; only
+// sweeps without a failed point are stored. Partial failures follow the
+// experiments contract: the result carries every successful point, the
+// error joins the per-point failures.
 func (e *Engine) BudgetSweep(ctx context.Context, req BudgetSweepRequest) (*BudgetSweepResult, error) {
 	e.requests.Add(1)
+	var key string
+	if req.UseCache {
+		if e.isClosed() {
+			return nil, ErrClosed
+		}
+		key = req.Fingerprint()
+		out := &BudgetSweepResult{}
+		if e.lookupResult(key, out) {
+			out.Cached = true
+			if req.OnRow != nil {
+				for _, row := range out.Sweep.Rows() {
+					req.OnRow(row)
+				}
+			}
+			return out, nil
+		}
+	}
 	rctx, end, err := e.begin(ctx)
 	if err != nil {
 		return nil, err
@@ -226,7 +265,47 @@ func (e *Engine) BudgetSweep(ctx context.Context, req BudgetSweepRequest) (*Budg
 	if res == nil {
 		return nil, err
 	}
-	return &BudgetSweepResult{ArchName: a.Name, Sweep: res, Plan: plan}, err
+	out := &BudgetSweepResult{ArchName: a.Name, Sweep: res, Plan: plan}
+	if err == nil && req.UseCache {
+		e.storeResult(key, out)
+	}
+	return out, err
+}
+
+// lookupResult decodes the result tier's answer for request fingerprint key
+// into out, reporting whether there was one. The stored form is the JSON
+// encoding, which round-trips every float64 exactly, so a hit is
+// bit-identical to the run that stored it and shares no memory with it.
+func (e *Engine) lookupResult(key string, out any) bool {
+	k, ok := resultKey(key)
+	if !ok {
+		return false
+	}
+	b, ok := e.cache.LookupResult(k)
+	// An undecodable payload (never expected: the engine wrote it) counts
+	// as a miss; the fresh run overwrites it.
+	return ok && json.Unmarshal(b, out) == nil
+}
+
+// storeResult files a successful answer in the result tier under request
+// fingerprint key. An answer JSON cannot encode (a NaN) is not stored.
+func (e *Engine) storeResult(key string, v any) {
+	k, ok := resultKey(key)
+	if !ok {
+		return
+	}
+	if b, err := json.Marshal(v); err == nil {
+		e.cache.PutResult(k, b)
+	}
+}
+
+// resultKey turns a request fingerprint into a result-tier key: the
+// fingerprint is already a domain-tagged SHA-256 in hex, so its bytes are
+// the key.
+func resultKey(fingerprint string) (solvecache.Key, bool) {
+	var k solvecache.Key
+	n, err := hex.Decode(k[:], []byte(fingerprint))
+	return k, err == nil && n == len(k)
 }
 
 // sweepObserver records each sweep point's solve under its backend. Cache

@@ -240,7 +240,7 @@ func WriteCacheStats(w io.Writer, s solvecache.Stats) error {
 		fmt.Sprint(s.Misses),
 		fmt.Sprint(s.JointHits),
 		fmt.Sprint(s.JointMisses),
-		fmt.Sprint(s.Entries + s.JointEntries + s.AnalyticEntries + s.RobustEntries + s.PlacementEntries),
+		fmt.Sprint(s.Entries + s.JointEntries + s.AnalyticEntries + s.RobustEntries + s.PlacementEntries + s.ResultEntries),
 	}}
 	if s.AnalyticHits+s.AnalyticMisses > 0 {
 		headers = append(headers, "analytic hits", "analytic misses")
@@ -253,6 +253,10 @@ func WriteCacheStats(w io.Writer, s solvecache.Stats) error {
 	if s.PlacementHits+s.PlacementMisses > 0 {
 		headers = append(headers, "placement hits", "placement misses")
 		rows[0] = append(rows[0], fmt.Sprint(s.PlacementHits), fmt.Sprint(s.PlacementMisses))
+	}
+	if s.ResultHits+s.ResultMisses > 0 {
+		headers = append(headers, "result hits", "result misses")
+		rows[0] = append(rows[0], fmt.Sprint(s.ResultHits), fmt.Sprint(s.ResultMisses))
 	}
 	if s.DeltaResolves+s.DeltaFallbacks+int64(s.DeltaEntries) > 0 {
 		headers = append(headers, "delta resolves", "delta fallbacks")
@@ -271,7 +275,7 @@ func WriteCacheStats(w io.Writer, s solvecache.Stats) error {
 	}
 	// Fixed tier order (the Rates doc's order), filtered to traffic seen.
 	var rh, rr []string
-	for _, tier := range []string{"exact", "structural", "joint", "joint-delta", "analytic", "robust", "placement", "remote"} {
+	for _, tier := range []string{"exact", "structural", "joint", "joint-delta", "analytic", "robust", "placement", "result", "remote"} {
 		if v, ok := rates[tier]; ok {
 			rh = append(rh, tier)
 			rr = append(rr, fmt.Sprintf("%.1f%%", 100*v))

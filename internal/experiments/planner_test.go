@@ -138,7 +138,8 @@ func TestWriteCacheStatsRates(t *testing.T) {
 		Hits: 6, WarmStarts: 2, Misses: 2,
 		AnalyticHits: 3, AnalyticMisses: 1,
 		RemoteHits: 4, RemoteMisses: 4,
-		Entries: 2,
+		ResultHits: 1, ResultMisses: 3,
+		Entries: 2, ResultEntries: 1,
 	}
 	if err := WriteCacheStats(&b, s); err != nil {
 		t.Fatal(err)
@@ -146,11 +147,13 @@ func TestWriteCacheStatsRates(t *testing.T) {
 	out := b.String()
 	for _, want := range []string{
 		"remote hits", "remote misses",
+		"result hits", "result misses",
 		"hit rates:",
-		"exact", "structural", "analytic", "remote",
+		"exact", "structural", "analytic", "result", "remote",
 		"60.0%", // exact: 6 / (6+2+2)
 		"50.0%", // structural 2/(2+2), remote 4/(4+4)
 		"75.0%", // analytic: 3 / (3+1)
+		"25.0%", // result: 1 / (1+3)
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)

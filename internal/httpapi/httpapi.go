@@ -113,11 +113,14 @@ type planJSON struct {
 	UniqueStructural int `json:"uniqueStructural"`
 }
 
-// budgetSummary is the trailing NDJSON line of /v1/sweep/budget.
+// budgetSummary is the trailing NDJSON line of /v1/sweep/budget. Cached
+// marks a sweep served from the engine cache's result tier (its point lines
+// are the stored rows, replayed).
 type budgetSummary struct {
 	Arch   string                  `json:"arch"`
 	Points []experiments.BudgetRow `json:"points"`
 	Plan   *planJSON               `json:"plan,omitempty"`
+	Cached bool                    `json:"cached,omitempty"`
 	Error  string                  `json:"error,omitempty"`
 }
 
@@ -140,7 +143,7 @@ func (s *Server) budgetSweep(w http.ResponseWriter, r *http.Request) {
 		st.fail(s, w, r, err)
 		return
 	}
-	sum := budgetSummary{Arch: res.ArchName, Points: res.Sweep.Rows()}
+	sum := budgetSummary{Arch: res.ArchName, Points: res.Sweep.Rows(), Cached: res.Cached}
 	if res.Plan != nil {
 		sum.Plan = &planJSON{
 			Points:           len(res.Plan.Budgets),

@@ -133,24 +133,32 @@ func TestStatsEndpoint(t *testing.T) {
 // TestStatsPerBackendCounters: /v1/stats breaks methodology runs down per
 // solver backend — solves, cache hits and mean wall time — keyed by the
 // canonical method name. One exact (default) solve, one analytic solve and
-// an analytic re-solve through the default cache must show up under their
-// backends, with the analytic tier's cache hit attributed to the analytic
-// backend.
+// an analytic re-solve under other seeds through the default cache must
+// show up under their backends, with the analytic tier's cache hit
+// attributed to the analytic backend. A verbatim repeat is answered by the
+// result tier and runs no backend at all.
 func TestStatsPerBackendCounters(t *testing.T) {
 	_, ts := startServer(t, engine.Config{}, true)
 	postJSON(t, ts.URL+"/v1/solve", fastSolveBody).Body.Close()
 	analyticBody := `{"scenario":"twobus","iterations":1,"seeds":[1],"horizon":400,"warmUp":50,"method":"analytic"}`
 	postJSON(t, ts.URL+"/v1/solve", analyticBody).Body.Close()
-	// Identical analytic request again: no coalescing window (the first is
-	// long gone), so it re-runs and hits the analytic cache tier.
-	postJSON(t, ts.URL+"/v1/solve", analyticBody).Body.Close()
+	// The same analytic problem under other evaluation seeds: a new request
+	// fingerprint, so it re-runs, but the analytic sizing is seed-free and
+	// hits the analytic cache tier.
+	reseeded := strings.Replace(analyticBody, `"seeds":[1]`, `"seeds":[2]`, 1)
+	postJSON(t, ts.URL+"/v1/solve", reseeded).Body.Close()
 
-	resp, err := http.Get(ts.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
+	stats := func() engine.Stats {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/v1/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st engine.Stats
+		decodeBody(t, resp, &st)
+		return st
 	}
-	var st engine.Stats
-	decodeBody(t, resp, &st)
+	st := stats()
 	ex, ok := st.Backends["exact"]
 	if !ok || ex.Solves != 1 {
 		t.Fatalf("exact backend counters missing or wrong: %+v", st.Backends)
@@ -168,6 +176,20 @@ func TestStatsPerBackendCounters(t *testing.T) {
 	}
 	if _, ok := st.Backends["hybrid"]; ok {
 		t.Fatalf("hybrid backend counted without running: %+v", st.Backends)
+	}
+
+	// A verbatim repeat: a result-tier hit, flagged cached, that runs no
+	// backend and reads no other tier.
+	resp := postJSON(t, ts.URL+"/v1/solve", reseeded)
+	var res engine.SolveResult
+	decodeBody(t, resp, &res)
+	if !res.Cached {
+		t.Fatalf("verbatim repeat not flagged cached: %+v", res)
+	}
+	again := stats()
+	if again.Cache.ResultHits != 1 || again.Backends["analytic"] != an ||
+		again.SolveRuns != st.SolveRuns || again.Cache.AnalyticHits != st.Cache.AnalyticHits {
+		t.Fatalf("verbatim repeat was not a pure result-tier hit: before %+v, after %+v", st, again)
 	}
 }
 
@@ -371,6 +393,46 @@ func TestPlacementEndpointBadRequest(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("body %q: status %d, want 400", body, resp.StatusCode)
+		}
+	}
+}
+
+// TestInvalidConfigIs400: methodology knobs the core rejects are the
+// caller's mistake on both endpoints that run the methodology — a 400
+// carrying the core's message, never a 500. A warm-up the client never sent
+// is named as the default.
+func TestInvalidConfigIs400(t *testing.T) {
+	_, ts := startServer(t, engine.Config{}, true)
+	for _, c := range []struct{ knobs, want string }{
+		{`"horizon":-5`, "negative horizon -5"},
+		{`"iterations":-2`, "negative iterations -2"},
+		{`"horizon":50`, "default warm-up 100 outside [0, horizon 50)"},
+		{`"horizon":400,"warmUp":500`, "warm-up 500 outside [0, horizon 400)"},
+		{`"warmUp":-1`, "warm-up -1 outside"},
+	} {
+		for _, path := range []string{"/v1/solve", "/v1/placement"} {
+			body := `{"arch":"twobus","budget":24,"seeds":[1],` + c.knobs + `}`
+			resp := postJSON(t, ts.URL+path, body)
+			var e map[string]string
+			decodeBody(t, resp, &e)
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e["error"], c.want) {
+				t.Errorf("%s %s: status %d, error %q; want 400 naming %q", path, body, resp.StatusCode, e["error"], c.want)
+			}
+		}
+	}
+	// Uncertainty specs reach only /v1/solve; every backend validates them.
+	for _, c := range []struct{ spec, want string }{
+		{`{"samples":-4}`, "samples -4 outside"},
+		{`{"rateSigma":-1}`, "rate sigma -1 outside"},
+	} {
+		for _, method := range []string{"exact", "robust"} {
+			body := `{"arch":"twobus","budget":24,"method":"` + method + `","uncertainty":` + c.spec + `}`
+			resp := postJSON(t, ts.URL+"/v1/solve", body)
+			var e map[string]string
+			decodeBody(t, resp, &e)
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e["error"], c.want) {
+				t.Errorf("%s: status %d, error %q; want 400 naming %q", body, resp.StatusCode, e["error"], c.want)
+			}
 		}
 	}
 }

@@ -34,8 +34,15 @@
 // are solved per-block rather than in one block-diagonal program); the
 // correctness gate pins the two within 1e-8 on all fixtures.
 //
+// Two tiers memoise whole answers rather than sub-models: placement holds
+// serialised placement results, and result holds serialised solve and
+// budget-sweep results keyed by the engine's normalised request fingerprint,
+// so a repeated request skips its simulations and LP solves entirely. The
+// result tier is local-only: request fingerprints carry no code version, and
+// a router already keeps each fingerprint on one shard (DESIGN.md §10).
+//
 // Memory: every tier (exact, structural, joint, analytic, robust,
-// placement) is one generic LRU-bounded store (tier.go). New builds an
+// placement, result) is one generic LRU-bounded store (tier.go). New builds an
 // unbounded cache — a sweep's distinct sub-models number in the hundreds
 // and payloads are a few KB each; NewBounded caps each tier at a fixed
 // entry count for long-lived processes, evicting the least recently used
@@ -68,6 +75,7 @@ type Cache struct {
 	analytic          *tier[*AnalyticSolution]
 	robust            *tier[*RobustSolution]
 	placement         *tier[json.RawMessage]
+	result            *tier[json.RawMessage] // local only: no remote tag
 
 	// remote is the optional shared store behind the exact/analytic/robust/
 	// placement tiers (see SetRemote and remote.go).
@@ -139,11 +147,12 @@ func NewBounded(max int) *Cache {
 		valid: func(s *AnalyticSolution) bool { return s != nil && s.Alloc != nil }}
 	c.robust = &tier[*RobustSolution]{max: max, remote: r, tag: "robust", clone: (*RobustSolution).clone,
 		valid: func(s *RobustSolution) bool { return s != nil && s.Alloc != nil }}
-	// Placement payloads are the engine's serialised results, carried
-	// verbatim.
-	c.placement = &tier[json.RawMessage]{max: max, remote: r, tag: "placement",
-		clone: func(b json.RawMessage) json.RawMessage { return append(json.RawMessage(nil), b...) },
+	// Placement and result payloads are the engine's serialised results,
+	// carried verbatim.
+	cloneRaw := func(b json.RawMessage) json.RawMessage { return append(json.RawMessage(nil), b...) }
+	c.placement = &tier[json.RawMessage]{max: max, remote: r, tag: "placement", clone: cloneRaw,
 		valid: func(b json.RawMessage) bool { return len(b) > 0 }}
+	c.result = &tier[json.RawMessage]{max: max, clone: cloneRaw}
 	return c
 }
 
@@ -274,6 +283,28 @@ func (c *Cache) PutPlacement(k Key, b []byte) {
 	c.placement.put(k, b)
 }
 
+// LookupResult fetches a serialised request result by its key: the engine's
+// normalised request fingerprint. The payload is opaque to this package,
+// like a placement payload. The tier is local only, so a miss never
+// consults the remote store. Returned bytes are a fresh copy. A nil
+// receiver (caching disabled) always misses without counting.
+func (c *Cache) LookupResult(k Key) ([]byte, bool) {
+	if c == nil {
+		return nil, false
+	}
+	return c.result.lookup(k)
+}
+
+// PutResult stores one serialised request result under its key. The
+// payload is copied in and never written to the remote store. A nil
+// receiver or empty payload is a no-op.
+func (c *Cache) PutResult(k Key, b []byte) {
+	if c == nil || len(b) == 0 {
+		return
+	}
+	c.result.put(k, b)
+}
+
 // Stats is a point-in-time snapshot of the cache counters.
 type Stats struct {
 	// Hits counts sub-model solves answered by an exact fingerprint match.
@@ -297,6 +328,10 @@ type Stats struct {
 	// PlacementHits / PlacementMisses count placement-tier lookups — whole
 	// placement runs (frontier + chosen), keyed by PlacementFingerprint.
 	PlacementHits, PlacementMisses int64
+	// ResultHits / ResultMisses count result-tier lookups — whole solve and
+	// budget-sweep answers, keyed by the engine's request fingerprint. A
+	// result hit reaches no other tier, so it moves no other counter.
+	ResultHits, ResultMisses int64
 	// DeltaResolves counts capped joint misses answered through the delta
 	// tier's retained tableaus; DeltaFallbacks counts delta attempts that had
 	// to fall back to the ordinary solve path (patch rejected or resolver
@@ -309,11 +344,11 @@ type Stats struct {
 	// source. Both stay zero when no store is attached.
 	RemoteHits, RemoteMisses int64
 	// Entries / JointEntries / AnalyticEntries / RobustEntries /
-	// PlacementEntries / DeltaEntries are the stored solution counts per
-	// tier. Entries counts distinct exact-tier solutions (warm-start
+	// PlacementEntries / ResultEntries / DeltaEntries are the stored
+	// solution counts per tier. Entries counts distinct exact-tier solutions (warm-start
 	// promotion files one solution under several keys), so it never exceeds
 	// the tier's key count — nor, therefore, its NewBounded bound.
-	Entries, JointEntries, AnalyticEntries, RobustEntries, PlacementEntries, DeltaEntries int
+	Entries, JointEntries, AnalyticEntries, RobustEntries, PlacementEntries, ResultEntries, DeltaEntries int
 }
 
 // Add accumulates o's counters and entry counts into s — the one list of
@@ -330,6 +365,8 @@ func (s *Stats) Add(o Stats) {
 	s.RobustMisses += o.RobustMisses
 	s.PlacementHits += o.PlacementHits
 	s.PlacementMisses += o.PlacementMisses
+	s.ResultHits += o.ResultHits
+	s.ResultMisses += o.ResultMisses
 	s.DeltaResolves += o.DeltaResolves
 	s.DeltaFallbacks += o.DeltaFallbacks
 	s.RemoteHits += o.RemoteHits
@@ -339,6 +376,7 @@ func (s *Stats) Add(o Stats) {
 	s.AnalyticEntries += o.AnalyticEntries
 	s.RobustEntries += o.RobustEntries
 	s.PlacementEntries += o.PlacementEntries
+	s.ResultEntries += o.ResultEntries
 	s.DeltaEntries += o.DeltaEntries
 }
 
@@ -353,7 +391,8 @@ func (s *Stats) Add(o Stats) {
 //	joint       JointHits / (JointHits + JointMisses)
 //	joint-delta DeltaResolves / (DeltaResolves + DeltaFallbacks) — of the
 //	            delta-tier attempts, how many the retained tableaus answered
-//	analytic, robust, placement — hits / (hits + misses) of that tier
+//	analytic, robust, placement, result — hits / (hits + misses) of that
+//	            tier
 //	remote      RemoteHits / (RemoteHits + RemoteMisses) — adopted payloads
 //	            over all remote consults
 func (s Stats) Rates() map[string]float64 {
@@ -370,6 +409,7 @@ func (s Stats) Rates() map[string]float64 {
 	add("analytic", s.AnalyticHits, s.AnalyticHits+s.AnalyticMisses)
 	add("robust", s.RobustHits, s.RobustHits+s.RobustMisses)
 	add("placement", s.PlacementHits, s.PlacementHits+s.PlacementMisses)
+	add("result", s.ResultHits, s.ResultHits+s.ResultMisses)
 	add("remote", s.RemoteHits, s.RemoteHits+s.RemoteMisses)
 	return rates
 }
@@ -396,6 +436,8 @@ func (c *Cache) Stats() Stats {
 		RobustMisses:     c.robust.misses.Load(),
 		PlacementHits:    c.placement.hits.Load(),
 		PlacementMisses:  c.placement.misses.Load(),
+		ResultHits:       c.result.hits.Load(),
+		ResultMisses:     c.result.misses.Load(),
 		DeltaResolves:    c.deltaHit.Load(),
 		DeltaFallbacks:   c.deltaShrug.Load(),
 		RemoteHits:       c.remote.hits.Load(),
@@ -405,6 +447,7 @@ func (c *Cache) Stats() Stats {
 		AnalyticEntries:  c.analytic.len(),
 		RobustEntries:    c.robust.len(),
 		PlacementEntries: c.placement.len(),
+		ResultEntries:    c.result.len(),
 		DeltaEntries:     deltaEntries,
 	}
 }

@@ -5,11 +5,10 @@ import (
 	"testing"
 )
 
-// TestPlacementTierRoundTrip pins the placement cache tier's contract:
-// payload isolation (returned bytes are fresh copies), counters, and a nil
-// receiver as a valid disabled cache.
+// TestPlacementTierRoundTrip pins the contract the two serialised-result
+// tiers (placement and result) share: payload isolation (returned bytes are
+// fresh copies), counters, and a nil receiver as a valid disabled cache.
 func TestPlacementTierRoundTrip(t *testing.T) {
-	c := New()
 	meta := PlacementMeta{
 		Budget: 56, CostBudget: 8, LatencyWeight: 0.1,
 		Method: "hybrid", RefineTop: 3,
@@ -17,40 +16,52 @@ func TestPlacementTierRoundTrip(t *testing.T) {
 		TypeNames: []string{"lite", "std"}, TypeCosts: []float64{1, 2}, TypeDelays: []float64{0.5, 0.2},
 	}
 	key := PlacementFingerprint([]byte("arch-bytes"), meta)
-	if _, ok := c.LookupPlacement(key); ok {
-		t.Fatal("empty cache hit")
-	}
-	in := []byte(`{"frontier":[1,2,3]}`)
-	c.PutPlacement(key, in)
-	in[0] = 'X' // caller mutation after Put must not reach the store
+	for _, tc := range []struct {
+		name   string
+		lookup func(*Cache, Key) ([]byte, bool)
+		put    func(*Cache, Key, []byte)
+		counts func(Stats) [3]int64 // hits, misses, entries
+	}{
+		{"placement", (*Cache).LookupPlacement, (*Cache).PutPlacement,
+			func(s Stats) [3]int64 { return [3]int64{s.PlacementHits, s.PlacementMisses, int64(s.PlacementEntries)} }},
+		{"result", (*Cache).LookupResult, (*Cache).PutResult,
+			func(s Stats) [3]int64 { return [3]int64{s.ResultHits, s.ResultMisses, int64(s.ResultEntries)} }},
+	} {
+		c := New()
+		if _, ok := tc.lookup(c, key); ok {
+			t.Fatalf("%s: empty cache hit", tc.name)
+		}
+		in := []byte(`{"frontier":[1,2,3]}`)
+		tc.put(c, key, in)
+		in[0] = 'X' // caller mutation after Put must not reach the store
 
-	got, ok := c.LookupPlacement(key)
-	if !ok || !bytes.Equal(got, []byte(`{"frontier":[1,2,3]}`)) {
-		t.Fatalf("lookup got %q, ok=%v", got, ok)
-	}
-	got[0] = 'Y' // and mutating a lookup must not poison later lookups
-	again, _ := c.LookupPlacement(key)
-	if !bytes.Equal(again, []byte(`{"frontier":[1,2,3]}`)) {
-		t.Fatalf("cached payload mutated through a reader: %q", again)
-	}
+		got, ok := tc.lookup(c, key)
+		if !ok || !bytes.Equal(got, []byte(`{"frontier":[1,2,3]}`)) {
+			t.Fatalf("%s: lookup got %q, ok=%v", tc.name, got, ok)
+		}
+		got[0] = 'Y' // and mutating a lookup must not poison later lookups
+		again, _ := tc.lookup(c, key)
+		if !bytes.Equal(again, []byte(`{"frontier":[1,2,3]}`)) {
+			t.Fatalf("%s: cached payload mutated through a reader: %q", tc.name, again)
+		}
 
-	s := c.Stats()
-	if s.PlacementHits != 2 || s.PlacementMisses != 1 || s.PlacementEntries != 1 {
-		t.Fatalf("stats %+v, want 2 hits / 1 miss / 1 entry", s)
-	}
+		if n := tc.counts(c.Stats()); n != [3]int64{2, 1, 1} {
+			t.Fatalf("%s: hits/misses/entries %v, want 2 / 1 / 1", tc.name, n)
+		}
 
-	// Any metadata change is a different problem.
-	meta2 := meta
-	meta2.RefineTop = 4
-	if _, ok := c.LookupPlacement(PlacementFingerprint([]byte("arch-bytes"), meta2)); ok {
-		t.Fatal("metadata change aliased the cached placement")
-	}
+		// Any metadata change is a different problem.
+		meta2 := meta
+		meta2.RefineTop = 4
+		if _, ok := tc.lookup(c, PlacementFingerprint([]byte("arch-bytes"), meta2)); ok {
+			t.Fatalf("%s: metadata change aliased the cached payload", tc.name)
+		}
 
-	var nilCache *Cache
-	if _, ok := nilCache.LookupPlacement(key); ok {
-		t.Fatal("nil cache hit")
+		var nilCache *Cache
+		if _, ok := tc.lookup(nilCache, key); ok {
+			t.Fatalf("%s: nil cache hit", tc.name)
+		}
+		tc.put(nilCache, key, in) // must not panic
 	}
-	nilCache.PutPlacement(key, in) // must not panic
 }
 
 // TestPlacementKeySpaceDisjoint: the backendPlacement tag must keep

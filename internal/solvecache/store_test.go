@@ -129,6 +129,20 @@ func TestRemoteSidecarTiers(t *testing.T) {
 	if _, ok := b.LookupAnalytic(pk); ok {
 		t.Fatal("cross-tier key must miss")
 	}
+
+	// The result tier is local only: a put never reaches the store, and a
+	// peer's lookup misses without consulting it.
+	stored, before := shared.Len(), b.Stats()
+	a.PutResult(pk, []byte(`{"sizedLoss":1}`))
+	if _, ok := b.LookupResult(pk); ok {
+		t.Fatal("result tier answered from a peer's cache")
+	}
+	if shared.Len() != stored {
+		t.Fatalf("result put reached the remote store: %d entries, had %d", shared.Len(), stored)
+	}
+	if sb2 := b.Stats(); sb2.RemoteHits+sb2.RemoteMisses != before.RemoteHits+before.RemoteMisses {
+		t.Fatalf("result lookup consulted the remote store: %+v", sb2)
+	}
 }
 
 // TestStoreHandlerProtocol pins the sidecar wire protocol: GET/PUT by hex
@@ -317,6 +331,7 @@ func TestStatsRates(t *testing.T) {
 		Hits: 3, WarmStarts: 1, Misses: 1,
 		AnalyticHits: 1, AnalyticMisses: 3,
 		RemoteHits: 1, RemoteMisses: 1,
+		ResultHits: 3, ResultMisses: 1,
 	}
 	r := s.Rates()
 	approx := func(name string, want float64) {
@@ -333,6 +348,7 @@ func TestStatsRates(t *testing.T) {
 	approx("structural", 0.5)
 	approx("analytic", 0.25)
 	approx("remote", 0.5)
+	approx("result", 0.75)
 	for _, quiet := range []string{"joint", "joint-delta", "robust", "placement"} {
 		if _, ok := r[quiet]; ok {
 			t.Errorf("tier %q saw no traffic but has a rate", quiet)

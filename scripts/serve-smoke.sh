@@ -1,7 +1,8 @@
 #!/bin/sh
 # serve-smoke: end-to-end pass through cmd/socbufd — build, start, hit
-# /v1/solve and /v1/stats, then SIGTERM and assert a clean (exit 0) graceful
-# shutdown. CI runs this on every push next to scenario-smoke; `make
+# /v1/solve, /v1/sweep/budget and /v1/stats, repeat a solve and a sweep
+# verbatim (both must be result-tier hits), then SIGTERM and assert a clean
+# (exit 0) graceful shutdown. CI runs this on every push next to scenario-smoke; `make
 # serve-smoke` runs it locally.
 set -eu
 
@@ -39,6 +40,38 @@ for METHOD in $METHODS; do
     -d '{"scenario":"twobus","iterations":1,"seeds":[1],"horizon":400,"warmUp":50,"method":"'"$METHOD"'"}' \
     "http://$ADDR/v1/solve" | tee /dev/stderr | grep -q '"method": "'"$METHOD"'"'
 done
+
+echo "serve-smoke: POST /v1/sweep/budget"
+SOLVE='{"scenario":"twobus","iterations":1,"seeds":[1],"horizon":400,"warmUp":50,"method":"exact"}'
+SWEEP='{"arch":"twobus","budgets":[24,30],"iterations":1,"seeds":[1],"horizon":400,"warmUp":50}'
+curl -sf -X POST -H 'Content-Type: application/json' -d "$SWEEP" \
+  "http://$ADDR/v1/sweep/budget" | tee /dev/stderr | tail -1 | grep -q '"summary"'
+
+# A verbatim repeat of a finished request is answered by the cache's result
+# tier: flagged cached, two result hits, no new solve or sweep run.
+echo "serve-smoke: verbatim repeats → result-tier hits"
+runs() { echo "$1" | grep -o '"s[a-z]*Runs": [0-9]*' | tr '\n' ' '; }
+BEFORE=$(curl -sf "http://$ADDR/v1/stats")
+curl -sf -X POST -H 'Content-Type: application/json' -d "$SOLVE" \
+  "http://$ADDR/v1/solve" | tee /dev/stderr | grep -q '"cached": true' || {
+  echo "serve-smoke: repeated solve not flagged cached" >&2
+  exit 1
+}
+curl -sf -X POST -H 'Content-Type: application/json' -d "$SWEEP" \
+  "http://$ADDR/v1/sweep/budget" | tee /dev/stderr | tail -1 | grep -q '"cached":true' || {
+  echo "serve-smoke: repeated sweep not flagged cached" >&2
+  exit 1
+}
+AFTER=$(curl -sf "http://$ADDR/v1/stats")
+echo "$AFTER" | grep -q '"ResultHits": 2,' || {
+  echo "serve-smoke: /v1/stats does not show two result-tier hits" >&2
+  echo "$AFTER" >&2
+  exit 1
+}
+[ "$(runs "$BEFORE")" = "$(runs "$AFTER")" ] || {
+  echo "serve-smoke: repeats ran again: $(runs "$BEFORE")→ $(runs "$AFTER")" >&2
+  exit 1
+}
 
 echo "serve-smoke: POST /v1/solve (robust report fields)"
 RUNS=$((RUNS + 1))
