@@ -254,94 +254,6 @@ func BenchmarkSweepColdVsCached(b *testing.B) {
 			b.ReportMetric(float64(s.Misses), "cold-solves")
 		}
 	})
-	b.Run("delta", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			opt := opt
-			opt.Cache = solvecache.New()
-			opt.Delta = true
-			res, _, err := experiments.CachedBudgetSweep(newArch, budgets, opt)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(res.Budgets) != len(budgets) {
-				b.Fatalf("sweep lost points: %d/%d", len(res.Budgets), len(budgets))
-			}
-			s := opt.Cache.Stats()
-			b.ReportMetric(float64(s.DeltaResolves), "delta-resolves")
-			b.ReportMetric(float64(s.DeltaFallbacks), "delta-fallbacks")
-		}
-	})
-}
-
-// TestDeltaSweepMatchesWarmOnly is the machine check of the delta re-solve
-// acceptance bar (the `delta` variant of BenchmarkSweepColdVsCached is the
-// measurement; this test is the gate `go test` enforces): an 8-point chain6
-// exact budget sweep with the delta tier enabled must (a) produce exactly
-// the losses the warm-start-only cached sweep produces — the tier's 1e-8 LP
-// agreement means the chosen allocations, and therefore the integer
-// simulated losses, are identical — (b) actually chain re-solves through
-// ctmdp.CappedResolver, and (c) be decisively faster. The measured ratio is
-// ~1.5× on the reference container; gating at 1.15× leaves headroom for CI
-// noise and -race overhead while still catching a tier that stopped
-// chaining (which would pin the ratio at ~1.0).
-func TestDeltaSweepMatchesWarmOnly(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	sc, ok := scenario.Get("chain6")
-	if !ok {
-		t.Fatal("scenario chain6 not registered")
-	}
-	newArch := func() *arch.Architecture {
-		a, err := sc.Build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return a
-	}
-	budgets := make([]int, 8)
-	for i := range budgets {
-		budgets[i] = sc.Budget + 8*i
-	}
-	opt := experiments.Options{Iterations: 3, Seeds: []int64{1}, Horizon: 300, WarmUp: 50, Workers: 1}
-
-	opt.Cache = solvecache.New()
-	start := time.Now()
-	warm, _, err := experiments.CachedBudgetSweep(newArch, budgets, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warmTime := time.Since(start)
-
-	opt.Cache = solvecache.New()
-	opt.Delta = true
-	start = time.Now()
-	delta, _, err := experiments.CachedBudgetSweep(newArch, budgets, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	deltaTime := time.Since(start)
-
-	if len(warm.Failed) > 0 || len(delta.Failed) > 0 {
-		t.Fatalf("sweep points failed: warm %v, delta %v", warm.Failed, delta.Failed)
-	}
-	if len(delta.Budgets) != len(budgets) {
-		t.Fatalf("delta sweep lost points: %d/%d", len(delta.Budgets), len(budgets))
-	}
-	for _, b := range warm.Budgets {
-		if warm.Pre[b] != delta.Pre[b] || warm.Post[b] != delta.Post[b] {
-			t.Errorf("budget %d: delta sweep diverged (pre %d vs %d, post %d vs %d)",
-				b, warm.Pre[b], delta.Pre[b], warm.Post[b], delta.Post[b])
-		}
-	}
-	s := opt.Cache.Stats()
-	if s.DeltaResolves == 0 {
-		t.Fatalf("delta tier chained nothing: %+v", s)
-	}
-	if ratio := float64(warmTime) / float64(deltaTime); ratio < 1.15 {
-		t.Errorf("delta sweep only %.2fx faster than warm-only (warm %v, delta %v, resolves %d, fallbacks %d); acceptance bar is 1.5x, gate 1.15x",
-			ratio, warmTime, deltaTime, s.DeltaResolves, s.DeltaFallbacks)
-	}
 }
 
 // TestCachedSweepBeatsCold is the machine check of the solve-cache

@@ -51,10 +51,8 @@
 // fleet-wide; -sweep additionally plans the points up front and prewarms one
 // solve per structural class. -cache-stats implies -cache and prints the
 // hit/miss/warm-start counters at the end. Both flags also exist on
-// scenario-sweep. -delta (requires -cache) additionally chains capped joint
-// solves point-to-point through retained simplex tableaus — see
-// solvecache.Cache.EnableDelta for the determinism trade-off. See
-// PERFORMANCE.md for measured effect.
+// scenario-sweep. A cached capped solve warm-starts from the cached cap-free
+// bases (DESIGN.md §8). See PERFORMANCE.md for measured effect.
 //
 // -json emits sweep results as JSON. All sweeps route through
 // internal/engine — the same request/response API served over HTTP by
@@ -109,7 +107,6 @@ func main() {
 		budgets  = flag.String("budgets", "160,320,640", "comma-separated budgets for -sweep")
 		methods  = flag.String("methods", "", "per-point solver backends for -sweep, comma-aligned with -budgets (empty entries inherit -method)")
 		list     = flag.Bool("list-scenarios", false, "print the scenario registry and exit")
-		delta    = flag.Bool("delta", false, "with -cache: chain capped solves point-to-point through the cache's delta re-solve tier (serial runs stay deterministic; see solvecache.Cache.EnableDelta)")
 	)
 	method := cliutil.AddMethodFlag(nil)
 	robust := cliutil.AddRobustFlags(nil)
@@ -139,12 +136,6 @@ func main() {
 	if common.UseCache() {
 		cache = solvecache.New()
 	}
-	if *delta {
-		if cache == nil {
-			fatal(fmt.Errorf("%w: -delta needs -cache (the delta tier lives in the solve cache)", engine.ErrInvalidRequest))
-		}
-		cache.EnableDelta()
-	}
 	eng := engine.New(engine.Config{Workers: common.Parallel, Cache: cache})
 	defer eng.Close()
 
@@ -154,7 +145,6 @@ func main() {
 	}
 	opt.Workers = common.Parallel
 	opt.Cache = cache
-	opt.Delta = *delta
 	// -method applies to every methodology run the invocation performs:
 	// the figure/table regenerators and the sweep queries alike.
 	opt.Method = *method

@@ -125,8 +125,9 @@ type Config struct {
 
 // ErrInvalidConfig tags every Config the methodology rejects before
 // running — a negative horizon or iteration count, a warm-up outside
-// [0, horizon), an invalid uncertainty spec… — so callers can tell a
-// caller's mistake from a solve failure. Match with errors.Is.
+// [0, horizon), an invalid uncertainty spec, a budget below one unit per
+// buffer… — so callers can tell a caller's mistake from a solve failure.
+// Match with errors.Is.
 var ErrInvalidConfig = errors.New("invalid config")
 
 // invalidf builds an ErrInvalidConfig-tagged error.

@@ -149,10 +149,11 @@ func NewStepper(ctx context.Context, cfg Config) (*Stepper, error) {
 
 	res := &Result{Arch: a, Subsystems: subs}
 
-	// Baseline: uniform allocation, longest-queue arbitration.
+	// Baseline: uniform allocation, longest-queue arbitration. Its one-unit
+	// floor per buffer is a bound on the caller's budget.
 	res.BaselineAlloc, err = arch.UniformAllocation(a, cfg.Budget)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("core: %w: %w", ErrInvalidConfig, err)
 	}
 	res.BaselineLoss, res.BaselineLossByProc, err = evaluate(ctx, a, res.BaselineAlloc, nil, cfg)
 	if err != nil {

@@ -28,23 +28,17 @@ type JointConfig struct {
 	RefineStationary bool
 	// Stationary tunes the refinement solves; the zero value auto-selects.
 	Stationary StationaryOptions
-	// WarmX optionally seeds the joint LP with a known near-solution: one
-	// occupation measure per model, each aligned with that model's
-	// enumeration (nil entries disable the seed). The canonical use is
+	// WarmBasis optionally seeds the joint LP with each model's final
+	// simplex basis from a previous solve of the same balance system (the
+	// Basis of a single-model JointSolution). The canonical use is
 	// re-solving the same models under a new OccupancyCap from their cached
-	// cap-free optimum: the balance system is unchanged, so the seed crashes
-	// straight past simplex phase 1 and the new cap row is repaired by dual
-	// steps (lp.Problem.Warm). A seed can never change the optimum reached
-	// — the LP layer falls back to the cold two-phase solve whenever the
-	// candidate does not certify — though on degenerate programs it may
-	// select a different optimal vertex of equal objective.
-	WarmX [][]float64
-	// WarmBasis is the strong form of WarmX: each model's final simplex
-	// basis from a previous solve of the same balance system (the Basis of
-	// a single-model JointSolution). Reconstructing the basis set restores
-	// that solve's reduced costs, so re-solving under a new OccupancyCap
-	// needs only a handful of dual pivots instead of a full two-phase solve.
-	// Ignored unless every model has a shape-matching entry.
+	// cap-free optima: reconstructing the basis set restores those solves'
+	// reduced costs, so the new cap row needs only a handful of dual pivots
+	// instead of a full two-phase solve (lp.Problem.WarmBasis). A seed can
+	// never change the optimum reached — the LP layer falls back to the cold
+	// two-phase solve whenever the basis does not certify — though on
+	// degenerate programs it may select a different optimal vertex of equal
+	// objective. Ignored unless every model has a shape-matching entry.
 	WarmBasis [][]lp.BasicRef
 }
 
@@ -128,10 +122,10 @@ func SolveJoint(models []*Model, cfg JointConfig) (*JointSolution, error) {
 }
 
 // assembleJoint builds the occupation-measure LP of the models under cfg:
-// per-model balance and normalisation rows, warm seeds, and — appended LAST,
-// as the delta re-solve path (CappedResolver) and lp.Problem.WarmBasis both
-// rely on — the linking occupancy row when cfg.OccupancyCap > 0. It returns
-// the problem and the per-model variable offsets.
+// per-model balance and normalisation rows, the warm basis, and — appended
+// LAST, as lp.Problem.WarmBasis requires — the linking occupancy row when
+// cfg.OccupancyCap > 0. It returns the problem and the per-model variable
+// offsets.
 func assembleJoint(models []*Model, cfg JointConfig) (*lp.Problem, []int, error) {
 	// Variable layout: models in order, each contributing NumVars variables.
 	offsets := make([]int, len(models))
@@ -180,24 +174,13 @@ func assembleJoint(models []*Model, cfg JointConfig) (*lp.Problem, []int, error)
 		}
 	}
 
-	// Warm seeds: the concatenated per-model measures and bases, each
-	// accepted only when every model has a shape-matching entry (a partial
-	// seed would crash an inconsistent start and always fall back cold —
-	// wasted work). Rows were appended per model as numStates balance rows
-	// plus one normalisation row, which fixes the offsets; the cap row, when
-	// present, comes after every per-model block, as lp.Problem.WarmBasis
-	// requires of constraints the donor basis has not seen.
-	if len(cfg.WarmX) == len(models) {
-		warm := make([]float64, 0, total)
-		for i, m := range models {
-			if len(cfg.WarmX[i]) != m.NumVars() {
-				warm = nil
-				break
-			}
-			warm = append(warm, cfg.WarmX[i]...)
-		}
-		prob.Warm = warm
-	}
+	// Warm basis: the concatenated per-model bases, accepted only when every
+	// model has a shape-matching entry (a partial seed would crash an
+	// inconsistent start and always fall back cold — wasted work). Rows were
+	// appended per model as numStates balance rows plus one normalisation
+	// row, which fixes the offsets; the cap row, when present, comes after
+	// every per-model block, as lp.Problem.WarmBasis requires of constraints
+	// the donor basis has not seen.
 	if len(cfg.WarmBasis) == len(models) {
 		var basis []lp.BasicRef
 		rowOff := 0
@@ -220,26 +203,20 @@ func assembleJoint(models []*Model, cfg JointConfig) (*lp.Problem, []int, error)
 		prob.WarmBasis = basis
 	}
 
-	// Linking occupancy row.
+	// Linking occupancy row: each variable's state occupancy in physical
+	// units.
 	if cfg.OccupancyCap > 0 {
 		row := make([]float64, total)
-		occupancyRow(models, offsets, row)
+		for i, m := range models {
+			for v, sv := range m.vars {
+				row[offsets[i]+v] = m.OccupancyUnits(sv.state)
+			}
+		}
 		if err := prob.AddConstraint(row, lp.LE, cfg.OccupancyCap); err != nil {
 			return nil, nil, err
 		}
 	}
 	return prob, offsets, nil
-}
-
-// occupancyRow fills row (length = total variable count, pre-zeroed or fully
-// overwritten here) with the linking constraint's coefficients: each
-// variable's state occupancy in physical units.
-func occupancyRow(models []*Model, offsets []int, row []float64) {
-	for i, m := range models {
-		for v, sv := range m.vars {
-			row[offsets[i]+v] = m.OccupancyUnits(sv.state)
-		}
-	}
 }
 
 // extractJoint maps the LP outcome back to the model layer: status check,

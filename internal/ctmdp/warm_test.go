@@ -67,7 +67,6 @@ func TestWarmCappedSolveAgreesWithCold(t *testing.T) {
 			t.Fatalf("%s: cold: %v", name, err)
 		}
 		warmCfg := capped
-		warmCfg.WarmX = [][]float64{free.PerModel[0].X}
 		warmCfg.WarmBasis = [][]lp.BasicRef{free.Basis}
 		warm, err := SolveJoint([]*Model{m}, warmCfg)
 		if err != nil {

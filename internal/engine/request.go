@@ -133,10 +133,11 @@ func invalidf(format string, args ...any) error {
 	return fmt.Errorf("engine: %w: %s", ErrInvalidRequest, fmt.Sprintf(format, args...))
 }
 
-// classify tags a methodology configuration the core rejected
-// (core.ErrInvalidConfig: a negative horizon, a warm-up past it, an invalid
-// uncertainty spec…) as the caller's mistake, so it reaches clients as
-// ErrInvalidRequest (HTTP 400) rather than as a solver failure.
+// classify tags a methodology configuration the core or the placement DP
+// rejected (core.ErrInvalidConfig: a negative horizon, a warm-up past it, an
+// invalid uncertainty spec, a budget below the buffer floor…) as the
+// caller's mistake, so it reaches clients as ErrInvalidRequest (HTTP 400)
+// rather than as a solver failure.
 func classify(err error) error {
 	if errors.Is(err, core.ErrInvalidConfig) {
 		return fmt.Errorf("engine: %w: %w", ErrInvalidRequest, err)

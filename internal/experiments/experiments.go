@@ -41,15 +41,6 @@ type Options struct {
 	// (see internal/solvecache). Use PlanBudgetSweep/Prewarm to pre-populate
 	// it, and Cache.Stats for the hit/miss/warm-start counters.
 	Cache *solvecache.Cache
-	// Delta enables the cache's delta re-solve tier for capped joint
-	// programs (solvecache.Cache.EnableDelta): budget points chain their
-	// capped solves point-to-point through retained simplex tableaus. With
-	// concurrent workers the chained answers may vary at roundoff level with
-	// schedule (see EnableDelta), which is why this is opt-in rather than
-	// part of the default cached path; results agree with the warm-start-only
-	// path to 1e-8 (gated by TestDeltaSweepMatchesWarmOnly). Ignored without
-	// a cache.
-	Delta bool
 	// OnBudgetRow, when non-nil, is invoked from a worker goroutine as each
 	// budget-sweep point completes — in completion order, not input order, so
 	// the callback must be safe for concurrent use. The final

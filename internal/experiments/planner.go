@@ -34,13 +34,6 @@ type SweepPlan struct {
 	// UniqueStructural counts distinct structural fingerprints — the number
 	// of cold solves needed to warm-start every point's first iteration.
 	UniqueStructural int
-	// DeltaFamilies counts distinct capped-program structural families
-	// (JointStructuralFingerprint) across the points' initial models — the
-	// number of retained-tableau constructions the sweep's first wave needs
-	// when the delta tier is enabled. Budget points share their boundary
-	// trajectory, so this is typically 1: every point's capped solves chain
-	// through the same resolver.
-	DeltaFamilies int
 
 	// representatives holds one model per structural class, in first-seen
 	// order, for Prewarm.
@@ -62,7 +55,6 @@ func PlanBudgetSweep(newArch func() *arch.Architecture, budgets []int, opt Optio
 	plan := &SweepPlan{}
 	exact := map[solvecache.Key]bool{}
 	structural := map[solvecache.Key]bool{}
-	families := map[solvecache.Key]bool{}
 	for _, b := range budgets {
 		models, err := initialModels(newArch(), b)
 		if err != nil {
@@ -71,7 +63,6 @@ func PlanBudgetSweep(newArch func() *arch.Architecture, budgets []int, opt Optio
 		}
 		plan.Budgets = append(plan.Budgets, b)
 		plan.Models += len(models)
-		families[solvecache.JointStructuralFingerprint(models, opts)] = true
 		for _, m := range models {
 			exact[solvecache.Fingerprint(m, opts)] = true
 			sk := solvecache.StructuralFingerprint(m, opts)
@@ -83,7 +74,6 @@ func PlanBudgetSweep(newArch func() *arch.Architecture, budgets []int, opt Optio
 	}
 	plan.UniqueExact = len(exact)
 	plan.UniqueStructural = len(structural)
-	plan.DeltaFamilies = len(families)
 	if len(plan.Budgets) == 0 {
 		return plan, fmt.Errorf("experiments: no plannable budgets: %w", plan.Skipped[0].Err)
 	}
@@ -128,13 +118,12 @@ func (p *SweepPlan) PrewarmCtx(ctx context.Context, c *solvecache.Cache, workers
 
 // WriteSummary renders the plan in the shared report format.
 func (p *SweepPlan) WriteSummary(w io.Writer) error {
-	headers := []string{"POINTS", "sub-models", "unique", "structural", "delta families"}
+	headers := []string{"POINTS", "sub-models", "unique", "structural"}
 	rows := [][]string{{
 		fmt.Sprint(len(p.Budgets)),
 		fmt.Sprint(p.Models),
 		fmt.Sprint(p.UniqueExact),
 		fmt.Sprint(p.UniqueStructural),
-		fmt.Sprint(p.DeltaFamilies),
 	}}
 	if err := report.Table(w, headers, rows); err != nil {
 		return err
@@ -177,9 +166,6 @@ func usesExactTier(opt Options, points int) bool {
 func CachedBudgetSweepCtx(ctx context.Context, newArch func() *arch.Architecture, budgets []int, opt Options) (*BudgetSweepResult, *SweepPlan, error) {
 	if opt.Cache == nil {
 		opt.Cache = solvecache.New()
-	}
-	if opt.Delta {
-		opt.Cache.EnableDelta()
 	}
 	if !usesExactTier(opt, len(budgets)) {
 		res, err := BudgetSweepCtx(ctx, newArch, budgets, opt)
@@ -258,10 +244,6 @@ func WriteCacheStats(w io.Writer, s solvecache.Stats) error {
 		headers = append(headers, "result hits", "result misses")
 		rows[0] = append(rows[0], fmt.Sprint(s.ResultHits), fmt.Sprint(s.ResultMisses))
 	}
-	if s.DeltaResolves+s.DeltaFallbacks+int64(s.DeltaEntries) > 0 {
-		headers = append(headers, "delta resolves", "delta fallbacks")
-		rows[0] = append(rows[0], fmt.Sprint(s.DeltaResolves), fmt.Sprint(s.DeltaFallbacks))
-	}
 	if s.RemoteHits+s.RemoteMisses > 0 {
 		headers = append(headers, "remote hits", "remote misses")
 		rows[0] = append(rows[0], fmt.Sprint(s.RemoteHits), fmt.Sprint(s.RemoteMisses))
@@ -275,7 +257,7 @@ func WriteCacheStats(w io.Writer, s solvecache.Stats) error {
 	}
 	// Fixed tier order (the Rates doc's order), filtered to traffic seen.
 	var rh, rr []string
-	for _, tier := range []string{"exact", "structural", "joint", "joint-delta", "analytic", "robust", "placement", "result", "remote"} {
+	for _, tier := range []string{"exact", "structural", "joint", "analytic", "robust", "placement", "result", "remote"} {
 		if v, ok := rates[tier]; ok {
 			rh = append(rh, tier)
 			rr = append(rr, fmt.Sprintf("%.1f%%", 100*v))

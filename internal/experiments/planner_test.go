@@ -1,11 +1,13 @@
 package experiments
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
 	"socbuf/internal/arch"
+	"socbuf/internal/scenario"
 	"socbuf/internal/solvecache"
 )
 
@@ -62,31 +64,57 @@ func TestPlanBudgetSweepSkipsBadPoints(t *testing.T) {
 // TestCachedBudgetSweepWorkerInvariance extends the repo's determinism
 // contract to the cache-shared sweep: with a prewarmed fleet-wide cache, the
 // results must still be identical for any worker count — cached payloads are
-// pure functions of their fingerprints, never of worker schedule.
+// pure functions of their fingerprints, never of worker schedule. Next to the
+// network processor it sweeps generated 6-bus chains with the knobs of the
+// end-to-end benchmark's exact-sweep workload, the topology family whose
+// capped programs the warm-started re-solve serves.
 func TestCachedBudgetSweepWorkerInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	budgets := []int{120, 160}
-	var baseline *BudgetSweepResult
-	for _, workers := range []int{1, 4, 8} {
-		opt := sweepFast
-		opt.Workers = workers
-		res, plan, err := CachedBudgetSweep(arch.NetworkProcessor, budgets, opt)
+	type sweepCase struct {
+		name    string
+		newArch func() *arch.Architecture
+		budgets []int
+		opt     Options
+	}
+	cases := []sweepCase{{"netproc", arch.NetworkProcessor, []int{120, 160}, sweepFast}}
+	chainOpt := Options{Iterations: 2, Seeds: []int64{1}, Horizon: 150, WarmUp: 30}
+	for seed := int64(1); seed <= 3; seed++ {
+		topo := scenario.Topology{Kind: scenario.KindChain, Buses: 6, FanOut: 1, Skew: 4, Seed: seed}
+		a, err := topo.Build()
 		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatalf("%s: %v", topo, err)
 		}
-		if plan.UniqueStructural == 0 {
-			t.Fatalf("workers=%d: empty plan", workers)
-		}
-		if baseline == nil {
-			baseline = res
-			continue
-		}
-		if !reflect.DeepEqual(baseline, res) {
-			t.Fatalf("workers=%d diverged from serial cached run:\nserial: %+v\ngot:    %+v",
-				workers, baseline, res)
-		}
+		cases = append(cases, sweepCase{fmt.Sprintf("chain6-seed%d", seed), a.Clone, []int{48, 60, 72}, chainOpt})
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var baseline *BudgetSweepResult
+			for _, workers := range []int{1, 4, 8} {
+				opt := c.opt
+				opt.Workers = workers
+				opt.Cache = solvecache.New()
+				res, plan, err := CachedBudgetSweep(c.newArch, c.budgets, opt)
+				if err != nil {
+					t.Fatalf("workers=%d: %v", workers, err)
+				}
+				if plan.UniqueStructural == 0 {
+					t.Fatalf("workers=%d: empty plan", workers)
+				}
+				if s := opt.Cache.Stats(); s.JointMisses == 0 {
+					t.Fatalf("workers=%d: no capped program was solved: %+v", workers, s)
+				}
+				if baseline == nil {
+					baseline = res
+					continue
+				}
+				if !reflect.DeepEqual(baseline, res) {
+					t.Fatalf("workers=%d diverged from serial cached run:\nserial: %+v\ngot:    %+v",
+						workers, baseline, res)
+				}
+			}
+		})
 	}
 }
 

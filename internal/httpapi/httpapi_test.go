@@ -400,7 +400,8 @@ func TestPlacementEndpointBadRequest(t *testing.T) {
 // TestInvalidConfigIs400: methodology knobs the core rejects are the
 // caller's mistake on both endpoints that run the methodology — a 400
 // carrying the core's message, never a 500. A warm-up the client never sent
-// is named as the default.
+// is named as the default, and a budget below one unit per buffer is named
+// as that floor on the exact and analytic backends alike.
 func TestInvalidConfigIs400(t *testing.T) {
 	_, ts := startServer(t, engine.Config{}, true)
 	for _, c := range []struct{ knobs, want string }{
@@ -417,6 +418,17 @@ func TestInvalidConfigIs400(t *testing.T) {
 			decodeBody(t, resp, &e)
 			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e["error"], c.want) {
 				t.Errorf("%s %s: status %d, error %q; want 400 naming %q", path, body, resp.StatusCode, e["error"], c.want)
+			}
+		}
+	}
+	for _, method := range []string{"exact", "analytic"} {
+		for _, path := range []string{"/v1/solve", "/v1/placement"} {
+			body := `{"arch":"twobus","budget":1,"seeds":[1],"method":"` + method + `"}`
+			resp := postJSON(t, ts.URL+path, body)
+			var e map[string]string
+			decodeBody(t, resp, &e)
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e["error"], "below one unit per buffer") {
+				t.Errorf("%s %s: status %d, error %q; want 400 naming the buffer floor", path, body, resp.StatusCode, e["error"])
 			}
 		}
 	}

@@ -8,7 +8,7 @@ import "testing"
 // pivot that allocates would multiply that cost by the iteration count.
 func TestPivotZeroAlloc(t *testing.T) {
 	const m, n = 32, 64
-	tab := &tableau{m: m, n: n, width: n}
+	tab := &tableau{m: m, n: n}
 	tab.a = make([][]float64, m+1)
 	v := 1.0
 	for i := range tab.a {
@@ -33,49 +33,5 @@ func TestPivotZeroAlloc(t *testing.T) {
 		col = (col + 1) % 8
 	}); allocs != 0 {
 		t.Fatalf("pivot allocates %.0f objects per call, want 0", allocs)
-	}
-}
-
-// TestResolveScratchZeroSteadyStateAlloc checks the Resolver's per-Resolve
-// overhead: beyond the extracted Solution itself (one X vector, one basis
-// encoding), the rank-one update must reuse its u/v scratch across calls.
-func TestResolveScratchZeroSteadyStateAlloc(t *testing.T) {
-	rng := lcg(3)
-	const blocks, per = 3, 4
-	n := blocks * per
-	costs := make([]float64, n)
-	for j := range costs {
-		costs[j] = rng.next()
-	}
-	w := make([]float64, n)
-	for j := range w {
-		w[j] = 1 + 2*rng.next()
-	}
-	p := blockProblem(blocks, per, costs, w, 7)
-	r, err := NewResolver(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	capRow := blocks
-	caps := []float64{6.5, 6.0, 6.8, 6.2}
-	for _, c := range caps { // warm the scratch
-		if _, err := r.Resolve(capRow, w, c); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if r.Resolves == 0 {
-		t.Fatalf("fixture never took the fast path (fallbacks %d)", r.Fallbacks)
-	}
-	i := 0
-	allocs := testing.AllocsPerRun(50, func() {
-		if _, err := r.Resolve(capRow, w, caps[i%len(caps)]); err != nil {
-			t.Fatal(err)
-		}
-		i++
-	})
-	// The Solution payload (X slice, basis refs, the struct) is the only
-	// allowed allocation; 8 objects is its observed footprint with headroom.
-	if allocs > 8 {
-		t.Fatalf("Resolve allocates %.0f objects per call beyond reuse, want <= 8", allocs)
 	}
 }

@@ -60,25 +60,20 @@ type Problem struct {
 	// Constraints holds the rows. Every row's Coeffs must have the same
 	// length as Objective.
 	Constraints []Constraint
-	// Warm optionally seeds the solve with a candidate vertex — typically
-	// the optimum of a closely related program, e.g. the same system before
-	// one more inequality was added. Solve crashes a starting basis from the
-	// candidate (see WarmBasis for the preferred, basis-exact form): phase 1
-	// is skipped outright, and rows the candidate violates (newly added
-	// inequalities) are repaired by dual simplex steps. The warm path is
-	// best-effort — any inconsistency falls back to the ordinary two-phase
-	// solve — so Warm can only change how fast the optimum is found, never
-	// which optimum value is reported (degenerate programs may return a
-	// different optimal vertex of equal objective).
-	Warm []float64
-	// WarmBasis carries a related solve's final basis (Solution.Basis) and
-	// is the strong form of warm start: reconstructing the basis SET — not
-	// just the candidate's support — reproduces that solve's reduced costs,
-	// which for an optimal basis are non-negative, making the dual-simplex
-	// repair of added constraints certify. Rows of this problem beyond
-	// len(WarmBasis) (constraints appended since the donor solve; they must
-	// be appended LAST) start on their own auxiliary basis. The donor
-	// problem's rows must match this problem's leading rows one for one.
+	// WarmBasis optionally seeds the solve with a related solve's final
+	// basis (Solution.Basis) — typically the optimum of the same system
+	// before one more inequality was added. Reconstructing the basis SET
+	// reproduces that solve's reduced costs, which for an optimal basis are
+	// non-negative, so phase 1 is skipped outright and rows the donor
+	// optimum violates are repaired by dual simplex steps. Rows of this
+	// problem beyond len(WarmBasis) (constraints appended since the donor
+	// solve; they must be appended LAST) start on their own auxiliary basis.
+	// The donor problem's rows must match this problem's leading rows one
+	// for one. The warm path is best-effort — any inconsistency falls back
+	// to the ordinary two-phase solve — so WarmBasis can only change how
+	// fast the optimum is found, never which optimum value is reported
+	// (degenerate programs may return a different optimal vertex of equal
+	// objective).
 	WarmBasis []BasicRef
 }
 
@@ -146,7 +141,7 @@ type Solution struct {
 	Objective float64   // cᵀx at the optimum
 	Iters     int       // simplex pivots performed across both phases
 	// Warmed reports that the warm-start path produced this solution (the
-	// crash basis held and phase 1 was skipped).
+	// donor basis held and phase 1 was skipped).
 	Warmed bool
 	// Basis is the final simplex basis in layout-independent form, one entry
 	// per constraint row — feed it to a related Problem's WarmBasis to

@@ -3,7 +3,6 @@ package lp
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 const (
@@ -21,13 +20,6 @@ type tableau struct {
 	m, n  int
 	a     [][]float64 // (m+1) x (n+1)
 	basis []int       // basis[i] = variable index basic in row i
-	// width is how many leading columns pivots maintain (the RHS column is
-	// always maintained). build() sets it to n; the Resolver narrows it to
-	// artStart once phase 1 can never run again, so repair pivots stop
-	// streaming the dead artificial block. Columns in [width, n) then go
-	// stale — EXCEPT basic ones, which stay exact identity columns without
-	// any update (their pivot-row entry is zero, so every update is a no-op).
-	width int
 }
 
 // layout records which auxiliary column each constraint row owns, for the
@@ -139,7 +131,7 @@ func build(p *Problem) (t *tableau, artStart int, lay layout) {
 	}
 
 	total := n + nSlack + nArt
-	t = &tableau{m: m, n: total, width: total}
+	t = &tableau{m: m, n: total}
 	// One contiguous arena backs every row: simplex pivots stream the whole
 	// tableau, and row-contiguous storage keeps that streaming prefetchable
 	// (and cuts the m+2 row allocations to one).
@@ -266,15 +258,15 @@ func (t *tableau) extract(p *Problem, iters int) *Solution {
 	return &Solution{Status: Optimal, X: x, Objective: objVal, Iters: iters}
 }
 
-// Solve runs simplex on the problem: the warm-start path when a usable
-// p.WarmBasis or p.Warm seed is present (falling back silently if it is not
-// usable), else two-phase primal. The limit on pivots is proportional to the
-// problem size; exceeding it returns ErrIterationLimit.
+// Solve runs simplex on the problem: the warm-start path when p.WarmBasis is
+// present (falling back silently if it is not usable), else two-phase
+// primal. The limit on pivots is proportional to the problem size;
+// exceeding it returns ErrIterationLimit.
 func Solve(p *Problem) (*Solution, error) {
 	if p.NumVars() == 0 {
 		return nil, ErrNoVariables
 	}
-	if len(p.WarmBasis) > 0 || len(p.Warm) == p.NumVars() {
+	if len(p.WarmBasis) > 0 {
 		if sol, ok := solveWarm(p); ok {
 			return sol, nil
 		}
@@ -284,13 +276,6 @@ func Solve(p *Problem) (*Solution, error) {
 
 // solveCold is the ordinary two-phase primal simplex.
 func solveCold(p *Problem) (*Solution, error) {
-	sol, _, err := solveColdKeep(p)
-	return sol, err
-}
-
-// solveColdKeep is solveCold retaining the final tableau state for callers —
-// the Resolver — that will keep re-solving nearby programs against it.
-func solveColdKeep(p *Problem) (*Solution, *tabState, error) {
 	t, artStart, lay := build(p)
 	total := t.n
 	nArt := total - artStart
@@ -318,10 +303,10 @@ func solveColdKeep(p *Problem) (*Solution, *tabState, error) {
 		it, err := t.iterate(maxIters, artStart)
 		iters += it
 		if err != nil {
-			return nil, nil, fmt.Errorf("lp: phase 1: %w", err)
+			return nil, fmt.Errorf("lp: phase 1: %w", err)
 		}
 		if -t.a[t.m][total] > feasEps {
-			return &Solution{Status: Infeasible, Iters: iters}, nil, nil
+			return &Solution{Status: Infeasible, Iters: iters}, nil
 		}
 		iters += t.clearArtificials(artStart)
 	}
@@ -332,148 +317,55 @@ func solveColdKeep(p *Problem) (*Solution, *tabState, error) {
 	iters += it
 	if err != nil {
 		if err == errUnbounded {
-			return &Solution{Status: Unbounded, Iters: iters}, nil, nil
+			return &Solution{Status: Unbounded, Iters: iters}, nil
 		}
-		return nil, nil, err
+		return nil, err
 	}
 	sol := t.extract(p, iters)
 	sol.Basis = t.encodeBasis(p.NumVars(), lay)
-	return sol, &tabState{t: t, artStart: artStart, lay: lay}, nil
+	return sol, nil
 }
 
-// tabState bundles a tableau with the layout facts needed to keep working on
-// it after a solve: the first artificial column (pivot bans) and the
-// auxiliary-column ownership map (basis encoding).
-type tabState struct {
-	t        *tableau
-	artStart int
-	lay      layout
-}
-
-// solveWarm establishes a starting basis from the donor solve and solves
-// from there, skipping phase 1. The strong seed is p.WarmBasis — rebuilding
-// the donor's basis SET reproduces its reduced costs exactly (reduced costs
-// depend only on which columns are basic), so an optimal donor hands over a
-// dual-feasible start and any rows it violates (inequalities appended since,
-// e.g. a new occupancy cap) are repaired by a few dual simplex steps. The
-// weak seed is p.Warm alone: its support is crashed into the basis, which
-// skips phase 1 but carries no dual-feasibility promise — on degenerate
-// programs the support underdetermines the basis. Returns ok=false to send
-// the caller down the cold path whenever the start cannot be established;
-// the warm path therefore never changes the reported optimum, only the
-// pivot count (degenerate programs may surface a different optimal vertex
-// of equal objective).
+// solveWarm rebuilds the donor solve's basis SET (p.WarmBasis) and solves
+// from there, skipping phase 1. Reduced costs depend only on which columns
+// are basic, so an optimal donor hands over a dual-feasible start, and any
+// rows it violates (inequalities appended since, e.g. a new occupancy cap)
+// are repaired by a few dual simplex steps. Returns ok=false to send the
+// caller down the cold path whenever the start cannot be established; the
+// warm path therefore never changes the reported optimum, only the pivot
+// count (degenerate programs may surface a different optimal vertex of
+// equal objective).
 func solveWarm(p *Problem) (*Solution, bool) {
-	sol, _, ok := solveWarmKeep(p)
-	return sol, ok
-}
-
-// solveWarmKeep is solveWarm retaining the final tableau state (see
-// solveColdKeep).
-func solveWarmKeep(p *Problem) (*Solution, *tabState, bool) {
 	n := p.NumVars()
-	for _, v := range p.Warm {
-		if v < -1e-9 || math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, nil, false
-		}
-	}
 	t, artStart, lay := build(p)
 	maxIters := 200 * (t.m + t.n + 10)
 	iters := 0
 
-	if len(p.WarmBasis) > 0 {
-		// Strong seed: reconstruct the donor basis set.
-		if len(p.WarmBasis) > t.m {
-			return nil, nil, false
-		}
-		target, ok := decodeBasis(p.WarmBasis, n, lay)
-		if !ok {
-			return nil, nil, false
-		}
-		// The donor's basis matrix is nonsingular over the donor's own rows,
-		// so reconstruction is confined to them; appended rows keep their own
-		// auxiliary basic (the slack of a new inequality).
-		it, ok := t.crashBasis(target, len(p.WarmBasis))
-		iters += it
-		if !ok {
-			return nil, nil, false
-		}
-		// No artificial may survive in the basis outside the donor's own
-		// (degenerate, zero-level) entries — an appended equality row would
-		// do that, and phase 1 could not be skipped for it.
-		inTarget := make(map[int]bool, len(target))
-		for _, c := range target {
-			inTarget[c] = true
-		}
-		for _, b := range t.basis {
-			if b >= artStart && !inTarget[b] {
-				return nil, nil, false
-			}
-		}
-	} else {
-		// Weak seed: crash the candidate's support, largest values first
-		// (larger basics are better-conditioned pivots), then drive leftover
-		// artificials out so their columns can be banned outright.
-		type sup struct {
-			j int
-			v float64
-		}
-		var support []sup
-		for j := 0; j < n; j++ {
-			if p.Warm[j] > 1e-12 {
-				support = append(support, sup{j, p.Warm[j]})
-			}
-		}
-		sort.Slice(support, func(i, j int) bool {
-			if support[i].v != support[j].v {
-				return support[i].v > support[j].v
-			}
-			return support[i].j < support[j].j
-		})
-		if len(support) > t.m {
-			return nil, nil, false // not a vertex of this system
-		}
-		for _, s := range support {
-			best, bestAbs := -1, crashEps
-			for i := 0; i < t.m; i++ {
-				if t.basis[i] < n {
-					continue // row already claimed by a structural column
-				}
-				if a := math.Abs(t.a[i][s.j]); a > bestAbs {
-					best, bestAbs = i, a
-				}
-			}
-			if best == -1 {
-				return nil, nil, false // support is dependent; let phase 1 sort it out
-			}
-			t.pivot(best, s.j)
-			iters++
-		}
-		// Pivoting an artificial out keeps its row as an exact constraint
-		// (any basic-value wobble is repaired below); a row with no usable
-		// pivot is droppable only if it is the all-zero row — otherwise the
-		// support cannot express this system: cold path.
-		for i := 0; i < t.m; i++ {
-			if t.basis[i] < artStart {
-				continue
-			}
-			best, bestAbs := -1, pivotEps
-			for j := 0; j < artStart; j++ {
-				if a := math.Abs(t.a[i][j]); a > bestAbs {
-					best, bestAbs = j, a
-				}
-			}
-			if best >= 0 {
-				t.pivot(i, best)
-				iters++
-				continue
-			}
-			if math.Abs(t.a[i][t.n]) > 1e-9 {
-				return nil, nil, false // inconsistent dependent row
-			}
-			for j := 0; j <= t.n; j++ {
-				t.a[i][j] = 0 // redundant row: can never constrain phase 2
-			}
+	if len(p.WarmBasis) > t.m {
+		return nil, false
+	}
+	target, ok := decodeBasis(p.WarmBasis, n, lay)
+	if !ok {
+		return nil, false
+	}
+	// The donor's basis matrix is nonsingular over the donor's own rows, so
+	// reconstruction is confined to them; appended rows keep their own
+	// auxiliary basic (the slack of a new inequality).
+	it, ok := t.crashBasis(target, len(p.WarmBasis))
+	iters += it
+	if !ok {
+		return nil, false
+	}
+	// No artificial may survive in the basis outside the donor's own
+	// (degenerate, zero-level) entries — an appended equality row would do
+	// that, and phase 1 could not be skipped for it.
+	inTarget := make(map[int]bool, len(target))
+	for _, c := range target {
+		inTarget[c] = true
+	}
+	for _, b := range t.basis {
+		if b >= artStart && !inTarget[b] {
+			return nil, false
 		}
 	}
 
@@ -486,7 +378,7 @@ func solveWarmKeep(p *Problem) (*Solution, *tabState, bool) {
 	if t.minRHS() < -1e-9 {
 		for j := 0; j < artStart; j++ {
 			if t.a[t.m][j] < -1e-7 {
-				return nil, nil, false // not dual feasible: cold path
+				return nil, false // not dual feasible: cold path
 			}
 		}
 		it, err := t.dualIterate(maxIters, artStart)
@@ -494,9 +386,9 @@ func solveWarmKeep(p *Problem) (*Solution, *tabState, bool) {
 		switch err {
 		case nil:
 		case errInfeasible:
-			return &Solution{Status: Infeasible, Iters: iters, Warmed: true}, nil, true
+			return &Solution{Status: Infeasible, Iters: iters, Warmed: true}, true
 		default:
-			return nil, nil, false
+			return nil, false
 		}
 	}
 
@@ -504,15 +396,15 @@ func solveWarmKeep(p *Problem) (*Solution, *tabState, bool) {
 	it, err := t.iterate(maxIters, artStart)
 	iters += it
 	if err == errUnbounded {
-		return &Solution{Status: Unbounded, Iters: iters, Warmed: true}, nil, true
+		return &Solution{Status: Unbounded, Iters: iters, Warmed: true}, true
 	}
 	if err != nil {
-		return nil, nil, false
+		return nil, false
 	}
 	sol := t.extract(p, iters)
 	sol.Warmed = true
 	sol.Basis = t.encodeBasis(n, lay)
-	return sol, &tabState{t: t, artStart: artStart, lay: lay}, true
+	return sol, true
 }
 
 // crashBasis pivots the target basis SET into place by multi-pass Gaussian
@@ -761,12 +653,12 @@ func (t *tableau) iterate(maxIters, banFrom int) (int, error) {
 	}
 }
 
-// pivot makes column `col` basic in row `row`. Only the leading t.width
-// columns plus the RHS are maintained (see the width field); the eliminate
-// loop is unrolled 4-wide over slices re-sliced to the width so the bounds
-// checks hoist — this saxpy is the single hottest loop in the module.
+// pivot makes column `col` basic in row `row`. The eliminate loop is
+// unrolled 4-wide over slices re-sliced to the n variable columns (the RHS
+// column is updated separately) so the bounds checks hoist — this saxpy is
+// the single hottest loop in the module.
 func (t *tableau) pivot(row, col int) {
-	w := t.width
+	w := t.n
 	prow := t.a[row]
 	inv := 1 / prow[col]
 	for j := 0; j < w; j++ {

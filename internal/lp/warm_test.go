@@ -42,7 +42,6 @@ func TestWarmBasisAgreesWithCold(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	capped.Warm = rsol.X
 	capped.WarmBasis = rsol.Basis
 	warm, err := Solve(capped)
 	if err != nil {
@@ -97,8 +96,6 @@ func TestWarmGarbageFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, mutate := range map[string]func(*Problem){
-		"negative-warm":   func(p *Problem) { p.Warm = []float64{-1, 5, 3} },
-		"nan-warm":        func(p *Problem) { p.Warm = []float64{math.NaN(), 0, 0} },
 		"oversized-basis": func(p *Problem) { p.WarmBasis = make([]BasicRef, 99) },
 		"bad-var-ref":     func(p *Problem) { p.WarmBasis = []BasicRef{{Var: 7}, {Var: 1}, {Var: 2}} },
 		"bad-aux-ref":     func(p *Problem) { p.WarmBasis = []BasicRef{{Var: -1, Row: 0}, {Var: 1}, {Var: 2}} },

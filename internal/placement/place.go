@@ -47,9 +47,11 @@ func Place(ctx context.Context, cfg Config) (*Result, error) {
 		front = kept
 	}
 	if len(front) == 0 {
+		// Both budgets are the caller's: a core.ErrInvalidConfig, not a
+		// solve failure.
 		return nil, fmt.Errorf(
-			"placement: no feasible placement (budget %d, cost budget %g: %d capacity-infeasible, %d over cost budget)",
-			cfg.Budget, cfg.CostBudget, st.infeasible, costFiltered)
+			"placement: %w: no feasible placement (budget %d, cost budget %g: %d placements below one unit per buffer, %d over cost budget)",
+			core.ErrInvalidConfig, cfg.Budget, cfg.CostBudget, st.infeasible, costFiltered)
 	}
 
 	// Screening: evaluate every frontier placement with the analytic

@@ -20,9 +20,13 @@
 //     requesting model. This is the "solve seeded from the nearest cached
 //     solution" fast path, and it converges in zero iterations by
 //     construction. Genuinely different models (rates changed) miss and
-//     solve cold; capped joint solves additionally seed their stationary
-//     refinement from the cached free solution via
-//     ctmdp.StationaryOptions.Warm.
+//     solve cold.
+//
+// Capped joint programs (the occupancy cap links the blocks) are cached
+// whole under JointFingerprint. A joint miss is one LP solve warm-started
+// from the blocks' cached cap-free bases (ctmdp.JointConfig.WarmBasis),
+// else cold, and its stationary refinement is seeded from the cached free
+// solutions via ctmdp.StationaryOptions.Warm (DESIGN.md §8).
 //
 // Determinism: a cached payload is a pure function of its fingerprint — cold
 // misses solve a canonicalised copy of the model, and warm reuse is
@@ -47,15 +51,12 @@
 // and payloads are a few KB each; NewBounded caps each tier at a fixed
 // entry count for long-lived processes, evicting the least recently used
 // entry. Eviction costs a recompute, never correctness, because payloads
-// are pure functions of their keys. The delta tier keeps its own fixed
-// family cap (maxDeltaEntries).
+// are pure functions of their keys.
 package solvecache
 
 import (
 	"encoding/json"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"socbuf/internal/ctmdp"
 	"socbuf/internal/lp"
@@ -80,35 +81,7 @@ type Cache struct {
 	// remote is the optional shared store behind the exact/analytic/robust/
 	// placement tiers (see SetRemote and remote.go).
 	remote remote
-
-	// Delta tier (opt-in, see EnableDelta): capped-program resolvers keyed by
-	// JointStructuralFingerprint, each holding a retained simplex tableau
-	// that re-solves sibling programs (new cap and/or unit scalings) by a
-	// rank-one row patch instead of a fresh warm-started solve.
-	deltaEnabled         bool
-	deltaMu              sync.Mutex // guards delta
-	delta                map[Key]*deltaEntry
-	deltaHit, deltaShrug atomic.Int64
 }
-
-// deltaEntry serialises chained re-solves of one structural program family.
-// The per-entry lock (not deltaMu) is held across the whole LP re-solve:
-// concurrent solves of different families proceed in parallel, while two
-// solves of the same family queue — the second usually turns the first's
-// result into an exact joint hit anyway.
-type deltaEntry struct {
-	mu  sync.Mutex
-	res *ctmdp.CappedResolver
-}
-
-// maxDeltaEntries bounds the delta tier: retained tableaus are dense
-// (rows × variables floats — MBs for the big joint programs), unlike the
-// few-KB payload entries, so this tier keeps a small fixed admission cap
-// whatever the other tiers' bound. A sweep has one structural family per
-// methodology-iteration index (the boundary trajectory is
-// allocation-independent), so a handful suffice; once full, new families
-// simply solve without delta reuse.
-const maxDeltaEntries = 32
 
 // entry is one cached sub-model solution, aligned to its canonical model.
 // Entries are immutable after insertion; readers always rebind into freshly
@@ -137,7 +110,7 @@ func New() *Cache { return NewBounded(0) }
 // NewBounded returns an empty cache whose every tier holds at most max
 // entries, evicting the least recently used one past that (0 = unbounded).
 func NewBounded(max int) *Cache {
-	c := &Cache{delta: map[Key]*deltaEntry{}}
+	c := &Cache{}
 	r := &c.remote
 	c.exact = &tier[*entry]{max: max, remote: r, tag: "exact",
 		valid: func(e *entry) bool { return e != nil }}
@@ -154,27 +127,6 @@ func NewBounded(max int) *Cache {
 		valid: func(b json.RawMessage) bool { return len(b) > 0 }}
 	c.result = &tier[json.RawMessage]{max: max, clone: cloneRaw}
 	return c
-}
-
-// EnableDelta turns on the delta re-solve tier for capped joint programs:
-// joint misses within a known structural family (same models up to unit
-// scalings, any cap) are answered by patching the family's retained simplex
-// tableau — a rank-one update plus a few dual pivots — instead of assembling
-// and warm-solving a fresh program. The LP layer's residual self-check falls
-// back to a cold solve whenever a patched tableau does not certify, so a
-// delta answer can differ from a fresh solve only in which optimal vertex a
-// degenerate program reports, within the 1e-8 agreement gate.
-//
-// Off by default: chaining makes a capped solve's exact bit pattern depend
-// on which sibling programs the resolver saw first, so with concurrent
-// workers the roundoff-level bits of delta-tier answers can vary with
-// schedule — a deliberate relaxation of the cache's bit-purity contract that
-// callers must opt into (serial sweeps remain fully deterministic). Call
-// before solving; toggling mid-flight is not synchronised.
-func (c *Cache) EnableDelta() {
-	if c != nil {
-		c.deltaEnabled = true
-	}
 }
 
 // AnalyticSolution is one cached analytic sizing: the closed-form backend's
@@ -332,11 +284,6 @@ type Stats struct {
 	// budget-sweep answers, keyed by the engine's request fingerprint. A
 	// result hit reaches no other tier, so it moves no other counter.
 	ResultHits, ResultMisses int64
-	// DeltaResolves counts capped joint misses answered through the delta
-	// tier's retained tableaus; DeltaFallbacks counts delta attempts that had
-	// to fall back to the ordinary solve path (patch rejected or resolver
-	// error). Both stay zero unless EnableDelta was called.
-	DeltaResolves, DeltaFallbacks int64
 	// RemoteHits / RemoteMisses count consults of the attached remote store
 	// (SetRemote): payloads adopted vs consults that came back empty or
 	// undecodable. A remote hit additionally counts as a hit of its home
@@ -344,11 +291,11 @@ type Stats struct {
 	// source. Both stay zero when no store is attached.
 	RemoteHits, RemoteMisses int64
 	// Entries / JointEntries / AnalyticEntries / RobustEntries /
-	// PlacementEntries / ResultEntries / DeltaEntries are the stored
-	// solution counts per tier. Entries counts distinct exact-tier solutions (warm-start
+	// PlacementEntries / ResultEntries are the stored solution counts per
+	// tier. Entries counts distinct exact-tier solutions (warm-start
 	// promotion files one solution under several keys), so it never exceeds
 	// the tier's key count — nor, therefore, its NewBounded bound.
-	Entries, JointEntries, AnalyticEntries, RobustEntries, PlacementEntries, ResultEntries, DeltaEntries int
+	Entries, JointEntries, AnalyticEntries, RobustEntries, PlacementEntries, ResultEntries int
 }
 
 // Add accumulates o's counters and entry counts into s — the one list of
@@ -367,8 +314,6 @@ func (s *Stats) Add(o Stats) {
 	s.PlacementMisses += o.PlacementMisses
 	s.ResultHits += o.ResultHits
 	s.ResultMisses += o.ResultMisses
-	s.DeltaResolves += o.DeltaResolves
-	s.DeltaFallbacks += o.DeltaFallbacks
 	s.RemoteHits += o.RemoteHits
 	s.RemoteMisses += o.RemoteMisses
 	s.Entries += o.Entries
@@ -377,7 +322,6 @@ func (s *Stats) Add(o Stats) {
 	s.RobustEntries += o.RobustEntries
 	s.PlacementEntries += o.PlacementEntries
 	s.ResultEntries += o.ResultEntries
-	s.DeltaEntries += o.DeltaEntries
 }
 
 // Rates derives per-tier hit rates from the counters, keyed by tier name.
@@ -389,8 +333,6 @@ func (s *Stats) Add(o Stats) {
 //	structural  WarmStarts / (WarmStarts + Misses) — how often a non-exact
 //	            lookup was still answered by a structural sibling
 //	joint       JointHits / (JointHits + JointMisses)
-//	joint-delta DeltaResolves / (DeltaResolves + DeltaFallbacks) — of the
-//	            delta-tier attempts, how many the retained tableaus answered
 //	analytic, robust, placement, result — hits / (hits + misses) of that
 //	            tier
 //	remote      RemoteHits / (RemoteHits + RemoteMisses) — adopted payloads
@@ -405,7 +347,6 @@ func (s Stats) Rates() map[string]float64 {
 	add("exact", s.Hits, s.Hits+s.WarmStarts+s.Misses)
 	add("structural", s.WarmStarts, s.WarmStarts+s.Misses)
 	add("joint", s.JointHits, s.JointHits+s.JointMisses)
-	add("joint-delta", s.DeltaResolves, s.DeltaResolves+s.DeltaFallbacks)
 	add("analytic", s.AnalyticHits, s.AnalyticHits+s.AnalyticMisses)
 	add("robust", s.RobustHits, s.RobustHits+s.RobustMisses)
 	add("placement", s.PlacementHits, s.PlacementHits+s.PlacementMisses)
@@ -421,9 +362,6 @@ func (c *Cache) Stats() Stats {
 	}
 	distinct := map[*entry]struct{}{}
 	c.exact.each(func(e *entry) { distinct[e] = struct{}{} })
-	c.deltaMu.Lock()
-	deltaEntries := len(c.delta)
-	c.deltaMu.Unlock()
 	return Stats{
 		Hits:             c.exact.hits.Load(),
 		WarmStarts:       c.structural.hits.Load(),
@@ -438,8 +376,6 @@ func (c *Cache) Stats() Stats {
 		PlacementMisses:  c.placement.misses.Load(),
 		ResultHits:       c.result.hits.Load(),
 		ResultMisses:     c.result.misses.Load(),
-		DeltaResolves:    c.deltaHit.Load(),
-		DeltaFallbacks:   c.deltaShrug.Load(),
 		RemoteHits:       c.remote.hits.Load(),
 		RemoteMisses:     c.remote.misses.Load(),
 		Entries:          len(distinct),
@@ -448,7 +384,6 @@ func (c *Cache) Stats() Stats {
 		RobustEntries:    c.robust.len(),
 		PlacementEntries: c.placement.len(),
 		ResultEntries:    c.result.len(),
-		DeltaEntries:     deltaEntries,
 	}
 }
 

@@ -326,13 +326,12 @@ func TestCacheBasisRoundTrip(t *testing.T) {
 		capped := ctmdp.JointConfig{
 			OccupancyCap: free.OccupancyUsed * 0.9,
 			WarmBasis:    [][]lp.BasicRef{free.Basis},
-			WarmX:        [][]float64{free.PerModel[0].X},
 		}
 		warm, err := ctmdp.SolveJoint([]*ctmdp.Model{m}, capped)
 		if err != nil {
 			t.Fatalf("model %q: warm capped: %v", m.Bus, err)
 		}
-		capped.WarmBasis, capped.WarmX = nil, nil
+		capped.WarmBasis = nil
 		cold, err := ctmdp.SolveJoint([]*ctmdp.Model{m}, capped)
 		if err != nil {
 			t.Fatalf("model %q: cold capped: %v", m.Bus, err)

@@ -213,26 +213,6 @@ func JointFingerprint(models []*ctmdp.Model, cap float64, opts SolveOptions) Key
 	return h.sum()
 }
 
-// JointStructuralFingerprint keys the delta-resolve tier: the ordered
-// structural fingerprints of a capped joint program's blocks, with the cap
-// and the capacity quanta excluded. Two capped programs sharing this key have
-// bit-identical balance rows and objectives — they differ at most in the
-// linking occupancy row's coefficients (unit scalings) and right-hand side
-// (the cap), which is exactly the one-row patch ctmdp.CappedResolver applies.
-// Block order matters, as in JointFingerprint.
-func JointStructuralFingerprint(models []*ctmdp.Model, opts SolveOptions) Key {
-	h := &hasher{}
-	h.i64(version)
-	h.i64(backendExact)
-	h.str("joint-delta")
-	h.i64(int64(len(models)))
-	for _, m := range models {
-		k := StructuralFingerprint(m, opts)
-		h.buf = append(h.buf, k[:]...)
-	}
-	return h.sum()
-}
-
 // AnalyticFingerprint keys one analytic (M/M/1/K marginal-allocation)
 // sizing: the canonical byte serialisation of the buffered architecture the
 // backend sized, the budget, and the fixed-point iteration count. The

@@ -1,7 +1,6 @@
 package solvecache
 
 import (
-	"errors"
 	"fmt"
 
 	"socbuf/internal/ctmdp"
@@ -28,8 +27,8 @@ import (
 // ctmdp.SolveJoint would hand back; multi-model and capped solves return a
 // nil Basis (a concatenated basis has no JointConfig consumer, and the
 // free→capped hand-over the methodology needs happens inside the cache).
-// Caller-supplied cfg.WarmX/WarmBasis seeds are superseded by the cache's
-// own seeding and ignored — a cached answer beats any warm start.
+// A caller-supplied cfg.WarmBasis seed is superseded by the cache's own
+// seeding and ignored — a cached answer beats any warm start.
 func (c *Cache) SolveJoint(models []*ctmdp.Model, cfg ctmdp.JointConfig) (*ctmdp.JointSolution, error) {
 	if c == nil {
 		return ctmdp.SolveJoint(models, cfg)
@@ -186,14 +185,7 @@ func (c *Cache) solveCapped(models []*ctmdp.Model, cfg ctmdp.JointConfig, opts S
 	if seeded == len(models) {
 		inner.WarmBasis = warmBasis
 	}
-	var sol *ctmdp.JointSolution
-	var err error
-	if c.deltaEnabled {
-		sol, err = c.solveDelta(cms, cfg, inner, opts)
-	}
-	if sol == nil && err == nil {
-		sol, err = ctmdp.SolveJoint(cms, inner)
-	}
+	sol, err := ctmdp.SolveJoint(cms, inner)
 	if err != nil {
 		// Includes ctmdp.ErrInfeasible untouched in the chain: the caller's
 		// cap retry ladder matches with errors.Is.
@@ -235,58 +227,6 @@ func (c *Cache) solveCapped(models []*ctmdp.Model, cfg ctmdp.JointConfig, opts S
 	return out, nil
 }
 
-// solveDelta answers a capped joint miss through the delta tier: the first
-// miss of a structural family constructs and retains a ctmdp.CappedResolver
-// over the canonical clones; every later miss of the same family — a sibling
-// program differing only in unit scalings and/or cap — patches the retained
-// tableau instead of solving afresh. Returns (nil, nil) to decline (tier
-// full, or the patch path errored for a non-infeasibility reason), in which
-// case the caller runs the ordinary solve; ctmdp.ErrInfeasible propagates
-// unwrapped so the cap retry ladder sees it.
-func (c *Cache) solveDelta(cms []*ctmdp.Model, cfg, inner ctmdp.JointConfig, opts SolveOptions) (*ctmdp.JointSolution, error) {
-	key := JointStructuralFingerprint(cms, opts)
-	c.deltaMu.Lock()
-	de := c.delta[key]
-	if de == nil && len(c.delta) < maxDeltaEntries {
-		de = &deltaEntry{}
-		c.delta[key] = de
-	}
-	c.deltaMu.Unlock()
-	if de == nil {
-		return nil, nil // tier full: solve without delta reuse
-	}
-
-	de.mu.Lock()
-	defer de.mu.Unlock()
-	if de.res == nil {
-		cr, sol, err := ctmdp.NewCappedResolver(cms, inner)
-		if cr != nil {
-			de.res = cr // retained even when the first cap was infeasible
-		}
-		if err != nil {
-			if errors.Is(err, ctmdp.ErrInfeasible) {
-				return nil, err
-			}
-			c.deltaShrug.Add(1)
-			return nil, nil
-		}
-		return sol, nil // the construction itself is an ordinary cold solve
-	}
-	sol, err := de.res.Resolve(cms, cfg.OccupancyCap)
-	if err != nil {
-		if errors.Is(err, ctmdp.ErrInfeasible) {
-			// The fast path answered: infeasibility at this cap is a result,
-			// and the resolver stays primed for the ladder's next cap.
-			c.deltaHit.Add(1)
-			return nil, err
-		}
-		c.deltaShrug.Add(1)
-		return nil, nil
-	}
-	c.deltaHit.Add(1)
-	return sol, nil
-}
-
 // matches sanity-checks a cached joint entry block by block against the
 // requesting models (see entry.matches).
 func (je *jointEntry) matches(models []*ctmdp.Model, orders [][]int) bool {
@@ -324,8 +264,8 @@ func (je *jointEntry) assemble(models []*ctmdp.Model, orders [][]int) (*ctmdp.Jo
 // methodology loop the free boundary solves always run (and cache) before
 // the capped final solve, so the seed is deterministic there; standalone
 // capped solves on a cold cache simply solve unseeded. The entry's slices
-// are read-only here: the LP copies its Warm candidate and the stationary
-// solvers copy their Init prior.
+// are read-only here: the LP copies its WarmBasis and the stationary solvers
+// copy their Init prior.
 func (c *Cache) freeEntry(m *ctmdp.Model, opts SolveOptions) *entry {
 	e, _ := c.lookup(Fingerprint(m, opts), StructuralFingerprint(m, opts))
 	return e

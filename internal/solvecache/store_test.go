@@ -349,7 +349,7 @@ func TestStatsRates(t *testing.T) {
 	approx("analytic", 0.25)
 	approx("remote", 0.5)
 	approx("result", 0.75)
-	for _, quiet := range []string{"joint", "joint-delta", "robust", "placement"} {
+	for _, quiet := range []string{"joint", "robust", "placement"} {
 		if _, ok := r[quiet]; ok {
 			t.Errorf("tier %q saw no traffic but has a rate", quiet)
 		}
