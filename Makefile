@@ -159,18 +159,20 @@ fuzz-smoke:
 	done
 
 # Per-package coverage floors on the solver seam, the uncertainty model, the
-# solve cache, the engine and the LP stack under the exact backend. Starting
-# coverage at the floors' introduction (2026-08): internal/solver 80.3%,
-# internal/uncertain 92.1%; (2026-10, before the generic cache tier replaced
-# cache rotation): internal/solvecache 84.6%, internal/engine 88.1–88.5% (run
-# to run); (2026-10, once the capped LP had one warm-started solve path):
-# internal/lp 87.0%, internal/ctmdp 89.5%. The floors sit a few points below
-# so honest refactors don't trip them, but a test-free feature dump — or a
-# refactor that lands by deleting tests — does.
+# solve cache, the engine, the LP stack under the exact backend and the
+# linear-algebra kernel. Starting coverage at the floors' introduction
+# (2026-08): internal/solver 80.3%, internal/uncertain 92.1%; (2026-10,
+# before the generic cache tier replaced cache rotation): internal/solvecache
+# 84.6%, internal/engine 88.1–88.5% (run to run); (2026-10, once the capped
+# LP had one warm-started solve path): internal/lp 87.0%, internal/ctmdp
+# 89.5%; (2026-10, once internal/linalg became the one home of stationary
+# solves): internal/linalg 92.6% (92.5% before that move). The floors sit a
+# few points below so honest refactors don't trip them, but a test-free
+# feature dump — or a refactor that lands by deleting tests — does.
 cover:
 	@set -e; \
 	for spec in internal/solver:75 internal/uncertain:85 internal/solvecache:80 internal/engine:83 \
-		internal/lp:83 internal/ctmdp:85; do \
+		internal/lp:83 internal/ctmdp:85 internal/linalg:88; do \
 		pkg=$${spec%:*}; floor=$${spec#*:}; \
 		line=$$($(GO) test -cover ./$$pkg/ | tail -1); \
 		echo "$$line"; \

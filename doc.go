@@ -5,10 +5,9 @@
 // The repository is organised bottom-up:
 //
 //   - internal/linalg, internal/lp        — dense and CSR-sparse linear
-//     algebra (LU, Gauss–Seidel/power-iteration stationary solvers) and a
-//     two-phase simplex solver;
-//   - internal/markov, internal/queueing  — CTMC machinery and M/M/1/K
-//     oracles;
+//     algebra with every CTMC stationary solver (dense LU, Gauss–Seidel/
+//     power iteration, aggregation) and a two-phase simplex solver;
+//   - internal/queueing                   — M/M/1/K closed-form oracles;
 //   - internal/arch, internal/graph       — the SoC communication model
 //     (buses, processors, bridges, flows) and the bridge-buffer splitting
 //     of the paper's §2;
@@ -54,13 +53,14 @@
 //     share; cmd/socbufd serves the same API over HTTP with NDJSON sweep
 //     and placement-evaluation streaming.
 //
-// Stationary distributions of policy-induced chains are solved through
-// three interchangeable paths: an exact dense LU solve for small state
-// spaces, a CSR sparse Gauss–Seidel solve (power-iteration fallback) for
-// mid-sized ones, and a two-level aggregation/disaggregation solve beyond
-// ctmdp.DefaultAggregationThreshold states. All agree to better than 1e-8 on
-// every fixture; see ctmdp.StationaryOptions. The methodology invokes this
-// refinement when core.Config.RefineStationary is set (socbuf -refine).
+// Stationary distributions of policy-induced chains are solved by
+// linalg.Stationary, which picks one of three paths by state count: an
+// exact dense LU solve below linalg.DenseThreshold states, a CSR sparse
+// Gauss–Seidel solve (power-iteration fallback) up to
+// linalg.AggregationThreshold, and a two-level aggregation/disaggregation
+// solve from there. All agree to better than 1e-8 on every fixture. The
+// methodology invokes this refinement when core.Config.RefineStationary is
+// set (socbuf -refine).
 //
 // See README.md for a tour (including "Choosing a solver method" and
 // "Buffer placement"), DESIGN.md for the system inventory and modelling

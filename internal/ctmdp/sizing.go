@@ -43,32 +43,6 @@ const (
 	maxTail = 0.98
 )
 
-// DemandsOptions tunes DemandsOpt.
-type DemandsOptions struct {
-	// Eps is the quantile tail mass (e.g. 0.05).
-	Eps float64
-	// Refine recomputes each solution's stationary distribution from its
-	// policy-induced chain before extracting demands, auto-selecting the
-	// dense-LU or sparse-iterative solver by state-space size. The demands
-	// then come from the refined occupancy distributions.
-	Refine bool
-	// Stationary tunes the refinement solves; the zero value auto-selects.
-	Stationary StationaryOptions
-}
-
-// DemandsOpt is Demands with per-call stationary refinement. It mutates the
-// solutions in place when Refine is set (refinement is idempotent).
-func DemandsOpt(sols []*ModelSolution, o DemandsOptions) ([]BufferDemand, error) {
-	if o.Refine {
-		for _, ms := range sols {
-			if _, err := ms.RefineStationary(o.Stationary); err != nil {
-				return nil, fmt.Errorf("ctmdp: refine %q: %w", ms.Model.Bus, err)
-			}
-		}
-	}
-	return Demands(sols, o.Eps)
-}
-
 // Demands expands the clients of solved models into per-physical-buffer
 // demands, splitting aggregate clients across their members in proportion to
 // member rates. eps is the quantile tail mass (e.g. 0.05).

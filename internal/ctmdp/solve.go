@@ -21,13 +21,10 @@ type JointConfig struct {
 	// with a positive OccupancyCap (the cap needs the joint program).
 	Sequential bool
 	// RefineStationary recomputes each solution's stationary distribution
-	// from its policy-induced chain after the LP solve, choosing dense-LU or
-	// sparse-iterative by state-space size (see StationaryOptions). This
-	// tightens the LP's roundoff-level state probabilities and is the hook
-	// the large-state-space path hangs off.
+	// from its policy-induced chain after the LP solve (linalg.Stationary
+	// picks the solver by state-space size). This tightens the LP's
+	// roundoff-level state probabilities.
 	RefineStationary bool
-	// Stationary tunes the refinement solves; the zero value auto-selects.
-	Stationary StationaryOptions
 	// WarmBasis optionally seeds the joint LP with each model's final
 	// simplex basis from a previous solve of the same balance system (the
 	// Basis of a single-model JointSolution). The canonical use is
@@ -94,10 +91,7 @@ func SolveJoint(models []*Model, cfg JointConfig) (*JointSolution, error) {
 	if cfg.Sequential {
 		out := &JointSolution{}
 		for _, m := range models {
-			one, err := SolveJoint([]*Model{m}, JointConfig{
-				RefineStationary: cfg.RefineStationary,
-				Stationary:       cfg.Stationary,
-			})
+			one, err := SolveJoint([]*Model{m}, JointConfig{RefineStationary: cfg.RefineStationary})
 			if err != nil {
 				return nil, fmt.Errorf("ctmdp: model %q: %w", m.Bus, err)
 			}
@@ -249,7 +243,7 @@ func extractJoint(models []*Model, offsets []int, cfg JointConfig, sol *lp.Solut
 	if cfg.RefineStationary {
 		out.TotalLossRate, out.OccupancyUsed = 0, 0
 		for _, ms := range out.PerModel {
-			if _, err := ms.RefineStationary(cfg.Stationary); err != nil {
+			if _, err := ms.RefineStationary(nil); err != nil {
 				return nil, fmt.Errorf("ctmdp: model %q: %w", ms.Model.Bus, err)
 			}
 			out.TotalLossRate += ms.LossRate

@@ -5,87 +5,7 @@ import (
 	"math"
 
 	"socbuf/internal/linalg"
-	"socbuf/internal/markov"
 )
-
-// SolveMethod selects how a policy-induced chain's stationary distribution is
-// computed.
-type SolveMethod int
-
-const (
-	// MethodAuto picks by reachable-state count: dense LU below
-	// StationaryOptions.DenseThreshold, aggregation at or above
-	// StationaryOptions.AggregationThreshold, Gauss–Seidel in between.
-	MethodAuto SolveMethod = iota
-	// MethodDenseLU solves the balance equations directly with the dense LU
-	// factorisation (exact up to roundoff, O(n³)).
-	MethodDenseLU
-	// MethodSparseIterative assembles the generator in CSR form and runs the
-	// sparse Gauss–Seidel solver (power-iteration fallback). O(nnz) per
-	// sweep; the CTMDP chains have O(n) transitions, so this is the scalable
-	// path.
-	MethodSparseIterative
-	// MethodAggregation runs the two-level iterative aggregation/
-	// disaggregation solver (linalg.StationaryAggregation): Gauss–Seidel
-	// smoothing plus an exact solve of a block-aggregated chain each cycle.
-	// On slowly mixing chains — the birth–death-like shape policy-induced
-	// queues take — plain Gauss–Seidel moves probability mass one state per
-	// sweep and can exhaust its sweep budget without converging, while the
-	// aggregate solve redistributes mass globally every cycle. Falls back to
-	// Gauss–Seidel/power if the aggregation cycle itself fails.
-	MethodAggregation
-)
-
-// Measured auto-path thresholds (reference container, 2026-08-08; see
-// PERFORMANCE.md "Kernels, measured"). Dense LU ties the iterative solvers
-// around 32–48 reachable states and is 4× slower by 64; Gauss–Seidel and
-// aggregation are comparable on fast-mixing chains up to ~512 states, beyond
-// which aggregation's robustness on slow-mixing chains dominates (Gauss–
-// Seidel can fail to converge outright on 512-state birth–death chains that
-// aggregation solves in milliseconds).
-const (
-	// DefaultDenseThreshold is MethodAuto's dense-LU ceiling when
-	// StationaryOptions.DenseThreshold is zero. (Previously a hardcoded
-	// SparseStateThreshold = 400 — far past the measured crossover.)
-	DefaultDenseThreshold = 48
-	// DefaultAggregationThreshold is MethodAuto's aggregation floor when
-	// StationaryOptions.AggregationThreshold is zero.
-	DefaultAggregationThreshold = 512
-)
-
-// StationaryOptions tunes the stationary solves of policy-induced chains.
-// The zero value (auto method, solver-default tolerance, measured default
-// thresholds) is what the pipeline uses.
-type StationaryOptions struct {
-	Method SolveMethod
-	// Tol is the iterative solver's residual tolerance; ≤ 0 picks the
-	// default (1e-12), which keeps dense and sparse answers within 1e-8 of
-	// each other.
-	Tol float64
-	// MaxIters bounds iterative sweeps; ≤ 0 picks the default.
-	MaxIters int
-	// DenseThreshold is the reachable-state count below which MethodAuto
-	// picks dense LU; ≤ 0 picks DefaultDenseThreshold. Fingerprinted by the
-	// solve cache (it changes which solver produced a cached payload).
-	DenseThreshold int
-	// AggregationThreshold is the reachable-state count at which MethodAuto
-	// switches from Gauss–Seidel to the aggregation solver; ≤ 0 picks
-	// DefaultAggregationThreshold. Fingerprinted like DenseThreshold.
-	AggregationThreshold int
-	// Warm optionally seeds the iterative solvers with a prior stationary
-	// distribution over the FULL model state space (the shape StateProb and
-	// StationaryUnderPolicy use); it is restricted to the policy chain's
-	// reachable states internally. Nil, wrong-length or massless priors are
-	// ignored. A warm start never changes what the solve converges to — the
-	// residual tolerance is unchanged, and the solve-cache's correctness
-	// gate asserts warm and cold answers agree to 1e-8 — it only reduces the
-	// sweep count when the prior is close (e.g. the solution of the same
-	// sub-model before a capacity change). The dense-LU path ignores it
-	// (direct solves have no iteration to seed). Warm is deliberately NOT
-	// part of a solve-cache fingerprint: it cannot affect the converged
-	// answer beyond the agreement tolerance.
-	Warm []float64
-}
 
 // PolicyChain is the CTMC induced by a solved policy, restricted to the
 // states reachable from the all-empty state (the chain's single recurrent
@@ -157,21 +77,6 @@ func (ms *ModelSolution) PolicyChain() (*PolicyChain, error) {
 	return &PolicyChain{States: states, Gen: b.Build()}, nil
 }
 
-// iterOptions builds the iterative-solver options for a policy chain,
-// restricting a full-state warm prior to the chain's reachable states;
-// IterOptions.initial renormalises and falls back to uniform if the
-// restriction carries no mass.
-func (ms *ModelSolution) iterOptions(opts StationaryOptions, chain *PolicyChain) linalg.IterOptions {
-	var init []float64
-	if len(opts.Warm) == ms.Model.numStates {
-		init = make([]float64, len(chain.States))
-		for k, s := range chain.States {
-			init[k] = opts.Warm[s]
-		}
-	}
-	return linalg.IterOptions{Tol: opts.Tol, MaxIters: opts.MaxIters, Init: init}
-}
-
 // policyTransitions invokes fn for every outgoing transition of state s under
 // the solved policy: client arrivals below capacity, and service split across
 // non-empty clients by the conditional grant probabilities.
@@ -195,72 +100,36 @@ func (ms *ModelSolution) policyTransitions(s int, levels []int, fn func(target i
 }
 
 // StationaryUnderPolicy computes the stationary state distribution of the
-// policy-induced chain with the selected solve method and returns it over the
-// full state space (zero mass on unreachable states). MethodAuto picks dense
-// LU or sparse-iterative by reachable-state count.
-func (ms *ModelSolution) StationaryUnderPolicy(opts StationaryOptions) ([]float64, error) {
+// policy-induced chain with linalg.Stationary (the solver picked by
+// reachable-state count) and returns it over the full state space (zero mass
+// on unreachable states).
+//
+// warm optionally seeds the iterative solvers with a prior stationary
+// distribution over the full model state space (the shape StateProb has); it
+// is restricted to the chain's reachable states, and nil, wrong-length or
+// massless priors are ignored. A warm start never changes what the solve
+// converges to — the residual tolerance is unchanged, and the solve cache's
+// correctness gate asserts warm and cold answers agree to 1e-8 — it only
+// cuts the sweep count when the prior is close (e.g. the solution of the
+// same sub-model before a capacity change). The dense path ignores it, and
+// it is deliberately NOT part of a solve-cache fingerprint.
+func (ms *ModelSolution) StationaryUnderPolicy(warm []float64) ([]float64, error) {
 	chain, err := ms.PolicyChain()
 	if err != nil {
 		return nil, err
 	}
-	n := len(chain.States)
-	full := make([]float64, ms.Model.numStates)
-	if n == 1 {
-		// Single reachable state (e.g. every client inert): trivially π = 1.
-		full[chain.States[0]] = 1
-		return full, nil
-	}
-
-	method := opts.Method
-	if method == MethodAuto {
-		denseTh := opts.DenseThreshold
-		if denseTh <= 0 {
-			denseTh = DefaultDenseThreshold
-		}
-		aggTh := opts.AggregationThreshold
-		if aggTh <= 0 {
-			aggTh = DefaultAggregationThreshold
-		}
-		switch {
-		case n < denseTh:
-			method = MethodDenseLU
-		case n >= aggTh:
-			method = MethodAggregation
-		default:
-			method = MethodSparseIterative
+	var opts linalg.IterOptions
+	if len(warm) == ms.Model.numStates {
+		opts.Init = make([]float64, len(chain.States))
+		for k, s := range chain.States {
+			opts.Init[k] = warm[s]
 		}
 	}
-
-	var pi []float64
-	switch method {
-	case MethodDenseLU:
-		g := markov.NewGenerator(n)
-		for i := 0; i < n; i++ {
-			for k := chain.Gen.RowPtr[i]; k < chain.Gen.RowPtr[i+1]; k++ {
-				if j := chain.Gen.Col[k]; j != i {
-					if err := g.AddRate(i, j, chain.Gen.Val[k]); err != nil {
-						return nil, err
-					}
-				}
-			}
-		}
-		pi, err = g.Stationary()
-	case MethodSparseIterative:
-		pi, err = linalg.StationarySparse(chain.Gen, ms.iterOptions(opts, chain))
-	case MethodAggregation:
-		pi, err = linalg.StationaryAggregation(chain.Gen, ms.iterOptions(opts, chain))
-		if err != nil {
-			// The aggregation cycle can fail on pathological chains (e.g. a
-			// nearly reducible aggregate); the Gauss–Seidel/power chain is
-			// slower but has no coarse solve to go singular.
-			pi, err = linalg.StationarySparse(chain.Gen, ms.iterOptions(opts, chain))
-		}
-	default:
-		return nil, fmt.Errorf("ctmdp: unknown stationary method %d", method)
-	}
+	pi, err := linalg.Stationary(chain.Gen, opts)
 	if err != nil {
 		return nil, fmt.Errorf("ctmdp: stationary under policy: %w", err)
 	}
+	full := make([]float64, ms.Model.numStates)
 	for k, s := range chain.States {
 		full[s] = pi[k]
 	}
@@ -271,9 +140,10 @@ func (ms *ModelSolution) StationaryUnderPolicy(opts StationaryOptions) ([]float6
 // policy-induced chain and rescales the occupation measure to match,
 // tightening the LP's roundoff-level state probabilities. It returns the
 // largest per-state correction |π_refined − π_LP|. The policy itself (the
-// conditional action probabilities) is unchanged.
-func (ms *ModelSolution) RefineStationary(opts StationaryOptions) (float64, error) {
-	pi, err := ms.StationaryUnderPolicy(opts)
+// conditional action probabilities) is unchanged. warm is the optional prior
+// StationaryUnderPolicy describes.
+func (ms *ModelSolution) RefineStationary(warm []float64) (float64, error) {
+	pi, err := ms.StationaryUnderPolicy(warm)
 	if err != nil {
 		return 0, err
 	}

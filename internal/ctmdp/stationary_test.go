@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"socbuf/internal/linalg"
 	"socbuf/internal/queueing"
 )
 
@@ -41,6 +42,33 @@ func fixtureModels(t *testing.T) map[string]*Model {
 	}
 }
 
+// The named stationary solvers, each as a function of the policy chain's
+// generator alone.
+var (
+	denseLU     = linalg.StationaryDense
+	gaussSeidel = func(q *linalg.CSR) ([]float64, error) { return linalg.StationarySparse(q, linalg.IterOptions{}) }
+	aggregation = func(q *linalg.CSR) ([]float64, error) { return linalg.StationaryAggregation(q, linalg.IterOptions{}) }
+)
+
+// chainSolve runs one named solver on the solution's policy chain and
+// returns its answer over the full model state space, the shape
+// StationaryUnderPolicy returns.
+func chainSolve(ms *ModelSolution, solve func(*linalg.CSR) ([]float64, error)) ([]float64, error) {
+	chain, err := ms.PolicyChain()
+	if err != nil {
+		return nil, err
+	}
+	pi, err := solve(chain.Gen)
+	if err != nil {
+		return nil, err
+	}
+	full := make([]float64, ms.Model.NumStates())
+	for k, s := range chain.States {
+		full[s] = pi[k]
+	}
+	return full, nil
+}
+
 // TestDenseSparseStationaryAgree is the acceptance check: on every fixture,
 // the sparse-iterative stationary solve of the policy-induced chain agrees
 // with the dense-LU solve to 1e-8, for both free and capped policies.
@@ -60,11 +88,11 @@ func TestDenseSparseStationaryAgree(t *testing.T) {
 				t.Fatalf("%s cfg %d: %v", name, ci, err)
 			}
 			ms := sol.PerModel[0]
-			dense, err := ms.StationaryUnderPolicy(StationaryOptions{Method: MethodDenseLU})
+			dense, err := chainSolve(ms, denseLU)
 			if err != nil {
 				t.Fatalf("%s cfg %d dense: %v", name, ci, err)
 			}
-			sparse, err := ms.StationaryUnderPolicy(StationaryOptions{Method: MethodSparseIterative})
+			sparse, err := chainSolve(ms, gaussSeidel)
 			if err != nil {
 				t.Fatalf("%s cfg %d sparse: %v", name, ci, err)
 			}
@@ -114,7 +142,7 @@ func longestQueueSolution(m *Model) *ModelSolution {
 
 func TestStationaryAutoPicksByStateCount(t *testing.T) {
 	// A three-client model with deep levels reaches the aggregation band:
-	// (L+1)^3 with L=7 is 512 = DefaultAggregationThreshold. The LP would
+	// (L+1)^3 with L=7 is 512 = linalg.AggregationThreshold. The LP would
 	// take minutes here, so the chain comes from a synthetic longest-queue
 	// policy instead.
 	big := mustModel(t, "b", 8, []Client{
@@ -122,70 +150,58 @@ func TestStationaryAutoPicksByStateCount(t *testing.T) {
 		{BufferID: "b", Lambda: 2.5, Levels: 7, UnitsPerLevel: 1, LossWeight: 1},
 		{BufferID: "c", Lambda: 1.5, Levels: 7, UnitsPerLevel: 1, LossWeight: 1},
 	})
-	if big.NumStates() < DefaultAggregationThreshold {
+	if big.NumStates() < linalg.AggregationThreshold {
 		t.Fatalf("fixture too small: %d states", big.NumStates())
 	}
 	ms := longestQueueSolution(big)
+	small := mustSolve(t, []*Model{mustModel(t, "b", 3, singleClient(2, 2))}, JointConfig{})
+	mid := mustSolve(t, []*Model{fixtureModels(t)["three-client"]}, JointConfig{})
 
-	// Each auto band must route to exactly the method it advertises: the
-	// answers are bit-identical to the explicit method's, not just close.
+	// Each band must route to exactly the solver it advertises: the answers
+	// are bit-identical to the named solver's, not just close.
 	for _, tc := range []struct {
-		band string
-		opts StationaryOptions
-		want SolveMethod
+		band  string
+		ms    *ModelSolution
+		solve func(*linalg.CSR) ([]float64, error)
 	}{
-		{"aggregation", StationaryOptions{}, MethodAggregation},
-		{"sparse", StationaryOptions{AggregationThreshold: 1024}, MethodSparseIterative},
-		{"dense", StationaryOptions{DenseThreshold: 1024, AggregationThreshold: 2048}, MethodDenseLU},
+		{"dense", small.PerModel[0], denseLU},
+		{"gauss-seidel", mid.PerModel[0], gaussSeidel},
+		{"aggregation", ms, aggregation},
 	} {
-		auto, err := ms.StationaryUnderPolicy(tc.opts)
+		auto, err := tc.ms.StationaryUnderPolicy(nil)
 		if err != nil {
 			t.Fatalf("%s band: %v", tc.band, err)
 		}
-		explicit, err := ms.StationaryUnderPolicy(StationaryOptions{Method: tc.want})
+		named, err := chainSolve(tc.ms, tc.solve)
 		if err != nil {
-			t.Fatalf("%s explicit: %v", tc.band, err)
+			t.Fatalf("%s named: %v", tc.band, err)
 		}
 		for s := range auto {
-			if auto[s] != explicit[s] {
+			if auto[s] != named[s] {
 				t.Fatalf("auto did not take the %s path (state %d: %v vs %v)",
-					tc.band, s, auto[s], explicit[s])
+					tc.band, s, auto[s], named[s])
 			}
 		}
 	}
 
-	// All three methods must agree to 1e-8 at this scale.
-	dense, err := ms.StationaryUnderPolicy(StationaryOptions{Method: MethodDenseLU})
+	// All three solvers must agree to 1e-8 at the aggregation scale.
+	dense, err := chainSolve(ms, denseLU)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, method := range []SolveMethod{MethodSparseIterative, MethodAggregation} {
-		got, err := ms.StationaryUnderPolicy(StationaryOptions{Method: method})
+	for name, solve := range map[string]func(*linalg.CSR) ([]float64, error){
+		"gauss-seidel": gaussSeidel,
+		"aggregation":  aggregation,
+	} {
+		got, err := chainSolve(ms, solve)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for s := range dense {
 			if d := math.Abs(dense[s] - got[s]); d > 1e-8 {
-				t.Fatalf("512-state chain: dense %v vs method %d %v at state %d (Δ=%g)",
-					dense[s], method, got[s], s, d)
+				t.Fatalf("512-state chain: dense %v vs %s %v at state %d (Δ=%g)",
+					dense[s], name, got[s], s, d)
 			}
-		}
-	}
-	// And the small fixture must take the dense path (exact match with LU).
-	small := mustModel(t, "b", 3, singleClient(2, 2))
-	ssol := mustSolve(t, []*Model{small}, JointConfig{})
-	sms := ssol.PerModel[0]
-	sauto, err := sms.StationaryUnderPolicy(StationaryOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sdense, err := sms.StationaryUnderPolicy(StationaryOptions{Method: MethodDenseLU})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for s := range sauto {
-		if sauto[s] != sdense[s] {
-			t.Fatalf("auto did not take the dense path below threshold (state %d)", s)
 		}
 	}
 }
@@ -215,7 +231,7 @@ func TestRefineStationarySmallCorrection(t *testing.T) {
 	for name, m := range fixtureModels(t) {
 		sol := mustSolve(t, []*Model{m}, JointConfig{})
 		ms := sol.PerModel[0]
-		delta, err := ms.RefineStationary(StationaryOptions{})
+		delta, err := ms.RefineStationary(nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -257,7 +273,10 @@ func TestPolicyChainExcludesUnreachable(t *testing.T) {
 	}
 }
 
-func TestDemandsOptRefines(t *testing.T) {
+// TestDemandsAfterRefine: refining the stationary distributions before
+// extracting demands keeps the demand list and moves mean occupancies only
+// at roundoff level.
+func TestDemandsAfterRefine(t *testing.T) {
 	m := mustModel(t, "b", 4, []Client{
 		{BufferID: "x", Lambda: 2, Levels: 2, UnitsPerLevel: 1, LossWeight: 1},
 		{BufferID: "y", Lambda: 1, Levels: 2, UnitsPerLevel: 1, LossWeight: 1},
@@ -268,7 +287,12 @@ func TestDemandsOptRefines(t *testing.T) {
 		t.Fatal(err)
 	}
 	sol2 := mustSolve(t, []*Model{m}, JointConfig{})
-	refined, err := DemandsOpt(sol2.PerModel, DemandsOptions{Eps: 0.05, Refine: true})
+	for _, ms := range sol2.PerModel {
+		if _, err := ms.RefineStationary(nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	refined, err := Demands(sol2.PerModel, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,8 +8,11 @@ import (
 
 func TestStationaryAggregationMatchesDense(t *testing.T) {
 	for _, n := range []int{200, 512, 1000} {
-		dense, csr := randomGenerator(n, 3*n, int64(n))
-		want := stationaryDense(t, dense)
+		_, csr := randomGenerator(n, 3*n, int64(n))
+		want, err := StationaryDense(csr)
+		if err != nil {
+			t.Fatalf("n=%d: dense: %v", n, err)
+		}
 		got, err := StationaryAggregation(csr, IterOptions{})
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
@@ -65,11 +68,14 @@ func TestAggregationBeatsDenseLUAt2048(t *testing.T) {
 		t.Skip("dense-LU reference solve takes ~1s")
 	}
 	const n = 2048
-	dense, csr := randomGenerator(n, 3*n, 2048)
+	_, csr := randomGenerator(n, 3*n, 2048)
 
 	t0 := time.Now()
-	want := stationaryDense(t, dense)
+	want, err := StationaryDense(csr)
 	denseDur := time.Since(t0)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	t0 = time.Now()
 	got, err := StationaryAggregation(csr, IterOptions{})

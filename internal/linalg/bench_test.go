@@ -12,8 +12,9 @@ func benchGenerator(n int) (*Matrix, *CSR) {
 }
 
 // BenchmarkStationaryDenseVsSparse compares the dense LU stationary solve
-// against the sparse Gauss–Seidel solve across chain sizes: the crossover
-// motivates the ctmdp.StationaryOptions threshold defaults.
+// (StationaryDense's factorisation) against the sparse Gauss–Seidel and
+// aggregation solves across chain sizes: the crossovers set Stationary's
+// DenseThreshold and AggregationThreshold.
 func BenchmarkStationaryDenseVsSparse(b *testing.B) {
 	for _, n := range []int{32, 64, 256, 1024} {
 		dense, csr := benchGenerator(n)

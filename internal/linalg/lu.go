@@ -10,7 +10,6 @@ import (
 type LU struct {
 	lu    *Matrix
 	pivot []int
-	sign  float64 // +1 or -1 with row swaps, used by Det
 }
 
 // Factor computes the LU decomposition of a square matrix. It returns
@@ -22,7 +21,6 @@ func Factor(a *Matrix) (*LU, error) {
 	n := a.Rows
 	lu := a.Clone()
 	pivot := make([]int, n)
-	sign := 1.0
 	for i := range pivot {
 		pivot[i] = i
 	}
@@ -43,7 +41,6 @@ func Factor(a *Matrix) (*LU, error) {
 				rk[j], rp[j] = rp[j], rk[j]
 			}
 			pivot[k], pivot[p] = pivot[p], pivot[k]
-			sign = -sign
 		}
 		pk := lu.At(k, k)
 		for i := k + 1; i < n; i++ {
@@ -58,7 +55,7 @@ func Factor(a *Matrix) (*LU, error) {
 			}
 		}
 	}
-	return &LU{lu: lu, pivot: pivot, sign: sign}, nil
+	return &LU{lu: lu, pivot: pivot}, nil
 }
 
 // Solve solves A·x = b using the factorisation. b is not modified.
@@ -91,15 +88,6 @@ func (f *LU) Solve(b []float64) ([]float64, error) {
 		x[i] = s / row[i]
 	}
 	return x, nil
-}
-
-// Det returns the determinant of the factored matrix.
-func (f *LU) Det() float64 {
-	d := f.sign
-	for i := 0; i < f.lu.Rows; i++ {
-		d *= f.lu.At(i, i)
-	}
-	return d
 }
 
 // Solve solves A·x = b directly (factor + solve). A and b are not modified.

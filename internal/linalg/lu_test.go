@@ -49,33 +49,6 @@ func TestSolveWrongRHSLen(t *testing.T) {
 	}
 }
 
-func TestDet(t *testing.T) {
-	a, _ := FromRows([][]float64{{4, 3}, {6, 3}})
-	f, err := Factor(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(f.Det(), -6, 1e-12) {
-		t.Fatalf("Det = %v, want -6", f.Det())
-	}
-	fi, _ := Factor(Identity(5))
-	if !almostEq(fi.Det(), 1, 1e-12) {
-		t.Fatalf("Det(I) = %v", fi.Det())
-	}
-}
-
-func TestDetPermutationSign(t *testing.T) {
-	// A row swap of the identity has determinant -1.
-	a, _ := FromRows([][]float64{{0, 1}, {1, 0}})
-	f, err := Factor(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(f.Det(), -1, 1e-12) {
-		t.Fatalf("Det(perm) = %v, want -1", f.Det())
-	}
-}
-
 func TestSolveNeedsPivoting(t *testing.T) {
 	// Zero in the (0,0) position forces a pivot swap.
 	a, _ := FromRows([][]float64{{0, 1}, {1, 0}})
@@ -140,33 +113,6 @@ func TestSolveResidualProperty(t *testing.T) {
 		}
 		r, err := Residual(a, x, b)
 		return err == nil && r < 1e-8
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: Det of a random triangular matrix equals the product of its
-// diagonal entries.
-func TestDetTriangularProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(8)
-		a := NewMatrix(n, n)
-		prod := 1.0
-		for i := 0; i < n; i++ {
-			for j := i; j < n; j++ {
-				a.Set(i, j, rng.NormFloat64())
-			}
-			d := 1 + rng.Float64()*3
-			a.Set(i, i, d)
-			prod *= d
-		}
-		f2, err := Factor(a)
-		if err != nil {
-			return false
-		}
-		return math.Abs(f2.Det()-prod) < 1e-8*math.Abs(prod)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

@@ -1,17 +1,19 @@
 // Package linalg provides the linear-algebra kernel used by the CTMDP
-// solver, the Markov-chain stationary solvers and the nonlinear (quadratic)
-// coupled-system solver. It has two halves:
+// solver and the nonlinear (quadratic) coupled-system solver, and is the one
+// home of CTMC stationary solves. It has two halves:
 //
 //   - dense: row-major matrices, LU decomposition with partial pivoting,
-//     linear solves, and a handful of vector helpers — the exact path for
-//     small systems (policy chains below ctmdp.StationaryOptions'
-//     dense threshold);
+//     linear solves and vector helpers — the exact path for small systems;
 //   - sparse: CSR matrices (SparseBuilder, CSR) and the iterative
 //     stationary solvers of CTMC generators — StationaryGaussSeidel with
 //     StationaryPower as the unconditionally stable fallback, combined in
 //     StationarySparse, plus the two-level StationaryAggregation solver for
 //     large, slowly mixing chains. O(nnz) per sweep, which is what scales:
 //     the pipeline's chains have a handful of transitions per state.
+//
+// Stationary takes a CSR generator and picks the solver by state count:
+// the dense-LU StationaryDense below DenseThreshold states, StationarySparse
+// up to AggregationThreshold, StationaryAggregation from there.
 //
 // The iterative solvers accept a warm-start prior (IterOptions.Init), the
 // hook the solve cache uses to seed a re-solve from a neighbouring cached
@@ -27,8 +29,6 @@ package linalg
 import (
 	"errors"
 	"fmt"
-	"math"
-	"strings"
 )
 
 // ErrSingular is returned when a factorisation or solve meets an (effectively)
@@ -123,53 +123,4 @@ func (m *Matrix) MatVec(x []float64) ([]float64, error) {
 		y[i] = s
 	}
 	return y, nil
-}
-
-// Mul computes the product M·B.
-func (m *Matrix) Mul(b *Matrix) (*Matrix, error) {
-	if m.Cols != b.Rows {
-		return nil, fmt.Errorf("%w: mul %dx%d by %dx%d", ErrShape, m.Rows, m.Cols, b.Rows, b.Cols)
-	}
-	out := NewMatrix(m.Rows, b.Cols)
-	for i := 0; i < m.Rows; i++ {
-		arow := m.Row(i)
-		orow := out.Row(i)
-		for k, av := range arow {
-			if av == 0 {
-				continue
-			}
-			brow := b.Row(k)
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
-		}
-	}
-	return out, nil
-}
-
-// String renders the matrix for debugging.
-func (m *Matrix) String() string {
-	var sb strings.Builder
-	for i := 0; i < m.Rows; i++ {
-		sb.WriteString("[")
-		for j := 0; j < m.Cols; j++ {
-			if j > 0 {
-				sb.WriteString(" ")
-			}
-			fmt.Fprintf(&sb, "%9.4g", m.At(i, j))
-		}
-		sb.WriteString("]\n")
-	}
-	return sb.String()
-}
-
-// MaxAbs returns the largest absolute entry (∞-norm of the flattened data).
-func (m *Matrix) MaxAbs() float64 {
-	var mx float64
-	for _, v := range m.Data {
-		if a := math.Abs(v); a > mx {
-			mx = a
-		}
-	}
-	return mx
 }

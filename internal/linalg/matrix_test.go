@@ -2,7 +2,6 @@ package linalg
 
 import (
 	"math"
-	"strings"
 	"testing"
 )
 
@@ -119,62 +118,6 @@ func TestMatVecShapeError(t *testing.T) {
 	m := NewMatrix(2, 2)
 	if _, err := m.MatVec([]float64{1}); err == nil {
 		t.Fatal("shape mismatch accepted")
-	}
-}
-
-func TestMul(t *testing.T) {
-	a, _ := FromRows([][]float64{{1, 2}, {3, 4}})
-	b, _ := FromRows([][]float64{{0, 1}, {1, 0}})
-	p, err := a.Mul(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := [][]float64{{2, 1}, {4, 3}}
-	for i := range want {
-		for j := range want[i] {
-			if p.At(i, j) != want[i][j] {
-				t.Fatalf("Mul[%d,%d] = %v, want %v", i, j, p.At(i, j), want[i][j])
-			}
-		}
-	}
-}
-
-func TestMulShapeError(t *testing.T) {
-	a := NewMatrix(2, 3)
-	b := NewMatrix(2, 3)
-	if _, err := a.Mul(b); err == nil {
-		t.Fatal("shape mismatch accepted")
-	}
-}
-
-func TestMulIdentity(t *testing.T) {
-	a, _ := FromRows([][]float64{{1, 2}, {3, 4}})
-	p, err := a.Mul(Identity(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.Data {
-		if p.Data[i] != a.Data[i] {
-			t.Fatalf("A·I != A at flat index %d", i)
-		}
-	}
-}
-
-func TestStringContainsEntries(t *testing.T) {
-	m, _ := FromRows([][]float64{{1.5, -2}})
-	s := m.String()
-	if !strings.Contains(s, "1.5") || !strings.Contains(s, "-2") {
-		t.Fatalf("String() = %q lacks entries", s)
-	}
-}
-
-func TestMaxAbs(t *testing.T) {
-	m, _ := FromRows([][]float64{{1, -9}, {3, 4}})
-	if m.MaxAbs() != 9 {
-		t.Fatalf("MaxAbs = %v, want 9", m.MaxAbs())
-	}
-	if NewMatrix(0, 0).MaxAbs() != 0 {
-		t.Fatal("MaxAbs of empty != 0")
 	}
 }
 

@@ -100,17 +100,6 @@ func (s *CSR) T() *CSR {
 	return t
 }
 
-// Dense expands the matrix to dense form.
-func (s *CSR) Dense() *Matrix {
-	m := NewMatrix(s.Rows, s.Cols)
-	for i := 0; i < s.Rows; i++ {
-		for k := s.RowPtr[i]; k < s.RowPtr[i+1]; k++ {
-			m.Add(i, s.Col[k], s.Val[k])
-		}
-	}
-	return m
-}
-
 // Density returns NNZ / (Rows·Cols), the stored fraction.
 func (s *CSR) Density() float64 {
 	if s.Rows == 0 || s.Cols == 0 {

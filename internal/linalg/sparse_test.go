@@ -138,28 +138,13 @@ func randomGenerator(n int, extra int, seed int64) (*Matrix, *CSR) {
 	return dense, b.Build()
 }
 
-// stationaryDense solves πQ = 0, Σπ = 1 with the dense LU path, mirroring
-// markov.Stationary without the import cycle.
-func stationaryDense(t *testing.T, q *Matrix) []float64 {
-	t.Helper()
-	n := q.Rows
-	a := q.T()
-	for j := 0; j < n; j++ {
-		a.Set(n-1, j, 1)
-	}
-	rhs := make([]float64, n)
-	rhs[n-1] = 1
-	pi, err := Solve(a, rhs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return pi
-}
-
 func TestStationaryGaussSeidelMatchesDense(t *testing.T) {
 	for _, n := range []int{3, 10, 50, 200} {
-		dense, csr := randomGenerator(n, 3*n, int64(n))
-		want := stationaryDense(t, dense)
+		_, csr := randomGenerator(n, 3*n, int64(n))
+		want, err := StationaryDense(csr)
+		if err != nil {
+			t.Fatalf("n=%d: dense: %v", n, err)
+		}
 		got, err := StationaryGaussSeidel(csr, IterOptions{})
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
@@ -173,8 +158,11 @@ func TestStationaryGaussSeidelMatchesDense(t *testing.T) {
 }
 
 func TestStationaryPowerMatchesDense(t *testing.T) {
-	dense, csr := randomGenerator(40, 120, 99)
-	want := stationaryDense(t, dense)
+	_, csr := randomGenerator(40, 120, 99)
+	want, err := StationaryDense(csr)
+	if err != nil {
+		t.Fatal(err)
+	}
 	got, err := StationaryPower(csr, IterOptions{Tol: 1e-13, MaxIters: 200000})
 	if err != nil {
 		t.Fatal(err)

@@ -66,6 +66,95 @@ func (o IterOptions) withDefaults() IterOptions {
 	return o
 }
 
+// Stationary's measured solver crossovers (reference container, 2026-08-08;
+// see PERFORMANCE.md "Kernels, measured"). Dense LU ties the iterative
+// solvers around 32–48 states and is 4× slower by 64; Gauss–Seidel and
+// aggregation are comparable on fast-mixing chains up to ~512 states, beyond
+// which aggregation's robustness on slow-mixing chains dominates (Gauss–
+// Seidel can fail to converge outright on 512-state birth–death chains that
+// aggregation solves in milliseconds).
+const (
+	// DenseThreshold is the state count below which Stationary solves
+	// directly with StationaryDense.
+	DenseThreshold = 48
+	// AggregationThreshold is the state count from which Stationary runs
+	// StationaryAggregation instead of StationarySparse.
+	AggregationThreshold = 512
+)
+
+// Stationary computes the stationary distribution of the CTMC with generator
+// q, picking the solver by state count: StationaryDense below
+// DenseThreshold, StationaryAggregation from AggregationThreshold (falling
+// back to StationarySparse if an aggregation cycle fails — a nearly
+// reducible aggregate can go singular), StationarySparse in between. opts
+// reaches only the iterative solvers; the dense solve has no iteration to
+// seed or bound.
+func Stationary(q *CSR, opts IterOptions) ([]float64, error) {
+	switch n := q.Rows; {
+	case n < DenseThreshold:
+		return StationaryDense(q)
+	case n < AggregationThreshold:
+		return StationarySparse(q, opts)
+	}
+	if pi, err := StationaryAggregation(q, opts); err == nil {
+		return pi, nil
+	}
+	return StationarySparse(q, opts)
+}
+
+// StationaryDense computes the stationary distribution π of the CTMC with
+// generator q directly: it solves Qᵀπ = 0 with the last equation replaced by
+// Σπ = 1 by dense LU — exact up to roundoff, O(n³). Only q's off-diagonal
+// rates are read (in CSR order); each diagonal entry is rebuilt by
+// subtracting its row's rates. The chain must have a single recurrent class:
+// otherwise the solve is singular or the solution carries negative mass, and
+// both are errors.
+func StationaryDense(q *CSR) ([]float64, error) {
+	n := q.Rows
+	if n == 0 || q.Cols != n {
+		return nil, fmt.Errorf("%w: generator %dx%d", ErrShape, q.Rows, q.Cols)
+	}
+	a := NewMatrix(n, n) // Qᵀ
+	for i := 0; i < n; i++ {
+		for k := q.RowPtr[i]; k < q.RowPtr[i+1]; k++ {
+			j, rate := q.Col[k], q.Val[k]
+			if j == i {
+				continue
+			}
+			if rate < 0 {
+				return nil, fmt.Errorf("linalg: negative rate %v for (%d,%d)", rate, i, j)
+			}
+			a.Add(j, i, rate)
+			a.Add(i, i, -rate)
+		}
+	}
+	for j := 0; j < n; j++ {
+		a.Set(n-1, j, 1)
+	}
+	b := make([]float64, n)
+	b[n-1] = 1
+	pi, err := Solve(a, b)
+	if err != nil {
+		return nil, fmt.Errorf("linalg: stationary solve: %w", err)
+	}
+	var sum float64
+	for i, v := range pi {
+		if v < -1e-8 {
+			return nil, fmt.Errorf("linalg: stationary solution has negative mass %v at state %d (reducible chain?)", v, i)
+		}
+		if v < 0 {
+			pi[i] = 0
+			v = 0
+		}
+		sum += v
+	}
+	if math.Abs(sum-1) > 1e-6 {
+		return nil, fmt.Errorf("linalg: stationary mass %v != 1", sum)
+	}
+	Scale(1/sum, pi)
+	return pi, nil
+}
+
 // StationaryGaussSeidel computes the stationary distribution π of the CTMC
 // with generator Q, solving πQ = 0, Σπ = 1 by Gauss–Seidel sweeps on the
 // transposed system Qᵀπ = 0. q must be a valid generator in CSR form
@@ -194,8 +283,8 @@ func StationaryPower(q *CSR, opts IterOptions) ([]float64, error) {
 
 // StationarySparse computes the stationary distribution of the generator,
 // trying Gauss–Seidel first and falling back to power iteration when the
-// sweep diverges or stalls. This is the entry point the CTMDP layer uses for
-// large state spaces.
+// sweep diverges or stalls. Stationary uses it between DenseThreshold and
+// AggregationThreshold states.
 func StationarySparse(q *CSR, opts IterOptions) ([]float64, error) {
 	pi, err := StationaryGaussSeidel(q, opts)
 	if err == nil {

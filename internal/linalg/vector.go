@@ -2,43 +2,11 @@ package linalg
 
 import "math"
 
-// Dot returns the inner product of a and b. Panics if lengths differ, since
-// this is always a programming error in this codebase.
-func Dot(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic("linalg: dot of unequal-length vectors")
-	}
-	var s float64
-	for i := range a {
-		s += a[i] * b[i]
-	}
-	return s
-}
-
-// AXPY computes y ← y + alpha·x in place.
-func AXPY(alpha float64, x, y []float64) {
-	if len(x) != len(y) {
-		panic("linalg: axpy of unequal-length vectors")
-	}
-	for i := range x {
-		y[i] += alpha * x[i]
-	}
-}
-
 // Scale multiplies every element of x by alpha in place.
 func Scale(alpha float64, x []float64) {
 	for i := range x {
 		x[i] *= alpha
 	}
-}
-
-// Norm2 returns the Euclidean norm.
-func Norm2(x []float64) float64 {
-	var s float64
-	for _, v := range x {
-		s += v * v
-	}
-	return math.Sqrt(s)
 }
 
 // NormInf returns max |x_i| (0 for an empty vector).
@@ -59,18 +27,4 @@ func Sum(x []float64) float64 {
 		s += v
 	}
 	return s
-}
-
-// CloneVec returns a copy of x.
-func CloneVec(x []float64) []float64 {
-	out := make([]float64, len(x))
-	copy(out, x)
-	return out
-}
-
-// Fill sets every element of x to v.
-func Fill(x []float64, v float64) {
-	for i := range x {
-		x[i] = v
-	}
 }

@@ -1,91 +1,20 @@
 package linalg
 
-import (
-	"math"
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
-func TestDot(t *testing.T) {
-	if Dot([]float64{1, 2, 3}, []float64{4, 5, 6}) != 32 {
-		t.Fatal("dot wrong")
-	}
-}
-
-func TestDotPanicsOnMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	Dot([]float64{1}, []float64{1, 2})
-}
-
-func TestAXPY(t *testing.T) {
-	y := []float64{1, 1}
-	AXPY(2, []float64{3, 4}, y)
-	if y[0] != 7 || y[1] != 9 {
-		t.Fatalf("y = %v", y)
-	}
-}
-
-func TestAXPYPanicsOnMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	AXPY(1, []float64{1}, []float64{1, 2})
-}
-
-func TestScaleSumFill(t *testing.T) {
+func TestScaleSum(t *testing.T) {
 	x := []float64{1, 2, 3}
 	Scale(2, x)
 	if Sum(x) != 12 {
 		t.Fatalf("sum = %v", Sum(x))
 	}
-	Fill(x, 5)
-	if x[0] != 5 || x[2] != 5 {
-		t.Fatalf("fill failed: %v", x)
-	}
 }
 
 func TestNorms(t *testing.T) {
-	x := []float64{3, -4}
-	if Norm2(x) != 5 {
-		t.Fatalf("norm2 = %v", Norm2(x))
+	if NormInf([]float64{3, -4}) != 4 {
+		t.Fatalf("norminf = %v", NormInf([]float64{3, -4}))
 	}
-	if NormInf(x) != 4 {
-		t.Fatalf("norminf = %v", NormInf(x))
-	}
-	if NormInf(nil) != 0 || Norm2(nil) != 0 {
-		t.Fatal("empty vector norms must be 0")
-	}
-}
-
-func TestCloneVec(t *testing.T) {
-	x := []float64{1, 2}
-	c := CloneVec(x)
-	c[0] = 9
-	if x[0] != 1 {
-		t.Fatal("CloneVec shares storage")
-	}
-}
-
-// Property: Cauchy-Schwarz |<a,b>| <= ||a|| ||b||. Inputs are squashed into
-// [-1,1] so intermediate products cannot overflow.
-func TestCauchySchwarzProperty(t *testing.T) {
-	f := func(a, b [8]float64) bool {
-		av, bv := make([]float64, 8), make([]float64, 8)
-		for i := range av {
-			av[i] = math.Tanh(a[i])
-			bv[i] = math.Tanh(b[i])
-		}
-		lhs := math.Abs(Dot(av, bv))
-		rhs := Norm2(av) * Norm2(bv)
-		return lhs <= rhs*(1+1e-12)+1e-12
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
+	if NormInf(nil) != 0 {
+		t.Fatal("empty vector norm must be 0")
 	}
 }

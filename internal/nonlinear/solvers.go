@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"socbuf/internal/linalg"
-	"socbuf/internal/markov"
 )
 
 // Diagnostics records how a solve went. Failure to converge is DATA here,
@@ -45,8 +44,7 @@ func (cs *CoupledSystem) Picard(opt PicardOptions) ([]float64, *Diagnostics, err
 	for it := 0; it < opt.MaxIters; it++ {
 		next := make([]float64, cs.total)
 		for m := range cs.Buses {
-			gen := &markov.Generator{Q: cs.generatorFor(v, m)}
-			pi, err := gen.Stationary()
+			pi, err := linalg.StationaryDense(linalg.FromDense(cs.generatorFor(v, m), 0))
 			if err != nil {
 				diag.Reason = fmt.Sprintf("bus %s stationary solve failed at iteration %d: %v", cs.Buses[m].ID, it, err)
 				diag.Iterations = it

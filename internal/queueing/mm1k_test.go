@@ -6,7 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
-	"socbuf/internal/markov"
+	"socbuf/internal/linalg"
 )
 
 func TestNewMM1KValidation(t *testing.T) {
@@ -159,8 +159,8 @@ func TestRequiredCapacityErrors(t *testing.T) {
 	}
 }
 
-// Property: the closed form matches the CTMC stationary distribution of the
-// equivalent birth-death generator.
+// Property: the closed form matches the stationary distribution of the
+// equivalent birth–death CTMC, solved directly from its generator.
 func TestMM1KMatchesCTMCProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -171,16 +171,14 @@ func TestMM1KMatchesCTMCProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		birth := make([]float64, k)
-		death := make([]float64, k)
-		for i := range birth {
-			birth[i], death[i] = lambda, mu
+		gen := linalg.NewSparseBuilder(k+1, k+1)
+		for i := 0; i < k; i++ {
+			gen.Add(i, i+1, lambda)
+			gen.Add(i, i, -lambda)
+			gen.Add(i+1, i, mu)
+			gen.Add(i+1, i+1, -mu)
 		}
-		bd, err := markov.NewBirthDeath(birth, death)
-		if err != nil {
-			return false
-		}
-		ctmc, err := bd.Stationary()
+		ctmc, err := linalg.StationaryDense(gen.Build())
 		if err != nil {
 			return false
 		}

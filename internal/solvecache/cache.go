@@ -26,7 +26,7 @@
 // whole under JointFingerprint. A joint miss is one LP solve warm-started
 // from the blocks' cached cap-free bases (ctmdp.JointConfig.WarmBasis),
 // else cold, and its stationary refinement is seeded from the cached free
-// solutions via ctmdp.StationaryOptions.Warm (DESIGN.md §8).
+// solutions (the warm prior of ctmdp's RefineStationary; DESIGN.md §8).
 //
 // Determinism: a cached payload is a pure function of its fingerprint — cold
 // misses solve a canonicalised copy of the model, and warm reuse is

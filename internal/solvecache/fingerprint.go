@@ -23,17 +23,15 @@ func (k Key) String() string { return hex.EncodeToString(k[:8]) }
 // full cache-key contract.
 type SolveOptions struct {
 	// Refine mirrors ctmdp.JointConfig.RefineStationary: refined and
-	// unrefined solutions are different payloads.
+	// unrefined solutions are different payloads. A refinement's warm prior
+	// is NOT fingerprinted (a warm start cannot change the converged
+	// answer).
 	Refine bool
-	// Stationary's Method/Tol/MaxIters and auto-path thresholds are
-	// fingerprinted (they change which solver produced the payload); its
-	// Warm prior is NOT (a warm start cannot change the converged answer).
-	Stationary ctmdp.StationaryOptions
 }
 
 // optionsOf extracts the fingerprinted options from a joint config.
 func optionsOf(cfg ctmdp.JointConfig) SolveOptions {
-	return SolveOptions{Refine: cfg.RefineStationary, Stationary: cfg.Stationary}
+	return SolveOptions{Refine: cfg.RefineStationary}
 }
 
 // clientKey is the canonical per-client tuple. The structural part —
@@ -130,8 +128,9 @@ func (h *hasher) sum() Key { return sha256.Sum256(h.buf) }
 // version tags the serialisation layout; bump on any change to what a
 // fingerprint covers so stale cross-process caches can never alias.
 // Version 2 introduced the backend tag below; version 3 added the stationary
-// auto-path thresholds to the fingerprinted options.
-const version = 3
+// auto-path thresholds to the fingerprinted options; version 4 dropped every
+// stationary option but the refine flag.
+const version = 4
 
 // Backend domain-separation tags. Every fingerprint serialises the solver
 // backend that produced (or will produce) the payload immediately after the
@@ -148,11 +147,6 @@ const (
 
 func (h *hasher) options(o SolveOptions) {
 	h.bool(o.Refine)
-	h.i64(int64(o.Stationary.Method))
-	h.f64(o.Stationary.Tol)
-	h.i64(int64(o.Stationary.MaxIters))
-	h.i64(int64(o.Stationary.DenseThreshold))
-	h.i64(int64(o.Stationary.AggregationThreshold))
 }
 
 // fingerprint serialises the model in canonical client order. withUnits

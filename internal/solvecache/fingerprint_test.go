@@ -103,15 +103,6 @@ func TestFingerprintOptions(t *testing.T) {
 	if base == refined {
 		t.Error("refinement flag must be part of the fingerprint")
 	}
-	tuned := Fingerprint(m, SolveOptions{Refine: true, Stationary: ctmdp.StationaryOptions{Tol: 1e-10}})
-	if refined == tuned {
-		t.Error("stationary tolerance must be part of the fingerprint")
-	}
-	// A warm-start prior is a hint, never identity.
-	warmed := Fingerprint(m, SolveOptions{Refine: true, Stationary: ctmdp.StationaryOptions{Warm: []float64{1, 0}}})
-	if refined != warmed {
-		t.Error("warm-start priors must NOT be part of the fingerprint")
-	}
 }
 
 func TestJointFingerprint(t *testing.T) {

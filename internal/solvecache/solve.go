@@ -125,12 +125,7 @@ func (c *Cache) solveCold(m *ctmdp.Model, order []int, opts SolveOptions) (*entr
 	if err != nil {
 		return nil, err
 	}
-	st := opts.Stationary
-	st.Warm = nil // priors are hints, never part of a cached payload's identity
-	sol, err := ctmdp.SolveJoint([]*ctmdp.Model{cm}, ctmdp.JointConfig{
-		RefineStationary: opts.Refine,
-		Stationary:       st,
-	})
+	sol, err := ctmdp.SolveJoint([]*ctmdp.Model{cm}, ctmdp.JointConfig{RefineStationary: opts.Refine})
 	if err != nil {
 		return nil, err
 	}
@@ -173,7 +168,6 @@ func (c *Cache) solveCapped(models []*ctmdp.Model, cfg ctmdp.JointConfig, opts S
 	// there.
 	inner := cfg
 	inner.RefineStationary = false
-	inner.Stationary = ctmdp.StationaryOptions{}
 	warmBasis := make([][]lp.BasicRef, len(models))
 	seeded := 0
 	for i, m := range models {
@@ -194,12 +188,11 @@ func (c *Cache) solveCapped(models []*ctmdp.Model, cfg ctmdp.JointConfig, opts S
 	if opts.Refine {
 		sol.TotalLossRate, sol.OccupancyUsed = 0, 0
 		for i, ms := range sol.PerModel {
-			st := opts.Stationary
-			st.Warm = nil
+			var warm []float64
 			if e := c.freeEntry(models[i], opts); e != nil {
-				st.Warm = e.sol.StateProb
+				warm = e.sol.StateProb
 			}
-			if _, err := ms.RefineStationary(st); err != nil {
+			if _, err := ms.RefineStationary(warm); err != nil {
 				return nil, fmt.Errorf("solvecache: model %q: %w", models[i].Bus, err)
 			}
 			sol.TotalLossRate += ms.LossRate
