@@ -22,7 +22,7 @@ BENCH_GATES = \
 	-gate 'BenchmarkAnalyticSolve=25' \
 	-gate 'BenchmarkRobustMatrix=25'
 
-.PHONY: build test race bench bench-test bench-compare profile lint fmt scenario-smoke serve-smoke placement-smoke robust-smoke fuzz-smoke fleet-smoke fleet-bench cover
+.PHONY: build test race bench bench-test bench-compare profile lint fmt scenario-smoke serve-smoke placement-smoke robust-smoke fuzz-smoke fleet-smoke cover
 
 build:
 	$(GO) build ./...
@@ -124,12 +124,6 @@ serve-smoke:
 fleet-smoke:
 	GO="$(GO)" sh scripts/fleet-smoke.sh
 
-# Measure routed fleet throughput with cmd/loadgen (1/2/4 shards plus a
-# no-router baseline) — the numbers behind PERFORMANCE.md's fleet table.
-# Tune with FLEET_BENCH_DURATION / FLEET_BENCH_CONCURRENCY / FLEET_BENCH_MIX.
-fleet-bench:
-	GO="$(GO)" sh scripts/fleet-bench.sh
-
 # Tiny end-to-end pass through the robust backend: a quick robust-sweep over
 # two registry scenarios, asserting the chance-constraint yield columns made
 # it to the JSON output. Catches sampler, screening or selection regressions
@@ -159,20 +153,23 @@ fuzz-smoke:
 	done
 
 # Per-package coverage floors on the solver seam, the uncertainty model, the
-# solve cache, the engine, the LP stack under the exact backend and the
-# linear-algebra kernel. Starting coverage at the floors' introduction
+# solve cache, the engine, the LP stack under the exact backend, the
+# linear-algebra kernel, the closed-form queueing oracles and the paper's
+# methodology. Starting coverage at the floors' introduction
 # (2026-08): internal/solver 80.3%, internal/uncertain 92.1%; (2026-10,
 # before the generic cache tier replaced cache rotation): internal/solvecache
 # 84.6%, internal/engine 88.1–88.5% (run to run); (2026-10, once the capped
 # LP had one warm-started solve path): internal/lp 87.0%, internal/ctmdp
 # 89.5%; (2026-10, once internal/linalg became the one home of stationary
-# solves): internal/linalg 92.6% (92.5% before that move). The floors sit a
-# few points below so honest refactors don't trip them, but a test-free
-# feature dump — or a refactor that lands by deleting tests — does.
+# solves): internal/linalg 92.6% (92.5% before that move); (2026-10, once
+# the code no entry point reached was deleted): internal/queueing 97.4%,
+# internal/core 82.6%. The floors sit a few points below so honest
+# refactors don't trip them, but a test-free feature dump — or a refactor
+# that lands by deleting tests — does.
 cover:
 	@set -e; \
 	for spec in internal/solver:75 internal/uncertain:85 internal/solvecache:80 internal/engine:83 \
-		internal/lp:83 internal/ctmdp:85 internal/linalg:88; do \
+		internal/lp:83 internal/ctmdp:85 internal/linalg:88 internal/queueing:93 internal/core:78; do \
 		pkg=$${spec%:*}; floor=$${spec#*:}; \
 		line=$$($(GO) test -cover ./$$pkg/ | tail -1); \
 		echo "$$line"; \

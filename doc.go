@@ -6,7 +6,7 @@
 //
 //   - internal/linalg, internal/lp        — dense and CSR-sparse linear
 //     algebra with every CTMC stationary solver (dense LU, Gauss–Seidel/
-//     power iteration, aggregation) and a two-phase simplex solver;
+//     power iteration) and a two-phase simplex solver;
 //   - internal/queueing                   — M/M/1/K closed-form oracles;
 //   - internal/arch, internal/graph       — the SoC communication model
 //     (buses, processors, bridges, flows) and the bridge-buffer splitting
@@ -54,13 +54,12 @@
 //     and placement-evaluation streaming.
 //
 // Stationary distributions of policy-induced chains are solved by
-// linalg.Stationary, which picks one of three paths by state count: an
-// exact dense LU solve below linalg.DenseThreshold states, a CSR sparse
-// Gauss–Seidel solve (power-iteration fallback) up to
-// linalg.AggregationThreshold, and a two-level aggregation/disaggregation
-// solve from there. All agree to better than 1e-8 on every fixture. The
-// methodology invokes this refinement when core.Config.RefineStationary is
-// set (socbuf -refine).
+// linalg.Stationary, which picks one of two paths by state count: an exact
+// dense LU solve below linalg.DenseThreshold states, and a CSR sparse
+// Gauss–Seidel solve (power-iteration fallback) from there. Both agree to
+// better than 1e-8 on every fixture; no model exceeds ctmdp.MaxStates = 81
+// states. The methodology invokes this refinement when
+// core.Config.RefineStationary is set (socbuf -refine).
 //
 // See README.md for a tour (including "Choosing a solver method" and
 // "Buffer placement"), DESIGN.md for the system inventory and modelling

@@ -94,16 +94,6 @@ func (a *Architecture) ProcessorByID(id string) (*Processor, bool) {
 	return nil, false
 }
 
-// BridgeByID returns the bridge with the given ID.
-func (a *Architecture) BridgeByID(id string) (*Bridge, bool) {
-	for i := range a.Bridges {
-		if a.Bridges[i].ID == id {
-			return &a.Bridges[i], true
-		}
-	}
-	return nil, false
-}
-
 // Clone deep-copies the architecture, so mutations of the copy (notably
 // InsertBridgeBuffers) leave the original untouched.
 func (a *Architecture) Clone() *Architecture {
@@ -222,25 +212,4 @@ func (a *Architecture) BufferIDs() []string {
 	}
 	sort.Strings(ids)
 	return ids
-}
-
-// TotalOfferedLoad returns Σ flow rates, the aggregate packet injection rate.
-func (a *Architecture) TotalOfferedLoad() float64 {
-	var s float64
-	for _, f := range a.Flows {
-		s += f.Rate
-	}
-	return s
-}
-
-// OfferedLoadByProcessor returns each processor's total generated rate.
-func (a *Architecture) OfferedLoadByProcessor() map[string]float64 {
-	out := make(map[string]float64, len(a.Processors))
-	for _, p := range a.Processors {
-		out[p.ID] = 0
-	}
-	for _, f := range a.Flows {
-		out[f.From] += f.Rate
-	}
-	return out
 }

@@ -156,7 +156,6 @@ func buildModels(a *arch.Architecture, alloc arch.Allocation, bnd *boundary, cfg
 		bus, _ := a.BusByID(busID)
 		cs := make([]ctmdp.Client, 0, len(bufIDs))
 		for _, id := range bufIDs {
-			levels := cfg.Levels
 			unit := float64(alloc[id]) / float64(levels)
 			if unit <= 0 {
 				return nil, fmt.Errorf("core: buffer %q has no allocated units", id)
@@ -180,7 +179,7 @@ func buildModels(a *arch.Architecture, alloc arch.Allocation, bnd *boundary, cfg
 				DownstreamFullProb: down,
 			})
 		}
-		cs, err := ctmdp.AggregateClients(cs, cfg.MaxClients)
+		cs, err := ctmdp.AggregateClients(cs, maxClients)
 		if err != nil {
 			// AggregateClients sees only a client list; attach the bus so
 			// sweep-level error collection stays attributable.

@@ -38,6 +38,19 @@ import (
 // state (trace.OnOff does), and seeds simulate concurrently.
 type SourceFactory func(a *arch.Architecture) (map[sim.FlowKey]trace.Source, error)
 
+// The CTMDP quantisation of every bus model. ctmdp.MaxStates is sized from
+// the first two: (levels+1)^maxClients = 81 states.
+const (
+	// levels is the quantisation depth of each client queue in the CTMDP
+	// state space: levels 0..2.
+	levels = 2
+	// maxClients caps the number of clients per bus model; colder clients
+	// are aggregated (ctmdp.AggregateClients).
+	maxClients = 4
+	// tailEps is the occupancy-quantile tail mass for the translation.
+	tailEps = 0.05
+)
+
 // Config parameterises a methodology run. Zero values select the defaults
 // noted per field.
 type Config struct {
@@ -60,15 +73,6 @@ type Config struct {
 	// Horizon and WarmUp of each evaluation simulation. Defaults 2000, 100.
 	Horizon float64
 	WarmUp  float64
-	// Levels is the quantisation depth of each client queue in the CTMDP
-	// state space. Default 2 (levels 0..2).
-	Levels int
-	// MaxClients caps the number of clients per bus model; colder clients
-	// are aggregated (ctmdp.AggregateClients). Default 4.
-	MaxClients int
-	// Eps is the occupancy-quantile tail mass for the translation. Default
-	// 0.05.
-	Eps float64
 	// Translator selects the measure→capacity translation. Default
 	// TranslateGreedyTail.
 	Translator ctmdp.Translator
@@ -116,8 +120,8 @@ type Config struct {
 	// so a bad spec fails every entry point uniformly.
 	Uncertainty *uncertain.Spec
 	// RefineStationary recomputes each subsystem's stationary distribution
-	// from its policy-induced chain after every LP solve (dense LU,
-	// Gauss–Seidel or aggregation, auto-picked by reachable-state count),
+	// from its policy-induced chain after every LP solve (dense LU or
+	// Gauss–Seidel, auto-picked by reachable-state count),
 	// tightening the LP's roundoff-level state probabilities before
 	// translation. Off by default; the two paths agree to 1e-8.
 	RefineStationary bool
@@ -168,24 +172,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.WarmUp < 0 || c.WarmUp >= c.Horizon {
 		return c, invalidf("%s %v outside [0, horizon %v)", warmUp, c.WarmUp, c.Horizon)
-	}
-	if c.Levels == 0 {
-		c.Levels = 2
-	}
-	if c.Levels < 1 {
-		return c, invalidf("levels %d < 1", c.Levels)
-	}
-	if c.MaxClients == 0 {
-		c.MaxClients = 4
-	}
-	if c.MaxClients < 1 {
-		return c, invalidf("max clients %d < 1", c.MaxClients)
-	}
-	if c.Eps == 0 {
-		c.Eps = 0.05
-	}
-	if c.Eps <= 0 || c.Eps >= 1 {
-		return c, invalidf("eps %v outside (0,1)", c.Eps)
 	}
 	if c.CapFactor == 0 {
 		c.CapFactor = 0.92

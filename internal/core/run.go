@@ -201,7 +201,7 @@ func (s *Stepper) Step(ctx context.Context) (*Iteration, error) {
 	}
 	_ = models
 
-	demands, err := ctmdp.Demands(sol.PerModel, cfg.Eps)
+	demands, err := ctmdp.Demands(sol.PerModel, tailEps)
 	if err != nil {
 		return nil, fmt.Errorf("core: iteration %d: %w", it, err)
 	}

@@ -164,9 +164,6 @@ func TestRunConfigValidation(t *testing.T) {
 		{"negative iterations", func(c *Config) { c.Iterations = -1 }},
 		{"negative horizon", func(c *Config) { c.Horizon = -5 }},
 		{"warmup past horizon", func(c *Config) { c.WarmUp = 1e9 }},
-		{"negative levels", func(c *Config) { c.Levels = -1 }},
-		{"negative max clients", func(c *Config) { c.MaxClients = -1 }},
-		{"bad eps", func(c *Config) { c.Eps = 2 }},
 		{"bad cap factor", func(c *Config) { c.CapFactor = 3 }},
 		{"bad boundary iters", func(c *Config) { c.BoundaryIters = -1 }},
 		{"budget below floor", func(c *Config) { c.Budget = 2 }},
@@ -176,6 +173,39 @@ func TestRunConfigValidation(t *testing.T) {
 		tc.mut(&cfg)
 		if _, err := Run(cfg); err == nil {
 			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+}
+
+// TestLargestModelIsMaxStates ties the quantisation constants to the ctmdp
+// bound: every preset's bus models pass NewModel's ctmdp.MaxStates check,
+// and netproc's busiest bus, with maxClients clients at levels 0..levels,
+// reaches the bound exactly.
+func TestLargestModelIsMaxStates(t *testing.T) {
+	for _, tc := range []struct {
+		a    *arch.Architecture
+		want int // largest model's state count; 0: anything within the bound
+	}{
+		{arch.Figure1(), 0},
+		{arch.TwoBusAMBA(), 0},
+		{arch.NetworkProcessor(), ctmdp.MaxStates},
+	} {
+		b := tc.a.Clone()
+		b.InsertBridgeBuffers()
+		alloc, err := arch.UniformAllocation(b, 160)
+		if err != nil {
+			t.Fatal(err)
+		}
+		models, err := BuildSubsystemModels(b, alloc, Config{Arch: b, Budget: 160})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.a.Name, err)
+		}
+		largest := 0
+		for _, m := range models {
+			largest = max(largest, m.NumStates())
+		}
+		if tc.want > 0 && largest != tc.want {
+			t.Fatalf("%s: largest bus has %d states, want %d", tc.a.Name, largest, tc.want)
 		}
 	}
 }

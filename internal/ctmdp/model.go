@@ -28,9 +28,12 @@ import (
 	"fmt"
 )
 
-// MaxStates bounds a single model's state space; larger requests are
-// configuration errors (quantise harder or aggregate clients instead).
-const MaxStates = 60000
+// MaxStates bounds a single model's state space at the largest model the
+// methodology builds: (levels+1)^clients = 3^4 with levels 0–2 and at most
+// four clients per bus (internal/core). Larger requests are errors; the
+// check runs before enumeration, so a cache payload from a peer cannot make
+// a shard enumerate a huge model.
+const MaxStates = 81
 
 // Client is one buffer competing for a bus inside a subsystem model.
 type Client struct {
@@ -113,11 +116,12 @@ func NewModel(bus string, serviceRate float64, clients []Client) (*Model, error)
 		if len(c.Members) != len(c.MemberLambda) {
 			return nil, fmt.Errorf("ctmdp: client %q members/lambdas length mismatch", c.BufferID)
 		}
-		m.strides[i] = n
-		n *= c.Levels + 1
-		if n > MaxStates {
+		// Compared by division so a huge Levels cannot overflow the product.
+		if c.Levels > MaxStates/n-1 {
 			return nil, fmt.Errorf("ctmdp: bus %q state space exceeds %d states", bus, MaxStates)
 		}
+		m.strides[i] = n
+		n *= c.Levels + 1
 	}
 	m.numStates = n
 	m.enumerate()

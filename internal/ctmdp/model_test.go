@@ -42,12 +42,36 @@ func TestNewModelValidation(t *testing.T) {
 }
 
 func TestNewModelStateSpaceGuard(t *testing.T) {
-	clients := make([]Client, 12)
-	for i := range clients {
-		clients[i] = Client{BufferID: string(rune('a' + i)), Lambda: 1, Levels: 3, UnitsPerLevel: 1, LossWeight: 1}
+	// uniform returns n clients at the given quantisation depth.
+	uniform := func(n, levels int) []Client {
+		cs := make([]Client, n)
+		for i := range cs {
+			cs[i] = Client{BufferID: string(rune('a' + i)), Lambda: 1, Levels: levels, UnitsPerLevel: 1, LossWeight: 1}
+		}
+		return cs
 	}
-	if _, err := NewModel("b", 1, clients); err == nil {
-		t.Fatal("4^12 states accepted")
+	for _, tc := range []struct {
+		name    string
+		clients []Client
+		states  int // 0: must be rejected
+	}{
+		{"3^4", uniform(4, 2), 81},
+		{"81 levels", singleClient(1, 80), 81},
+		{"82 levels", singleClient(1, 81), 0},
+		{"2x41", append(uniform(1, 1), Client{BufferID: "z", Lambda: 1, Levels: 40, UnitsPerLevel: 1, LossWeight: 1}), 0},
+		{"3^5", uniform(5, 2), 0},
+		{"4^12", uniform(12, 3), 0},
+		{"overflowing levels", append(uniform(1, 2), Client{BufferID: "z", Lambda: 1, Levels: math.MaxInt, UnitsPerLevel: 1, LossWeight: 1}), 0},
+	} {
+		m, err := NewModel("b", 1, tc.clients)
+		switch {
+		case tc.states == 0 && err == nil:
+			t.Errorf("%s: %d states accepted, MaxStates is %d", tc.name, m.NumStates(), MaxStates)
+		case tc.states > 0 && err != nil:
+			t.Errorf("%s: rejected: %v", tc.name, err)
+		case tc.states > 0 && m.NumStates() != tc.states:
+			t.Errorf("%s: %d states, want %d", tc.name, m.NumStates(), tc.states)
+		}
 	}
 }
 

@@ -300,9 +300,3 @@ func (ms *ModelSolution) FullProbability(c int) float64 {
 	dist := ms.OccupancyDistribution(c)
 	return dist[len(dist)-1]
 }
-
-// ModelLossRate returns the unweighted arrival-loss rate of client c:
-// λ_c · P(level_c = Levels).
-func (ms *ModelSolution) ModelLossRate(c int) float64 {
-	return ms.Model.Clients[c].Lambda * ms.FullProbability(c)
-}

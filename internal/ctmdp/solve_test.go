@@ -108,14 +108,15 @@ func TestOptimalBeatsBadWeighting(t *testing.T) {
 	mInv := mustModel(t, "b", 3.5, inverted)
 	solInv := mustSolve(t, []*Model{mInv}, JointConfig{})
 	msInv := solInv.PerModel[0]
-	// Evaluate the inverted policy's measure under true weights.
+	// Evaluate the inverted policy's measure under true weights: the
+	// unweighted loss rate λ_c · P(level_c = Levels) of every client.
 	var trueLoss float64
-	for c := range inverted {
-		trueLoss += msInv.ModelLossRate(c)
+	for c, cl := range inverted {
+		trueLoss += cl.Lambda * msInv.FullProbability(c)
 	}
 	var optLoss float64
-	for c := range hotCold {
-		optLoss += sol.PerModel[0].ModelLossRate(c)
+	for c, cl := range hotCold {
+		optLoss += cl.Lambda * sol.PerModel[0].FullProbability(c)
 	}
 	if optLoss > trueLoss+1e-7 {
 		t.Fatalf("optimal loss %v worse than mis-weighted policy loss %v", optLoss, trueLoss)

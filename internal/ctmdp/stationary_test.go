@@ -47,7 +47,6 @@ func fixtureModels(t *testing.T) map[string]*Model {
 var (
 	denseLU     = linalg.StationaryDense
 	gaussSeidel = func(q *linalg.CSR) ([]float64, error) { return linalg.StationarySparse(q, linalg.IterOptions{}) }
-	aggregation = func(q *linalg.CSR) ([]float64, error) { return linalg.StationaryAggregation(q, linalg.IterOptions{}) }
 )
 
 // chainSolve runs one named solver on the solution's policy chain and
@@ -114,46 +113,18 @@ func TestDenseSparseStationaryAgree(t *testing.T) {
 	}
 }
 
-// longestQueueSolution builds a ModelSolution with a synthetic deterministic
-// longest-queue policy over the full state space, bypassing the LP. Only the
-// Model and Policy fields are populated — enough for the stationary-solve
-// paths, and cheap enough to exercise state spaces the simplex cannot.
-func longestQueueSolution(m *Model) *ModelSolution {
-	p := &Policy{
-		Model:      m,
-		ActionProb: make([][]float64, m.numStates),
-		Visited:    make([]bool, m.numStates),
-	}
-	for s := 0; s < m.numStates; s++ {
-		p.Visited[s] = true
-		p.ActionProb[s] = make([]float64, len(m.Clients))
-		best, bestLvl := -1, 0
-		for c := range m.Clients {
-			if l := m.Level(s, c); l > bestLvl {
-				best, bestLvl = c, l
-			}
-		}
-		if best >= 0 {
-			p.ActionProb[s][best] = 1
-		}
-	}
-	return &ModelSolution{Model: m, Policy: p}
-}
-
 func TestStationaryAutoPicksByStateCount(t *testing.T) {
-	// A three-client model with deep levels reaches the aggregation band:
-	// (L+1)^3 with L=7 is 512 = linalg.AggregationThreshold. The LP would
-	// take minutes here, so the chain comes from a synthetic longest-queue
-	// policy instead.
-	big := mustModel(t, "b", 8, []Client{
-		{BufferID: "a", Lambda: 2, Levels: 7, UnitsPerLevel: 1, LossWeight: 1},
-		{BufferID: "b", Lambda: 2.5, Levels: 7, UnitsPerLevel: 1, LossWeight: 1},
-		{BufferID: "c", Lambda: 1.5, Levels: 7, UnitsPerLevel: 1, LossWeight: 1},
-	})
-	if big.NumStates() < linalg.AggregationThreshold {
-		t.Fatalf("fixture too small: %d states", big.NumStates())
+	// Four clients at levels 0–2 give the largest model the pipeline
+	// builds: 3^4 = 81 states, the Gauss–Seidel side of the crossover.
+	clients := make([]Client, 4)
+	for i := range clients {
+		clients[i] = Client{BufferID: string(rune('a' + i)), Lambda: 0.5 + 0.4*float64(i), Levels: 2, UnitsPerLevel: 1, LossWeight: 1}
 	}
-	ms := longestQueueSolution(big)
+	big := mustModel(t, "b", 4.8, clients)
+	if big.NumStates() != MaxStates {
+		t.Fatalf("fixture has %d states, want MaxStates = %d", big.NumStates(), MaxStates)
+	}
+	large := mustSolve(t, []*Model{big}, JointConfig{}).PerModel[0]
 	small := mustSolve(t, []*Model{mustModel(t, "b", 3, singleClient(2, 2))}, JointConfig{})
 	mid := mustSolve(t, []*Model{fixtureModels(t)["three-client"]}, JointConfig{})
 
@@ -166,7 +137,7 @@ func TestStationaryAutoPicksByStateCount(t *testing.T) {
 	}{
 		{"dense", small.PerModel[0], denseLU},
 		{"gauss-seidel", mid.PerModel[0], gaussSeidel},
-		{"aggregation", ms, aggregation},
+		{"gauss-seidel", large, gaussSeidel},
 	} {
 		auto, err := tc.ms.StationaryUnderPolicy(nil)
 		if err != nil {
@@ -184,24 +155,19 @@ func TestStationaryAutoPicksByStateCount(t *testing.T) {
 		}
 	}
 
-	// All three solvers must agree to 1e-8 at the aggregation scale.
-	dense, err := chainSolve(ms, denseLU)
+	// Dense LU and Gauss–Seidel must agree to 1e-8 at the largest size.
+	dense, err := chainSolve(large, denseLU)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, solve := range map[string]func(*linalg.CSR) ([]float64, error){
-		"gauss-seidel": gaussSeidel,
-		"aggregation":  aggregation,
-	} {
-		got, err := chainSolve(ms, solve)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for s := range dense {
-			if d := math.Abs(dense[s] - got[s]); d > 1e-8 {
-				t.Fatalf("512-state chain: dense %v vs %s %v at state %d (Δ=%g)",
-					dense[s], name, got[s], s, d)
-			}
+	got, err := chainSolve(large, gaussSeidel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s := range dense {
+		if d := math.Abs(dense[s] - got[s]); d > 1e-8 {
+			t.Fatalf("%d-state chain: dense %v vs gauss-seidel %v at state %d (Δ=%g)",
+				MaxStates, dense[s], got[s], s, d)
 		}
 	}
 }

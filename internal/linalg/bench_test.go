@@ -12,9 +12,8 @@ func benchGenerator(n int) (*Matrix, *CSR) {
 }
 
 // BenchmarkStationaryDenseVsSparse compares the dense LU stationary solve
-// (StationaryDense's factorisation) against the sparse Gauss–Seidel and
-// aggregation solves across chain sizes: the crossovers set Stationary's
-// DenseThreshold and AggregationThreshold.
+// (StationaryDense's factorisation) against the sparse Gauss–Seidel solve
+// across chain sizes: the crossover sets Stationary's DenseThreshold.
 func BenchmarkStationaryDenseVsSparse(b *testing.B) {
 	for _, n := range []int{32, 64, 256, 1024} {
 		dense, csr := benchGenerator(n)
@@ -34,25 +33,6 @@ func BenchmarkStationaryDenseVsSparse(b *testing.B) {
 		b.Run(fmt.Sprintf("sparse-gs/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := StationaryGaussSeidel(csr, IterOptions{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("amg/n=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := StationaryAggregation(csr, IterOptions{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-	// The aggregation solver's home turf is beyond the dense threshold; the
-	// dense reference is omitted at this size (one LU is ~1s).
-	for _, n := range []int{4096} {
-		_, csr := benchGenerator(n)
-		b.Run(fmt.Sprintf("amg/n=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := StationaryAggregation(csr, IterOptions{}); err != nil {
 					b.Fatal(err)
 				}
 			}

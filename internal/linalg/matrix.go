@@ -7,13 +7,13 @@
 //   - sparse: CSR matrices (SparseBuilder, CSR) and the iterative
 //     stationary solvers of CTMC generators — StationaryGaussSeidel with
 //     StationaryPower as the unconditionally stable fallback, combined in
-//     StationarySparse, plus the two-level StationaryAggregation solver for
-//     large, slowly mixing chains. O(nnz) per sweep, which is what scales:
-//     the pipeline's chains have a handful of transitions per state.
+//     StationarySparse. O(nnz) per sweep: the pipeline's chains have a
+//     handful of transitions per state.
 //
 // Stationary takes a CSR generator and picks the solver by state count:
-// the dense-LU StationaryDense below DenseThreshold states, StationarySparse
-// up to AggregationThreshold, StationaryAggregation from there.
+// the dense-LU StationaryDense below DenseThreshold states,
+// StationarySparse from there. The pipeline's models have at most 81
+// states (ctmdp.MaxStates).
 //
 // The iterative solvers accept a warm-start prior (IterOptions.Init), the
 // hook the solve cache uses to seed a re-solve from a neighbouring cached

@@ -66,38 +66,19 @@ func (o IterOptions) withDefaults() IterOptions {
 	return o
 }
 
-// Stationary's measured solver crossovers (reference container, 2026-08-08;
-// see PERFORMANCE.md "Kernels, measured"). Dense LU ties the iterative
-// solvers around 32–48 states and is 4× slower by 64; Gauss–Seidel and
-// aggregation are comparable on fast-mixing chains up to ~512 states, beyond
-// which aggregation's robustness on slow-mixing chains dominates (Gauss–
-// Seidel can fail to converge outright on 512-state birth–death chains that
-// aggregation solves in milliseconds).
-const (
-	// DenseThreshold is the state count below which Stationary solves
-	// directly with StationaryDense.
-	DenseThreshold = 48
-	// AggregationThreshold is the state count from which Stationary runs
-	// StationaryAggregation instead of StationarySparse.
-	AggregationThreshold = 512
-)
+// DenseThreshold is the state count below which Stationary solves directly
+// with StationaryDense. Measured crossover (reference container, 2026-08-08;
+// see PERFORMANCE.md "Kernels, measured"): dense LU ties Gauss–Seidel around
+// 32–48 states and is 4× slower by 64.
+const DenseThreshold = 48
 
 // Stationary computes the stationary distribution of the CTMC with generator
 // q, picking the solver by state count: StationaryDense below
-// DenseThreshold, StationaryAggregation from AggregationThreshold (falling
-// back to StationarySparse if an aggregation cycle fails — a nearly
-// reducible aggregate can go singular), StationarySparse in between. opts
-// reaches only the iterative solvers; the dense solve has no iteration to
-// seed or bound.
+// DenseThreshold, StationarySparse from there. opts reaches only the
+// iterative solver; the dense solve has no iteration to seed or bound.
 func Stationary(q *CSR, opts IterOptions) ([]float64, error) {
-	switch n := q.Rows; {
-	case n < DenseThreshold:
+	if q.Rows < DenseThreshold {
 		return StationaryDense(q)
-	case n < AggregationThreshold:
-		return StationarySparse(q, opts)
-	}
-	if pi, err := StationaryAggregation(q, opts); err == nil {
-		return pi, nil
 	}
 	return StationarySparse(q, opts)
 }
@@ -217,8 +198,7 @@ func generatorDiag(qt *CSR) ([]float64, error) {
 }
 
 // gsSweep runs one in-place Gauss–Seidel sweep π_i ← (Σ_{j≠i} q_ji·π_j)/(−q_ii)
-// over the transposed generator. Shared by the plain Gauss–Seidel solver and
-// the aggregation solver's smoothing steps.
+// over the transposed generator.
 func gsSweep(qt *CSR, diag, pi []float64) {
 	n := qt.Rows
 	for i := 0; i < n; i++ {
@@ -283,8 +263,7 @@ func StationaryPower(q *CSR, opts IterOptions) ([]float64, error) {
 
 // StationarySparse computes the stationary distribution of the generator,
 // trying Gauss–Seidel first and falling back to power iteration when the
-// sweep diverges or stalls. Stationary uses it between DenseThreshold and
-// AggregationThreshold states.
+// sweep diverges or stalls. Stationary uses it from DenseThreshold states.
 func StationarySparse(q *CSR, opts IterOptions) ([]float64, error) {
 	pi, err := StationaryGaussSeidel(q, opts)
 	if err == nil {

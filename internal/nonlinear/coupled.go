@@ -6,10 +6,11 @@
 // the paper's §2 that defeated a generic nonlinear solver.
 //
 // The package builds that coupled system and offers the two generic solvers
-// one would naturally reach for — Picard (fixed-point) iteration and damped
-// Newton with a numerical Jacobian — together with convergence diagnostics.
-// The experiments compare their behaviour against the split-linear method,
-// which needs no nonlinear iteration at all.
+// one would naturally reach for — Picard (fixed-point) iteration and Newton
+// on the KKT conditions of the optimisation variant (KKTNewton) — together
+// with convergence diagnostics. The experiments compare KKTNewton against
+// the split-linear method, which needs no nonlinear iteration at all; the
+// tests use Picard as the fixed-point referee of the coupled equations.
 package nonlinear
 
 import (

@@ -127,21 +127,6 @@ func TestPicardSolutionSanity(t *testing.T) {
 	}
 }
 
-func TestNewtonDampedConvergesLightLoad(t *testing.T) {
-	cs := twoBusSystem(t, 0.3, 0.2, 5, 2)
-	v, diag, err := cs.Newton(NewtonOptions{Damping: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !diag.Converged {
-		t.Fatalf("damped Newton failed on light load: %+v", diag)
-	}
-	res, _ := cs.Residual(v)
-	if linalg.NormInf(res) > 1e-8 {
-		t.Fatalf("residual %v", linalg.NormInf(res))
-	}
-}
-
 func TestCoupledHeavyLoadDegenerates(t *testing.T) {
 	// Heavily loaded symmetric coupling: the un-buffered bridges strangle
 	// each other (each bus is almost never free, so cross transfers almost

@@ -184,10 +184,18 @@ func (cs *CoupledSystem) kktCost(vars []kktVar) []float64 {
 	return c
 }
 
+// NewtonOptions tunes KKTNewton.
+type NewtonOptions struct {
+	MaxIters int     // default 80
+	Tol      float64 // default 1e-9
+	Damping  float64 // step size in (0,1]; default 1 (full, undamped steps)
+	FDStep   float64 // finite-difference step; default 1e-6
+}
+
 // KKTNewton runs Newton's method on the KKT conditions of the optimisation
-// variant. opt.Damping scales the Newton step; opt.MaxIters and opt.Tol as in
-// NewtonOptions. The x ≥ 0 constraints are deliberately not enforced — that
-// is the point of the demonstration.
+// variant, with a forward-difference Jacobian. opt.Damping scales the Newton
+// step. The x ≥ 0 constraints are deliberately not enforced — that is the
+// point of the demonstration.
 func (cs *CoupledSystem) KKTNewton(opt NewtonOptions) (*KKTResult, error) {
 	if opt.MaxIters <= 0 {
 		opt.MaxIters = 80

@@ -2,7 +2,6 @@ package nonlinear
 
 import (
 	"fmt"
-	"math"
 
 	"socbuf/internal/linalg"
 )
@@ -67,83 +66,6 @@ func (cs *CoupledSystem) Picard(opt PicardOptions) ([]float64, *Diagnostics, err
 			diag.Converged = true
 			diag.Reason = "residual below tolerance"
 			return v, diag, nil
-		}
-	}
-	diag.Reason = "iteration limit reached"
-	return v, diag, nil
-}
-
-// NewtonOptions tunes the Newton solver.
-type NewtonOptions struct {
-	MaxIters int     // default 100
-	Tol      float64 // default 1e-10
-	Damping  float64 // step size in (0,1]; default 1 (full, undamped steps)
-	FDStep   float64 // finite-difference step; default 1e-7
-}
-
-// Newton runs (optionally damped) Newton iteration on the stacked residual
-// with a forward-difference Jacobian. Undamped Newton from the uniform guess
-// diverges or hits singular Jacobians on loaded coupled systems — the
-// reproduction of the paper's "we were not able to get solutions".
-func (cs *CoupledSystem) Newton(opt NewtonOptions) ([]float64, *Diagnostics, error) {
-	if opt.MaxIters <= 0 {
-		opt.MaxIters = 100
-	}
-	if opt.Tol <= 0 {
-		opt.Tol = 1e-10
-	}
-	if opt.Damping <= 0 || opt.Damping > 1 {
-		opt.Damping = 1
-	}
-	if opt.FDStep <= 0 {
-		opt.FDStep = 1e-7
-	}
-	v := cs.InitialGuess()
-	diag := &Diagnostics{}
-	n := cs.total
-	for it := 0; it < opt.MaxIters; it++ {
-		f, err := cs.Residual(v)
-		if err != nil {
-			return nil, nil, err
-		}
-		r := linalg.NormInf(f)
-		diag.History = append(diag.History, r)
-		diag.Iterations = it
-		diag.Residual = r
-		if r < opt.Tol {
-			diag.Converged = true
-			diag.Reason = "residual below tolerance"
-			return v, diag, nil
-		}
-		if math.IsNaN(r) || math.IsInf(r, 0) || r > 1e12 {
-			diag.Reason = fmt.Sprintf("diverged at iteration %d (residual %v)", it, r)
-			return v, diag, nil
-		}
-		// Forward-difference Jacobian.
-		jac := linalg.NewMatrix(n, n)
-		for j := 0; j < n; j++ {
-			old := v[j]
-			v[j] = old + opt.FDStep
-			fj, err := cs.Residual(v)
-			v[j] = old
-			if err != nil {
-				return nil, nil, err
-			}
-			for i := 0; i < n; i++ {
-				jac.Set(i, j, (fj[i]-f[i])/opt.FDStep)
-			}
-		}
-		neg := make([]float64, n)
-		for i := range f {
-			neg[i] = -f[i]
-		}
-		step, err := linalg.Solve(jac, neg)
-		if err != nil {
-			diag.Reason = fmt.Sprintf("singular Jacobian at iteration %d", it)
-			return v, diag, nil
-		}
-		for i := range v {
-			v[i] += opt.Damping * step[i]
 		}
 	}
 	diag.Reason = "iteration limit reached"

@@ -1,13 +1,12 @@
 // Package queueing provides closed-form results for the finite Markovian
 // queues that appear throughout the buffer-sizing pipeline: M/M/1/K queues
-// (one processor buffer drained by a bus) and the Erlang-B loss system.
+// (one processor buffer drained by a bus).
 //
 // The formulas serve as oracles: the discrete-event simulator and the CTMC
 // solvers must reproduce them, and tests in those packages do exactly that.
 package queueing
 
 import (
-	"errors"
 	"fmt"
 	"math"
 )
@@ -79,53 +78,4 @@ func (q *MM1K) MeanQueue() float64 {
 		m += float64(i) * p
 	}
 	return m
-}
-
-// MeanResidence returns the mean time an *accepted* customer spends in the
-// system, by Little's law: E[N] / throughput. The paper's timeout policy uses
-// this value as its drop threshold ("the average time spent by a request in a
-// buffer").
-func (q *MM1K) MeanResidence() (float64, error) {
-	th := q.Throughput()
-	if th <= 0 {
-		return 0, errors.New("queueing: zero throughput, residence undefined")
-	}
-	return q.MeanQueue() / th, nil
-}
-
-// ErlangB returns the Erlang-B blocking probability for offered load a
-// (erlangs) and c servers, computed with the numerically stable recurrence
-// B(0)=1, B(k) = a·B(k−1) / (k + a·B(k−1)).
-func ErlangB(a float64, c int) (float64, error) {
-	if a < 0 || math.IsNaN(a) || math.IsInf(a, 0) {
-		return 0, fmt.Errorf("queueing: invalid offered load %v", a)
-	}
-	if c < 0 {
-		return 0, fmt.Errorf("queueing: negative server count %d", c)
-	}
-	b := 1.0
-	for k := 1; k <= c; k++ {
-		b = a * b / (float64(k) + a*b)
-	}
-	return b, nil
-}
-
-// RequiredCapacity returns the smallest K such that the M/M/1/K blocking
-// probability is at most target. It is the analytic cousin of the
-// occupancy-quantile translation used by the CTMDP sizing (DESIGN.md §5) and
-// is used in tests as a sanity bound. maxK caps the search.
-func RequiredCapacity(lambda, mu, target float64, maxK int) (int, error) {
-	if target <= 0 || target >= 1 {
-		return 0, fmt.Errorf("queueing: target blocking %v outside (0,1)", target)
-	}
-	for k := 1; k <= maxK; k++ {
-		q, err := NewMM1K(lambda, mu, k)
-		if err != nil {
-			return 0, err
-		}
-		if q.Blocking() <= target {
-			return k, nil
-		}
-	}
-	return 0, fmt.Errorf("queueing: no capacity ≤ %d reaches blocking %v (rho=%v)", maxK, target, lambda/mu)
 }

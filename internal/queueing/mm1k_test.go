@@ -67,13 +67,6 @@ func TestKnownBlocking(t *testing.T) {
 	if math.Abs(q.Blocking()-0.5) > 1e-12 {
 		t.Fatalf("blocking = %v, want 0.5", q.Blocking())
 	}
-	eb, err := ErlangB(1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(eb-q.Blocking()) > 1e-12 {
-		t.Fatalf("ErlangB = %v vs MM11 %v", eb, q.Blocking())
-	}
 }
 
 func TestLossThroughputConservation(t *testing.T) {
@@ -83,79 +76,6 @@ func TestLossThroughputConservation(t *testing.T) {
 	}
 	if math.Abs(q.LossRate()+q.Throughput()-q.Lambda) > 1e-12 {
 		t.Fatal("loss + throughput != lambda")
-	}
-}
-
-func TestMeanResidence(t *testing.T) {
-	q, err := NewMM1K(1, 2, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := q.MeanResidence()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Near-M/M/1 at rho=0.5: W = 1/(mu-lambda) = 1; K=10 truncation shifts it
-	// only slightly.
-	if w < 0.8 || w > 1.05 {
-		t.Fatalf("W = %v, want ≈ 1", w)
-	}
-}
-
-func TestErlangBValidation(t *testing.T) {
-	if _, err := ErlangB(-1, 2); err == nil {
-		t.Fatal("negative load accepted")
-	}
-	if _, err := ErlangB(1, -1); err == nil {
-		t.Fatal("negative servers accepted")
-	}
-	b, err := ErlangB(5, 0)
-	if err != nil || b != 1 {
-		t.Fatalf("B(a,0) = %v, %v; want 1, nil", b, err)
-	}
-}
-
-func TestErlangBMonotoneInServers(t *testing.T) {
-	prev := 1.0
-	for c := 1; c <= 10; c++ {
-		b, err := ErlangB(3, c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if b >= prev {
-			t.Fatalf("ErlangB not decreasing at c=%d: %v >= %v", c, b, prev)
-		}
-		prev = b
-	}
-}
-
-func TestRequiredCapacity(t *testing.T) {
-	k, err := RequiredCapacity(1, 2, 0.01, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, _ := NewMM1K(1, 2, k)
-	if q.Blocking() > 0.01 {
-		t.Fatalf("capacity %d still blocks at %v", k, q.Blocking())
-	}
-	if k > 1 {
-		qSmaller, _ := NewMM1K(1, 2, k-1)
-		if qSmaller.Blocking() <= 0.01 {
-			t.Fatalf("capacity %d not minimal", k)
-		}
-	}
-}
-
-func TestRequiredCapacityErrors(t *testing.T) {
-	if _, err := RequiredCapacity(1, 2, 0, 10); err == nil {
-		t.Fatal("target 0 accepted")
-	}
-	if _, err := RequiredCapacity(1, 2, 1, 10); err == nil {
-		t.Fatal("target 1 accepted")
-	}
-	// Overloaded queue can't reach 1e-9 blocking with tiny capacity.
-	if _, err := RequiredCapacity(10, 1, 1e-9, 3); err == nil {
-		t.Fatal("impossible target accepted")
 	}
 }
 

@@ -43,32 +43,3 @@ func BlockingStep(rho, b float64) float64 {
 	rb := rho * b
 	return rb / (1 + rb)
 }
-
-// MeanQueueSum returns E[N] for an M/M/1/K queue by direct summation of the
-// (unnormalised) geometric stationary weights — zero allocations, no
-// math.Pow. For ρ > 1 the sum runs in powers of 1/ρ (counting empty slots
-// from the full end), so no term can overflow regardless of K. At ρ = 1
-// both branches continuously yield K/2, the uniform-distribution mean the
-// closed form special-cases.
-func MeanQueueSum(lambda, mu float64, k int) float64 {
-	rho := lambda / mu
-	if rho <= 1 {
-		p, s0, s1 := 1.0, 0.0, 0.0
-		for i := 0; i <= k; i++ {
-			s0 += p
-			s1 += float64(i) * p
-			p *= rho
-		}
-		return s1 / s0
-	}
-	// π_i ∝ ρ^i = ρ^K·q^{K−i} with q = 1/ρ < 1:
-	// E[N] = K − (Σ_j j·q^j) / (Σ_j q^j), j = K − i.
-	q := 1 / rho
-	p, s0, s1 := 1.0, 0.0, 0.0
-	for j := 0; j <= k; j++ {
-		s0 += p
-		s1 += float64(j) * p
-		p *= q
-	}
-	return float64(k) - s1/s0
-}

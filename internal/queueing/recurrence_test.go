@@ -97,43 +97,6 @@ func TestBlockingStepAdvances(t *testing.T) {
 	}
 }
 
-// TestMeanQueueSumAgrees pins the summation mean against the
-// distribution-walking oracle, with the same ρ = 1 ring treatment (the
-// oracle's norm cancels there; the reference becomes the uniform mean K/2).
-func TestMeanQueueSumAgrees(t *testing.T) {
-	rng := rand.New(rand.NewSource(19))
-	check := func(lambda, mu float64, k int) {
-		t.Helper()
-		got := MeanQueueSum(lambda, mu, k)
-		rho := lambda / mu
-		var want, tol float64
-		if math.Abs(rho-1) < 1e-7 {
-			// Slope of E[N] in ρ at the uniform point is O(K²).
-			want, tol = float64(k)/2, float64(k*k)*math.Abs(rho-1)+1e-9
-		} else {
-			q := MM1K{Lambda: lambda, Mu: mu, K: k}
-			want, tol = q.MeanQueue(), 1e-9*float64(k)
-		}
-		if math.Abs(got-want) > tol {
-			t.Fatalf("λ=%v μ=%v K=%d: sum mean %v vs oracle %v (diff %g > %g)",
-				lambda, mu, k, got, want, got-want, tol)
-		}
-	}
-	for trial := 0; trial < 2000; trial++ {
-		lambda, mu := grid(rng)
-		check(lambda, mu, 1+rng.Intn(64))
-	}
-	for k := 1; k <= 64; k++ {
-		for _, eps := range []float64{0, 1e-13, -1e-12, 1e-9, -1e-6} {
-			check((1+eps)*2.3, 2.3, k)
-		}
-	}
-	// Deep saturation: the 1/ρ branch must not overflow even at huge K.
-	if got := MeanQueueSum(2000, 1, 500); math.IsNaN(got) || got < 499 || got > 500 {
-		t.Fatalf("saturated mean %v, want ≈ K", got)
-	}
-}
-
 // TestBlockingZeroAlloc is the AllocsPerRun gate on the incremental
 // blocking kernel: the recurrence and the step must never touch the heap —
 // they run inside every screen's table build and every greedy's gain
@@ -143,7 +106,6 @@ func TestBlockingZeroAlloc(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() {
 		sink += BlockingRecurrence(3.2, 4.1, 24)
 		sink += BlockingStep(0.78, sink)
-		sink += MeanQueueSum(3.2, 4.1, 24)
 	}); allocs != 0 {
 		t.Fatalf("blocking kernels allocated %.1f times per run, want 0", allocs)
 	}

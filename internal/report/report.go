@@ -1,6 +1,5 @@
 // Package report renders the experiment outputs: ASCII bar charts in the
-// shape of the paper's Figure 3 and aligned tables in the shape of Table 1,
-// plus CSV for downstream plotting.
+// shape of the paper's Figure 3 and aligned tables in the shape of Table 1.
 package report
 
 import (
@@ -103,31 +102,6 @@ func Table(w io.Writer, headers []string, rows [][]string) error {
 	line(seps)
 	for _, r := range rows {
 		line(r)
-	}
-	return nil
-}
-
-// CSV writes simple comma-separated values (no quoting; cells must not
-// contain commas — experiment outputs never do).
-func CSV(w io.Writer, headers []string, rows [][]string) error {
-	for _, r := range rows {
-		if len(r) != len(headers) {
-			return fmt.Errorf("report: csv row has %d cells, want %d", len(r), len(headers))
-		}
-	}
-	for _, cell := range headers {
-		if strings.Contains(cell, ",") {
-			return fmt.Errorf("report: csv cell %q contains a comma", cell)
-		}
-	}
-	fmt.Fprintln(w, strings.Join(headers, ","))
-	for _, r := range rows {
-		for _, cell := range r {
-			if strings.Contains(cell, ",") {
-				return fmt.Errorf("report: csv cell %q contains a comma", cell)
-			}
-		}
-		fmt.Fprintln(w, strings.Join(r, ","))
 	}
 	return nil
 }

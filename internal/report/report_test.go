@@ -76,29 +76,6 @@ func TestTableErrors(t *testing.T) {
 	}
 }
 
-func TestCSV(t *testing.T) {
-	var sb strings.Builder
-	if err := CSV(&sb, []string{"a", "b"}, [][]string{{"1", "2"}}); err != nil {
-		t.Fatal(err)
-	}
-	if sb.String() != "a,b\n1,2\n" {
-		t.Fatalf("csv = %q", sb.String())
-	}
-}
-
-func TestCSVErrors(t *testing.T) {
-	var sb strings.Builder
-	if err := CSV(&sb, []string{"a"}, [][]string{{"1", "2"}}); err == nil {
-		t.Fatal("ragged row accepted")
-	}
-	if err := CSV(&sb, []string{"a,b"}, nil); err == nil {
-		t.Fatal("comma cell accepted")
-	}
-	if err := CSV(&sb, []string{"a"}, [][]string{{"1,2"}}); err == nil {
-		t.Fatal("comma data cell accepted")
-	}
-}
-
 func TestSortedKeys(t *testing.T) {
 	got := SortedKeys(map[string]int{"b": 1, "a": 2, "c": 3})
 	if len(got) != 3 || got[0] != "a" || got[2] != "c" {

@@ -295,20 +295,24 @@ func TestRemoteStorePutQueueBound(t *testing.T) {
 }
 
 // TestRemotePoisonedPayload pins the hostile-payload contract: undecodable
-// or dimensionally inconsistent remote bytes are misses, never errors or
-// adopted junk.
+// or dimensionally inconsistent remote bytes are misses, never errors,
+// panics or adopted junk. Each payload meets a fresh cache, so every one
+// reaches the decoder instead of a local hit.
 func TestRemotePoisonedPayload(t *testing.T) {
 	shared := solvecache.NewMemStore()
-	c := solvecache.New()
-	c.SetRemote(shared)
 	m := storeModel(t)
 	k := solvecache.Fingerprint(m, solvecache.SolveOptions{})
 	for _, poison := range []string{
 		"not json",
 		`{"tier":"exact","data":{"serviceRate":4,"clients":[],"x":[],"stateProb":[],"actionProb":[],"visited":[]}}`,
 		`{"tier":"exact","data":{"serviceRate":4,"clients":[{"bufferId":"a","lambda":1.2,"levels":2,"unitsPerLevel":3,"lossWeight":1}],"x":[1],"stateProb":[1],"actionProb":[[1]],"visited":[true]}}`,
+		// A model past ctmdp.MaxStates whose state count overflows int:
+		// rejected before enumeration, not a panic.
+		`{"tier":"exact","data":{"serviceRate":4,"clients":[{"bufferId":"a","lambda":1.2,"levels":2,"unitsPerLevel":3,"lossWeight":1},{"bufferId":"b","lambda":0.4,"levels":9223372036854775807,"unitsPerLevel":2,"lossWeight":2}],"x":[],"stateProb":[],"actionProb":[],"visited":[]}}`,
 	} {
 		shared.Put(context.Background(), k, []byte(poison))
+		c := solvecache.New()
+		c.SetRemote(shared)
 		got, err := c.SolveJoint([]*ctmdp.Model{m}, ctmdp.JointConfig{})
 		if err != nil {
 			t.Fatalf("poisoned payload %q must not fail the solve: %v", poison, err)
@@ -318,9 +322,9 @@ func TestRemotePoisonedPayload(t *testing.T) {
 			t.Fatal(err)
 		}
 		assertSolutionsAgree(t, want, got, 1e-8, "solve past poisoned payload")
-	}
-	if s := c.Stats(); s.RemoteHits != 0 {
-		t.Fatalf("poisoned payloads must never count as remote hits: %+v", s)
+		if s := c.Stats(); s.RemoteHits != 0 || s.RemoteMisses != 1 {
+			t.Fatalf("poisoned payload %q: want one remote miss and no hit: %+v", poison, s)
+		}
 	}
 }
 
