@@ -154,8 +154,9 @@ fuzz-smoke:
 
 # Per-package coverage floors on the solver seam, the uncertainty model, the
 # solve cache, the engine, the LP stack under the exact backend, the
-# linear-algebra kernel, the closed-form queueing oracles and the paper's
-# methodology. Starting coverage at the floors' introduction
+# linear-algebra kernel, the closed-form queueing oracles, the paper's
+# methodology, the experiment runners and the scenario registry. Starting
+# coverage at the floors' introduction
 # (2026-08): internal/solver 80.3%, internal/uncertain 92.1%; (2026-10,
 # before the generic cache tier replaced cache rotation): internal/solvecache
 # 84.6%, internal/engine 88.1–88.5% (run to run); (2026-10, once the capped
@@ -163,13 +164,16 @@ fuzz-smoke:
 # 89.5%; (2026-10, once internal/linalg became the one home of stationary
 # solves): internal/linalg 92.6% (92.5% before that move); (2026-10, once
 # the code no entry point reached was deleted): internal/queueing 97.4%,
-# internal/core 82.6%. The floors sit a few points below so honest
+# internal/core 82.6%; (2026-10, once every run took the one cached solve
+# path): internal/experiments 69.1% (67.6% before), internal/scenario 86.7%
+# (86.4% before). The floors sit a few points below so honest
 # refactors don't trip them, but a test-free feature dump — or a refactor
 # that lands by deleting tests — does.
 cover:
 	@set -e; \
 	for spec in internal/solver:75 internal/uncertain:85 internal/solvecache:80 internal/engine:83 \
-		internal/lp:83 internal/ctmdp:85 internal/linalg:88 internal/queueing:93 internal/core:78; do \
+		internal/lp:83 internal/ctmdp:85 internal/linalg:88 internal/queueing:93 internal/core:78 \
+		internal/experiments:65 internal/scenario:83; do \
 		pkg=$${spec%:*}; floor=$${spec#*:}; \
 		line=$$($(GO) test -cover ./$$pkg/ | tail -1); \
 		echo "$$line"; \

@@ -93,6 +93,7 @@ func main() {
 		Handler:           api.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
 	}
+	cliutil.CloseSilentConnsOnShutdown(srv)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

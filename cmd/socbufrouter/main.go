@@ -89,6 +89,7 @@ func main() {
 		Handler:           rt.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
 	}
+	cliutil.CloseSilentConnsOnShutdown(srv)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -1,8 +1,9 @@
 // Package cliutil holds the flag wiring shared by the CLIs (cmd/socbuf,
-// cmd/experiments, cmd/socsim, cmd/socbufd). Before this package existed,
-// the -parallel/-cache/-cache-stats group was copied per CLI and had
-// drifted — only one binary validated the worker count. The CLIs stay thin:
-// they parse flags with these helpers and hand typed requests to
+// cmd/experiments, cmd/socsim, cmd/socbufd), and the shutdown wiring the two
+// servers (cmd/socbufd, cmd/socbufrouter) share. Before this package
+// existed, the -parallel/-cache/-cache-stats group was copied per CLI and
+// had drifted — only one binary validated the worker count. The CLIs stay
+// thin: they parse flags with these helpers and hand typed requests to
 // internal/engine.
 package cliutil
 
@@ -12,7 +13,10 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"net"
+	"net/http"
 	"os"
+	"sync"
 
 	"socbuf/internal/engine"
 	"socbuf/internal/solver"
@@ -158,4 +162,38 @@ func (r *RobustFlags) Spec(set map[string]bool) *uncertain.Spec {
 		RateSigma:  r.RateSigma,
 		Seed:       r.Seed,
 	}
+}
+
+// CloseSilentConnsOnShutdown makes srv.Shutdown close connections that were
+// accepted but have not sent a request byte yet. Shutdown otherwise counts
+// such a connection (http.StateNew) as active for up to 5 s — a client's
+// pre-opened keep-alive connection stalls the whole drain that long. A
+// connection accepted once shutdown has begun is closed on arrival. The
+// helper owns srv.ConnState.
+func CloseSilentConnsOnShutdown(srv *http.Server) {
+	var (
+		mu      sync.Mutex
+		silent  = map[net.Conn]struct{}{}
+		closing bool
+	)
+	srv.ConnState = func(c net.Conn, st http.ConnState) {
+		mu.Lock()
+		defer mu.Unlock()
+		switch {
+		case st != http.StateNew:
+			delete(silent, c)
+		case closing:
+			c.Close()
+		default:
+			silent[c] = struct{}{}
+		}
+	}
+	srv.RegisterOnShutdown(func() {
+		mu.Lock()
+		defer mu.Unlock()
+		closing = true
+		for c := range silent {
+			c.Close()
+		}
+	})
 }

@@ -1,9 +1,13 @@
 package cliutil
 
 import (
+	"context"
 	"flag"
+	"net"
+	"net/http"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestCommonFlagsValidate(t *testing.T) {
@@ -146,5 +150,46 @@ func TestCommonFlagsNilFlagSet(t *testing.T) {
 	}
 	if set := SetFlags(nil); len(set) != 0 {
 		t.Fatalf("nothing parsed, but SetFlags = %v", set)
+	}
+}
+
+// TestShutdownClosesSilentConns: a connection that never sends a request
+// byte must not hold up Shutdown (net/http alone waits 5 s for it).
+func TestShutdownClosesSilentConns(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := &http.Server{Handler: http.NotFoundHandler()}
+	CloseSilentConnsOnShutdown(srv)
+	accepted := make(chan struct{}, 1)
+	track := srv.ConnState
+	srv.ConnState = func(c net.Conn, st http.ConnState) {
+		track(c, st)
+		if st == http.StateNew {
+			accepted <- struct{}{}
+		}
+	}
+	go srv.Serve(ln)
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	select {
+	case <-accepted:
+	case <-time.After(5 * time.Second):
+		t.Fatal("server never accepted the connection")
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	start := time.Now()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d >= time.Second {
+		t.Fatalf("Shutdown took %v with one silent connection open", d)
 	}
 }

@@ -94,7 +94,7 @@ func (b *boundary) update(a *arch.Architecture, sols []*ctmdp.ModelSolution, dam
 }
 
 // BuildSubsystemModels exposes model construction to external analyses (the
-// experiments' split demonstration and ablations): one CTMDP per bus, built
+// experiments' split demonstration and sweep planner): one CTMDP per bus, built
 // from loss-free boundary estimates. cfg needs only Arch and Budget set;
 // other knobs default as in Run.
 func BuildSubsystemModels(a *arch.Architecture, alloc arch.Allocation, cfg Config) ([]*ctmdp.Model, error) {

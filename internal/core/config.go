@@ -7,10 +7,12 @@
 //  2. model every subsystem as a CTMDP over quantised buffer levels
 //     (ctmdp.NewModel), with bridge buffers appearing as clients of the
 //     draining bus and as downstream-loss terms of the feeding bus;
-//  3. solve all subsystem LPs in one joint program (ctmdp.SolveJoint),
-//     linked by a total expected-occupancy cap; refresh the bridge boundary
-//     scalars (arrival rates and full probabilities) by a damped fixed
-//     point, keeping every inner solve linear — the paper's §2 device;
+//  3. solve the subsystem LPs through the solve cache
+//     (solvecache.Cache.SolveJoint): each cap-free bus on its canonical
+//     clone, then one joint program linked by a total expected-occupancy
+//     cap; refresh the bridge boundary scalars (arrival rates and full
+//     probabilities) by a damped fixed point, keeping every inner solve
+//     linear — the paper's §2 device;
 //  4. translate the optimal occupation measure into physical buffer lengths
 //     (ctmdp.Translate, the K-switching step);
 //  5. resimulate with the new lengths (internal/sim) and compare losses;
@@ -23,7 +25,6 @@ import (
 	"fmt"
 
 	"socbuf/internal/arch"
-	"socbuf/internal/ctmdp"
 	"socbuf/internal/sim"
 	"socbuf/internal/solvecache"
 	"socbuf/internal/trace"
@@ -47,9 +48,16 @@ const (
 	// maxClients caps the number of clients per bus model; colder clients
 	// are aggregated (ctmdp.AggregateClients).
 	maxClients = 4
-	// tailEps is the occupancy-quantile tail mass for the translation.
-	tailEps = 0.05
+	// capFactor scales the joint occupancy cap of each iteration's final
+	// solve: cap = capFactor × (free solve's occupancy), so the budget link
+	// binds. Infeasible caps are retried upward.
+	capFactor = 0.92
 )
+
+// BoundaryIters is the number of bridge-boundary fixed-point updates per
+// methodology iteration. The analytic and robust backends run the same
+// depth and fold it into their cache fingerprints.
+const BoundaryIters = 3
 
 // Config parameterises a methodology run. Zero values select the defaults
 // noted per field.
@@ -73,23 +81,6 @@ type Config struct {
 	// Horizon and WarmUp of each evaluation simulation. Defaults 2000, 100.
 	Horizon float64
 	WarmUp  float64
-	// Translator selects the measure→capacity translation. Default
-	// TranslateGreedyTail.
-	Translator ctmdp.Translator
-	// CapFactor scales the joint occupancy cap: cap = CapFactor × (free
-	// solve's occupancy). Values in (0,1) make the budget link bind; 0
-	// disables the cap. Infeasible caps are retried upward. Default 0.92.
-	CapFactor float64
-	// Sequential solves subsystem LPs separately instead of jointly — the
-	// ablation of the paper's "solve all the equations in one go".
-	Sequential bool
-	// BoundaryIters is the number of bridge-boundary fixed-point updates
-	// per methodology iteration. Default 3.
-	BoundaryIters int
-	// UseCTMDPArbiter drives the evaluation simulations with the optimal
-	// CTMDP arbitration policy instead of longest-queue. Default true
-	// (disable with DisableCTMDPArbiter).
-	DisableCTMDPArbiter bool
 	// Traffic optionally overrides the evaluation simulations' arrival
 	// processes (bursty/OnOff robustness runs). The CTMDP models keep their
 	// Poisson arrival assumption — the simulator is the ground truth that
@@ -104,14 +95,13 @@ type Config struct {
 	// simulations. 0 (or negative) means GOMAXPROCS; 1 forces serial
 	// execution. Results are independent of the worker count.
 	Workers int
-	// Cache optionally reuses sub-model solutions across solves: every
-	// SolveJoint call inside the methodology loop goes through it, so
-	// identical per-bus sub-models (across methodology iterations, budget
-	// points and scenarios — wherever the same cache is shared) are solved
-	// once. Nil disables caching. The cache is safe to share across the
-	// worker pool; results stay deterministic for any worker count, but may
-	// differ from the uncached path at roundoff level (see the solvecache
-	// package comment).
+	// Cache holds the run's sub-model solutions: every solve inside the
+	// methodology loop goes through it, so identical per-bus sub-models
+	// (across methodology iterations, budget points and scenarios —
+	// wherever the same cache is shared) are solved once. Nil gives the run
+	// a private cache (NewStepper). A shared cache only saves work: its
+	// payloads are pure functions of their keys, so results are the same
+	// with or without sharing, and for any worker count.
 	Cache *solvecache.Cache
 	// Uncertainty attaches a traffic-uncertainty spec for the robust
 	// backend's chance-constrained sizing (internal/solver's "robust"
@@ -172,18 +162,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.WarmUp < 0 || c.WarmUp >= c.Horizon {
 		return c, invalidf("%s %v outside [0, horizon %v)", warmUp, c.WarmUp, c.Horizon)
-	}
-	if c.CapFactor == 0 {
-		c.CapFactor = 0.92
-	}
-	if c.CapFactor < 0 || c.CapFactor > 1 {
-		return c, invalidf("cap factor %v outside [0,1]", c.CapFactor)
-	}
-	if c.BoundaryIters == 0 {
-		c.BoundaryIters = 3
-	}
-	if c.BoundaryIters < 1 {
-		return c, invalidf("boundary iterations %d < 1", c.BoundaryIters)
 	}
 	if c.Uncertainty != nil {
 		if err := c.Uncertainty.Validate(); err != nil {

@@ -10,6 +10,7 @@ import (
 	"socbuf/internal/graph"
 	"socbuf/internal/parallel"
 	"socbuf/internal/sim"
+	"socbuf/internal/solvecache"
 	"socbuf/internal/trace"
 	"socbuf/internal/uncertain"
 )
@@ -120,7 +121,9 @@ type Stepper struct {
 
 // NewStepper validates cfg and runs the methodology prologue: clone, bridge
 // buffer insertion, split + linearity verification, and the uniform-baseline
-// evaluation every backend's Improvement is measured against.
+// evaluation every backend's Improvement is measured against. A config
+// without a Cache gets a private one, so every run takes the same solve
+// path whether or not it shares a cache.
 func NewStepper(ctx context.Context, cfg Config) (*Stepper, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -128,6 +131,9 @@ func NewStepper(ctx context.Context, cfg Config) (*Stepper, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
+	}
+	if cfg.Cache == nil {
+		cfg.Cache = solvecache.New()
 	}
 	a := cfg.Arch.Clone()
 	a.InsertBridgeBuffers() // the paper's buffer insertion for bridges
@@ -173,7 +179,8 @@ func NewStepper(ctx context.Context, cfg Config) (*Stepper, error) {
 	}, nil
 }
 
-// Config returns the normalised configuration (defaults filled in).
+// Config returns the normalised configuration (defaults filled in, and the
+// private cache of a run configured without one).
 func (s *Stepper) Config() Config { return s.cfg }
 
 // Arch returns the buffered clone the methodology works on.
@@ -195,13 +202,12 @@ func (s *Stepper) Step(ctx context.Context) (*Iteration, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: iteration %d: %w", it, err)
 	}
-	sol, models, err := solveWithBoundary(ctx, a, s.alloc, s.bnd, cfg)
+	sol, err := solveWithBoundary(ctx, a, s.alloc, s.bnd, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("core: iteration %d: %w", it, err)
 	}
-	_ = models
 
-	demands, err := ctmdp.Demands(sol.PerModel, tailEps)
+	demands, err := ctmdp.Demands(sol.PerModel)
 	if err != nil {
 		return nil, fmt.Errorf("core: iteration %d: %w", it, err)
 	}
@@ -218,7 +224,7 @@ func (s *Stepper) Step(ctx context.Context) (*Iteration, error) {
 			inert = append(inert, id)
 		}
 	}
-	next, err := ctmdp.Translate(demands, cfg.Budget-len(inert), cfg.Translator)
+	next, err := ctmdp.Translate(demands, cfg.Budget-len(inert))
 	if err != nil {
 		return nil, fmt.Errorf("core: iteration %d: %w", it, err)
 	}
@@ -230,15 +236,12 @@ func (s *Stepper) Step(ctx context.Context) (*Iteration, error) {
 		return nil, fmt.Errorf("core: iteration %d produced bad allocation: %w", it, err)
 	}
 
-	var makeArbiters func() (map[string]sim.Arbiter, error)
-	if !cfg.DisableCTMDPArbiter {
-		makeArbiters = func() (map[string]sim.Arbiter, error) {
-			return buildArbiters(a, sol, newAlloc)
-		}
-		// Fail fast on wiring errors before fanning out the seeds.
-		if _, err := makeArbiters(); err != nil {
-			return nil, fmt.Errorf("core: iteration %d: %w", it, err)
-		}
+	makeArbiters := func() (map[string]sim.Arbiter, error) {
+		return buildArbiters(a, sol, newAlloc)
+	}
+	// Fail fast on wiring errors before fanning out the seeds.
+	if _, err := makeArbiters(); err != nil {
+		return nil, fmt.Errorf("core: iteration %d: %w", it, err)
 	}
 	loss, byProc, err := evaluate(ctx, a, newAlloc, makeArbiters, cfg)
 	if err != nil {
@@ -303,52 +306,49 @@ func (s *Stepper) Result() (*Result, error) {
 	return res, nil
 }
 
-// solveWithBoundary runs the bridge-boundary fixed point: free joint solves
-// refresh the boundary scalars, then a final (optionally capped) solve
-// produces the measure used for translation. The context is checked between
-// boundary iterations — each individual LP solve runs to completion.
-func solveWithBoundary(ctx context.Context, a *arch.Architecture, alloc arch.Allocation, bnd *boundary, cfg Config) (*ctmdp.JointSolution, []*ctmdp.Model, error) {
+// solveWithBoundary runs the bridge-boundary fixed point: free solves
+// refresh the boundary scalars, then a final capped solve produces the
+// measure used for translation. Every solve goes through cfg.Cache, so each
+// cap-free bus is solved on its canonical clone and the capped program is
+// one joint LP warm-started from the free bases. The context is checked
+// between boundary iterations — each individual LP solve runs to
+// completion.
+func solveWithBoundary(ctx context.Context, a *arch.Architecture, alloc arch.Allocation, bnd *boundary, cfg Config) (*ctmdp.JointSolution, error) {
 	var sol *ctmdp.JointSolution
 	var models []*ctmdp.Model
 	var err error
-	for bi := 0; bi < cfg.BoundaryIters; bi++ {
+	for bi := 0; bi < BoundaryIters; bi++ {
 		if err := ctx.Err(); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		models, err = buildModels(a, alloc, bnd, cfg)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		// cfg.Cache may be nil: SolveJoint on a nil cache is the cold solver.
-		sol, err = cfg.Cache.SolveJoint(models, ctmdp.JointConfig{
-			Sequential:       cfg.Sequential,
-			RefineStationary: cfg.RefineStationary,
-		})
+		sol, err = cfg.Cache.SolveJoint(models, ctmdp.JointConfig{RefineStationary: cfg.RefineStationary})
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if err := bnd.update(a, sol.PerModel, 0.7); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
-	if cfg.CapFactor > 0 && cfg.CapFactor < 1 && !cfg.Sequential {
-		// Capped final solve with a retry ladder toward the free occupancy.
-		free := sol.OccupancyUsed
-		for _, f := range []float64{cfg.CapFactor, (cfg.CapFactor + 1) / 2, 0.97} {
-			capped, err := cfg.Cache.SolveJoint(models, ctmdp.JointConfig{
-				OccupancyCap:     free * f,
-				RefineStationary: cfg.RefineStationary,
-			})
-			if err == nil {
-				return capped, models, nil
-			}
-			if !errors.Is(err, ctmdp.ErrInfeasible) {
-				return nil, nil, err
-			}
+	// Capped final solve with a retry ladder toward the free occupancy.
+	free := sol.OccupancyUsed
+	for _, f := range []float64{capFactor, (capFactor + 1) / 2, 0.97} {
+		capped, err := cfg.Cache.SolveJoint(models, ctmdp.JointConfig{
+			OccupancyCap:     free * f,
+			RefineStationary: cfg.RefineStationary,
+		})
+		if err == nil {
+			return capped, nil
 		}
-		// All caps infeasible: the free solution stands.
+		if !errors.Is(err, ctmdp.ErrInfeasible) {
+			return nil, err
+		}
 	}
-	return sol, models, nil
+	// All caps infeasible: the free solution stands.
+	return sol, nil
 }
 
 // Arbiters builds fresh per-bus CTMDP arbiters for one simulation of alloc

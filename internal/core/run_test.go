@@ -1,10 +1,13 @@
 package core
 
 import (
+	"context"
+	"reflect"
 	"testing"
 
 	"socbuf/internal/arch"
 	"socbuf/internal/ctmdp"
+	"socbuf/internal/solvecache"
 )
 
 // fastCfg keeps unit-test runs quick.
@@ -109,29 +112,38 @@ func TestRunDoesNotMutateCallerArch(t *testing.T) {
 	}
 }
 
-func TestRunSequentialAblation(t *testing.T) {
+// TestRunPrivateCacheMatchesShared: a run without a Cache gets a private
+// one, so it takes the same solve path as a run over a shared cache — even
+// one already warm from an identical run, answering every solve as a hit.
+func TestRunPrivateCacheMatchesShared(t *testing.T) {
 	cfg := fastCfg(arch.TwoBusAMBA(), 24)
-	cfg.Sequential = true
-	res, err := Run(cfg)
+	s, err := NewStepper(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Best.CapBinding {
-		t.Fatal("sequential solve cannot have a binding joint cap")
+	if s.Config().Cache == nil {
+		t.Fatal("stepper without a Cache got no private cache")
 	}
-}
-
-func TestRunTranslatorAblations(t *testing.T) {
-	for _, tr := range []ctmdp.Translator{ctmdp.TranslateGreedyTail, ctmdp.TranslateQuantile, ctmdp.TranslateMeanOccupancy} {
-		cfg := fastCfg(arch.TwoBusAMBA(), 24)
-		cfg.Translator = tr
-		res, err := Run(cfg)
+	private, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Cache = solvecache.New()
+	for pass := 0; pass < 2; pass++ {
+		shared, err := Run(cfg)
 		if err != nil {
-			t.Fatalf("translator %d: %v", tr, err)
+			t.Fatal(err)
 		}
-		if res.Best.Alloc.Total() != 24 {
-			t.Fatalf("translator %d: total %d", tr, res.Best.Alloc.Total())
+		for i, it := range shared.Iterations {
+			want := private.Iterations[i]
+			if it.SimLoss != want.SimLoss || it.ModelLoss != want.ModelLoss || !reflect.DeepEqual(it.Alloc, want.Alloc) {
+				t.Fatalf("pass %d iteration %d: shared cache (%d, %v) vs private (%d, %v)",
+					pass, i, it.SimLoss, it.ModelLoss, want.SimLoss, want.ModelLoss)
+			}
 		}
+	}
+	if cfg.Cache.Stats().Hits == 0 {
+		t.Fatal("second run over the shared cache hit nothing")
 	}
 }
 
@@ -140,14 +152,6 @@ func TestRunLossWeights(t *testing.T) {
 	// (§3's "weighing of the loss at processors").
 	cfg := fastCfg(arch.TwoBusAMBA(), 24)
 	cfg.LossWeights = map[string]float64{"cpu": 10}
-	if _, err := Run(cfg); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRunDisabledArbiter(t *testing.T) {
-	cfg := fastCfg(arch.TwoBusAMBA(), 24)
-	cfg.DisableCTMDPArbiter = true
 	if _, err := Run(cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -164,8 +168,6 @@ func TestRunConfigValidation(t *testing.T) {
 		{"negative iterations", func(c *Config) { c.Iterations = -1 }},
 		{"negative horizon", func(c *Config) { c.Horizon = -5 }},
 		{"warmup past horizon", func(c *Config) { c.WarmUp = 1e9 }},
-		{"bad cap factor", func(c *Config) { c.CapFactor = 3 }},
-		{"bad boundary iters", func(c *Config) { c.BoundaryIters = -1 }},
 		{"budget below floor", func(c *Config) { c.Budget = 2 }},
 	}
 	for _, tc := range cases {

@@ -84,13 +84,13 @@ func BenchmarkTranslateGreedy(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	d, err := Demands(sol.PerModel, 0.05)
+	d, err := Demands(sol.PerModel)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Translate(d, 640, TranslateGreedyTail); err != nil {
+		if _, err := Translate(d, 640); err != nil {
 			b.Fatal(err)
 		}
 	}

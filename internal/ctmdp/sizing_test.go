@@ -1,7 +1,6 @@
 package ctmdp
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -14,7 +13,7 @@ func demandsFor(t *testing.T) []BufferDemand {
 		{BufferID: "cold", Lambda: 0.3, Levels: 2, UnitsPerLevel: 1, LossWeight: 1},
 	})
 	sol := mustSolve(t, []*Model{m}, JointConfig{})
-	d, err := Demands(sol.PerModel, 0.05)
+	d, err := Demands(sol.PerModel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,17 +40,6 @@ func TestDemandsBasics(t *testing.T) {
 		if x.TailRatio < minTail-1e-12 || x.TailRatio > maxTail+1e-12 {
 			t.Fatalf("tail ratio %v out of range", x.TailRatio)
 		}
-		if x.Quantile < 0 || x.MeanUnits < 0 {
-			t.Fatalf("negative demand stats: %+v", x)
-		}
-	}
-}
-
-func TestDemandsBadEps(t *testing.T) {
-	for _, eps := range []float64{0, 1, -0.5} {
-		if _, err := Demands(nil, eps); err == nil {
-			t.Fatalf("eps %v accepted", eps)
-		}
 	}
 }
 
@@ -63,7 +51,7 @@ func TestDemandsAggregateSplit(t *testing.T) {
 	}
 	m := mustModel(t, "b", 5, clients)
 	sol := mustSolve(t, []*Model{m}, JointConfig{})
-	d, err := Demands(sol.PerModel, 0.05)
+	d, err := Demands(sol.PerModel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,13 +68,9 @@ func TestDemandsAggregateSplit(t *testing.T) {
 	if byID["m1"].Lambda != 0.6 || byID["m2"].Lambda != 0.3 {
 		t.Fatalf("member lambdas wrong: %+v", d)
 	}
-	// Member shares of the aggregate's mean: 2:1.
-	if byID["m2"].MeanUnits <= 0 {
-		t.Fatalf("m2 mean units = %v", byID["m2"].MeanUnits)
-	}
-	ratio := byID["m1"].MeanUnits / byID["m2"].MeanUnits
-	if math.Abs(ratio-2) > 1e-9 {
-		t.Fatalf("member mean split ratio = %v, want 2", ratio)
+	// Members share the aggregate's tail.
+	if byID["m1"].TailRatio != byID["m2"].TailRatio {
+		t.Fatalf("member tails differ: %v vs %v", byID["m1"].TailRatio, byID["m2"].TailRatio)
 	}
 }
 
@@ -95,14 +79,14 @@ func TestDemandsDuplicateBuffer(t *testing.T) {
 	m2 := mustModel(t, "b2", 2, singleClient(1, 1)) // same buffer ID "q"
 	s1 := mustSolve(t, []*Model{m1}, JointConfig{})
 	s2 := mustSolve(t, []*Model{m2}, JointConfig{})
-	if _, err := Demands([]*ModelSolution{s1.PerModel[0], s2.PerModel[0]}, 0.05); err == nil {
+	if _, err := Demands([]*ModelSolution{s1.PerModel[0], s2.PerModel[0]}); err == nil {
 		t.Fatal("duplicate buffer accepted")
 	}
 }
 
 func TestTranslateGreedyFavoursHot(t *testing.T) {
 	d := demandsFor(t)
-	alloc, err := Translate(d, 20, TranslateGreedyTail)
+	alloc, err := Translate(d, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,55 +101,37 @@ func TestTranslateGreedyFavoursHot(t *testing.T) {
 	}
 }
 
-func TestTranslateAllMethodsExhaustBudget(t *testing.T) {
-	d := demandsFor(t)
-	for _, how := range []Translator{TranslateGreedyTail, TranslateQuantile, TranslateMeanOccupancy} {
-		alloc, err := Translate(d, 17, how)
-		if err != nil {
-			t.Fatalf("method %d: %v", how, err)
-		}
-		total := 0
-		for _, v := range alloc {
-			if v < 1 {
-				t.Fatalf("method %d: allocation below floor: %v", how, alloc)
-			}
-			total += v
-		}
-		if total != 17 {
-			t.Fatalf("method %d: total %d != 17", how, total)
-		}
-	}
-}
-
 func TestTranslateErrors(t *testing.T) {
 	d := demandsFor(t)
-	if _, err := Translate(nil, 10, TranslateGreedyTail); err == nil {
+	if _, err := Translate(nil, 10); err == nil {
 		t.Fatal("empty demands accepted")
 	}
-	if _, err := Translate(d, 1, TranslateGreedyTail); err == nil {
+	if _, err := Translate(d, 1); err == nil {
 		t.Fatal("budget below floor accepted")
-	}
-	if _, err := Translate(d, 10, Translator(99)); err == nil {
-		t.Fatal("unknown translator accepted")
 	}
 }
 
+// TestTranslateZeroScoresDegenerate: with every marginal gain zero (no
+// traffic anywhere) the greedy still spends the budget exactly.
 func TestTranslateZeroScoresDegenerate(t *testing.T) {
 	d := []BufferDemand{
 		{BufferID: "a", Lambda: 0, TailRatio: minTail},
 		{BufferID: "b", Lambda: 0, TailRatio: minTail},
 		{BufferID: "c", Lambda: 0, TailRatio: minTail},
 	}
-	alloc, err := Translate(d, 10, TranslateMeanOccupancy)
+	alloc, err := Translate(d, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	total := 0
 	for _, v := range alloc {
+		if v < 1 {
+			t.Fatalf("allocation below floor: %v", alloc)
+		}
 		total += v
 	}
 	if total != 10 {
-		t.Fatalf("degenerate apportion total %d", total)
+		t.Fatalf("degenerate greedy total %d", total)
 	}
 }
 
@@ -185,7 +151,7 @@ func TestGreedyMonotoneProperty(t *testing.T) {
 			}
 		}
 		budget := n + rng.Intn(100)
-		alloc, err := Translate(d, budget, TranslateGreedyTail)
+		alloc, err := Translate(d, budget)
 		if err != nil {
 			return false
 		}

@@ -14,12 +14,8 @@ type JointConfig struct {
 	// This is the constraint that links the subsystem blocks into one LP —
 	// the paper's "solve all the equations in one go". Zero or negative
 	// disables it (the blocks then decouple mathematically but are still
-	// solved in a single program unless Sequential is set).
+	// solved in a single program).
 	OccupancyCap float64
-	// Sequential solves each model in its own LP instead of one joint
-	// program; the ablation baseline for the paper's §2 claim. Incompatible
-	// with a positive OccupancyCap (the cap needs the joint program).
-	Sequential bool
 	// RefineStationary recomputes each solution's stationary distribution
 	// from its policy-induced chain after the LP solve (linalg.Stationary
 	// picks the solver by state-space size). This tightens the LP's
@@ -80,29 +76,11 @@ type JointSolution struct {
 var ErrInfeasible = errors.New("ctmdp: LP infeasible")
 
 // SolveJoint assembles and solves the occupation-measure LP of the given
-// subsystem models, jointly unless cfg.Sequential.
+// subsystem models as one program.
 func SolveJoint(models []*Model, cfg JointConfig) (*JointSolution, error) {
 	if len(models) == 0 {
 		return nil, errors.New("ctmdp: no models")
 	}
-	if cfg.Sequential && cfg.OccupancyCap > 0 {
-		return nil, errors.New("ctmdp: sequential solving cannot honour a joint occupancy cap")
-	}
-	if cfg.Sequential {
-		out := &JointSolution{}
-		for _, m := range models {
-			one, err := SolveJoint([]*Model{m}, JointConfig{RefineStationary: cfg.RefineStationary})
-			if err != nil {
-				return nil, fmt.Errorf("ctmdp: model %q: %w", m.Bus, err)
-			}
-			out.PerModel = append(out.PerModel, one.PerModel[0])
-			out.TotalLossRate += one.TotalLossRate
-			out.OccupancyUsed += one.OccupancyUsed
-			out.Iters += one.Iters
-		}
-		return out, nil
-	}
-
 	prob, offsets, err := assembleJoint(models, cfg)
 	if err != nil {
 		return nil, err
@@ -269,16 +247,6 @@ func (ms *ModelSolution) OccupancyDistribution(c int) []float64 {
 		dist[m.Level(s, c)] += p
 	}
 	return dist
-}
-
-// MeanLevel returns E[level_c] under the stationary measure.
-func (ms *ModelSolution) MeanLevel(c int) float64 {
-	dist := ms.OccupancyDistribution(c)
-	var mean float64
-	for k, p := range dist {
-		mean += float64(k) * p
-	}
-	return mean
 }
 
 // Throughput returns the service completion rate of client c:

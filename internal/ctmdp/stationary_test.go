@@ -240,15 +240,15 @@ func TestPolicyChainExcludesUnreachable(t *testing.T) {
 }
 
 // TestDemandsAfterRefine: refining the stationary distributions before
-// extracting demands keeps the demand list and moves mean occupancies only
-// at roundoff level.
+// extracting demands keeps the demand list and moves tail ratios only at
+// roundoff level.
 func TestDemandsAfterRefine(t *testing.T) {
 	m := mustModel(t, "b", 4, []Client{
 		{BufferID: "x", Lambda: 2, Levels: 2, UnitsPerLevel: 1, LossWeight: 1},
 		{BufferID: "y", Lambda: 1, Levels: 2, UnitsPerLevel: 1, LossWeight: 1},
 	})
 	sol := mustSolve(t, []*Model{m}, JointConfig{})
-	plain, err := Demands(sol.PerModel, 0.05)
+	plain, err := Demands(sol.PerModel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestDemandsAfterRefine(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	refined, err := Demands(sol2.PerModel, 0.05)
+	refined, err := Demands(sol2.PerModel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,8 +269,8 @@ func TestDemandsAfterRefine(t *testing.T) {
 		if plain[i].BufferID != refined[i].BufferID {
 			t.Fatalf("demand order changed: %v vs %v", plain[i].BufferID, refined[i].BufferID)
 		}
-		if math.Abs(plain[i].MeanUnits-refined[i].MeanUnits) > 1e-6 {
-			t.Fatalf("%s: refined mean %v far from plain %v", plain[i].BufferID, refined[i].MeanUnits, plain[i].MeanUnits)
+		if math.Abs(plain[i].TailRatio-refined[i].TailRatio) > 1e-6 {
+			t.Fatalf("%s: refined tail %v far from plain %v", plain[i].BufferID, refined[i].TailRatio, plain[i].TailRatio)
 		}
 	}
 }

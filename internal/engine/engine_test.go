@@ -88,14 +88,15 @@ func TestEngineSolveMatchesDirectPath(t *testing.T) {
 }
 
 // TestEngineBudgetSweepMatchesDirectPath pins the sweep path to the direct
-// experiments call, including the cached/planned variant.
+// experiments call, including the cached/planned variant: a shared cache
+// only saves work, so both must match exactly.
 func TestEngineBudgetSweepMatchesDirectPath(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
 	opt := experiments.Options{Iterations: fastIters, Seeds: fastSeeds, Horizon: fastHorizon, WarmUp: fastWarmUp, Workers: 2}
 	budgets := []int{24, 30}
-	direct, err := experiments.BudgetSweep(arch.TwoBusAMBA, budgets, opt)
+	direct, err := experiments.BudgetSweepCtx(context.Background(), arch.TwoBusAMBA, budgets, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,14 +121,36 @@ func TestEngineBudgetSweepMatchesDirectPath(t *testing.T) {
 			if got.Sweep.Pre[b] != direct.Pre[b] {
 				t.Fatalf("useCache=%v: budget %d uniform loss %d, want %d", useCache, b, got.Sweep.Pre[b], direct.Pre[b])
 			}
-			// Cached solves may move sized losses at roundoff level (the
-			// documented solvecache contract); the uncached path must match
-			// exactly.
-			if !useCache && got.Sweep.Post[b] != direct.Post[b] {
-				t.Fatalf("budget %d sized loss %d, want %d", b, got.Sweep.Post[b], direct.Post[b])
+			if got.Sweep.Post[b] != direct.Post[b] {
+				t.Fatalf("useCache=%v: budget %d sized loss %d, want %d", useCache, b, got.Sweep.Post[b], direct.Post[b])
 			}
 		}
 		e.Close()
+	}
+}
+
+// TestEngineSolveSameWithAndWithoutCache: every run solves through a cache
+// (a private one without UseCache), so sharing the engine's cache never
+// changes an answer. netproc at budget 160 is where the two paths once
+// differed (sized loss 1333 uncached vs 1536 cached).
+func TestEngineSolveSameWithAndWithoutCache(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	e := New(Config{})
+	defer e.Close()
+	req := SolveRequest{Arch: "netproc", Budget: 160, Iterations: 3, Horizon: 600}
+	plain, err := e.Solve(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.UseCache = true
+	cached, err := e.Solve(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(plain, cached) {
+		t.Fatalf("cache changed the answer:\nwithout: %+v\nwith:    %+v", plain, cached)
 	}
 }
 
@@ -149,7 +172,7 @@ func TestEngineScenarioSweepMatchesDirectPath(t *testing.T) {
 		scs[i].Seeds = []int64{1}
 		scs[i].Horizon = 600
 	}
-	direct, err := experiments.ScenarioSweep(scs, opt)
+	direct, err := experiments.ScenarioSweepCtx(context.Background(), scs, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

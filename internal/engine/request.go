@@ -69,8 +69,9 @@ type SolveRequest struct {
 // and {"arch":"netproc","budget":160} coalesce), and the worker bound is
 // dropped (results are identical for every worker count by the repo-wide
 // contract, so requests differing only there may share a run). Everything
-// else — including UseCache, which can move results at roundoff level — is
-// identity.
+// else is identity — including UseCache: a shared cache only saves work and
+// never moves an answer, but UseCache selects whether the answer is stored
+// in and served from the result tier.
 func (r SolveRequest) key() string {
 	k := r
 	if k.Scenario == "" && len(k.ArchJSON) == 0 && k.Arch == "" {
@@ -301,7 +302,7 @@ type BudgetSweepRequest struct {
 	Uncertainty *uncertain.Spec `json:"uncertainty,omitempty"`
 	Workers     int             `json:"workers,omitempty"`
 	// UseCache shares the engine cache across all points and plans/prewarms
-	// the sweep first (experiments.CachedBudgetSweep).
+	// the sweep first (experiments.CachedBudgetSweepCtx).
 	UseCache bool `json:"useCache,omitempty"`
 
 	// OnRow, when non-nil, receives each point's row as it completes —

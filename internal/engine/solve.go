@@ -260,8 +260,8 @@ func (e *Engine) BudgetSweep(ctx context.Context, req BudgetSweepRequest) (*Budg
 	if req.UseCache {
 		opt.Cache = e.Cache()
 	}
-	// Fresh clone per point, per the BudgetSweep contract.
-	res, plan, err := experiments.SweepWithPlanCtx(rctx, nil, func() *arch.Architecture { return a.Clone() }, req.Budgets, opt)
+	// Fresh clone per point, per the BudgetSweepCtx contract.
+	res, plan, err := experiments.SweepWithPlanCtx(rctx, func() *arch.Architecture { return a.Clone() }, req.Budgets, opt)
 	if res == nil {
 		return nil, err
 	}

@@ -38,8 +38,9 @@ type Options struct {
 	Workers int
 	// Cache, when non-nil, is shared by every methodology run the experiment
 	// fans out, deduplicating identical per-bus sub-model solves fleet-wide
-	// (see internal/solvecache). Use PlanBudgetSweep/Prewarm to pre-populate
-	// it, and Cache.Stats for the hit/miss/warm-start counters.
+	// (see internal/solvecache); nil gives each run a private cache, with
+	// the same results. Use PlanBudgetSweep/PrewarmCtx to pre-populate it,
+	// and Cache.Stats for the hit/miss/warm-start counters.
 	Cache *solvecache.Cache
 	// OnBudgetRow, when non-nil, is invoked from a worker goroutine as each
 	// budget-sweep point completes — in completion order, not input order, so

@@ -36,14 +36,14 @@ type SweepPlan struct {
 	UniqueStructural int
 
 	// representatives holds one model per structural class, in first-seen
-	// order, for Prewarm.
+	// order, for PrewarmCtx.
 	representatives []*ctmdp.Model
 }
 
 // PlanBudgetSweep fingerprints every point of a budget sweep up front:
 // each budget's buffered architecture, uniform allocation and initial
 // boundary sub-models, keyed exactly as the sweep's own solves will be.
-// newArch follows the BudgetSweep contract (nil = the network processor).
+// newArch follows the BudgetSweepCtx contract (nil = the network processor).
 func PlanBudgetSweep(newArch func() *arch.Architecture, budgets []int, opt Options) (*SweepPlan, error) {
 	if len(budgets) == 0 {
 		return nil, errors.New("experiments: empty budget sweep plan")
@@ -51,7 +51,7 @@ func PlanBudgetSweep(newArch func() *arch.Architecture, budgets []int, opt Optio
 	if newArch == nil {
 		newArch = arch.NetworkProcessor
 	}
-	opts := solvecache.SolveOptions{} // BudgetSweep solves with default options
+	opts := solvecache.SolveOptions{} // BudgetSweepCtx solves with default options
 	plan := &SweepPlan{}
 	exact := map[solvecache.Key]bool{}
 	structural := map[solvecache.Key]bool{}
@@ -96,16 +96,11 @@ func initialModels(a *arch.Architecture, budget int) ([]*ctmdp.Model, error) {
 	return core.BuildSubsystemModels(buffered, alloc, core.Config{Arch: buffered, Budget: budget})
 }
 
-// Prewarm cold-solves one representative per structural class into the
-// cache, fanning the solves across the worker pool. After Prewarm, every
-// point's first-iteration solves are warm starts at worst; the shared
-// boundary trajectory then keeps later iterations deduplicated as the first
-// worker to reach each new lambda vector populates it for the fleet.
-func (p *SweepPlan) Prewarm(c *solvecache.Cache, workers int) error {
-	return p.PrewarmCtx(context.Background(), c, workers)
-}
-
-// PrewarmCtx is Prewarm with cooperative cancellation of the solve fan-out.
+// PrewarmCtx cold-solves one representative per structural class into the
+// cache, fanning the solves across the worker pool. After it, every point's
+// first-iteration solves are warm starts at worst; the shared boundary
+// trajectory then keeps later iterations deduplicated as the first worker to
+// reach each new lambda vector populates it for the fleet.
 func (p *SweepPlan) PrewarmCtx(ctx context.Context, c *solvecache.Cache, workers int) error {
 	if c == nil {
 		return errors.New("experiments: prewarm needs a cache")
@@ -136,14 +131,6 @@ func (p *SweepPlan) WriteSummary(w io.Writer) error {
 	return nil
 }
 
-// CachedBudgetSweep is the planned, cache-shared variant of BudgetSweep:
-// fingerprint all points, prewarm one solve per structural class, then run
-// the sweep with every point sharing opt.Cache (created when nil). The
-// result, plan and cache stats come back together for reporting.
-func CachedBudgetSweep(newArch func() *arch.Architecture, budgets []int, opt Options) (*BudgetSweepResult, *SweepPlan, error) {
-	return CachedBudgetSweepCtx(context.Background(), newArch, budgets, opt)
-}
-
 // usesExactTier reports whether any sweep point runs an exact-family
 // backend (exact or hybrid — both solve CTMDP sub-models the plan's
 // prewarmed entries can serve). An all-analytic sweep has nothing to
@@ -158,11 +145,13 @@ func usesExactTier(opt Options, points int) bool {
 	return false
 }
 
-// CachedBudgetSweepCtx is CachedBudgetSweep with cooperative cancellation
-// threaded through planning, prewarming and the sweep itself. Sweeps whose
-// every point runs the analytic backend skip the (exact-tier) planning and
-// prewarm entirely and return a nil plan — the shared cache still serves
-// their analytic tier.
+// CachedBudgetSweepCtx is the planned, cache-shared variant of
+// BudgetSweepCtx: fingerprint all points, prewarm one solve per structural
+// class, then run the sweep with every point sharing opt.Cache (created when
+// nil). Cancellation is threaded through planning, prewarming and the sweep
+// itself. Sweeps whose every point runs the analytic backend skip the
+// (exact-tier) planning and prewarm entirely and return a nil plan — the
+// shared cache still serves their analytic tier.
 func CachedBudgetSweepCtx(ctx context.Context, newArch func() *arch.Architecture, budgets []int, opt Options) (*BudgetSweepResult, *SweepPlan, error) {
 	if opt.Cache == nil {
 		opt.Cache = solvecache.New()
@@ -182,36 +171,16 @@ func CachedBudgetSweepCtx(ctx context.Context, newArch func() *arch.Architecture
 	return res, plan, err
 }
 
-// SweepWithPlan is the dispatch both CLIs share: with opt.Cache set it
-// plans, prewarms and runs the cache-shared sweep, writing the plan summary
-// to w first; otherwise it runs the plain BudgetSweep. A nil w suppresses
-// the summary.
-func SweepWithPlan(w io.Writer, newArch func() *arch.Architecture, budgets []int, opt Options) (*BudgetSweepResult, error) {
-	res, _, err := SweepWithPlanCtx(context.Background(), w, newArch, budgets, opt)
-	return res, err
-}
-
-// SweepWithPlanCtx is SweepWithPlan with cooperative cancellation; it also
-// hands the plan back (nil without a cache) so service callers can report it
-// without re-planning.
-func SweepWithPlanCtx(ctx context.Context, w io.Writer, newArch func() *arch.Architecture, budgets []int, opt Options) (*BudgetSweepResult, *SweepPlan, error) {
+// SweepWithPlanCtx is the engine's sweep dispatch: with opt.Cache set it
+// plans, prewarms and runs the cache-shared sweep and hands the plan back;
+// otherwise it runs the plain BudgetSweepCtx and returns a nil plan. Both
+// give the same rows: a shared cache only saves work.
+func SweepWithPlanCtx(ctx context.Context, newArch func() *arch.Architecture, budgets []int, opt Options) (*BudgetSweepResult, *SweepPlan, error) {
 	if opt.Cache == nil {
 		res, err := BudgetSweepCtx(ctx, newArch, budgets, opt)
 		return res, nil, err
 	}
-	res, plan, err := CachedBudgetSweepCtx(ctx, newArch, budgets, opt)
-	if plan != nil && w != nil {
-		if _, werr := fmt.Fprintln(w, "sweep plan:"); werr != nil {
-			return res, plan, werr
-		}
-		if werr := plan.WriteSummary(w); werr != nil {
-			return res, plan, werr
-		}
-		if _, werr := fmt.Fprintln(w); werr != nil {
-			return res, plan, werr
-		}
-	}
-	return res, plan, err
+	return CachedBudgetSweepCtx(ctx, newArch, budgets, opt)
 }
 
 // WriteCacheStats renders a cache-counter snapshot in the shared report

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"strings"
@@ -95,7 +96,7 @@ func TestCachedBudgetSweepWorkerInvariance(t *testing.T) {
 				opt := c.opt
 				opt.Workers = workers
 				opt.Cache = solvecache.New()
-				res, plan, err := CachedBudgetSweep(c.newArch, c.budgets, opt)
+				res, plan, err := CachedBudgetSweepCtx(context.Background(), c.newArch, c.budgets, opt)
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
@@ -129,7 +130,7 @@ func TestCachedBudgetSweepReuse(t *testing.T) {
 	opt := sweepFast
 	opt.Cache = solvecache.New()
 	budgets := []int{120, 160}
-	res, _, err := CachedBudgetSweep(arch.NetworkProcessor, budgets, opt)
+	res, _, err := CachedBudgetSweepCtx(context.Background(), arch.NetworkProcessor, budgets, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +142,7 @@ func TestCachedBudgetSweepReuse(t *testing.T) {
 		t.Errorf("shared boundary trajectory produced no exact hits: %+v", s)
 	}
 
-	again, err := BudgetSweep(arch.NetworkProcessor, budgets, opt)
+	again, err := BudgetSweepCtx(context.Background(), arch.NetworkProcessor, budgets, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

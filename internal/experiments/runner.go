@@ -183,17 +183,11 @@ func (r *BudgetSweepResult) WriteTable(w io.Writer) error {
 	return nil
 }
 
-// BudgetSweep runs the size→solve→resimulate methodology at every budget,
-// fanning the points across opt.Workers goroutines (GOMAXPROCS by default).
-// newArch must return a fresh architecture per call — points must not share
-// mutable state. Failed points are collected per budget rather than aborting
-// the sweep; the returned error is r.Err().
-func BudgetSweep(newArch func() *arch.Architecture, budgets []int, opt Options) (*BudgetSweepResult, error) {
-	return BudgetSweepCtx(context.Background(), newArch, budgets, opt)
-}
-
-// BudgetSweepCtx is BudgetSweep with cooperative cancellation, threaded into
-// both the point fan-out and each point's methodology run. On cancellation,
+// BudgetSweepCtx runs the size→solve→resimulate methodology at every
+// budget, fanning the points across opt.Workers goroutines (GOMAXPROCS by
+// default). newArch must return a fresh architecture per call — points must
+// not share mutable state. Failed points are collected per budget rather
+// than aborting the sweep; the returned error is r.Err(). On cancellation,
 // points not yet started fail with ctx.Err() (reported like any other point
 // failure) and in-flight points return as soon as core.RunCtx notices; the
 // partial result is still returned.

@@ -46,7 +46,7 @@ func TestBudgetSweepShape(t *testing.T) {
 		t.Skip("short mode")
 	}
 	budgets := []int{120, 160}
-	res, err := BudgetSweep(arch.NetworkProcessor, budgets, sweepFast)
+	res, err := BudgetSweepCtx(context.Background(), arch.NetworkProcessor, budgets, sweepFast)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestBudgetSweepPerPointErrors(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	res, err := BudgetSweep(arch.NetworkProcessor, []int{120, -1, 160}, sweepFast)
+	res, err := BudgetSweepCtx(context.Background(), arch.NetworkProcessor, []int{120, -1, 160}, sweepFast)
 	if err == nil {
 		t.Fatal("invalid budget did not surface an error")
 	}
@@ -85,7 +85,7 @@ func TestBudgetSweepPerPointErrors(t *testing.T) {
 }
 
 func TestBudgetSweepEmpty(t *testing.T) {
-	if _, err := BudgetSweep(nil, nil, Options{}); err == nil {
+	if _, err := BudgetSweepCtx(context.Background(), nil, nil, Options{}); err == nil {
 		t.Fatal("empty sweep accepted")
 	}
 }
@@ -110,7 +110,7 @@ func TestBudgetSweepRowsJSONAndStreaming(t *testing.T) {
 		mu.Unlock()
 	}
 	budgets := []int{24, -1, 30}
-	res, err := BudgetSweep(arch.TwoBusAMBA, budgets, opt)
+	res, err := BudgetSweepCtx(context.Background(), arch.TwoBusAMBA, budgets, opt)
 	if err == nil {
 		t.Fatal("invalid budget did not surface an error")
 	}

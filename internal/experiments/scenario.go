@@ -190,7 +190,7 @@ func ParseSeeds(s string) ([]int64, error) {
 }
 
 // ParseNames splits a comma-separated scenario-name list, ignoring empty
-// segments; an empty list means "the whole registry" to ScenarioSweep's
+// segments; an empty list means "the whole registry" to ScenarioSweepCtx's
 // callers.
 func ParseNames(s string) []string {
 	var out []string
@@ -202,18 +202,13 @@ func ParseNames(s string) []string {
 	return out
 }
 
-// ScenarioSweep runs the full methodology on every scenario, fanning the
+// ScenarioSweepCtx runs the full methodology on every scenario, fanning the
 // points across opt.Workers goroutines. A scenario's own solver knobs win;
 // its zero fields inherit opt (so -quick trims every scenario uniformly).
 // Failed scenarios are collected per point rather than aborting the sweep;
-// the returned error is r.Err().
-func ScenarioSweep(scs []scenario.Scenario, opt Options) (*ScenarioSweepResult, error) {
-	return ScenarioSweepCtx(context.Background(), scs, opt)
-}
-
-// ScenarioSweepCtx is ScenarioSweep with cooperative cancellation, threaded
-// into both the point fan-out and each scenario's methodology run (see
-// BudgetSweepCtx for the cancellation semantics).
+// the returned error is r.Err(). Cancellation is threaded into both the
+// point fan-out and each scenario's methodology run (see BudgetSweepCtx for
+// the semantics).
 func ScenarioSweepCtx(ctx context.Context, scs []scenario.Scenario, opt Options) (*ScenarioSweepResult, error) {
 	opt = opt.withDefaults()
 	if len(scs) == 0 {
@@ -292,7 +287,7 @@ func runScenario(ctx context.Context, sc scenario.Scenario, opt Options) (Scenar
 		WarmUp:  cfg.WarmUp,
 		Seed:    cfg.Seeds[0],
 	}
-	if !cfg.DisableCTMDPArbiter && res.Best.Solution != nil {
+	if res.Best.Solution != nil {
 		probeCfg.Arbiters, err = core.Arbiters(res.Arch, res.Best.Solution, res.Best.Alloc)
 		if err != nil {
 			return ScenarioPoint{}, err

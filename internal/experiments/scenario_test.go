@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"strings"
@@ -17,7 +18,7 @@ func TestScenarioSweepTwoPoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ScenarioSweep(scs, quickOpt)
+	res, err := ScenarioSweepCtx(context.Background(), scs, quickOpt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,13 +59,13 @@ func TestScenarioSweepDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 	serial := quickOpt
 	serial.Workers = 1
-	r1, err := ScenarioSweep(scs, serial)
+	r1, err := ScenarioSweepCtx(context.Background(), scs, serial)
 	if err != nil {
 		t.Fatal(err)
 	}
 	wide := quickOpt
 	wide.Workers = 8
-	r2, err := ScenarioSweep(scs, wide)
+	r2, err := ScenarioSweepCtx(context.Background(), scs, wide)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,11 +82,11 @@ func TestScenarioSweepBurstyDiffersFromPoisson(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, err := ScenarioSweep(scs, quickOpt)
+	r1, err := ScenarioSweepCtx(context.Background(), scs, quickOpt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := ScenarioSweep(scs, quickOpt)
+	r2, err := ScenarioSweepCtx(context.Background(), scs, quickOpt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +109,7 @@ func TestScenarioSweepCollectsPerPointFailures(t *testing.T) {
 	bad := good
 	bad.Name = "bad-budget"
 	bad.Budget = 2 // below one unit per buffer: core.Run fails
-	res, err := ScenarioSweep([]scenario.Scenario{bad, good}, quickOpt)
+	res, err := ScenarioSweepCtx(context.Background(), []scenario.Scenario{bad, good}, quickOpt)
 	if err == nil {
 		t.Fatal("expected a joined error")
 	}

@@ -1,7 +1,7 @@
-// Package policy collects the buffer-sizing policies the paper compares:
-// the constant (uniform) baseline, the traffic-proportional division the
-// introduction dismisses, the CTMDP methodology (internal/core), and the
-// timeout drop policy of Figure 3's third bar.
+// Package policy collects the baseline buffer-sizing policies the paper
+// compares the CTMDP methodology (internal/core) against: the constant
+// (uniform) baseline, the traffic-proportional division the introduction
+// dismisses, and the timeout drop policy of Figure 3's third bar.
 package policy
 
 import (
@@ -9,7 +9,6 @@ import (
 	"fmt"
 
 	"socbuf/internal/arch"
-	"socbuf/internal/core"
 	"socbuf/internal/sim"
 )
 
@@ -41,38 +40,6 @@ func (Proportional) Name() string { return "proportional" }
 // Allocate implements Sizer.
 func (Proportional) Allocate(a *arch.Architecture, budget int) (arch.Allocation, error) {
 	return arch.ProportionalAllocation(a, budget)
-}
-
-// CTMDP runs the full methodology and returns its best allocation. Fields
-// mirror the core.Config knobs that matter for sizing quality.
-type CTMDP struct {
-	Iterations int
-	Seeds      []int64
-	Horizon    float64
-	WarmUp     float64
-	// LastResult holds the full methodology result of the most recent
-	// Allocate call, for callers that need the policies too.
-	LastResult *core.Result
-}
-
-// Name implements Sizer.
-func (*CTMDP) Name() string { return "ctmdp" }
-
-// Allocate implements Sizer.
-func (c *CTMDP) Allocate(a *arch.Architecture, budget int) (arch.Allocation, error) {
-	res, err := core.Run(core.Config{
-		Arch:       a,
-		Budget:     budget,
-		Iterations: c.Iterations,
-		Seeds:      c.Seeds,
-		Horizon:    c.Horizon,
-		WarmUp:     c.WarmUp,
-	})
-	if err != nil {
-		return nil, err
-	}
-	c.LastResult = res
-	return res.Best.Alloc, nil
 }
 
 // TimeoutThreshold derives the paper's timeout-policy threshold — "the

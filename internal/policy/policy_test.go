@@ -10,11 +10,7 @@ import (
 func TestSizersProduceValidAllocations(t *testing.T) {
 	a := arch.TwoBusAMBA()
 	a.InsertBridgeBuffers()
-	sizers := []Sizer{
-		Uniform{},
-		Proportional{},
-		&CTMDP{Iterations: 2, Seeds: []int64{1}, Horizon: 600, WarmUp: 50},
-	}
+	sizers := []Sizer{Uniform{}, Proportional{}}
 	for _, s := range sizers {
 		al, err := s.Allocate(a, 24)
 		if err != nil {
@@ -30,27 +26,8 @@ func TestSizersProduceValidAllocations(t *testing.T) {
 }
 
 func TestSizerNames(t *testing.T) {
-	if (Uniform{}).Name() != "constant" || (Proportional{}).Name() != "proportional" || (&CTMDP{}).Name() != "ctmdp" {
+	if (Uniform{}).Name() != "constant" || (Proportional{}).Name() != "proportional" {
 		t.Fatal("sizer names changed; experiment labels depend on them")
-	}
-}
-
-func TestCTMDPKeepsLastResult(t *testing.T) {
-	c := &CTMDP{Iterations: 2, Seeds: []int64{1}, Horizon: 600, WarmUp: 50}
-	a := arch.TwoBusAMBA()
-	if _, err := c.Allocate(a, 24); err != nil {
-		t.Fatal(err)
-	}
-	if c.LastResult == nil || c.LastResult.Best == nil {
-		t.Fatal("LastResult not retained")
-	}
-}
-
-func TestCTMDPWorksOnUnbufferedInput(t *testing.T) {
-	// core.Run buffers a clone itself; the sizer must accept raw presets.
-	c := &CTMDP{Iterations: 1, Seeds: []int64{1}, Horizon: 400, WarmUp: 50}
-	if _, err := c.Allocate(arch.Figure1(), 40); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -38,8 +38,6 @@ type Scenario struct {
 	Seeds      []int64 `json:"seeds,omitempty"`
 	Horizon    float64 `json:"horizon,omitempty"`
 	WarmUp     float64 `json:"warmUp,omitempty"`
-	CapFactor  float64 `json:"capFactor,omitempty"`
-	Sequential bool    `json:"sequential,omitempty"`
 	// Method pins the scenario to a solver backend ("exact" | "analytic" |
 	// "hybrid" | "robust"); empty inherits the sweep's (or the exact)
 	// default. Name validation happens at dispatch (internal/solver), where
@@ -86,9 +84,6 @@ func (s Scenario) Validate() error {
 	if s.Horizon > 0 && s.WarmUp >= s.Horizon {
 		return fmt.Errorf("scenario %q: warm-up %v outside [0, horizon %v)", s.Name, s.WarmUp, s.Horizon)
 	}
-	if s.CapFactor < 0 || s.CapFactor > 1 {
-		return fmt.Errorf("scenario %q: cap factor %v outside [0,1]", s.Name, s.CapFactor)
-	}
 	if s.Method != "" {
 		if _, err := solver.Resolve(s.Method); err != nil {
 			return fmt.Errorf("scenario %q: %w", s.Name, err)
@@ -127,8 +122,6 @@ func (s Scenario) CoreConfig() (core.Config, error) {
 		Seeds:       s.Seeds,
 		Horizon:     s.Horizon,
 		WarmUp:      s.WarmUp,
-		CapFactor:   s.CapFactor,
-		Sequential:  s.Sequential,
 		Traffic:     factory,
 		Method:      s.Method,
 		Uncertainty: s.Uncertainty,

@@ -44,7 +44,7 @@ func TestAnalyticTierRoundTrip(t *testing.T) {
 }
 
 // TestAnalyticTierNilCache: a nil cache is the valid "caching disabled"
-// receiver, mirroring SolveJoint's contract.
+// receiver of the tier methods, and reports zero Stats.
 func TestAnalyticTierNilCache(t *testing.T) {
 	var c *Cache
 	if _, ok := c.LookupAnalytic(Key{}); ok {

@@ -33,10 +33,10 @@
 // bit-identical to what that canonical cold solve would produce (the
 // programs are the same bits). Sweep results therefore do not depend on
 // which worker populated the cache first, preserving the repo-wide
-// "identical results for any worker count" contract. Enabling the cache may
-// shift results relative to the uncached path at roundoff level (sub-models
-// are solved per-block rather than in one block-diagonal program); the
-// correctness gate pins the two within 1e-8 on all fixtures.
+// "identical results for any worker count" contract. Every methodology run
+// solves through a cache — core gives a run without one a private cache —
+// so a shared cache only saves work: a run gets the same answer from a
+// private cache as from one shared fleet-wide.
 //
 // Two tiers memoise whole answers rather than sub-models: placement holds
 // serialised placement results, and result holds serialised solve and
@@ -65,7 +65,8 @@ import (
 
 // Cache is a concurrency-safe, content-addressed store of solved sub-models.
 // The zero value is NOT usable; call New or NewBounded. A nil *Cache is a
-// valid "caching disabled" receiver for SolveJoint and every tier method.
+// valid "caching disabled" receiver for every tier method and Stats, but not
+// for SolveJoint.
 type Cache struct {
 	// exact keys sub-model entries by full fingerprint, structural by
 	// structural fingerprint (the warm-start siblings); both hold the same

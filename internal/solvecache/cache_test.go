@@ -350,21 +350,3 @@ func TestCacheBasisRoundTrip(t *testing.T) {
 		t.Fatalf("multi-model cache solve returned a basis (%d refs)", len(joint.Basis))
 	}
 }
-
-// TestNilCacheDelegates: a nil *Cache is the documented "caching off" value.
-func TestNilCacheDelegates(t *testing.T) {
-	models := presetModels(t, arch.TwoBusAMBA, 24)
-	var c *solvecache.Cache
-	got, err := c.SolveJoint(models, ctmdp.JointConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := ctmdp.SolveJoint(models, ctmdp.JointConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSolutionsAgree(t, want, got, 0, "nil cache vs direct")
-	if s := c.Stats(); s != (solvecache.Stats{}) {
-		t.Fatalf("nil cache reported stats: %+v", s)
-	}
-}

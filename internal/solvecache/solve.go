@@ -7,15 +7,15 @@ import (
 	"socbuf/internal/lp"
 )
 
-// SolveJoint is the cache-aware drop-in for ctmdp.SolveJoint. A nil receiver
-// delegates straight to the cold solver, so call sites can thread an
-// optional cache without branching.
+// SolveJoint is the cache-aware drop-in for ctmdp.SolveJoint, and the one
+// solve path of every methodology run (core gives a run without a shared
+// cache a private one). The receiver must be non-nil.
 //
-// Cap-free (and Sequential) programs decouple into independent sub-model
-// solves, which is where the fleet-wide reuse lives: each model is answered
-// from the cache (exact hit), from a structural sibling (warm start — only
-// capacities changed), or by a cold solve of its canonicalised clone that
-// then populates the cache. Capped joint programs are cached at
+// Cap-free programs decouple into independent sub-model solves, which is
+// where the fleet-wide reuse lives: each model is answered from the cache
+// (exact hit), from a structural sibling (warm start — only capacities
+// changed), or by a cold solve of its canonicalised clone that then
+// populates the cache. Capped joint programs are cached at
 // whole-program granularity under JointFingerprint; their stationary
 // refinement is warm-seeded from the cached free solutions when available.
 //
@@ -30,11 +30,8 @@ import (
 // A caller-supplied cfg.WarmBasis seed is superseded by the cache's own
 // seeding and ignored — a cached answer beats any warm start.
 func (c *Cache) SolveJoint(models []*ctmdp.Model, cfg ctmdp.JointConfig) (*ctmdp.JointSolution, error) {
-	if c == nil {
-		return ctmdp.SolveJoint(models, cfg)
-	}
-	if len(models) == 0 || (cfg.Sequential && cfg.OccupancyCap > 0) {
-		// Delegate so the canonical configuration errors surface unchanged.
+	if len(models) == 0 {
+		// Delegate so the canonical error surfaces unchanged.
 		return ctmdp.SolveJoint(models, cfg)
 	}
 	opts := optionsOf(cfg)

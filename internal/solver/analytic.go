@@ -22,7 +22,7 @@ import (
 // marginal-allocation greedy — every unit goes to the buffer whose weighted
 // loss rate w·λ·B(K) drops most. The M/M/1/K marginals are decreasing in K,
 // so the greedy is exact for the separable analytic objective (the same
-// argument as ctmdp.TranslateGreedyTail's, with the closed-form blocking in
+// argument as ctmdp.Translate's, with the closed-form blocking in
 // place of the measured tail ratio).
 //
 // Bridge coupling is handled the way the exact path handles it — a damped
@@ -81,27 +81,22 @@ func (analytic) Run(ctx context.Context, cfg core.Config) (*core.Result, error) 
 }
 
 // analyticSize computes the analytic allocation and its loss estimate for
-// the buffered architecture, consulting cfg.Cache's analytic tier when one
-// is attached (the key space is backend-tagged, so these entries can never
-// alias an exact CTMDP solution).
+// the buffered architecture through cfg.Cache's analytic tier (the key space
+// is backend-tagged, so these entries can never alias an exact CTMDP
+// solution).
 func analyticSize(a *arch.Architecture, cfg core.Config) (*solvecache.AnalyticSolution, error) {
-	var key solvecache.Key
-	if cfg.Cache != nil {
-		var err error
-		if key, err = analyticKey(a, cfg); err != nil {
-			return nil, err
-		}
-		if sol, ok := cfg.Cache.LookupAnalytic(key); ok {
-			return sol, nil
-		}
+	key, err := analyticKey(a, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if sol, ok := cfg.Cache.LookupAnalytic(key); ok {
+		return sol, nil
 	}
 	sol, err := analyticSolve(a, cfg)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Cache != nil {
-		cfg.Cache.PutAnalytic(key, sol)
-	}
+	cfg.Cache.PutAnalytic(key, sol)
 	return sol, nil
 }
 
@@ -121,7 +116,7 @@ func analyticKey(a *arch.Architecture, cfg core.Config) (solvecache.Key, error) 
 	for _, p := range procs {
 		fmt.Fprintf(&buf, "w:%s=%x;", p, math.Float64bits(cfg.LossWeights[p]))
 	}
-	return solvecache.AnalyticFingerprint(buf.Bytes(), cfg.Budget, cfg.BoundaryIters), nil
+	return solvecache.AnalyticFingerprint(buf.Bytes(), cfg.Budget, core.BoundaryIters), nil
 }
 
 // analyticModel is the dense closed-form view of the buffered architecture:
@@ -310,7 +305,7 @@ func blocking(lambda, mu float64, k int) float64 {
 
 // converge runs the closed-form boundary fixed point: greedy allocation at
 // the current arrival estimates, M/M/1/K blocking at that allocation, route
-// re-walk with blocking attenuation, damped update — cfg.BoundaryIters
+// re-walk with blocking attenuation, damped update — core.BoundaryIters
 // passes, mirroring the exact path's bridge-boundary iteration with
 // formulas in place of LP solves. It returns the converged arrival
 // estimates as a fresh dense slice.
@@ -322,7 +317,7 @@ func (m *analyticModel) converge(cfg core.Config) []float64 {
 	block := make([]float64, n)
 	next := make([]float64, n)
 	const damp = 0.7
-	for fp := 0; fp < cfg.BoundaryIters; fp++ {
+	for fp := 0; fp < core.BoundaryIters; fp++ {
 		m.serviceShare(arrival, mu, busLoad)
 		alloc, _ := m.greedy(arrival, mu, cfg.Budget, nil)
 		for i := 0; i < n; i++ {

@@ -1,6 +1,7 @@
 package solver_test
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -34,7 +35,7 @@ func backendSweep(tb testing.TB, method string, iters int) {
 		Iterations: iters, Seeds: []int64{1}, Horizon: 300, WarmUp: 50,
 		Workers: 1, Method: method,
 	}
-	res, err := experiments.BudgetSweep(newArch, budgets, opt)
+	res, err := experiments.BudgetSweepCtx(context.Background(), newArch, budgets, opt)
 	if err != nil {
 		tb.Fatal(err)
 	}

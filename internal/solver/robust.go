@@ -91,28 +91,23 @@ func (robust) Run(ctx context.Context, cfg core.Config) (*core.Result, error) {
 	return res, nil
 }
 
-// robustSize computes the chance-constrained sizing, consulting cfg.Cache's
-// robust tier when one is attached (backend-tagged keys — a robust decision
-// can never rebind as an exact or analytic solution).
+// robustSize computes the chance-constrained sizing through cfg.Cache's
+// robust tier (backend-tagged keys — a robust decision can never rebind as
+// an exact or analytic solution).
 func robustSize(ctx context.Context, a *arch.Architecture, cfg core.Config) (*solvecache.RobustSolution, error) {
 	spec := specOf(cfg)
-	var key solvecache.Key
-	if cfg.Cache != nil {
-		var err error
-		if key, err = robustKey(a, cfg, spec); err != nil {
-			return nil, err
-		}
-		if sol, ok := cfg.Cache.LookupRobust(key); ok {
-			return sol, nil
-		}
+	key, err := robustKey(a, cfg, spec)
+	if err != nil {
+		return nil, err
+	}
+	if sol, ok := cfg.Cache.LookupRobust(key); ok {
+		return sol, nil
 	}
 	sol, err := robustSolve(ctx, a, cfg, spec)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Cache != nil {
-		cfg.Cache.PutRobust(key, sol)
-	}
+	cfg.Cache.PutRobust(key, sol)
 	return sol, nil
 }
 
@@ -149,7 +144,7 @@ func robustKey(a *arch.Architecture, cfg core.Config, spec uncertain.Spec) (solv
 	if err := spec.WriteJSON(&specBuf); err != nil {
 		return solvecache.Key{}, err
 	}
-	return solvecache.RobustFingerprint(buf.Bytes(), specBuf.Bytes(), cfg.Budget, cfg.BoundaryIters), nil
+	return solvecache.RobustFingerprint(buf.Bytes(), specBuf.Bytes(), cfg.Budget, core.BoundaryIters), nil
 }
 
 // sampleScreen is one converged analytic view of a (possibly perturbed)
@@ -268,11 +263,8 @@ func (sc *sampleScreen) lossMap(alloc map[string]int) float64 {
 // yield counts compare against the loss target. Exported so out-of-sample
 // yield audits (tests, tools) can score a sizing on fresh perturbations
 // without re-running a backend. cfg needs Budget, and optionally
-// BoundaryIters (0 = the core default) and LossWeights.
+// LossWeights.
 func AnalyticLoss(a *arch.Architecture, cfg core.Config, alloc map[string]int) (float64, error) {
-	if cfg.BoundaryIters == 0 {
-		cfg.BoundaryIters = 3
-	}
 	sc, err := newSampleScreen(a, cfg)
 	if err != nil {
 		return 0, err
