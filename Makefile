@@ -17,6 +17,7 @@ BENCH_GATES = \
 	-gate 'BenchmarkSimplex=25' \
 	-gate 'BenchmarkStationaryDenseVsSparse/=25' \
 	-gate 'BenchmarkSolveJointCapped=25' \
+	-gate 'BenchmarkCappedSolve/=25' \
 	-gate 'BenchmarkRobustSweep=25' \
 	-gate 'BenchmarkFleetThroughput/=25' \
 	-gate 'BenchmarkAnalyticSolve=25' \
@@ -138,15 +139,18 @@ robust-smoke:
 		echo "robust-smoke: no Wilson bound in output"; echo "$$out"; exit 1; }
 
 # Brief run of every native fuzz target (strict-parser robustness — the
-# uncertainty-spec decoder and the two CLI list parsers — plus the blocking
-# recurrence's oracle gate against the big.Float MM1K form). Ten seconds per
-# target is enough to shake out panics and round-trip violations on new
-# code; the targets also run as plain tests (corpus seeds) under make test.
+# uncertainty-spec decoder and the two CLI list parsers — the blocking
+# recurrence's oracle gate against the big.Float MM1K form, and the remote
+# exact-payload decoder, which must miss or yield probabilities). Ten
+# seconds per target is enough to shake out panics and round-trip
+# violations on new code; the targets also run as plain tests (corpus
+# seeds) under make test.
 fuzz-smoke:
 	@for t in FuzzParseSpec=./internal/uncertain \
 		FuzzParseMethods=./internal/experiments \
 		FuzzParseCatalogue=./internal/placement \
-		FuzzBlockingRecurrence=./internal/queueing; do \
+		FuzzBlockingRecurrence=./internal/queueing \
+		FuzzExactPayload=./internal/solvecache; do \
 		name=$${t%=*}; pkg=$${t#*=}; \
 		echo "== fuzz-smoke ($$name) =="; \
 		$(GO) test -run '^$$' -fuzz "^$$name$$" -fuzztime 10s $$pkg || exit 1; \

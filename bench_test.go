@@ -247,6 +247,56 @@ func BenchmarkJointLPSolve(b *testing.B) {
 	}
 }
 
+// BenchmarkCappedSolve measures the capped program every exact methodology
+// step solves, on programs the size socbufbench's exact-sweep serves: the
+// network processor at budget 160, and a generated 8-bus one-processor
+// chain at 10 units per bus. Each is capped at 0.92 × its cap-free
+// occupancy, core's first rung. The pivot count is deterministic, so a
+// regression shows in it without timing noise.
+func BenchmarkCappedSolve(b *testing.B) {
+	chain8 := func() *arch.Architecture {
+		a, err := scenario.Topology{Kind: scenario.KindChain, Buses: 8, FanOut: 1, Skew: 4, Seed: 1}.Build()
+		if err != nil {
+			b.Fatal(err)
+		}
+		return a
+	}
+	for _, c := range []struct {
+		name    string
+		newArch func() *arch.Architecture
+		budget  int
+	}{
+		{"netproc", arch.NetworkProcessor, 160},
+		{"chain8", chain8, 80},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			a := c.newArch()
+			a.InsertBridgeBuffers()
+			alloc, err := arch.UniformAllocation(a, c.budget)
+			if err != nil {
+				b.Fatal(err)
+			}
+			models, err := core.BuildSubsystemModels(a, alloc, core.Config{Arch: a, Budget: c.budget})
+			if err != nil {
+				b.Fatal(err)
+			}
+			free, err := solvecache.New().SolveJoint(models, ctmdp.JointConfig{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			cfg := ctmdp.JointConfig{OccupancyCap: 0.92 * free.OccupancyUsed}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sol, err := ctmdp.SolveJoint(models, cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ReportMetric(float64(sol.Iters), "pivots")
+			}
+		})
+	}
+}
+
 // BenchmarkRobustSweep is the robust backend's acceptance benchmark
 // (PERFORMANCE.md "Robust backend throughput" records its measured numbers;
 // the nightly benchdiff gate covers it at the kernel tier's 25%): the same

@@ -9,8 +9,9 @@
 //     draining bus and as downstream-loss terms of the feeding bus;
 //  3. solve the subsystem LPs through the solve cache
 //     (solvecache.Cache.SolveJoint): each cap-free bus on its canonical
-//     clone, then one joint program linked by a total expected-occupancy
-//     cap; refresh the bridge boundary scalars (arrival rates and full
+//     clone, then the program linked by a total expected-occupancy cap,
+//     solved bus by bus under an occupancy price (ctmdp.SolveJoint);
+//     refresh the bridge boundary scalars (arrival rates and full
 //     probabilities) by a damped fixed point, keeping every inner solve
 //     linear — the paper's §2 device;
 //  4. translate the optimal occupation measure into physical buffer lengths

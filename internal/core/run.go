@@ -310,9 +310,9 @@ func (s *Stepper) Result() (*Result, error) {
 // refresh the boundary scalars, then a final capped solve produces the
 // measure used for translation. Every solve goes through cfg.Cache, so each
 // cap-free bus is solved on its canonical clone and the capped program is
-// one joint LP warm-started from the free bases. The context is checked
-// between boundary iterations — each individual LP solve runs to
-// completion.
+// solved bus by bus on the canonical clones under an occupancy price. The
+// context is checked between boundary iterations — each individual LP
+// solve runs to completion.
 func solveWithBoundary(ctx context.Context, a *arch.Architecture, alloc arch.Allocation, bnd *boundary, cfg Config) (*ctmdp.JointSolution, error) {
 	var sol *ctmdp.JointSolution
 	var models []*ctmdp.Model

@@ -19,8 +19,11 @@
 // Following Feinberg 2002, the average-cost optimal (possibly constrained)
 // policy is found by linear programming over state–action occupation
 // measures x(s,a); see solve.go. The paper's device of solving all split
-// subsystems "in one go" is the joint LP with a shared expected-occupancy
-// budget row linking the subsystem blocks.
+// subsystems "in one go" is the joint program with a shared
+// expected-occupancy budget row linking the subsystem blocks. That single
+// row makes Lagrangian duality exact, so SolveJoint never assembles it: it
+// prices occupancy and solves each subsystem alone, sweeping the price
+// until the budget binds (DESIGN.md §8).
 package ctmdp
 
 import (

@@ -3,6 +3,7 @@ package ctmdp
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"socbuf/internal/lp"
 )
@@ -11,28 +12,17 @@ import (
 type JointConfig struct {
 	// OccupancyCap bounds the total expected buffer occupancy (in physical
 	// units) across all subsystems: Σ_m Σ_(s,a) occ_m(s)·x_m(s,a) ≤ cap.
-	// This is the constraint that links the subsystem blocks into one LP —
-	// the paper's "solve all the equations in one go". Zero or negative
-	// disables it (the blocks then decouple mathematically but are still
-	// solved in a single program).
+	// This is the constraint that links the subsystem blocks — the paper's
+	// "solve all the equations in one go". SolveJoint meets it by pricing
+	// occupancy and solving each subsystem alone. Zero or negative disables
+	// it (the blocks then decouple and are solved as one block-diagonal
+	// program).
 	OccupancyCap float64
 	// RefineStationary recomputes each solution's stationary distribution
 	// from its policy-induced chain after the LP solve (linalg.Stationary
 	// picks the solver by state-space size). This tightens the LP's
 	// roundoff-level state probabilities.
 	RefineStationary bool
-	// WarmBasis optionally seeds the joint LP with each model's final
-	// simplex basis from a previous solve of the same balance system (the
-	// Basis of a single-model JointSolution). The canonical use is
-	// re-solving the same models under a new OccupancyCap from their cached
-	// cap-free optima: reconstructing the basis set restores those solves'
-	// reduced costs, so the new cap row needs only a handful of dual pivots
-	// instead of a full two-phase solve (lp.Problem.WarmBasis). A seed can
-	// never change the optimum reached — the LP layer falls back to the cold
-	// two-phase solve whenever the basis does not certify — though on
-	// degenerate programs it may select a different optimal vertex of equal
-	// objective. Ignored unless every model has a shape-matching entry.
-	WarmBasis [][]lp.BasicRef
 }
 
 // ModelSolution is the solved occupation measure of one subsystem plus the
@@ -61,44 +51,196 @@ type JointSolution struct {
 	// (within tolerance) — when true the K-switching theorem predicts
 	// randomisation.
 	CapBinding bool
+	// Price is the occupancy price λ* of a capped solve: each model's
+	// measure minimises its loss rate + Price × its occupancy on its own,
+	// which certifies the capped optimum. Zero when the cap is slack or
+	// absent.
+	Price float64
 	// Iters counts simplex pivots.
 	Iters int
-	// Basis is the assembled LP's final simplex basis (layout-independent;
-	// see lp.Solution.Basis). For a single-model solve it is the currency of
-	// JointConfig.WarmBasis: hand it back to re-solve the same balance
-	// system under a different occupancy cap with a few dual pivots.
-	Basis []lp.BasicRef
 }
 
-// ErrInfeasible is returned when the assembled LP has no feasible point
-// (cannot happen for valid models unless the occupancy cap is below the
-// minimum achievable expected occupancy).
+// ErrInfeasible is returned when the program has no feasible point (cannot
+// happen for valid models unless the occupancy cap is below the minimum
+// achievable expected occupancy).
 var ErrInfeasible = errors.New("ctmdp: LP infeasible")
 
-// SolveJoint assembles and solves the occupation-measure LP of the given
-// subsystem models as one program.
+// SolveJoint solves the occupation-measure LP of the given subsystem models.
+//
+// Without a cap the models decouple; they are assembled into one
+// block-diagonal program and solved in a single simplex run.
+//
+// With a cap the single linking row makes Lagrangian duality exact: the
+// capped optimum is a set of per-model measures, each minimising loss rate
+// + λ·occupancy alone, at the price λ* where total occupancy meets the cap.
+// SolveJoint finds λ* by sweeping the price over per-model parametric LPs
+// (lp.Parametric), never assembling the linking row. Every model starts at
+// its cap-free optimum; while total occupancy exceeds the cap, the model
+// with the smallest next breakpoint (ties to the lowest index) pivots once.
+// The step that takes the total to or below the cap is mixed with that
+// model's previous vertex so the cap holds with equality, which randomises
+// at most one state of one model (K-switching). When no model can lower its
+// occupancy any further the cap is infeasible (ErrInfeasible).
 func SolveJoint(models []*Model, cfg JointConfig) (*JointSolution, error) {
 	if len(models) == 0 {
 		return nil, errors.New("ctmdp: no models")
 	}
-	prob, offsets, err := assembleJoint(models, cfg)
+	var out *JointSolution
+	var err error
+	if cfg.OccupancyCap > 0 {
+		out, err = sweepCap(models, cfg.OccupancyCap, sweepLimit(models))
+	} else {
+		out, err = solveBlocks(models)
+	}
 	if err != nil {
 		return nil, err
 	}
+	if cfg.RefineStationary {
+		out.TotalLossRate, out.OccupancyUsed = 0, 0
+		for _, ms := range out.PerModel {
+			if _, err := ms.RefineStationary(nil); err != nil {
+				return nil, fmt.Errorf("ctmdp: model %q: %w", ms.Model.Bus, err)
+			}
+			out.TotalLossRate += ms.LossRate
+			for s, p := range ms.StateProb {
+				out.OccupancyUsed += ms.Model.OccupancyUnits(s) * p
+			}
+		}
+	}
+	// CapBinding reflects the occupancy actually reported — after
+	// refinement, that is the refined value.
+	if cfg.OccupancyCap > 0 && out.OccupancyUsed >= cfg.OccupancyCap*(1-1e-6) {
+		out.CapBinding = true
+	}
+	return out, nil
+}
 
+// solveBlocks solves cap-free models as one block-diagonal program.
+func solveBlocks(models []*Model) (*JointSolution, error) {
+	prob, offsets, err := assembleJoint(models)
+	if err != nil {
+		return nil, err
+	}
 	sol, err := lp.Solve(prob)
 	if err != nil {
 		return nil, fmt.Errorf("ctmdp: simplex: %w", err)
 	}
-	return extractJoint(models, offsets, cfg, sol)
+	if err := statusErr(sol.Status); err != nil {
+		return nil, err
+	}
+	xs := make([][]float64, len(models))
+	for i, m := range models {
+		xs[i] = sol.X[offsets[i] : offsets[i]+m.NumVars()]
+	}
+	return newJointSolution(models, xs, sol.Iters), nil
 }
 
-// assembleJoint builds the occupation-measure LP of the models under cfg:
-// per-model balance and normalisation rows, the warm basis, and — appended
-// LAST, as lp.Problem.WarmBasis requires — the linking occupancy row when
-// cfg.OccupancyCap > 0. It returns the problem and the per-model variable
-// offsets.
-func assembleJoint(models []*Model, cfg JointConfig) (*lp.Problem, []int, error) {
+// sweepCap solves the capped program bus by bus, as SolveJoint describes.
+// limit bounds the sweep's pivots; past it the sweep fails with
+// lp.ErrIterationLimit (each cold per-model solve has lp's own limit).
+func sweepCap(models []*Model, cap float64, limit int) (*JointSolution, error) {
+	buses := make([]*lp.Parametric, len(models))
+	occRows := make([][]float64, len(models))
+	xs := make([][]float64, len(models))
+	occ := make([]float64, len(models))
+	var total float64
+	iters := 0
+	for i, m := range models {
+		prob, _, err := assembleJoint([]*Model{m})
+		if err != nil {
+			return nil, err
+		}
+		occRows[i] = make([]float64, m.NumVars())
+		for v, sv := range m.vars {
+			occRows[i][v] = m.OccupancyUnits(sv.state)
+		}
+		pc, sol, err := lp.NewParametric(prob, occRows[i])
+		if err != nil {
+			return nil, fmt.Errorf("ctmdp: simplex: %w", err)
+		}
+		if err := statusErr(sol.Status); err != nil {
+			return nil, err
+		}
+		buses[i], xs[i] = pc, sol.X
+		occ[i] = dot(occRows[i], sol.X)
+		total += occ[i]
+		iters += sol.Iters
+	}
+
+	price := 0.0
+	for steps := 0; total > cap; steps++ {
+		if steps >= limit {
+			return nil, fmt.Errorf("ctmdp: occupancy price sweep: %w", lp.ErrIterationLimit)
+		}
+		k, next := -1, math.Inf(1)
+		for i, pc := range buses {
+			if l := pc.Next(); l < next {
+				k, next = i, l
+			}
+		}
+		if k < 0 {
+			return nil, ErrInfeasible // no model can lower its occupancy
+		}
+		sol, err := buses[k].Step()
+		if err != nil {
+			return nil, fmt.Errorf("ctmdp: occupancy price sweep: %w", err)
+		}
+		iters++
+		price = next
+		after := dot(occRows[k], sol.X)
+		rest := total - occ[k]
+		if rest+after <= cap {
+			// Mix the vertices before and after the step so the total
+			// meets the cap exactly: w is the previous vertex's weight.
+			w := (cap - rest - after) / (occ[k] - after)
+			for j, v := range sol.X {
+				sol.X[j] = w*xs[k][j] + (1-w)*v
+			}
+			xs[k] = sol.X
+			break
+		}
+		xs[k], occ[k], total = sol.X, after, rest+after
+	}
+	out := newJointSolution(models, xs, iters)
+	out.Price = price
+	return out, nil
+}
+
+// sweepLimit bounds a capped sweep's pivots: the pivot limit lp gives a
+// cold solve of each model, summed.
+func sweepLimit(models []*Model) int {
+	n := 0
+	for _, m := range models {
+		rows := m.numStates + 1
+		n += 200 * (rows + m.NumVars() + rows + 10)
+	}
+	return n
+}
+
+func dot(a, b []float64) float64 {
+	var s float64
+	for i, v := range a {
+		s += v * b[i]
+	}
+	return s
+}
+
+// statusErr maps a non-optimal LP status to the package's error.
+func statusErr(s lp.Status) error {
+	switch s {
+	case lp.Optimal:
+		return nil
+	case lp.Infeasible:
+		return ErrInfeasible
+	default:
+		return fmt.Errorf("ctmdp: unexpected LP status %v", s)
+	}
+}
+
+// assembleJoint builds the cap-free occupation-measure LP of the models:
+// per-model balance and normalisation rows over one variable layout. It
+// returns the problem and the per-model variable offsets.
+func assembleJoint(models []*Model) (*lp.Problem, []int, error) {
 	// Variable layout: models in order, each contributing NumVars variables.
 	offsets := make([]int, len(models))
 	total := 0
@@ -145,97 +287,31 @@ func assembleJoint(models []*Model, cfg JointConfig) (*lp.Problem, []int, error)
 			return nil, nil, err
 		}
 	}
-
-	// Warm basis: the concatenated per-model bases, accepted only when every
-	// model has a shape-matching entry (a partial seed would crash an
-	// inconsistent start and always fall back cold — wasted work). Rows were
-	// appended per model as numStates balance rows plus one normalisation
-	// row, which fixes the offsets; the cap row, when present, comes after
-	// every per-model block, as lp.Problem.WarmBasis requires of constraints
-	// the donor basis has not seen.
-	if len(cfg.WarmBasis) == len(models) {
-		var basis []lp.BasicRef
-		rowOff := 0
-		for i, m := range models {
-			rows := m.numStates + 1
-			if len(cfg.WarmBasis[i]) != rows {
-				basis = nil
-				break
-			}
-			for _, ref := range cfg.WarmBasis[i] {
-				if ref.Var >= 0 {
-					ref.Var += offsets[i]
-				} else {
-					ref.Row += rowOff
-				}
-				basis = append(basis, ref)
-			}
-			rowOff += rows
-		}
-		prob.WarmBasis = basis
-	}
-
-	// Linking occupancy row: each variable's state occupancy in physical
-	// units.
-	if cfg.OccupancyCap > 0 {
-		row := make([]float64, total)
-		for i, m := range models {
-			for v, sv := range m.vars {
-				row[offsets[i]+v] = m.OccupancyUnits(sv.state)
-			}
-		}
-		if err := prob.AddConstraint(row, lp.LE, cfg.OccupancyCap); err != nil {
-			return nil, nil, err
-		}
-	}
 	return prob, offsets, nil
 }
 
-// extractJoint maps the LP outcome back to the model layer: status check,
-// per-model occupation measures, policies, and the optional stationary
-// refinement pass.
-func extractJoint(models []*Model, offsets []int, cfg JointConfig, sol *lp.Solution) (*JointSolution, error) {
-	switch sol.Status {
-	case lp.Optimal:
-	case lp.Infeasible:
-		return nil, ErrInfeasible
-	default:
-		return nil, fmt.Errorf("ctmdp: unexpected LP status %v", sol.Status)
-	}
-
-	out := &JointSolution{TotalLossRate: sol.Objective, Iters: sol.Iters, Basis: sol.Basis}
-	var occUsed float64
+// newJointSolution wraps per-model occupation measures, each aligned with
+// its model's enumeration, as a JointSolution: state distributions, loss
+// rates, policies and the totals. The totals are running sums over every
+// variable in layout order, so TotalLossRate equals the block program's
+// objective to the bit.
+func newJointSolution(models []*Model, xs [][]float64, iters int) *JointSolution {
+	out := &JointSolution{Iters: iters}
 	for i, m := range models {
 		ms := &ModelSolution{Model: m, X: make([]float64, m.NumVars())}
-		copy(ms.X, sol.X[offsets[i]:offsets[i]+m.NumVars()])
+		copy(ms.X, xs[i])
 		ms.StateProb = make([]float64, m.numStates)
 		for v, sv := range m.vars {
+			cost := m.CostRate(sv.state, sv.action)
 			ms.StateProb[sv.state] += ms.X[v]
-			occUsed += m.OccupancyUnits(sv.state) * ms.X[v]
-			ms.LossRate += m.CostRate(sv.state, sv.action) * ms.X[v]
+			out.OccupancyUsed += m.OccupancyUnits(sv.state) * ms.X[v]
+			out.TotalLossRate += cost * ms.X[v]
+			ms.LossRate += cost * ms.X[v]
 		}
 		ms.Policy = extractPolicy(m, ms.X)
 		out.PerModel = append(out.PerModel, ms)
 	}
-	out.OccupancyUsed = occUsed
-	if cfg.RefineStationary {
-		out.TotalLossRate, out.OccupancyUsed = 0, 0
-		for _, ms := range out.PerModel {
-			if _, err := ms.RefineStationary(nil); err != nil {
-				return nil, fmt.Errorf("ctmdp: model %q: %w", ms.Model.Bus, err)
-			}
-			out.TotalLossRate += ms.LossRate
-			for s, p := range ms.StateProb {
-				out.OccupancyUsed += ms.Model.OccupancyUnits(s) * p
-			}
-		}
-	}
-	// CapBinding reflects the occupancy actually reported — after
-	// refinement, that is the refined value.
-	if cfg.OccupancyCap > 0 && out.OccupancyUsed >= cfg.OccupancyCap*(1-1e-6) {
-		out.CapBinding = true
-	}
-	return out, nil
+	return out
 }
 
 // OccupancyDistribution returns P(level_c = k) for k = 0..Levels of client c

@@ -1,11 +1,13 @@
 package ctmdp
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"socbuf/internal/lp"
 	"socbuf/internal/queueing"
 )
 
@@ -156,6 +158,35 @@ func TestInfeasibleOccupancyCap(t *testing.T) {
 	_, err := SolveJoint([]*Model{m}, JointConfig{OccupancyCap: 1e-4})
 	if err == nil {
 		t.Fatal("absurd occupancy cap accepted")
+	}
+}
+
+// TestCapSweepPivotBound: past its pivot bound the capped sweep returns
+// lp.ErrIterationLimit instead of running on; under the bound SolveJoint
+// gives, the same program solves.
+func TestCapSweepPivotBound(t *testing.T) {
+	clients := []Client{
+		{BufferID: "x", Lambda: 2.0, Levels: 2, UnitsPerLevel: 5, LossWeight: 1},
+		{BufferID: "y", Lambda: 2.0, Levels: 2, UnitsPerLevel: 1, LossWeight: 1},
+	}
+	models := []*Model{mustModel(t, "a", 4.5, clients), mustModel(t, "b", 3, clients)}
+	var occ float64
+	cold := 0 // pivots of the per-model cold solves the sweep starts from
+	for _, m := range models {
+		free := mustSolve(t, []*Model{m}, JointConfig{})
+		occ += free.OccupancyUsed
+		cold += free.Iters
+	}
+	cap := occ * 0.9
+	sol, err := sweepCap(models, cap, sweepLimit(models))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if steps := sol.Iters - cold; steps < 2 {
+		t.Fatalf("the cap took %d sweep pivots; the bound check needs at least 2", steps)
+	}
+	if _, err := sweepCap(models, cap, 1); !errors.Is(err, lp.ErrIterationLimit) {
+		t.Fatalf("sweep past its bound: %v, want lp.ErrIterationLimit", err)
 	}
 }
 

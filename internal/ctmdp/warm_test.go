@@ -1,12 +1,10 @@
 package ctmdp
 
 import (
-	"errors"
 	"math"
 	"testing"
 
 	"socbuf/internal/linalg"
-	"socbuf/internal/lp"
 )
 
 // TestWarmStationaryAgreesWithCold is the warm-start correctness gate at the
@@ -68,38 +66,6 @@ func TestWarmStationaryAgreesWithCold(t *testing.T) {
 				t.Fatalf("%s/%s: warm: %v", name, pname, err)
 			}
 			agree(name+"/full/"+pname, warm, full)
-		}
-	}
-}
-
-// TestWarmCappedSolveAgreesWithCold: re-solving fixtures under an occupancy
-// cap from their free solves' bases (the solve-cache's seeding) must reach
-// the cold optimum — same objective to 1e-8, warm path cheaper in pivots.
-func TestWarmCappedSolveAgreesWithCold(t *testing.T) {
-	for name, m := range fixtureModels(t) {
-		free := mustSolve(t, []*Model{m}, JointConfig{})
-		if free.OccupancyUsed < 0.1 {
-			continue
-		}
-		capped := JointConfig{OccupancyCap: free.OccupancyUsed * 0.9}
-		cold, err := SolveJoint([]*Model{m}, capped)
-		if errors.Is(err, ErrInfeasible) {
-			continue
-		}
-		if err != nil {
-			t.Fatalf("%s: cold: %v", name, err)
-		}
-		warmCfg := capped
-		warmCfg.WarmBasis = [][]lp.BasicRef{free.Basis}
-		warm, err := SolveJoint([]*Model{m}, warmCfg)
-		if err != nil {
-			t.Fatalf("%s: warm: %v", name, err)
-		}
-		if d := math.Abs(warm.TotalLossRate - cold.TotalLossRate); d > 1e-8 {
-			t.Errorf("%s: warm and cold capped objectives differ by %g", name, d)
-		}
-		if d := math.Abs(warm.OccupancyUsed - cold.OccupancyUsed); d > 1e-6 {
-			t.Errorf("%s: warm and cold occupancies differ by %g", name, d)
 		}
 	}
 }

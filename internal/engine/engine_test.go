@@ -543,7 +543,7 @@ func TestEngineTierBound(t *testing.T) {
 		}
 		s := bounded.Stats().Cache
 		for name, n := range map[string]int{
-			"Entries": s.Entries, "JointEntries": s.JointEntries, "AnalyticEntries": s.AnalyticEntries,
+			"Entries": s.Entries, "AnalyticEntries": s.AnalyticEntries,
 			"RobustEntries": s.RobustEntries, "PlacementEntries": s.PlacementEntries,
 			"ResultEntries": s.ResultEntries,
 		} {
@@ -557,7 +557,7 @@ func TestEngineTierBound(t *testing.T) {
 	// one) each exceed the bound, and total at least ten times it.
 	s := unbounded.Stats().Cache
 	keys := map[string]int64{
-		"exact": s.Misses + s.WarmStarts, "joint": s.JointMisses, "analytic": s.AnalyticMisses,
+		"exact": s.Misses + s.WarmStarts, "analytic": s.AnalyticMisses,
 		"robust": s.RobustMisses, "placement": s.PlacementMisses, "result": int64(s.ResultEntries),
 	}
 	var total int64

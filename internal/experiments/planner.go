@@ -188,14 +188,13 @@ func SweepWithPlanCtx(ctx context.Context, newArch func() *arch.Architecture, bu
 // the derived per-tier hit rates (solvecache.Stats.Rates). Tiers appear only
 // once touched, keeping exact-only invocations' output compact.
 func WriteCacheStats(w io.Writer, s solvecache.Stats) error {
-	headers := []string{"HITS", "warm starts", "misses", "joint hits", "joint misses", "entries"}
+	headers := []string{"HITS", "warm starts", "misses", "capped solves", "entries"}
 	rows := [][]string{{
 		fmt.Sprint(s.Hits),
 		fmt.Sprint(s.WarmStarts),
 		fmt.Sprint(s.Misses),
-		fmt.Sprint(s.JointHits),
 		fmt.Sprint(s.JointMisses),
-		fmt.Sprint(s.Entries + s.JointEntries + s.AnalyticEntries + s.RobustEntries + s.PlacementEntries + s.ResultEntries),
+		fmt.Sprint(s.Entries + s.AnalyticEntries + s.RobustEntries + s.PlacementEntries + s.ResultEntries),
 	}}
 	if s.AnalyticHits+s.AnalyticMisses > 0 {
 		headers = append(headers, "analytic hits", "analytic misses")
@@ -226,7 +225,7 @@ func WriteCacheStats(w io.Writer, s solvecache.Stats) error {
 	}
 	// Fixed tier order (the Rates doc's order), filtered to traffic seen.
 	var rh, rr []string
-	for _, tier := range []string{"exact", "structural", "joint", "analytic", "robust", "placement", "result", "remote"} {
+	for _, tier := range []string{"exact", "structural", "analytic", "robust", "placement", "result", "remote"} {
 		if v, ok := rates[tier]; ok {
 			rh = append(rh, tier)
 			rr = append(rr, fmt.Sprintf("%.1f%%", 100*v))

@@ -10,11 +10,21 @@
 // equalities, a normalisation equality and budget inequalities, all with
 // non-negative variables, which is exactly this standard form.
 //
-// The solver uses Bland's anti-cycling rule, so it terminates on degenerate
-// problems (CTMDP balance systems are always degenerate: one balance row is
-// redundant). It is a dense tableau implementation; CTMDP instances in this
-// repository stay below a few thousand variables, where dense simplex is
-// simple and fast enough.
+// Pivoting follows Dantzig's rule (most negative reduced cost) and switches
+// to Bland's lowest-index rule after a run of pivots without progress. The
+// ratio test breaks ties towards the largest pivot entry for numerical
+// stability, which voids Bland's termination guarantee; so after a long
+// stall under Bland's rule the solver accepts a vertex whose reduced costs
+// clear a loosened 1e-6 tolerance, and a pivot limit proportional to the
+// problem size ends any solve that still runs on. CTMDP balance systems
+// are always degenerate (one balance row is redundant), which is why these
+// safeguards exist. It is a dense tableau implementation; CTMDP instances
+// in this repository stay below a few thousand variables, where dense
+// simplex is simple and fast enough.
+//
+// Parametric continues a solved program along a cost ray c + λd as the
+// price λ rises, one pivot per basis change: the capped CTMDP program uses
+// it to price total buffer occupancy bus by bus.
 package lp
 
 import (
@@ -60,35 +70,6 @@ type Problem struct {
 	// Constraints holds the rows. Every row's Coeffs must have the same
 	// length as Objective.
 	Constraints []Constraint
-	// WarmBasis optionally seeds the solve with a related solve's final
-	// basis (Solution.Basis) — typically the optimum of the same system
-	// before one more inequality was added. Reconstructing the basis SET
-	// reproduces that solve's reduced costs, which for an optimal basis are
-	// non-negative, so phase 1 is skipped outright and rows the donor
-	// optimum violates are repaired by dual simplex steps. Rows of this
-	// problem beyond len(WarmBasis) (constraints appended since the donor
-	// solve; they must be appended LAST) start on their own auxiliary basis.
-	// The donor problem's rows must match this problem's leading rows one
-	// for one. The warm path is best-effort — any inconsistency falls back
-	// to the ordinary two-phase solve — so WarmBasis can only change how
-	// fast the optimum is found, never which optimum value is reported
-	// (degenerate programs may return a different optimal vertex of equal
-	// objective).
-	WarmBasis []BasicRef
-}
-
-// BasicRef names the variable basic in one constraint row in a
-// layout-independent way, so a basis can be carried from one problem to a
-// related one whose auxiliary columns land at different indices: structural
-// variables by their index, auxiliary (slack/surplus/artificial) columns by
-// the constraint row that owns them.
-type BasicRef struct {
-	// Var is the structural variable index, or -1 for an auxiliary column.
-	Var int
-	// Row is the owning constraint row of the auxiliary column (Var == -1).
-	Row int
-	// Art selects the row's artificial rather than its slack/surplus.
-	Art bool
 }
 
 // NewProblem returns an empty problem over n variables.
@@ -140,18 +121,12 @@ type Solution struct {
 	X         []float64 // optimal point (valid only when Status == Optimal)
 	Objective float64   // cᵀx at the optimum
 	Iters     int       // simplex pivots performed across both phases
-	// Warmed reports that the warm-start path produced this solution (the
-	// donor basis held and phase 1 was skipped).
-	Warmed bool
-	// Basis is the final simplex basis in layout-independent form, one entry
-	// per constraint row — feed it to a related Problem's WarmBasis to
-	// warm-start the next solve. Populated only for Optimal solutions.
-	Basis []BasicRef
 }
 
 // ErrNoVariables is returned for a problem with an empty objective.
 var ErrNoVariables = errors.New("lp: problem has no variables")
 
-// ErrIterationLimit is returned if the pivot limit is exceeded. With Bland's
-// rule this indicates a bug or a pathologically large instance, never cycling.
+// ErrIterationLimit is returned if the pivot limit is exceeded: the solve
+// stalled (degenerate cycling the anti-stall rules did not break) or the
+// instance is pathologically large.
 var ErrIterationLimit = errors.New("lp: iteration limit exceeded")

@@ -9,87 +9,26 @@ const (
 	pivotEps  = 1e-9 // entries smaller than this are treated as zero pivots
 	feasEps   = 1e-7 // phase-1 objective above this means infeasible
 	reduceEps = 1e-9 // reduced-cost tolerance for optimality
-	crashEps  = 1e-7 // minimum pivot magnitude accepted while crashing a warm basis
 )
 
 // tableau is the dense simplex working state. Layout:
 //
 //	rows 0..m-1:  constraint rows, columns 0..n-1 variables, column n = RHS
 //	row m:        objective row (reduced costs), column n = -objective value
+//
+// A Parametric appends one more row below the objective (the reduced
+// occupancy vector); pivot keeps every row current.
 type tableau struct {
 	m, n  int
-	a     [][]float64 // (m+1) x (n+1)
+	a     [][]float64 // (m+1) x (n+1), or (m+2) x (n+1) under a Parametric
 	basis []int       // basis[i] = variable index basic in row i
 }
 
-// layout records which auxiliary column each constraint row owns, for the
-// layout-independent basis encoding (BasicRef).
-type layout struct {
-	rowSlack []int // slack/surplus column of each row, -1 when none
-	rowArt   []int // artificial column of each row, -1 when none
-}
-
-// encodeBasis converts the tableau's basis into BasicRef form.
-func (t *tableau) encodeBasis(nVars int, lay layout) []BasicRef {
-	owner := map[int]BasicRef{}
-	for i, c := range lay.rowSlack {
-		if c >= 0 {
-			owner[c] = BasicRef{Var: -1, Row: i}
-		}
-	}
-	for i, c := range lay.rowArt {
-		if c >= 0 {
-			owner[c] = BasicRef{Var: -1, Row: i, Art: true}
-		}
-	}
-	refs := make([]BasicRef, t.m)
-	for i, b := range t.basis {
-		if b < nVars {
-			refs[i] = BasicRef{Var: b}
-		} else {
-			refs[i] = owner[b]
-		}
-	}
-	return refs
-}
-
-// decodeBasis resolves BasicRefs against this problem's layout, returning
-// the target basis columns or ok=false when any ref does not exist here.
-func decodeBasis(refs []BasicRef, nVars int, lay layout) ([]int, bool) {
-	cols := make([]int, len(refs))
-	for i, r := range refs {
-		switch {
-		case r.Var >= nVars:
-			return nil, false
-		case r.Var >= 0:
-			cols[i] = r.Var
-		case r.Row < 0 || r.Row >= len(lay.rowSlack):
-			return nil, false
-		case r.Art:
-			if lay.rowArt[r.Row] < 0 {
-				return nil, false
-			}
-			cols[i] = lay.rowArt[r.Row]
-		default:
-			if lay.rowSlack[r.Row] < 0 {
-				return nil, false
-			}
-			cols[i] = lay.rowSlack[r.Row]
-		}
-	}
-	return cols, true
-}
-
 // build assembles the raw tableau: normalised rows, slack/surplus columns,
-// artificials basic in GE/EQ rows. nVars is the count of structural
-// variables; artStart the first artificial column.
-func build(p *Problem) (t *tableau, artStart int, lay layout) {
+// artificials basic in GE/EQ rows. artStart is the first artificial column.
+func build(p *Problem) (t *tableau, artStart int) {
 	n := p.NumVars()
 	m := len(p.Constraints)
-	lay = layout{rowSlack: make([]int, m), rowArt: make([]int, m)}
-	for i := range lay.rowSlack {
-		lay.rowSlack[i], lay.rowArt[i] = -1, -1
-	}
 
 	type rowSpec struct {
 		coeffs []float64
@@ -152,24 +91,20 @@ func build(p *Problem) (t *tableau, artStart int, lay layout) {
 		case LE:
 			t.a[i][slackCol] = 1
 			t.basis[i] = slackCol
-			lay.rowSlack[i] = slackCol
 			slackCol++
 		case GE:
 			t.a[i][slackCol] = -1
-			lay.rowSlack[i] = slackCol
 			slackCol++
 			t.a[i][artCol] = 1
 			t.basis[i] = artCol
-			lay.rowArt[i] = artCol
 			artCol++
 		case EQ:
 			t.a[i][artCol] = 1
 			t.basis[i] = artCol
-			lay.rowArt[i] = artCol
 			artCol++
 		}
 	}
-	return t, artStart, lay
+	return t, artStart
 }
 
 // clearArtificials drives every still-basic artificial (at zero level) out
@@ -258,25 +193,22 @@ func (t *tableau) extract(p *Problem, iters int) *Solution {
 	return &Solution{Status: Optimal, X: x, Objective: objVal, Iters: iters}
 }
 
-// Solve runs simplex on the problem: the warm-start path when p.WarmBasis is
-// present (falling back silently if it is not usable), else two-phase
-// primal. The limit on pivots is proportional to the problem size;
-// exceeding it returns ErrIterationLimit.
+// Solve runs two-phase primal simplex on the problem. The limit on pivots
+// is proportional to the problem size; exceeding it returns
+// ErrIterationLimit.
 func Solve(p *Problem) (*Solution, error) {
-	if p.NumVars() == 0 {
-		return nil, ErrNoVariables
-	}
-	if len(p.WarmBasis) > 0 {
-		if sol, ok := solveWarm(p); ok {
-			return sol, nil
-		}
-	}
-	return solveCold(p)
+	sol, _, _, err := solveCold(p)
+	return sol, err
 }
 
-// solveCold is the ordinary two-phase primal simplex.
-func solveCold(p *Problem) (*Solution, error) {
-	t, artStart, lay := build(p)
+// solveCold is the ordinary two-phase primal simplex. Besides the solution
+// it returns the final tableau and its first artificial column, from which
+// a Parametric continues an Optimal solve.
+func solveCold(p *Problem) (*Solution, *tableau, int, error) {
+	if p.NumVars() == 0 {
+		return nil, nil, 0, ErrNoVariables
+	}
+	t, artStart := build(p)
 	total := t.n
 	nArt := total - artStart
 	maxIters := 200 * (t.m + total + 10)
@@ -303,10 +235,10 @@ func solveCold(p *Problem) (*Solution, error) {
 		it, err := t.iterate(maxIters, artStart)
 		iters += it
 		if err != nil {
-			return nil, fmt.Errorf("lp: phase 1: %w", err)
+			return nil, nil, 0, fmt.Errorf("lp: phase 1: %w", err)
 		}
 		if -t.a[t.m][total] > feasEps {
-			return &Solution{Status: Infeasible, Iters: iters}, nil
+			return &Solution{Status: Infeasible, Iters: iters}, nil, 0, nil
 		}
 		iters += t.clearArtificials(artStart)
 	}
@@ -317,242 +249,28 @@ func solveCold(p *Problem) (*Solution, error) {
 	iters += it
 	if err != nil {
 		if err == errUnbounded {
-			return &Solution{Status: Unbounded, Iters: iters}, nil
+			return &Solution{Status: Unbounded, Iters: iters}, nil, 0, nil
 		}
-		return nil, err
+		return nil, nil, 0, err
 	}
-	sol := t.extract(p, iters)
-	sol.Basis = t.encodeBasis(p.NumVars(), lay)
-	return sol, nil
-}
-
-// solveWarm rebuilds the donor solve's basis SET (p.WarmBasis) and solves
-// from there, skipping phase 1. Reduced costs depend only on which columns
-// are basic, so an optimal donor hands over a dual-feasible start, and any
-// rows it violates (inequalities appended since, e.g. a new occupancy cap)
-// are repaired by a few dual simplex steps. Returns ok=false to send the
-// caller down the cold path whenever the start cannot be established; the
-// warm path therefore never changes the reported optimum, only the pivot
-// count (degenerate programs may surface a different optimal vertex of
-// equal objective).
-func solveWarm(p *Problem) (*Solution, bool) {
-	n := p.NumVars()
-	t, artStart, lay := build(p)
-	maxIters := 200 * (t.m + t.n + 10)
-	iters := 0
-
-	if len(p.WarmBasis) > t.m {
-		return nil, false
-	}
-	target, ok := decodeBasis(p.WarmBasis, n, lay)
-	if !ok {
-		return nil, false
-	}
-	// The donor's basis matrix is nonsingular over the donor's own rows, so
-	// reconstruction is confined to them; appended rows keep their own
-	// auxiliary basic (the slack of a new inequality).
-	it, ok := t.crashBasis(target, len(p.WarmBasis))
-	iters += it
-	if !ok {
-		return nil, false
-	}
-	// No artificial may survive in the basis outside the donor's own
-	// (degenerate, zero-level) entries — an appended equality row would do
-	// that, and phase 1 could not be skipped for it.
-	inTarget := make(map[int]bool, len(target))
-	for _, c := range target {
-		inTarget[c] = true
-	}
-	for _, b := range t.basis {
-		if b >= artStart && !inTarget[b] {
-			return nil, false
-		}
-	}
-
-	t.phase2Objective(p)
-
-	// Repair negative basics by dual simplex, which needs the reduced costs
-	// (near-)non-negative. A donor basis that was optimal certifies up to
-	// roundoff; anything else goes cold here, and the primal cleanup below
-	// mops up negativity inside the loosened tolerance.
-	if t.minRHS() < -1e-9 {
-		for j := 0; j < artStart; j++ {
-			if t.a[t.m][j] < -1e-7 {
-				return nil, false // not dual feasible: cold path
-			}
-		}
-		it, err := t.dualIterate(maxIters, artStart)
-		iters += it
-		switch err {
-		case nil:
-		case errInfeasible:
-			return &Solution{Status: Infeasible, Iters: iters, Warmed: true}, true
-		default:
-			return nil, false
-		}
-	}
-
-	// Primal cleanup from a feasible, near-optimal basis.
-	it, err := t.iterate(maxIters, artStart)
-	iters += it
-	if err == errUnbounded {
-		return &Solution{Status: Unbounded, Iters: iters, Warmed: true}, true
-	}
-	if err != nil {
-		return nil, false
-	}
-	sol := t.extract(p, iters)
-	sol.Warmed = true
-	sol.Basis = t.encodeBasis(n, lay)
-	return sol, true
-}
-
-// crashBasis pivots the target basis SET into place by multi-pass Gaussian
-// elimination over the first rowLimit rows: each pass claims target columns
-// into eligible rows still holding a non-target basic, pivoting on the
-// largest available entry. For a nonsingular target basis this terminates
-// with every target column basic; anything else reports ok=false.
-func (t *tableau) crashBasis(target []int, rowLimit int) (int, bool) {
-	inTarget := make([]bool, t.n)
-	for _, c := range target {
-		if c < 0 || c >= t.n || inTarget[c] {
-			return 0, false // malformed or duplicated target
-		}
-		inTarget[c] = true
-	}
-	var pending []int
-	done := make([]bool, t.n)
-	for _, b := range t.basis {
-		if inTarget[b] {
-			done[b] = true // already basic (e.g. a slack the donor kept basic)
-		}
-	}
-	for _, c := range target {
-		if !done[c] {
-			pending = append(pending, c)
-		}
-	}
-	pivots := 0
-	for len(pending) > 0 {
-		var stuck []int
-		progressed := false
-		for _, c := range pending {
-			best, bestAbs := -1, crashEps
-			for i := 0; i < rowLimit && i < t.m; i++ {
-				if inTarget[t.basis[i]] {
-					continue // row already holds a target basic
-				}
-				if a := math.Abs(t.a[i][c]); a > bestAbs {
-					best, bestAbs = i, a
-				}
-			}
-			if best == -1 {
-				stuck = append(stuck, c)
-				continue
-			}
-			t.pivot(best, c)
-			pivots++
-			progressed = true
-		}
-		if !progressed {
-			return pivots, false // dependent target set (or numerics): cold path
-		}
-		pending = stuck
-	}
-	return pivots, true
-}
-
-// minRHS returns the most negative basic value.
-func (t *tableau) minRHS() float64 {
-	mn := 0.0
-	for i := 0; i < t.m; i++ {
-		if v := t.a[i][t.n]; v < mn {
-			mn = v
-		}
-	}
-	return mn
-}
-
-// dualIterate runs dual simplex pivots until primal feasibility (RHS ≥ 0) is
-// restored. Precondition: reduced costs are (near-)non-negative (dual
-// feasible); the ratio test preserves that. A negative row with no negative
-// entry certifies primal infeasibility (errInfeasible) when the violation is
-// decisive; a merely roundoff-sized violation returns errStall so the caller
-// can fall back to the cold path rather than mislabel a feasible program.
-func (t *tableau) dualIterate(maxIters, banFrom int) (int, error) {
-	obj := t.a[t.m]
-	iters := 0
-	for {
-		if iters >= maxIters {
-			return iters, ErrIterationLimit
-		}
-		// Leaving row: most negative basic value.
-		leave := -1
-		worst := -1e-9
-		for i := 0; i < t.m; i++ {
-			if v := t.a[i][t.n]; v < worst {
-				worst = v
-				leave = i
-			}
-		}
-		if leave == -1 {
-			return iters, nil // primal feasible
-		}
-		// Entering column: dual ratio test over negative entries. Ties —
-		// ubiquitous on degenerate CTMDP duals — break towards the largest
-		// pivot magnitude: bigger pivots both bound tableau growth and take
-		// longer steps out of the degenerate vertex than Bland's lowest
-		// index, which crawls. Termination is still safeguarded by maxIters
-		// (and every caller treats that as "go re-solve cold").
-		enter := -1
-		bestRatio := math.Inf(1)
-		bestPivot := 0.0
-		for j := 0; j < t.n && j < banFrom; j++ {
-			aij := t.a[leave][j]
-			if aij >= -pivotEps {
-				continue
-			}
-			ratio := math.Max(obj[j], 0) / -aij
-			switch {
-			case ratio < bestRatio-1e-12:
-				bestRatio = ratio
-				bestPivot = -aij
-				enter = j
-			case ratio <= bestRatio+1e-12 && -aij > bestPivot:
-				if ratio < bestRatio {
-					bestRatio = ratio
-				}
-				bestPivot = -aij
-				enter = j
-			}
-		}
-		if enter == -1 {
-			if worst > -1e-6 {
-				return iters, errStall
-			}
-			return iters, errInfeasible
-		}
-		t.pivot(leave, enter)
-		iters++
-	}
+	return t.extract(p, iters), t, artStart, nil
 }
 
 type simplexErr string
 
 func (e simplexErr) Error() string { return string(e) }
 
-const (
-	errUnbounded  = simplexErr("lp: unbounded")
-	errInfeasible = simplexErr("lp: infeasible row")
-	errStall      = simplexErr("lp: warm start stalled")
-)
+const errUnbounded = simplexErr("lp: unbounded")
 
 // iterate runs simplex pivots until optimal, unbounded or the iteration cap.
 // Columns at index >= banFrom are never entered (used to keep artificials out
 // during phase 2). Pivoting uses Dantzig's rule (most negative reduced cost)
 // for speed; a run of pivots with no objective progress flips it to Bland's
-// rule permanently, which guarantees termination (switching back on
-// roundoff-scale "improvements" can livelock between the two rules).
+// entering rule permanently (switching back on roundoff-scale
+// "improvements" can livelock between the two rules). The ratio test's
+// largest-pivot tie-break voids Bland's termination proof, so two backstops
+// remain: a long Bland stall accepts the vertex at a loosened 1e-6
+// reduced-cost tolerance, and maxIters ends the rest.
 func (t *tableau) iterate(maxIters, banFrom int) (int, error) {
 	obj := t.a[t.m]
 	iters := 0
@@ -586,40 +304,7 @@ func (t *tableau) iterate(maxIters, banFrom int) (int, error) {
 		if enter == -1 {
 			return iters, nil // optimal
 		}
-		// Ratio test with a numerical-stability tie-break. CTMDP balance
-		// systems are maximally degenerate (almost every RHS is 0): many
-		// rows tie at ratio 0, and repeatedly pivoting on tiny entries
-		// blows the tableau up until "reduced costs" are pure noise. Among
-		// (near-)minimal-ratio rows we therefore pivot on the LARGEST
-		// entry in the entering column, which keeps growth bounded.
-		leave := -1
-		bestRatio := math.Inf(1)
-		bestPivot := 0.0
-		for i := 0; i < t.m; i++ {
-			aij := t.a[i][enter]
-			if aij <= pivotEps {
-				continue
-			}
-			// Roundoff can leave a basic value microscopically negative;
-			// clamp so ratios stay non-negative.
-			rhs := t.a[i][t.n]
-			if rhs < 0 {
-				rhs = 0
-			}
-			ratio := rhs / aij
-			switch {
-			case ratio < bestRatio-1e-9:
-				bestRatio = ratio
-				bestPivot = aij
-				leave = i
-			case ratio <= bestRatio+1e-9 && aij > bestPivot:
-				if ratio < bestRatio {
-					bestRatio = ratio
-				}
-				bestPivot = aij
-				leave = i
-			}
-		}
+		leave := t.ratioTest(enter)
 		if leave == -1 {
 			return iters, errUnbounded
 		}
@@ -653,6 +338,45 @@ func (t *tableau) iterate(maxIters, banFrom int) (int, error) {
 	}
 }
 
+// ratioTest picks the row that leaves when column enter enters, or -1 when
+// no entry of the column is positive (the ray is unbounded). It breaks ties
+// for numerical stability: CTMDP balance systems are maximally degenerate
+// (almost every RHS is 0), so many rows tie at ratio 0, and repeatedly
+// pivoting on tiny entries blows the tableau up until "reduced costs" are
+// pure noise. Among (near-)minimal-ratio rows it therefore picks the
+// LARGEST entry in the entering column, which keeps growth bounded.
+func (t *tableau) ratioTest(enter int) int {
+	leave := -1
+	bestRatio := math.Inf(1)
+	bestPivot := 0.0
+	for i := 0; i < t.m; i++ {
+		aij := t.a[i][enter]
+		if aij <= pivotEps {
+			continue
+		}
+		// Roundoff can leave a basic value microscopically negative;
+		// clamp so ratios stay non-negative.
+		rhs := t.a[i][t.n]
+		if rhs < 0 {
+			rhs = 0
+		}
+		ratio := rhs / aij
+		switch {
+		case ratio < bestRatio-1e-9:
+			bestRatio = ratio
+			bestPivot = aij
+			leave = i
+		case ratio <= bestRatio+1e-9 && aij > bestPivot:
+			if ratio < bestRatio {
+				bestRatio = ratio
+			}
+			bestPivot = aij
+			leave = i
+		}
+	}
+	return leave
+}
+
 // pivot makes column `col` basic in row `row`. The eliminate loop is
 // unrolled 4-wide over slices re-sliced to the n variable columns (the RHS
 // column is updated separately) so the bounds checks hoist — this saxpy is
@@ -667,11 +391,10 @@ func (t *tableau) pivot(row, col int) {
 	prow[t.n] *= inv
 	prow[col] = 1 // exact
 	ps := prow[:w]
-	for i := 0; i <= t.m; i++ {
+	for i, ri := range t.a {
 		if i == row {
 			continue
 		}
-		ri := t.a[i]
 		f := ri[col]
 		if f == 0 {
 			continue

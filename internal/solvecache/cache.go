@@ -22,11 +22,11 @@
 //     construction. Genuinely different models (rates changed) miss and
 //     solve cold.
 //
-// Capped joint programs (the occupancy cap links the blocks) are cached
-// whole under JointFingerprint. A joint miss is one LP solve warm-started
-// from the blocks' cached cap-free bases (ctmdp.JointConfig.WarmBasis),
-// else cold, and its stationary refinement is seeded from the cached free
-// solutions (the warm prior of ctmdp's RefineStationary; DESIGN.md §8).
+// Capped programs (the occupancy cap links the blocks) are not cached: each
+// is solved fresh on the canonical clones of its models, bus by bus under an
+// occupancy price (ctmdp.SolveJoint; DESIGN.md §8), and its stationary
+// refinement is seeded from the cached free solutions (the warm prior of
+// ctmdp's RefineStationary).
 //
 // Determinism: a cached payload is a pure function of its fingerprint — cold
 // misses solve a canonicalised copy of the model, and warm reuse is
@@ -45,8 +45,8 @@
 // result tier is local-only: request fingerprints carry no code version, and
 // a router already keeps each fingerprint on one shard (DESIGN.md §10).
 //
-// Memory: every tier (exact, structural, joint, analytic, robust,
-// placement, result) is one generic LRU-bounded store (tier.go). New builds an
+// Memory: every tier (exact, structural, analytic, robust, placement,
+// result) is one generic LRU-bounded store (tier.go). New builds an
 // unbounded cache — a sweep's distinct sub-models number in the hundreds
 // and payloads are a few KB each; NewBounded caps each tier at a fixed
 // entry count for long-lived processes, evicting the least recently used
@@ -57,9 +57,9 @@ package solvecache
 import (
 	"encoding/json"
 	"fmt"
+	"sync/atomic"
 
 	"socbuf/internal/ctmdp"
-	"socbuf/internal/lp"
 	"socbuf/internal/uncertain"
 )
 
@@ -73,11 +73,13 @@ type Cache struct {
 	// *entry values. Their counters are the Hits (exact.hits), WarmStarts
 	// (structural.hits) and Misses (exact.misses) of Stats.
 	exact, structural *tier[*entry]
-	joint             *tier[*jointEntry]
 	analytic          *tier[*AnalyticSolution]
 	robust            *tier[*RobustSolution]
 	placement         *tier[json.RawMessage]
 	result            *tier[json.RawMessage] // local only: no remote tag
+
+	// capped counts capped programs solved (Stats.JointMisses).
+	capped atomic.Int64
 
 	// remote is the optional shared store behind the exact/analytic/robust/
 	// placement tiers (see SetRemote and remote.go).
@@ -91,18 +93,6 @@ type entry struct {
 	model *ctmdp.Model         // canonical clone (sorted clients, neutral names)
 	sol   *ctmdp.ModelSolution // payload aligned to model's enumeration
 	iters int                  // simplex pivots of the cold solve (informational)
-	// basis is the free solve's final LP basis — the strong warm-start seed
-	// for re-solving the same balance system under an occupancy cap.
-	basis []lp.BasicRef
-}
-
-// jointEntry is one cached capped joint solve. Like all hit paths, assembled
-// hits report Iters=0 — the field counts pivots actually performed.
-type jointEntry struct {
-	entries    []*entry
-	totalLoss  float64
-	occUsed    float64
-	capBinding bool
 }
 
 // New returns an empty, unbounded cache.
@@ -116,7 +106,6 @@ func NewBounded(max int) *Cache {
 	c.exact = &tier[*entry]{max: max, remote: r, tag: "exact",
 		valid: func(e *entry) bool { return e != nil }}
 	c.structural = &tier[*entry]{max: max}
-	c.joint = &tier[*jointEntry]{max: max}
 	c.analytic = &tier[*AnalyticSolution]{max: max, remote: r, tag: "analytic", clone: (*AnalyticSolution).clone,
 		valid: func(s *AnalyticSolution) bool { return s != nil && s.Alloc != nil }}
 	c.robust = &tier[*RobustSolution]{max: max, remote: r, tag: "robust", clone: (*RobustSolution).clone,
@@ -267,8 +256,10 @@ type Stats struct {
 	WarmStarts int64
 	// Misses counts cold sub-model solves.
 	Misses int64
-	// JointHits / JointMisses count capped joint solves (the occupancy-cap
-	// linked programs, cached at whole-program granularity).
+	// JointMisses counts capped programs solved (the occupancy-cap linked
+	// programs, which are never cached). JointHits stays 0: it is kept, with
+	// JointEntries, only until the end-to-end benchmark's next change, since
+	// the benchmark reads both.
 	JointHits, JointMisses int64
 	// AnalyticHits / AnalyticMisses count analytic-tier lookups — the
 	// closed-form backend's sizing cache, keyed in a backend-tagged key
@@ -291,11 +282,11 @@ type Stats struct {
 	// tier, so home-tier rates reflect what the engine got regardless of
 	// source. Both stay zero when no store is attached.
 	RemoteHits, RemoteMisses int64
-	// Entries / JointEntries / AnalyticEntries / RobustEntries /
-	// PlacementEntries / ResultEntries are the stored solution counts per
-	// tier. Entries counts distinct exact-tier solutions (warm-start
-	// promotion files one solution under several keys), so it never exceeds
-	// the tier's key count — nor, therefore, its NewBounded bound.
+	// Entries / AnalyticEntries / RobustEntries / PlacementEntries /
+	// ResultEntries are the stored solution counts per tier. Entries counts
+	// distinct exact-tier solutions (warm-start promotion files one solution
+	// under several keys), so it never exceeds the tier's key count — nor,
+	// therefore, its NewBounded bound. JointEntries stays 0 (see JointHits).
 	Entries, JointEntries, AnalyticEntries, RobustEntries, PlacementEntries, ResultEntries int
 }
 
@@ -333,7 +324,6 @@ func (s *Stats) Add(o Stats) {
 //	            over all sub-model lookups
 //	structural  WarmStarts / (WarmStarts + Misses) — how often a non-exact
 //	            lookup was still answered by a structural sibling
-//	joint       JointHits / (JointHits + JointMisses)
 //	analytic, robust, placement, result — hits / (hits + misses) of that
 //	            tier
 //	remote      RemoteHits / (RemoteHits + RemoteMisses) — adopted payloads
@@ -347,7 +337,6 @@ func (s Stats) Rates() map[string]float64 {
 	}
 	add("exact", s.Hits, s.Hits+s.WarmStarts+s.Misses)
 	add("structural", s.WarmStarts, s.WarmStarts+s.Misses)
-	add("joint", s.JointHits, s.JointHits+s.JointMisses)
 	add("analytic", s.AnalyticHits, s.AnalyticHits+s.AnalyticMisses)
 	add("robust", s.RobustHits, s.RobustHits+s.RobustMisses)
 	add("placement", s.PlacementHits, s.PlacementHits+s.PlacementMisses)
@@ -367,8 +356,7 @@ func (c *Cache) Stats() Stats {
 		Hits:             c.exact.hits.Load(),
 		WarmStarts:       c.structural.hits.Load(),
 		Misses:           c.exact.misses.Load(),
-		JointHits:        c.joint.hits.Load(),
-		JointMisses:      c.joint.misses.Load(),
+		JointMisses:      c.capped.Load(),
 		AnalyticHits:     c.analytic.hits.Load(),
 		AnalyticMisses:   c.analytic.misses.Load(),
 		RobustHits:       c.robust.hits.Load(),
@@ -380,7 +368,6 @@ func (c *Cache) Stats() Stats {
 		RemoteHits:       c.remote.hits.Load(),
 		RemoteMisses:     c.remote.misses.Load(),
 		Entries:          len(distinct),
-		JointEntries:     c.joint.len(),
 		AnalyticEntries:  c.analytic.len(),
 		RobustEntries:    c.robust.len(),
 		PlacementEntries: c.placement.len(),
@@ -389,13 +376,13 @@ func (c *Cache) Stats() Stats {
 }
 
 // HitCount sums the hit counters of the tiers a methodology run reads —
-// exact, warm-start, joint, analytic and robust — without locking or
-// scanning, so callers can diff it around a run. A nil receiver reports 0.
+// exact, warm-start, analytic and robust — without locking or scanning, so
+// callers can diff it around a run. A nil receiver reports 0.
 func (c *Cache) HitCount() int64 {
 	if c == nil {
 		return 0
 	}
-	return c.exact.hits.Load() + c.structural.hits.Load() + c.joint.hits.Load() +
+	return c.exact.hits.Load() + c.structural.hits.Load() +
 		c.analytic.hits.Load() + c.robust.hits.Load()
 }
 
@@ -429,63 +416,6 @@ func canonicalModel(m *ctmdp.Model, order []int) (*ctmdp.Model, error) {
 		clients[k] = cl
 	}
 	return ctmdp.NewModel("sub", m.ServiceRate, clients)
-}
-
-// rebindBasis maps the entry's canonical-program basis onto the requesting
-// model's enumeration: structural refs are permuted var-for-var, balance-row
-// refs state-for-state (the canonical single-model program lays out one
-// balance row per state, in state order, then the normalisation row). The
-// result is a valid basis for a program assembled over the requesting model.
-func (e *entry) rebindBasis(m *ctmdp.Model, order []int) ([]lp.BasicRef, error) {
-	if e.basis == nil {
-		return nil, nil
-	}
-	nc := len(m.Clients)
-	n := m.NumStates()
-	cpos := make([]int, nc)
-	for k, i := range order {
-		cpos[i] = k
-	}
-	stateMap := make([]int, n) // canonical state -> requesting state
-	varMap := make([]int, len(e.sol.X))
-	clevels := make([]int, nc)
-	for s := 0; s < n; s++ {
-		for c := 0; c < nc; c++ {
-			clevels[cpos[c]] = m.Level(s, c)
-		}
-		cs, err := e.model.StateOf(clevels)
-		if err != nil {
-			return nil, fmt.Errorf("solvecache: rebind basis state %d: %w", s, err)
-		}
-		stateMap[cs] = s
-		for _, v := range m.StateVars(s) {
-			_, a := m.VarStateAction(v)
-			ca := -1
-			if a >= 0 {
-				ca = cpos[a]
-			}
-			cv, ok := e.model.VarIndex(cs, ca)
-			if !ok {
-				return nil, fmt.Errorf("solvecache: rebind basis: canonical model lacks var (state %d, action %d)", cs, ca)
-			}
-			varMap[cv] = v
-		}
-	}
-	out := make([]lp.BasicRef, len(e.basis))
-	for i, ref := range e.basis {
-		switch {
-		case ref.Var >= 0:
-			if ref.Var >= len(varMap) {
-				return nil, fmt.Errorf("solvecache: rebind basis: var ref %d out of range", ref.Var)
-			}
-			ref.Var = varMap[ref.Var]
-		case ref.Row < n:
-			ref.Row = stateMap[ref.Row]
-		}
-		// The normalisation row (index n) stays where it is.
-		out[i] = ref
-	}
-	return out, nil
 }
 
 // matches sanity-checks a candidate entry against the requesting model's

@@ -8,7 +8,6 @@ import (
 	"socbuf/internal/arch"
 	"socbuf/internal/core"
 	"socbuf/internal/ctmdp"
-	"socbuf/internal/lp"
 	"socbuf/internal/parallel"
 	"socbuf/internal/solvecache"
 )
@@ -197,9 +196,10 @@ func TestCachePermutedModel(t *testing.T) {
 	}
 }
 
-// TestCacheCappedJoint covers the occupancy-cap linked program: cached at
-// whole-program granularity, warm-seeding its refinement from the free
-// solutions, agreeing with the uncached solver to 1e-8 on the optimum.
+// TestCacheCappedJoint covers the occupancy-cap linked program: never
+// cached (each call solves afresh and counts one capped solve), the same
+// answer on every call, warm-seeding its refinement from the free
+// solutions, and agreeing with the uncached solver to 1e-8 on the optimum.
 func TestCacheCappedJoint(t *testing.T) {
 	for _, refine := range []bool{false, true} {
 		models := presetModels(t, arch.Figure1, 40)
@@ -215,27 +215,29 @@ func TestCacheCappedJoint(t *testing.T) {
 		if _, err := c.SolveJoint(models, ctmdp.JointConfig{RefineStationary: refine}); err != nil {
 			t.Fatal(err)
 		}
-		cold, err := c.SolveJoint(models, cfg)
+		before := c.Stats()
+		first, err := c.SolveJoint(models, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		hit, err := c.SolveJoint(models, cfg)
+		again, err := c.SolveJoint(models, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if s := c.Stats(); s.JointMisses != 1 || s.JointHits != 1 {
-			t.Fatalf("refine=%v: joint counters off: %+v", refine, s)
+		s := c.Stats()
+		if s.JointMisses != 2 || s.JointHits != 0 || s.JointEntries != 0 || s.Entries != before.Entries {
+			t.Fatalf("refine=%v: capped solves were cached or miscounted: %+v", refine, s)
 		}
-		assertSolutionsAgree(t, cold, hit, 1e-8, "capped cold vs hit")
-		if cold.CapBinding != hit.CapBinding {
-			t.Errorf("refine=%v: cap-binding flag not preserved", refine)
+		assertSolutionsAgree(t, first, again, 0, "capped first vs again")
+		if first.CapBinding != again.CapBinding || first.Price != again.Price {
+			t.Errorf("refine=%v: repeated capped solves disagree", refine)
 		}
 
 		uncached, err := ctmdp.SolveJoint(models, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d := math.Abs(uncached.TotalLossRate - cold.TotalLossRate); d > 1e-8 {
+		if d := math.Abs(uncached.TotalLossRate - first.TotalLossRate); d > 1e-8 {
 			t.Errorf("refine=%v: capped cached vs uncached objectives differ by %g", refine, d)
 		}
 	}
@@ -254,8 +256,8 @@ func TestCacheInfeasibleCap(t *testing.T) {
 	if !errors.Is(err, ctmdp.ErrInfeasible) {
 		t.Fatalf("want ErrInfeasible in chain, got %v", err)
 	}
-	if s := c.Stats(); s.JointEntries != 0 {
-		t.Fatalf("infeasible solve was cached: %+v", s)
+	if s := c.Stats(); s.JointMisses != 1 || s.Entries != 0 {
+		t.Fatalf("infeasible capped solve miscounted or cached: %+v", s)
 	}
 }
 
@@ -304,49 +306,5 @@ func TestCacheConcurrent(t *testing.T) {
 		} else if s.Misses == 0 || s.Hits == 0 {
 			t.Fatalf("expected a mix of hits and misses: %+v", s)
 		}
-	}
-}
-
-// TestCacheBasisRoundTrip: a decoupled cache solve must hand back a Basis
-// usable exactly like a direct ctmdp.SolveJoint's — for a single model, the
-// currency of JointConfig.WarmBasis — even when the requesting model's
-// client order differs from the canonical order the cache solved in.
-func TestCacheBasisRoundTrip(t *testing.T) {
-	models := presetModels(t, arch.TwoBusAMBA, 24)
-	c := solvecache.New()
-	for _, m := range models {
-		free, err := c.SolveJoint([]*ctmdp.Model{m}, ctmdp.JointConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(free.Basis) != m.NumStates()+1 {
-			t.Fatalf("model %q: basis has %d refs, want one per row (%d)",
-				m.Bus, len(free.Basis), m.NumStates()+1)
-		}
-		capped := ctmdp.JointConfig{
-			OccupancyCap: free.OccupancyUsed * 0.9,
-			WarmBasis:    [][]lp.BasicRef{free.Basis},
-		}
-		warm, err := ctmdp.SolveJoint([]*ctmdp.Model{m}, capped)
-		if err != nil {
-			t.Fatalf("model %q: warm capped: %v", m.Bus, err)
-		}
-		capped.WarmBasis = nil
-		cold, err := ctmdp.SolveJoint([]*ctmdp.Model{m}, capped)
-		if err != nil {
-			t.Fatalf("model %q: cold capped: %v", m.Bus, err)
-		}
-		if d := math.Abs(warm.TotalLossRate - cold.TotalLossRate); d > 1e-8 {
-			t.Errorf("model %q: basis-seeded capped solve off by %g", m.Bus, d)
-		}
-	}
-	// Multi-model solves skip the basis hand-back (a concatenated basis has
-	// no JointConfig consumer, and the hot sweep path must not pay for it).
-	joint, err := c.SolveJoint(models, ctmdp.JointConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if joint.Basis != nil {
-		t.Fatalf("multi-model cache solve returned a basis (%d refs)", len(joint.Basis))
 	}
 }

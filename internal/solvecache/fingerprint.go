@@ -191,22 +191,6 @@ func StructuralFingerprint(m *ctmdp.Model, opts SolveOptions) Key {
 	return fingerprint(m, opts, false)
 }
 
-// JointFingerprint keys a capped joint solve: the ordered full fingerprints
-// of the blocks plus the linking occupancy cap. Unlike the decoupled case,
-// block order matters here (it fixes the joint program's variable layout).
-func JointFingerprint(models []*ctmdp.Model, cap float64, opts SolveOptions) Key {
-	h := &hasher{}
-	h.i64(version)
-	h.i64(backendExact)
-	h.i64(int64(len(models)))
-	for _, m := range models {
-		k := Fingerprint(m, opts)
-		h.buf = append(h.buf, k[:]...)
-	}
-	h.f64(cap)
-	return h.sum()
-}
-
 // AnalyticFingerprint keys one analytic (M/M/1/K marginal-allocation)
 // sizing: the canonical byte serialisation of the buffered architecture the
 // backend sized, the budget, and the fixed-point iteration count. The

@@ -104,16 +104,3 @@ func TestFingerprintOptions(t *testing.T) {
 		t.Error("refinement flag must be part of the fingerprint")
 	}
 }
-
-func TestJointFingerprint(t *testing.T) {
-	m1 := mustModel(t, "bus1", 4, testClients())
-	m2 := mustModel(t, "bus2", 6, testClients()[:2])
-	var opts SolveOptions
-	k1 := JointFingerprint([]*ctmdp.Model{m1, m2}, 10, opts)
-	if k2 := JointFingerprint([]*ctmdp.Model{m1, m2}, 12, opts); k1 == k2 {
-		t.Error("occupancy cap must be part of the joint fingerprint")
-	}
-	if k3 := JointFingerprint([]*ctmdp.Model{m2, m1}, 10, opts); k1 == k3 {
-		t.Error("block order fixes the joint program layout and must be keyed")
-	}
-}

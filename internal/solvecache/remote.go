@@ -3,6 +3,7 @@ package solvecache
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"sync/atomic"
 
 	"socbuf/internal/ctmdp"
@@ -25,11 +26,11 @@ import (
 //     before the payload is adopted; an undecodable or inconsistent payload
 //     is a miss, never an error — a poisoned peer can cost recomputes, not
 //     correctness.
-//   - Exact-tier payloads carry the canonical model and solution but NOT the
-//     LP basis: a basis is a warm-start hint, not part of the answer, and
-//     excluding it keeps hostile-payload validation trivial. A remote exact
-//     hit therefore seeds capped re-solves slightly less well than a local
-//     one — a deliberate trade.
+//   - Exact-tier payloads carry the canonical model and solution. Besides
+//     its dimensions, decoding checks every value the methodology reads as
+//     a probability: occupation measures and state probabilities lie in
+//     [0, 1], state probabilities sum to 1, and each visited policy row is
+//     a distribution.
 
 // remote is a cache's attachment point for the shared store: the store
 // itself (nil = none) and the adoption counters every remote-enabled tier
@@ -94,6 +95,9 @@ func (e *entry) UnmarshalJSON(data []byte) error {
 			return fmt.Errorf("solvecache: remote exact payload policy row width mismatch")
 		}
 	}
+	if err := p.checkValues(m); err != nil {
+		return fmt.Errorf("solvecache: remote exact payload: %w", err)
+	}
 	e.model, e.iters = m, p.Iters
 	e.sol = &ctmdp.ModelSolution{
 		Model:     m,
@@ -105,6 +109,58 @@ func (e *entry) UnmarshalJSON(data []byte) error {
 			ActionProb: p.ActionProb,
 			Visited:    p.Visited,
 		},
+	}
+	return nil
+}
+
+// Tolerances of checkValues: how far roundoff may take a genuine payload's
+// probability past [0, 1], and its distributions' sums away from 1.
+const (
+	payloadValueTol = 1e-7
+	payloadSumTol   = 1e-6
+)
+
+// checkValues rejects a dimension-checked payload whose numbers cannot be
+// an occupation measure of m: an x or stateProb entry outside [0, 1],
+// stateProb not summing to 1, or a visited state's policy row that is not a
+// distribution. The row of the all-empty state, whose only action is idling,
+// grants nobody and sums to 0. Downstream code reads these numbers as
+// probabilities, so a payload that breaks them could fail a later solve.
+func (p *exactPayload) checkValues(m *ctmdp.Model) error {
+	inRange := func(v float64) bool { return v >= -payloadValueTol && v <= 1+payloadValueTol }
+	for _, v := range p.X {
+		if !inRange(v) {
+			return fmt.Errorf("occupation measure entry %g outside [0, 1]", v)
+		}
+	}
+	var mass float64
+	for _, v := range p.StateProb {
+		if !inRange(v) {
+			return fmt.Errorf("state probability %g outside [0, 1]", v)
+		}
+		mass += v
+	}
+	if math.Abs(mass-1) > payloadSumTol {
+		return fmt.Errorf("state probabilities sum to %g", mass)
+	}
+	for s, row := range p.ActionProb {
+		if !p.Visited[s] {
+			continue
+		}
+		want := 1.0
+		if _, idle := m.VarIndex(s, -1); idle {
+			want = 0
+		}
+		var sum float64
+		for _, v := range row {
+			if !inRange(v) {
+				return fmt.Errorf("state %d: policy entry %g outside [0, 1]", s, v)
+			}
+			sum += v
+		}
+		if math.Abs(sum-want) > payloadSumTol {
+			return fmt.Errorf("state %d: policy row sums to %g, want %g", s, sum, want)
+		}
 	}
 	return nil
 }

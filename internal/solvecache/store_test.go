@@ -2,6 +2,7 @@ package solvecache_test
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -302,7 +303,50 @@ func TestRemotePoisonedPayload(t *testing.T) {
 	shared := solvecache.NewMemStore()
 	m := storeModel(t)
 	k := solvecache.Fingerprint(m, solvecache.SolveOptions{})
+	// Value poisons: a genuine payload of m with its numbers broken, every
+	// dimension intact.
+	genuine := genuineExactPayload(t, m)
+	poisonValues := func(edit func(d map[string]any)) string {
+		t.Helper()
+		var env struct {
+			Tier string         `json:"tier"`
+			Data map[string]any `json:"data"`
+		}
+		if err := json.Unmarshal(genuine, &env); err != nil {
+			t.Fatal(err)
+		}
+		edit(env.Data)
+		b, err := json.Marshal(env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
 	for _, poison := range []string{
+		poisonValues(func(d map[string]any) { // every state probability 3
+			for i := range d["stateProb"].([]any) {
+				d["stateProb"].([]any)[i] = 3.0
+			}
+		}),
+		poisonValues(func(d map[string]any) { d["x"].([]any)[0] = -0.5 }),
+		poisonValues(func(d map[string]any) { d["x"].([]any)[1] = 1.5 }),
+		poisonValues(func(d map[string]any) { // in range, but mass 0.5
+			for i, v := range d["stateProb"].([]any) {
+				d["stateProb"].([]any)[i] = v.(float64) / 2
+			}
+		}),
+		poisonValues(func(d map[string]any) { // a visited row that is no distribution
+			visited := d["visited"].([]any)
+			for s, row := range d["actionProb"].([]any) {
+				if visited[s].(bool) && s > 0 {
+					for c := range row.([]any) {
+						row.([]any)[c] = 0.7
+					}
+					return
+				}
+			}
+			t.Fatal("no visited non-empty state to poison")
+		}),
 		"not json",
 		`{"tier":"exact","data":{"serviceRate":4,"clients":[],"x":[],"stateProb":[],"actionProb":[],"visited":[]}}`,
 		`{"tier":"exact","data":{"serviceRate":4,"clients":[{"bufferId":"a","lambda":1.2,"levels":2,"unitsPerLevel":3,"lossWeight":1}],"x":[1],"stateProb":[1],"actionProb":[[1]],"visited":[true]}}`,
@@ -326,6 +370,23 @@ func TestRemotePoisonedPayload(t *testing.T) {
 			t.Fatalf("poisoned payload %q: want one remote miss and no hit: %+v", poison, s)
 		}
 	}
+}
+
+// genuineExactPayload returns the remote envelope a cold solve of m writes
+// behind to a shared store.
+func genuineExactPayload(t *testing.T, m *ctmdp.Model) []byte {
+	t.Helper()
+	store := solvecache.NewMemStore()
+	c := solvecache.New()
+	c.SetRemote(store)
+	if _, err := c.SolveJoint([]*ctmdp.Model{m}, ctmdp.JointConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	b, ok := store.Get(context.Background(), solvecache.Fingerprint(m, solvecache.SolveOptions{}))
+	if !ok {
+		t.Fatal("cold solve wrote no payload behind")
+	}
+	return b
 }
 
 // TestStatsRates pins the per-tier rate derivation, including the only-
@@ -353,7 +414,7 @@ func TestStatsRates(t *testing.T) {
 	approx("analytic", 0.25)
 	approx("remote", 0.5)
 	approx("result", 0.75)
-	for _, quiet := range []string{"joint", "robust", "placement"} {
+	for _, quiet := range []string{"robust", "placement"} {
 		if _, ok := r[quiet]; ok {
 			t.Errorf("tier %q saw no traffic but has a rate", quiet)
 		}

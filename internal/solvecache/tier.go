@@ -11,8 +11,8 @@ import (
 // — when it has a remote tag — the remote-store fallback on a local miss and
 // the write-behind on a put (remote.go). Every cache tier is an instance.
 // The analytic, robust and placement tiers are served entirely by lookup
-// and put; the exact, structural and joint tiers use the lower-level get,
-// add, fetch and writeBehind and keep their own match-and-rebind logic and
+// and put; the exact and structural tiers use the lower-level get, add,
+// fetch and writeBehind and keep their own match-and-rebind logic and
 // counting (solve.go).
 type tier[V any] struct {
 	max   int       // entry bound; 0 = unbounded
