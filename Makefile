@@ -140,17 +140,19 @@ robust-smoke:
 
 # Brief run of every native fuzz target (strict-parser robustness — the
 # uncertainty-spec decoder and the two CLI list parsers — the blocking
-# recurrence's oracle gate against the big.Float MM1K form, and the remote
-# exact-payload decoder, which must miss or yield probabilities). Ten
-# seconds per target is enough to shake out panics and round-trip
-# violations on new code; the targets also run as plain tests (corpus
-# seeds) under make test.
+# recurrence's oracle gate against the big.Float MM1K form, the remote
+# exact-payload decoder, which must miss or yield probabilities, and every
+# remote tier's lookup, which must miss or adopt a payload its tier
+# accepts). Ten seconds per target is enough to shake out panics and
+# round-trip violations on new code; the targets also run as plain tests
+# (corpus seeds) under make test.
 fuzz-smoke:
 	@for t in FuzzParseSpec=./internal/uncertain \
 		FuzzParseMethods=./internal/experiments \
 		FuzzParseCatalogue=./internal/placement \
 		FuzzBlockingRecurrence=./internal/queueing \
-		FuzzExactPayload=./internal/solvecache; do \
+		FuzzExactPayload=./internal/solvecache \
+		FuzzRemotePayload=./internal/solvecache; do \
 		name=$${t%=*}; pkg=$${t#*=}; \
 		echo "== fuzz-smoke ($$name) =="; \
 		$(GO) test -run '^$$' -fuzz "^$$name$$" -fuzztime 10s $$pkg || exit 1; \

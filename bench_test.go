@@ -170,7 +170,7 @@ func BenchmarkSweepColdVsCached(b *testing.B) {
 				b.Fatalf("sweep lost points: %d/%d", len(res.Budgets), len(budgets))
 			}
 			s := opt.Cache.Stats()
-			b.ReportMetric(float64(s.Hits+s.WarmStarts), "reused")
+			b.ReportMetric(float64(s.Hits), "reused")
 			b.ReportMetric(float64(s.Misses), "cold-solves")
 		}
 	})
@@ -215,7 +215,7 @@ func TestCachedSweepBeatsCold(t *testing.T) {
 	cached := time.Since(start)
 
 	s := opt.Cache.Stats()
-	if reused := s.Hits + s.WarmStarts; reused == 0 {
+	if s.Hits == 0 {
 		t.Fatalf("cache reused nothing: %+v", s)
 	}
 	if ratio := float64(cold) / float64(cached); ratio < 1.3 {
@@ -307,7 +307,7 @@ func BenchmarkCappedSolve(b *testing.B) {
 // screen evaluates it against every candidate sizing — so a sampler or
 // screening regression moves the number directly. The cached variant runs
 // the sweep twice over one shared cache and reports the robust tier's
-// traffic: the first pass misses all 8 structural keys, the second answers
+// traffic: the first pass misses all 8 robust keys, the second answers
 // every point from the cache. Serial workers, as everywhere in this file,
 // so the ratio measures the backend, not scheduling.
 func BenchmarkRobustSweep(b *testing.B) {

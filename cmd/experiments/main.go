@@ -49,10 +49,10 @@
 // -cache shares one solve cache (internal/solvecache) across everything the
 // invocation runs, deduplicating identical per-bus sub-model solves
 // fleet-wide; -sweep additionally plans the points up front and prewarms one
-// solve per structural class. -cache-stats implies -cache and prints the
-// hit/miss/warm-start counters at the end. Both flags also exist on
-// scenario-sweep. A cached capped solve warm-starts from the cached cap-free
-// bases (DESIGN.md §8). See PERFORMANCE.md for measured effect.
+// solve per distinct sub-model fingerprint. -cache-stats implies -cache and
+// prints the hit/miss counters at the end. Both flags also exist on
+// scenario-sweep. Capped programs are never cached: each is solved afresh,
+// bus by bus (DESIGN.md §8). See PERFORMANCE.md for measured effect.
 //
 // -json emits sweep results as JSON. All sweeps route through
 // internal/engine — the same request/response API served over HTTP by

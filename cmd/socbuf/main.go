@@ -23,9 +23,9 @@
 //
 // -cache routes every solve through a shared solve cache
 // (internal/solvecache): sweeps additionally fingerprint all points up
-// front and prewarm one solve per structural class. -cache-stats implies
-// -cache and prints the hit/miss/warm-start counters afterwards (see
-// PERFORMANCE.md for how to read them).
+// front and prewarm one solve per distinct sub-model fingerprint.
+// -cache-stats implies -cache and prints the hit/miss counters afterwards
+// (see PERFORMANCE.md for how to read them).
 //
 // -scenario runs one registry scenario (its generated topology, traffic
 // model and budget); explicitly-set -budget/-iters/-horizon flags override

@@ -18,8 +18,8 @@
 //   - internal/nonlinear                  — the un-split coupled quadratic
 //     system and the solvers that fail on it;
 //   - internal/solvecache                 — the content-addressed solve
-//     cache and warm-start engine the sweep fleet shares (DESIGN.md §4
-//     records the fingerprint contract);
+//     cache the sweep fleet shares (DESIGN.md §4 records the fingerprint
+//     contract);
 //   - internal/parallel                   — the deterministic worker pool
 //     behind every sweep fan-out;
 //   - internal/core, internal/policy      — the methodology loop (exposed

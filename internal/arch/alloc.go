@@ -39,6 +39,7 @@ func (al Allocation) Validate(a *Architecture, budget int) error {
 	if len(al) != len(want) {
 		return fmt.Errorf("arch: allocation covers %d buffers, architecture has %d", len(al), len(want))
 	}
+	total := 0
 	for _, id := range want {
 		c, ok := al[id]
 		if !ok {
@@ -47,9 +48,12 @@ func (al Allocation) Validate(a *Architecture, budget int) error {
 		if c < 1 {
 			return fmt.Errorf("arch: buffer %q allocated %d units (minimum 1)", id, c)
 		}
-	}
-	if budget > 0 && al.Total() > budget {
-		return fmt.Errorf("arch: allocation total %d exceeds budget %d", al.Total(), budget)
+		// Compared against the budget left, so huge counts cannot overflow
+		// the running total into range.
+		if budget > 0 && c > budget-total {
+			return fmt.Errorf("arch: allocation exceeds budget %d at buffer %q", budget, id)
+		}
+		total += c
 	}
 	return nil
 }

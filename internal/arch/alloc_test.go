@@ -1,6 +1,7 @@
 package arch
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -92,6 +93,16 @@ func TestAllocationValidate(t *testing.T) {
 	bad3["cpu@ahb1"] = 0
 	if err := bad3.Validate(a, 60); err == nil {
 		t.Fatal("zero capacity validated")
+	}
+	// Two counts of MaxInt wrap the total around to within budget; the
+	// allocation is still over it.
+	huge := al.Clone()
+	for id := range huge {
+		huge[id] = 1
+	}
+	huge["cpu@ahb1"], huge["dsp@ahb2"] = math.MaxInt, math.MaxInt
+	if err := huge.Validate(a, 60); err == nil {
+		t.Fatal("overflowing allocation validated")
 	}
 }
 

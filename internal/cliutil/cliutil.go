@@ -44,7 +44,7 @@ func AddCommonFlags(fs *flag.FlagSet) *CommonFlags {
 	c := &CommonFlags{}
 	fs.IntVar(&c.Parallel, "parallel", 0, "worker goroutines (0 = GOMAXPROCS, 1 = serial)")
 	fs.BoolVar(&c.Cache, "cache", false, "share a solve cache across all solves (sweeps prewarm it)")
-	fs.BoolVar(&c.CacheStats, "cache-stats", false, "print solve-cache hit/miss/warm-start counters (implies -cache)")
+	fs.BoolVar(&c.CacheStats, "cache-stats", false, "print solve-cache hit/miss counters (implies -cache)")
 	fs.BoolVar(&c.JSON, "json", false, "emit sweep results as JSON instead of a table")
 	return c
 }

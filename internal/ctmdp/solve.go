@@ -98,7 +98,7 @@ func SolveJoint(models []*Model, cfg JointConfig) (*JointSolution, error) {
 	if cfg.RefineStationary {
 		out.TotalLossRate, out.OccupancyUsed = 0, 0
 		for _, ms := range out.PerModel {
-			if _, err := ms.RefineStationary(nil); err != nil {
+			if _, err := ms.RefineStationary(); err != nil {
 				return nil, fmt.Errorf("ctmdp: model %q: %w", ms.Model.Bus, err)
 			}
 			out.TotalLossRate += ms.LossRate

@@ -103,29 +103,12 @@ func (ms *ModelSolution) policyTransitions(s int, levels []int, fn func(target i
 // policy-induced chain with linalg.Stationary (the solver picked by
 // reachable-state count) and returns it over the full state space (zero mass
 // on unreachable states).
-//
-// warm optionally seeds the iterative solvers with a prior stationary
-// distribution over the full model state space (the shape StateProb has); it
-// is restricted to the chain's reachable states, and nil, wrong-length or
-// massless priors are ignored. A warm start never changes what the solve
-// converges to — the residual tolerance is unchanged, and the solve cache's
-// correctness gate asserts warm and cold answers agree to 1e-8 — it only
-// cuts the sweep count when the prior is close (e.g. the solution of the
-// same sub-model before a capacity change). The dense path ignores it, and
-// it is deliberately NOT part of a solve-cache fingerprint.
-func (ms *ModelSolution) StationaryUnderPolicy(warm []float64) ([]float64, error) {
+func (ms *ModelSolution) StationaryUnderPolicy() ([]float64, error) {
 	chain, err := ms.PolicyChain()
 	if err != nil {
 		return nil, err
 	}
-	var opts linalg.IterOptions
-	if len(warm) == ms.Model.numStates {
-		opts.Init = make([]float64, len(chain.States))
-		for k, s := range chain.States {
-			opts.Init[k] = warm[s]
-		}
-	}
-	pi, err := linalg.Stationary(chain.Gen, opts)
+	pi, err := linalg.Stationary(chain.Gen)
 	if err != nil {
 		return nil, fmt.Errorf("ctmdp: stationary under policy: %w", err)
 	}
@@ -140,10 +123,9 @@ func (ms *ModelSolution) StationaryUnderPolicy(warm []float64) ([]float64, error
 // policy-induced chain and rescales the occupation measure to match,
 // tightening the LP's roundoff-level state probabilities. It returns the
 // largest per-state correction |π_refined − π_LP|. The policy itself (the
-// conditional action probabilities) is unchanged. warm is the optional prior
-// StationaryUnderPolicy describes.
-func (ms *ModelSolution) RefineStationary(warm []float64) (float64, error) {
-	pi, err := ms.StationaryUnderPolicy(warm)
+// conditional action probabilities) is unchanged.
+func (ms *ModelSolution) RefineStationary() (float64, error) {
+	pi, err := ms.StationaryUnderPolicy()
 	if err != nil {
 		return 0, err
 	}

@@ -46,7 +46,7 @@ func fixtureModels(t *testing.T) map[string]*Model {
 // generator alone.
 var (
 	denseLU     = linalg.StationaryDense
-	gaussSeidel = func(q *linalg.CSR) ([]float64, error) { return linalg.StationarySparse(q, linalg.IterOptions{}) }
+	gaussSeidel = linalg.StationarySparse
 )
 
 // chainSolve runs one named solver on the solution's policy chain and
@@ -139,7 +139,7 @@ func TestStationaryAutoPicksByStateCount(t *testing.T) {
 		{"gauss-seidel", mid.PerModel[0], gaussSeidel},
 		{"gauss-seidel", large, gaussSeidel},
 	} {
-		auto, err := tc.ms.StationaryUnderPolicy(nil)
+		auto, err := tc.ms.StationaryUnderPolicy()
 		if err != nil {
 			t.Fatalf("%s band: %v", tc.band, err)
 		}
@@ -197,7 +197,7 @@ func TestRefineStationarySmallCorrection(t *testing.T) {
 	for name, m := range fixtureModels(t) {
 		sol := mustSolve(t, []*Model{m}, JointConfig{})
 		ms := sol.PerModel[0]
-		delta, err := ms.RefineStationary(nil)
+		delta, err := ms.RefineStationary()
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -254,7 +254,7 @@ func TestDemandsAfterRefine(t *testing.T) {
 	}
 	sol2 := mustSolve(t, []*Model{m}, JointConfig{})
 	for _, ms := range sol2.PerModel {
-		if _, err := ms.RefineStationary(nil); err != nil {
+		if _, err := ms.RefineStationary(); err != nil {
 			t.Fatal(err)
 		}
 	}

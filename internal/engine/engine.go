@@ -239,9 +239,9 @@ type BackendStats struct {
 	// Solves counts methodology runs executed with this backend — sweep
 	// points individually, failed runs included (they consumed the time).
 	Solves int64 `json:"solves"`
-	// CacheHits is the solve-cache hits (exact, warm-start, analytic and
-	// robust tiers summed — solvecache.Cache.HitCount) observed during this
-	// backend's requests.
+	// CacheHits is the solve-cache hits (exact, analytic and robust tiers
+	// summed — solvecache.Cache.HitCount) observed during this backend's
+	// requests.
 	CacheHits int64 `json:"cacheHits"`
 	// MeanWallMS is the mean wall time per run, in milliseconds.
 	MeanWallMS float64 `json:"meanWallMs"`

@@ -553,11 +553,11 @@ func TestEngineTierBound(t *testing.T) {
 		}
 	}
 	// The workload really overflowed every tier: the unbounded engine's
-	// distinct keys per tier (a miss or a warm-start promotion files a new
-	// one) each exceed the bound, and total at least ten times it.
+	// distinct keys per tier (each miss files a new one) each exceed the
+	// bound, and total at least ten times it.
 	s := unbounded.Stats().Cache
 	keys := map[string]int64{
-		"exact": s.Misses + s.WarmStarts, "analytic": s.AnalyticMisses,
+		"exact": s.Misses, "analytic": s.AnalyticMisses,
 		"robust": s.RobustMisses, "placement": s.PlacementMisses, "result": int64(s.ResultEntries),
 	}
 	var total int64
@@ -622,6 +622,67 @@ func TestEngineRemoteCacheSharing(t *testing.T) {
 	}
 	if r := s.CacheRates["remote"]; r <= 0 {
 		t.Errorf("remote rate %g must be positive; rates %v", r, s.CacheRates)
+	}
+}
+
+// poisonStore is a peer gone bad: it answers every key with one fixed
+// payload and drops every write.
+type poisonStore string
+
+func (p poisonStore) Get(context.Context, solvecache.Key) ([]byte, bool) { return []byte(p), true }
+func (poisonStore) Put(context.Context, solvecache.Key, []byte)          {}
+
+// TestEngineRejectsPoisonedPayloads: a peer's payload that is not an answer
+// to the request is a miss, so the request recomputes and answers exactly as
+// an engine without a peer does — never with an error, and never with the
+// peer's payload served as cached. Analytic and robust sizings must be
+// sizings of the request's architecture and budget; a placement payload must
+// describe the request.
+func TestEngineRejectsPoisonedPayloads(t *testing.T) {
+	ctx := context.Background()
+	sizing := func(method string) func(*Engine) (any, error) {
+		req := SolveRequest{Arch: "twobus", Budget: 24, Method: method,
+			Iterations: fastIters, Seeds: fastSeeds, Horizon: fastHorizon, WarmUp: fastWarmUp, UseCache: true}
+		if method == "robust" {
+			req.Uncertainty = &uncertain.Spec{RateSigma: 0.2, Samples: 16, Confidence: 0.9, Seed: 3}
+		}
+		return func(e *Engine) (any, error) { return e.Solve(ctx, req) }
+	}
+	place := func(e *Engine) (any, error) {
+		req := quickPlacement()
+		req.UseCache = true
+		return e.Placement(ctx, req)
+	}
+	for _, tc := range []struct {
+		name, payload string
+		run           func(*Engine) (any, error)
+	}{
+		{"analytic/empty", `{"tier":"analytic","data":{"Alloc":{},"LossRate":0}}`, sizing("analytic")},
+		{"analytic/negative", `{"tier":"analytic","data":{"Alloc":{"cpu@ahb1":-5}}}`, sizing("analytic")},
+		{"robust/empty", `{"tier":"robust","data":{"Alloc":{},"LossRate":0}}`, sizing("robust")},
+		{"robust/negative", `{"tier":"robust","data":{"Alloc":{"cpu@ahb1":-5}}}`, sizing("robust")},
+		{"placement/budget", `{"tier":"placement","data":{"budget":1}}`, place},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			clean := New(Config{})
+			defer clean.Close()
+			want, err := tc.run(clean)
+			if err != nil {
+				t.Fatal(err)
+			}
+			poisoned := New(Config{RemoteCache: poisonStore(tc.payload)})
+			defer poisoned.Close()
+			got, err := tc.run(poisoned)
+			if err != nil {
+				t.Fatalf("poisoned peer failed the request: %v", err)
+			}
+			if !reflect.DeepEqual(want, got) {
+				t.Fatalf("poisoned peer changed the answer:\nwant %+v\ngot  %+v", want, got)
+			}
+			if s := poisoned.Stats().Cache; s.AnalyticHits+s.RobustHits != 0 {
+				t.Fatalf("a poisoned sizing was adopted: %+v", s)
+			}
+		})
 	}
 }
 

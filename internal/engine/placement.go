@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
+	"reflect"
+	"slices"
 
 	"socbuf/internal/placement"
 	"socbuf/internal/solvecache"
@@ -137,6 +140,31 @@ func placementKey(pc placement.Config) (solvecache.Key, error) {
 	return solvecache.PlacementFingerprint(buf.Bytes(), meta), nil
 }
 
+// cachedPlacement decodes a placement-tier payload strictly and accepts it
+// only when it describes the normalised request pc: the same budget,
+// catalogue, cost budget and latency weight, a non-empty frontier, and a
+// chosen point on that frontier. Anything else is a miss, so a peer's
+// payload can cost a recompute but never change an answer.
+func cachedPlacement(b []byte, pc placement.Config) (*PlacementResult, bool) {
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	out := &PlacementResult{}
+	if dec.Decode(out) != nil {
+		return nil, false
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, false // trailing data
+	}
+	if out.Budget != pc.Budget || !slices.Equal(out.Types, pc.Types) ||
+		out.CostBudget != pc.CostBudget || out.LatencyWeight != pc.LatencyWeight {
+		return nil, false
+	}
+	onFrontier := slices.ContainsFunc(out.Frontier, func(p placement.Point) bool {
+		return reflect.DeepEqual(p, out.Chosen)
+	})
+	return out, onFrontier
+}
+
 // PlacementResult is the typed outcome of one placement run (the
 // /v1/placement response body): the scenario identity it ran under, the
 // normalised catalogue and knobs, and the embedded placement.Result
@@ -189,13 +217,13 @@ func (e *Engine) Placement(ctx context.Context, req PlacementRequest) (*Placemen
 			return nil, err
 		}
 		if b, ok := cache.LookupPlacement(key); ok {
-			out := &PlacementResult{}
-			if err := json.Unmarshal(b, out); err == nil {
+			if out, ok := cachedPlacement(b, pc); ok {
 				out.Cached = true
 				return out, nil
 			}
-			// An undecodable payload (never expected: we wrote it) falls
-			// through to a fresh run that overwrites it.
+			// A payload that does not describe this request (a peer's
+			// poisoned write) falls through to a fresh run that overwrites
+			// it.
 		}
 	}
 

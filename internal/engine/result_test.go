@@ -103,7 +103,7 @@ func TestEngineResultTierSweep(t *testing.T) {
 	}
 	p, q := hit.Plan, first.Plan
 	if p == nil || q == nil || !reflect.DeepEqual(p.Budgets, q.Budgets) || p.Models != q.Models ||
-		p.UniqueExact != q.UniqueExact || p.UniqueStructural != q.UniqueStructural {
+		p.UniqueStructural != q.UniqueStructural {
 		t.Fatalf("cached plan %+v differs from %+v", p, q)
 	}
 	if !reflect.DeepEqual(streamed, first.Sweep.Rows()) {

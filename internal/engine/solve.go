@@ -194,10 +194,10 @@ func newSolveResult(meta solveMeta, method string, res *core.Result) *SolveResul
 // UseCache it first consults the cache's result tier — a repeated sweep is
 // answered from the stored result, its rows replayed through OnRow in
 // budget order — and otherwise plans and prewarms (one cold solve per
-// structural class) and hands the plan back alongside the sweep; only
-// sweeps without a failed point are stored. Partial failures follow the
-// experiments contract: the result carries every successful point, the
-// error joins the per-point failures.
+// distinct sub-model fingerprint) and hands the plan back alongside the
+// sweep; only sweeps without a failed point are stored. Partial failures
+// follow the experiments contract: the result carries every successful
+// point, the error joins the per-point failures.
 func (e *Engine) BudgetSweep(ctx context.Context, req BudgetSweepRequest) (*BudgetSweepResult, error) {
 	e.requests.Add(1)
 	var key string

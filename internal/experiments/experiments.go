@@ -40,7 +40,7 @@ type Options struct {
 	// fans out, deduplicating identical per-bus sub-model solves fleet-wide
 	// (see internal/solvecache); nil gives each run a private cache, with
 	// the same results. Use PlanBudgetSweep/PrewarmCtx to pre-populate it,
-	// and Cache.Stats for the hit/miss/warm-start counters.
+	// and Cache.Stats for the hit/miss counters.
 	Cache *solvecache.Cache
 	// OnBudgetRow, when non-nil, is invoked from a worker goroutine as each
 	// budget-sweep point completes — in completion order, not input order, so

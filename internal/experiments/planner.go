@@ -19,8 +19,9 @@ import (
 // point's initial sub-models are fingerprinted before any point runs, so the
 // sweep knows how much solve work is genuinely unique. Budget points share
 // their entire boundary-lambda trajectory (capacities never enter the
-// cap-free programs), so the structural count is the real number of cold
-// solves the fleet's first wave needs.
+// cap-free programs, nor their fingerprints), so the count of distinct
+// fingerprints is the real number of cold solves the fleet's first wave
+// needs.
 type SweepPlan struct {
 	// Budgets lists the planned points (invalid points are dropped here and
 	// left to the sweep itself to report).
@@ -29,14 +30,12 @@ type SweepPlan struct {
 	Skipped []BudgetError
 	// Models is the total sub-model count across all points.
 	Models int
-	// UniqueExact counts distinct full fingerprints (capacities included).
-	UniqueExact int
-	// UniqueStructural counts distinct structural fingerprints — the number
-	// of cold solves needed to warm-start every point's first iteration.
+	// UniqueStructural counts distinct sub-model fingerprints — the number
+	// of cold solves every point's first iteration needs.
 	UniqueStructural int
 
-	// representatives holds one model per structural class, in first-seen
-	// order, for PrewarmCtx.
+	// representatives holds one model per fingerprint, in first-seen order,
+	// for PrewarmCtx.
 	representatives []*ctmdp.Model
 }
 
@@ -53,8 +52,7 @@ func PlanBudgetSweep(newArch func() *arch.Architecture, budgets []int, opt Optio
 	}
 	opts := solvecache.SolveOptions{} // BudgetSweepCtx solves with default options
 	plan := &SweepPlan{}
-	exact := map[solvecache.Key]bool{}
-	structural := map[solvecache.Key]bool{}
+	seen := map[solvecache.Key]bool{}
 	for _, b := range budgets {
 		models, err := initialModels(newArch(), b)
 		if err != nil {
@@ -64,16 +62,13 @@ func PlanBudgetSweep(newArch func() *arch.Architecture, budgets []int, opt Optio
 		plan.Budgets = append(plan.Budgets, b)
 		plan.Models += len(models)
 		for _, m := range models {
-			exact[solvecache.Fingerprint(m, opts)] = true
-			sk := solvecache.StructuralFingerprint(m, opts)
-			if !structural[sk] {
-				structural[sk] = true
+			if k := solvecache.Fingerprint(m, opts); !seen[k] {
+				seen[k] = true
 				plan.representatives = append(plan.representatives, m)
 			}
 		}
 	}
-	plan.UniqueExact = len(exact)
-	plan.UniqueStructural = len(structural)
+	plan.UniqueStructural = len(seen)
 	if len(plan.Budgets) == 0 {
 		return plan, fmt.Errorf("experiments: no plannable budgets: %w", plan.Skipped[0].Err)
 	}
@@ -96,11 +91,11 @@ func initialModels(a *arch.Architecture, budget int) ([]*ctmdp.Model, error) {
 	return core.BuildSubsystemModels(buffered, alloc, core.Config{Arch: buffered, Budget: budget})
 }
 
-// PrewarmCtx cold-solves one representative per structural class into the
+// PrewarmCtx cold-solves one representative per fingerprint into the
 // cache, fanning the solves across the worker pool. After it, every point's
-// first-iteration solves are warm starts at worst; the shared boundary
-// trajectory then keeps later iterations deduplicated as the first worker to
-// reach each new lambda vector populates it for the fleet.
+// first-iteration solves are hits; the shared boundary trajectory then keeps
+// later iterations deduplicated as the first worker to reach each new
+// lambda vector populates it for the fleet.
 func (p *SweepPlan) PrewarmCtx(ctx context.Context, c *solvecache.Cache, workers int) error {
 	if c == nil {
 		return errors.New("experiments: prewarm needs a cache")
@@ -113,11 +108,10 @@ func (p *SweepPlan) PrewarmCtx(ctx context.Context, c *solvecache.Cache, workers
 
 // WriteSummary renders the plan in the shared report format.
 func (p *SweepPlan) WriteSummary(w io.Writer) error {
-	headers := []string{"POINTS", "sub-models", "unique", "structural"}
+	headers := []string{"POINTS", "sub-models", "structural"}
 	rows := [][]string{{
 		fmt.Sprint(len(p.Budgets)),
 		fmt.Sprint(p.Models),
-		fmt.Sprint(p.UniqueExact),
 		fmt.Sprint(p.UniqueStructural),
 	}}
 	if err := report.Table(w, headers, rows); err != nil {
@@ -146,12 +140,12 @@ func usesExactTier(opt Options, points int) bool {
 }
 
 // CachedBudgetSweepCtx is the planned, cache-shared variant of
-// BudgetSweepCtx: fingerprint all points, prewarm one solve per structural
-// class, then run the sweep with every point sharing opt.Cache (created when
-// nil). Cancellation is threaded through planning, prewarming and the sweep
-// itself. Sweeps whose every point runs the analytic backend skip the
-// (exact-tier) planning and prewarm entirely and return a nil plan — the
-// shared cache still serves their analytic tier.
+// BudgetSweepCtx: fingerprint all points, prewarm one solve per distinct
+// fingerprint, then run the sweep with every point sharing opt.Cache
+// (created when nil). Cancellation is threaded through planning, prewarming
+// and the sweep itself. Sweeps whose every point runs the analytic backend
+// skip the (exact-tier) planning and prewarm entirely and return a nil plan
+// — the shared cache still serves their analytic tier.
 func CachedBudgetSweepCtx(ctx context.Context, newArch func() *arch.Architecture, budgets []int, opt Options) (*BudgetSweepResult, *SweepPlan, error) {
 	if opt.Cache == nil {
 		opt.Cache = solvecache.New()
@@ -188,10 +182,9 @@ func SweepWithPlanCtx(ctx context.Context, newArch func() *arch.Architecture, bu
 // the derived per-tier hit rates (solvecache.Stats.Rates). Tiers appear only
 // once touched, keeping exact-only invocations' output compact.
 func WriteCacheStats(w io.Writer, s solvecache.Stats) error {
-	headers := []string{"HITS", "warm starts", "misses", "capped solves", "entries"}
+	headers := []string{"HITS", "misses", "capped solves", "entries"}
 	rows := [][]string{{
 		fmt.Sprint(s.Hits),
-		fmt.Sprint(s.WarmStarts),
 		fmt.Sprint(s.Misses),
 		fmt.Sprint(s.JointMisses),
 		fmt.Sprint(s.Entries + s.AnalyticEntries + s.RobustEntries + s.PlacementEntries + s.ResultEntries),
@@ -225,7 +218,7 @@ func WriteCacheStats(w io.Writer, s solvecache.Stats) error {
 	}
 	// Fixed tier order (the Rates doc's order), filtered to traffic seen.
 	var rh, rr []string
-	for _, tier := range []string{"exact", "structural", "analytic", "robust", "placement", "result", "remote"} {
+	for _, tier := range []string{"exact", "analytic", "robust", "placement", "result", "remote"} {
 		if v, ok := rates[tier]; ok {
 			rh = append(rh, tier)
 			rr = append(rr, fmt.Sprintf("%.1f%%", 100*v))

@@ -109,7 +109,6 @@ func (s *Server) stats(w http.ResponseWriter, r *http.Request) {
 type planJSON struct {
 	Points           int `json:"points"`
 	Models           int `json:"models"`
-	UniqueExact      int `json:"uniqueExact"`
 	UniqueStructural int `json:"uniqueStructural"`
 }
 
@@ -148,7 +147,6 @@ func (s *Server) budgetSweep(w http.ResponseWriter, r *http.Request) {
 		sum.Plan = &planJSON{
 			Points:           len(res.Plan.Budgets),
 			Models:           res.Plan.Models,
-			UniqueExact:      res.Plan.UniqueExact,
 			UniqueStructural: res.Plan.UniqueStructural,
 		}
 	}

@@ -31,7 +31,7 @@ func TestGaussSeidelSweepZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pi := IterOptions{}.initial(512)
+	pi := uniform(512)
 	res := make([]float64, 512)
 	if allocs := testing.AllocsPerRun(100, func() {
 		gsSweep(qt, diag, pi)

@@ -32,7 +32,7 @@ func BenchmarkStationaryDenseVsSparse(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("sparse-gs/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := StationaryGaussSeidel(csr, IterOptions{}); err != nil {
+				if _, err := StationaryGaussSeidel(csr); err != nil {
 					b.Fatal(err)
 				}
 			}

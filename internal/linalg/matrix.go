@@ -15,11 +15,8 @@
 // StationarySparse from there. The pipeline's models have at most 81
 // states (ctmdp.MaxStates).
 //
-// The iterative solvers accept a warm-start prior (IterOptions.Init), the
-// hook the solve cache uses to seed a re-solve from a neighbouring cached
-// solution. A prior is only a hint: the residual tolerance is unchanged, so
-// warm and cold answers agree to the pipeline's 1e-8 gate, and unusable
-// priors silently fall back to the uniform start.
+// The iterative solvers always start from the uniform distribution, under
+// one fixed residual tolerance and sweep budget.
 //
 // The package deliberately implements only what the buffer-sizing pipeline
 // needs. Everything is float64 and allocation patterns are predictable so

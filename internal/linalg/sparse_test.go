@@ -145,7 +145,7 @@ func TestStationaryGaussSeidelMatchesDense(t *testing.T) {
 		if err != nil {
 			t.Fatalf("n=%d: dense: %v", n, err)
 		}
-		got, err := StationaryGaussSeidel(csr, IterOptions{})
+		got, err := StationaryGaussSeidel(csr)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -163,7 +163,7 @@ func TestStationaryPowerMatchesDense(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := StationaryPower(csr, IterOptions{Tol: 1e-13, MaxIters: 200000})
+	got, err := stationaryPower(csr, 1e-13, 200000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestStationarySparseBirthDeath(t *testing.T) {
 		}
 		b.Add(k, k, -exit)
 	}
-	pi, err := StationarySparse(b.Build(), IterOptions{})
+	pi, err := StationarySparse(b.Build())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,14 +210,14 @@ func TestStationaryAbsorbingStateRejected(t *testing.T) {
 	b.Add(0, 1, 1)
 	b.Add(0, 0, -1)
 	// State 1 absorbing: no exit rate.
-	if _, err := StationaryGaussSeidel(b.Build(), IterOptions{}); err == nil {
+	if _, err := StationaryGaussSeidel(b.Build()); err == nil {
 		t.Fatal("absorbing chain accepted")
 	}
 }
 
 func TestStationaryNoConvergenceBudget(t *testing.T) {
 	_, csr := randomGenerator(50, 100, 1)
-	if _, err := StationaryGaussSeidel(csr, IterOptions{Tol: 1e-14, MaxIters: 1}); err == nil {
+	if _, err := stationaryGaussSeidel(csr, 1e-14, 1); err == nil {
 		t.Fatal("one-sweep budget converged to 1e-14 — residual check broken")
 	}
 }

@@ -10,60 +10,22 @@ import (
 // iteration budget before reaching the requested tolerance.
 var ErrNoConvergence = errors.New("linalg: iteration did not converge")
 
-// IterOptions tunes the iterative stationary solvers. Zero values pick
-// defaults good for the CTMDP pipeline's 1e-8 agreement requirement.
-type IterOptions struct {
-	// Tol is the convergence tolerance on the balance-equation residual
-	// max_j |(πQ)_j| relative to the largest exit rate. Default 1e-12.
-	Tol float64
-	// MaxIters bounds solver sweeps. Default 20000.
-	MaxIters int
-	// Init optionally warm-starts the iteration from a prior distribution
-	// instead of the uniform one. It must have one entry per state; it is
-	// copied and renormalised, so the caller's slice is never written. A
-	// wrong-length, non-finite or massless prior silently falls back to the
-	// uniform start — a warm start is a hint, never a correctness input. The
-	// converged answer satisfies the same residual tolerance either way (the
-	// solve-cache's warm/cold gate pins agreement to 1e-8); only the sweep
-	// count changes.
-	Init []float64
-}
+// The iterative solvers stop once the balance-equation residual
+// max_j |(πQ)_j| falls to iterTol relative to the largest exit rate, and
+// fail with ErrNoConvergence after maxSweeps sweeps. Both suit the CTMDP
+// pipeline's 1e-8 agreement requirement.
+const (
+	iterTol   = 1e-12
+	maxSweeps = 20000
+)
 
-// initial returns the starting distribution: the validated, renormalised
-// warm-start prior when one is usable, else uniform.
-func (o IterOptions) initial(n int) []float64 {
+// uniform returns the iterative solvers' starting distribution.
+func uniform(n int) []float64 {
 	pi := make([]float64, n)
-	if len(o.Init) == n {
-		var mass float64
-		ok := true
-		for _, v := range o.Init {
-			if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
-				ok = false
-				break
-			}
-			mass += v
-		}
-		if ok && mass > 0 && !math.IsInf(mass, 0) {
-			for i, v := range o.Init {
-				pi[i] = v / mass
-			}
-			return pi
-		}
-	}
 	for i := range pi {
 		pi[i] = 1 / float64(n)
 	}
 	return pi
-}
-
-func (o IterOptions) withDefaults() IterOptions {
-	if o.Tol <= 0 {
-		o.Tol = 1e-12
-	}
-	if o.MaxIters <= 0 {
-		o.MaxIters = 20000
-	}
-	return o
 }
 
 // DenseThreshold is the state count below which Stationary solves directly
@@ -74,13 +36,12 @@ const DenseThreshold = 48
 
 // Stationary computes the stationary distribution of the CTMC with generator
 // q, picking the solver by state count: StationaryDense below
-// DenseThreshold, StationarySparse from there. opts reaches only the
-// iterative solver; the dense solve has no iteration to seed or bound.
-func Stationary(q *CSR, opts IterOptions) ([]float64, error) {
+// DenseThreshold, StationarySparse from there.
+func Stationary(q *CSR) ([]float64, error) {
 	if q.Rows < DenseThreshold {
 		return StationaryDense(q)
 	}
-	return StationarySparse(q, opts)
+	return StationarySparse(q)
 }
 
 // StationaryDense computes the stationary distribution π of the CTMC with
@@ -146,8 +107,13 @@ func StationaryDense(q *CSR) ([]float64, error) {
 // renormalises. For irreducible generators this is the classical iterative
 // stationary method (Stewart, "Introduction to the Numerical Solution of
 // Markov Chains") and converges geometrically.
-func StationaryGaussSeidel(q *CSR, opts IterOptions) ([]float64, error) {
-	opts = opts.withDefaults()
+func StationaryGaussSeidel(q *CSR) ([]float64, error) {
+	return stationaryGaussSeidel(q, iterTol, maxSweeps)
+}
+
+// stationaryGaussSeidel is StationaryGaussSeidel under an explicit residual
+// tolerance and sweep budget.
+func stationaryGaussSeidel(q *CSR, tol float64, sweeps int) ([]float64, error) {
 	n := q.Rows
 	if n == 0 || q.Cols != n {
 		return nil, fmt.Errorf("%w: generator %dx%d", ErrShape, q.Rows, q.Cols)
@@ -158,17 +124,17 @@ func StationaryGaussSeidel(q *CSR, opts IterOptions) ([]float64, error) {
 		return nil, err
 	}
 
-	pi := opts.initial(n)
+	pi := uniform(n)
 	res := make([]float64, n)
 	scale := rateScale(q)
-	for it := 0; it < opts.MaxIters; it++ {
+	for it := 0; it < sweeps; it++ {
 		gsSweep(qt, diag, pi)
 		s := Sum(pi)
 		if s <= 0 || math.IsNaN(s) || math.IsInf(s, 0) {
 			return nil, fmt.Errorf("linalg: Gauss–Seidel collapsed (mass %v)", s)
 		}
 		Scale(1/s, pi)
-		if stationaryResidual(q, pi, res) <= opts.Tol*scale {
+		if stationaryResidual(q, pi, res) <= tol*scale {
 			return pi, nil
 		}
 	}
@@ -215,9 +181,14 @@ func gsSweep(qt *CSR, diag, pi []float64) {
 // StationaryPower computes the stationary distribution of the CTMC with
 // generator Q by power iteration on the uniformised DTMC P = I + Q/Λ with
 // Λ = 1.05·max_i |q_ii|. Slower than Gauss–Seidel per digit of accuracy but
-// unconditionally stable; the auto path uses it as the fallback.
-func StationaryPower(q *CSR, opts IterOptions) ([]float64, error) {
-	opts = opts.withDefaults()
+// unconditionally stable; StationarySparse uses it as the fallback.
+func StationaryPower(q *CSR) ([]float64, error) {
+	return stationaryPower(q, iterTol, maxSweeps)
+}
+
+// stationaryPower is StationaryPower under an explicit residual tolerance
+// and iteration budget.
+func stationaryPower(q *CSR, tol float64, iters int) ([]float64, error) {
 	n := q.Rows
 	if n == 0 || q.Cols != n {
 		return nil, fmt.Errorf("%w: generator %dx%d", ErrShape, q.Rows, q.Cols)
@@ -234,11 +205,11 @@ func StationaryPower(q *CSR, opts IterOptions) ([]float64, error) {
 	rate := 1.05 * maxDiag
 	qt := q.T()
 
-	pi := opts.initial(n)
+	pi := uniform(n)
 	next := make([]float64, n)
 	res := make([]float64, n)
 	scale := rateScale(q)
-	for it := 0; it < opts.MaxIters; it++ {
+	for it := 0; it < iters; it++ {
 		// next = π·P = π + (π·Q)/Λ, computed via the transpose:
 		// (π·Q)_j = Σ_i π_i q_ij = Σ over row j of qt.
 		for j := 0; j < n; j++ {
@@ -254,7 +225,7 @@ func StationaryPower(q *CSR, opts IterOptions) ([]float64, error) {
 			return nil, fmt.Errorf("linalg: power iteration collapsed (mass %v)", s)
 		}
 		Scale(1/s, pi)
-		if stationaryResidual(q, pi, res) <= opts.Tol*scale {
+		if stationaryResidual(q, pi, res) <= tol*scale {
 			return pi, nil
 		}
 	}
@@ -264,12 +235,12 @@ func StationaryPower(q *CSR, opts IterOptions) ([]float64, error) {
 // StationarySparse computes the stationary distribution of the generator,
 // trying Gauss–Seidel first and falling back to power iteration when the
 // sweep diverges or stalls. Stationary uses it from DenseThreshold states.
-func StationarySparse(q *CSR, opts IterOptions) ([]float64, error) {
-	pi, err := StationaryGaussSeidel(q, opts)
+func StationarySparse(q *CSR) ([]float64, error) {
+	pi, err := StationaryGaussSeidel(q)
 	if err == nil {
 		return pi, nil
 	}
-	if pi2, err2 := StationaryPower(q, opts); err2 == nil {
+	if pi2, err2 := StationaryPower(q); err2 == nil {
 		return pi2, nil
 	}
 	return nil, err

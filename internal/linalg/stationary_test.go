@@ -133,7 +133,7 @@ func TestStationaryPowerVsDenseProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		p, err := StationaryPower(q, IterOptions{Tol: 1e-13, MaxIters: 200000})
+		p, err := stationaryPower(q, 1e-13, 200000)
 		if err != nil {
 			return false
 		}
@@ -151,7 +151,7 @@ func TestStationaryPowerVsDenseProperty(t *testing.T) {
 
 func TestStationaryPowerNoConvergence(t *testing.T) {
 	q := generatorOf(2, map[[2]int]float64{{0, 1}: 2, {1, 0}: 3})
-	if _, err := StationaryPower(q, IterOptions{MaxIters: 1}); err == nil {
+	if _, err := stationaryPower(q, iterTol, 1); err == nil {
 		t.Fatal("one power step from uniform converged to 1e-12")
 	}
 }
@@ -161,20 +161,19 @@ func TestStationaryPowerNoConvergence(t *testing.T) {
 // is the largest model the pipeline builds (ctmdp.MaxStates); n=512 checks
 // that larger chains stay on Gauss–Seidel too.
 func TestStationaryPicksByStateCount(t *testing.T) {
-	gs := func(q *CSR) ([]float64, error) { return StationarySparse(q, IterOptions{}) }
 	for _, tc := range []struct {
 		n      int
 		solver string
 		f      func(*CSR) ([]float64, error)
 	}{
 		{DenseThreshold - 1, "dense", StationaryDense},
-		{DenseThreshold, "gauss-seidel", gs},
-		{81, "gauss-seidel", gs},
-		{512, "gauss-seidel", gs},
+		{DenseThreshold, "gauss-seidel", StationarySparse},
+		{81, "gauss-seidel", StationarySparse},
+		{512, "gauss-seidel", StationarySparse},
 	} {
 		t.Run(fmt.Sprintf("n=%d", tc.n), func(t *testing.T) {
 			_, q := randomGenerator(tc.n, 3*tc.n, int64(tc.n))
-			got, err := Stationary(q, IterOptions{})
+			got, err := Stationary(q)
 			if err != nil {
 				t.Fatal(err)
 			}

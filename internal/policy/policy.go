@@ -7,6 +7,8 @@ package policy
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 
 	"socbuf/internal/arch"
 	"socbuf/internal/sim"
@@ -45,14 +47,15 @@ func (Proportional) Allocate(a *arch.Architecture, budget int) (arch.Allocation,
 // TimeoutThreshold derives the paper's timeout-policy threshold — "the
 // average time spent by a request in a buffer" — from a calibration
 // simulation via Little's law: total mean occupancy over all buffers divided
-// by the delivered throughput.
+// by the delivered throughput. The occupancies are summed in buffer-ID
+// order, so the threshold is the same to the last bit on every call.
 func TimeoutThreshold(r *sim.Results) (float64, error) {
 	if r == nil {
 		return 0, errors.New("policy: nil results")
 	}
 	var occ float64
-	for _, m := range r.MeanOccupancy {
-		occ += m
+	for _, id := range slices.Sorted(maps.Keys(r.MeanOccupancy)) {
+		occ += r.MeanOccupancy[id]
 	}
 	window := r.Horizon
 	delivered := r.TotalDelivered()

@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"math"
 	"testing"
 
 	"socbuf/internal/arch"
@@ -52,6 +53,28 @@ func TestTimeoutThreshold(t *testing.T) {
 	}
 	if w <= 0 || w > 100 {
 		t.Fatalf("implausible residence threshold %v", w)
+	}
+}
+
+// TestTimeoutThresholdDeterministic: occupancies whose float sum depends on
+// the order of addition (1e16 + 1 + 1 is 1e16 left to right, 1e16 + 2 with
+// the ones first) give the sorted-order sum on every call.
+func TestTimeoutThresholdDeterministic(t *testing.T) {
+	a, b, c := 1e16, 1.0, 1.0
+	r := &sim.Results{
+		Horizon:       1,
+		MeanOccupancy: map[string]float64{"a": a, "b": b, "c": c},
+		Delivered:     map[string]int64{"a": 1},
+	}
+	want := a + b + c // the sorted order, in float64 arithmetic
+	for i := 0; i < 200; i++ {
+		got, err := TimeoutThreshold(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("call %d: threshold %v, want the sorted-order sum %v", i, got, want)
+		}
 	}
 }
 

@@ -8,19 +8,21 @@ import (
 
 // TestAnalyticTierRoundTrip pins the analytic cache tier's contract:
 // lookup/put round-trips, payload isolation (returned allocations are
-// copies in both directions), and the hit/miss counters.
+// copies in both directions), and the hit/miss counters. No remote store is
+// attached, so no lookup here needs the architecture a remote payload is
+// checked against.
 func TestAnalyticTierRoundTrip(t *testing.T) {
 	c := New()
 	key := AnalyticFingerprint([]byte("arch-bytes"), 56, 3)
 
-	if _, ok := c.LookupAnalytic(key); ok {
+	if _, ok := c.LookupAnalytic(key, nil, 0); ok {
 		t.Fatal("empty cache hit")
 	}
 	in := &AnalyticSolution{Alloc: map[string]int{"a": 2, "b": 3}, LossRate: 1.5}
 	c.PutAnalytic(key, in)
 	in.Alloc["a"] = 99 // the stored payload must be a copy
 
-	got, ok := c.LookupAnalytic(key)
+	got, ok := c.LookupAnalytic(key, nil, 0)
 	if !ok {
 		t.Fatal("miss after put")
 	}
@@ -28,7 +30,7 @@ func TestAnalyticTierRoundTrip(t *testing.T) {
 		t.Fatalf("payload corrupted: %+v", got)
 	}
 	got.Alloc["b"] = 77 // the returned payload must be a copy too
-	again, _ := c.LookupAnalytic(key)
+	again, _ := c.LookupAnalytic(key, nil, 0)
 	if again.Alloc["b"] != 3 {
 		t.Fatalf("lookup aliased cache memory: %+v", again)
 	}
@@ -38,7 +40,7 @@ func TestAnalyticTierRoundTrip(t *testing.T) {
 		t.Fatalf("counters = %+v, want 2 hits / 1 miss / 1 entry", s)
 	}
 	// Different budget → different key: the content is part of the identity.
-	if _, ok := c.LookupAnalytic(AnalyticFingerprint([]byte("arch-bytes"), 64, 3)); ok {
+	if _, ok := c.LookupAnalytic(AnalyticFingerprint([]byte("arch-bytes"), 64, 3), nil, 0); ok {
 		t.Fatal("budget not part of the analytic key")
 	}
 }
@@ -47,7 +49,7 @@ func TestAnalyticTierRoundTrip(t *testing.T) {
 // receiver of the tier methods, and reports zero Stats.
 func TestAnalyticTierNilCache(t *testing.T) {
 	var c *Cache
-	if _, ok := c.LookupAnalytic(Key{}); ok {
+	if _, ok := c.LookupAnalytic(Key{}, nil, 0); ok {
 		t.Fatal("nil cache hit")
 	}
 	c.PutAnalytic(Key{}, &AnalyticSolution{}) // must not panic
@@ -84,7 +86,7 @@ func TestBackendKeySpacesDisjoint(t *testing.T) {
 		t.Fatalf("exact solve consulted a foreign tier: %+v", s)
 	}
 	// And the exact entry is invisible to the analytic tier.
-	if _, ok := c.LookupAnalytic(Fingerprint(m, SolveOptions{})); ok {
+	if _, ok := c.LookupAnalytic(Fingerprint(m, SolveOptions{}), nil, 0); ok {
 		t.Fatal("exact fingerprint resolved in the analytic tier")
 	}
 }

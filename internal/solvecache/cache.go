@@ -1,42 +1,31 @@
 // Package solvecache is the solve-reuse layer of the sweep engine: a
 // content-addressed cache of per-bus CTMDP solutions, shared safely across
-// the internal/parallel worker pool, plus warm-started re-solves for the
-// cache misses that are "near" a cached solution.
+// the internal/parallel worker pool.
 //
 // Why this works: after the paper's buffer insertion, every bus is an
 // independent linear subsystem, so a sweep (budgets × seeds × scenarios ×
 // methodology iterations) re-solves many bit-identical sub-models. The cache
-// keys each sub-model solve by a canonical fingerprint of its mathematical
-// content (Fingerprint) — client order, bus names and buffer IDs are
-// normalised away — and returns a stored solution rebound onto the
-// requesting model. Two tiers:
-//
-//   - exact hits: the full fingerprint (capacities included) matches; the
-//     cached solution is returned outright.
-//   - warm starts: only the capacity quanta differ (StructuralFingerprint
-//     matches). Capacities do not appear in the occupation-measure LP or the
-//     policy-induced chain, so the cached solution is exact for the new
-//     model too; occupancy-derived quantities are recomputed from the
-//     requesting model. This is the "solve seeded from the nearest cached
-//     solution" fast path, and it converges in zero iterations by
-//     construction. Genuinely different models (rates changed) miss and
-//     solve cold.
+// keys each sub-model solve by a canonical fingerprint of what the solve
+// reads (Fingerprint) — client order, bus names and buffer IDs are
+// normalised away, and so are the capacity quanta, which neither the
+// occupation-measure LP nor the policy-induced chain reads — and returns a
+// stored solution rebound onto the requesting model. A hit is returned
+// outright; a miss solves the model's canonical clone cold and stores it.
+// Budget points of a sweep therefore share their sub-model solves: they
+// differ only in capacities.
 //
 // Capped programs (the occupancy cap links the blocks) are not cached: each
 // is solved fresh on the canonical clones of its models, bus by bus under an
-// occupancy price (ctmdp.SolveJoint; DESIGN.md §8), and its stationary
-// refinement is seeded from the cached free solutions (the warm prior of
-// ctmdp's RefineStationary).
+// occupancy price (ctmdp.SolveJoint; DESIGN.md §8).
 //
-// Determinism: a cached payload is a pure function of its fingerprint — cold
-// misses solve a canonicalised copy of the model, and warm reuse is
-// bit-identical to what that canonical cold solve would produce (the
-// programs are the same bits). Sweep results therefore do not depend on
-// which worker populated the cache first, preserving the repo-wide
-// "identical results for any worker count" contract. Every methodology run
-// solves through a cache — core gives a run without one a private cache —
-// so a shared cache only saves work: a run gets the same answer from a
-// private cache as from one shared fleet-wide.
+// Determinism: a cached solution is a pure function of its fingerprint —
+// misses solve a canonicalised copy of the model, and every model sharing
+// the fingerprint has the same program bit for bit. Sweep results therefore
+// do not depend on which worker populated the cache first, preserving the
+// repo-wide "identical results for any worker count" contract. Every
+// methodology run solves through a cache — core gives a run without one a
+// private cache — so a shared cache only saves work: a run gets the same
+// answer from a private cache as from one shared fleet-wide.
 //
 // Two tiers memoise whole answers rather than sub-models: placement holds
 // serialised placement results, and result holds serialised solve and
@@ -45,13 +34,13 @@
 // result tier is local-only: request fingerprints carry no code version, and
 // a router already keeps each fingerprint on one shard (DESIGN.md §10).
 //
-// Memory: every tier (exact, structural, analytic, robust, placement,
-// result) is one generic LRU-bounded store (tier.go). New builds an
-// unbounded cache — a sweep's distinct sub-models number in the hundreds
-// and payloads are a few KB each; NewBounded caps each tier at a fixed
-// entry count for long-lived processes, evicting the least recently used
-// entry. Eviction costs a recompute, never correctness, because payloads
-// are pure functions of their keys.
+// Memory: every tier (exact, analytic, robust, placement, result) is one
+// generic LRU-bounded store (tier.go). New builds an unbounded cache — a
+// sweep's distinct sub-models number in the hundreds and payloads are a few
+// KB each; NewBounded caps each tier at a fixed entry count for long-lived
+// processes, evicting the least recently used entry. Eviction costs a
+// recompute, never correctness, because payloads are pure functions of
+// their keys.
 package solvecache
 
 import (
@@ -59,6 +48,7 @@ import (
 	"fmt"
 	"sync/atomic"
 
+	"socbuf/internal/arch"
 	"socbuf/internal/ctmdp"
 	"socbuf/internal/uncertain"
 )
@@ -68,15 +58,13 @@ import (
 // valid "caching disabled" receiver for every tier method and Stats, but not
 // for SolveJoint.
 type Cache struct {
-	// exact keys sub-model entries by full fingerprint, structural by
-	// structural fingerprint (the warm-start siblings); both hold the same
-	// *entry values. Their counters are the Hits (exact.hits), WarmStarts
-	// (structural.hits) and Misses (exact.misses) of Stats.
-	exact, structural *tier[*entry]
-	analytic          *tier[*AnalyticSolution]
-	robust            *tier[*RobustSolution]
-	placement         *tier[json.RawMessage]
-	result            *tier[json.RawMessage] // local only: no remote tag
+	// exact keys sub-model entries by Fingerprint; its counters are the
+	// Hits and Misses of Stats.
+	exact     *tier[*entry]
+	analytic  *tier[*AnalyticSolution]
+	robust    *tier[*RobustSolution]
+	placement *tier[json.RawMessage]
+	result    *tier[json.RawMessage] // local only: no remote tag
 
 	// capped counts capped programs solved (Stats.JointMisses).
 	capped atomic.Int64
@@ -103,18 +91,13 @@ func New() *Cache { return NewBounded(0) }
 func NewBounded(max int) *Cache {
 	c := &Cache{}
 	r := &c.remote
-	c.exact = &tier[*entry]{max: max, remote: r, tag: "exact",
-		valid: func(e *entry) bool { return e != nil }}
-	c.structural = &tier[*entry]{max: max}
-	c.analytic = &tier[*AnalyticSolution]{max: max, remote: r, tag: "analytic", clone: (*AnalyticSolution).clone,
-		valid: func(s *AnalyticSolution) bool { return s != nil && s.Alloc != nil }}
-	c.robust = &tier[*RobustSolution]{max: max, remote: r, tag: "robust", clone: (*RobustSolution).clone,
-		valid: func(s *RobustSolution) bool { return s != nil && s.Alloc != nil }}
+	c.exact = &tier[*entry]{max: max, remote: r, tag: "exact"}
+	c.analytic = &tier[*AnalyticSolution]{max: max, remote: r, tag: "analytic", clone: (*AnalyticSolution).clone}
+	c.robust = &tier[*RobustSolution]{max: max, remote: r, tag: "robust", clone: (*RobustSolution).clone}
 	// Placement and result payloads are the engine's serialised results,
 	// carried verbatim.
 	cloneRaw := func(b json.RawMessage) json.RawMessage { return append(json.RawMessage(nil), b...) }
-	c.placement = &tier[json.RawMessage]{max: max, remote: r, tag: "placement", clone: cloneRaw,
-		valid: func(b json.RawMessage) bool { return len(b) > 0 }}
+	c.placement = &tier[json.RawMessage]{max: max, remote: r, tag: "placement", clone: cloneRaw}
 	c.result = &tier[json.RawMessage]{max: max, clone: cloneRaw}
 	return c
 }
@@ -133,16 +116,19 @@ func (s *AnalyticSolution) clone() *AnalyticSolution {
 	return &AnalyticSolution{Alloc: cloneAlloc(s.Alloc), LossRate: s.LossRate}
 }
 
-// LookupAnalytic fetches a cached analytic sizing by its
-// AnalyticFingerprint key, falling back to the attached remote store on a
-// local miss (an adopted remote payload is stored locally and counts as
-// both an analytic and a remote hit). A nil receiver (caching disabled)
-// always misses without counting.
-func (c *Cache) LookupAnalytic(k Key) (*AnalyticSolution, bool) {
+// LookupAnalytic fetches a cached analytic sizing of the buffered
+// architecture a at budget by its AnalyticFingerprint key, falling back to
+// the attached remote store on a local miss. A remote payload is adopted —
+// stored locally, counting as both an analytic and a remote hit — only when
+// it is a sizing of a at budget (validSizing). A nil receiver (caching
+// disabled) always misses without counting.
+func (c *Cache) LookupAnalytic(k Key, a *arch.Architecture, budget int) (*AnalyticSolution, bool) {
 	if c == nil {
 		return nil, false
 	}
-	return c.analytic.lookup(k)
+	return c.analytic.lookup(k, func(s *AnalyticSolution) bool {
+		return s != nil && validSizing(s.Alloc, s.LossRate, a, budget)
+	})
 }
 
 // PutAnalytic stores one analytic sizing under its AnalyticFingerprint key.
@@ -180,14 +166,17 @@ func cloneAlloc(alloc map[string]int) map[string]int {
 	return out
 }
 
-// LookupRobust fetches a cached robust sizing by its RobustFingerprint
-// key, falling back to the attached remote store on a local miss. A nil
-// receiver (caching disabled) always misses without counting.
-func (c *Cache) LookupRobust(k Key) (*RobustSolution, bool) {
+// LookupRobust fetches a cached robust sizing of the buffered architecture
+// a at budget by its RobustFingerprint key, falling back to the attached
+// remote store on a local miss. A remote payload is adopted only when it is
+// a sizing of a at budget whose report is consistent with it
+// (validRobust). A nil receiver (caching disabled) always misses without
+// counting.
+func (c *Cache) LookupRobust(k Key, a *arch.Architecture, budget int) (*RobustSolution, bool) {
 	if c == nil {
 		return nil, false
 	}
-	return c.robust.lookup(k)
+	return c.robust.lookup(k, func(s *RobustSolution) bool { return validRobust(s, a, budget) })
 }
 
 // PutRobust stores one robust sizing under its RobustFingerprint key. The
@@ -206,13 +195,14 @@ func (c *Cache) PutRobust(k Key, s *RobustSolution) {
 // placement result — opaque to this package (placement results are
 // deterministic functions of the key, so byte-level storage is sound and
 // keeps the dependency arrow pointing the right way). Returned bytes are a
-// fresh copy. A nil receiver (caching disabled) always misses without
-// counting.
+// fresh copy. A remote payload is adopted when it is non-empty; the
+// engine, which owns the payload's schema, checks the rest. A nil receiver
+// (caching disabled) always misses without counting.
 func (c *Cache) LookupPlacement(k Key) ([]byte, bool) {
 	if c == nil {
 		return nil, false
 	}
-	return c.placement.lookup(k)
+	return c.placement.lookup(k, func(b json.RawMessage) bool { return len(b) > 0 })
 }
 
 // PutPlacement stores one serialised placement result under its
@@ -234,7 +224,7 @@ func (c *Cache) LookupResult(k Key) ([]byte, bool) {
 	if c == nil {
 		return nil, false
 	}
-	return c.result.lookup(k)
+	return c.result.lookup(k, nil)
 }
 
 // PutResult stores one serialised request result under its key. The
@@ -249,17 +239,16 @@ func (c *Cache) PutResult(k Key, b []byte) {
 
 // Stats is a point-in-time snapshot of the cache counters.
 type Stats struct {
-	// Hits counts sub-model solves answered by an exact fingerprint match.
+	// Hits counts sub-model solves answered from the cache.
 	Hits int64
-	// WarmStarts counts solves answered through a structural match (only
-	// capacities differed from a cached solution).
+	// WarmStarts stays 0. It is kept, with JointHits and JointEntries, only
+	// until the end-to-end benchmark's next change, since the benchmark
+	// reads all three.
 	WarmStarts int64
 	// Misses counts cold sub-model solves.
 	Misses int64
 	// JointMisses counts capped programs solved (the occupancy-cap linked
-	// programs, which are never cached). JointHits stays 0: it is kept, with
-	// JointEntries, only until the end-to-end benchmark's next change, since
-	// the benchmark reads both.
+	// programs, which are never cached). JointHits stays 0 (see WarmStarts).
 	JointHits, JointMisses int64
 	// AnalyticHits / AnalyticMisses count analytic-tier lookups — the
 	// closed-form backend's sizing cache, keyed in a backend-tagged key
@@ -283,10 +272,8 @@ type Stats struct {
 	// source. Both stay zero when no store is attached.
 	RemoteHits, RemoteMisses int64
 	// Entries / AnalyticEntries / RobustEntries / PlacementEntries /
-	// ResultEntries are the stored solution counts per tier. Entries counts
-	// distinct exact-tier solutions (warm-start promotion files one solution
-	// under several keys), so it never exceeds the tier's key count — nor,
-	// therefore, its NewBounded bound. JointEntries stays 0 (see JointHits).
+	// ResultEntries are the stored solution counts per tier. JointEntries
+	// stays 0 (see WarmStarts).
 	Entries, JointEntries, AnalyticEntries, RobustEntries, PlacementEntries, ResultEntries int
 }
 
@@ -320,10 +307,7 @@ func (s *Stats) Add(o Stats) {
 // Only tiers that saw traffic appear, so an operator reading `/v1/stats` or a
 // `-cache-stats` table sees rates exactly for the tiers the run exercised:
 //
-//	exact       Hits / (Hits + WarmStarts + Misses) — full-fingerprint hits
-//	            over all sub-model lookups
-//	structural  WarmStarts / (WarmStarts + Misses) — how often a non-exact
-//	            lookup was still answered by a structural sibling
+//	exact       Hits / (Hits + Misses) — hits over all sub-model lookups
 //	analytic, robust, placement, result — hits / (hits + misses) of that
 //	            tier
 //	remote      RemoteHits / (RemoteHits + RemoteMisses) — adopted payloads
@@ -335,8 +319,7 @@ func (s Stats) Rates() map[string]float64 {
 			rates[name] = float64(num) / float64(den)
 		}
 	}
-	add("exact", s.Hits, s.Hits+s.WarmStarts+s.Misses)
-	add("structural", s.WarmStarts, s.WarmStarts+s.Misses)
+	add("exact", s.Hits, s.Hits+s.Misses)
 	add("analytic", s.AnalyticHits, s.AnalyticHits+s.AnalyticMisses)
 	add("robust", s.RobustHits, s.RobustHits+s.RobustMisses)
 	add("placement", s.PlacementHits, s.PlacementHits+s.PlacementMisses)
@@ -350,11 +333,8 @@ func (c *Cache) Stats() Stats {
 	if c == nil {
 		return Stats{}
 	}
-	distinct := map[*entry]struct{}{}
-	c.exact.each(func(e *entry) { distinct[e] = struct{}{} })
 	return Stats{
 		Hits:             c.exact.hits.Load(),
-		WarmStarts:       c.structural.hits.Load(),
 		Misses:           c.exact.misses.Load(),
 		JointMisses:      c.capped.Load(),
 		AnalyticHits:     c.analytic.hits.Load(),
@@ -367,7 +347,7 @@ func (c *Cache) Stats() Stats {
 		ResultMisses:     c.result.misses.Load(),
 		RemoteHits:       c.remote.hits.Load(),
 		RemoteMisses:     c.remote.misses.Load(),
-		Entries:          len(distinct),
+		Entries:          c.exact.len(),
 		AnalyticEntries:  c.analytic.len(),
 		RobustEntries:    c.robust.len(),
 		PlacementEntries: c.placement.len(),
@@ -376,32 +356,13 @@ func (c *Cache) Stats() Stats {
 }
 
 // HitCount sums the hit counters of the tiers a methodology run reads —
-// exact, warm-start, analytic and robust — without locking or scanning, so
-// callers can diff it around a run. A nil receiver reports 0.
+// exact, analytic and robust — without locking or scanning, so callers can
+// diff it around a run. A nil receiver reports 0.
 func (c *Cache) HitCount() int64 {
 	if c == nil {
 		return 0
 	}
-	return c.exact.hits.Load() + c.structural.hits.Load() +
-		c.analytic.hits.Load() + c.robust.hits.Load()
-}
-
-// lookup fetches the entry for the full key, or a structural sibling. The
-// second return distinguishes exact (true) from warm (false) on success.
-func (c *Cache) lookup(full, structural Key) (*entry, bool) {
-	if e, ok := c.exact.get(full); ok {
-		return e, true
-	}
-	e, _ := c.structural.get(structural)
-	return e, false
-}
-
-// put stores e locally under both keys. Concurrent duplicate solves of the
-// same fingerprint store bit-identical payloads, so last-write-wins is
-// benign.
-func (c *Cache) put(full, structural Key, e *entry) {
-	c.exact.add(full, e)
-	c.structural.add(structural, e)
+	return c.exact.hits.Load() + c.analytic.hits.Load() + c.robust.hits.Load()
 }
 
 // canonicalModel clones m with clients in canonical order under neutral
@@ -420,8 +381,9 @@ func canonicalModel(m *ctmdp.Model, order []int) (*ctmdp.Model, error) {
 
 // matches sanity-checks a candidate entry against the requesting model's
 // canonical view before rebinding: same client count, service rate and
-// structural tuples. Guards against (astronomically unlikely) hash
-// collisions and any drift in the canonicalisation.
+// fingerprinted tuples. Guards against (astronomically unlikely) hash
+// collisions, any drift in the canonicalisation and peers' payloads solved
+// for another model.
 func (e *entry) matches(m *ctmdp.Model, order []int) bool {
 	if len(e.model.Clients) != len(m.Clients) || e.model.ServiceRate != m.ServiceRate {
 		return false

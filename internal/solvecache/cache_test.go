@@ -12,7 +12,7 @@ import (
 	"socbuf/internal/solvecache"
 )
 
-// presets is the warm-vs-cold equivalence table: every architecture preset
+// presets is the hit-vs-cold equivalence table: every architecture preset
 // at its usual test budget.
 var presets = []struct {
 	name   string
@@ -84,12 +84,11 @@ func assertSolutionsAgree(t *testing.T, a, b *ctmdp.JointSolution, tol float64, 
 	}
 }
 
-// TestWarmVsColdEquivalence is the correctness gate of the tentpole: over
-// every architecture preset, with refinement off and on, the cache's three
-// answer paths — cold canonical solve, exact hit, and capacity-changed warm
-// start — agree with each other to 1e-8 (hits and warm starts are in fact
-// bit-identical to the canonical cold solve), and with the uncached solver
-// on the optimum they reach.
+// TestWarmVsColdEquivalence is the cache's correctness gate: over every
+// architecture preset, with refinement off and on, a hit — of the same
+// models, or of models whose capacities alone changed — is bit-identical to
+// a fresh cold solve of the requesting models, and the cold canonical solve
+// agrees with the uncached solver on the optimum it reaches.
 func TestWarmVsColdEquivalence(t *testing.T) {
 	for _, p := range presets {
 		for _, refine := range []bool{false, true} {
@@ -128,24 +127,25 @@ func TestWarmVsColdEquivalence(t *testing.T) {
 				if s := c.Stats(); s.Hits != int64(len(models)) {
 					t.Fatalf("exact pass counters off: %+v", s)
 				}
-				assertSolutionsAgree(t, cold, hit, 1e-8, "cold vs exact hit")
+				assertSolutionsAgree(t, cold, hit, 0, "cold vs hit")
 
 				// Capacity change only: rebuild the models at a different
 				// budget — UnitsPerLevel shifts, everything else is
-				// bit-identical (capacities never feed back into rates).
+				// bit-identical (capacities never feed back into rates) —
+				// and every solve is a hit.
 				resized := presetModels(t, p.arch, p.budget+len(models))
-				warm, err := c.SolveJoint(resized, cfg)
+				resizedHit, err := c.SolveJoint(resized, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if s := c.Stats(); s.WarmStarts == 0 {
-					t.Fatalf("capacity-only change produced no warm starts: %+v", s)
+				if s := c.Stats(); s.Hits != 2*int64(len(models)) || s.Misses != int64(len(models)) {
+					t.Fatalf("capacity-only change was not all hits: %+v", s)
 				}
 				freshCold, err := solvecache.New().SolveJoint(resized, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				assertSolutionsAgree(t, freshCold, warm, 1e-8, "warm vs cold")
+				assertSolutionsAgree(t, freshCold, resizedHit, 0, "capacity-changed hit vs cold")
 			})
 		}
 	}
@@ -197,9 +197,9 @@ func TestCachePermutedModel(t *testing.T) {
 }
 
 // TestCacheCappedJoint covers the occupancy-cap linked program: never
-// cached (each call solves afresh and counts one capped solve), the same
-// answer on every call, warm-seeding its refinement from the free
-// solutions, and agreeing with the uncached solver to 1e-8 on the optimum.
+// cached (each call solves afresh, counts one capped solve and files no
+// entry), the same answer on every call, and agreeing with the uncached
+// solver to 1e-8 on the optimum.
 func TestCacheCappedJoint(t *testing.T) {
 	for _, refine := range []bool{false, true} {
 		models := presetModels(t, arch.Figure1, 40)
@@ -210,8 +210,7 @@ func TestCacheCappedJoint(t *testing.T) {
 		cfg := ctmdp.JointConfig{OccupancyCap: free.OccupancyUsed * 0.9, RefineStationary: refine}
 
 		c := solvecache.New()
-		// Free solves first, as the methodology loop does — they seed the
-		// capped refinement.
+		// Free solves first, as the methodology loop does.
 		if _, err := c.SolveJoint(models, ctmdp.JointConfig{RefineStationary: refine}); err != nil {
 			t.Fatal(err)
 		}
@@ -262,9 +261,9 @@ func TestCacheInfeasibleCap(t *testing.T) {
 }
 
 // TestCacheConcurrent hammers one shared cache from the worker pool — the
-// sweep engine's exact usage — under -race: mixed hits, warm starts and
-// misses, with every answer agreeing with an uncached reference solve. The
-// bounded variant evicts concurrently and must stay within its bound.
+// sweep engine's exact usage — under -race: mixed hits and misses, with
+// every answer agreeing with an uncached reference solve. The bounded
+// variant evicts concurrently and must stay within its bound.
 func TestCacheConcurrent(t *testing.T) {
 	base := presetModels(t, arch.TwoBusAMBA, 24)
 	resized := presetModels(t, arch.TwoBusAMBA, 30)
@@ -296,7 +295,7 @@ func TestCacheConcurrent(t *testing.T) {
 			t.Fatal(err)
 		}
 		s := c.Stats()
-		if s.Hits+s.WarmStarts+s.Misses != rounds {
+		if s.Hits+s.Misses != rounds {
 			t.Fatalf("bound %d: counters don't add up to %d solves: %+v", bound, rounds, s)
 		}
 		if bound > 0 {

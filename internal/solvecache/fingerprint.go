@@ -23,9 +23,7 @@ func (k Key) String() string { return hex.EncodeToString(k[:8]) }
 // full cache-key contract.
 type SolveOptions struct {
 	// Refine mirrors ctmdp.JointConfig.RefineStationary: refined and
-	// unrefined solutions are different payloads. A refinement's warm prior
-	// is NOT fingerprinted (a warm start cannot change the converged
-	// answer).
+	// unrefined solutions are different payloads.
 	Refine bool
 }
 
@@ -35,9 +33,9 @@ func optionsOf(cfg ctmdp.JointConfig) SolveOptions {
 }
 
 // clientKey is the canonical per-client tuple. The structural part —
-// everything the occupation-measure LP and the policy-induced chain depend
-// on — comes first; UnitsPerLevel (the capacity quantum) affects only
-// occupancy-derived quantities, which is exactly the warm-start axis.
+// everything the occupation-measure LP and the policy-induced chain read,
+// and all that Fingerprint hashes — comes first; UnitsPerLevel (the
+// capacity quantum) affects only occupancy-derived quantities.
 type clientKey struct {
 	lambda, lossWeight, downstreamFullProb float64
 	levels                                 int
@@ -70,8 +68,10 @@ func structuralLess(a, b clientKey) bool {
 
 // less is the full canonical order: structural tuple first, UnitsPerLevel as
 // the tie-break. Clients that tie on the structural tuple have identical LP
-// columns, so any order among them yields the same program bit for bit —
-// which is what keeps warm-started reuse deterministic.
+// columns, so any order among them yields the same program bit for bit, and
+// a cached solution is the same whatever capacities its first requester
+// had. The tie-break only decides which of two tied clients takes which
+// canonical slot, and so which slot's values each is rebound to.
 func less(a, b clientKey) bool {
 	if structuralLess(a, b) {
 		return true
@@ -129,8 +129,9 @@ func (h *hasher) sum() Key { return sha256.Sum256(h.buf) }
 // fingerprint covers so stale cross-process caches can never alias.
 // Version 2 introduced the backend tag below; version 3 added the stationary
 // auto-path thresholds to the fingerprinted options; version 4 dropped every
-// stationary option but the refine flag.
-const version = 4
+// stationary option but the refine flag; version 5 dropped the capacity
+// quanta from the sub-model key.
+const version = 5
 
 // Backend domain-separation tags. Every fingerprint serialises the solver
 // backend that produced (or will produce) the payload immediately after the
@@ -149,14 +150,16 @@ func (h *hasher) options(o SolveOptions) {
 	h.bool(o.Refine)
 }
 
-// fingerprint serialises the model in canonical client order. withUnits
-// selects the full key (capacities included) or the structural key
-// (capacities excluded — the warm-start equivalence class).
-func fingerprint(m *ctmdp.Model, opts SolveOptions, withUnits bool) Key {
-	h := &hasher{buf: make([]byte, 0, 64+24*len(m.Clients))}
+// Fingerprint returns the content-addressed key of one sub-model solve:
+// exactly what the solve reads. That is the service rate, the canonically
+// sorted per-client tuples (arrival rate, levels, loss weight,
+// downstream-full probability) and the solve options. Capacity quanta
+// (UnitsPerLevel), client order, bus name, buffer IDs and aggregate
+// membership are deliberately excluded — see DESIGN.md §4 for the contract.
+func Fingerprint(m *ctmdp.Model, opts SolveOptions) Key {
+	h := &hasher{buf: make([]byte, 0, 64+32*len(m.Clients))}
 	h.i64(version)
 	h.i64(backendExact)
-	h.bool(withUnits)
 	h.f64(m.ServiceRate)
 	h.i64(int64(len(m.Clients)))
 	for _, i := range canonicalOrder(m) {
@@ -165,30 +168,9 @@ func fingerprint(m *ctmdp.Model, opts SolveOptions, withUnits bool) Key {
 		h.i64(int64(k.levels))
 		h.f64(k.lossWeight)
 		h.f64(k.downstreamFullProb)
-		if withUnits {
-			h.f64(k.unitsPerLevel)
-		}
 	}
 	h.options(opts)
 	return h.sum()
-}
-
-// Fingerprint returns the full content-addressed key of one sub-model solve:
-// service rate, the canonically sorted per-client tuples (arrival rate,
-// levels, loss weight, downstream-full probability, units per level) and the
-// solve options. Client order, bus name, buffer IDs and aggregate membership
-// are deliberately excluded — see DESIGN.md §4 for the contract.
-func Fingerprint(m *ctmdp.Model, opts SolveOptions) Key {
-	return fingerprint(m, opts, true)
-}
-
-// StructuralFingerprint is Fingerprint with the capacity quanta
-// (UnitsPerLevel) excluded. Models sharing a structural fingerprint have
-// bit-identical occupation-measure LPs and policy chains — capacities enter
-// only occupancy-derived quantities — so a cached solution for one is an
-// exact warm start for the others.
-func StructuralFingerprint(m *ctmdp.Model, opts SolveOptions) Key {
-	return fingerprint(m, opts, false)
 }
 
 // AnalyticFingerprint keys one analytic (M/M/1/K marginal-allocation)

@@ -31,10 +31,7 @@ func TestFingerprintPermutationInvariant(t *testing.T) {
 	m2 := mustModel(t, "bus1", 4, perm)
 	var opts SolveOptions
 	if Fingerprint(m1, opts) != Fingerprint(m2, opts) {
-		t.Error("permuted-client-order models must share a full fingerprint")
-	}
-	if StructuralFingerprint(m1, opts) != StructuralFingerprint(m2, opts) {
-		t.Error("permuted-client-order models must share a structural fingerprint")
+		t.Error("permuted-client-order models must share a fingerprint")
 	}
 }
 
@@ -55,6 +52,8 @@ func TestFingerprintIgnoresNames(t *testing.T) {
 	}
 }
 
+// TestFingerprintCapacityChange: the solve never reads a capacity quantum,
+// so changing one keeps the key.
 func TestFingerprintCapacityChange(t *testing.T) {
 	cs := testClients()
 	m1 := mustModel(t, "bus1", 4, cs)
@@ -62,11 +61,8 @@ func TestFingerprintCapacityChange(t *testing.T) {
 	resized[1].UnitsPerLevel = 9
 	m2 := mustModel(t, "bus1", 4, resized)
 	var opts SolveOptions
-	if Fingerprint(m1, opts) == Fingerprint(m2, opts) {
-		t.Error("changed capacity must change the full fingerprint")
-	}
-	if StructuralFingerprint(m1, opts) != StructuralFingerprint(m2, opts) {
-		t.Error("changed capacity must NOT change the structural fingerprint")
+	if Fingerprint(m1, opts) != Fingerprint(m2, opts) {
+		t.Error("changed capacity must not change the fingerprint")
 	}
 }
 
@@ -84,15 +80,12 @@ func TestFingerprintStructuralChange(t *testing.T) {
 		mutate(&changed[0])
 		m2 := mustModel(t, "bus1", 4, changed)
 		if Fingerprint(m1, opts) == Fingerprint(m2, opts) {
-			t.Errorf("%s change must alter the full fingerprint", name)
-		}
-		if StructuralFingerprint(m1, opts) == StructuralFingerprint(m2, opts) {
-			t.Errorf("%s change must alter the structural fingerprint", name)
+			t.Errorf("%s change must alter the fingerprint", name)
 		}
 	}
 	m3 := mustModel(t, "bus1", 5, testClients())
-	if StructuralFingerprint(m1, opts) == StructuralFingerprint(m3, opts) {
-		t.Error("service-rate change must alter the structural fingerprint")
+	if Fingerprint(m1, opts) == Fingerprint(m3, opts) {
+		t.Error("service-rate change must alter the fingerprint")
 	}
 }
 

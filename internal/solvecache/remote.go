@@ -6,6 +6,7 @@ import (
 	"math"
 	"sync/atomic"
 
+	"socbuf/internal/arch"
 	"socbuf/internal/ctmdp"
 )
 
@@ -14,23 +15,29 @@ import (
 // payloads are written behind. The serialisation contract (DESIGN.md §10):
 //
 //   - A remote payload is a pure function of its key, exactly like a local
-//     entry: the bytes any peer stores under a key are bit-identical to the
-//     bytes every other peer would store, so adopting a remote payload can
-//     never change a result — only skip a recompute.
+//     entry: the numbers any peer stores under a key are bit-identical to
+//     the numbers every other peer would store, so adopting a remote payload
+//     can never change a result — only skip a recompute. (An exact payload's
+//     canonical model also records the capacity quanta of the model first
+//     solved under its key; nothing reads them.)
 //   - Payloads are JSON envelopes tagged with their tier. Keys are already
 //     version- and backend-tagged (a peer on another fingerprint version
 //     computes disjoint keys), and the HTTP layer additionally version-tags
 //     every response; the tier tag inside the envelope is the final guard
 //     against a store wired across incompatible fleets.
-//   - Decoding validates every dimension against the reconstructed model
-//     before the payload is adopted; an undecodable or inconsistent payload
-//     is a miss, never an error — a poisoned peer can cost recomputes, not
-//     correctness.
-//   - Exact-tier payloads carry the canonical model and solution. Besides
-//     its dimensions, decoding checks every value the methodology reads as
-//     a probability: occupation measures and state probabilities lie in
-//     [0, 1], state probabilities sum to 1, and each visited policy row is
-//     a distribution.
+//   - Every payload is checked before it is adopted; an undecodable or
+//     inconsistent payload is a miss, never an error — a poisoned peer can
+//     cost recomputes, not correctness.
+//   - Exact-tier payloads carry the canonical model and solution. Decoding
+//     validates every dimension against the reconstructed model and every
+//     value the methodology reads as a probability: occupation measures and
+//     state probabilities lie in [0, 1], state probabilities sum to 1, and
+//     each visited policy row is a distribution. The model must then match
+//     the requesting one.
+//   - Analytic and robust payloads must be sizings of the architecture and
+//     budget the lookup names (validSizing, validRobust).
+//   - Placement payloads are the engine's serialised results, opaque here;
+//     the engine checks them against the request.
 
 // remote is a cache's attachment point for the shared store: the store
 // itself (nil = none) and the adoption counters every remote-enabled tier
@@ -165,6 +172,29 @@ func (p *exactPayload) checkValues(m *ctmdp.Model) error {
 	return nil
 }
 
+// validSizing reports whether alloc and loss can be a sizing of the
+// buffered architecture a at budget: the allocation passes
+// arch.Allocation.Validate, and the loss rate is finite and non-negative.
+func validSizing(alloc map[string]int, loss float64, a *arch.Architecture, budget int) bool {
+	return arch.Allocation(alloc).Validate(a, budget) == nil && loss >= 0 && !math.IsInf(loss, 1)
+}
+
+// validRobust reports whether s can be a robust sizing of a at budget: a
+// valid sizing whose report's yields lie in [0, 1] and whose BudgetUsed is
+// the allocation's total.
+func validRobust(s *RobustSolution, a *arch.Architecture, budget int) bool {
+	if s == nil || !validSizing(s.Alloc, s.LossRate, a, budget) {
+		return false
+	}
+	r := s.Report
+	for _, y := range []float64{r.Yield, r.YieldLow, r.NominalYield} {
+		if !(y >= 0 && y <= 1) {
+			return false
+		}
+	}
+	return r.BudgetUsed == arch.Allocation(s.Alloc).Total()
+}
+
 // SetRemote attaches (or, with nil, detaches) the shared remote store. Local
 // tiers consult it on local misses and write freshly computed payloads
 // behind it. Attach before solving; swapping mid-flight is not synchronised.
@@ -176,11 +206,11 @@ func (c *Cache) SetRemote(s Store) {
 	c.remote.store = s
 }
 
-// fetch consults the remote store for k's payload. Absent, mistagged,
-// undecodable and invalid payloads are remote misses; only an adoptable
-// payload counts as a remote hit. A local-only tier, or a cache without a
-// store, never consults (nor counts).
-func (t *tier[V]) fetch(k Key) (V, bool) {
+// fetch consults the remote store for k's payload. Absent, mistagged and
+// undecodable payloads, and those valid rejects, are remote misses; only an
+// adoptable payload counts as a remote hit. A local-only tier, or a cache
+// without a store, never consults (nor counts).
+func (t *tier[V]) fetch(k Key, valid func(V) bool) (V, bool) {
 	var v V
 	if t.tag == "" || t.remote.store == nil {
 		return v, false
@@ -188,7 +218,7 @@ func (t *tier[V]) fetch(k Key) (V, bool) {
 	if b, ok := t.remote.store.Get(nil, k); ok {
 		var env remoteEnvelope
 		if json.Unmarshal(b, &env) == nil && env.Tier == t.tag &&
-			json.Unmarshal(env.Data, &v) == nil && t.valid(v) {
+			json.Unmarshal(env.Data, &v) == nil && valid(v) {
 			t.remote.hits.Add(1)
 			return v, true
 		}

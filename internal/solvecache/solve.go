@@ -12,13 +12,10 @@ import (
 //
 // Cap-free programs decouple into independent sub-model solves, which is
 // where the fleet-wide reuse lives: each model is answered from the cache
-// (exact hit), from a structural sibling (warm start — only capacities
-// changed), or by a cold solve of its canonicalised clone that then
-// populates the cache. Capped programs are solved fresh on the canonical
-// clones, bus by bus (ctmdp.SolveJoint), and are not cached: each cap
-// derives from its own run's occupancy, so a capped program seldom
-// repeats. Their stationary refinement is warm-seeded from the cached free
-// solutions when available.
+// (a hit) or by a cold solve of its canonicalised clone that then populates
+// the cache. Capped programs are solved fresh on the canonical clones, bus
+// by bus (ctmdp.SolveJoint), and are not cached: each cap derives from its
+// own run's occupancy, so a capped program seldom repeats.
 //
 // Solutions returned to the caller are always freshly allocated and bound to
 // the requesting models (callers mutate solutions — RefineStationary — and
@@ -28,11 +25,11 @@ func (c *Cache) SolveJoint(models []*ctmdp.Model, cfg ctmdp.JointConfig) (*ctmdp
 		// Delegate so the canonical error surfaces unchanged.
 		return ctmdp.SolveJoint(models, cfg)
 	}
-	opts := optionsOf(cfg)
 	if cfg.OccupancyCap > 0 {
-		return c.solveCapped(models, cfg, opts)
+		return c.solveCapped(models, cfg)
 	}
 
+	opts := optionsOf(cfg)
 	out := &ctmdp.JointSolution{}
 	for _, m := range models {
 		ms, iters, err := c.solveOne(m, opts)
@@ -51,39 +48,31 @@ func (c *Cache) SolveJoint(models []*ctmdp.Model, cfg ctmdp.JointConfig) (*ctmdp
 
 // solveOne answers one decoupled sub-model solve, returning the rebound
 // solution. The returned iteration count is the simplex pivots actually
-// performed (zero for hits and warm starts).
+// performed (zero for hits).
 func (c *Cache) solveOne(m *ctmdp.Model, opts SolveOptions) (*ctmdp.ModelSolution, int, error) {
 	order := canonicalOrder(m)
-	full := Fingerprint(m, opts)
-	structural := StructuralFingerprint(m, opts)
-	e, exact := c.lookup(full, structural)
+	k := Fingerprint(m, opts)
+	matches := func(e *entry) bool { return e != nil && e.matches(m, order) }
 	iters := 0
-	if e != nil && e.matches(m, order) {
-		if exact {
-			c.exact.hits.Add(1)
-		} else {
-			c.structural.hits.Add(1) // a warm start
-			// Promote the sibling under the new full key: future solves of
-			// this exact model are plain hits.
-			c.exact.add(full, e)
-		}
-	} else if re, ok := c.exact.fetch(full); ok && re.matches(m, order) {
-		// A peer solved this exact fingerprint already: adopt its payload as a
-		// plain hit and keep a local copy. The payload is a pure function of
-		// the key (solveCold solves the canonical clone), so the adopted
-		// numbers are bit-identical to what a local cold solve would produce.
+	e, ok := c.exact.get(k)
+	if ok && matches(e) {
 		c.exact.hits.Add(1)
-		c.put(full, structural, re)
-		e = re
+	} else if e, ok = c.exact.fetch(k, matches); ok {
+		// A peer solved this fingerprint already: adopt its payload as a hit
+		// and keep a local copy. The payload is a pure function of the key
+		// (solveCold solves the canonical clone), so the adopted numbers are
+		// bit-identical to what a local cold solve would produce.
+		c.exact.hits.Add(1)
+		c.exact.add(k, e)
 	} else {
 		c.exact.misses.Add(1)
 		var err error
 		if e, err = c.solveCold(m, order, opts); err != nil {
 			return nil, 0, err
 		}
-		c.put(full, structural, e)
+		c.exact.add(k, e)
 		iters = e.iters
-		c.exact.writeBehind(full, e)
+		c.exact.writeBehind(k, e)
 	}
 	ms, err := e.rebind(m, order)
 	if err != nil {
@@ -111,7 +100,7 @@ func (c *Cache) solveCold(m *ctmdp.Model, order []int, opts SolveOptions) (*entr
 // solveCapped handles the occupancy-cap linked program: it solves the
 // canonical clones of the models, so the answer depends only on their
 // content, and rebinds the solutions onto the requesting models.
-func (c *Cache) solveCapped(models []*ctmdp.Model, cfg ctmdp.JointConfig, opts SolveOptions) (*ctmdp.JointSolution, error) {
+func (c *Cache) solveCapped(models []*ctmdp.Model, cfg ctmdp.JointConfig) (*ctmdp.JointSolution, error) {
 	c.capped.Add(1)
 	orders := make([][]int, len(models))
 	cms := make([]*ctmdp.Model, len(models))
@@ -123,33 +112,11 @@ func (c *Cache) solveCapped(models []*ctmdp.Model, cfg ctmdp.JointConfig, opts S
 		}
 		cms[i] = cm
 	}
-	// Refinement is deferred so it can be warm-seeded from the cached free
-	// solutions below. In the methodology loop the free solves always run
-	// and cache before the capped one, so the prior is deterministic there.
-	inner := cfg
-	inner.RefineStationary = false
-	sol, err := ctmdp.SolveJoint(cms, inner)
+	sol, err := ctmdp.SolveJoint(cms, cfg)
 	if err != nil {
 		// Includes ctmdp.ErrInfeasible untouched in the chain: the caller's
 		// cap retry ladder matches with errors.Is.
 		return nil, err
-	}
-	if opts.Refine {
-		sol.TotalLossRate, sol.OccupancyUsed = 0, 0
-		for i, ms := range sol.PerModel {
-			var warm []float64
-			if e, _ := c.lookup(Fingerprint(models[i], opts), StructuralFingerprint(models[i], opts)); e != nil {
-				warm = e.sol.StateProb // read-only: the solver copies its prior
-			}
-			if _, err := ms.RefineStationary(warm); err != nil {
-				return nil, fmt.Errorf("solvecache: model %q: %w", models[i].Bus, err)
-			}
-			sol.TotalLossRate += ms.LossRate
-			for s, p := range ms.StateProb {
-				sol.OccupancyUsed += ms.Model.OccupancyUnits(s) * p
-			}
-		}
-		sol.CapBinding = sol.OccupancyUsed >= cfg.OccupancyCap*(1-1e-6)
 	}
 	for i, m := range models {
 		e := &entry{model: cms[i], sol: sol.PerModel[i]}

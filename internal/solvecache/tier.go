@@ -10,17 +10,16 @@ import (
 // used entry bound, its hit/miss counters, clone-on-read/clone-on-write, and
 // — when it has a remote tag — the remote-store fallback on a local miss and
 // the write-behind on a put (remote.go). Every cache tier is an instance.
-// The analytic, robust and placement tiers are served entirely by lookup
-// and put; the exact and structural tiers use the lower-level get, add,
-// fetch and writeBehind and keep their own match-and-rebind logic and
-// counting (solve.go).
+// The analytic, robust, placement and result tiers are served entirely by
+// lookup and put; the exact tier uses the lower-level get, add, fetch and
+// writeBehind and keeps its own match-and-rebind logic and counting
+// (solve.go).
 type tier[V any] struct {
 	max   int       // entry bound; 0 = unbounded
 	clone func(V) V // aliasing-free copy; nil for immutable payloads
 	// tag names the tier in remote envelopes ("" = local only); a remote
-	// payload is V's JSON form, adopted only when valid accepts it.
+	// payload is V's JSON form.
 	tag    string
-	valid  func(V) bool
 	remote *remote // the owning cache's store attachment
 
 	mu  sync.Mutex
@@ -76,15 +75,6 @@ func (t *tier[V]) len() int {
 	return t.lru.Len()
 }
 
-// each calls f on every stored payload, under the tier lock.
-func (t *tier[V]) each(f func(V)) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for el := t.lru.Front(); el != nil; el = el.Next() {
-		f(el.Value.(*tierItem[V]).val)
-	}
-}
-
 func (t *tier[V]) copy(v V) V {
 	if t.clone == nil {
 		return v
@@ -92,13 +82,13 @@ func (t *tier[V]) copy(v V) V {
 	return t.clone(v)
 }
 
-// lookup is the plain tiers' read path: a local hit, else a payload adopted
-// from the remote store (stored locally; it counts as a hit of this tier and
-// a remote hit), else a miss. The returned payload is a fresh copy.
-func (t *tier[V]) lookup(k Key) (V, bool) {
+// lookup is the plain tiers' read path: a local hit, else a remote payload
+// that valid accepts (stored locally; it counts as a hit of this tier and a
+// remote hit), else a miss. The returned payload is a fresh copy.
+func (t *tier[V]) lookup(k Key, valid func(V) bool) (V, bool) {
 	v, ok := t.get(k)
 	if !ok {
-		if v, ok = t.fetch(k); ok {
+		if v, ok = t.fetch(k, valid); ok {
 			t.add(k, v)
 		}
 	}

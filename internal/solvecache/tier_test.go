@@ -10,15 +10,15 @@ func TestTierLRUOrder(t *testing.T) {
 	sol := &AnalyticSolution{Alloc: map[string]int{"a": 1}}
 	c.PutAnalytic(key(1), sol)
 	c.PutAnalytic(key(2), sol)
-	if _, ok := c.LookupAnalytic(key(1)); !ok { // refresh: key 2 is now the LRU
+	if _, ok := c.LookupAnalytic(key(1), nil, 0); !ok { // refresh: key 2 is now the LRU
 		t.Fatal("miss within the bound")
 	}
 	c.PutAnalytic(key(3), sol)
-	if _, ok := c.LookupAnalytic(key(2)); ok {
+	if _, ok := c.LookupAnalytic(key(2), nil, 0); ok {
 		t.Fatal("least recently used key survived eviction")
 	}
 	for _, b := range []int{1, 3} {
-		if _, ok := c.LookupAnalytic(key(b)); !ok {
+		if _, ok := c.LookupAnalytic(key(b), nil, 0); !ok {
 			t.Fatalf("key %d evicted instead of the least recently used one", b)
 		}
 	}

@@ -89,7 +89,7 @@ func analyticSize(a *arch.Architecture, cfg core.Config) (*solvecache.AnalyticSo
 	if err != nil {
 		return nil, err
 	}
-	if sol, ok := cfg.Cache.LookupAnalytic(key); ok {
+	if sol, ok := cfg.Cache.LookupAnalytic(key, a, cfg.Budget); ok {
 		return sol, nil
 	}
 	sol, err := analyticSolve(a, cfg)

@@ -100,7 +100,7 @@ func robustSize(ctx context.Context, a *arch.Architecture, cfg core.Config) (*so
 	if err != nil {
 		return nil, err
 	}
-	if sol, ok := cfg.Cache.LookupRobust(key); ok {
+	if sol, ok := cfg.Cache.LookupRobust(key, a, cfg.Budget); ok {
 		return sol, nil
 	}
 	sol, err := robustSolve(ctx, a, cfg, spec)
