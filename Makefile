@@ -7,7 +7,8 @@ OLD ?= previous-results.txt
 NEW ?= bench-results.txt
 
 # The regression gate list (PERFORMANCE.md "The regression gate"): the
-# headline sweep at the default 10%, the hot kernels at a looser 25% —
+# headline sweep at the default 10%, the hot kernels (the simulator's
+# netproc and screen-shaped runs among them) at a looser 25% —
 # micro-benchmarks in the microsecond range are noisier run-to-run than a
 # 9-second sweep, and a real kernel regression shows up well past 25%.
 # .github/workflows/bench.yml applies the same list nightly.
@@ -21,7 +22,9 @@ BENCH_GATES = \
 	-gate 'BenchmarkRobustSweep=25' \
 	-gate 'BenchmarkFleetThroughput/=25' \
 	-gate 'BenchmarkAnalyticSolve=25' \
-	-gate 'BenchmarkRobustMatrix=25'
+	-gate 'BenchmarkRobustMatrix=25' \
+	-gate 'BenchmarkSimNetproc$$=25' \
+	-gate 'BenchmarkSimScreen=25'
 
 .PHONY: build test race bench bench-test bench-compare profile lint fmt scenario-smoke serve-smoke placement-smoke robust-smoke fuzz-smoke fleet-smoke cover
 
@@ -141,18 +144,20 @@ robust-smoke:
 # Brief run of every native fuzz target (strict-parser robustness — the
 # uncertainty-spec decoder and the two CLI list parsers — the blocking
 # recurrence's oracle gate against the big.Float MM1K form, the remote
-# exact-payload decoder, which must miss or yield probabilities, and every
+# exact-payload decoder, which must miss or yield probabilities, every
 # remote tier's lookup, which must miss or adopt a payload its tier
-# accepts). Ten seconds per target is enough to shake out panics and
-# round-trip violations on new code; the targets also run as plain tests
-# (corpus seeds) under make test.
+# accepts, and the architecture JSON decoder feeding the simulator, whose
+# runs must conserve packets). Ten seconds per target is enough to shake
+# out panics and round-trip violations on new code; the targets also run
+# as plain tests (corpus seeds) under make test.
 fuzz-smoke:
 	@for t in FuzzParseSpec=./internal/uncertain \
 		FuzzParseMethods=./internal/experiments \
 		FuzzParseCatalogue=./internal/placement \
 		FuzzBlockingRecurrence=./internal/queueing \
 		FuzzExactPayload=./internal/solvecache \
-		FuzzRemotePayload=./internal/solvecache; do \
+		FuzzRemotePayload=./internal/solvecache \
+		FuzzArchJSON=./internal/sim; do \
 		name=$${t%=*}; pkg=$${t#*=}; \
 		echo "== fuzz-smoke ($$name) =="; \
 		$(GO) test -run '^$$' -fuzz "^$$name$$" -fuzztime 10s $$pkg || exit 1; \
@@ -161,7 +166,8 @@ fuzz-smoke:
 # Per-package coverage floors on the solver seam, the uncertainty model, the
 # solve cache, the engine, the LP stack under the exact backend, the
 # linear-algebra kernel, the closed-form queueing oracles, the paper's
-# methodology, the experiment runners and the scenario registry. Starting
+# methodology, the experiment runners, the scenario registry and the
+# simulator. Starting
 # coverage at the floors' introduction
 # (2026-08): internal/solver 80.3%, internal/uncertain 92.1%; (2026-10,
 # before the generic cache tier replaced cache rotation): internal/solvecache
@@ -172,14 +178,15 @@ fuzz-smoke:
 # the code no entry point reached was deleted): internal/queueing 97.4%,
 # internal/core 82.6%; (2026-10, once every run took the one cached solve
 # path): internal/experiments 69.1% (67.6% before), internal/scenario 86.7%
-# (86.4% before). The floors sit a few points below so honest
+# (86.4% before); (2026-10, once a fixed slot set replaced the event heap):
+# internal/sim 96.1% (94.6% before). The floors sit a few points below so honest
 # refactors don't trip them, but a test-free feature dump — or a refactor
 # that lands by deleting tests — does.
 cover:
 	@set -e; \
 	for spec in internal/solver:75 internal/uncertain:85 internal/solvecache:80 internal/engine:83 \
 		internal/lp:83 internal/ctmdp:85 internal/linalg:88 internal/queueing:93 internal/core:78 \
-		internal/experiments:65 internal/scenario:83; do \
+		internal/experiments:65 internal/scenario:83 internal/sim:90; do \
 		pkg=$${spec%:*}; floor=$${spec#*:}; \
 		line=$$($(GO) test -cover ./$$pkg/ | tail -1); \
 		echo "$$line"; \

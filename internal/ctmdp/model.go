@@ -76,6 +76,10 @@ type Model struct {
 	// (feasible only in the all-empty state).
 	vars        []svar
 	varsByState [][]int // state -> indices into vars
+	// grants holds len(Clients)+1 rows of len(Clients): row c grants
+	// client c alone, the last row grants nobody. Policy.Action's fallback
+	// returns these shared rows.
+	grants []float64
 }
 
 type svar struct {
@@ -127,6 +131,10 @@ func NewModel(bus string, serviceRate float64, clients []Client) (*Model, error)
 		n *= c.Levels + 1
 	}
 	m.numStates = n
+	m.grants = make([]float64, len(clients)*(len(clients)+1))
+	for c := range clients {
+		m.grants[c*len(clients)+c] = 1
+	}
 	m.enumerate()
 	return m, nil
 }

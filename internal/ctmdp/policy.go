@@ -52,13 +52,15 @@ func extractPolicy(m *Model, x []float64) *Policy {
 // Action returns the action distribution at the state with the given client
 // levels. For unvisited (or out-of-range, clamped) states it falls back to
 // granting the longest queue deterministically. The returned slice must not
-// be mutated.
+// be mutated. Action allocates nothing: the simulator's CTMDP arbiter calls
+// it on every dispatch.
 func (p *Policy) Action(levels []int) ([]float64, error) {
 	m := p.Model
-	if len(levels) != len(m.Clients) {
-		return nil, fmt.Errorf("ctmdp: level vector has %d entries, model has %d clients", len(levels), len(m.Clients))
+	n := len(m.Clients)
+	if len(levels) != n {
+		return nil, fmt.Errorf("ctmdp: level vector has %d entries, model has %d clients", len(levels), n)
 	}
-	clamped := make([]int, len(levels))
+	s, best, bestLvl := 0, n, 0
 	for c, l := range levels {
 		if l < 0 {
 			return nil, fmt.Errorf("ctmdp: negative level %d for client %d", l, c)
@@ -66,26 +68,18 @@ func (p *Policy) Action(levels []int) ([]float64, error) {
 		if l > m.Clients[c].Levels {
 			l = m.Clients[c].Levels
 		}
-		clamped[c] = l
+		s += l * m.strides[c]
+		if l > bestLvl {
+			best, bestLvl = c, l
+		}
 	}
-	s := m.stateOf(clamped)
 	if p.Visited[s] {
 		// Verify the policy row grants a non-empty client; numerical dust on
 		// empty clients is possible only through bugs, so trust it.
 		return p.ActionProb[s], nil
 	}
-	// Fallback: longest queue among non-empty.
-	out := make([]float64, len(m.Clients))
-	best, bestLvl := -1, 0
-	for c, l := range clamped {
-		if l > bestLvl {
-			best, bestLvl = c, l
-		}
-	}
-	if best >= 0 {
-		out[best] = 1
-	}
-	return out, nil
+	// Fallback: longest queue among non-empty, or idle when all are empty.
+	return m.grants[best*n : (best+1)*n : (best+1)*n], nil
 }
 
 // RandomisedState describes one state where the optimal policy randomises.

@@ -6,35 +6,34 @@ import (
 	"socbuf/internal/arch"
 )
 
-// TestEventHeapZeroAlloc pins the scheduler primitives at zero allocations
-// per event (ISSUE 7's AllocsPerRun gate). The hand-rolled heap exists
-// precisely because container/heap boxes every element; a regression here
-// re-taxes every simulated packet twice (arrival + departure).
-func TestEventHeapZeroAlloc(t *testing.T) {
-	h := make(eventHeap, 0, 64)
-	seq := uint64(0)
+// TestEventSetZeroAlloc pins the scheduler primitives at zero allocations
+// per event: the set is sized once in New, and schedule, take and settle
+// only rewrite its slots and winner tree.
+func TestEventSetZeroAlloc(t *testing.T) {
+	s := &Simulator{events: newEventSet(24)}
 	at := 1.0
 	if allocs := testing.AllocsPerRun(100, func() {
-		for i := 0; i < 16; i++ {
+		for i := 0; i < 24; i++ {
 			at = at*1.13 + 0.01
 			if at > 100 {
 				at -= 100
 			}
-			h.push(event{at: at, seq: seq, kind: evArrival, idx: int32(i)})
-			seq++
+			s.schedule(i, at)
 		}
-		for len(h) > 0 {
-			h.pop()
+		for k := 0; k < 24; k++ {
+			i, _ := s.events.take()
+			s.events.settle(i)
 		}
 	}); allocs != 0 {
-		t.Fatalf("event heap push/pop allocates %.0f objects per cycle, want 0", allocs)
+		t.Fatalf("event set schedule/take/settle allocates %.0f objects per cycle, want 0", allocs)
 	}
 }
 
 // TestDispatchZeroAlloc pins the per-event work of the simulator's hot loop:
-// once the event heap and every queue have reached their high-water marks, a
-// full arrival-dispatch-departure step must not allocate (the arbitration
-// views are per-bus scratch, not per-call slices).
+// once every queue has reached its high-water mark, a step (take the
+// earliest event, handle its arrival or departure, dispatch, reschedule)
+// must not allocate (the arbitration views are per-bus scratch, not
+// per-call slices).
 func TestDispatchZeroAlloc(t *testing.T) {
 	a := arch.TwoBusAMBA()
 	a.InsertBridgeBuffers()
@@ -46,35 +45,24 @@ func TestDispatchZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Prime the flows and warm every buffer, bus and the heap's backing
-	// array by simulating a few thousand events by hand.
+	// Prime the flows as Run does, then warm every buffer and bus by
+	// simulating a few thousand events.
 	for i := range s.routes {
 		gap, err := s.srcs[i].Next(s.rng)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.schedule(event{at: gap, kind: evArrival, idx: int32(i)})
+		s.schedule(i, gap)
 	}
 	step := func() {
-		e := s.events.pop()
-		s.now = e.at
-		var err error
-		switch e.kind {
-		case evArrival:
-			err = s.handleArrival(int(e.idx))
-		case evDeparture:
-			err = s.handleDeparture(int(e.idx))
-		}
-		if err != nil {
-			t.Fatal(err)
+		if more, err := s.step(); err != nil || !more {
+			t.Fatalf("step = %v, %v before the horizon", more, err)
 		}
 	}
 	for i := 0; i < 5000; i++ {
 		step()
 	}
-	if allocs := testing.AllocsPerRun(200, func() {
-		step()
-	}); allocs != 0 {
+	if allocs := testing.AllocsPerRun(200, step); allocs != 0 {
 		t.Fatalf("event step allocates %.0f objects, want 0", allocs)
 	}
 }

@@ -1,103 +1,109 @@
 package sim
 
-// eventKind discriminates the two event types of the simulator.
-type eventKind int32
-
-const (
-	evArrival   eventKind = iota // a flow generates a new packet
-	evDeparture                  // a bus finishes one transfer
+import (
+	"math"
+	"math/bits"
 )
 
-// event is a scheduled occurrence. seq breaks time ties deterministically so
-// that runs with equal seeds are bit-for-bit reproducible. The struct is
-// kept to 24 bytes (kind and idx packed into 32 bits each) because heap
-// sifts copy whole events — size is memory traffic on the hottest loop.
-type event struct {
-	at   float64
-	seq  uint64
-	kind eventKind
-	idx  int32 // evArrival: index into routes; evDeparture: index into buses
+var inf = math.Inf(1)
+
+// eventSet holds the pending events in fixed slots: slot f < F is flow f's
+// next arrival, slot F+b is bus b's in-service departure. Each flow has
+// exactly one pending arrival and each bus at most one departure, so
+// nothing is ever inserted or removed; a slot with nothing pending (an idle
+// bus, an exhausted replay source) holds +Inf. A complete binary winner
+// tree over the slots keeps the earliest (at, seq) at its root. seq breaks
+// time ties, so (at, seq) is a total order: the pop sequence is that of any
+// priority queue over the same events, and equal seeds give bit-identical
+// runs.
+type eventSet struct {
+	slots []slot  // padded with +Inf slots to a power of two, n
+	win   []int32 // win[k] is the winning slot under tree node k; slot i is leaf n+i
 }
 
-// eventHeap is a hand-rolled 4-ary min-heap ordered by (at, seq). It
-// deliberately does not implement container/heap: that interface boxes every
-// pushed element into an interface{} (one heap allocation per scheduled
-// event, the busiest call site of the whole simulator); monomorphic push/pop
-// over []event keep the event loop allocation-free once the backing array
-// has grown to the run's high-water mark. Arity 4 halves the tree depth —
-// fewer cache lines touched per sift — and cannot change the pop sequence:
-// (at, seq) is a total order, so the minimum is structure-independent.
-type eventHeap []event
-
-func (h eventHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
+type slot struct {
+	at  float64
+	seq uint64
 }
 
-// push inserts e, sifting it up to its heap position. The new element is
-// held aside while ancestors shift down (hole sift): one write per level
-// instead of a swap.
-func (h *eventHeap) push(e event) {
-	a := append(*h, e)
-	i := len(a) - 1
-	for i > 0 {
-		parent := (i - 1) / 4
-		p := a[parent]
-		if p.at < e.at || (p.at == e.at && p.seq < e.seq) {
-			break
-		}
-		a[i] = p
-		i = parent
+// newEventSet returns a set of at least the given number of slots, all
+// empty.
+func newEventSet(slots int) eventSet {
+	n := 1
+	for n < slots {
+		n <<= 1
 	}
-	a[i] = e
-	*h = a
+	e := eventSet{slots: make([]slot, n), win: make([]int32, 2*n)}
+	for i := range e.slots {
+		e.slots[i].at = inf
+		e.win[n+i] = int32(i)
+	}
+	for k := n - 1; k > 0; k-- {
+		e.win[k] = e.win[2*k]
+	}
+	return e
 }
 
-// pop removes and returns the minimum element. Callers must check len first.
-func (h *eventHeap) pop() event {
-	a := *h
-	top := a[0]
-	n := len(a) - 1
-	e := a[n]
-	a = a[:n]
-	// Hole sift: the displaced tail element is held aside while the smaller
-	// of up to four children moves up, then written once at its final slot.
-	i := 0
-	for {
-		c := 4*i + 1
-		if c >= n {
-			break
+// replay recomputes the winners on slot i's leaf-to-root path. Event times
+// are never negative, so their IEEE bits order like the times, and the
+// 128-bit comparison of (bits(at), seq) is one subtract with borrow: the
+// per-level select compiles to conditional moves. Branches would mispredict
+// about half the time, since the times compared are exponential draws.
+func (e *eventSet) replay(i int) {
+	w, s := int32(i), e.slots[i]
+	at, seq := math.Float64bits(s.at), s.seq
+	for k := len(e.slots) + i; k > 1; k >>= 1 {
+		o := e.win[k^1]
+		so := e.slots[o]
+		oat := math.Float64bits(so.at)
+		_, borrow := bits.Sub64(so.seq, seq, 0)
+		_, borrow = bits.Sub64(oat, at, borrow)
+		if borrow != 0 {
+			w, at, seq = o, oat, so.seq
 		}
-		end := c + 4
-		if end > n {
-			end = n
-		}
-		ch := a[c:end:end]
-		child := c
-		ca, cs := ch[0].at, ch[0].seq
-		for k := 1; k < len(ch); k++ {
-			if ka, ks := ch[k].at, ch[k].seq; ka < ca || (ka == ca && ks < cs) {
-				child, ca, cs = c+k, ka, ks
-			}
-		}
-		if e.at < ca || (e.at == ca && e.seq < cs) {
-			break
-		}
-		a[i] = a[child]
-		i = child
+		e.win[k>>1] = w
 	}
-	if n > 0 {
-		a[i] = e
-	}
-	*h = a
-	return top
 }
 
-// schedule pushes an event, assigning the next sequence number.
-func (s *Simulator) schedule(e event) {
-	e.seq = s.seq
+// take empties the earliest slot and returns it with its time. The tree is
+// left stale on that slot's path until settle.
+func (e *eventSet) take() (int, float64) {
+	i := e.win[1]
+	at := e.slots[i].at
+	e.slots[i].at = inf
+	return int(i), at
+}
+
+// settle replays slot i's path after a take, unless the event's handler
+// rescheduled slot i (schedule replayed it then).
+func (e *eventSet) settle(i int) {
+	if e.slots[i].at == inf {
+		e.replay(i)
+	}
+}
+
+// schedule sets slot i's pending event to time at, with the next sequence
+// number.
+func (s *Simulator) schedule(i int, at float64) {
+	s.events.slots[i] = slot{at: at, seq: s.seq}
 	s.seq++
-	s.events.push(e)
+	s.events.replay(i)
+}
+
+// step takes the earliest pending event and handles it. It reports false
+// once that event lies past the horizon, which ends the run.
+func (s *Simulator) step() (bool, error) {
+	i, at := s.events.take()
+	if at > s.cfg.Horizon {
+		return false, nil
+	}
+	s.now = at
+	var err error
+	if f := len(s.routes); i < f {
+		err = s.handleArrival(i)
+	} else {
+		err = s.handleDeparture(i - f)
+	}
+	s.events.settle(i)
+	return true, err
 }

@@ -13,6 +13,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 
@@ -148,7 +149,7 @@ func (q *queue) updateArea(now, warmUp float64) {
 // busState is one bus's runtime state.
 type busState struct {
 	id      string
-	idx     int32 // own index into Simulator.buses, for departure scheduling
+	slot    int // its departure's event slot
 	rate    float64
 	clients []int    // queue indices, sorted by buffer ID
 	qs      []*queue // the same clients, pointer-resolved for the dispatch loop
@@ -168,9 +169,10 @@ type busState struct {
 // Simulator holds one run's mutable state. Create with New, run with Run.
 // The event loop is fully index-addressed: every per-hop queue and bus and
 // every per-flow source processor is resolved to a dense index at build
-// time, and the per-processor/per-buffer statistics accumulate in flat
-// int64 slices — the string-keyed Results maps are materialised once, after
-// the last event.
+// time, the pending events sit in a fixed set of one slot per flow and per
+// bus (events.go), and the per-processor/per-buffer statistics accumulate
+// in flat int64 slices — the string-keyed Results maps are materialised
+// once, after the last event.
 type Simulator struct {
 	cfg    Config
 	rng    *rand.Rand
@@ -201,7 +203,7 @@ type Simulator struct {
 	qIndex  map[string]int
 	buses   []*busState
 	bIndex  map[string]int
-	events  eventHeap
+	events  eventSet
 	seq     uint64
 	now     float64
 	results *Results
@@ -215,8 +217,8 @@ func New(cfg Config) (*Simulator, error) {
 	if err := cfg.Arch.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Horizon <= 0 {
-		return nil, fmt.Errorf("sim: horizon %v must be positive", cfg.Horizon)
+	if !(cfg.Horizon > 0) || math.IsInf(cfg.Horizon, 1) {
+		return nil, fmt.Errorf("sim: horizon %v must be positive and finite", cfg.Horizon)
 	}
 	if cfg.WarmUp < 0 || cfg.WarmUp >= cfg.Horizon {
 		return nil, fmt.Errorf("sim: warm-up %v outside [0, horizon)", cfg.WarmUp)
@@ -306,7 +308,7 @@ func New(cfg Config) (*Simulator, error) {
 			st.views[i].BufferID = s.queues[qi].id
 			st.views[i].Cap = s.queues[qi].cap
 		}
-		st.idx = int32(len(s.buses))
+		st.slot = len(routes) + len(s.buses)
 		s.bIndex[id] = len(s.buses)
 		s.buses = append(s.buses, st)
 	}
@@ -338,6 +340,7 @@ func New(cfg Config) (*Simulator, error) {
 			s.rtBus[f][h] = int32(s.bIndex[hop.Bus])
 		}
 	}
+	s.events = newEventSet(len(routes) + len(s.buses))
 	s.genBy = make([]int64, len(s.procIDs))
 	s.delBy = make([]int64, len(s.procIDs))
 	s.lostBy = make([]int64, len(s.procIDs))
@@ -357,8 +360,9 @@ func New(cfg Config) (*Simulator, error) {
 	return s, nil
 }
 
-// Run executes the simulation to the horizon and returns the statistics.
-// A simulator is single-use: calling Run twice returns an error.
+// Run executes the simulation to the horizon, one step per event, and
+// returns the statistics. A simulator is single-use: calling Run twice
+// returns an error.
 func (s *Simulator) Run() (*Results, error) {
 	if s.now != 0 || s.seq != 0 {
 		return nil, errors.New("sim: Run called twice on one Simulator")
@@ -369,24 +373,15 @@ func (s *Simulator) Run() (*Results, error) {
 		if err != nil {
 			return nil, fmt.Errorf("sim: flow %d initial arrival: %w", i, err)
 		}
-		s.schedule(event{at: gap, kind: evArrival, idx: int32(i)})
+		s.schedule(i, gap)
 	}
-
-	for len(s.events) > 0 {
-		e := s.events.pop()
-		if e.at > s.cfg.Horizon {
-			break
+	for {
+		more, err := s.step()
+		if err != nil {
+			return nil, err
 		}
-		s.now = e.at
-		switch e.kind {
-		case evArrival:
-			if err := s.handleArrival(int(e.idx)); err != nil {
-				return nil, err
-			}
-		case evDeparture:
-			if err := s.handleDeparture(int(e.idx)); err != nil {
-				return nil, err
-			}
+		if !more {
+			break
 		}
 	}
 
@@ -429,12 +424,12 @@ func (s *Simulator) handleArrival(flow int) error {
 	// flow without failing the run).
 	if lam := s.srcLam[flow]; lam > 0 {
 		// Inlined Poisson.Next: same RNG draw, same float expression.
-		s.schedule(event{at: s.now + s.rng.ExpFloat64()/lam, kind: evArrival, idx: int32(flow)})
+		s.schedule(flow, s.now+s.rng.ExpFloat64()/lam)
 	} else {
 		gap, err := s.srcs[flow].Next(s.rng)
 		switch {
 		case err == nil:
-			s.schedule(event{at: s.now + gap, kind: evArrival, idx: int32(flow)})
+			s.schedule(flow, s.now+gap)
 		case errors.Is(err, trace.ErrExhausted):
 			// no further arrivals for this flow
 		default:
@@ -459,9 +454,6 @@ func (s *Simulator) handleArrival(flow int) error {
 
 func (s *Simulator) handleDeparture(busIdx int) error {
 	b := s.buses[busIdx]
-	if !b.busy {
-		return fmt.Errorf("sim: departure on idle bus %q", b.id)
-	}
 	p := b.serving
 	b.busy = false
 
@@ -584,6 +576,6 @@ func (s *Simulator) dispatch(b *busState) error {
 	b.serving = s.popHead(q)
 	b.busy = true
 	svc := s.rng.ExpFloat64() / b.rate
-	s.schedule(event{at: s.now + svc, kind: evDeparture, idx: b.idx})
+	s.schedule(b.slot, s.now+svc)
 	return nil
 }
