@@ -16,6 +16,7 @@ BENCH_GATES = \
 	-gate 'BenchmarkSweep32' \
 	-gate 'BenchmarkSparseMatVec/=25' \
 	-gate 'BenchmarkSimplex=25' \
+	-gate 'BenchmarkSolveSingleModel=25' \
 	-gate 'BenchmarkStationaryDenseVsSparse/=25' \
 	-gate 'BenchmarkSolveJointCapped=25' \
 	-gate 'BenchmarkCappedSolve/=25' \

@@ -70,7 +70,7 @@ func BenchmarkSplitVsNonlinear(b *testing.B) {
 		if d.SplitSubsystems != 4 {
 			b.Fatalf("split gave %d subsystems, want 4", d.SplitSubsystems)
 		}
-		b.ReportMetric(float64(d.SplitIters), "lp-pivots")
+		b.ReportMetric(float64(d.SplitIters), "pi-evals")
 	}
 }
 
@@ -224,8 +224,11 @@ func TestCachedSweepBeatsCold(t *testing.T) {
 	}
 }
 
-// BenchmarkJointLPSolve measures the raw joint occupation-measure LP on the
-// network-processor subsystems — the methodology's inner kernel.
+// BenchmarkJointLPSolve measures the raw cap-free solve of the
+// network-processor subsystems' occupation-measure programs — policy
+// iteration bus by bus, the methodology's inner kernel. The evaluation
+// count is deterministic, so a regression shows in it without timing
+// noise.
 func BenchmarkJointLPSolve(b *testing.B) {
 	a := arch.NetworkProcessor()
 	a.InsertBridgeBuffers()
@@ -243,7 +246,7 @@ func BenchmarkJointLPSolve(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(float64(sol.Iters), "pivots")
+		b.ReportMetric(float64(sol.Iters), "evals+steps")
 	}
 }
 
@@ -251,7 +254,8 @@ func BenchmarkJointLPSolve(b *testing.B) {
 // step solves, on programs the size socbufbench's exact-sweep serves: the
 // network processor at budget 160, and a generated 8-bus one-processor
 // chain at 10 units per bus. Each is capped at 0.92 × its cap-free
-// occupancy, core's first rung. The pivot count is deterministic, so a
+// occupancy, core's first rung. The work count — policy evaluations of
+// the cap-free starts plus the price sweep's steps — is deterministic, so a
 // regression shows in it without timing noise.
 func BenchmarkCappedSolve(b *testing.B) {
 	chain8 := func() *arch.Architecture {
@@ -284,14 +288,14 @@ func BenchmarkCappedSolve(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			cfg := ctmdp.JointConfig{OccupancyCap: 0.92 * free.OccupancyUsed}
+			cfg := ctmdp.JointConfig{OccupancyCaps: []float64{0.92 * free.OccupancyUsed}}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				sol, err := ctmdp.SolveJoint(models, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
-				b.ReportMetric(float64(sol.Iters), "pivots")
+				b.ReportMetric(float64(sol.Iters), "evals+steps")
 			}
 		})
 	}

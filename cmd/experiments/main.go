@@ -477,8 +477,8 @@ func runSplit() error {
 	fmt.Println("§2 demo — Figure 1 architecture")
 	fmt.Printf("  coupled quadratic system: %d unknowns; KKT-Newton valid solution: %v (%s)\n",
 		d.CoupledUnknowns, d.KKTValid, d.KKTReason)
-	fmt.Printf("  after buffer insertion:   %d linear subsystems; joint LP optimum %.4f "+
-		"(one finite solve, %d pivots)\n\n", d.SplitSubsystems, d.SplitLossRate, d.SplitIters)
+	fmt.Printf("  after buffer insertion:   %d linear subsystems; occupation-measure optimum %.4f "+
+		"(one finite solve, %d policy evaluations)\n\n", d.SplitSubsystems, d.SplitLossRate, d.SplitIters)
 	return nil
 }
 

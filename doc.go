@@ -6,7 +6,8 @@
 //
 //   - internal/linalg, internal/lp        — dense and CSR-sparse linear
 //     algebra with every CTMC stationary solver (dense LU, Gauss–Seidel/
-//     power iteration) and a two-phase simplex solver;
+//     power iteration), and a two-phase simplex solver that tests use as a
+//     referee;
 //   - internal/queueing                   — M/M/1/K closed-form oracles;
 //   - internal/arch, internal/graph       — the SoC communication model
 //     (buses, processors, bridges, flows) and the bridge-buffer splitting
@@ -14,7 +15,9 @@
 //   - internal/trace, internal/sim        — traffic sources and the
 //     continuous-time discrete-event simulator;
 //   - internal/ctmdp                      — the CTMDP occupation-measure
-//     LPs, K-switching policies, and the measure→capacity translation;
+//     programs, solved by Howard policy iteration with a dual certificate
+//     on every answer, K-switching policies, and the measure→capacity
+//     translation;
 //   - internal/nonlinear                  — the un-split coupled quadratic
 //     system and the solvers that fail on it;
 //   - internal/solvecache                 — the content-addressed solve

@@ -65,7 +65,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\njoint LP over the split system: optimum loss rate %.4f in %d pivots\n",
+	fmt.Printf("\noccupation-measure programs of the split system: optimum loss rate %.4f in %d policy evaluations\n",
 		sol.TotalLossRate, sol.Iters)
 	for _, ms := range sol.PerModel {
 		sw := ms.Policy.KSwitching()

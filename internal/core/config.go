@@ -7,10 +7,11 @@
 //  2. model every subsystem as a CTMDP over quantised buffer levels
 //     (ctmdp.NewModel), with bridge buffers appearing as clients of the
 //     draining bus and as downstream-loss terms of the feeding bus;
-//  3. solve the subsystem LPs through the solve cache
-//     (solvecache.Cache.SolveJoint): each cap-free bus on its canonical
-//     clone, then the program linked by a total expected-occupancy cap,
-//     solved bus by bus under an occupancy price (ctmdp.SolveJoint);
+//  3. solve the subsystems' occupation-measure programs through the solve
+//     cache (solvecache.Cache.SolveJoint): each cap-free bus on its
+//     canonical clone, then the program linked by a total
+//     expected-occupancy cap, solved bus by bus under an occupancy price
+//     (ctmdp.SolveJoint);
 //     refresh the bridge boundary scalars (arrival rates and full
 //     probabilities) by a damped fixed point, keeping every inner solve
 //     linear — the paper's §2 device;
@@ -24,6 +25,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"socbuf/internal/arch"
 	"socbuf/internal/sim"
@@ -51,7 +53,8 @@ const (
 	maxClients = 4
 	// capFactor scales the joint occupancy cap of each iteration's final
 	// solve: cap = capFactor × (free solve's occupancy), so the budget link
-	// binds. Infeasible caps are retried upward.
+	// binds. The ladder's higher rungs (0.96, 0.97) answer when it is
+	// infeasible.
 	capFactor = 0.92
 )
 
@@ -111,10 +114,10 @@ type Config struct {
 	// so a bad spec fails every entry point uniformly.
 	Uncertainty *uncertain.Spec
 	// RefineStationary recomputes each subsystem's stationary distribution
-	// from its policy-induced chain after every LP solve (dense LU or
-	// Gauss–Seidel, auto-picked by reachable-state count),
-	// tightening the LP's roundoff-level state probabilities before
-	// translation. Off by default; the two paths agree to 1e-8.
+	// from its policy-induced chain after every solve (dense LU or
+	// Gauss–Seidel, auto-picked by reachable-state count) before
+	// translation, in place of the one policy evaluation gave. Off by
+	// default; the two paths agree to 1e-8.
 	RefineStationary bool
 }
 
@@ -153,6 +156,10 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Horizon == 0 {
 		c.Horizon = 2000
 	}
+	// NaN passes every comparison below, so finiteness is checked first.
+	if math.IsNaN(c.Horizon) || math.IsInf(c.Horizon, 0) {
+		return c, invalidf("horizon %v must be finite", c.Horizon)
+	}
 	if c.Horizon < 0 {
 		return c, invalidf("negative horizon %v", c.Horizon)
 	}
@@ -161,7 +168,7 @@ func (c Config) withDefaults() (Config, error) {
 		c.WarmUp = 100
 		warmUp = "default warm-up"
 	}
-	if c.WarmUp < 0 || c.WarmUp >= c.Horizon {
+	if math.IsNaN(c.WarmUp) || c.WarmUp < 0 || c.WarmUp >= c.Horizon {
 		return c, invalidf("%s %v outside [0, horizon %v)", warmUp, c.WarmUp, c.Horizon)
 	}
 	if c.Uncertainty != nil {

@@ -307,12 +307,12 @@ func (s *Stepper) Result() (*Result, error) {
 }
 
 // solveWithBoundary runs the bridge-boundary fixed point: free solves
-// refresh the boundary scalars, then a final capped solve produces the
-// measure used for translation. Every solve goes through cfg.Cache, so each
-// cap-free bus is solved on its canonical clone and the capped program is
-// solved bus by bus on the canonical clones under an occupancy price. The
-// context is checked between boundary iterations — each individual LP
-// solve runs to completion.
+// refresh the boundary scalars, then a final capped solve over core's cap
+// ladder produces the measure used for translation. Every solve goes
+// through cfg.Cache, so each cap-free bus is solved on its canonical clone
+// and the capped program is solved bus by bus on the canonical clones
+// under an occupancy price. The context is checked between boundary
+// iterations — each individual solve runs to completion.
 func solveWithBoundary(ctx context.Context, a *arch.Architecture, alloc arch.Allocation, bnd *boundary, cfg Config) (*ctmdp.JointSolution, error) {
 	var sol *ctmdp.JointSolution
 	var models []*ctmdp.Model
@@ -333,22 +333,25 @@ func solveWithBoundary(ctx context.Context, a *arch.Architecture, alloc arch.All
 			return nil, err
 		}
 	}
-	// Capped final solve with a retry ladder toward the free occupancy.
+	// Capped final solve over a ladder of caps toward the free occupancy,
+	// in order of preference: one price sweep answers at the first
+	// feasible rung.
 	free := sol.OccupancyUsed
-	for _, f := range []float64{capFactor, (capFactor + 1) / 2, 0.97} {
-		capped, err := cfg.Cache.SolveJoint(models, ctmdp.JointConfig{
-			OccupancyCap:     free * f,
-			RefineStationary: cfg.RefineStationary,
-		})
-		if err == nil {
-			return capped, nil
-		}
-		if !errors.Is(err, ctmdp.ErrInfeasible) {
-			return nil, err
-		}
+	if free <= 0 {
+		return sol, nil // nothing to cap
 	}
-	// All caps infeasible: the free solution stands.
-	return sol, nil
+	caps := []float64{capFactor, (capFactor + 1) / 2, 0.97}
+	for i, f := range caps {
+		caps[i] = free * f
+	}
+	capped, err := cfg.Cache.SolveJoint(models, ctmdp.JointConfig{
+		OccupancyCaps:    caps,
+		RefineStationary: cfg.RefineStationary,
+	})
+	if errors.Is(err, ctmdp.ErrInfeasible) {
+		return sol, nil // every cap infeasible: the free solution stands
+	}
+	return capped, err
 }
 
 // Arbiters builds fresh per-bus CTMDP arbiters for one simulation of alloc

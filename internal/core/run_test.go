@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"errors"
+	"math"
 	"reflect"
 	"testing"
 
@@ -175,6 +177,30 @@ func TestRunConfigValidation(t *testing.T) {
 		tc.mut(&cfg)
 		if _, err := Run(cfg); err == nil {
 			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+}
+
+// TestRunRejectsNonFiniteTimes: a horizon or warm-up that is not finite is
+// the caller's mistake, refused before any work as ErrInvalidConfig. NaN
+// passes every ordered comparison, so a sign check alone lets it through.
+func TestRunRejectsNonFiniteTimes(t *testing.T) {
+	base := fastCfg(arch.TwoBusAMBA(), 24)
+	cases := []struct {
+		name string
+		mut  func(*Config)
+	}{
+		{"horizon NaN", func(c *Config) { c.Horizon = math.NaN() }},
+		{"horizon +Inf", func(c *Config) { c.Horizon = math.Inf(1) }},
+		{"horizon -Inf", func(c *Config) { c.Horizon = math.Inf(-1) }},
+		{"warm-up NaN", func(c *Config) { c.WarmUp = math.NaN() }},
+		{"warm-up +Inf", func(c *Config) { c.WarmUp = math.Inf(1) }},
+	}
+	for _, tc := range cases {
+		cfg := base
+		tc.mut(&cfg)
+		if _, err := Run(cfg); !errors.Is(err, ErrInvalidConfig) {
+			t.Errorf("%s: got %v, want ErrInvalidConfig", tc.name, err)
 		}
 	}
 }

@@ -32,7 +32,7 @@ func BenchmarkSolveSingleModel3x2(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(float64(sol.Iters), "pivots")
+		b.ReportMetric(float64(sol.Iters), "pi-evals")
 	}
 }
 
@@ -56,7 +56,7 @@ func BenchmarkSolveJointCapped(b *testing.B) {
 	cap95 := free.OccupancyUsed * 0.95
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := SolveJoint([]*Model{m1, m2}, JointConfig{OccupancyCap: cap95}); err != nil {
+		if _, err := SolveJoint([]*Model{m1, m2}, JointConfig{OccupancyCaps: []float64{cap95}}); err != nil {
 			b.Fatal(err)
 		}
 	}

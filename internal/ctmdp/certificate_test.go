@@ -30,32 +30,15 @@ func programOf(t *testing.T, m *ctmdp.Model) program {
 	for s := range p.balance {
 		p.balance[s] = make([]float64, n)
 	}
-	levels := make([]int, len(m.Clients))
-	move := func(s, c, delta int) int {
-		for k := range levels {
-			levels[k] = m.Level(s, k)
-		}
-		levels[c] += delta
-		target, err := m.StateOf(levels)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return target
-	}
 	for v := 0; v < n; v++ {
 		s, a := m.VarStateAction(v)
 		p.cost[v] = m.CostRate(s, a)
 		p.occ[v] = m.OccupancyUnits(s)
+		targets, rates := moves(t, m, s, a)
 		var exit float64
-		for c, cl := range m.Clients {
-			if cl.Lambda > 0 && m.Level(s, c) < cl.Levels {
-				p.balance[move(s, c, 1)][v] += cl.Lambda
-				exit += cl.Lambda
-			}
-		}
-		if a >= 0 && m.Level(s, a) > 0 {
-			p.balance[move(s, a, -1)][v] += m.ServiceRate
-			exit += m.ServiceRate
+		for i, tg := range targets {
+			p.balance[tg][v] += rates[i]
+			exit += rates[i]
 		}
 		p.balance[s][v] -= exit
 	}
@@ -128,6 +111,86 @@ func relClose(a, b, tol float64) bool {
 	return math.Abs(a-b) <= tol*math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
 }
 
+// certInstance is one generated capped program: a topology's bus models
+// at a uniform allocation and their summed cap-free occupancy.
+type certInstance struct {
+	topo   scenario.Topology
+	models []*ctmdp.Model
+	free   float64
+}
+
+// certificateInstances builds the certificate test's programs: every
+// family at fan-out 1 and 3–8 buses (27-state buses, cheap), and at fan-out
+// 2 the six bus counts spread over the families, all at 3 units per buffer.
+// Instances whose cap-free solve fails are skipped, logged and counted.
+func certificateInstances(t *testing.T) (out []certInstance, skipped int) {
+	t.Helper()
+	type shape struct {
+		kind          string
+		fanOut, buses int
+	}
+	var shapes []shape
+	kinds := []string{scenario.KindChain, scenario.KindStar, scenario.KindTree, scenario.KindMesh}
+	for _, kind := range kinds {
+		for buses := 3; buses <= 8; buses++ {
+			shapes = append(shapes, shape{kind, 1, buses})
+		}
+	}
+	for buses := 3; buses <= 8; buses++ {
+		shapes = append(shapes, shape{kinds[(buses-3)%len(kinds)], 2, buses})
+	}
+	rng := rand.New(rand.NewSource(20261017))
+	for _, sh := range shapes {
+		topo := scenario.Topology{Kind: sh.kind, Buses: sh.buses, FanOut: sh.fanOut, Skew: 4, Seed: rng.Int63()}
+		models := buildModels(t, topo, 3)
+		// The cap-free occupancy, bus by bus as the methodology solves it.
+		var free float64
+		var freeErr error
+		for _, m := range models {
+			sol, err := ctmdp.SolveJoint([]*ctmdp.Model{m}, ctmdp.JointConfig{})
+			if err != nil {
+				freeErr = err
+				break
+			}
+			free += sol.OccupancyUsed
+		}
+		if freeErr != nil {
+			skipped++
+			t.Logf("%v: cap-free solve fails, skipped: %v", topo, freeErr)
+			continue
+		}
+		out = append(out, certInstance{topo, models, free})
+	}
+	return out, skipped
+}
+
+// buildModels builds topo's bus models at a uniform allocation of units
+// per buffer, as core builds them.
+func buildModels(t *testing.T, topo scenario.Topology, units int) []*ctmdp.Model {
+	t.Helper()
+	a, err := topo.Build()
+	if err != nil {
+		t.Fatalf("%v: %v", topo, err)
+	}
+	a.InsertBridgeBuffers()
+	return buildModelsAt(t, a, units*len(a.BufferIDs()))
+}
+
+// buildModelsAt builds the bus models of a buffered architecture at a
+// uniform allocation of budget units.
+func buildModelsAt(t *testing.T, a *arch.Architecture, budget int) []*ctmdp.Model {
+	t.Helper()
+	alloc, err := arch.UniformAllocation(a, budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	models, err := core.BuildSubsystemModels(a, alloc, core.Config{Arch: a, Budget: budget})
+	if err != nil {
+		t.Fatalf("%s: %v", a.Name, err)
+	}
+	return models
+}
+
 // TestCappedSweepCertificate certifies every capped answer SolveJoint gives
 // on generated topologies — chain, star, tree and mesh, fan-out 1–2, 3–8
 // buses, models from core.BuildSubsystemModels at a uniform allocation —
@@ -148,57 +211,10 @@ func relClose(a, b, tol float64) bool {
 // occupancies must sum past the cap. Instances whose cap-free solve already
 // fails are skipped and counted.
 func TestCappedSweepCertificate(t *testing.T) {
-	// Every family at fan-out 1 and 3–8 buses (27-state buses, cheap), and
-	// at fan-out 2 the six bus counts spread over the families: their
-	// 81-state buses cost ~20 ms per LP solve.
-	type shape struct {
-		kind          string
-		fanOut, buses int
-	}
-	var shapes []shape
-	kinds := []string{scenario.KindChain, scenario.KindStar, scenario.KindTree, scenario.KindMesh}
-	for _, kind := range kinds {
-		for buses := 3; buses <= 8; buses++ {
-			shapes = append(shapes, shape{kind, 1, buses})
-		}
-	}
-	for buses := 3; buses <= 8; buses++ {
-		shapes = append(shapes, shape{kinds[(buses-3)%len(kinds)], 2, buses})
-	}
-	rng := rand.New(rand.NewSource(20261017))
-	var solved, infeasible, skipped, refereeWrong int
-	for _, sh := range shapes {
-		topo := scenario.Topology{Kind: sh.kind, Buses: sh.buses, FanOut: sh.fanOut, Skew: 4, Seed: rng.Int63()}
-		a, err := topo.Build()
-		if err != nil {
-			t.Fatalf("%v: %v", topo, err)
-		}
-		a.InsertBridgeBuffers()
-		budget := 3 * len(a.BufferIDs())
-		alloc, err := arch.UniformAllocation(a, budget)
-		if err != nil {
-			t.Fatal(err)
-		}
-		models, err := core.BuildSubsystemModels(a, alloc, core.Config{Arch: a, Budget: budget})
-		if err != nil {
-			t.Fatalf("%v: %v", topo, err)
-		}
-		// The cap-free occupancy, bus by bus as the methodology solves it.
-		var free float64
-		var freeErr error
-		for _, m := range models {
-			sol, err := ctmdp.SolveJoint([]*ctmdp.Model{m}, ctmdp.JointConfig{})
-			if err != nil {
-				freeErr = err
-				break
-			}
-			free += sol.OccupancyUsed
-		}
-		if freeErr != nil {
-			skipped++
-			t.Logf("%v: cap-free solve fails, skipped: %v", topo, freeErr)
-			continue
-		}
+	instances, skipped := certificateInstances(t)
+	var solved, infeasible, refereeWrong int
+	for _, in := range instances {
+		topo, models, free := in.topo, in.models, in.free
 		progs := make([]program, len(models))
 		for i, m := range models {
 			progs[i] = programOf(t, m)
@@ -207,7 +223,7 @@ func TestCappedSweepCertificate(t *testing.T) {
 		for _, f := range []float64{0.92, 0.96, 0.97, 0.5} {
 			name := fmt.Sprintf("%v cap %.2f", topo, f)
 			cap := f * free
-			got, err := ctmdp.SolveJoint(models, ctmdp.JointConfig{OccupancyCap: cap})
+			got, err := ctmdp.SolveJoint(models, ctmdp.JointConfig{OccupancyCaps: []float64{cap}})
 			ref, refErr := linked(progs, cap)
 			refInfeasible := refErr == nil && ref.Status == lp.Infeasible
 			if errors.Is(err, ctmdp.ErrInfeasible) {

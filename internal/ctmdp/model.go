@@ -17,13 +17,17 @@
 //     client's DownstreamFullProb (how bridge buffers feed the cost back).
 //
 // Following Feinberg 2002, the average-cost optimal (possibly constrained)
-// policy is found by linear programming over state–action occupation
-// measures x(s,a); see solve.go. The paper's device of solving all split
-// subsystems "in one go" is the joint program with a shared
-// expected-occupancy budget row linking the subsystem blocks. That single
-// row makes Lagrangian duality exact, so SolveJoint never assembles it: it
-// prices occupancy and solves each subsystem alone, sweeping the price
-// until the budget binds (DESIGN.md §8).
+// policy is the optimum of a linear program over state–action occupation
+// measures x(s,a). Every model idles only when all its queues are empty,
+// so every policy is unichain and Howard policy iteration reaches the same
+// optimum; SolveJoint solves each model that way (pi.go, solve.go). The
+// paper's device of solving all split subsystems "in one go" is the joint
+// program with a shared expected-occupancy budget row linking the
+// subsystem blocks. That single row makes Lagrangian duality exact, so
+// SolveJoint never assembles it: it prices occupancy and sweeps the price
+// in policy space, one state's action at a time, until the budget binds.
+// Every answer is checked against the program's dual certificate before
+// it is returned (DESIGN.md §8).
 package ctmdp
 
 import (

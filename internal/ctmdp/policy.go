@@ -7,7 +7,7 @@ import (
 )
 
 // randTol: an action needs at least this much conditional probability before
-// the state counts as randomised (filters simplex roundoff).
+// the state counts as randomised (filters roundoff).
 const randTol = 1e-6
 
 // Policy is a stationary arbitration policy for one subsystem: a distribution

@@ -121,7 +121,7 @@ func TestKSwitchingUnconstrainedNearlyDeterministic(t *testing.T) {
 func TestKSwitchingConstrainedBounded(t *testing.T) {
 	free := solvedTwoClient(t, JointConfig{})
 	_ = free
-	ms := solvedTwoClient(t, JointConfig{OccupancyCap: 4.0})
+	ms := solvedTwoClient(t, JointConfig{OccupancyCaps: []float64{4.0}})
 	sw := ms.Policy.KSwitching()
 	// Feinberg 2002: one linking constraint adds at most one randomised
 	// state (plus the one vertex slack) — allow 2.
@@ -146,7 +146,7 @@ func TestKSwitchingConstrainedBounded(t *testing.T) {
 }
 
 func TestSwitchingString(t *testing.T) {
-	ms := solvedTwoClient(t, JointConfig{OccupancyCap: 4.0})
+	ms := solvedTwoClient(t, JointConfig{OccupancyCaps: []float64{4.0}})
 	s := ms.Policy.KSwitching().String()
 	if !strings.Contains(s, "randomised states:") {
 		t.Fatalf("switching string %q", s)

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"socbuf/internal/lp"
 	"socbuf/internal/queueing"
 )
 
@@ -139,7 +138,7 @@ func TestOccupancyCapBindsAndCosts(t *testing.T) {
 		t.Fatal("unconstrained solve reports binding cap")
 	}
 	capLevel := free.OccupancyUsed * 0.9
-	capped := mustSolve(t, []*Model{m}, JointConfig{OccupancyCap: capLevel})
+	capped := mustSolve(t, []*Model{m}, JointConfig{OccupancyCaps: []float64{capLevel}})
 	if !capped.CapBinding {
 		t.Fatalf("cap at 90%% of free occupancy (%v) did not bind (used %v)",
 			capLevel, capped.OccupancyUsed)
@@ -155,38 +154,38 @@ func TestOccupancyCapBindsAndCosts(t *testing.T) {
 func TestInfeasibleOccupancyCap(t *testing.T) {
 	// Overloaded queue: its expected occupancy cannot be pushed near zero.
 	m := mustModel(t, "b", 1, singleClient(5, 3))
-	_, err := SolveJoint([]*Model{m}, JointConfig{OccupancyCap: 1e-4})
+	_, err := SolveJoint([]*Model{m}, JointConfig{OccupancyCaps: []float64{1e-4}})
 	if err == nil {
 		t.Fatal("absurd occupancy cap accepted")
 	}
 }
 
-// TestCapSweepPivotBound: past its pivot bound the capped sweep returns
-// lp.ErrIterationLimit instead of running on; under the bound SolveJoint
-// gives, the same program solves.
-func TestCapSweepPivotBound(t *testing.T) {
+// TestCapSweepStepBound: past its step bound the capped sweep returns
+// ErrSweepLimit instead of running on; under the bound SolveJoint gives,
+// the same program solves.
+func TestCapSweepStepBound(t *testing.T) {
 	clients := []Client{
 		{BufferID: "x", Lambda: 2.0, Levels: 2, UnitsPerLevel: 5, LossWeight: 1},
 		{BufferID: "y", Lambda: 2.0, Levels: 2, UnitsPerLevel: 1, LossWeight: 1},
 	}
 	models := []*Model{mustModel(t, "a", 4.5, clients), mustModel(t, "b", 3, clients)}
 	var occ float64
-	cold := 0 // pivots of the per-model cold solves the sweep starts from
+	cold := 0 // policy evaluations of the per-model cold solves the sweep starts from
 	for _, m := range models {
 		free := mustSolve(t, []*Model{m}, JointConfig{})
 		occ += free.OccupancyUsed
 		cold += free.Iters
 	}
-	cap := occ * 0.9
-	sol, err := sweepCap(models, cap, sweepLimit(models))
+	caps := []float64{occ * 0.9}
+	sol, _, err := sweepCaps(models, caps, sweepLimit(models))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if steps := sol.Iters - cold; steps < 2 {
-		t.Fatalf("the cap took %d sweep pivots; the bound check needs at least 2", steps)
+		t.Fatalf("the cap took %d sweep steps; the bound check needs at least 2", steps)
 	}
-	if _, err := sweepCap(models, cap, 1); !errors.Is(err, lp.ErrIterationLimit) {
-		t.Fatalf("sweep past its bound: %v, want lp.ErrIterationLimit", err)
+	if _, _, err := sweepCaps(models, caps, 1); !errors.Is(err, ErrSweepLimit) {
+		t.Fatalf("sweep past its bound: %v, want ErrSweepLimit", err)
 	}
 }
 

@@ -21,7 +21,7 @@ type PolicyChain struct {
 
 // PolicyChain builds the policy-induced chain of the solution. Service rates
 // are split across clients by the policy's conditional action probabilities;
-// LP-unvisited states use the policy's longest-queue fallback, matching what
+// unvisited states use the policy's longest-queue fallback, matching what
 // the simulator executes.
 func (ms *ModelSolution) PolicyChain() (*PolicyChain, error) {
 	m := ms.Model
@@ -121,8 +121,8 @@ func (ms *ModelSolution) StationaryUnderPolicy() ([]float64, error) {
 
 // RefineStationary recomputes the solution's stationary distribution from the
 // policy-induced chain and rescales the occupation measure to match,
-// tightening the LP's roundoff-level state probabilities. It returns the
-// largest per-state correction |π_refined − π_LP|. The policy itself (the
+// replacing the distribution the solve gave. It returns the largest
+// per-state correction |π_refined − π_solved|. The policy itself (the
 // conditional action probabilities) is unchanged.
 func (ms *ModelSolution) RefineStationary() (float64, error) {
 	pi, err := ms.StationaryUnderPolicy()
@@ -151,7 +151,7 @@ func (ms *ModelSolution) RefineStationary() (float64, error) {
 				ms.X[v] *= f
 			}
 		case pi[s] > 0:
-			// Reachable under the fallback policy but unvisited by the LP:
+			// Reachable under the fallback policy but unvisited by the solve:
 			// assign the state's mass to the fallback (deterministic) action.
 			levels := make([]int, len(m.Clients))
 			for c := range m.Clients {

@@ -76,7 +76,7 @@ func TestDenseSparseStationaryAgree(t *testing.T) {
 		configs := []JointConfig{{}}
 		free := mustSolve(t, []*Model{m}, JointConfig{})
 		if free.OccupancyUsed > 0.1 {
-			configs = append(configs, JointConfig{OccupancyCap: free.OccupancyUsed * 0.9})
+			configs = append(configs, JointConfig{OccupancyCaps: []float64{free.OccupancyUsed * 0.9}})
 		}
 		for ci, cfg := range configs {
 			sol, err := SolveJoint([]*Model{m}, cfg)

@@ -46,7 +46,7 @@ type SolveRequest struct {
 	// backend (nil inherits the scenario's spec, or that backend's
 	// defaults). It is part of the coalescing identity.
 	Uncertainty *uncertain.Spec `json:"uncertainty,omitempty"`
-	// Refine enables the post-LP stationary refinement
+	// Refine enables the post-solve stationary refinement
 	// (core.Config.RefineStationary).
 	Refine bool `json:"refine,omitempty"`
 	// Workers bounds this request's worker pool (0 inherits the engine

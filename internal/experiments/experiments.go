@@ -310,7 +310,7 @@ type SplitDemoResult struct {
 	SplitSubsystems int
 	// SplitLossRate is the joint-LP optimum of the split system.
 	SplitLossRate float64
-	// SplitIters counts simplex pivots — a single finite LP solve, versus
+	// SplitIters counts policy evaluations — a single finite solve, versus
 	// the nonlinear iteration that failed.
 	SplitIters int
 }

@@ -88,7 +88,7 @@ func TestSplitDemo(t *testing.T) {
 		t.Fatalf("negative split loss %v", d.SplitLossRate)
 	}
 	if d.SplitIters <= 0 {
-		t.Fatal("split LP reported zero pivots")
+		t.Fatal("split solve reported zero policy evaluations")
 	}
 }
 

@@ -43,15 +43,19 @@ func Factor(a *Matrix) (*LU, error) {
 			pivot[k], pivot[p] = pivot[p], pivot[k]
 		}
 		pk := lu.At(k, k)
+		rk := lu.Row(k)[k+1:]
 		for i := k + 1; i < n; i++ {
-			m := lu.At(i, k) / pk
-			lu.Set(i, k, m)
+			ri := lu.Row(i)
+			m := ri[k] / pk
+			ri[k] = m
 			if m == 0 {
 				continue
 			}
-			ri, rk := lu.Row(i), lu.Row(k)
-			for j := k + 1; j < n; j++ {
-				ri[j] -= m * rk[j]
+			// Re-sliced to rk's length so the bounds checks hoist.
+			ri = ri[k+1:]
+			ri = ri[:len(rk)]
+			for j, v := range rk {
+				ri[j] -= m * v
 			}
 		}
 	}
@@ -69,7 +73,14 @@ func (f *LU) Solve(b []float64) ([]float64, error) {
 	for i := 0; i < n; i++ {
 		x[i] = b[f.pivot[i]]
 	}
-	// Forward substitution (L is unit lower).
+	f.substitute(x)
+	return x, nil
+}
+
+// substitute overwrites the permuted right-hand side x with the solution:
+// forward through L (unit lower), then backward through U.
+func (f *LU) substitute(x []float64) {
+	n := len(x)
 	for i := 1; i < n; i++ {
 		row := f.lu.Row(i)
 		s := x[i]
@@ -78,7 +89,12 @@ func (f *LU) Solve(b []float64) ([]float64, error) {
 		}
 		x[i] = s
 	}
-	// Back substitution.
+	f.backward(x)
+}
+
+// backward overwrites x with the solution of U·y = x.
+func (f *LU) backward(x []float64) {
+	n := len(x)
 	for i := n - 1; i >= 0; i-- {
 		row := f.lu.Row(i)
 		s := x[i]
@@ -86,6 +102,68 @@ func (f *LU) Solve(b []float64) ([]float64, error) {
 			s -= row[j] * x[j]
 		}
 		x[i] = s / row[i]
+	}
+}
+
+// Inverse returns A⁻¹, column j solving A·x = e_j. The permuted unit
+// vector is zero above its one, so the forward sweep starts there; the
+// skipped terms are exact zeros, so every column has the bits Solve gives.
+func (f *LU) Inverse() *Matrix {
+	n := f.lu.Rows
+	inv := NewMatrix(n, n)
+	at := make([]int, n) // at[j]: the row the permutation moves e_j's one to
+	for i, p := range f.pivot {
+		at[p] = i
+	}
+	x := make([]float64, n)
+	for j := 0; j < n; j++ {
+		clear(x)
+		first := at[j]
+		x[first] = 1
+		for i := first + 1; i < n; i++ {
+			s := 0.0
+			for k, v := range f.lu.Row(i)[first:i] {
+				s -= v * x[first+k]
+			}
+			x[i] = s
+		}
+		f.backward(x)
+		for i, v := range x {
+			inv.Data[i*n+j] = v
+		}
+	}
+	return inv
+}
+
+// SolveT solves the transposed system Aᵀ·x = b with the same
+// factorisation: Aᵀ = Uᵀ·Lᵀ·P, so it substitutes forward through Uᵀ,
+// backward through Lᵀ and undoes the row permutation. Both sweeps read the
+// factors row by row. b is not modified.
+func (f *LU) SolveT(b []float64) ([]float64, error) {
+	n := f.lu.Rows
+	if len(b) != n {
+		return nil, fmt.Errorf("%w: solve with rhs len %d, want %d", ErrShape, len(b), n)
+	}
+	y := make([]float64, n)
+	copy(y, b)
+	// Uᵀ·y = b, column by column of Uᵀ (row by row of U).
+	for j := 0; j < n; j++ {
+		row := f.lu.Row(j)
+		y[j] /= row[j]
+		for i := j + 1; i < n; i++ {
+			y[i] -= row[i] * y[j]
+		}
+	}
+	// Lᵀ·w = y (L is unit lower), from the last row of L up.
+	for j := n - 1; j > 0; j-- {
+		row := f.lu.Row(j)
+		for i := 0; i < j; i++ {
+			y[i] -= row[i] * y[j]
+		}
+	}
+	x := make([]float64, n)
+	for i, p := range f.pivot {
+		x[p] = y[i]
 	}
 	return x, nil
 }

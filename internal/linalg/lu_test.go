@@ -26,6 +26,86 @@ func TestSolveKnownSystem(t *testing.T) {
 	}
 }
 
+// TestSolveTMatchesTransposeProperty: SolveT on A's factors solves the
+// system of Aᵀ, which the explicit transpose solves too.
+func TestSolveTMatchesTransposeProperty(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(12)
+		a := NewMatrix(n, n)
+		for i := range a.Data {
+			a.Data[i] = rng.NormFloat64()
+		}
+		b := make([]float64, n)
+		for i := range b {
+			b[i] = rng.NormFloat64()
+		}
+		lu, err := Factor(a)
+		if err != nil {
+			return true // singular draws are another test's business
+		}
+		got, err := lu.SolveT(b)
+		if err != nil {
+			return false
+		}
+		want, err := Solve(a.T(), b)
+		if err != nil {
+			return false
+		}
+		for i := range want {
+			if !almostEq(got[i], want[i], 1e-8*(1+math.Abs(want[i]))) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+	lu, err := Factor(Identity(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := lu.SolveT([]float64{1}); err == nil {
+		t.Fatal("short right-hand side accepted")
+	}
+}
+
+// TestInverseIsInverse: A·A⁻¹ = I for random well-posed draws.
+func TestInverseIsInverse(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 50; trial++ {
+		n := 1 + rng.Intn(10)
+		a := NewMatrix(n, n)
+		for i := range a.Data {
+			a.Data[i] = rng.NormFloat64()
+		}
+		for i := 0; i < n; i++ {
+			a.Add(i, i, float64(n)) // diagonally dominant: safely non-singular
+		}
+		lu, err := Factor(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inv := lu.Inverse()
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				var s float64
+				for k := 0; k < n; k++ {
+					s += a.At(i, k) * inv.At(k, j)
+				}
+				want := 0.0
+				if i == j {
+					want = 1
+				}
+				if !almostEq(s, want, 1e-10) {
+					t.Fatalf("n=%d: (A·A⁻¹)[%d][%d] = %v", n, i, j, s)
+				}
+			}
+		}
+	}
+}
+
 func TestSolveSingular(t *testing.T) {
 	a, _ := FromRows([][]float64{{1, 2}, {2, 4}})
 	if _, err := Solve(a, []float64{1, 2}); err == nil {

@@ -5,10 +5,12 @@
 //	subject to  aᵢᵀx (≤ | = | ≥) bᵢ   for every constraint i
 //	            x ≥ 0
 //
-// It is the workhorse behind the CTMDP occupation-measure programs used by
-// the buffer-sizing methodology (Feinberg 2002): those LPs have balance
-// equalities, a normalisation equality and budget inequalities, all with
-// non-negative variables, which is exactly this standard form.
+// It referees the CTMDP occupation-measure programs of the buffer-sizing
+// methodology (Feinberg 2002) in tests: those LPs have balance equalities,
+// a normalisation equality and budget inequalities, all with non-negative
+// variables, which is exactly this standard form. The methodology itself
+// solves them by policy iteration (internal/ctmdp); no served path imports
+// this package.
 //
 // Pivoting follows Dantzig's rule (most negative reduced cost) and switches
 // to Bland's lowest-index rule after a run of pivots without progress. The
@@ -18,13 +20,9 @@
 // clear a loosened 1e-6 tolerance, and a pivot limit proportional to the
 // problem size ends any solve that still runs on. CTMDP balance systems
 // are always degenerate (one balance row is redundant), which is why these
-// safeguards exist. It is a dense tableau implementation; CTMDP instances
-// in this repository stay below a few thousand variables, where dense
-// simplex is simple and fast enough.
-//
-// Parametric continues a solved program along a cost ray c + λd as the
-// price λ rises, one pivot per basis change: the capped CTMDP program uses
-// it to price total buffer occupancy bus by bus.
+// safeguards exist. Even so the simplex calls some well-scaled 81-state
+// CTMDP programs infeasible and stops above the optimum of others, which
+// is why the methodology left it. It is a dense tableau implementation.
 package lp
 
 import (

@@ -15,12 +15,9 @@ const (
 //
 //	rows 0..m-1:  constraint rows, columns 0..n-1 variables, column n = RHS
 //	row m:        objective row (reduced costs), column n = -objective value
-//
-// A Parametric appends one more row below the objective (the reduced
-// occupancy vector); pivot keeps every row current.
 type tableau struct {
 	m, n  int
-	a     [][]float64 // (m+1) x (n+1), or (m+2) x (n+1) under a Parametric
+	a     [][]float64 // (m+1) x (n+1)
 	basis []int       // basis[i] = variable index basic in row i
 }
 
@@ -197,16 +194,8 @@ func (t *tableau) extract(p *Problem, iters int) *Solution {
 // is proportional to the problem size; exceeding it returns
 // ErrIterationLimit.
 func Solve(p *Problem) (*Solution, error) {
-	sol, _, _, err := solveCold(p)
-	return sol, err
-}
-
-// solveCold is the ordinary two-phase primal simplex. Besides the solution
-// it returns the final tableau and its first artificial column, from which
-// a Parametric continues an Optimal solve.
-func solveCold(p *Problem) (*Solution, *tableau, int, error) {
 	if p.NumVars() == 0 {
-		return nil, nil, 0, ErrNoVariables
+		return nil, ErrNoVariables
 	}
 	t, artStart := build(p)
 	total := t.n
@@ -235,10 +224,10 @@ func solveCold(p *Problem) (*Solution, *tableau, int, error) {
 		it, err := t.iterate(maxIters, artStart)
 		iters += it
 		if err != nil {
-			return nil, nil, 0, fmt.Errorf("lp: phase 1: %w", err)
+			return nil, fmt.Errorf("lp: phase 1: %w", err)
 		}
 		if -t.a[t.m][total] > feasEps {
-			return &Solution{Status: Infeasible, Iters: iters}, nil, 0, nil
+			return &Solution{Status: Infeasible, Iters: iters}, nil
 		}
 		iters += t.clearArtificials(artStart)
 	}
@@ -249,11 +238,11 @@ func solveCold(p *Problem) (*Solution, *tableau, int, error) {
 	iters += it
 	if err != nil {
 		if err == errUnbounded {
-			return &Solution{Status: Unbounded, Iters: iters}, nil, 0, nil
+			return &Solution{Status: Unbounded, Iters: iters}, nil
 		}
-		return nil, nil, 0, err
+		return nil, err
 	}
-	return t.extract(p, iters), t, artStart, nil
+	return t.extract(p, iters), nil
 }
 
 type simplexErr string

@@ -80,7 +80,7 @@ type Cache struct {
 type entry struct {
 	model *ctmdp.Model         // canonical clone (sorted clients, neutral names)
 	sol   *ctmdp.ModelSolution // payload aligned to model's enumeration
-	iters int                  // simplex pivots of the cold solve (informational)
+	iters int                  // policy evaluations of the cold solve (informational)
 }
 
 // New returns an empty, unbounded cache.

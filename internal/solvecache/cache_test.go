@@ -207,7 +207,7 @@ func TestCacheCappedJoint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := ctmdp.JointConfig{OccupancyCap: free.OccupancyUsed * 0.9, RefineStationary: refine}
+		cfg := ctmdp.JointConfig{OccupancyCaps: []float64{free.OccupancyUsed * 0.9}, RefineStationary: refine}
 
 		c := solvecache.New()
 		// Free solves first, as the methodology loop does.
@@ -248,7 +248,7 @@ func TestCacheCappedJoint(t *testing.T) {
 func TestCacheInfeasibleCap(t *testing.T) {
 	models := presetModels(t, arch.TwoBusAMBA, 24)
 	c := solvecache.New()
-	_, err := c.SolveJoint(models, ctmdp.JointConfig{OccupancyCap: 1e-9})
+	_, err := c.SolveJoint(models, ctmdp.JointConfig{OccupancyCaps: []float64{1e-9}})
 	if err == nil {
 		t.Fatal("absurd cap accepted")
 	}

@@ -130,8 +130,10 @@ func (h *hasher) sum() Key { return sha256.Sum256(h.buf) }
 // Version 2 introduced the backend tag below; version 3 added the stationary
 // auto-path thresholds to the fingerprinted options; version 4 dropped every
 // stationary option but the refine flag; version 5 dropped the capacity
-// quanta from the sub-model key.
-const version = 5
+// quanta from the sub-model key; version 6 marks exact payloads solved by
+// policy iteration, whose last bits differ from the simplex's, so a fleet
+// never mixes the two.
+const version = 6
 
 // Backend domain-separation tags. Every fingerprint serialises the solver
 // backend that produced (or will produce) the payload immediately after the

@@ -25,7 +25,7 @@ func (c *Cache) SolveJoint(models []*ctmdp.Model, cfg ctmdp.JointConfig) (*ctmdp
 		// Delegate so the canonical error surfaces unchanged.
 		return ctmdp.SolveJoint(models, cfg)
 	}
-	if cfg.OccupancyCap > 0 {
+	if len(cfg.OccupancyCaps) > 0 {
 		return c.solveCapped(models, cfg)
 	}
 
@@ -47,7 +47,7 @@ func (c *Cache) SolveJoint(models []*ctmdp.Model, cfg ctmdp.JointConfig) (*ctmdp
 }
 
 // solveOne answers one decoupled sub-model solve, returning the rebound
-// solution. The returned iteration count is the simplex pivots actually
+// solution. The returned iteration count is the policy evaluations actually
 // performed (zero for hits).
 func (c *Cache) solveOne(m *ctmdp.Model, opts SolveOptions) (*ctmdp.ModelSolution, int, error) {
 	order := canonicalOrder(m)
@@ -114,8 +114,8 @@ func (c *Cache) solveCapped(models []*ctmdp.Model, cfg ctmdp.JointConfig) (*ctmd
 	}
 	sol, err := ctmdp.SolveJoint(cms, cfg)
 	if err != nil {
-		// Includes ctmdp.ErrInfeasible untouched in the chain: the caller's
-		// cap retry ladder matches with errors.Is.
+		// Includes ctmdp.ErrInfeasible untouched in the chain: the caller
+		// matches it with errors.Is when no cap of its ladder is feasible.
 		return nil, err
 	}
 	for i, m := range models {
