@@ -156,7 +156,6 @@ fuzz-smoke:
 		FuzzParseMethods=./internal/experiments \
 		FuzzParseCatalogue=./internal/placement \
 		FuzzBlockingRecurrence=./internal/queueing \
-		FuzzExactPayload=./internal/solvecache \
 		FuzzRemotePayload=./internal/solvecache \
 		FuzzArchJSON=./internal/sim; do \
 		name=$${t%=*}; pkg=$${t#*=}; \

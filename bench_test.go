@@ -11,6 +11,8 @@ package socbuf_test
 
 import (
 	"context"
+	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -178,11 +180,21 @@ func BenchmarkSweepColdVsCached(b *testing.B) {
 
 // TestCachedSweepBeatsCold is the machine check of the solve-cache
 // acceptance bar (BenchmarkSweepColdVsCached is the measurement; this test
-// is the gate `go test` actually enforces): a cached generated-family sweep
-// must be decisively faster than cold, whose points each reuse only within
-// their own private cache. The measured ratio is 2.1–2.2× on a 2-core host,
-// so gating at 1.3× leaves headroom for CI noise and -race overhead while
-// still catching a cache that stopped reusing across points.
+// is the gate `go test` actually enforces). Four budget points of a
+// generated-family sweep run twice, serially: cold, each point on a private
+// cache of its own, and cached, all points sharing one planned, prewarmed
+// cache.
+//
+// The primary gate counts work, so host load cannot fail it: the shared
+// cache must run at most half the cold sub-model solves the private caches
+// run (36 against 144, with 114 hits; each private cache answers none of
+// its own lookups). The timing gate keeps the 1.3× bar on the fastest of
+// three runs per side, alternating which side runs first. Runs are timed
+// in the process's CPU time, each after a garbage collection: the sweeps
+// run serially, so CPU time is their work, and unlike wall time it does not
+// grow while other processes hold the CPU. The ratio reads about 1.45×, so
+// wall time on a shared 2-core host failed the bar in about one run in
+// ten.
 func TestCachedSweepBeatsCold(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -201,27 +213,58 @@ func TestCachedSweepBeatsCold(t *testing.T) {
 	budgets := []int{sc.Budget, sc.Budget + 8, sc.Budget + 16, sc.Budget + 24}
 	opt := experiments.Options{Iterations: 2, Seeds: []int64{1}, Horizon: 200, WarmUp: 50, Workers: 1}
 
-	start := time.Now()
-	if _, err := experiments.BudgetSweepCtx(context.Background(), newArch, budgets, opt); err != nil {
-		t.Fatal(err)
+	// cold runs each point on a fresh cache of its own — what a run without
+	// a shared cache gets — and sums their counters; cached shares one.
+	var coldStats, cachedStats solvecache.Stats
+	coldBest, cachedBest := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
+	cold := func() {
+		coldStats = solvecache.Stats{}
+		runtime.GC()
+		start := cpuTime(t)
+		for _, b := range budgets {
+			o := opt
+			o.Cache = solvecache.New()
+			if _, err := experiments.BudgetSweepCtx(context.Background(), newArch, []int{b}, o); err != nil {
+				t.Fatal(err)
+			}
+			coldStats.Add(o.Cache.Stats())
+		}
+		coldBest = min(coldBest, cpuTime(t)-start)
 	}
-	cold := time.Since(start)
+	cached := func() {
+		o := opt
+		o.Cache = solvecache.New()
+		runtime.GC()
+		start := cpuTime(t)
+		if _, _, err := experiments.CachedBudgetSweepCtx(context.Background(), newArch, budgets, o); err != nil {
+			t.Fatal(err)
+		}
+		cachedBest = min(cachedBest, cpuTime(t)-start)
+		cachedStats = o.Cache.Stats()
+	}
+	for round := 0; round < 3; round++ {
+		if round%2 == 0 {
+			cold()
+			cached()
+		} else {
+			cached()
+			cold()
+		}
+	}
 
-	opt.Cache = solvecache.New()
-	start = time.Now()
-	if _, _, err := experiments.CachedBudgetSweepCtx(context.Background(), newArch, budgets, opt); err != nil {
-		t.Fatal(err)
+	if cachedStats.Hits == 0 {
+		t.Fatalf("cache reused nothing: %+v", cachedStats)
 	}
-	cached := time.Since(start)
-
-	s := opt.Cache.Stats()
-	if s.Hits == 0 {
-		t.Fatalf("cache reused nothing: %+v", s)
+	if 2*cachedStats.Misses > coldStats.Misses {
+		t.Errorf("shared cache ran %d cold solves (%d hits), more than half the %d of private caches (%d hits)",
+			cachedStats.Misses, cachedStats.Hits, coldStats.Misses, coldStats.Hits)
 	}
-	if ratio := float64(cold) / float64(cached); ratio < 1.3 {
-		t.Errorf("cached sweep only %.2fx faster than cold (cold %v, cached %v, stats %+v); acceptance bar is 2x, gate 1.3x",
-			ratio, cold, cached, s)
+	if ratio := float64(coldBest) / float64(cachedBest); ratio < 1.3 {
+		t.Errorf("cached sweep only %.2fx faster than cold (fastest of three, CPU time: cold %v, cached %v); gate 1.3x",
+			ratio, coldBest, cachedBest)
 	}
+	t.Logf("CPU time: cold %v (%d cold solves, %d hits), cached %v (%d cold solves, %d hits)",
+		coldBest, coldStats.Misses, coldStats.Hits, cachedBest, cachedStats.Misses, cachedStats.Hits)
 }
 
 // BenchmarkJointLPSolve measures the raw cap-free solve of the

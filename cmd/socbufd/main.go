@@ -26,8 +26,10 @@
 // a tier evicts its least recently used entry (DESIGN.md §5).
 //
 // Fleet mode (DESIGN.md §10): -remote-cache attaches a shared solve-cache
-// sidecar (socbufrouter's /v1/cache endpoint) behind the local cache —
-// fail-open, so a dead sidecar costs recomputes, never availability.
+// sidecar (socbufrouter's /v1/cache endpoint) behind the local cache's
+// robust and placement tiers — fail-open, so a dead sidecar costs
+// recomputes, never availability. Exact sub-model solves stay local: a
+// round trip costs more than the solve.
 //
 // Shutdown: SIGINT/SIGTERM flips readiness (so ring health checks route
 // around the backend), stops admission, cancels in-flight requests (the

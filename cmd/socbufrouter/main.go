@@ -8,9 +8,10 @@
 //
 // Each backend should attach to the shared tier with
 // `-remote-cache http://<router>/v1/cache`, letting shards adopt each
-// other's sub-model solutions for the overlap fingerprint affinity cannot
-// capture (fail-open: a dead router costs the shards recomputes, never
-// availability).
+// other's robust sizings and placement results for the overlap fingerprint
+// affinity cannot capture (fail-open: a dead router costs the shards
+// recomputes, never availability). The tier holds at most 64 MiB, evicting
+// the least recently used keys past that.
 //
 // Endpoints (the README's "Running a fleet"):
 //

@@ -21,8 +21,10 @@
 //   - internal/nonlinear                  — the un-split coupled quadratic
 //     system and the solvers that fail on it;
 //   - internal/solvecache                 — the content-addressed solve
-//     cache the sweep fleet shares (DESIGN.md §4 records the fingerprint
-//     contract);
+//     cache: sub-model solves shared across a sweep's points, and robust
+//     sizings and placement results shared fleet-wide through the router
+//     (DESIGN.md §4 records the fingerprint contract, §10 the remote
+//     tier);
 //   - internal/parallel                   — the deterministic worker pool
 //     behind every sweep fan-out;
 //   - internal/core, internal/policy      — the methodology loop (exposed

@@ -90,10 +90,11 @@ type Config struct {
 	// payloads are pure functions of their fingerprints. 0 means unbounded.
 	MaxCacheEntries int
 	// RemoteCache, when non-nil, attaches a shared remote store behind the
-	// engine cache's exact/analytic/robust/placement tiers (DESIGN.md §10):
-	// local misses consult it, fresh payloads are written behind it. The
-	// engine does not own the store's lifetime (callers close a RemoteStore
-	// themselves).
+	// engine cache's robust and placement tiers (DESIGN.md §10): their
+	// local misses consult it, their fresh payloads are written behind it.
+	// Exact sub-model solves, analytic sizings and whole results never
+	// reach it. The engine does not own the store's lifetime (callers close
+	// a RemoteStore themselves).
 	RemoteCache solvecache.Store
 }
 
@@ -239,9 +240,9 @@ type BackendStats struct {
 	// Solves counts methodology runs executed with this backend — sweep
 	// points individually, failed runs included (they consumed the time).
 	Solves int64 `json:"solves"`
-	// CacheHits is the solve-cache hits (exact, analytic and robust tiers
-	// summed — solvecache.Cache.HitCount) observed during this backend's
-	// requests.
+	// CacheHits is the solve-cache hits (exact and robust tiers summed —
+	// solvecache.Cache.HitCount) observed during this backend's requests.
+	// The analytic backend caches nothing, so its count stays 0.
 	CacheHits int64 `json:"cacheHits"`
 	// MeanWallMS is the mean wall time per run, in milliseconds.
 	MeanWallMS float64 `json:"meanWallMs"`

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"math/rand"
 	"reflect"
@@ -476,7 +477,8 @@ func TestEngineJoinAfterLastWaiterLeft(t *testing.T) {
 // cache keys than the bound — keeps every tier of an engine-owned cache,
 // the result tier included, within MaxCacheEntries after every request,
 // and every answer equals an unbounded engine's (eviction costs
-// recomputes, never correctness).
+// recomputes, never correctness). Analytic requests file only result-tier
+// keys: their sizings are not cached.
 func TestEngineTierBound(t *testing.T) {
 	const bound = 2
 	bounded := New(Config{Workers: 1, MaxCacheEntries: bound})
@@ -543,9 +545,8 @@ func TestEngineTierBound(t *testing.T) {
 		}
 		s := bounded.Stats().Cache
 		for name, n := range map[string]int{
-			"Entries": s.Entries, "AnalyticEntries": s.AnalyticEntries,
-			"RobustEntries": s.RobustEntries, "PlacementEntries": s.PlacementEntries,
-			"ResultEntries": s.ResultEntries,
+			"Entries": s.Entries, "RobustEntries": s.RobustEntries,
+			"PlacementEntries": s.PlacementEntries, "ResultEntries": s.ResultEntries,
 		} {
 			if n > bound {
 				t.Fatalf("request %d: %s = %d exceeds the bound %d", i, name, n, bound)
@@ -557,8 +558,8 @@ func TestEngineTierBound(t *testing.T) {
 	// bound, and total at least ten times it.
 	s := unbounded.Stats().Cache
 	keys := map[string]int64{
-		"exact": s.Misses, "analytic": s.AnalyticMisses,
-		"robust": s.RobustMisses, "placement": s.PlacementMisses, "result": int64(s.ResultEntries),
+		"exact": s.Misses, "robust": s.RobustMisses,
+		"placement": s.PlacementMisses, "result": int64(s.ResultEntries),
 	}
 	var total int64
 	for name, n := range keys {
@@ -587,41 +588,130 @@ func TestEngineTierBound(t *testing.T) {
 	}
 }
 
+// robustSolve is a cached robust solve of twobus under the given
+// simulation seeds. The robust key ignores those seeds, so requests that
+// differ only in them share one robust sizing.
+func robustSolve(seed int64) SolveRequest {
+	return SolveRequest{Arch: "twobus", Budget: 24, Method: "robust",
+		Uncertainty: &uncertain.Spec{RateSigma: 0.2, Samples: 16, Confidence: 0.9, Seed: 3},
+		Iterations:  fastIters, Seeds: []int64{seed}, Horizon: fastHorizon, WarmUp: fastWarmUp, UseCache: true}
+}
+
 // TestEngineRemoteCacheSharing pins the Config.RemoteCache wiring: two
-// engines sharing one store answer the second engine's solve from the
-// first's payloads, identically.
+// engines sharing one store answer the second engine's robust solve from
+// the first's sizing, and the answer is identical to a recompute by an
+// engine without the store.
 func TestEngineRemoteCacheSharing(t *testing.T) {
 	shared := solvecache.NewMemStore()
 	a := New(Config{RemoteCache: shared})
 	defer a.Close()
 	b := New(Config{RemoteCache: shared})
 	defer b.Close()
+	local := New(Config{})
+	defer local.Close()
 
-	req := SolveRequest{Scenario: "twobus", Iterations: fastIters, Seeds: fastSeeds,
-		Horizon: fastHorizon, WarmUp: fastWarmUp, UseCache: true}
-	want, err := a.Solve(context.Background(), req)
+	ctx := context.Background()
+	first, err := a.Solve(ctx, robustSolve(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if shared.Len() == 0 {
 		t.Fatal("first engine's solves did not populate the shared store")
 	}
-	got, err := b.Solve(context.Background(), req)
+	got, err := b.Solve(ctx, robustSolve(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := local.Solve(ctx, robustSolve(2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(want, got) {
 		t.Errorf("remote-fed result differs:\nwant %+v\ngot  %+v", want, got)
 	}
+	if !reflect.DeepEqual(first.Alloc, got.Alloc) || *first.Robust != *got.Robust {
+		t.Errorf("the seed-2 sizing is not the seed-1 sizing it adopted:\nfirst %+v\ngot   %+v", first, got)
+	}
 	s := b.Stats()
 	if s.Cache.RemoteHits == 0 {
 		t.Errorf("second engine must adopt remote payloads: %+v", s.Cache)
 	}
-	if s.Cache.Misses != 0 {
-		t.Errorf("second engine re-solved %d sub-models a peer had already solved", s.Cache.Misses)
+	if s.Cache.RobustMisses != 0 {
+		t.Errorf("second engine re-sized %d robust problems a peer had already sized", s.Cache.RobustMisses)
 	}
 	if r := s.CacheRates["remote"]; r <= 0 {
 		t.Errorf("remote rate %g must be positive; rates %v", r, s.CacheRates)
+	}
+}
+
+// recordingStore is a shared store that records the tier tag of every
+// envelope put into it and counts every consult.
+type recordingStore struct {
+	*solvecache.MemStore
+	mu    sync.Mutex
+	tiers map[string]int
+	gets  int
+}
+
+func (r *recordingStore) Get(ctx context.Context, k solvecache.Key) ([]byte, bool) {
+	r.mu.Lock()
+	r.gets++
+	r.mu.Unlock()
+	return r.MemStore.Get(ctx, k)
+}
+
+func (r *recordingStore) Put(ctx context.Context, k solvecache.Key, b []byte) {
+	var env struct {
+		Tier string `json:"tier"`
+	}
+	_ = json.Unmarshal(b, &env)
+	r.mu.Lock()
+	r.tiers[env.Tier]++
+	r.mu.Unlock()
+	r.MemStore.Put(ctx, k, b)
+}
+
+// TestEngineRemoteCacheCarriesOnlyRobustAndPlacement: an engine attached to
+// a remote store sends it neither exact sub-model solves nor analytic
+// runs — a remote round trip costs more than either — so those requests
+// leave the store empty and consult it never. Robust and placement
+// requests, whose hits replace whole runs, are the only envelopes it
+// receives.
+func TestEngineRemoteCacheCarriesOnlyRobustAndPlacement(t *testing.T) {
+	store := &recordingStore{MemStore: solvecache.NewMemStore(), tiers: map[string]int{}}
+	e := New(Config{RemoteCache: store})
+	defer e.Close()
+	ctx := context.Background()
+
+	for _, method := range []string{"exact", "analytic", "hybrid"} {
+		if _, err := e.Solve(ctx, SolveRequest{Arch: "twobus", Budget: 24, Method: method, Iterations: fastIters,
+			Seeds: fastSeeds, Horizon: fastHorizon, WarmUp: fastWarmUp, UseCache: true}); err != nil {
+			t.Fatalf("%s: %v", method, err)
+		}
+	}
+	if _, err := e.BudgetSweep(ctx, BudgetSweepRequest{Arch: "twobus", Budgets: []int{24, 30},
+		Iterations: fastIters, Seeds: fastSeeds, Horizon: fastHorizon, WarmUp: fastWarmUp, UseCache: true}); err != nil {
+		t.Fatal(err)
+	}
+	s := e.Stats().Cache
+	if store.Len() != 0 || s.RemoteHits+s.RemoteMisses != 0 || store.gets != 0 {
+		t.Fatalf("exact and analytic work reached the store: %d payloads, %d consults, stats %+v",
+			store.Len(), store.gets, s)
+	}
+	if s.Misses == 0 {
+		t.Fatal("the exact requests solved no sub-model, so they tested nothing")
+	}
+
+	if _, err := e.Solve(ctx, robustSolve(1)); err != nil {
+		t.Fatal(err)
+	}
+	req := quickPlacement()
+	req.UseCache = true
+	if _, err := e.Placement(ctx, req); err != nil {
+		t.Fatal(err)
+	}
+	if want := map[string]int{"robust": 1, "placement": 1}; !reflect.DeepEqual(store.tiers, want) {
+		t.Fatalf("store received envelopes %v, want %v", store.tiers, want)
 	}
 }
 
@@ -635,9 +725,10 @@ func (poisonStore) Put(context.Context, solvecache.Key, []byte)          {}
 // TestEngineRejectsPoisonedPayloads: a peer's payload that is not an answer
 // to the request is a miss, so the request recomputes and answers exactly as
 // an engine without a peer does — never with an error, and never with the
-// peer's payload served as cached. Analytic and robust sizings must be
-// sizings of the request's architecture and budget; a placement payload must
-// describe the request.
+// peer's payload served as cached. A robust sizing must be one of the
+// request's architecture and budget, and a placement payload must describe
+// the request. Analytic runs never consult the peer, so its payload cannot
+// reach them.
 func TestEngineRejectsPoisonedPayloads(t *testing.T) {
 	ctx := context.Background()
 	sizing := func(method string) func(*Engine) (any, error) {

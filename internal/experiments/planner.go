@@ -128,8 +128,7 @@ func (p *SweepPlan) WriteSummary(w io.Writer) error {
 // usesExactTier reports whether any sweep point runs an exact-family
 // backend (exact or hybrid — both solve CTMDP sub-models the plan's
 // prewarmed entries can serve). An all-analytic sweep has nothing to
-// prewarm: the analytic tier caches whole-architecture sizings, not
-// sub-model solves.
+// prewarm: closed-form sizings solve no sub-models.
 func usesExactTier(opt Options, points int) bool {
 	for i := 0; i < points; i++ {
 		if solver.Canonical(opt.pointMethod(i)) != solver.MethodAnalytic {
@@ -145,7 +144,7 @@ func usesExactTier(opt Options, points int) bool {
 // (created when nil). Cancellation is threaded through planning, prewarming
 // and the sweep itself. Sweeps whose every point runs the analytic backend
 // skip the (exact-tier) planning and prewarm entirely and return a nil plan
-// — the shared cache still serves their analytic tier.
+// — their closed-form sizings have nothing to cache.
 func CachedBudgetSweepCtx(ctx context.Context, newArch func() *arch.Architecture, budgets []int, opt Options) (*BudgetSweepResult, *SweepPlan, error) {
 	if opt.Cache == nil {
 		opt.Cache = solvecache.New()
@@ -187,12 +186,8 @@ func WriteCacheStats(w io.Writer, s solvecache.Stats) error {
 		fmt.Sprint(s.Hits),
 		fmt.Sprint(s.Misses),
 		fmt.Sprint(s.JointMisses),
-		fmt.Sprint(s.Entries + s.AnalyticEntries + s.RobustEntries + s.PlacementEntries + s.ResultEntries),
+		fmt.Sprint(s.Entries + s.RobustEntries + s.PlacementEntries + s.ResultEntries),
 	}}
-	if s.AnalyticHits+s.AnalyticMisses > 0 {
-		headers = append(headers, "analytic hits", "analytic misses")
-		rows[0] = append(rows[0], fmt.Sprint(s.AnalyticHits), fmt.Sprint(s.AnalyticMisses))
-	}
 	if s.RobustHits+s.RobustMisses > 0 {
 		headers = append(headers, "robust hits", "robust misses")
 		rows[0] = append(rows[0], fmt.Sprint(s.RobustHits), fmt.Sprint(s.RobustMisses))
@@ -218,7 +213,7 @@ func WriteCacheStats(w io.Writer, s solvecache.Stats) error {
 	}
 	// Fixed tier order (the Rates doc's order), filtered to traffic seen.
 	var rh, rr []string
-	for _, tier := range []string{"exact", "analytic", "robust", "placement", "result", "remote"} {
+	for _, tier := range []string{"exact", "robust", "placement", "result", "remote"} {
 		if v, ok := rates[tier]; ok {
 			rh = append(rh, tier)
 			rr = append(rr, fmt.Sprintf("%.1f%%", 100*v))

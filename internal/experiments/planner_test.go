@@ -161,7 +161,7 @@ func TestWriteCacheStatsRates(t *testing.T) {
 	var b strings.Builder
 	s := solvecache.Stats{
 		Hits: 6, Misses: 4, JointMisses: 5,
-		AnalyticHits: 3, AnalyticMisses: 1,
+		RobustHits: 3, RobustMisses: 1,
 		RemoteHits: 4, RemoteMisses: 4,
 		ResultHits: 1, ResultMisses: 3,
 		Entries: 2, ResultEntries: 1,
@@ -174,18 +174,19 @@ func TestWriteCacheStatsRates(t *testing.T) {
 		"capped solves",
 		"remote hits", "remote misses",
 		"result hits", "result misses",
+		"robust hits", "robust misses",
 		"hit rates:",
-		"exact", "analytic", "result", "remote",
+		"exact", "robust", "result", "remote",
 		"60.0%", // exact: 6 / (6+4)
 		"50.0%", // remote: 4 / (4+4)
-		"75.0%", // analytic: 3 / (3+1)
+		"75.0%", // robust: 3 / (3+1)
 		"25.0%", // result: 1 / (1+3)
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}
 	}
-	for _, absent := range []string{"robust", "placement", "delta", "joint", "warm", "structural"} {
+	for _, absent := range []string{"analytic", "placement", "delta", "joint", "warm", "structural"} {
 		if strings.Contains(out, absent) {
 			t.Errorf("untouched tier %q leaked into output:\n%s", absent, out)
 		}

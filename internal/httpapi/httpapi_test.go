@@ -132,20 +132,24 @@ func TestStatsEndpoint(t *testing.T) {
 
 // TestStatsPerBackendCounters: /v1/stats breaks methodology runs down per
 // solver backend — solves, cache hits and mean wall time — keyed by the
-// canonical method name. One exact (default) solve, one analytic solve and
-// an analytic re-solve under other seeds through the default cache must
-// show up under their backends, with the analytic tier's cache hit
-// attributed to the analytic backend. A verbatim repeat is answered by the
-// result tier and runs no backend at all.
+// canonical method name. One exact (default) solve, one analytic solve, one
+// robust solve and a robust re-solve under other seeds through the default
+// cache must show up under their backends, with the robust tier's cache hit
+// attributed to the robust backend; the analytic backend caches nothing. A
+// verbatim repeat is answered by the result tier and runs no backend at
+// all.
 func TestStatsPerBackendCounters(t *testing.T) {
 	_, ts := startServer(t, engine.Config{}, true)
 	postJSON(t, ts.URL+"/v1/solve", fastSolveBody).Body.Close()
 	analyticBody := `{"scenario":"twobus","iterations":1,"seeds":[1],"horizon":400,"warmUp":50,"method":"analytic"}`
 	postJSON(t, ts.URL+"/v1/solve", analyticBody).Body.Close()
-	// The same analytic problem under other evaluation seeds: a new request
-	// fingerprint, so it re-runs, but the analytic sizing is seed-free and
-	// hits the analytic cache tier.
-	reseeded := strings.Replace(analyticBody, `"seeds":[1]`, `"seeds":[2]`, 1)
+	robustBody := `{"scenario":"twobus","iterations":1,"seeds":[1],"horizon":400,"warmUp":50,"method":"robust",` +
+		`"uncertainty":{"samples":16,"seed":3}}`
+	postJSON(t, ts.URL+"/v1/solve", robustBody).Body.Close()
+	// The same robust problem under other evaluation seeds: a new request
+	// fingerprint, so it re-runs, but the robust sizing is seed-free and
+	// hits the robust cache tier.
+	reseeded := strings.Replace(robustBody, `"seeds":[1]`, `"seeds":[2]`, 1)
 	postJSON(t, ts.URL+"/v1/solve", reseeded).Body.Close()
 
 	stats := func() engine.Stats {
@@ -164,11 +168,15 @@ func TestStatsPerBackendCounters(t *testing.T) {
 		t.Fatalf("exact backend counters missing or wrong: %+v", st.Backends)
 	}
 	an, ok := st.Backends["analytic"]
-	if !ok || an.Solves != 2 {
+	if !ok || an.Solves != 1 || an.CacheHits != 0 {
 		t.Fatalf("analytic backend counters missing or wrong: %+v", st.Backends)
 	}
-	if an.CacheHits == 0 || st.Cache.AnalyticHits == 0 {
-		t.Fatalf("analytic re-solve did not hit the analytic cache tier: backends=%+v cache=%+v",
+	rb, ok := st.Backends["robust"]
+	if !ok || rb.Solves != 2 {
+		t.Fatalf("robust backend counters missing or wrong: %+v", st.Backends)
+	}
+	if rb.CacheHits == 0 || st.Cache.RobustHits == 0 {
+		t.Fatalf("robust re-solve did not hit the robust cache tier: backends=%+v cache=%+v",
 			st.Backends, st.Cache)
 	}
 	if ex.MeanWallMS <= 0 {
@@ -187,8 +195,8 @@ func TestStatsPerBackendCounters(t *testing.T) {
 		t.Fatalf("verbatim repeat not flagged cached: %+v", res)
 	}
 	again := stats()
-	if again.Cache.ResultHits != 1 || again.Backends["analytic"] != an ||
-		again.SolveRuns != st.SolveRuns || again.Cache.AnalyticHits != st.Cache.AnalyticHits {
+	if again.Cache.ResultHits != 1 || again.Backends["robust"] != rb ||
+		again.SolveRuns != st.SolveRuns || again.Cache.RobustHits != st.Cache.RobustHits {
 		t.Fatalf("verbatim repeat was not a pure result-tier hit: before %+v, after %+v", st, again)
 	}
 }

@@ -2,9 +2,10 @@
 // router that shards socbufd's solve endpoints across N backends by
 // normalised request fingerprint, so request coalescing and cache locality —
 // both keyed on exactly that fingerprint — survive scale-out. It also hosts
-// the fleet's shared solve-cache sidecar (the solvecache.StoreHandler
-// protocol under /v1/cache/), aggregates per-shard stats, and health-checks
-// ring membership against the backends' drain-aware /v1/readyz.
+// the fleet's shared solve-cache sidecar for robust sizings and placement
+// results (the solvecache.StoreHandler protocol under /v1/cache/),
+// aggregates per-shard stats, and health-checks ring membership against the
+// backends' drain-aware /v1/readyz.
 package router
 
 import (

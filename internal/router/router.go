@@ -43,8 +43,9 @@ type Options struct {
 	// on the inbound request's context for cancellation).
 	Client *http.Client
 	// Store is the shared solve-cache tier served under /v1/cache/ (nil =
-	// a fresh in-memory store). Backends attach to it with -remote-cache
-	// pointing at the router.
+	// a fresh solvecache.MemStore, which holds at most 64 MiB and evicts the
+	// least recently used keys past that). Backends attach to it with
+	// -remote-cache pointing at the router.
 	Store solvecache.Store
 }
 
@@ -60,8 +61,10 @@ type backend struct {
 // request fingerprint (DESIGN.md §10). Identical-fingerprint requests land on
 // one shard, so the engine-level coalescing and cache locality that make the
 // single-process service fast survive scale-out; the shared store under
-// /v1/cache/ then lets distinct shards adopt each other's sub-model solutions
-// for the overlap that fingerprint affinity cannot capture.
+// /v1/cache/ then lets distinct shards adopt each other's robust sizings and
+// placement results for the overlap that fingerprint affinity cannot
+// capture (requests that differ only in simulation seeds share one robust
+// sizing).
 type Router struct {
 	backends  []*backend
 	ring      *ring

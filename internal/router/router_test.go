@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -383,18 +384,28 @@ func TestFleetStats(t *testing.T) {
 	}
 }
 
-// TestCrossShardRemoteCacheHit is the shared-tier gate: two requests with
-// distinct fingerprints homed on distinct shards still share sub-model
-// solutions through the fleet's remote store — the second shard's solve is
-// all remote adoptions, zero cold misses.
+// robustBody is a robust solve of twobus under one simulation seed. The
+// robust cache key ignores simulation seeds, so bodies that differ only in
+// seed share one robust sizing.
+func robustBody(seed int) string {
+	return fmt.Sprintf(`{"arch":"twobus","budget":24,"method":"robust",`+
+		`"uncertainty":{"rateSigma":0.2,"samples":16,"confidence":0.9,"seed":3},`+
+		`"iterations":1,"seeds":[%d],"horizon":400,"warmUp":50}`, seed)
+}
+
+// TestCrossShardRemoteCacheHit is the shared-tier gate: two robust requests
+// with distinct fingerprints (they differ only in simulation seeds) homed on
+// distinct shards still share one robust sizing through the fleet's remote
+// store — the second shard adopts it and sizes nothing itself, and answers
+// exactly as a shard without the store would.
 func TestCrossShardRemoteCacheHit(t *testing.T) {
 	shared := solvecache.NewMemStore()
 	f := startFleet(t, 2, engine.Config{RemoteCache: shared}, Options{Store: shared})
 
-	first := f.shardFor(seededBody(1))
+	first := f.shardFor(robustBody(1))
 	other := -1
 	for s := 2; s <= 64; s++ {
-		if f.shardFor(seededBody(s)) != first {
+		if f.shardFor(robustBody(s)) != first {
 			other = s
 			break
 		}
@@ -403,7 +414,7 @@ func TestCrossShardRemoteCacheHit(t *testing.T) {
 		t.Fatal("seeds 2..64 all home on one shard — ring badly unbalanced")
 	}
 
-	resp := f.postSolve(t, seededBody(1))
+	resp := f.postSolve(t, robustBody(1))
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("first solve: status %d", resp.StatusCode)
@@ -411,19 +422,36 @@ func TestCrossShardRemoteCacheHit(t *testing.T) {
 	if shared.Len() == 0 {
 		t.Fatal("first shard's solve did not populate the shared store")
 	}
-	resp = f.postSolve(t, seededBody(other))
+	resp = f.postSolve(t, robustBody(other))
+	var got engine.SolveResult
+	err := json.NewDecoder(resp.Body).Decode(&got)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("second solve: status %d", resp.StatusCode)
+	if resp.StatusCode != http.StatusOK || err != nil {
+		t.Fatalf("second solve: status %d, decode %v", resp.StatusCode, err)
 	}
 
-	second := f.shardFor(seededBody(other))
+	second := f.shardFor(robustBody(other))
 	s := f.engines[second].Stats()
 	if s.Cache.RemoteHits == 0 {
 		t.Errorf("second shard adopted no remote payloads: %+v", s.Cache)
 	}
-	if s.Cache.Misses != 0 {
-		t.Errorf("second shard re-solved %d sub-models its peer had published", s.Cache.Misses)
+	if s.Cache.RobustMisses != 0 {
+		t.Errorf("second shard re-sized %d robust problems its peer had published", s.Cache.RobustMisses)
+	}
+
+	var req engine.SolveRequest
+	if err := json.Unmarshal([]byte(robustBody(other)), &req); err != nil {
+		t.Fatal(err)
+	}
+	req.UseCache = true
+	local := engine.New(engine.Config{})
+	defer local.Close()
+	want, err := local.Solve(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(*want, got) {
+		t.Errorf("remote-fed answer differs from a local one:\nwant %+v\ngot  %+v", *want, got)
 	}
 }
 

@@ -27,17 +27,23 @@
 // private cache — so a shared cache only saves work: a run gets the same
 // answer from a private cache as from one shared fleet-wide.
 //
-// Two tiers memoise whole answers rather than sub-models: placement holds
-// serialised placement results, and result holds serialised solve and
-// budget-sweep results keyed by the engine's normalised request fingerprint,
-// so a repeated request skips its simulations and LP solves entirely. The
-// result tier is local-only: request fingerprints carry no code version, and
-// a router already keeps each fingerprint on one shard (DESIGN.md §10).
+// Three tiers memoise whole decisions rather than sub-models: robust holds
+// chance-constrained sizings, placement holds serialised placement results,
+// and result holds serialised solve and budget-sweep results keyed by the
+// engine's normalised request fingerprint — a result hit skips a repeated
+// request's simulations and policy solves entirely.
 //
-// Memory: every tier (exact, analytic, robust, placement, result) is one
-// generic LRU-bounded store (tier.go). New builds an unbounded cache — a
-// sweep's distinct sub-models number in the hundreds and payloads are a few
-// KB each; NewBounded caps each tier at a fixed entry count for long-lived
+// Only the robust and placement tiers are shared through an attached remote
+// store (SetRemote; DESIGN.md §10): their hits replace whole runs lasting
+// milliseconds to seconds. The exact tier stays local, because a remote
+// round trip costs more than the sub-millisecond cold solve it would skip,
+// and so does the result tier: request fingerprints carry no code version,
+// and a router already keeps each fingerprint on one shard.
+//
+// Memory: every tier (exact, robust, placement, result) is one generic
+// LRU-bounded store (tier.go). New builds an unbounded cache — a sweep's
+// distinct sub-models number in the hundreds and payloads are a few KB
+// each; NewBounded caps each tier at a fixed entry count for long-lived
 // processes, evicting the least recently used entry. Eviction costs a
 // recompute, never correctness, because payloads are pure functions of
 // their keys.
@@ -60,8 +66,7 @@ import (
 type Cache struct {
 	// exact keys sub-model entries by Fingerprint; its counters are the
 	// Hits and Misses of Stats.
-	exact     *tier[*entry]
-	analytic  *tier[*AnalyticSolution]
+	exact     *tier[*entry] // local only: no remote tag
 	robust    *tier[*RobustSolution]
 	placement *tier[json.RawMessage]
 	result    *tier[json.RawMessage] // local only: no remote tag
@@ -69,8 +74,8 @@ type Cache struct {
 	// capped counts capped programs solved (Stats.JointMisses).
 	capped atomic.Int64
 
-	// remote is the optional shared store behind the exact/analytic/robust/
-	// placement tiers (see SetRemote and remote.go).
+	// remote is the optional shared store behind the robust and placement
+	// tiers (see SetRemote and remote.go).
 	remote remote
 }
 
@@ -91,8 +96,7 @@ func New() *Cache { return NewBounded(0) }
 func NewBounded(max int) *Cache {
 	c := &Cache{}
 	r := &c.remote
-	c.exact = &tier[*entry]{max: max, remote: r, tag: "exact"}
-	c.analytic = &tier[*AnalyticSolution]{max: max, remote: r, tag: "analytic", clone: (*AnalyticSolution).clone}
+	c.exact = &tier[*entry]{max: max}
 	c.robust = &tier[*RobustSolution]{max: max, remote: r, tag: "robust", clone: (*RobustSolution).clone}
 	// Placement and result payloads are the engine's serialised results,
 	// carried verbatim.
@@ -100,46 +104,6 @@ func NewBounded(max int) *Cache {
 	c.placement = &tier[json.RawMessage]{max: max, remote: r, tag: "placement", clone: cloneRaw}
 	c.result = &tier[json.RawMessage]{max: max, clone: cloneRaw}
 	return c
-}
-
-// AnalyticSolution is one cached analytic sizing: the closed-form backend's
-// chosen allocation and its weighted loss-rate estimate. Stored payloads are
-// immutable; lookups return fresh allocation maps.
-type AnalyticSolution struct {
-	Alloc    map[string]int
-	LossRate float64
-}
-
-// clone returns an aliasing-free copy (cached payloads never leak mutable
-// state to callers — the same contract as the exact tiers' rebind).
-func (s *AnalyticSolution) clone() *AnalyticSolution {
-	return &AnalyticSolution{Alloc: cloneAlloc(s.Alloc), LossRate: s.LossRate}
-}
-
-// LookupAnalytic fetches a cached analytic sizing of the buffered
-// architecture a at budget by its AnalyticFingerprint key, falling back to
-// the attached remote store on a local miss. A remote payload is adopted —
-// stored locally, counting as both an analytic and a remote hit — only when
-// it is a sizing of a at budget (validSizing). A nil receiver (caching
-// disabled) always misses without counting.
-func (c *Cache) LookupAnalytic(k Key, a *arch.Architecture, budget int) (*AnalyticSolution, bool) {
-	if c == nil {
-		return nil, false
-	}
-	return c.analytic.lookup(k, func(s *AnalyticSolution) bool {
-		return s != nil && validSizing(s.Alloc, s.LossRate, a, budget)
-	})
-}
-
-// PutAnalytic stores one analytic sizing under its AnalyticFingerprint key.
-// The payload is copied in; concurrent duplicate stores of the same key are
-// benign (analytic solves are deterministic functions of the key). A nil
-// receiver is a no-op.
-func (c *Cache) PutAnalytic(k Key, s *AnalyticSolution) {
-	if c == nil || s == nil {
-		return
-	}
-	c.analytic.put(k, s)
 }
 
 // RobustSolution is one cached robust sizing: the chance-constrained
@@ -152,8 +116,8 @@ type RobustSolution struct {
 	Report   uncertain.Report
 }
 
-// clone returns an aliasing-free copy, matching the analytic tier's
-// contract.
+// clone returns an aliasing-free copy (cached payloads never leak mutable
+// state to callers — the same contract as the exact tier's rebind).
 func (s *RobustSolution) clone() *RobustSolution {
 	return &RobustSolution{Alloc: cloneAlloc(s.Alloc), LossRate: s.LossRate, Report: s.Report}
 }
@@ -250,9 +214,10 @@ type Stats struct {
 	// JointMisses counts capped programs solved (the occupancy-cap linked
 	// programs, which are never cached). JointHits stays 0 (see WarmStarts).
 	JointHits, JointMisses int64
-	// AnalyticHits / AnalyticMisses count analytic-tier lookups — the
-	// closed-form backend's sizing cache, keyed in a backend-tagged key
-	// space disjoint from every exact fingerprint.
+	// AnalyticHits and AnalyticMisses stay 0, and so does AnalyticEntries:
+	// analytic sizings are recomputed, never cached, because the key cost
+	// about as much as the sizing. They are kept only until the end-to-end
+	// benchmark's next change, like WarmStarts.
 	AnalyticHits, AnalyticMisses int64
 	// RobustHits / RobustMisses count robust-tier lookups — whole
 	// chance-constrained sizings, keyed by RobustFingerprint in their own
@@ -271,9 +236,9 @@ type Stats struct {
 	// tier, so home-tier rates reflect what the engine got regardless of
 	// source. Both stay zero when no store is attached.
 	RemoteHits, RemoteMisses int64
-	// Entries / AnalyticEntries / RobustEntries / PlacementEntries /
-	// ResultEntries are the stored solution counts per tier. JointEntries
-	// stays 0 (see WarmStarts).
+	// Entries / RobustEntries / PlacementEntries / ResultEntries are the
+	// stored solution counts per tier. JointEntries and AnalyticEntries stay
+	// 0 (see WarmStarts and AnalyticHits).
 	Entries, JointEntries, AnalyticEntries, RobustEntries, PlacementEntries, ResultEntries int
 }
 
@@ -308,8 +273,7 @@ func (s *Stats) Add(o Stats) {
 // `-cache-stats` table sees rates exactly for the tiers the run exercised:
 //
 //	exact       Hits / (Hits + Misses) — hits over all sub-model lookups
-//	analytic, robust, placement, result — hits / (hits + misses) of that
-//	            tier
+//	robust, placement, result — hits / (hits + misses) of that tier
 //	remote      RemoteHits / (RemoteHits + RemoteMisses) — adopted payloads
 //	            over all remote consults
 func (s Stats) Rates() map[string]float64 {
@@ -320,7 +284,6 @@ func (s Stats) Rates() map[string]float64 {
 		}
 	}
 	add("exact", s.Hits, s.Hits+s.Misses)
-	add("analytic", s.AnalyticHits, s.AnalyticHits+s.AnalyticMisses)
 	add("robust", s.RobustHits, s.RobustHits+s.RobustMisses)
 	add("placement", s.PlacementHits, s.PlacementHits+s.PlacementMisses)
 	add("result", s.ResultHits, s.ResultHits+s.ResultMisses)
@@ -337,8 +300,6 @@ func (c *Cache) Stats() Stats {
 		Hits:             c.exact.hits.Load(),
 		Misses:           c.exact.misses.Load(),
 		JointMisses:      c.capped.Load(),
-		AnalyticHits:     c.analytic.hits.Load(),
-		AnalyticMisses:   c.analytic.misses.Load(),
 		RobustHits:       c.robust.hits.Load(),
 		RobustMisses:     c.robust.misses.Load(),
 		PlacementHits:    c.placement.hits.Load(),
@@ -348,7 +309,6 @@ func (c *Cache) Stats() Stats {
 		RemoteHits:       c.remote.hits.Load(),
 		RemoteMisses:     c.remote.misses.Load(),
 		Entries:          c.exact.len(),
-		AnalyticEntries:  c.analytic.len(),
 		RobustEntries:    c.robust.len(),
 		PlacementEntries: c.placement.len(),
 		ResultEntries:    c.result.len(),
@@ -356,13 +316,13 @@ func (c *Cache) Stats() Stats {
 }
 
 // HitCount sums the hit counters of the tiers a methodology run reads —
-// exact, analytic and robust — without locking or scanning, so callers can
-// diff it around a run. A nil receiver reports 0.
+// exact and robust — without locking or scanning, so callers can diff it
+// around a run. A nil receiver reports 0.
 func (c *Cache) HitCount() int64 {
 	if c == nil {
 		return 0
 	}
-	return c.exact.hits.Load() + c.analytic.hits.Load() + c.robust.hits.Load()
+	return c.exact.hits.Load() + c.robust.hits.Load()
 }
 
 // canonicalModel clones m with clients in canonical order under neutral
@@ -382,8 +342,7 @@ func canonicalModel(m *ctmdp.Model, order []int) (*ctmdp.Model, error) {
 // matches sanity-checks a candidate entry against the requesting model's
 // canonical view before rebinding: same client count, service rate and
 // fingerprinted tuples. Guards against (astronomically unlikely) hash
-// collisions, any drift in the canonicalisation and peers' payloads solved
-// for another model.
+// collisions and any drift in the canonicalisation.
 func (e *entry) matches(m *ctmdp.Model, order []int) bool {
 	if len(e.model.Clients) != len(m.Clients) || e.model.ServiceRate != m.ServiceRate {
 		return false

@@ -137,13 +137,13 @@ const version = 6
 
 // Backend domain-separation tags. Every fingerprint serialises the solver
 // backend that produced (or will produce) the payload immediately after the
-// version, so a solution computed by one backend can never be looked up —
-// and rebound — as another's: an analytic M/M/1/K sizing and an exact
-// CTMDP/LP solution of the same model occupy disjoint key spaces by
-// construction.
+// version, so a payload computed for one tier can never be looked up — and
+// rebound — as another's: an exact CTMDP solution, a robust sizing and a
+// placement result of the same system occupy disjoint key spaces by
+// construction. Tag 1 keyed the retired analytic tier; it stays unused so
+// that every surviving key keeps its version-6 value.
 const (
 	backendExact     = 0
-	backendAnalytic  = 1
 	backendPlacement = 2
 	backendRobust    = 3
 )
@@ -175,32 +175,15 @@ func Fingerprint(m *ctmdp.Model, opts SolveOptions) Key {
 	return h.sum()
 }
 
-// AnalyticFingerprint keys one analytic (M/M/1/K marginal-allocation)
-// sizing: the canonical byte serialisation of the buffered architecture the
-// backend sized, the budget, and the fixed-point iteration count. The
-// backendAnalytic tag puts these keys in a key space disjoint from every
-// exact CTMDP fingerprint, so an analytic allocation can never rebind as an
-// exact solution (or vice versa) even on a (vanishing) hash collision of
-// the content bytes.
-func AnalyticFingerprint(archBytes []byte, budget, boundaryIters int) Key {
-	h := &hasher{buf: make([]byte, 0, 32+len(archBytes))}
-	h.i64(version)
-	h.i64(backendAnalytic)
-	h.i64(int64(budget))
-	h.i64(int64(boundaryIters))
-	h.i64(int64(len(archBytes)))
-	h.buf = append(h.buf, archBytes...)
-	return h.sum()
-}
-
 // RobustFingerprint keys one robust (chance-constrained Monte-Carlo)
 // sizing: the canonical byte serialisation of the buffered architecture
-// (weights appended, as in the analytic key), the uncertainty spec's
-// canonical JSON (σ's, sample count, confidence, target, seed — all of
-// which change what the decision IS), the budget and the fixed-point depth.
-// The backendRobust tag keeps these keys disjoint from every exact,
-// analytic and placement fingerprint, so a robust sizing can never rebind
-// as a nominal solution (or vice versa).
+// (loss weights appended), the uncertainty spec's canonical JSON (σ's,
+// sample count, confidence, target, seed — all of which change what the
+// decision IS), the budget and the fixed-point depth. Simulation seeds are
+// not part of it: they only evaluate the chosen sizing. The backendRobust
+// tag keeps these keys disjoint from every exact and placement
+// fingerprint, so a robust sizing can never rebind as a nominal solution
+// (or vice versa).
 func RobustFingerprint(archBytes, specBytes []byte, budget, boundaryIters int) Key {
 	h := &hasher{buf: make([]byte, 0, 64+len(archBytes)+len(specBytes))}
 	h.i64(version)
@@ -240,7 +223,7 @@ type PlacementMeta struct {
 // PlacementFingerprint keys one full placement run: the canonical byte
 // serialisation of the ORIGINAL (pre-contraction) architecture plus the
 // placement metadata. The backendPlacement tag keeps these keys disjoint
-// from every exact and analytic fingerprint, so a cached placement result
+// from every exact and robust fingerprint, so a cached placement result
 // can never rebind as a sizing solution (or vice versa).
 func PlacementFingerprint(archBytes []byte, meta PlacementMeta) Key {
 	h := &hasher{buf: make([]byte, 0, 128+len(archBytes))}

@@ -65,20 +65,20 @@ func TestPlacementTierRoundTrip(t *testing.T) {
 }
 
 // TestPlacementKeySpaceDisjoint: the backendPlacement tag must keep
-// placement fingerprints disjoint from analytic ones even when the hashed
-// content bytes line up — the same guarantee the analytic tag gives against
+// placement fingerprints disjoint from robust ones even when the hashed
+// content bytes line up — the same guarantee the robust tag gives against
 // exact keys.
 func TestPlacementKeySpaceDisjoint(t *testing.T) {
 	archBytes := []byte("same-arch")
-	analytic := AnalyticFingerprint(archBytes, 56, 3)
+	robust := RobustFingerprint(archBytes, nil, 56, 0)
 	placement := PlacementFingerprint(archBytes, PlacementMeta{Budget: 56})
-	if analytic == placement {
-		t.Fatal("analytic and placement fingerprints collide")
+	if robust == placement {
+		t.Fatal("robust and placement fingerprints collide")
 	}
 	c := New()
-	c.PutAnalytic(analytic, &AnalyticSolution{Alloc: map[string]int{"a": 1}})
+	c.PutRobust(robust, &RobustSolution{Alloc: map[string]int{"a": 1}})
 	if _, ok := c.LookupPlacement(placement); ok {
-		t.Fatal("placement lookup answered from the analytic tier")
+		t.Fatal("placement lookup answered from the robust tier")
 	}
 }
 

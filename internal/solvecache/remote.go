@@ -2,24 +2,24 @@ package solvecache
 
 import (
 	"encoding/json"
-	"fmt"
 	"math"
 	"sync/atomic"
 
 	"socbuf/internal/arch"
-	"socbuf/internal/ctmdp"
 )
 
-// This file is the cache side of the shared remote tier: how local tiers
-// consult an attached Store on a local miss, and how freshly computed
-// payloads are written behind. The serialisation contract (DESIGN.md §10):
+// This file is the cache side of the shared remote tier: how the robust and
+// placement tiers consult an attached Store on a local miss, and how freshly
+// computed payloads are written behind. Those two tiers alone are shared
+// because their hits replace whole runs lasting milliseconds to seconds;
+// exact sub-model solves and analytic sizings cost less to recompute than a
+// remote round trip, and results stay local (DESIGN.md §10). The
+// serialisation contract:
 //
 //   - A remote payload is a pure function of its key, exactly like a local
 //     entry: the numbers any peer stores under a key are bit-identical to
 //     the numbers every other peer would store, so adopting a remote payload
-//     can never change a result — only skip a recompute. (An exact payload's
-//     canonical model also records the capacity quanta of the model first
-//     solved under its key; nothing reads them.)
+//     can never change a result — only skip a recompute.
 //   - Payloads are JSON envelopes tagged with their tier. Keys are already
 //     version- and backend-tagged (a peer on another fingerprint version
 //     computes disjoint keys), and the HTTP layer additionally version-tags
@@ -28,14 +28,8 @@ import (
 //   - Every payload is checked before it is adopted; an undecodable or
 //     inconsistent payload is a miss, never an error — a poisoned peer can
 //     cost recomputes, not correctness.
-//   - Exact-tier payloads carry the canonical model and solution. Decoding
-//     validates every dimension against the reconstructed model and every
-//     value the methodology reads as a probability: occupation measures and
-//     state probabilities lie in [0, 1], state probabilities sum to 1, and
-//     each visited policy row is a distribution. The model must then match
-//     the requesting one.
-//   - Analytic and robust payloads must be sizings of the architecture and
-//     budget the lookup names (validSizing, validRobust).
+//   - Robust payloads must be sizings of the architecture and budget the
+//     lookup names (validRobust).
 //   - Placement payloads are the engine's serialised results, opaque here;
 //     the engine checks them against the request.
 
@@ -54,136 +48,13 @@ type remoteEnvelope struct {
 	Data json.RawMessage `json:"data"`
 }
 
-// exactPayload is the wire form of one exact-tier entry: the canonical
-// model's reconstruction inputs plus the solution aligned to it.
-type exactPayload struct {
-	ServiceRate float64        `json:"serviceRate"`
-	Clients     []ctmdp.Client `json:"clients"`
-	X           []float64      `json:"x"`
-	StateProb   []float64      `json:"stateProb"`
-	LossRate    float64        `json:"lossRate"`
-	ActionProb  [][]float64    `json:"actionProb"`
-	Visited     []bool         `json:"visited"`
-	Iters       int            `json:"iters"`
-}
-
-// MarshalJSON is the wire form of one exact-tier entry.
-func (e *entry) MarshalJSON() ([]byte, error) {
-	return json.Marshal(exactPayload{
-		ServiceRate: e.model.ServiceRate,
-		Clients:     e.model.Clients,
-		X:           e.sol.X,
-		StateProb:   e.sol.StateProb,
-		LossRate:    e.sol.LossRate,
-		ActionProb:  e.sol.Policy.ActionProb,
-		Visited:     e.sol.Policy.Visited,
-		Iters:       e.iters,
-	})
-}
-
-// UnmarshalJSON reconstructs an exact-tier entry from its wire form,
-// validating every dimension against the rebuilt canonical model. Any
-// inconsistency is an error (the tier treats it as a remote miss).
-func (e *entry) UnmarshalJSON(data []byte) error {
-	var p exactPayload
-	if err := json.Unmarshal(data, &p); err != nil {
-		return err
-	}
-	m, err := ctmdp.NewModel("sub", p.ServiceRate, p.Clients)
-	if err != nil {
-		return fmt.Errorf("solvecache: remote exact payload: %w", err)
-	}
-	n := m.NumStates()
-	if len(p.X) != m.NumVars() || len(p.StateProb) != n || len(p.ActionProb) != n || len(p.Visited) != n {
-		return fmt.Errorf("solvecache: remote exact payload dimensions do not match model")
-	}
-	for _, row := range p.ActionProb {
-		if len(row) != len(p.Clients) {
-			return fmt.Errorf("solvecache: remote exact payload policy row width mismatch")
-		}
-	}
-	if err := p.checkValues(m); err != nil {
-		return fmt.Errorf("solvecache: remote exact payload: %w", err)
-	}
-	e.model, e.iters = m, p.Iters
-	e.sol = &ctmdp.ModelSolution{
-		Model:     m,
-		X:         p.X,
-		StateProb: p.StateProb,
-		LossRate:  p.LossRate,
-		Policy: &ctmdp.Policy{
-			Model:      m,
-			ActionProb: p.ActionProb,
-			Visited:    p.Visited,
-		},
-	}
-	return nil
-}
-
-// Tolerances of checkValues: how far roundoff may take a genuine payload's
-// probability past [0, 1], and its distributions' sums away from 1.
-const (
-	payloadValueTol = 1e-7
-	payloadSumTol   = 1e-6
-)
-
-// checkValues rejects a dimension-checked payload whose numbers cannot be
-// an occupation measure of m: an x or stateProb entry outside [0, 1],
-// stateProb not summing to 1, or a visited state's policy row that is not a
-// distribution. The row of the all-empty state, whose only action is idling,
-// grants nobody and sums to 0. Downstream code reads these numbers as
-// probabilities, so a payload that breaks them could fail a later solve.
-func (p *exactPayload) checkValues(m *ctmdp.Model) error {
-	inRange := func(v float64) bool { return v >= -payloadValueTol && v <= 1+payloadValueTol }
-	for _, v := range p.X {
-		if !inRange(v) {
-			return fmt.Errorf("occupation measure entry %g outside [0, 1]", v)
-		}
-	}
-	var mass float64
-	for _, v := range p.StateProb {
-		if !inRange(v) {
-			return fmt.Errorf("state probability %g outside [0, 1]", v)
-		}
-		mass += v
-	}
-	if math.Abs(mass-1) > payloadSumTol {
-		return fmt.Errorf("state probabilities sum to %g", mass)
-	}
-	for s, row := range p.ActionProb {
-		if !p.Visited[s] {
-			continue
-		}
-		want := 1.0
-		if _, idle := m.VarIndex(s, -1); idle {
-			want = 0
-		}
-		var sum float64
-		for _, v := range row {
-			if !inRange(v) {
-				return fmt.Errorf("state %d: policy entry %g outside [0, 1]", s, v)
-			}
-			sum += v
-		}
-		if math.Abs(sum-want) > payloadSumTol {
-			return fmt.Errorf("state %d: policy row sums to %g, want %g", s, sum, want)
-		}
-	}
-	return nil
-}
-
-// validSizing reports whether alloc and loss can be a sizing of the
-// buffered architecture a at budget: the allocation passes
-// arch.Allocation.Validate, and the loss rate is finite and non-negative.
-func validSizing(alloc map[string]int, loss float64, a *arch.Architecture, budget int) bool {
-	return arch.Allocation(alloc).Validate(a, budget) == nil && loss >= 0 && !math.IsInf(loss, 1)
-}
-
-// validRobust reports whether s can be a robust sizing of a at budget: a
-// valid sizing whose report's yields lie in [0, 1] and whose BudgetUsed is
-// the allocation's total.
+// validRobust reports whether s can be a robust sizing of the buffered
+// architecture a at budget: the allocation passes arch.Allocation.Validate,
+// the loss rate is finite and non-negative, the report's yields lie in
+// [0, 1], and its BudgetUsed is the allocation's total.
 func validRobust(s *RobustSolution, a *arch.Architecture, budget int) bool {
-	if s == nil || !validSizing(s.Alloc, s.LossRate, a, budget) {
+	if s == nil || arch.Allocation(s.Alloc).Validate(a, budget) != nil ||
+		!(s.LossRate >= 0) || math.IsInf(s.LossRate, 1) {
 		return false
 	}
 	r := s.Report
@@ -195,10 +66,11 @@ func validRobust(s *RobustSolution, a *arch.Architecture, budget int) bool {
 	return r.BudgetUsed == arch.Allocation(s.Alloc).Total()
 }
 
-// SetRemote attaches (or, with nil, detaches) the shared remote store. Local
-// tiers consult it on local misses and write freshly computed payloads
-// behind it. Attach before solving; swapping mid-flight is not synchronised.
-// A nil receiver is a no-op.
+// SetRemote attaches (or, with nil, detaches) the shared remote store. The
+// robust and placement tiers consult it on local misses and write freshly
+// computed payloads behind it; no other tier touches it. Attach before
+// solving; swapping mid-flight is not synchronised. A nil receiver is a
+// no-op.
 func (c *Cache) SetRemote(s Store) {
 	if c == nil {
 		return

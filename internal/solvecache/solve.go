@@ -11,11 +11,11 @@ import (
 // cache a private one). The receiver must be non-nil.
 //
 // Cap-free programs decouple into independent sub-model solves, which is
-// where the fleet-wide reuse lives: each model is answered from the cache
-// (a hit) or by a cold solve of its canonicalised clone that then populates
-// the cache. Capped programs are solved fresh on the canonical clones, bus
-// by bus (ctmdp.SolveJoint), and are not cached: each cap derives from its
-// own run's occupancy, so a capped program seldom repeats.
+// where the reuse across a sweep's points lives: each model is answered from
+// the cache (a hit) or by a cold solve of its canonicalised clone that then
+// populates the cache. Capped programs are solved fresh on the canonical
+// clones, bus by bus (ctmdp.SolveJoint), and are not cached: each cap
+// derives from its own run's occupancy, so a capped program seldom repeats.
 //
 // Solutions returned to the caller are always freshly allocated and bound to
 // the requesting models (callers mutate solutions — RefineStationary — and
@@ -52,18 +52,10 @@ func (c *Cache) SolveJoint(models []*ctmdp.Model, cfg ctmdp.JointConfig) (*ctmdp
 func (c *Cache) solveOne(m *ctmdp.Model, opts SolveOptions) (*ctmdp.ModelSolution, int, error) {
 	order := canonicalOrder(m)
 	k := Fingerprint(m, opts)
-	matches := func(e *entry) bool { return e != nil && e.matches(m, order) }
 	iters := 0
 	e, ok := c.exact.get(k)
-	if ok && matches(e) {
+	if ok && e.matches(m, order) {
 		c.exact.hits.Add(1)
-	} else if e, ok = c.exact.fetch(k, matches); ok {
-		// A peer solved this fingerprint already: adopt its payload as a hit
-		// and keep a local copy. The payload is a pure function of the key
-		// (solveCold solves the canonical clone), so the adopted numbers are
-		// bit-identical to what a local cold solve would produce.
-		c.exact.hits.Add(1)
-		c.exact.add(k, e)
 	} else {
 		c.exact.misses.Add(1)
 		var err error
@@ -72,7 +64,6 @@ func (c *Cache) solveOne(m *ctmdp.Model, opts SolveOptions) (*ctmdp.ModelSolutio
 		}
 		c.exact.add(k, e)
 		iters = e.iters
-		c.exact.writeBehind(k, e)
 	}
 	ms, err := e.rebind(m, order)
 	if err != nil {

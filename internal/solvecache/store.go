@@ -1,6 +1,7 @@
 package solvecache
 
 import (
+	"container/list"
 	"context"
 	"fmt"
 	"io"
@@ -13,11 +14,12 @@ import (
 )
 
 // Store is the byte-oriented, content-addressed key-value seam behind the
-// cache's shared tiers. Keys are the fingerprints of DESIGN.md §4 — version-
-// and backend-tagged hashes of a solve's mathematical content — so a Store
-// never needs its own namespacing: two processes that compute the same key
-// are asking for the same payload, and a payload is a pure function of its
-// key (identical bits no matter which process stored it).
+// cache's shared tiers (robust and placement). Keys are the fingerprints of
+// DESIGN.md §4 — version- and backend-tagged hashes of a solve's
+// mathematical content — so a Store never needs its own namespacing: two
+// processes that compute the same key are asking for the same payload, and
+// a payload is a pure function of its key (identical bits no matter which
+// process stored it).
 //
 // Implementations must be safe for concurrent use and fail OPEN: a Get that
 // cannot answer (dead peer, timeout, version drift) reports a miss, and a
@@ -31,51 +33,86 @@ type Store interface {
 	Put(ctx context.Context, k Key, payload []byte)
 }
 
-// MemStore is the in-process Store: a mutex-guarded map. It backs the shared
-// remote tier when mounted behind StoreHandler (the router's
-// /v1/cache/ endpoint) and stands in for a remote peer in tests.
+// MemStore is the in-process Store: a mutex-guarded map whose payloads
+// together hold at most memStoreBudget bytes, evicting the least recently
+// used keys past that. It backs the shared remote tier when mounted behind
+// StoreHandler (the router's /v1/cache/ endpoint, which any client that
+// reaches the router may PUT to) and stands in for a remote peer in tests.
+// Eviction costs a peer a recompute, never correctness: payloads are pure
+// functions of their keys.
 type MemStore struct {
-	mu sync.RWMutex
-	m  map[Key][]byte
+	mu    sync.Mutex
+	m     map[Key]*list.Element // element values are *memItem
+	lru   list.List             // front = most recently used
+	bytes int                   // summed payload lengths
 }
+
+type memItem struct {
+	key     Key
+	payload []byte
+}
+
+// memStoreBudget bounds a MemStore's summed payload bytes: sixteen
+// maximum-size payloads (64 MiB).
+const memStoreBudget = 16 * maxStorePayload
 
 // NewMemStore returns an empty in-process store.
 func NewMemStore() *MemStore {
-	return &MemStore{m: map[Key][]byte{}}
+	return &MemStore{m: map[Key]*list.Element{}}
 }
 
-// Get returns a copy of the stored payload.
+// Get returns a copy of the stored payload and marks k most recently used.
 func (s *MemStore) Get(_ context.Context, k Key) ([]byte, bool) {
-	s.mu.RLock()
-	b, ok := s.m[k]
-	s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	el, ok := s.m[k]
 	if !ok {
 		return nil, false
 	}
-	out := make([]byte, len(b))
-	copy(out, b)
-	return out, true
+	s.lru.MoveToFront(el)
+	return append([]byte(nil), el.Value.(*memItem).payload...), true
 }
 
-// Put stores a copy of payload under k. Duplicate stores are benign:
-// payloads are pure functions of their keys, so last-write-wins never
-// changes what a reader sees.
+// Put stores a copy of payload under k as the most recently used key, then
+// evicts least recently used keys until the store is within its byte
+// budget. Duplicate stores are benign: payloads are pure functions of their
+// keys, so last-write-wins never changes what a reader sees.
 func (s *MemStore) Put(_ context.Context, k Key, payload []byte) {
 	if len(payload) == 0 {
 		return
 	}
-	cp := make([]byte, len(payload))
-	copy(cp, payload)
+	cp := append([]byte(nil), payload...)
 	s.mu.Lock()
-	s.m[k] = cp
-	s.mu.Unlock()
+	defer s.mu.Unlock()
+	if el, ok := s.m[k]; ok {
+		it := el.Value.(*memItem)
+		s.bytes += len(cp) - len(it.payload)
+		it.payload = cp
+		s.lru.MoveToFront(el)
+	} else {
+		s.m[k] = s.lru.PushFront(&memItem{key: k, payload: cp})
+		s.bytes += len(cp)
+	}
+	for s.bytes > memStoreBudget {
+		it := s.lru.Remove(s.lru.Back()).(*memItem)
+		delete(s.m, it.key)
+		s.bytes -= len(it.payload)
+	}
 }
 
 // Len reports the number of stored payloads (for stats and tests).
 func (s *MemStore) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return len(s.m)
+}
+
+// Bytes reports the summed length of the stored payloads (for stats and
+// tests).
+func (s *MemStore) Bytes() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.bytes
 }
 
 // versionHeader tags every sidecar-protocol payload with the fingerprint

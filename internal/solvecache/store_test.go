@@ -2,7 +2,6 @@ package solvecache_test
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -35,7 +34,7 @@ func storeModel(t *testing.T) *ctmdp.Model {
 
 func TestMemStoreRoundTrip(t *testing.T) {
 	s := solvecache.NewMemStore()
-	k := solvecache.AnalyticFingerprint([]byte("arch"), 10, 3)
+	k := solvecache.RobustFingerprint([]byte("arch"), []byte("spec"), 10, 3)
 	if _, ok := s.Get(context.Background(), k); ok {
 		t.Fatal("empty store must miss")
 	}
@@ -55,51 +54,119 @@ func TestMemStoreRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRemoteExactTierSharing is the tentpole's consistency gate at package
-// level: two caches sharing one store answer the second cache's solve from
-// the first's payload, bit-identically to a cold solve.
-func TestRemoteExactTierSharing(t *testing.T) {
+// TestMemStoreByteBudget: the router's shared store keeps at most its
+// 64 MiB budget of payload bytes. Past it, Put evicts the least recently
+// used keys, and a Get refreshes a key's recency, so the newest keys and
+// the ones just read stay while the oldest go.
+func TestMemStoreByteBudget(t *testing.T) {
+	const (
+		size   = 1 << 20  // one payload, 1 MiB
+		budget = 64 << 20 // the store's fixed budget
+		fit    = budget / size
+	)
+	ctx := context.Background()
+	s := solvecache.NewMemStore()
+	key := func(i int) solvecache.Key { return solvecache.Key{byte(i), byte(i >> 8)} }
+	payload := make([]byte, size)
+	for i := 0; i < fit; i++ {
+		s.Put(ctx, key(i), payload)
+	}
+	if s.Len() != fit || s.Bytes() != budget {
+		t.Fatalf("a full store holds %d keys, %d bytes; want %d, %d", s.Len(), s.Bytes(), fit, budget)
+	}
+	// Read key 0, so key 1 becomes the least recently used.
+	if _, ok := s.Get(ctx, key(0)); !ok {
+		t.Fatal("key 0 evicted within the budget")
+	}
+	const extra = 8
+	for i := fit; i < fit+extra; i++ {
+		s.Put(ctx, key(i), payload)
+		if s.Bytes() > budget {
+			t.Fatalf("after %d puts the store holds %d bytes, past its budget %d", i+1, s.Bytes(), budget)
+		}
+	}
+	if s.Len() != fit {
+		t.Fatalf("store holds %d keys, want %d", s.Len(), fit)
+	}
+	if _, ok := s.Get(ctx, key(0)); !ok {
+		t.Error("the key read most recently before the overflow was evicted")
+	}
+	for i := 1; i <= extra; i++ {
+		if _, ok := s.Get(ctx, key(i)); ok {
+			t.Errorf("old key %d survived past the budget", i)
+		}
+	}
+	for i := extra + 1; i < fit+extra; i++ {
+		if _, ok := s.Get(ctx, key(i)); !ok {
+			t.Errorf("key %d evicted although newer than every evicted key", i)
+		}
+	}
+}
+
+// TestMemStoreConcurrent: concurrent puts and gets over shared keys keep
+// the byte count equal to the payloads held (run it under -race).
+func TestMemStoreConcurrent(t *testing.T) {
+	ctx := context.Background()
+	s := solvecache.NewMemStore()
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				k := solvecache.Key{byte(i % 32)}
+				s.Put(ctx, k, make([]byte, 1+(i+w)%7))
+				s.Get(ctx, solvecache.Key{byte((i + w) % 32)})
+			}
+		}(w)
+	}
+	wg.Wait()
+	held := 0
+	for i := 0; i < 32; i++ {
+		b, _ := s.Get(ctx, solvecache.Key{byte(i)})
+		held += len(b)
+	}
+	if s.Len() != 32 || s.Bytes() != held {
+		t.Fatalf("store holds %d keys and counts %d bytes; want 32 keys and %d bytes", s.Len(), s.Bytes(), held)
+	}
+}
+
+// TestExactTierStaysLocal: the exact tier never shares. Two caches on one
+// store each cold-solve the same sub-model — a remote round trip costs more
+// than the solve it would skip — and neither writes to nor reads from the
+// store. Both answers are the canonical clone's, bit for bit.
+func TestExactTierStaysLocal(t *testing.T) {
 	shared := solvecache.NewMemStore()
 	a, b := solvecache.New(), solvecache.New()
 	a.SetRemote(shared)
 	b.SetRemote(shared)
 
-	m1, m2 := storeModel(t), storeModel(t)
 	cfg := ctmdp.JointConfig{}
-	want, err := a.SolveJoint([]*ctmdp.Model{m1}, cfg)
+	want, err := a.SolveJoint([]*ctmdp.Model{storeModel(t)}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if shared.Len() == 0 {
-		t.Fatal("cold solve did not write behind to the shared store")
-	}
-	got, err := b.SolveJoint([]*ctmdp.Model{m2}, cfg)
+	got, err := b.SolveJoint([]*ctmdp.Model{storeModel(t)}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sb := b.Stats()
-	if sb.Hits != 1 || sb.Misses != 0 || sb.RemoteHits != 1 {
-		t.Fatalf("second cache must answer from the shared store: %+v", sb)
+	if shared.Len() != 0 {
+		t.Fatalf("an exact solve wrote %d payloads to the shared store", shared.Len())
 	}
-	// Bit-identical: both sides rebound the same canonical payload.
-	assertSolutionsAgree(t, want, got, 0, "remote adoption vs local solve")
-	// The adopted payload is now local: a re-solve is a plain hit with no
-	// further remote consults.
-	if _, err := b.SolveJoint([]*ctmdp.Model{m2}, cfg); err != nil {
-		t.Fatal(err)
+	for name, c := range map[string]*solvecache.Cache{"first": a, "second": b} {
+		if s := c.Stats(); s.Misses != 1 || s.Hits != 0 || s.RemoteHits+s.RemoteMisses != 0 {
+			t.Fatalf("%s cache: want one cold solve and no remote consult: %+v", name, s)
+		}
 	}
-	sb2 := b.Stats()
-	if sb2.Hits != 2 || sb2.RemoteHits != 1 {
-		t.Fatalf("adopted payload must be cached locally: %+v", sb2)
-	}
+	assertSolutionsAgree(t, want, got, 0, "two cold solves of one sub-model")
 }
 
 // sizingBudget is the budget of twobusSizing's allocation.
 const sizingBudget = 24
 
 // twobusSizing returns the buffered two-bus architecture and its uniform
-// allocation at sizingBudget: a genuine sizing for the analytic and robust
-// tiers to carry.
+// allocation at sizingBudget: a genuine sizing for the robust tier to
+// carry.
 func twobusSizing(t *testing.T) (*arch.Architecture, map[string]int) {
 	t.Helper()
 	a := arch.TwoBusAMBA()
@@ -111,7 +178,7 @@ func twobusSizing(t *testing.T) (*arch.Architecture, map[string]int) {
 	return a, alloc
 }
 
-// TestRemoteSidecarTiers covers the JSON envelope tiers (analytic, robust,
+// TestRemoteSidecarTiers covers the JSON envelope tiers (robust,
 // placement) across two caches sharing one store.
 func TestRemoteSidecarTiers(t *testing.T) {
 	shared := solvecache.NewMemStore()
@@ -119,13 +186,6 @@ func TestRemoteSidecarTiers(t *testing.T) {
 	a.SetRemote(shared)
 	b.SetRemote(shared)
 	tb, alloc := twobusSizing(t)
-
-	ak := solvecache.AnalyticFingerprint([]byte("arch"), sizingBudget, 3)
-	a.PutAnalytic(ak, &solvecache.AnalyticSolution{Alloc: alloc, LossRate: 0.25})
-	got, ok := b.LookupAnalytic(ak, tb, sizingBudget)
-	if !ok || !reflect.DeepEqual(got.Alloc, alloc) || got.LossRate != 0.25 {
-		t.Fatalf("analytic remote adoption failed: %+v, %v", got, ok)
-	}
 
 	rk := solvecache.RobustFingerprint([]byte("arch"), []byte("spec"), sizingBudget, 3)
 	report := uncertain.Report{Yield: 0.9, YieldLow: 0.8, NominalYield: 0.5, BudgetUsed: sizingBudget}
@@ -143,12 +203,12 @@ func TestRemoteSidecarTiers(t *testing.T) {
 	}
 
 	sb := b.Stats()
-	if sb.RemoteHits != 3 || sb.AnalyticHits != 1 || sb.RobustHits != 1 || sb.PlacementHits != 1 {
-		t.Fatalf("stats after three adoptions: %+v", sb)
+	if sb.RemoteHits != 2 || sb.RobustHits != 1 || sb.PlacementHits != 1 {
+		t.Fatalf("stats after two adoptions: %+v", sb)
 	}
-	// Tier tags must not alias: an analytic lookup under the placement key
-	// space (different backend tag) misses rather than decoding junk.
-	if _, ok := b.LookupAnalytic(pk, tb, sizingBudget); ok {
+	// Tier tags must not alias: a robust lookup of the key a placement
+	// envelope is stored under misses rather than decoding junk.
+	if _, ok := b.LookupRobust(pk, tb, sizingBudget); ok {
 		t.Fatal("cross-tier key must miss")
 	}
 
@@ -173,7 +233,7 @@ func TestStoreHandlerProtocol(t *testing.T) {
 	mem := solvecache.NewMemStore()
 	srv := httptest.NewServer(http.StripPrefix("/v1/cache", solvecache.StoreHandler(mem)))
 	defer srv.Close()
-	k := solvecache.AnalyticFingerprint([]byte("arch"), 1, 1)
+	k := solvecache.RobustFingerprint([]byte("arch"), []byte("spec"), 1, 1)
 	keyHex := fmt.Sprintf("%x", k[:])
 	url := srv.URL + "/v1/cache/" + keyHex
 
@@ -241,8 +301,9 @@ func TestRemoteStoreVersionDrift(t *testing.T) {
 }
 
 // TestRemoteStoreFailOpen is the dead-peer contract: with the store pointed
-// at a refused port, solves still succeed (remote consults degrade to
-// misses) and the breaker eventually stops touching the network.
+// at a refused port, remote consults degrade to misses (a robust lookup
+// misses and its write-behind is dropped, neither failing nor blocking) and
+// the breaker eventually stops touching the network.
 func TestRemoteStoreFailOpen(t *testing.T) {
 	// A listener that is immediately closed yields a port that refuses fast.
 	srv := httptest.NewServer(http.NotFoundHandler())
@@ -258,15 +319,18 @@ func TestRemoteStoreFailOpen(t *testing.T) {
 	c := solvecache.New()
 	c.SetRemote(remote)
 
-	got, err := c.SolveJoint([]*ctmdp.Model{storeModel(t)}, ctmdp.JointConfig{})
-	if err != nil {
-		t.Fatalf("a dead peer must never fail a solve: %v", err)
+	tb, alloc := twobusSizing(t)
+	k := solvecache.RobustFingerprint([]byte("arch"), []byte("spec"), sizingBudget, 3)
+	if _, ok := c.LookupRobust(k, tb, sizingBudget); ok {
+		t.Fatal("a dead peer answered a lookup")
 	}
-	want, err := ctmdp.SolveJoint([]*ctmdp.Model{storeModel(t)}, ctmdp.JointConfig{})
-	if err != nil {
-		t.Fatal(err)
+	if s := c.Stats(); s.RemoteMisses != 1 || s.RobustMisses != 1 {
+		t.Fatalf("a dead peer must count one remote miss: %+v", s)
 	}
-	assertSolutionsAgree(t, want, got, 1e-8, "solve with dead peer vs plain")
+	c.PutRobust(k, &solvecache.RobustSolution{Alloc: alloc})
+	if _, ok := c.LookupRobust(k, tb, sizingBudget); !ok {
+		t.Fatal("the local put did not land past a dead peer")
+	}
 
 	// Drive the breaker open, then verify Gets stop hitting the network.
 	for i := 0; i < 4; i++ {
@@ -316,88 +380,10 @@ func TestRemoteStorePutQueueBound(t *testing.T) {
 	}
 }
 
-// TestRemotePoisonedPayload pins the hostile-payload contract: undecodable
-// or dimensionally inconsistent remote bytes are misses, never errors,
-// panics or adopted junk. Each payload meets a fresh cache, so every one
-// reaches the decoder instead of a local hit.
-func TestRemotePoisonedPayload(t *testing.T) {
-	shared := solvecache.NewMemStore()
-	m := storeModel(t)
-	k := solvecache.Fingerprint(m, solvecache.SolveOptions{})
-	// Value poisons: a genuine payload of m with its numbers broken, every
-	// dimension intact.
-	genuine := genuineExactPayload(t, m)
-	poisonValues := func(edit func(d map[string]any)) string {
-		t.Helper()
-		var env struct {
-			Tier string         `json:"tier"`
-			Data map[string]any `json:"data"`
-		}
-		if err := json.Unmarshal(genuine, &env); err != nil {
-			t.Fatal(err)
-		}
-		edit(env.Data)
-		b, err := json.Marshal(env)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(b)
-	}
-	for _, poison := range []string{
-		poisonValues(func(d map[string]any) { // every state probability 3
-			for i := range d["stateProb"].([]any) {
-				d["stateProb"].([]any)[i] = 3.0
-			}
-		}),
-		poisonValues(func(d map[string]any) { d["x"].([]any)[0] = -0.5 }),
-		poisonValues(func(d map[string]any) { d["x"].([]any)[1] = 1.5 }),
-		poisonValues(func(d map[string]any) { // in range, but mass 0.5
-			for i, v := range d["stateProb"].([]any) {
-				d["stateProb"].([]any)[i] = v.(float64) / 2
-			}
-		}),
-		poisonValues(func(d map[string]any) { // a visited row that is no distribution
-			visited := d["visited"].([]any)
-			for s, row := range d["actionProb"].([]any) {
-				if visited[s].(bool) && s > 0 {
-					for c := range row.([]any) {
-						row.([]any)[c] = 0.7
-					}
-					return
-				}
-			}
-			t.Fatal("no visited non-empty state to poison")
-		}),
-		"not json",
-		`{"tier":"exact","data":{"serviceRate":4,"clients":[],"x":[],"stateProb":[],"actionProb":[],"visited":[]}}`,
-		`{"tier":"exact","data":{"serviceRate":4,"clients":[{"bufferId":"a","lambda":1.2,"levels":2,"unitsPerLevel":3,"lossWeight":1}],"x":[1],"stateProb":[1],"actionProb":[[1]],"visited":[true]}}`,
-		// A model past ctmdp.MaxStates whose state count overflows int:
-		// rejected before enumeration, not a panic.
-		`{"tier":"exact","data":{"serviceRate":4,"clients":[{"bufferId":"a","lambda":1.2,"levels":2,"unitsPerLevel":3,"lossWeight":1},{"bufferId":"b","lambda":0.4,"levels":9223372036854775807,"unitsPerLevel":2,"lossWeight":2}],"x":[],"stateProb":[],"actionProb":[],"visited":[]}}`,
-	} {
-		shared.Put(context.Background(), k, []byte(poison))
-		c := solvecache.New()
-		c.SetRemote(shared)
-		got, err := c.SolveJoint([]*ctmdp.Model{m}, ctmdp.JointConfig{})
-		if err != nil {
-			t.Fatalf("poisoned payload %q must not fail the solve: %v", poison, err)
-		}
-		want, err := ctmdp.SolveJoint([]*ctmdp.Model{storeModel(t)}, ctmdp.JointConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertSolutionsAgree(t, want, got, 1e-8, "solve past poisoned payload")
-		if s := c.Stats(); s.RemoteHits != 0 || s.RemoteMisses != 1 {
-			t.Fatalf("poisoned payload %q: want one remote miss and no hit: %+v", poison, s)
-		}
-	}
-}
-
-// TestRemotePoisonedSizings: a peer's analytic or robust payload is adopted
-// only when it is a sizing of the looked-up architecture and budget with a
-// finite, non-negative loss rate, and a robust one only when its report has
-// yields in [0, 1] and spends exactly its allocation. Anything else is a
-// remote miss.
+// TestRemotePoisonedSizings: a peer's robust payload is adopted only when
+// it is a sizing of the looked-up architecture and budget with a finite,
+// non-negative loss rate, a report whose yields lie in [0, 1] and which
+// spends exactly its allocation. Anything else is a remote miss.
 func TestRemotePoisonedSizings(t *testing.T) {
 	tb, alloc := twobusSizing(t)
 	edited := func(edit func(map[string]int)) map[string]int {
@@ -410,38 +396,30 @@ func TestRemotePoisonedSizings(t *testing.T) {
 	}
 	genuine := uncertain.Report{Yield: 0.9, YieldLow: 0.8, NominalYield: 0.5, BudgetUsed: sizingBudget}
 	for _, tc := range []struct {
-		name   string
-		alloc  map[string]int
-		loss   float64
-		report uncertain.Report
-		ok     bool
+		name  string
+		alloc map[string]int
+		loss  float64
+		ok    bool
 	}{
-		{"genuine", alloc, 0.25, genuine, true},
-		{"empty allocation", map[string]int{}, 0, genuine, false},
-		{"negative units", map[string]int{"cpu@ahb1": -5}, 0, genuine, false},
-		{"missing buffer", edited(func(m map[string]int) { delete(m, "cpu@ahb1") }), 0, genuine, false},
-		{"zero units", edited(func(m map[string]int) { m["cpu@ahb1"] = 0 }), 0, genuine, false},
-		{"over budget", edited(func(m map[string]int) { m["cpu@ahb1"] += sizingBudget }), 0, genuine, false},
-		{"negative loss", alloc, -1, genuine, false},
+		{"genuine", alloc, 0.25, true},
+		{"empty allocation", map[string]int{}, 0, false},
+		{"negative units", map[string]int{"cpu@ahb1": -5}, 0, false},
+		{"missing buffer", edited(func(m map[string]int) { delete(m, "cpu@ahb1") }), 0, false},
+		{"zero units", edited(func(m map[string]int) { m["cpu@ahb1"] = 0 }), 0, false},
+		{"over budget", edited(func(m map[string]int) { m["cpu@ahb1"] += sizingBudget }), 0, false},
+		{"negative loss", alloc, -1, false},
 	} {
-		for _, tier := range []string{"analytic", "robust"} {
-			shared := solvecache.NewMemStore()
-			w, r := solvecache.New(), solvecache.New()
-			w.SetRemote(shared)
-			r.SetRemote(shared)
-			var ok bool
-			if tier == "analytic" {
-				k := solvecache.AnalyticFingerprint([]byte("arch"), sizingBudget, 3)
-				w.PutAnalytic(k, &solvecache.AnalyticSolution{Alloc: tc.alloc, LossRate: tc.loss})
-				_, ok = r.LookupAnalytic(k, tb, sizingBudget)
-			} else {
-				k := solvecache.RobustFingerprint([]byte("arch"), []byte("spec"), sizingBudget, 3)
-				w.PutRobust(k, &solvecache.RobustSolution{Alloc: tc.alloc, LossRate: tc.loss, Report: tc.report})
-				_, ok = r.LookupRobust(k, tb, sizingBudget)
-			}
-			if s := r.Stats(); ok != tc.ok || s.RemoteHits+s.RemoteMisses != 1 {
-				t.Errorf("%s/%s: adopted = %v, want %v (%+v)", tier, tc.name, ok, tc.ok, s)
-			}
+		shared := solvecache.NewMemStore()
+		w, r := solvecache.New(), solvecache.New()
+		w.SetRemote(shared)
+		r.SetRemote(shared)
+		k := solvecache.RobustFingerprint([]byte("arch"), []byte("spec"), sizingBudget, 3)
+		report := genuine
+		report.BudgetUsed = arch.Allocation(tc.alloc).Total()
+		w.PutRobust(k, &solvecache.RobustSolution{Alloc: tc.alloc, LossRate: tc.loss, Report: report})
+		_, ok := r.LookupRobust(k, tb, sizingBudget)
+		if s := r.Stats(); ok != tc.ok || s.RemoteHits+s.RemoteMisses != 1 {
+			t.Errorf("%s: adopted = %v, want %v (%+v)", tc.name, ok, tc.ok, s)
 		}
 	}
 	for _, tc := range []struct {
@@ -467,29 +445,12 @@ func TestRemotePoisonedSizings(t *testing.T) {
 	}
 }
 
-// genuineExactPayload returns the remote envelope a cold solve of m writes
-// behind to a shared store.
-func genuineExactPayload(t *testing.T, m *ctmdp.Model) []byte {
-	t.Helper()
-	store := solvecache.NewMemStore()
-	c := solvecache.New()
-	c.SetRemote(store)
-	if _, err := c.SolveJoint([]*ctmdp.Model{m}, ctmdp.JointConfig{}); err != nil {
-		t.Fatal(err)
-	}
-	b, ok := store.Get(context.Background(), solvecache.Fingerprint(m, solvecache.SolveOptions{}))
-	if !ok {
-		t.Fatal("cold solve wrote no payload behind")
-	}
-	return b
-}
-
 // TestStatsRates pins the per-tier rate derivation, including the only-
 // tiers-with-traffic rule.
 func TestStatsRates(t *testing.T) {
 	s := solvecache.Stats{
 		Hits: 3, Misses: 2,
-		AnalyticHits: 1, AnalyticMisses: 3,
+		RobustHits: 1, RobustMisses: 3,
 		RemoteHits: 1, RemoteMisses: 1,
 		ResultHits: 3, ResultMisses: 1,
 	}
@@ -505,10 +466,10 @@ func TestStatsRates(t *testing.T) {
 		}
 	}
 	approx("exact", 0.6)
-	approx("analytic", 0.25)
+	approx("robust", 0.25)
 	approx("remote", 0.5)
 	approx("result", 0.75)
-	for _, quiet := range []string{"robust", "placement", "structural"} {
+	for _, quiet := range []string{"analytic", "placement", "structural"} {
 		if _, ok := r[quiet]; ok {
 			t.Errorf("tier %q saw no traffic but has a rate", quiet)
 		}

@@ -10,10 +10,9 @@ import (
 // used entry bound, its hit/miss counters, clone-on-read/clone-on-write, and
 // — when it has a remote tag — the remote-store fallback on a local miss and
 // the write-behind on a put (remote.go). Every cache tier is an instance.
-// The analytic, robust, placement and result tiers are served entirely by
-// lookup and put; the exact tier uses the lower-level get, add, fetch and
-// writeBehind and keeps its own match-and-rebind logic and counting
-// (solve.go).
+// The robust, placement and result tiers are served entirely by lookup and
+// put; the exact tier, which has no remote tag, uses the lower-level get and
+// add and keeps its own match-and-rebind logic and counting (solve.go).
 type tier[V any] struct {
 	max   int       // entry bound; 0 = unbounded
 	clone func(V) V // aliasing-free copy; nil for immutable payloads

@@ -1,7 +1,6 @@
 package solver
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"math"
@@ -12,7 +11,6 @@ import (
 	"socbuf/internal/arch"
 	"socbuf/internal/core"
 	"socbuf/internal/queueing"
-	"socbuf/internal/solvecache"
 )
 
 // analytic sizes buffers from closed-form M/M/1/K blocking probabilities
@@ -58,7 +56,7 @@ func (analytic) Run(ctx context.Context, cfg core.Config) (*core.Result, error) 
 	}
 	cfg = s.Config()
 
-	sol, err := analyticSize(s.Arch(), cfg)
+	sol, err := analyticSolve(s.Arch(), cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -80,43 +78,13 @@ func (analytic) Run(ctx context.Context, cfg core.Config) (*core.Result, error) 
 	return s.Result()
 }
 
-// analyticSize computes the analytic allocation and its loss estimate for
-// the buffered architecture through cfg.Cache's analytic tier (the key space
-// is backend-tagged, so these entries can never alias an exact CTMDP
-// solution).
-func analyticSize(a *arch.Architecture, cfg core.Config) (*solvecache.AnalyticSolution, error) {
-	key, err := analyticKey(a, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if sol, ok := cfg.Cache.LookupAnalytic(key, a, cfg.Budget); ok {
-		return sol, nil
-	}
-	sol, err := analyticSolve(a, cfg)
-	if err != nil {
-		return nil, err
-	}
-	cfg.Cache.PutAnalytic(key, sol)
-	return sol, nil
-}
-
-// analyticKey fingerprints the analytic problem: the buffered
-// architecture's canonical JSON, the loss weights, the budget and the
-// fixed-point depth (solvecache.AnalyticFingerprint adds the backend tag).
-func analyticKey(a *arch.Architecture, cfg core.Config) (solvecache.Key, error) {
-	var buf bytes.Buffer
-	if err := a.WriteJSON(&buf); err != nil {
-		return solvecache.Key{}, err
-	}
-	procs := make([]string, 0, len(cfg.LossWeights))
-	for p := range cfg.LossWeights {
-		procs = append(procs, p)
-	}
-	sort.Strings(procs)
-	for _, p := range procs {
-		fmt.Fprintf(&buf, "w:%s=%x;", p, math.Float64bits(cfg.LossWeights[p]))
-	}
-	return solvecache.AnalyticFingerprint(buf.Bytes(), cfg.Budget, core.BoundaryIters), nil
+// AnalyticSolution is one analytic sizing: the closed-form backend's
+// chosen allocation and its weighted loss-rate estimate. It is recomputed
+// on every run, never cached: fingerprinting the architecture would cost
+// about as much as the sizing itself.
+type AnalyticSolution struct {
+	Alloc    map[string]int
+	LossRate float64
 }
 
 // analyticModel is the dense closed-form view of the buffered architecture:
@@ -347,7 +315,7 @@ func (m *analyticModel) converge(cfg core.Config) []float64 {
 
 // analyticSolve sizes the buffered architecture in closed form: converge
 // the boundary, spend the budget by marginal greedy, and price the result.
-func analyticSolve(a *arch.Architecture, cfg core.Config) (*solvecache.AnalyticSolution, error) {
+func analyticSolve(a *arch.Architecture, cfg core.Config) (*AnalyticSolution, error) {
 	m, err := newAnalyticModel(a, cfg)
 	if err != nil {
 		return nil, err
@@ -360,7 +328,7 @@ func analyticSolve(a *arch.Architecture, cfg core.Config) (*solvecache.AnalyticS
 	for i := range m.buffers {
 		loss += m.weight[i] * arrival[i] * blocking(arrival[i], mu[i], alloc[i])
 	}
-	return &solvecache.AnalyticSolution{Alloc: m.allocMap(alloc), LossRate: loss}, nil
+	return &AnalyticSolution{Alloc: m.allocMap(alloc), LossRate: loss}, nil
 }
 
 // allocMap converts a dense allocation to the package-boundary map form.

@@ -82,6 +82,6 @@ func RobustSolveDirect(ctx context.Context, a *arch.Architecture, cfg core.Confi
 }
 
 // AnalyticSolveDirect runs the analytic sizing without cache wrapping.
-func AnalyticSolveDirect(a *arch.Architecture, cfg core.Config) (*solvecache.AnalyticSolution, error) {
+func AnalyticSolveDirect(a *arch.Architecture, cfg core.Config) (*AnalyticSolution, error) {
 	return analyticSolve(a, cfg)
 }

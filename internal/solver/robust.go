@@ -93,7 +93,7 @@ func (robust) Run(ctx context.Context, cfg core.Config) (*core.Result, error) {
 
 // robustSize computes the chance-constrained sizing through cfg.Cache's
 // robust tier (backend-tagged keys — a robust decision can never rebind as
-// an exact or analytic solution).
+// an exact solution or a placement).
 func robustSize(ctx context.Context, a *arch.Architecture, cfg core.Config) (*solvecache.RobustSolution, error) {
 	spec := specOf(cfg)
 	key, err := robustKey(a, cfg, spec)
@@ -123,10 +123,10 @@ func specOf(cfg core.Config) uncertain.Spec {
 }
 
 // robustKey fingerprints the robust decision: the buffered architecture's
-// canonical JSON with the loss weights appended (exactly the analytic key's
-// content bytes), plus the resolved spec's canonical JSON
-// (solvecache.RobustFingerprint adds the backend tag, budget and
-// fixed-point depth).
+// canonical JSON with the loss weights appended, plus the resolved spec's
+// canonical JSON (solvecache.RobustFingerprint adds the backend tag, budget
+// and fixed-point depth). The key costs a small fraction of the sizing a
+// hit skips (PERFORMANCE.md, "What a cache hit saves").
 func robustKey(a *arch.Architecture, cfg core.Config, spec uncertain.Spec) (solvecache.Key, error) {
 	var buf bytes.Buffer
 	if err := a.WriteJSON(&buf); err != nil {

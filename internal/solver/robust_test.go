@@ -61,7 +61,7 @@ func TestRobustBackendShape(t *testing.T) {
 
 // TestRobustCacheRoundTrip pins the robust cache tier: the second identical
 // run is answered from the cache (one hit, one entry, zero extra misses)
-// and returns a bit-identical sizing and report, while the analytic tier —
+// and returns a bit-identical sizing and report, while the exact tier —
 // whose key space the backend tag keeps disjoint — stays untouched.
 func TestRobustCacheRoundTrip(t *testing.T) {
 	cache := solvecache.New()
@@ -86,8 +86,8 @@ func TestRobustCacheRoundTrip(t *testing.T) {
 		t.Fatalf("robust tier stats hits=%d misses=%d entries=%d, want 1/1/1",
 			st.RobustHits, st.RobustMisses, st.RobustEntries)
 	}
-	if st.AnalyticHits != 0 || st.AnalyticMisses != 0 || st.AnalyticEntries != 0 {
-		t.Fatalf("robust run leaked into the analytic tier: %+v", st)
+	if st.Hits != 0 || st.Misses != 0 || st.Entries != 0 {
+		t.Fatalf("robust run leaked into the exact tier: %+v", st)
 	}
 }
 

@@ -23,8 +23,9 @@
 // All backends speak core.Config → *core.Result, so everything downstream
 // (reports, sweeps, the service's JSON shapes) is backend-agnostic. The
 // solve cache qualifies its fingerprints by backend
-// (internal/solvecache) — an analytic solution can never rebind as an exact
-// one. DESIGN.md §6 records the full backend contract.
+// (internal/solvecache) — a robust sizing can never rebind as an exact
+// solution. The analytic backend caches nothing: its sizing costs about as
+// much as a fingerprint. DESIGN.md §6 records the full backend contract.
 package solver
 
 import (

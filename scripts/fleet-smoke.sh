@@ -3,8 +3,8 @@
 # build socbufd + socbufrouter, start a router fronting two shards that share
 # the router's remote cache tier, and assert:
 #   1. solves routed through the router succeed,
-#   2. the shards adopt each other's sub-model solutions via the shared
-#      store (a cross-shard remote-cache hit shows up in the fleet stats),
+#   2. the shards adopt each other's robust sizings via the shared store
+#      (a cross-shard remote-cache hit shows up in the fleet stats),
 #   3. a SIGTERMed shard drains: readiness flips, the ring routes around it,
 #      and requests keep succeeding on the survivor,
 #   4. every process exits 0 on SIGTERM.
@@ -49,14 +49,16 @@ wait_ready "http://$SHARD1_ADDR/v1/readyz" "shard 1"
 wait_ready "http://$SHARD2_ADDR/v1/readyz" "shard 2"
 wait_ready "http://$ROUTER_ADDR/v1/readyz" "router"
 
-echo "fleet-smoke: routed solves across seed variants"
+echo "fleet-smoke: routed robust solves across seed variants"
 # Twelve seed variants spread across the two shards (the ring maps each
 # fingerprint deterministically; with 12 keys both shards get traffic), so
-# the later seeds exercise remote adoption of the earlier seeds' sub-model
-# payloads — different seeds share every exact-tier fingerprint.
+# the later seeds exercise remote adoption of the earlier seeds' robust
+# sizing — the robust cache key ignores simulation seeds, so every variant
+# shares one robust-tier fingerprint.
+ROBUST='"arch":"twobus","budget":24,"method":"robust","uncertainty":{"samples":16,"seed":3},"iterations":1,"horizon":400,"warmUp":50'
 for SEED in 1 2 3 4 5 6 7 8 9 10 11 12; do
   curl -sf -X POST -H 'Content-Type: application/json' \
-    -d '{"scenario":"twobus","iterations":1,"seeds":['"$SEED"'],"horizon":400,"warmUp":50}' \
+    -d '{'"$ROBUST"',"seeds":['"$SEED"']}' \
     "http://$ROUTER_ADDR/v1/solve" | grep -q '"improvement"' || {
     echo "fleet-smoke: routed solve (seed $SEED) failed" >&2
     cat "$DIR"/*.log >&2
@@ -82,7 +84,7 @@ until echo "$STATS" | grep -q '"RemoteHits": [1-9]'; do
   fi
   sleep 0.2
   curl -sf -X POST -H 'Content-Type: application/json' \
-    -d '{"scenario":"twobus","iterations":1,"seeds":['"$((100 + i))"'],"horizon":400,"warmUp":50}' \
+    -d '{'"$ROBUST"',"seeds":['"$((100 + i))"']}' \
     "http://$ROUTER_ADDR/v1/solve" >/dev/null
   STATS=$(curl -sf "http://$ROUTER_ADDR/v1/stats")
 done
