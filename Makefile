@@ -14,10 +14,8 @@ NEW ?= bench-results.txt
 # .github/workflows/bench.yml applies the same list nightly.
 BENCH_GATES = \
 	-gate 'BenchmarkSweep32' \
-	-gate 'BenchmarkSparseMatVec/=25' \
 	-gate 'BenchmarkSimplex=25' \
 	-gate 'BenchmarkSolveSingleModel=25' \
-	-gate 'BenchmarkStationaryDenseVsSparse/=25' \
 	-gate 'BenchmarkSolveJointCapped=25' \
 	-gate 'BenchmarkCappedSolve/=25' \
 	-gate 'BenchmarkRobustSweep=25' \

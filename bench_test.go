@@ -122,7 +122,7 @@ func BenchmarkSweep32(b *testing.B) {
 // BenchmarkSweepColdVsCached is the solve-cache acceptance benchmark
 // (PERFORMANCE.md records its measured numbers): a budget sweep of the full
 // methodology over a generated scenario family (the chain6 topology), run
-// cold — every point on its own private cache — and then with the planned,
+// cold — every point without a cache — and then with the planned,
 // prewarmed, fleet-shared cache. Budget points share their entire
 // boundary-lambda trajectory — capacities never enter the cap-free
 // programs — so the cached variant cold-solves each sub-model stage once
@@ -181,14 +181,14 @@ func BenchmarkSweepColdVsCached(b *testing.B) {
 // TestCachedSweepBeatsCold is the machine check of the solve-cache
 // acceptance bar (BenchmarkSweepColdVsCached is the measurement; this test
 // is the gate `go test` actually enforces). Four budget points of a
-// generated-family sweep run twice, serially: cold, each point on a private
+// generated-family sweep run twice, serially: cold, each point on a fresh
 // cache of its own, and cached, all points sharing one planned, prewarmed
 // cache.
 //
 // The primary gate counts work, so host load cannot fail it: the shared
-// cache must run at most half the cold sub-model solves the private caches
-// run (36 against 144, with 114 hits; each private cache answers none of
-// its own lookups). The timing gate keeps the 1.3× bar on the fastest of
+// cache must run at most half the cold sub-model solves the fresh caches
+// run (36 against 144, with 114 hits; each fresh cache answers none of its
+// own lookups). The timing gate keeps the 1.3× bar on the fastest of
 // three runs per side, alternating which side runs first. Runs are timed
 // in the process's CPU time, each after a garbage collection: the sweeps
 // run serially, so CPU time is their work, and unlike wall time it does not
@@ -213,8 +213,9 @@ func TestCachedSweepBeatsCold(t *testing.T) {
 	budgets := []int{sc.Budget, sc.Budget + 8, sc.Budget + 16, sc.Budget + 24}
 	opt := experiments.Options{Iterations: 2, Seeds: []int64{1}, Horizon: 200, WarmUp: 50, Workers: 1}
 
-	// cold runs each point on a fresh cache of its own — what a run without
-	// a shared cache gets — and sums their counters; cached shares one.
+	// cold runs each point on a fresh cache of its own, which answers none
+	// of its lookups, so it does the work of a run without a cache and
+	// counts it; cached shares one cache.
 	var coldStats, cachedStats solvecache.Stats
 	coldBest, cachedBest := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
 	cold := func() {
@@ -256,7 +257,7 @@ func TestCachedSweepBeatsCold(t *testing.T) {
 		t.Fatalf("cache reused nothing: %+v", cachedStats)
 	}
 	if 2*cachedStats.Misses > coldStats.Misses {
-		t.Errorf("shared cache ran %d cold solves (%d hits), more than half the %d of private caches (%d hits)",
+		t.Errorf("shared cache ran %d cold solves (%d hits), more than half the %d of fresh caches (%d hits)",
 			cachedStats.Misses, cachedStats.Hits, coldStats.Misses, coldStats.Hits)
 	}
 	if ratio := float64(coldBest) / float64(cachedBest); ratio < 1.3 {

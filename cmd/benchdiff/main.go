@@ -4,7 +4,7 @@
 //
 //	benchdiff old.txt new.txt
 //	benchdiff -gate 'BenchmarkSweep32' -max-regress 10 old.txt new.txt
-//	benchdiff -gate 'BenchmarkSweep32' -gate 'BenchmarkSparseMatVec/=25' old.txt new.txt
+//	benchdiff -gate 'BenchmarkSweep32' -gate 'BenchmarkSimScreen=25' old.txt new.txt
 //	benchdiff -emit bench-results.txt > BENCH_2026-07-27.json
 //	benchdiff BENCH_2026-08-07.json bench-results.txt
 //

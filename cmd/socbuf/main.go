@@ -70,7 +70,6 @@ func main() {
 		horiz   = flag.Float64("horizon", 2000, "evaluation sim horizon")
 		sweep   = flag.String("sweep", "", "comma-separated budgets: sweep instead of a single run")
 		methods = flag.String("methods", "", "per-point solver backends for -sweep, comma-aligned with the budgets (empty entries inherit -method)")
-		refine  = flag.Bool("refine", false, "refine stationary distributions from the policy-induced chains (single runs only; the solver is picked by state count)")
 
 		place     = flag.Bool("place", false, "run the buffer-placement DP instead of sizing a fixed insertion (see README \"Buffer placement\")")
 		bufTypes  = flag.String("buffer-types", "", "insertion catalogue for -place as name:cost:delay,... (empty = lite/std/fast defaults)")
@@ -123,11 +122,6 @@ func main() {
 	// the user's explicit selection.
 	if *methods != "" && *sweep == "" {
 		fatal(fmt.Errorf("%w: -methods only applies to -sweep (use -method for a single run)", engine.ErrInvalidRequest))
-	}
-	// Sweep and placement requests carry no refinement, so running them
-	// would silently drop -refine.
-	if *refine && (*sweep != "" || *place) {
-		fatal(fmt.Errorf("%w: -refine only applies to a single run, not -sweep or -place", engine.ErrInvalidRequest))
 	}
 
 	if *place {
@@ -188,7 +182,6 @@ func main() {
 		req := engine.SolveRequest{
 			Scenario: *scen,
 			Method:   *method,
-			Refine:   *refine,
 			UseCache: common.UseCache(),
 		}
 		// Explicitly-set flags override the scenario's own values.
@@ -267,7 +260,6 @@ func main() {
 		Horizon:     *horiz,
 		Method:      *method,
 		Uncertainty: robust.Spec(cliutil.SetFlags(nil)),
-		Refine:      *refine,
 		UseCache:    common.UseCache(),
 	})
 	if err != nil {

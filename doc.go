@@ -4,10 +4,9 @@
 //
 // The repository is organised bottom-up:
 //
-//   - internal/linalg, internal/lp        — dense and CSR-sparse linear
-//     algebra with every CTMC stationary solver (dense LU, Gauss–Seidel/
-//     power iteration), and a two-phase simplex solver that tests use as a
-//     referee;
+//   - internal/linalg, internal/lp        — dense LU, CSR generator
+//     assembly and the dense CTMC stationary solve, and a two-phase
+//     simplex solver that tests use as a referee;
 //   - internal/queueing                   — M/M/1/K closed-form oracles;
 //   - internal/arch, internal/graph       — the SoC communication model
 //     (buses, processors, bridges, flows) and the bridge-buffer splitting
@@ -58,13 +57,12 @@
 //     share; cmd/socbufd serves the same API over HTTP with NDJSON sweep
 //     and placement-evaluation streaming.
 //
-// Stationary distributions of policy-induced chains are solved by
-// linalg.Stationary, which picks one of two paths by state count: an exact
-// dense LU solve below linalg.DenseThreshold states, and a CSR sparse
-// Gauss–Seidel solve (power-iteration fallback) from there. Both agree to
-// better than 1e-8 on every fixture; no model exceeds ctmdp.MaxStates = 81
-// states. The methodology invokes this refinement when
-// core.Config.RefineStationary is set (socbuf -refine).
+// Each bus's stationary distribution is read off the LU factors of policy
+// iteration's last policy evaluation and checked by the answer's dual
+// certificate (DESIGN.md §8); nothing recomputes it afterwards. The tests
+// referee it with a dense solve of the policy-induced chain
+// (ctmdp.PolicyChain, linalg.StationaryDense). No model exceeds
+// ctmdp.MaxStates = 81 states.
 //
 // See README.md for a tour (including "Choosing a solver method" and
 // "Buffer placement"), DESIGN.md for the system inventory and modelling

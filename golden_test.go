@@ -35,7 +35,7 @@ type goldenCase struct {
 // request form of these CLI runs:
 //
 //	socbuf -json -arch twobus -budget 24 -iters 3 -horizon 400
-//	socbuf -json -arch netproc -budget 160 -iters 3 -horizon 600 [-refine | -method hybrid]
+//	socbuf -json -arch netproc -budget 160 -iters 3 -horizon 600 [-method hybrid]
 //	socbuf -json -arch netproc -sweep 160,320 -iters 2 -horizon 400
 //	socbuf -json -scenario chain6 -place -method exact -refine-top 1 -iters 2 -horizon 400 -parallel 2
 //	socbuf -json -arch figure1 -budget 40 -iters 4 -horizon 500
@@ -70,7 +70,7 @@ func exactGoldenRuns(t *testing.T) []goldenCase {
 		add(name, sw.Sweep.Rows(), nil)
 	}
 
-	// The CLIs run without -cache, so each request gets a private cache.
+	// The CLIs run without -cache, so each request solves without one.
 	eng := engine.New(engine.Config{Workers: 2})
 	defer eng.Close()
 	for _, r := range []struct {
@@ -79,7 +79,6 @@ func exactGoldenRuns(t *testing.T) []goldenCase {
 	}{
 		{"twobus-24", engine.SolveRequest{Arch: "twobus", Budget: 24, Iterations: 3, Horizon: 400}},
 		{"netproc-160", engine.SolveRequest{Arch: "netproc", Budget: 160, Iterations: 3, Horizon: 600}},
-		{"netproc-160-refine", engine.SolveRequest{Arch: "netproc", Budget: 160, Iterations: 3, Horizon: 600, Refine: true}},
 		{"netproc-160-hybrid", engine.SolveRequest{Arch: "netproc", Budget: 160, Iterations: 3, Horizon: 600, Method: "hybrid"}},
 		{"figure1-40", engine.SolveRequest{Arch: "figure1", Budget: 40, Iterations: 4, Horizon: 500}},
 	} {

@@ -102,10 +102,10 @@ type Config struct {
 	// Cache holds the run's sub-model solutions: every solve inside the
 	// methodology loop goes through it, so identical per-bus sub-models
 	// (across methodology iterations, budget points and scenarios —
-	// wherever the same cache is shared) are solved once. Nil gives the run
-	// a private cache (NewStepper). A shared cache only saves work: its
-	// payloads are pure functions of their keys, so results are the same
-	// with or without sharing, and for any worker count.
+	// wherever the same cache is shared) are solved once. Nil solves every
+	// sub-model cold on the same path (solvecache's nil receiver). A cache
+	// only saves work: its payloads are pure functions of their keys, so
+	// results are the same with or without one, and for any worker count.
 	Cache *solvecache.Cache
 	// Uncertainty attaches a traffic-uncertainty spec for the robust
 	// backend's chance-constrained sizing (internal/solver's "robust"
@@ -113,11 +113,11 @@ type Config struct {
 	// backend consumes it; nil means "spec defaults" there. Validated here
 	// so a bad spec fails every entry point uniformly.
 	Uncertainty *uncertain.Spec
-	// RefineStationary recomputes each subsystem's stationary distribution
-	// from its policy-induced chain after every solve (dense LU or
-	// Gauss–Seidel, auto-picked by reachable-state count) before
-	// translation, in place of the one policy evaluation gave. Off by
-	// default; the two paths agree to 1e-8.
+	// RefineStationary is refused: the option to recompute each bus's
+	// stationary distribution after the solve was removed, because policy
+	// iteration already returns it. The field stays only because the
+	// benchmark module still compiles against it; true fails with
+	// ErrInvalidConfig.
 	RefineStationary bool
 }
 
@@ -140,6 +140,9 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.Arch == nil {
 		return c, invalidf("nil architecture")
+	}
+	if c.RefineStationary {
+		return c, invalidf("the refine option was removed: policy iteration returns each bus's stationary distribution")
 	}
 	if c.Budget <= 0 {
 		return c, invalidf("budget %d must be positive", c.Budget)

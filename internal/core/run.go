@@ -10,7 +10,6 @@ import (
 	"socbuf/internal/graph"
 	"socbuf/internal/parallel"
 	"socbuf/internal/sim"
-	"socbuf/internal/solvecache"
 	"socbuf/internal/trace"
 	"socbuf/internal/uncertain"
 )
@@ -121,9 +120,7 @@ type Stepper struct {
 
 // NewStepper validates cfg and runs the methodology prologue: clone, bridge
 // buffer insertion, split + linearity verification, and the uniform-baseline
-// evaluation every backend's Improvement is measured against. A config
-// without a Cache gets a private one, so every run takes the same solve
-// path whether or not it shares a cache.
+// evaluation every backend's Improvement is measured against.
 func NewStepper(ctx context.Context, cfg Config) (*Stepper, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -131,9 +128,6 @@ func NewStepper(ctx context.Context, cfg Config) (*Stepper, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
-	}
-	if cfg.Cache == nil {
-		cfg.Cache = solvecache.New()
 	}
 	a := cfg.Arch.Clone()
 	a.InsertBridgeBuffers() // the paper's buffer insertion for bridges
@@ -179,8 +173,7 @@ func NewStepper(ctx context.Context, cfg Config) (*Stepper, error) {
 	}, nil
 }
 
-// Config returns the normalised configuration (defaults filled in, and the
-// private cache of a run configured without one).
+// Config returns the normalised configuration (defaults filled in).
 func (s *Stepper) Config() Config { return s.cfg }
 
 // Arch returns the buffered clone the methodology works on.
@@ -309,10 +302,11 @@ func (s *Stepper) Result() (*Result, error) {
 // solveWithBoundary runs the bridge-boundary fixed point: free solves
 // refresh the boundary scalars, then a final capped solve over core's cap
 // ladder produces the measure used for translation. Every solve goes
-// through cfg.Cache, so each cap-free bus is solved on its canonical clone
-// and the capped program is solved bus by bus on the canonical clones
-// under an occupancy price. The context is checked between boundary
-// iterations — each individual solve runs to completion.
+// through cfg.Cache (nil for a run without one), so each cap-free bus is
+// solved on its canonical clone and the capped program is solved bus by
+// bus on the canonical clones under an occupancy price. The context is
+// checked between boundary iterations — each individual solve runs to
+// completion.
 func solveWithBoundary(ctx context.Context, a *arch.Architecture, alloc arch.Allocation, bnd *boundary, cfg Config) (*ctmdp.JointSolution, error) {
 	var sol *ctmdp.JointSolution
 	var models []*ctmdp.Model
@@ -325,7 +319,7 @@ func solveWithBoundary(ctx context.Context, a *arch.Architecture, alloc arch.All
 		if err != nil {
 			return nil, err
 		}
-		sol, err = cfg.Cache.SolveJoint(models, ctmdp.JointConfig{RefineStationary: cfg.RefineStationary})
+		sol, err = cfg.Cache.SolveJoint(models, ctmdp.JointConfig{})
 		if err != nil {
 			return nil, err
 		}
@@ -344,10 +338,7 @@ func solveWithBoundary(ctx context.Context, a *arch.Architecture, alloc arch.All
 	for i, f := range caps {
 		caps[i] = free * f
 	}
-	capped, err := cfg.Cache.SolveJoint(models, ctmdp.JointConfig{
-		OccupancyCaps:    caps,
-		RefineStationary: cfg.RefineStationary,
-	})
+	capped, err := cfg.Cache.SolveJoint(models, ctmdp.JointConfig{OccupancyCaps: caps})
 	if errors.Is(err, ctmdp.ErrInfeasible) {
 		return sol, nil // every cap infeasible: the free solution stands
 	}

@@ -114,19 +114,20 @@ func TestRunDoesNotMutateCallerArch(t *testing.T) {
 	}
 }
 
-// TestRunPrivateCacheMatchesShared: a run without a Cache gets a private
-// one, so it takes the same solve path as a run over a shared cache — even
-// one already warm from an identical run, answering every solve as a hit.
-func TestRunPrivateCacheMatchesShared(t *testing.T) {
+// TestRunUncachedMatchesShared: a run without a Cache keeps none — its
+// solves go through solvecache's nil receiver — and takes the same solve
+// path as a run over a shared cache, even one already warm from an
+// identical run, answering every solve as a hit.
+func TestRunUncachedMatchesShared(t *testing.T) {
 	cfg := fastCfg(arch.TwoBusAMBA(), 24)
 	s, err := NewStepper(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Config().Cache == nil {
-		t.Fatal("stepper without a Cache got no private cache")
+	if s.Config().Cache != nil {
+		t.Fatal("stepper without a Cache was given one")
 	}
-	private, err := Run(cfg)
+	uncached, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,9 +138,9 @@ func TestRunPrivateCacheMatchesShared(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, it := range shared.Iterations {
-			want := private.Iterations[i]
+			want := uncached.Iterations[i]
 			if it.SimLoss != want.SimLoss || it.ModelLoss != want.ModelLoss || !reflect.DeepEqual(it.Alloc, want.Alloc) {
-				t.Fatalf("pass %d iteration %d: shared cache (%d, %v) vs private (%d, %v)",
+				t.Fatalf("pass %d iteration %d: shared cache (%d, %v) vs none (%d, %v)",
 					pass, i, it.SimLoss, it.ModelLoss, want.SimLoss, want.ModelLoss)
 			}
 		}
@@ -171,12 +172,13 @@ func TestRunConfigValidation(t *testing.T) {
 		{"negative horizon", func(c *Config) { c.Horizon = -5 }},
 		{"warmup past horizon", func(c *Config) { c.WarmUp = 1e9 }},
 		{"budget below floor", func(c *Config) { c.Budget = 2 }},
+		{"refine", func(c *Config) { c.RefineStationary = true }},
 	}
 	for _, tc := range cases {
 		cfg := base
 		tc.mut(&cfg)
-		if _, err := Run(cfg); err == nil {
-			t.Errorf("%s: accepted", tc.name)
+		if _, err := Run(cfg); !errors.Is(err, ErrInvalidConfig) {
+			t.Errorf("%s: got %v, want ErrInvalidConfig", tc.name, err)
 		}
 	}
 }

@@ -18,11 +18,6 @@ type JointConfig struct {
 	// Every cap must be positive and finite. Empty disables the link (the
 	// blocks then decouple and are solved one by one).
 	OccupancyCaps []float64
-	// RefineStationary recomputes each solution's stationary distribution
-	// from its policy-induced chain after the solve (linalg.Stationary
-	// picks the solver by state-space size) instead of keeping the
-	// distribution policy evaluation gave.
-	RefineStationary bool
 }
 
 // ModelSolution is the solved occupation measure of one subsystem plus the
@@ -109,20 +104,6 @@ func SolveJoint(models []*Model, cfg JointConfig) (*JointSolution, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.RefineStationary {
-		out.TotalLossRate, out.OccupancyUsed = 0, 0
-		for _, ms := range out.PerModel {
-			if _, err := ms.RefineStationary(); err != nil {
-				return nil, fmt.Errorf("ctmdp: model %q: %w", ms.Model.Bus, err)
-			}
-			out.TotalLossRate += ms.LossRate
-			for s, p := range ms.StateProb {
-				out.OccupancyUsed += ms.Model.OccupancyUnits(s) * p
-			}
-		}
-	}
-	// CapBinding reflects the occupancy actually reported — after
-	// refinement, that is the refined value.
 	if cap > 0 && out.OccupancyUsed >= cap*(1-1e-6) {
 		out.CapBinding = true
 	}

@@ -1,16 +1,13 @@
 package ctmdp
 
-import (
-	"fmt"
-	"math"
-
-	"socbuf/internal/linalg"
-)
+import "socbuf/internal/linalg"
 
 // PolicyChain is the CTMC induced by a solved policy, restricted to the
 // states reachable from the all-empty state (the chain's single recurrent
 // class — unreachable states carry no stationary mass and would make the
-// full-space chain reducible).
+// full-space chain reducible). The solve never builds it: it is the chain
+// the tests solve independently (linalg.StationaryDense) to referee the
+// distribution policy iteration returns.
 type PolicyChain struct {
 	// States lists the reachable model state indices in increasing order.
 	States []int
@@ -97,83 +94,4 @@ func (ms *ModelSolution) policyTransitions(s int, levels []int, fn func(target i
 		}
 	}
 	return nil
-}
-
-// StationaryUnderPolicy computes the stationary state distribution of the
-// policy-induced chain with linalg.Stationary (the solver picked by
-// reachable-state count) and returns it over the full state space (zero mass
-// on unreachable states).
-func (ms *ModelSolution) StationaryUnderPolicy() ([]float64, error) {
-	chain, err := ms.PolicyChain()
-	if err != nil {
-		return nil, err
-	}
-	pi, err := linalg.Stationary(chain.Gen)
-	if err != nil {
-		return nil, fmt.Errorf("ctmdp: stationary under policy: %w", err)
-	}
-	full := make([]float64, ms.Model.numStates)
-	for k, s := range chain.States {
-		full[s] = pi[k]
-	}
-	return full, nil
-}
-
-// RefineStationary recomputes the solution's stationary distribution from the
-// policy-induced chain and rescales the occupation measure to match,
-// replacing the distribution the solve gave. It returns the largest
-// per-state correction |π_refined − π_solved|. The policy itself (the
-// conditional action probabilities) is unchanged.
-func (ms *ModelSolution) RefineStationary() (float64, error) {
-	pi, err := ms.StationaryUnderPolicy()
-	if err != nil {
-		return 0, err
-	}
-	m := ms.Model
-	var maxDelta float64
-	for s := 0; s < m.numStates; s++ {
-		if d := math.Abs(pi[s] - ms.StateProb[s]); d > maxDelta {
-			maxDelta = d
-		}
-	}
-
-	// Rescale x(s,·) so each state's mass matches the refined π while the
-	// conditional split across actions is preserved.
-	for s := 0; s < m.numStates; s++ {
-		var mass float64
-		for _, v := range m.varsByState[s] {
-			mass += ms.X[v]
-		}
-		switch {
-		case mass > 0:
-			f := pi[s] / mass
-			for _, v := range m.varsByState[s] {
-				ms.X[v] *= f
-			}
-		case pi[s] > 0:
-			// Reachable under the fallback policy but unvisited by the solve:
-			// assign the state's mass to the fallback (deterministic) action.
-			levels := make([]int, len(m.Clients))
-			for c := range m.Clients {
-				levels[c] = m.Level(s, c)
-			}
-			probs, err := ms.Policy.Action(levels)
-			if err != nil {
-				return 0, err
-			}
-			for _, v := range m.varsByState[s] {
-				if a := m.vars[v].action; a >= 0 && probs[a] > 0 {
-					ms.X[v] = pi[s] * probs[a]
-				} else if a < 0 {
-					ms.X[v] = pi[s]
-				}
-			}
-		}
-	}
-	copy(ms.StateProb, pi)
-	ms.LossRate = 0
-	for v, sv := range m.vars {
-		ms.LossRate += m.CostRate(sv.state, sv.action) * ms.X[v]
-	}
-	return maxDelta, nil
 }

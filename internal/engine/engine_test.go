@@ -130,9 +130,9 @@ func TestEngineBudgetSweepMatchesDirectPath(t *testing.T) {
 	}
 }
 
-// TestEngineSolveSameWithAndWithoutCache: every run solves through a cache
-// (a private one without UseCache), so sharing the engine's cache never
-// changes an answer. netproc at budget 160 is where the two paths once
+// TestEngineSolveSameWithAndWithoutCache: every run takes the same solve
+// path, through solvecache's nil receiver without UseCache, so sharing the
+// engine's cache never changes an answer. netproc at budget 160 is where the two paths once
 // differed (sized loss 1333 uncached vs 1536 cached).
 func TestEngineSolveSameWithAndWithoutCache(t *testing.T) {
 	if testing.Short() {

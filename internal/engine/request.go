@@ -46,8 +46,9 @@ type SolveRequest struct {
 	// backend (nil inherits the scenario's spec, or that backend's
 	// defaults). It is part of the coalescing identity.
 	Uncertainty *uncertain.Spec `json:"uncertainty,omitempty"`
-	// Refine enables the post-solve stationary refinement
-	// (core.Config.RefineStationary).
+	// Refine is refused with ErrInvalidRequest: the post-solve stationary
+	// refinement was removed (core.Config.RefineStationary). The field
+	// stays only because the benchmark module still compiles against it.
 	Refine bool `json:"refine,omitempty"`
 	// Workers bounds this request's worker pool (0 inherits the engine
 	// default). Results are identical for every worker count.

@@ -50,7 +50,6 @@ func PlanBudgetSweep(newArch func() *arch.Architecture, budgets []int, opt Optio
 	if newArch == nil {
 		newArch = arch.NetworkProcessor
 	}
-	opts := solvecache.SolveOptions{} // BudgetSweepCtx solves with default options
 	plan := &SweepPlan{}
 	seen := map[solvecache.Key]bool{}
 	for _, b := range budgets {
@@ -62,7 +61,7 @@ func PlanBudgetSweep(newArch func() *arch.Architecture, budgets []int, opt Optio
 		plan.Budgets = append(plan.Budgets, b)
 		plan.Models += len(models)
 		for _, m := range models {
-			if k := solvecache.Fingerprint(m, opts); !seen[k] {
+			if k := solvecache.Fingerprint(m); !seen[k] {
 				seen[k] = true
 				plan.representatives = append(plan.representatives, m)
 			}
@@ -127,11 +126,12 @@ func (p *SweepPlan) WriteSummary(w io.Writer) error {
 
 // usesExactTier reports whether any sweep point runs an exact-family
 // backend (exact or hybrid — both solve CTMDP sub-models the plan's
-// prewarmed entries can serve). An all-analytic sweep has nothing to
-// prewarm: closed-form sizings solve no sub-models.
+// prewarmed entries can serve). The analytic and robust backends solve no
+// sub-models, so a sweep of only those has nothing to prewarm.
 func usesExactTier(opt Options, points int) bool {
 	for i := 0; i < points; i++ {
-		if solver.Canonical(opt.pointMethod(i)) != solver.MethodAnalytic {
+		switch solver.Canonical(opt.pointMethod(i)) {
+		case solver.MethodExact, solver.MethodHybrid:
 			return true
 		}
 	}
@@ -142,9 +142,9 @@ func usesExactTier(opt Options, points int) bool {
 // BudgetSweepCtx: fingerprint all points, prewarm one solve per distinct
 // fingerprint, then run the sweep with every point sharing opt.Cache
 // (created when nil). Cancellation is threaded through planning, prewarming
-// and the sweep itself. Sweeps whose every point runs the analytic backend
-// skip the (exact-tier) planning and prewarm entirely and return a nil plan
-// — their closed-form sizings have nothing to cache.
+// and the sweep itself. Sweeps with no exact or hybrid point skip the
+// (exact-tier) planning and prewarm entirely and return a nil plan — their
+// analytic and robust sizings solve no sub-models.
 func CachedBudgetSweepCtx(ctx context.Context, newArch func() *arch.Architecture, budgets []int, opt Options) (*BudgetSweepResult, *SweepPlan, error) {
 	if opt.Cache == nil {
 		opt.Cache = solvecache.New()

@@ -154,6 +154,33 @@ func TestCachedBudgetSweepReuse(t *testing.T) {
 	}
 }
 
+// TestRobustSweepPlansNothing: the robust backend solves no CTMDP
+// sub-models, so a robust-only cached sweep plans and prewarms nothing — a
+// nil plan and no exact-tier solves — and its rows equal the same sweep run
+// without a cache.
+func TestRobustSweepPlansNothing(t *testing.T) {
+	budgets := []int{24, 30}
+	opt := Options{Method: "robust", Iterations: 1, Seeds: []int64{1}, Horizon: 400}
+	plain, err := BudgetSweepCtx(context.Background(), arch.TwoBusAMBA, budgets, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt.Cache = solvecache.New()
+	res, plan, err := CachedBudgetSweepCtx(context.Background(), arch.TwoBusAMBA, budgets, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan != nil {
+		t.Errorf("robust-only sweep planned %d sub-models", plan.Models)
+	}
+	if s := opt.Cache.Stats(); s.Misses != 0 || s.Hits != 0 {
+		t.Errorf("robust-only sweep touched the exact tier: %+v", s)
+	}
+	if !reflect.DeepEqual(plain.Rows(), res.Rows()) {
+		t.Errorf("cached rows %+v, uncached %+v", res.Rows(), plain.Rows())
+	}
+}
+
 // TestWriteCacheStatsRates pins the -cache-stats rendering: untouched tiers
 // stay out of the table, touched tiers (remote included) appear with their
 // counters, and the derived hit-rate table follows.

@@ -408,8 +408,9 @@ func TestPlacementEndpointBadRequest(t *testing.T) {
 // TestInvalidConfigIs400: methodology knobs the core rejects are the
 // caller's mistake on both endpoints that run the methodology — a 400
 // carrying the core's message, never a 500. A warm-up the client never sent
-// is named as the default, and a budget below one unit per buffer is named
-// as that floor on the exact and analytic backends alike.
+// is named as the default, a budget below one unit per buffer is named as
+// that floor on the exact and analytic backends alike, and the removed
+// refine option is refused by name.
 func TestInvalidConfigIs400(t *testing.T) {
 	_, ts := startServer(t, engine.Config{}, true)
 	for _, c := range []struct{ knobs, want string }{
@@ -438,6 +439,17 @@ func TestInvalidConfigIs400(t *testing.T) {
 			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e["error"], "below one unit per buffer") {
 				t.Errorf("%s %s: status %d, error %q; want 400 naming the buffer floor", path, body, resp.StatusCode, e["error"])
 			}
+		}
+	}
+	// The refine option was removed; /v1/solve refuses it on every backend
+	// rather than silently ignoring it.
+	for _, method := range []string{"exact", "analytic", "hybrid", "robust"} {
+		body := `{"arch":"twobus","budget":24,"seeds":[1],"method":"` + method + `","refine":true}`
+		resp := postJSON(t, ts.URL+"/v1/solve", body)
+		var e map[string]string
+		decodeBody(t, resp, &e)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e["error"], "refine option was removed") {
+			t.Errorf("%s: status %d, error %q; want 400 naming the removal", body, resp.StatusCode, e["error"])
 		}
 	}
 	// Uncertainty specs reach only /v1/solve; every backend validates them.

@@ -1,22 +1,14 @@
 // Package linalg provides the linear-algebra kernel used by the CTMDP
-// solver and the nonlinear (quadratic) coupled-system solver, and is the one
-// home of CTMC stationary solves. It has two halves:
+// solver and the nonlinear (quadratic) coupled-system solver:
 //
 //   - dense: row-major matrices, LU decomposition with partial pivoting,
-//     linear solves and vector helpers — the exact path for small systems;
-//   - sparse: CSR matrices (SparseBuilder, CSR) and the iterative
-//     stationary solvers of CTMC generators — StationaryGaussSeidel with
-//     StationaryPower as the unconditionally stable fallback, combined in
-//     StationarySparse. O(nnz) per sweep: the pipeline's chains have a
-//     handful of transitions per state.
-//
-// Stationary takes a CSR generator and picks the solver by state count:
-// the dense-LU StationaryDense below DenseThreshold states,
-// StationarySparse from there. The pipeline's models have at most 81
-// states (ctmdp.MaxStates).
-//
-// The iterative solvers always start from the uniform distribution, under
-// one fixed residual tolerance and sweep budget.
+//     linear solves and vector helpers — policy iteration's evaluations
+//     (internal/ctmdp) factorise with them;
+//   - sparse: CSR matrices (SparseBuilder, CSR), the form CTMC generators
+//     are assembled in, and StationaryDense, the dense-LU stationary solve
+//     of such a generator. The served path never calls it: it is the
+//     tests' referee of policy iteration's distributions and the inner
+//     solve of nonlinear.Picard.
 //
 // The package deliberately implements only what the buffer-sizing pipeline
 // needs. Everything is float64 and allocation patterns are predictable so

@@ -23,9 +23,10 @@
 // the fingerprint has the same program bit for bit. Sweep results therefore
 // do not depend on which worker populated the cache first, preserving the
 // repo-wide "identical results for any worker count" contract. Every
-// methodology run solves through a cache — core gives a run without one a
-// private cache — so a shared cache only saves work: a run gets the same
-// answer from a private cache as from one shared fleet-wide.
+// methodology run takes the same solve path: a run without a cache solves
+// through a nil *Cache, which canonicalises, solves and rebinds every model
+// exactly as a miss does. So a shared cache only saves work: a run gets the
+// same answer without a cache as from one shared fleet-wide.
 //
 // Three tiers memoise whole decisions rather than sub-models: robust holds
 // chance-constrained sizings, placement holds serialised placement results,
@@ -61,8 +62,8 @@ import (
 
 // Cache is a concurrency-safe, content-addressed store of solved sub-models.
 // The zero value is NOT usable; call New or NewBounded. A nil *Cache is a
-// valid "caching disabled" receiver for every tier method and Stats, but not
-// for SolveJoint.
+// valid "caching disabled" receiver for every tier method, SolveJoint and
+// Stats.
 type Cache struct {
 	// exact keys sub-model entries by Fingerprint; its counters are the
 	// Hits and Misses of Stats.

@@ -3,12 +3,14 @@ package solvecache_test
 import (
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 
 	"socbuf/internal/arch"
 	"socbuf/internal/core"
 	"socbuf/internal/ctmdp"
 	"socbuf/internal/parallel"
+	"socbuf/internal/scenario"
 	"socbuf/internal/solvecache"
 )
 
@@ -85,69 +87,63 @@ func assertSolutionsAgree(t *testing.T, a, b *ctmdp.JointSolution, tol float64, 
 }
 
 // TestWarmVsColdEquivalence is the cache's correctness gate: over every
-// architecture preset, with refinement off and on, a hit — of the same
-// models, or of models whose capacities alone changed — is bit-identical to
-// a fresh cold solve of the requesting models, and the cold canonical solve
-// agrees with the uncached solver on the optimum it reaches.
+// architecture preset, a hit — of the same models, or of models whose
+// capacities alone changed — is bit-identical to a fresh cold solve of the
+// requesting models, and the cold canonical solve agrees with the uncached
+// solver on the optimum it reaches.
 func TestWarmVsColdEquivalence(t *testing.T) {
+	var cfg ctmdp.JointConfig
 	for _, p := range presets {
-		for _, refine := range []bool{false, true} {
-			cfg := ctmdp.JointConfig{RefineStationary: refine}
-			name := p.name
-			if refine {
-				name += "-refined"
+		t.Run(p.name, func(t *testing.T) {
+			models := presetModels(t, p.arch, p.budget)
+			uncached, err := ctmdp.SolveJoint(models, cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-			t.Run(name, func(t *testing.T) {
-				models := presetModels(t, p.arch, p.budget)
-				uncached, err := ctmdp.SolveJoint(models, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
 
-				c := solvecache.New()
-				cold, err := c.SolveJoint(models, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if s := c.Stats(); s.Misses != int64(len(models)) || s.Hits != 0 {
-					t.Fatalf("cold pass counters off: %+v", s)
-				}
-				// The cache solves per canonical block rather than one
-				// block-diagonal program, so it may land on a different
-				// vertex of a degenerate optimum; the optimum itself (the
-				// objective) must agree to 1e-8.
-				if d := math.Abs(cold.TotalLossRate - uncached.TotalLossRate); d > 1e-8 {
-					t.Errorf("cached vs uncached objectives differ by %g", d)
-				}
+			c := solvecache.New()
+			cold, err := c.SolveJoint(models, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s := c.Stats(); s.Misses != int64(len(models)) || s.Hits != 0 {
+				t.Fatalf("cold pass counters off: %+v", s)
+			}
+			// The cache solves per canonical block rather than one
+			// block-diagonal program, so it may land on a different
+			// vertex of a degenerate optimum; the optimum itself (the
+			// objective) must agree to 1e-8.
+			if d := math.Abs(cold.TotalLossRate - uncached.TotalLossRate); d > 1e-8 {
+				t.Errorf("cached vs uncached objectives differ by %g", d)
+			}
 
-				hit, err := c.SolveJoint(models, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if s := c.Stats(); s.Hits != int64(len(models)) {
-					t.Fatalf("exact pass counters off: %+v", s)
-				}
-				assertSolutionsAgree(t, cold, hit, 0, "cold vs hit")
+			hit, err := c.SolveJoint(models, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s := c.Stats(); s.Hits != int64(len(models)) {
+				t.Fatalf("exact pass counters off: %+v", s)
+			}
+			assertSolutionsAgree(t, cold, hit, 0, "cold vs hit")
 
-				// Capacity change only: rebuild the models at a different
-				// budget — UnitsPerLevel shifts, everything else is
-				// bit-identical (capacities never feed back into rates) —
-				// and every solve is a hit.
-				resized := presetModels(t, p.arch, p.budget+len(models))
-				resizedHit, err := c.SolveJoint(resized, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if s := c.Stats(); s.Hits != 2*int64(len(models)) || s.Misses != int64(len(models)) {
-					t.Fatalf("capacity-only change was not all hits: %+v", s)
-				}
-				freshCold, err := solvecache.New().SolveJoint(resized, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				assertSolutionsAgree(t, freshCold, resizedHit, 0, "capacity-changed hit vs cold")
-			})
-		}
+			// Capacity change only: rebuild the models at a different
+			// budget — UnitsPerLevel shifts, everything else is
+			// bit-identical (capacities never feed back into rates) —
+			// and every solve is a hit.
+			resized := presetModels(t, p.arch, p.budget+len(models))
+			resizedHit, err := c.SolveJoint(resized, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s := c.Stats(); s.Hits != 2*int64(len(models)) || s.Misses != int64(len(models)) {
+				t.Fatalf("capacity-only change was not all hits: %+v", s)
+			}
+			freshCold, err := solvecache.New().SolveJoint(resized, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSolutionsAgree(t, freshCold, resizedHit, 0, "capacity-changed hit vs cold")
+		})
 	}
 }
 
@@ -201,43 +197,89 @@ func TestCachePermutedModel(t *testing.T) {
 // entry), the same answer on every call, and agreeing with the uncached
 // solver to 1e-8 on the optimum.
 func TestCacheCappedJoint(t *testing.T) {
-	for _, refine := range []bool{false, true} {
-		models := presetModels(t, arch.Figure1, 40)
-		free, err := ctmdp.SolveJoint(models, ctmdp.JointConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := ctmdp.JointConfig{OccupancyCaps: []float64{free.OccupancyUsed * 0.9}, RefineStationary: refine}
+	models := presetModels(t, arch.Figure1, 40)
+	free, err := ctmdp.SolveJoint(models, ctmdp.JointConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := ctmdp.JointConfig{OccupancyCaps: []float64{free.OccupancyUsed * 0.9}}
 
-		c := solvecache.New()
-		// Free solves first, as the methodology loop does.
-		if _, err := c.SolveJoint(models, ctmdp.JointConfig{RefineStationary: refine}); err != nil {
-			t.Fatal(err)
-		}
-		before := c.Stats()
-		first, err := c.SolveJoint(models, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		again, err := c.SolveJoint(models, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s := c.Stats()
-		if s.JointMisses != 2 || s.JointHits != 0 || s.JointEntries != 0 || s.Entries != before.Entries {
-			t.Fatalf("refine=%v: capped solves were cached or miscounted: %+v", refine, s)
-		}
-		assertSolutionsAgree(t, first, again, 0, "capped first vs again")
-		if first.CapBinding != again.CapBinding || first.Price != again.Price {
-			t.Errorf("refine=%v: repeated capped solves disagree", refine)
-		}
+	c := solvecache.New()
+	// Free solves first, as the methodology loop does.
+	if _, err := c.SolveJoint(models, ctmdp.JointConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	before := c.Stats()
+	first, err := c.SolveJoint(models, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := c.SolveJoint(models, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := c.Stats()
+	if s.JointMisses != 2 || s.JointHits != 0 || s.JointEntries != 0 || s.Entries != before.Entries {
+		t.Fatalf("capped solves were cached or miscounted: %+v", s)
+	}
+	assertSolutionsAgree(t, first, again, 0, "capped first vs again")
+	if first.CapBinding != again.CapBinding || first.Price != again.Price {
+		t.Error("repeated capped solves disagree")
+	}
 
-		uncached, err := ctmdp.SolveJoint(models, cfg)
+	uncached, err := ctmdp.SolveJoint(models, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := math.Abs(uncached.TotalLossRate - first.TotalLossRate); d > 1e-8 {
+		t.Errorf("capped cached vs uncached objectives differ by %g", d)
+	}
+}
+
+// TestNilCacheSolvesLikeFreshCache: a run without a cache solves through a
+// nil *Cache, which must canonicalise, solve and rebind every model exactly
+// as a fresh cache's misses do — free and capped, bit for bit.
+func TestNilCacheSolvesLikeFreshCache(t *testing.T) {
+	chain6, ok := scenario.Get("chain6")
+	if !ok {
+		t.Fatal("chain6 scenario missing")
+	}
+	buildChain6 := func() *arch.Architecture {
+		a, err := chain6.Topology.Build()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d := math.Abs(uncached.TotalLossRate - first.TotalLossRate); d > 1e-8 {
-			t.Errorf("refine=%v: capped cached vs uncached objectives differ by %g", refine, d)
+		return a
+	}
+	for _, p := range []struct {
+		name   string
+		arch   func() *arch.Architecture
+		budget int
+	}{
+		{"twobus", arch.TwoBusAMBA, 24},
+		{"netproc", arch.NetworkProcessor, 160},
+		{"chain6", buildChain6, chain6.Budget},
+	} {
+		models := presetModels(t, p.arch, p.budget)
+		var none *solvecache.Cache
+		free, err := none.SolveJoint(models, ctmdp.JointConfig{})
+		if err != nil {
+			t.Fatalf("%s: %v", p.name, err)
+		}
+		capped := ctmdp.JointConfig{OccupancyCaps: []float64{free.OccupancyUsed * 0.9, free.OccupancyUsed * 0.97}}
+		for _, cfg := range []ctmdp.JointConfig{{}, capped} {
+			c := solvecache.New()
+			want, errWant := c.SolveJoint(models, cfg)
+			got, errGot := none.SolveJoint(models, cfg)
+			if errWant != nil || errGot != nil {
+				t.Fatalf("%s caps %v: fresh cache %v, nil cache %v", p.name, cfg.OccupancyCaps, errWant, errGot)
+			}
+			// Iters differs only where a fresh cache hits a repeated
+			// sub-model that the nil cache solves again.
+			got.Iters = want.Iters
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s caps %v: nil-cache solution differs from a fresh cache's", p.name, cfg.OccupancyCaps)
+			}
 		}
 	}
 }

@@ -17,21 +17,6 @@ type Key [sha256.Size]byte
 // String renders the key as hex (for logs and stats tables).
 func (k Key) String() string { return hex.EncodeToString(k[:8]) }
 
-// SolveOptions is the part of a ctmdp.JointConfig that changes what a
-// per-model solution IS (and therefore belongs in the fingerprint), as
-// opposed to how models are grouped into programs. See DESIGN.md §4 for the
-// full cache-key contract.
-type SolveOptions struct {
-	// Refine mirrors ctmdp.JointConfig.RefineStationary: refined and
-	// unrefined solutions are different payloads.
-	Refine bool
-}
-
-// optionsOf extracts the fingerprinted options from a joint config.
-func optionsOf(cfg ctmdp.JointConfig) SolveOptions {
-	return SolveOptions{Refine: cfg.RefineStationary}
-}
-
 // clientKey is the canonical per-client tuple. The structural part —
 // everything the occupation-measure LP and the policy-induced chain read,
 // and all that Fingerprint hashes — comes first; UnitsPerLevel (the
@@ -108,14 +93,6 @@ func (h *hasher) i64(v int64) {
 	h.buf = binary.LittleEndian.AppendUint64(h.buf, uint64(v))
 }
 
-func (h *hasher) bool(v bool) {
-	if v {
-		h.buf = append(h.buf, 1)
-	} else {
-		h.buf = append(h.buf, 0)
-	}
-}
-
 // str serialises a length-prefixed string (self-delimiting, so adjacent
 // fields can never alias across a boundary shift).
 func (h *hasher) str(s string) {
@@ -132,7 +109,9 @@ func (h *hasher) sum() Key { return sha256.Sum256(h.buf) }
 // stationary option but the refine flag; version 5 dropped the capacity
 // quanta from the sub-model key; version 6 marks exact payloads solved by
 // policy iteration, whose last bits differ from the simplex's, so a fleet
-// never mixes the two.
+// never mixes the two. Exact keys later lost their trailing refine byte
+// without a bump: that changes every exact key's bytes, so no new key can
+// equal an old one, and exact keys never leave the process anyway.
 const version = 6
 
 // Backend domain-separation tags. Every fingerprint serialises the solver
@@ -148,17 +127,13 @@ const (
 	backendRobust    = 3
 )
 
-func (h *hasher) options(o SolveOptions) {
-	h.bool(o.Refine)
-}
-
 // Fingerprint returns the content-addressed key of one sub-model solve:
-// exactly what the solve reads. That is the service rate, the canonically
-// sorted per-client tuples (arrival rate, levels, loss weight,
-// downstream-full probability) and the solve options. Capacity quanta
-// (UnitsPerLevel), client order, bus name, buffer IDs and aggregate
-// membership are deliberately excluded — see DESIGN.md §4 for the contract.
-func Fingerprint(m *ctmdp.Model, opts SolveOptions) Key {
+// exactly what the solve reads. That is the service rate and the
+// canonically sorted per-client tuples (arrival rate, levels, loss weight,
+// downstream-full probability). Capacity quanta (UnitsPerLevel), client
+// order, bus name, buffer IDs and aggregate membership are deliberately
+// excluded — see DESIGN.md §4 for the contract.
+func Fingerprint(m *ctmdp.Model) Key {
 	h := &hasher{buf: make([]byte, 0, 64+32*len(m.Clients))}
 	h.i64(version)
 	h.i64(backendExact)
@@ -171,7 +146,6 @@ func Fingerprint(m *ctmdp.Model, opts SolveOptions) Key {
 		h.f64(k.lossWeight)
 		h.f64(k.downstreamFullProb)
 	}
-	h.options(opts)
 	return h.sum()
 }
 

@@ -29,8 +29,7 @@ func TestFingerprintPermutationInvariant(t *testing.T) {
 	m1 := mustModel(t, "bus1", 4, cs)
 	perm := []ctmdp.Client{cs[2], cs[0], cs[1]}
 	m2 := mustModel(t, "bus1", 4, perm)
-	var opts SolveOptions
-	if Fingerprint(m1, opts) != Fingerprint(m2, opts) {
+	if Fingerprint(m1) != Fingerprint(m2) {
 		t.Error("permuted-client-order models must share a fingerprint")
 	}
 }
@@ -46,8 +45,7 @@ func TestFingerprintIgnoresNames(t *testing.T) {
 	renamed[0].Members = []string{"x", "y"}
 	renamed[0].MemberLambda = []float64{1.0, 0.5}
 	m2 := mustModel(t, "busB", 4, renamed)
-	var opts SolveOptions
-	if Fingerprint(m1, opts) != Fingerprint(m2, opts) {
+	if Fingerprint(m1) != Fingerprint(m2) {
 		t.Error("bus name, buffer IDs and membership must not affect the fingerprint")
 	}
 }
@@ -60,8 +58,7 @@ func TestFingerprintCapacityChange(t *testing.T) {
 	resized := testClients()
 	resized[1].UnitsPerLevel = 9
 	m2 := mustModel(t, "bus1", 4, resized)
-	var opts SolveOptions
-	if Fingerprint(m1, opts) != Fingerprint(m2, opts) {
+	if Fingerprint(m1) != Fingerprint(m2) {
 		t.Error("changed capacity must not change the fingerprint")
 	}
 }
@@ -69,7 +66,6 @@ func TestFingerprintCapacityChange(t *testing.T) {
 func TestFingerprintStructuralChange(t *testing.T) {
 	cs := testClients()
 	m1 := mustModel(t, "bus1", 4, cs)
-	var opts SolveOptions
 	for name, mutate := range map[string]func(*ctmdp.Client){
 		"lambda":     func(c *ctmdp.Client) { c.Lambda += 0.25 },
 		"levels":     func(c *ctmdp.Client) { c.Levels++ },
@@ -79,21 +75,12 @@ func TestFingerprintStructuralChange(t *testing.T) {
 		changed := testClients()
 		mutate(&changed[0])
 		m2 := mustModel(t, "bus1", 4, changed)
-		if Fingerprint(m1, opts) == Fingerprint(m2, opts) {
+		if Fingerprint(m1) == Fingerprint(m2) {
 			t.Errorf("%s change must alter the fingerprint", name)
 		}
 	}
 	m3 := mustModel(t, "bus1", 5, testClients())
-	if Fingerprint(m1, opts) == Fingerprint(m3, opts) {
+	if Fingerprint(m1) == Fingerprint(m3) {
 		t.Error("service-rate change must alter the fingerprint")
-	}
-}
-
-func TestFingerprintOptions(t *testing.T) {
-	m := mustModel(t, "bus1", 4, testClients())
-	base := Fingerprint(m, SolveOptions{})
-	refined := Fingerprint(m, SolveOptions{Refine: true})
-	if base == refined {
-		t.Error("refinement flag must be part of the fingerprint")
 	}
 }

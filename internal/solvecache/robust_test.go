@@ -100,7 +100,7 @@ func TestBackendKeySpacesDisjoint(t *testing.T) {
 		t.Fatalf("exact solve consulted a foreign tier: %+v", s)
 	}
 	// And the exact entry is invisible to the robust tier.
-	if _, ok := c.LookupRobust(Fingerprint(m, SolveOptions{}), nil, 0); ok {
+	if _, ok := c.LookupRobust(Fingerprint(m), nil, 0); ok {
 		t.Fatal("exact fingerprint resolved in the robust tier")
 	}
 }

@@ -7,8 +7,9 @@ import (
 )
 
 // SolveJoint is the cache-aware drop-in for ctmdp.SolveJoint, and the one
-// solve path of every methodology run (core gives a run without a shared
-// cache a private one). The receiver must be non-nil.
+// solve path of every methodology run. A nil receiver (a run without a
+// cache) takes the path of a miss on every model, without a key, a store or
+// a counter, so a run gets the same answer with or without a cache.
 //
 // Cap-free programs decouple into independent sub-model solves, which is
 // where the reuse across a sweep's points lives: each model is answered from
@@ -18,8 +19,8 @@ import (
 // derives from its own run's occupancy, so a capped program seldom repeats.
 //
 // Solutions returned to the caller are always freshly allocated and bound to
-// the requesting models (callers mutate solutions — RefineStationary — and
-// read Model.Bus downstream), never aliases of cache memory.
+// the requesting models (callers read Model.Bus downstream), never aliases
+// of cache memory.
 func (c *Cache) SolveJoint(models []*ctmdp.Model, cfg ctmdp.JointConfig) (*ctmdp.JointSolution, error) {
 	if len(models) == 0 {
 		// Delegate so the canonical error surfaces unchanged.
@@ -29,10 +30,9 @@ func (c *Cache) SolveJoint(models []*ctmdp.Model, cfg ctmdp.JointConfig) (*ctmdp
 		return c.solveCapped(models, cfg)
 	}
 
-	opts := optionsOf(cfg)
 	out := &ctmdp.JointSolution{}
 	for _, m := range models {
-		ms, iters, err := c.solveOne(m, opts)
+		ms, iters, err := c.solveOne(m)
 		if err != nil {
 			return nil, fmt.Errorf("solvecache: model %q: %w", m.Bus, err)
 		}
@@ -49,39 +49,39 @@ func (c *Cache) SolveJoint(models []*ctmdp.Model, cfg ctmdp.JointConfig) (*ctmdp
 // solveOne answers one decoupled sub-model solve, returning the rebound
 // solution. The returned iteration count is the policy evaluations actually
 // performed (zero for hits).
-func (c *Cache) solveOne(m *ctmdp.Model, opts SolveOptions) (*ctmdp.ModelSolution, int, error) {
+func (c *Cache) solveOne(m *ctmdp.Model) (*ctmdp.ModelSolution, int, error) {
 	order := canonicalOrder(m)
-	k := Fingerprint(m, opts)
-	iters := 0
-	e, ok := c.exact.get(k)
-	if ok && e.matches(m, order) {
-		c.exact.hits.Add(1)
-	} else {
-		c.exact.misses.Add(1)
-		var err error
-		if e, err = c.solveCold(m, order, opts); err != nil {
-			return nil, 0, err
+	var k Key
+	if c != nil {
+		k = Fingerprint(m)
+		if e, ok := c.exact.get(k); ok && e.matches(m, order) {
+			c.exact.hits.Add(1)
+			ms, err := e.rebind(m, order)
+			return ms, 0, err
 		}
-		c.exact.add(k, e)
-		iters = e.iters
+		c.exact.misses.Add(1)
 	}
-	ms, err := e.rebind(m, order)
+	e, err := solveCold(m, order)
 	if err != nil {
 		return nil, 0, err
 	}
-	return ms, iters, nil
+	if c != nil {
+		c.exact.add(k, e)
+	}
+	ms, err := e.rebind(m, order)
+	return ms, e.iters, err
 }
 
 // solveCold solves the canonicalised clone of m and wraps it as a cache
 // entry. Solving the canonical clone — not m itself — is what makes the
 // stored payload a pure function of the fingerprint: every requester of this
 // key gets bit-identical numbers regardless of which worker solved first.
-func (c *Cache) solveCold(m *ctmdp.Model, order []int, opts SolveOptions) (*entry, error) {
+func solveCold(m *ctmdp.Model, order []int) (*entry, error) {
 	cm, err := canonicalModel(m, order)
 	if err != nil {
 		return nil, err
 	}
-	sol, err := ctmdp.SolveJoint([]*ctmdp.Model{cm}, ctmdp.JointConfig{RefineStationary: opts.Refine})
+	sol, err := ctmdp.SolveJoint([]*ctmdp.Model{cm}, ctmdp.JointConfig{})
 	if err != nil {
 		return nil, err
 	}
@@ -92,7 +92,9 @@ func (c *Cache) solveCold(m *ctmdp.Model, order []int, opts SolveOptions) (*entr
 // canonical clones of the models, so the answer depends only on their
 // content, and rebinds the solutions onto the requesting models.
 func (c *Cache) solveCapped(models []*ctmdp.Model, cfg ctmdp.JointConfig) (*ctmdp.JointSolution, error) {
-	c.capped.Add(1)
+	if c != nil {
+		c.capped.Add(1)
+	}
 	orders := make([][]int, len(models))
 	cms := make([]*ctmdp.Model, len(models))
 	for i, m := range models {
