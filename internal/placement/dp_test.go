@@ -1,7 +1,9 @@
 package placement
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"socbuf/internal/arch"
@@ -75,14 +77,19 @@ func assertPareto(t *testing.T, front []scored) {
 }
 
 // TestDPMatchesBruteForce is the exactness gate: on small generated
-// topologies of every family (≤12 candidate points), the pruned DP must
-// return the same Pareto frontier as exhaustive enumeration.
+// topologies of every family (≤12 candidate points), under a generous and a
+// tight capacity budget and under the default catalogue and one whose second
+// entry twins the first (same cost and delay, so exact ties meet at every
+// merge), the pruned DP must return the same Pareto frontier as exhaustive
+// enumeration. Decision vectors are not compared: brute force sums J in
+// another order, so near-ties may legitimately keep different placements.
 func TestDPMatchesBruteForce(t *testing.T) {
-	cases := []struct {
+	type topo struct {
 		kind  string
 		buses int
 		seed  int64
-	}{
+	}
+	cases := []topo{
 		{"chain", 4, 1},
 		{"chain", 6, 7},
 		{"star", 5, 3},
@@ -90,23 +97,60 @@ func TestDPMatchesBruteForce(t *testing.T) {
 		{"mesh", 4, 2},
 		{"mesh", 6, 4},
 	}
+	rng := rand.New(rand.NewSource(24))
+	for _, kind := range []string{"chain", "star", "tree", "mesh"} {
+		for k := 0; k < 3; k++ {
+			cases = append(cases, topo{kind, 4 + rng.Intn(5), rng.Int63n(1 << 30)})
+		}
+	}
+	twin := []BufferType{{Name: "lite", Cost: 1, Delay: 0.5}, {Name: "twin", Cost: 1, Delay: 0.5}, {Name: "fast", Cost: 4, Delay: 0.05}}
 	for _, tc := range cases {
 		a := buildTopology(t, tc.kind, tc.buses, tc.seed)
 		if len(a.Bridges) > 12 {
 			t.Fatalf("%s/%d: %d candidates exceeds the small-tree gate bound", tc.kind, tc.buses, len(a.Bridges))
 		}
-		// A budget generous enough that every placement is feasible: the
-		// gate tests dominance pruning, not the capacity floor.
-		p := testProblem(t, a, 1000)
-		dp, st := p.runDP()
-		bf, priced, _ := p.bruteForce()
-		if int64(priced) != p.enumerated {
-			t.Errorf("%s/%d: brute force priced %d of %d placements", tc.kind, tc.buses, priced, p.enumerated)
-		}
-		sameFrontier(t, dp, bf)
-		assertPareto(t, dp)
-		if st.partials <= st.pruned {
-			t.Errorf("%s/%d: %d partials, %d pruned — nothing survived?", tc.kind, tc.buses, st.partials, st.pruned)
+		for _, types := range [][]BufferType{DefaultCatalogue(), twin} {
+			p := testProblem(t, a, 1000)
+			// Tight: every non-cut bridge inserted, and room for only half
+			// the cut edges — the capacity floor then cuts into the space.
+			cutEdges := 0
+			for _, c := range p.cut {
+				if c {
+					cutEdges++
+				}
+			}
+			tight := p.numAttach + 2*(len(p.bridges)-cutEdges) + cutEdges
+			// Generous: every placement is feasible, so the gate tests
+			// dominance pruning alone.
+			for _, budget := range []int{1000, tight} {
+				name := fmt.Sprintf("%s/%d/seed %d/%s/budget %d", tc.kind, tc.buses, tc.seed, types[1].Name, budget)
+				p, err := newProblem(a, Config{Arch: a, Types: types, Budget: budget, LatencyWeight: 0.1})
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				dp, st := p.runDP()
+				bf, priced, _ := p.bruteForce()
+				if int64(priced) != p.enumerated {
+					t.Errorf("%s: brute force priced %d of %d placements", name, priced, p.enumerated)
+				}
+				sameFrontier(t, dp, bf)
+				assertPareto(t, dp)
+				if st.partials <= st.pruned {
+					t.Errorf("%s: %d partials, %d pruned — nothing survived?", name, st.partials, st.pruned)
+				}
+				if types[1].Name != "twin" {
+					continue
+				}
+				// Exact ties keep the lexicographically smallest vector, so
+				// the twin (index 1) never beats the entry it copies.
+				for _, s := range dp {
+					for i, d := range s.dec {
+						if d == 1 {
+							t.Errorf("%s: frontier point %s names the twin on bridge %d", name, p.signature(s.dec), i)
+						}
+					}
+				}
+			}
 		}
 	}
 }
