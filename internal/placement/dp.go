@@ -1,20 +1,45 @@
 package placement
 
-import "sort"
+import (
+	"context"
+	"math"
+	"slices"
+	"sort"
+)
 
-// partial is one partial placement during the bottom-up DP: the processed
-// subtree's decisions, the still-open component containing the subtree
-// root, and the accumulated (cost, screened J) of everything already
-// closed. bypassed is the third dominance coordinate — partials that
+// part is one partial placement's dominance coordinates: the accumulated
+// (cost, screened J) of everything already closed, and how many bridges it
+// contracted. bypassed is the third dominance coordinate — partials that
 // contracted more bridges need fewer buffers, so a cheaper-and-better but
 // less-contracted partial must not evict one that alone can satisfy a tight
 // capacity budget (the budget-infeasible-subtree invariant, DESIGN.md §7).
-type partial struct {
-	comp     compKey
+type part struct {
 	cost     float64
 	j        float64
 	bypassed int
-	dec      []int8
+}
+
+// parts is a set of partial placements with their decision vectors stored
+// back to back, one int8 per bridge each, in storage sized to the set.
+type parts struct {
+	pts  []part
+	decs []int8
+}
+
+func (s *parts) dec(i, nb int) []int8 { return s.decs[i*nb : (i+1)*nb] }
+
+// group is one open component of a subtree frontier: the component and the
+// run of partials [lo, hi) that leave it open.
+type group struct {
+	comp   compKey
+	lo, hi int
+}
+
+// frontier is a subtree's pruned partial placements, grouped by the open
+// component that contains the subtree root.
+type frontier struct {
+	parts
+	groups []group
 }
 
 // scored is one complete placement on (or competing for) the frontier.
@@ -27,9 +52,60 @@ type scored struct {
 
 // dpStats counts the DP's work for the result's transparency counters.
 type dpStats struct {
-	partials   int // partials generated across all merges
+	partials   int // candidates covered across all merges, built or not
 	pruned     int // of those, discarded as dominated
 	infeasible int // complete placements dropped by the capacity floor
+}
+
+// cand is one candidate of a merge: its dominance coordinates and
+// back-pointers to the left and right partials it combines (r < 0: no right
+// operand). Its decision vector — the left partial's, overlaid with the
+// right partial's and with opt at the merge's edge, all at disjoint
+// positions — is built only to break an exact tie or for a survivor.
+type cand struct {
+	cost     float64
+	j        float64
+	bypassed int32
+	l, r     int32
+	opt      int8
+}
+
+// stair is one step of a probe staircase: the least J among probes costing
+// at most cost.
+type stair struct{ cost, j float64 }
+
+const (
+	// checkEvery is how many candidates a merge builds between context
+	// checks.
+	checkEvery = 4096
+	// Groups of at least filterMin candidates are filtered against the
+	// survivors of a 1-in-probeStride sample before the full sort.
+	filterMin   = 1024
+	probeStride = 16
+)
+
+// dpRun is one DP pass: the operands of the merge in progress and the
+// buffers every merge reuses.
+type dpRun struct {
+	p   *problem
+	ctx context.Context
+	nb  int // bridges: the length of every decision vector
+	st  dpStats
+
+	// The merge in progress: candidates combine left.pts[l] with
+	// right.pts[r] and decide edge (-1: no edge).
+	left, right *parts
+	edge        int
+
+	cands  []cand    // one group's candidates
+	surv   []cand    // one merge's survivors
+	probe  []cand    // filter's sample
+	stairs []stair   // filter's staircases, one per bypass floor
+	floors []int     // start of each bypass floor's staircase in stairs
+	best   []float64 // best[b]: least J among a group's survivors with bypassed ≥ b
+	ins    []float64 // the merge edge's insertion term per type
+	closeJ []float64 // the child's closing price per child group
+	tick   int       // candidates built since the last context check
 }
 
 // decLess orders decision vectors lexicographically — the deterministic
@@ -43,280 +119,423 @@ func decLess(a, b []int8) bool {
 	return false
 }
 
-// mergeDec overlays two disjoint partial decision vectors (each bridge is
-// decided by at most one side; the rest are optUndecided).
-func mergeDec(a, b []int8) []int8 {
-	return mergeDecInto(make([]int8, len(a)), a, b)
+// decAt is position i of c's decision vector.
+func (d *dpRun) decAt(c *cand, i int) int8 {
+	if x := d.left.decs[int(c.l)*d.nb+i]; x != optUndecided {
+		return x
+	}
+	if i == d.edge {
+		return c.opt
+	}
+	if c.r >= 0 {
+		return d.right.decs[int(c.r)*d.nb+i]
+	}
+	return optUndecided
 }
 
-// mergeDecInto is mergeDec writing into caller-owned storage — the DP's
-// merge loops carve candidate vectors out of one arena per batch instead of
-// allocating each individually.
-func mergeDecInto(out, a, b []int8) []int8 {
-	copy(out, a)
-	for i, d := range b {
-		if d != optUndecided {
-			out[i] = d
+// compareDec orders two candidates' decision vectors lexicographically.
+func (d *dpRun) compareDec(a, b *cand) int {
+	for i := 0; i < d.nb; i++ {
+		if x, y := d.decAt(a, i), d.decAt(b, i); x != y {
+			if x < y {
+				return -1
+			}
+			return 1
 		}
 	}
-	return out
+	return 0
 }
 
-// prune3 removes dominated partials within each open-component group. A
-// partial dominates another with the same component when its cost and J are
-// no worse and its bypass count no lower, with at least one coordinate
-// strict; exact ties on all three keep the lexicographically smallest
-// decision vector. Sorting by (cost asc, j asc, bypassed desc, dec lex)
-// places every potential dominator before its victims, so one forward sweep
-// suffices.
-func (p *problem) prune3(in []partial, st *dpStats) []partial {
-	// One sort keyed by (component, cost, j, bypassed desc, dec lex) makes
-	// every group contiguous with its potential dominators first, so the
-	// dominance sweep compacts survivors in place — no grouping map, no
-	// per-group sort.
-	sort.Slice(in, func(i, j int) bool {
-		switch {
-		case in[i].comp != in[j].comp:
-			return in[i].comp < in[j].comp
-		case in[i].cost != in[j].cost:
-			return in[i].cost < in[j].cost
-		case in[i].j != in[j].j:
-			return in[i].j < in[j].j
-		case in[i].bypassed != in[j].bypassed:
-			return in[i].bypassed > in[j].bypassed
-		default:
-			return decLess(in[i].dec, in[j].dec)
+// compareCostJ orders candidates by cost, then J, both ascending.
+func compareCostJ(a, b *cand) int {
+	switch {
+	case a.cost != b.cost:
+		if a.cost < b.cost {
+			return -1
 		}
-	})
-	out := in[:0]
-	group := 0 // start of the current component's survivors in out
-	for i, s := range in {
-		if i > 0 && s.comp != in[i-1].comp {
-			group = len(out)
+		return 1
+	case a.j != b.j:
+		if a.j < b.j {
+			return -1
 		}
-		dominated := false
-		for _, q := range out[group:] {
-			if q.cost <= s.cost && q.j <= s.j && q.bypassed >= s.bypassed {
-				dominated = true
-				break
-			}
-		}
-		if dominated {
-			st.pruned++
-		} else {
-			out = append(out, s)
-		}
+		return 1
 	}
-	return out
+	return 0
 }
 
-// pruneScored removes 3D-dominated complete placements — same relation as
-// prune3 (cost ≤, J ≤, bypassed ≥, one strict; exact ties keep the
-// lex-smallest decision vector) without the component grouping. It prunes
-// the intermediate Minkowski folds, where bypassed must stay a dominance
-// coordinate: the capacity floor has not been applied yet, and a
-// (cost, J)-dominated point with more bypassed bridges needs fewer buffers,
-// so it may be the only point that fits a tight budget.
-func pruneScored(in []scored, st *dpStats) []scored {
-	sort.Slice(in, func(i, j int) bool {
-		switch {
-		case in[i].cost != in[j].cost:
-			return in[i].cost < in[j].cost
-		case in[i].j != in[j].j:
-			return in[i].j < in[j].j
-		case in[i].bypassed != in[j].bypassed:
-			return in[i].bypassed > in[j].bypassed
-		default:
-			return decLess(in[i].dec, in[j].dec)
+// compare orders candidates by (cost asc, J asc, bypassed desc, decision
+// vector lex): every potential dominator precedes its victims, and exact
+// ties on all three coordinates fall to the smallest decision vector.
+func (d *dpRun) compare(a, b cand) int {
+	if c := compareCostJ(&a, &b); c != 0 {
+		return c
+	}
+	if a.bypassed != b.bypassed {
+		if a.bypassed > b.bypassed {
+			return -1
 		}
-	})
-	var kept []scored
-	for _, s := range in {
-		dominated := false
-		for _, q := range kept {
-			if q.cost <= s.cost && q.j <= s.j && q.bypassed >= s.bypassed {
-				dominated = true
-				break
-			}
+		return 1
+	}
+	return d.compareDec(&a, &b)
+}
+
+// spent counts n candidates built and checks the context every checkEvery.
+func (d *dpRun) spent(n int) error {
+	if d.tick += n; d.tick < checkEvery {
+		return nil
+	}
+	d.tick = 0
+	return d.ctx.Err()
+}
+
+// scratch returns the candidate buffer, emptied, with room for n.
+func (d *dpRun) scratch(n int) []cand {
+	if cap(d.cands) < n {
+		d.cands = make([]cand, 0, max(n, 2*cap(d.cands)))
+	}
+	return d.cands[:0]
+}
+
+// prune removes the dominated candidates of one group and returns the
+// survivors, sorted, in place at the front of cands. Every candidate covered
+// counts: those the filter drops are pruned as surely as those the sweep
+// drops.
+func (d *dpRun) prune(cands []cand) []cand {
+	n := len(cands)
+	if n >= filterMin {
+		cands = d.filter(cands)
+	}
+	kept := d.sweep(cands)
+	d.st.pruned += n - len(kept)
+	return kept
+}
+
+// sweep sorts cands and keeps, in place, every candidate no earlier survivor
+// dominates: cost, J and bypass count no worse, exact ties falling to the
+// smaller decision vector. After the sort every earlier survivor costs at
+// most the candidate, so the test reduces to "the least J among survivors
+// bypassing at least as many bridges is ≤ the candidate's", which d.best
+// answers in O(1).
+func (d *dpRun) sweep(cands []cand) []cand {
+	slices.SortFunc(cands, d.compare)
+	best := d.best
+	for b := range best {
+		best[b] = math.Inf(1)
+	}
+	kept := cands[:0]
+	for _, c := range cands {
+		if best[c.bypassed] <= c.j {
+			continue
 		}
-		if dominated {
-			st.pruned++
-		} else {
-			kept = append(kept, s)
+		kept = append(kept, c)
+		for b := int(c.bypassed); b >= 0 && c.j < best[b]; b-- {
+			best[b] = c.j
 		}
 	}
 	return kept
 }
 
-// skyline keeps the 2D (cost, J) Pareto frontier of complete placements,
-// cost-ascending. Exact (cost, J) ties keep the lexicographically smallest
-// decision vector; the rest count as pruned.
-func skyline(in []scored, st *dpStats) []scored {
-	sort.Slice(in, func(i, j int) bool {
-		switch {
-		case in[i].cost != in[j].cost:
-			return in[i].cost < in[j].cost
-		case in[i].j != in[j].j:
-			return in[i].j < in[j].j
-		default:
-			return decLess(in[i].dec, in[j].dec)
+// filter drops, in place, every candidate that a probe strictly dominates —
+// a probe costing no more and bypassing no fewer bridges, with a smaller J.
+// The probes are the sweep's survivors of every probeStride-th candidate, so
+// they are candidates of the same group: each candidate dropped precedes its
+// dominator in sweep order and would be pruned anyway, and every candidate
+// it dominates is dominated by the probe too. The survivors are therefore
+// exactly the sweep's over the whole group.
+func (d *dpRun) filter(cands []cand) []cand {
+	probe := d.probe[:0]
+	for i := 0; i < len(cands); i += probeStride {
+		probe = append(probe, cands[i])
+	}
+	probe = d.sweep(probe)
+	d.probe = probe
+	// One staircase per bypass floor b: the probes bypassing at least b
+	// bridges, in cost order, where each sets a new least J.
+	d.stairs, d.floors = d.stairs[:0], d.floors[:0]
+	for b := 0; b <= d.nb; b++ {
+		d.floors = append(d.floors, len(d.stairs))
+		least := math.Inf(1)
+		for _, q := range probe {
+			if int(q.bypassed) >= b && q.j < least {
+				least = q.j
+				d.stairs = append(d.stairs, stair{q.cost, q.j})
+			}
 		}
-	})
-	var out []scored
-	for _, s := range in {
-		if len(out) > 0 && out[len(out)-1].j <= s.j {
-			st.pruned++
+	}
+	d.floors = append(d.floors, len(d.stairs))
+	kept := cands[:0]
+	for _, c := range cands {
+		// The last step costing at most c holds the least J of every probe
+		// that costs at most c and bypasses at least as many bridges.
+		steps := d.stairs[d.floors[c.bypassed]:d.floors[c.bypassed+1]]
+		lo, hi := 0, len(steps)
+		for lo < hi {
+			if m := int(uint(lo+hi) >> 1); steps[m].cost <= c.cost {
+				lo = m + 1
+			} else {
+				hi = m
+			}
+		}
+		if lo > 0 && steps[lo-1].j < c.j {
 			continue
 		}
-		out = append(out, s)
+		kept = append(kept, c)
+	}
+	return kept
+}
+
+// keep appends one group's survivors to the merge's, doubling the buffer
+// when it fills.
+func (d *dpRun) keep(kept []cand) {
+	if need := len(d.surv) + len(kept); need > cap(d.surv) {
+		d.surv = append(make([]cand, 0, max(need, 2*cap(d.surv))), d.surv...)
+	}
+	d.surv = append(d.surv, kept...)
+}
+
+// build materialises survivors — coordinates and decision vectors — in
+// storage sized to them.
+func (d *dpRun) build(surv []cand) parts {
+	out := parts{pts: make([]part, len(surv)), decs: make([]int8, len(surv)*d.nb)}
+	for k := range surv {
+		c := &surv[k]
+		out.pts[k] = part{cost: c.cost, j: c.j, bypassed: int(c.bypassed)}
+		dec := out.dec(k, d.nb)
+		copy(dec, d.left.dec(int(c.l), d.nb))
+		if c.r >= 0 {
+			for i, x := range d.right.dec(int(c.r), d.nb) {
+				if x != optUndecided {
+					dec[i] = x
+				}
+			}
+		}
+		if d.edge >= 0 {
+			dec[d.edge] = c.opt
+		}
 	}
 	return out
 }
 
-// runDP executes the Van Ginneken-style bottom-up pass and returns the
-// feasible complete frontier, cost-ascending.
-func (p *problem) runDP() ([]scored, dpStats) {
-	var st dpStats
-	// Identity for the component fold: nothing decided, nothing spent.
-	base := make([]int8, len(p.bridges))
-	for i := range base {
-		base[i] = optUndecided
+// skyline keeps the 2D (cost, J) Pareto frontier of complete placements,
+// cost-ascending; exact (cost, J) ties keep the lexicographically smallest
+// decision vector, and the rest count as pruned. It is the 3D prune with the
+// bypass coordinate erased — once the capacity floor is applied, bypassing
+// more no longer helps — so each point's bypass count is recounted from its
+// decisions.
+func (d *dpRun) skyline(cands []cand) []scored {
+	for k := range cands {
+		cands[k].bypassed = 0
 	}
-	complete := []scored{{dec: base}}
+	kept := d.build(d.prune(cands))
+	out := make([]scored, len(kept.pts))
+	for k, s := range kept.pts {
+		dec := kept.dec(k, d.nb)
+		out[k] = scored{dec: dec, cost: s.cost, j: s.j}
+		for _, x := range dec {
+			if x == optBypass {
+				out[k].bypassed++
+			}
+		}
+	}
+	return out
+}
+
+// undecided is the one-partial set that starts every fold and subtree:
+// nothing decided, nothing spent.
+func (d *dpRun) undecided() parts {
+	decs := make([]int8, d.nb)
+	for i := range decs {
+		decs[i] = optUndecided
+	}
+	return parts{pts: []part{{}}, decs: decs}
+}
+
+// runDP executes the Van Ginneken-style bottom-up pass and returns the
+// feasible complete frontier, cost-ascending. It checks ctx between merges
+// and every checkEvery candidates within one, and returns ctx.Err() once
+// the context is done.
+func (p *problem) runDP(ctx context.Context) ([]scored, dpStats, error) {
+	d := &dpRun{p: p, ctx: ctx, nb: len(p.bridges)}
+	d.best = make([]float64, d.nb+1)
+	complete := d.undecided()
 	// Prune between Minkowski folds but never after the last one, so the
 	// capacity filter below still sees — and counts — every complete
 	// placement the final fold produced.
 	totalFolds := len(p.roots) + len(p.nonTree)
 	folded := 0
-	foldPrune := func(next []scored) []scored {
-		st.partials += len(next)
-		folded++
-		if folded < totalFolds {
-			return pruneScored(next, &st)
+	fold := func(cands []cand) []scored {
+		d.st.partials += len(cands)
+		if folded++; folded < totalFolds {
+			complete = d.build(d.prune(cands))
+			return nil
 		}
-		return next
+		// Capacity-floor feasibility: the sizing budget must give every
+		// buffer of the contracted architecture its one-unit floor.
+		feasible := cands[:0]
+		for _, c := range cands {
+			if p.numAttach+2*(d.nb-int(c.bypassed)) <= p.budget {
+				feasible = append(feasible, c)
+			} else {
+				d.st.infeasible++
+			}
+		}
+		return d.skyline(feasible)
 	}
+	var front []scored
 	// Solve each spanning-forest tree independently and close its root's
 	// open component; fold the per-component frontiers by Minkowski sum
 	// (decision vectors are disjoint, and cost, J and bypassed all add).
 	for _, root := range p.roots {
-		sols := p.solveSubtree(root, &st)
-		closed := make([]scored, 0, len(sols))
-		for _, s := range sols {
-			closed = append(closed, scored{
-				dec:      s.dec,
-				cost:     s.cost,
-				j:        s.j + p.closeJ(s.comp),
-				bypassed: s.bypassed,
-			})
+		f, err := d.solveSubtree(root)
+		if err != nil {
+			return nil, d.st, err
 		}
-		n := len(complete) * len(closed)
-		next := make([]scored, 0, n)
-		arena := make([]int8, 0, n*len(p.bridges))
-		for _, a := range complete {
-			for _, b := range closed {
-				arena = arena[:len(arena)+len(p.bridges)]
-				nd := arena[len(arena)-len(p.bridges) : len(arena) : len(arena)]
-				next = append(next, scored{
-					dec:      mergeDecInto(nd, a.dec, b.dec),
-					cost:     a.cost + b.cost,
-					j:        a.j + b.j,
-					bypassed: a.bypassed + b.bypassed,
-				})
+		closed := f.parts
+		for _, g := range f.groups {
+			cj := p.closeJ(g.comp)
+			for k := g.lo; k < g.hi; k++ {
+				closed.pts[k].j += cj
 			}
 		}
-		complete = foldPrune(next)
+		d.left, d.right, d.edge = &complete, &closed, -1
+		cands := d.scratch(len(complete.pts) * len(closed.pts))
+		for l, a := range complete.pts {
+			for r, b := range closed.pts {
+				cands = append(cands, cand{cost: a.cost + b.cost, j: a.j + b.j,
+					bypassed: int32(a.bypassed + b.bypassed), l: int32(l), r: int32(r)})
+			}
+			if err := d.spent(len(closed.pts)); err != nil {
+				return nil, d.st, err
+			}
+		}
+		front = fold(cands)
 	}
 	// Fold the non-tree bridges (cycle closers — always inserted, type
 	// still free): each is an independent (cost, delay) mini-frontier,
 	// composed by Minkowski sum with pruning after each fold.
 	for _, nb := range p.nonTree {
-		n := len(complete) * len(p.types)
-		next := make([]scored, 0, n)
-		arena := make([]int8, 0, n*len(p.bridges))
-		for _, s := range complete {
+		d.left, d.right, d.edge = &complete, nil, nb
+		cands := d.scratch(len(complete.pts) * len(p.types))
+		for l, s := range complete.pts {
 			for t := range p.types {
-				arena = arena[:len(arena)+len(p.bridges)]
-				nd := arena[len(arena)-len(p.bridges) : len(arena) : len(arena)]
-				copy(nd, s.dec)
-				nd[nb] = int8(t)
-				next = append(next, scored{
-					dec:      nd,
-					cost:     s.cost + p.types[t].Cost,
-					j:        s.j + p.insertTerm(nb, int8(t)),
-					bypassed: s.bypassed,
-				})
+				cands = append(cands, cand{cost: s.cost + p.types[t].Cost, j: s.j + p.insertTerm(nb, int8(t)),
+					bypassed: int32(s.bypassed), l: int32(l), r: -1, opt: int8(t)})
+			}
+			if err := d.spent(len(p.types)); err != nil {
+				return nil, d.st, err
 			}
 		}
-		complete = foldPrune(next)
+		front = fold(cands)
 	}
-	// Capacity-floor feasibility: the sizing budget must give every buffer
-	// of the contracted architecture its one-unit floor.
-	feasible := complete[:0]
-	for _, s := range complete {
-		if p.numAttach+2*(len(p.bridges)-s.bypassed) <= p.budget {
-			feasible = append(feasible, s)
-		} else {
-			st.infeasible++
-		}
-	}
-	return skyline(feasible, &st), st
+	return front, d.st, nil
 }
 
 // solveSubtree returns the pruned partial frontier of bus v's subtree with
 // v's component still open. Children merge one at a time in deterministic
 // order; each merge decides the connecting tree edge (every catalogue type,
 // plus bypass when the edge is a cut edge).
-func (p *problem) solveSubtree(v int, st *dpStats) []partial {
-	base := make([]int8, len(p.bridges))
-	for i := range base {
-		base[i] = optUndecided
+func (d *dpRun) solveSubtree(v int) (*frontier, error) {
+	f := &frontier{parts: d.undecided(), groups: []group{{comp: d.p.singletonComp(v), lo: 0, hi: 1}}}
+	for _, c := range d.p.children[v] {
+		cf, err := d.solveSubtree(c)
+		if err != nil {
+			return nil, err
+		}
+		if f, err = d.merge(f, cf, d.p.parentBr[c]); err != nil {
+			return nil, err
+		}
 	}
-	sols := []partial{{comp: p.singletonComp(v), dec: base}}
-	for _, c := range p.children[v] {
-		csols := p.solveSubtree(c, st)
-		edge := p.parentBr[c]
-		options := len(p.types)
-		if p.cut[edge] {
-			options++
-		}
-		n := len(sols) * len(csols) * options
-		next := make([]partial, 0, n)
-		arena := make([]int8, 0, n*len(p.bridges))
-		carve := func() []int8 {
-			arena = arena[:len(arena)+len(p.bridges)]
-			return arena[len(arena)-len(p.bridges) : len(arena) : len(arena)]
-		}
-		for _, sv := range sols {
-			for _, sc := range csols {
-				if p.cut[edge] {
-					nd := mergeDecInto(carve(), sv.dec, sc.dec)
-					nd[edge] = optBypass
-					next = append(next, partial{
-						comp:     unionComp(sv.comp, sc.comp),
-						cost:     sv.cost + sc.cost,
-						j:        sv.j + sc.j,
-						bypassed: sv.bypassed + sc.bypassed + 1,
-						dec:      nd,
-					})
-				}
-				for t := range p.types {
-					nd := mergeDecInto(carve(), sv.dec, sc.dec)
-					nd[edge] = int8(t)
-					next = append(next, partial{
-						comp:     sv.comp,
-						cost:     sv.cost + sc.cost + p.types[t].Cost,
-						j:        sv.j + sc.j + p.closeJ(sc.comp) + p.insertTerm(edge, int8(t)),
-						bypassed: sv.bypassed + sc.bypassed,
-						dec:      nd,
-					})
+	return f, nil
+}
+
+// merge combines v's frontier f with child frontier cf across tree edge
+// edge, one open-component group at a time. Each output group comes from
+// one parent group g and either the whole child frontier closed under each
+// catalogue type (the open component stays g's) or, on a cut edge, one
+// bypassed child group cg (the open component becomes g ∪ cg). Child
+// components contain the child and parent components do not, so the output
+// components are pairwise distinct and each group prunes on its own.
+func (d *dpRun) merge(f, cf *frontier, edge int) (*frontier, error) {
+	p := d.p
+	if err := d.ctx.Err(); err != nil {
+		return nil, err
+	}
+	cut := p.cut[edge]
+	options := len(p.types)
+	if cut {
+		options++
+	}
+	d.st.partials += len(f.pts) * len(cf.pts) * options
+	d.left, d.right, d.edge = &f.parts, &cf.parts, edge
+	// Hoisted: each child group's closing price and each type's insertion
+	// term. The sums below keep the association (sv + sc) + closing price
+	// + insertion term, so every J is bit-identical to pricing it inline.
+	d.ins = d.ins[:0]
+	for t := range p.types {
+		d.ins = append(d.ins, p.insertTerm(edge, int8(t)))
+	}
+	d.closeJ = d.closeJ[:0]
+	for _, cg := range cf.groups {
+		d.closeJ = append(d.closeJ, p.closeJ(cg.comp))
+	}
+	d.surv = d.surv[:0]
+	n := len(f.groups)
+	if cut {
+		n *= 1 + len(cf.groups)
+	}
+	groups := make([]group, 0, n)
+	add := func(comp compKey, cands []cand) {
+		lo := len(d.surv)
+		d.keep(d.prune(cands))
+		groups = append(groups, group{comp: comp, lo: lo, hi: len(d.surv)})
+	}
+	for _, g := range f.groups {
+		cands := d.scratch((g.hi - g.lo) * len(cf.pts) * len(p.types))
+		for l := g.lo; l < g.hi; l++ {
+			sv := f.pts[l]
+			for k, cg := range cf.groups {
+				cj := d.closeJ[k]
+				for r := cg.lo; r < cg.hi; r++ {
+					sc := cf.pts[r]
+					for t, ty := range p.types {
+						cands = append(cands, cand{
+							cost:     sv.cost + sc.cost + ty.Cost,
+							j:        sv.j + sc.j + cj + d.ins[t],
+							bypassed: int32(sv.bypassed + sc.bypassed),
+							l:        int32(l), r: int32(r), opt: int8(t),
+						})
+					}
 				}
 			}
+			if err := d.spent(len(cf.pts) * len(p.types)); err != nil {
+				return nil, err
+			}
 		}
-		st.partials += len(next)
-		sols = p.prune3(next, st)
+		add(g.comp, cands)
+		if !cut {
+			continue
+		}
+		for _, cg := range cf.groups {
+			cands := d.scratch((g.hi - g.lo) * (cg.hi - cg.lo))
+			for l := g.lo; l < g.hi; l++ {
+				sv := f.pts[l]
+				for r := cg.lo; r < cg.hi; r++ {
+					sc := cf.pts[r]
+					cands = append(cands, cand{
+						cost:     sv.cost + sc.cost,
+						j:        sv.j + sc.j,
+						bypassed: int32(sv.bypassed + sc.bypassed + 1),
+						l:        int32(l), r: int32(r), opt: optBypass,
+					})
+				}
+				if err := d.spent(cg.hi - cg.lo); err != nil {
+					return nil, err
+				}
+			}
+			add(unionComp(g.comp, cg.comp), cands)
+		}
 	}
-	return sols
+	return &frontier{parts: d.build(d.surv), groups: groups}, nil
 }
 
 // bruteForce enumerates every complete placement (the same option space as
@@ -325,25 +544,22 @@ func (p *problem) solveSubtree(v int, st *dpStats) []partial {
 // floor, and returns the 2D skyline. It exists as the DP's correctness
 // oracle and as the exhaustive screening path of the pricing benchmark.
 func (p *problem) bruteForce() (front []scored, priced, infeasible int) {
+	d := &dpRun{p: p, nb: len(p.bridges), edge: -1}
+	d.best = make([]float64, d.nb+1)
+	var all parts
+	var cands []cand
 	dec := make([]int8, len(p.bridges))
-	var all []scored
 	var recurse func(i int)
 	recurse = func(i int) {
 		if i == len(p.bridges) {
 			priced++
-			cd := make([]int8, len(dec))
-			copy(cd, dec)
-			s := scored{dec: cd, cost: p.costOf(cd), j: p.totalJ(cd)}
-			for _, d := range cd {
-				if d == optBypass {
-					s.bypassed++
-				}
-			}
-			if p.buffersOf(cd) > p.budget {
+			if p.buffersOf(dec) > p.budget {
 				infeasible++
 				return
 			}
-			all = append(all, s)
+			cands = append(cands, cand{cost: p.costOf(dec), j: p.totalJ(dec), l: int32(len(all.pts)), r: -1})
+			all.pts = append(all.pts, part{})
+			all.decs = append(all.decs, dec...)
 			return
 		}
 		if p.cut[i] {
@@ -356,8 +572,8 @@ func (p *problem) bruteForce() (front []scored, priced, infeasible int) {
 		}
 	}
 	recurse(0)
-	var st dpStats
-	return skyline(all, &st), priced, infeasible
+	d.left = &all
+	return d.skyline(cands), priced, infeasible
 }
 
 // totalJ prices one complete placement from scratch: union-find the

@@ -1,6 +1,7 @@
 package placement
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -27,6 +28,16 @@ func buildTopology(t *testing.T, kind string, buses int, seed int64) *arch.Archi
 		t.Fatalf("build %s/%d: %v", kind, buses, err)
 	}
 	return a
+}
+
+// runDP runs the DP to completion under a context that never ends.
+func runDP(t testing.TB, p *problem) ([]scored, dpStats) {
+	t.Helper()
+	front, st, err := p.runDP(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return front, st
 }
 
 func testProblem(t *testing.T, a *arch.Architecture, budget int) *problem {
@@ -128,7 +139,7 @@ func TestDPMatchesBruteForce(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
-				dp, st := p.runDP()
+				dp, st := runDP(t, p)
 				bf, priced, _ := p.bruteForce()
 				if int64(priced) != p.enumerated {
 					t.Errorf("%s: brute force priced %d of %d placements", name, priced, p.enumerated)
@@ -167,7 +178,7 @@ func TestForestDPMatchesBruteForce(t *testing.T) {
 		t.Fatalf("figure1 bus graph has %d spanning-forest roots, want ≥2 (bus %q joins via a processor only)",
 			len(p.roots), "a")
 	}
-	dp, _ := p.runDP()
+	dp, _ := runDP(t, p)
 	bf, priced, _ := p.bruteForce()
 	if int64(priced) != p.enumerated {
 		t.Errorf("brute force priced %d of %d placements", priced, p.enumerated)
@@ -212,7 +223,7 @@ func twoLegStar() *arch.Architecture {
 // force.
 func TestDominanceTiesBothCoordinates(t *testing.T) {
 	p := testProblem(t, twoLegStar(), 1000)
-	dp, _ := p.runDP()
+	dp, _ := runDP(t, p)
 	bf, _, _ := p.bruteForce()
 	sameFrontier(t, dp, bf)
 	assertPareto(t, dp)
@@ -247,7 +258,7 @@ func TestSingleCandidateNode(t *testing.T) {
 	if !p.cut[0] {
 		t.Fatalf("the single bridge must be a cut edge")
 	}
-	dp, _ := p.runDP()
+	dp, _ := runDP(t, p)
 	bf, priced, _ := p.bruteForce()
 	if priced != len(DefaultCatalogue())+1 {
 		t.Fatalf("priced %d options, want %d", priced, len(DefaultCatalogue())+1)
@@ -274,7 +285,7 @@ func TestBudgetInfeasibleSubtrees(t *testing.T) {
 	}
 	// Budget = attachment floor: only the all-bypass placement is feasible.
 	p := testProblem(t, a, attach)
-	dp, st := p.runDP()
+	dp, st := runDP(t, p)
 	if len(dp) != 1 || dp[0].bypassed != len(a.Bridges) || dp[0].cost != 0 {
 		t.Fatalf("tight budget: want the single all-bypass placement, got %+v", dp)
 	}
@@ -290,7 +301,7 @@ func TestBudgetInfeasibleSubtrees(t *testing.T) {
 	// Room for exactly one inserted bridge: feasible placements bypass at
 	// least len(bridges)-1 edges.
 	p = testProblem(t, a, attach+2)
-	dp, _ = p.runDP()
+	dp, _ = runDP(t, p)
 	bf, _, _ = p.bruteForce()
 	sameFrontier(t, dp, bf)
 	for _, s := range dp {
@@ -332,7 +343,7 @@ func TestApplyContraction(t *testing.T) {
 	}
 
 	// Every frontier placement must contract to a valid architecture.
-	front, _ := p.runDP()
+	front, _ := runDP(t, p)
 	for _, s := range front {
 		c, err := p.apply(s.dec)
 		if err != nil {
@@ -358,7 +369,7 @@ func TestMeshHasNoBypassCandidates(t *testing.T) {
 			t.Errorf("mesh bridge %s marked as cut edge", p.bridges[i].ID)
 		}
 	}
-	front, _ := p.runDP()
+	front, _ := runDP(t, p)
 	for _, s := range front {
 		if s.bypassed != 0 {
 			t.Errorf("mesh frontier placement bypasses %d bridges", s.bypassed)

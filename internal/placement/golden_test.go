@@ -53,8 +53,9 @@ func encodePoint(s scored) string {
 
 // placementWorkloadTopology rebuilds the i-th topology the socbufbench
 // placement workload draws at seed 1 (bench/cmd/socbufbench/workload.go):
-// tree/star/mesh/chain by i%4, 10–14 buses, fan-out 1, skew 4.
-func placementWorkloadTopology(t *testing.T, i int) *arch.Architecture {
+// tree/star/mesh/chain by i%4, 10–14 buses, fan-out 1, skew 4. Index 16 is
+// its first 14-bus tree and 17 its first 14-bus star.
+func placementWorkloadTopology(t testing.TB, i int) *arch.Architecture {
 	t.Helper()
 	rng := rand.New(rand.NewSource(1*1_000_003 + int64(i)))
 	kind := []string{scenario.KindTree, scenario.KindStar, scenario.KindMesh, scenario.KindChain}[i%4]
@@ -76,7 +77,7 @@ func frontierGoldenRuns(t *testing.T) []frontierCase {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		front, st := p.runDP()
+		front, st := runDP(t, p)
 		c := frontierCase{Name: name, Partials: st.partials, Pruned: st.pruned, Infeasible: st.infeasible}
 		for _, s := range front {
 			c.Frontier = append(c.Frontier, encodePoint(s))

@@ -33,7 +33,10 @@ func Place(ctx context.Context, cfg Config) (*Result, error) {
 		return nil, err
 	}
 
-	front, st := p.runDP()
+	front, st, err := p.runDP(ctx)
+	if err != nil {
+		return nil, fmt.Errorf("placement: %w", err)
+	}
 	costFiltered := 0
 	if cfg.CostBudget > 0 {
 		kept := front[:0]

@@ -2,10 +2,12 @@ package placement
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"testing"
 	"time"
 
+	"socbuf/internal/arch"
 	"socbuf/internal/scenario"
 	"socbuf/internal/solver"
 )
@@ -147,6 +149,36 @@ func TestPlaceInvalidInputs(t *testing.T) {
 	}
 }
 
+// TestPlaceDPHonoursDeadline: the DP checks its context between merges and
+// every few thousand candidates within one, so a placement whose DP alone
+// runs for most of a second (a generated 21-bus tree) stops within 100 ms of
+// a 20 ms deadline and says why.
+func TestPlaceDPHonoursDeadline(t *testing.T) {
+	a, err := scenario.Topology{Kind: scenario.KindTree, Buses: 21, FanOut: 1, Skew: 4, Seed: 1}.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{
+		Arch:    a,
+		Budget:  3 * (len(a.Processors) + 2*len(a.Bridges)),
+		Method:  solver.MethodAnalytic,
+		Seeds:   []int64{1},
+		Horizon: 100,
+	}
+	const deadline = 20 * time.Millisecond
+	ctx, cancel := context.WithTimeout(context.Background(), deadline)
+	defer cancel()
+	start := time.Now()
+	_, err = Place(ctx, cfg)
+	late := time.Since(start) - deadline
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Place under a %v deadline: err %v, want context.DeadlineExceeded", deadline, err)
+	}
+	if late > 100*time.Millisecond {
+		t.Errorf("Place returned %v after its %v deadline, want within 100ms", late, deadline)
+	}
+}
+
 // TestScreeningFasterThanOneExactSolve is the acceptance timing gate: on
 // chain6, closed-form pricing of the entire 1024-placement space (≥100
 // candidates) must cost less than a single exact CTMDP/LP solve of the
@@ -266,23 +298,46 @@ func TestHybridRefinementWithin5PercentOfBruteForce(t *testing.T) {
 
 // BenchmarkPlacementDP measures the pure DP (candidate enumeration, pricing
 // and pruning — no solver evaluations) on the chain6 and tree7 registry
-// topologies. PERFORMANCE.md tracks this row.
+// topologies and on placement-workload-shaped ones: the first 14-bus star
+// and 14-bus tree the socbufbench placement workload draws at seed 1, and
+// a 17-bus tree built the same way. PERFORMANCE.md tracks these rows.
 func BenchmarkPlacementDP(b *testing.B) {
+	type bench struct {
+		name   string
+		a      *arch.Architecture
+		budget int
+	}
+	var cases []bench
 	for _, name := range []string{"chain6", "tree7"} {
 		sc, _ := scenario.Get(name)
 		a, err := sc.Build()
 		if err != nil {
 			b.Fatal(err)
 		}
-		cfg := Config{Arch: a, Types: DefaultCatalogue(), Budget: sc.Budget, LatencyWeight: 0.1}
-		b.Run(name, func(b *testing.B) {
+		cases = append(cases, bench{name, a, sc.Budget})
+	}
+	tree17, err := scenario.Topology{Kind: scenario.KindTree, Buses: 17, FanOut: 1, Skew: 4, Seed: 1}.Build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, w := range []struct {
+		name string
+		a    *arch.Architecture
+	}{{"star14", placementWorkloadTopology(b, 17)}, {"tree14", placementWorkloadTopology(b, 16)}, {"tree17", tree17}} {
+		// The workload's budget: three units per buffer of the fully
+		// buffered architecture.
+		cases = append(cases, bench{w.name, w.a, 3 * (len(w.a.Processors) + 2*len(w.a.Bridges))})
+	}
+	for _, c := range cases {
+		cfg := Config{Arch: c.a, Types: DefaultCatalogue(), Budget: c.budget, LatencyWeight: 0.1}
+		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				p, err := newProblem(a, cfg)
+				p, err := newProblem(c.a, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
-				if front, _ := p.runDP(); len(front) == 0 {
+				if front, _ := runDP(b, p); len(front) == 0 {
 					b.Fatal("empty frontier")
 				}
 			}
