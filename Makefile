@@ -8,7 +8,7 @@ NEW ?= bench-results.txt
 
 # The regression gate list (PERFORMANCE.md "The regression gate"): the
 # headline sweep at the default 10%, the hot kernels (the simulator's
-# netproc and screen-shaped runs among them) at a looser 25% —
+# netproc and screen-shaped runs and the placement DP among them) at a looser 25% —
 # micro-benchmarks in the microsecond range are noisier run-to-run than a
 # 9-second sweep, and a real kernel regression shows up well past 25%.
 # .github/workflows/bench.yml applies the same list nightly.
@@ -23,7 +23,8 @@ BENCH_GATES = \
 	-gate 'BenchmarkAnalyticSolve=25' \
 	-gate 'BenchmarkRobustMatrix=25' \
 	-gate 'BenchmarkSimNetproc$$=25' \
-	-gate 'BenchmarkSimScreen=25'
+	-gate 'BenchmarkSimScreen=25' \
+	-gate 'BenchmarkPlacementDP/=25'
 
 .PHONY: build test race bench bench-test bench-compare profile lint fmt scenario-smoke serve-smoke placement-smoke robust-smoke fuzz-smoke fleet-smoke cover
 
@@ -164,8 +165,8 @@ fuzz-smoke:
 # Per-package coverage floors on the solver seam, the uncertainty model, the
 # solve cache, the engine, the LP stack under the exact backend, the
 # linear-algebra kernel, the closed-form queueing oracles, the paper's
-# methodology, the experiment runners, the scenario registry and the
-# simulator. Starting
+# methodology, the experiment runners, the scenario registry, the
+# simulator and the placement DP. Starting
 # coverage at the floors' introduction
 # (2026-08): internal/solver 80.3%, internal/uncertain 92.1%; (2026-10,
 # before the generic cache tier replaced cache rotation): internal/solvecache
@@ -177,14 +178,16 @@ fuzz-smoke:
 # internal/core 82.6%; (2026-10, once every run took the one cached solve
 # path): internal/experiments 69.1% (67.6% before), internal/scenario 86.7%
 # (86.4% before); (2026-10, once a fixed slot set replaced the event heap):
-# internal/sim 96.1% (94.6% before). The floors sit a few points below so honest
+# internal/sim 96.1% (94.6% before); (2026-10, once the placement DP merged
+# one component group at a time): internal/placement 91.6% (91.4% before).
+# The floors sit a few points below so honest
 # refactors don't trip them, but a test-free feature dump — or a refactor
 # that lands by deleting tests — does.
 cover:
 	@set -e; \
 	for spec in internal/solver:75 internal/uncertain:85 internal/solvecache:80 internal/engine:83 \
 		internal/lp:83 internal/ctmdp:85 internal/linalg:88 internal/queueing:93 internal/core:78 \
-		internal/experiments:65 internal/scenario:83 internal/sim:90; do \
+		internal/experiments:65 internal/scenario:83 internal/sim:90 internal/placement:88; do \
 		pkg=$${spec%:*}; floor=$${spec#*:}; \
 		line=$$($(GO) test -cover ./$$pkg/ | tail -1); \
 		echo "$$line"; \

@@ -203,6 +203,12 @@ func (a *Architecture) BusClients() (map[string][]string, error) {
 	if err != nil {
 		return nil, err
 	}
+	return a.ClientsOf(routes), nil
+}
+
+// ClientsOf is BusClients over routes a caller already holds from Routes,
+// so it does not route every flow again.
+func (a *Architecture) ClientsOf(routes []Route) map[string][]string {
 	set := make(map[string]map[string]bool, len(a.Buses))
 	for _, b := range a.Buses {
 		set[b.ID] = map[string]bool{}
@@ -221,7 +227,7 @@ func (a *Architecture) BusClients() (map[string][]string, error) {
 		sort.Strings(ids)
 		out[bus] = ids
 	}
-	return out, nil
+	return out
 }
 
 // BufferArrivalRates returns the total offered rate into every buffer,

@@ -255,10 +255,12 @@ type Result struct {
 	// Enumerated is the full placement-space size the DP covered implicitly
 	// (product of per-bridge option counts).
 	Enumerated int64 `json:"enumerated"`
-	// Partials counts partial placements the DP generated; Pruned of them
-	// were discarded as dominated. Their difference is the work that
-	// survived to later merges — the measure of how much the frontier
-	// carries versus brute force's Enumerated.
+	// Partials counts the candidates the DP's merges and folds covered —
+	// |group|·|child partials|·options per merge, whether or not a
+	// candidate was built; Pruned of them were discarded as dominated.
+	// Their difference is the work that survived to later merges — the
+	// measure of how much the frontier carries versus brute force's
+	// Enumerated.
 	Partials int `json:"partials"`
 	Pruned   int `json:"pruned"`
 	// Infeasible counts complete placements the capacity floor discarded;

@@ -271,11 +271,8 @@ func New(cfg Config) (*Simulator, error) {
 		s.queues = append(s.queues, &queue{id: id, cap: cfg.Alloc[id]})
 	}
 
-	// Buses with their client lists.
-	clients, err := cfg.Arch.BusClients()
-	if err != nil {
-		return nil, err
-	}
+	// Buses with their client lists, from the routes already in hand.
+	clients := cfg.Arch.ClientsOf(routes)
 	busIDs := make([]string, 0, len(cfg.Arch.Buses))
 	for _, b := range cfg.Arch.Buses {
 		busIDs = append(busIDs, b.ID)

@@ -29,6 +29,14 @@ until curl -sf "http://$ADDR/v1/stats" >/dev/null 2>&1; do
   sleep 0.2
 done
 
+# post PATH BODY: POST BODY to PATH, keep the response in OUT and copy it to
+# stderr. The copy is printed, not teed: tee would reopen /dev/stderr and,
+# when stderr is a file, truncate everything logged before it.
+post() {
+  OUT=$(curl -sf -X POST -H 'Content-Type: application/json' -d "$2" "http://$ADDR$1")
+  printf '%s\n' "$OUT" >&2
+}
+
 # One solve per solver backend: the method field must reach the backend
 # (echoed in the response) and the per-backend stats must count each run.
 METHODS=${SOCBUFD_METHODS:-exact analytic hybrid robust}
@@ -36,29 +44,28 @@ RUNS=0
 for METHOD in $METHODS; do
   RUNS=$((RUNS + 1))
   echo "serve-smoke: POST /v1/solve (method $METHOD)"
-  curl -sf -X POST -H 'Content-Type: application/json' \
-    -d '{"scenario":"twobus","iterations":1,"seeds":[1],"horizon":400,"warmUp":50,"method":"'"$METHOD"'"}' \
-    "http://$ADDR/v1/solve" | tee /dev/stderr | grep -q '"method": "'"$METHOD"'"'
+  post /v1/solve '{"scenario":"twobus","iterations":1,"seeds":[1],"horizon":400,"warmUp":50,"method":"'"$METHOD"'"}'
+  printf '%s\n' "$OUT" | grep -q '"method": "'"$METHOD"'"'
 done
 
 echo "serve-smoke: POST /v1/sweep/budget"
 SOLVE='{"scenario":"twobus","iterations":1,"seeds":[1],"horizon":400,"warmUp":50,"method":"exact"}'
 SWEEP='{"arch":"twobus","budgets":[24,30],"iterations":1,"seeds":[1],"horizon":400,"warmUp":50}'
-curl -sf -X POST -H 'Content-Type: application/json' -d "$SWEEP" \
-  "http://$ADDR/v1/sweep/budget" | tee /dev/stderr | tail -1 | grep -q '"summary"'
+post /v1/sweep/budget "$SWEEP"
+printf '%s\n' "$OUT" | tail -1 | grep -q '"summary"'
 
 # A verbatim repeat of a finished request is answered by the cache's result
 # tier: flagged cached, two result hits, no new solve or sweep run.
 echo "serve-smoke: verbatim repeats → result-tier hits"
 runs() { echo "$1" | grep -o '"s[a-z]*Runs": [0-9]*' | tr '\n' ' '; }
 BEFORE=$(curl -sf "http://$ADDR/v1/stats")
-curl -sf -X POST -H 'Content-Type: application/json' -d "$SOLVE" \
-  "http://$ADDR/v1/solve" | tee /dev/stderr | grep -q '"cached": true' || {
+post /v1/solve "$SOLVE"
+printf '%s\n' "$OUT" | grep -q '"cached": true' || {
   echo "serve-smoke: repeated solve not flagged cached" >&2
   exit 1
 }
-curl -sf -X POST -H 'Content-Type: application/json' -d "$SWEEP" \
-  "http://$ADDR/v1/sweep/budget" | tee /dev/stderr | tail -1 | grep -q '"cached":true' || {
+post /v1/sweep/budget "$SWEEP"
+printf '%s\n' "$OUT" | tail -1 | grep -q '"cached":true' || {
   echo "serve-smoke: repeated sweep not flagged cached" >&2
   exit 1
 }
@@ -75,9 +82,8 @@ echo "$AFTER" | grep -q '"ResultHits": 2,' || {
 
 echo "serve-smoke: POST /v1/solve (robust report fields)"
 RUNS=$((RUNS + 1))
-curl -sf -X POST -H 'Content-Type: application/json' \
-  -d '{"scenario":"twobus","iterations":1,"seeds":[1],"horizon":400,"warmUp":50,"method":"robust","uncertainty":{"samples":16,"seed":3}}' \
-  "http://$ADDR/v1/solve" | tee /dev/stderr | grep -q '"yield":'
+post /v1/solve '{"scenario":"twobus","iterations":1,"seeds":[1],"horizon":400,"warmUp":50,"method":"robust","uncertainty":{"samples":16,"seed":3}}'
+printf '%s\n' "$OUT" | grep -q '"yield":'
 
 echo "serve-smoke: unknown method → 400 with the uniform message"
 CODE=$(curl -s -o "$LOG.err" -w '%{http_code}' -X POST -H 'Content-Type: application/json' \
