@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 	"slices"
-	"sort"
 )
 
 // part is one partial placement's dominance coordinates: the accumulated
@@ -103,9 +102,12 @@ type dpRun struct {
 	stairs []stair   // filter's staircases, one per bypass floor
 	floors []int     // start of each bypass floor's staircase in stairs
 	best   []float64 // best[b]: least J among a group's survivors with bypassed ≥ b
-	ins    []float64 // the merge edge's insertion term per type
-	closeJ []float64 // the child's closing price per child group
 	tick   int       // candidates built since the last context check
+}
+
+// newRun starts a DP pass over p that stops once ctx is done.
+func (p *problem) newRun(ctx context.Context) *dpRun {
+	return &dpRun{p: p, ctx: ctx, nb: len(p.bridges), edge: -1, best: make([]float64, len(p.bridges)+1)}
 }
 
 // decLess orders decision vectors lexicographically — the deterministic
@@ -355,8 +357,7 @@ func (d *dpRun) undecided() parts {
 // and every checkEvery candidates within one, and returns ctx.Err() once
 // the context is done.
 func (p *problem) runDP(ctx context.Context) ([]scored, dpStats, error) {
-	d := &dpRun{p: p, ctx: ctx, nb: len(p.bridges)}
-	d.best = make([]float64, d.nb+1)
+	d := p.newRun(ctx)
 	complete := d.undecided()
 	// Prune between Minkowski folds but never after the last one, so the
 	// capacity filter below still sees — and counts — every complete
@@ -470,13 +471,13 @@ func (d *dpRun) merge(f, cf *frontier, edge int) (*frontier, error) {
 	// Hoisted: each child group's closing price and each type's insertion
 	// term. The sums below keep the association (sv + sc) + closing price
 	// + insertion term, so every J is bit-identical to pricing it inline.
-	d.ins = d.ins[:0]
+	ins := make([]float64, len(p.types))
 	for t := range p.types {
-		d.ins = append(d.ins, p.insertTerm(edge, int8(t)))
+		ins[t] = p.insertTerm(edge, int8(t))
 	}
-	d.closeJ = d.closeJ[:0]
-	for _, cg := range cf.groups {
-		d.closeJ = append(d.closeJ, p.closeJ(cg.comp))
+	closeJ := make([]float64, len(cf.groups))
+	for k, cg := range cf.groups {
+		closeJ[k] = p.closeJ(cg.comp)
 	}
 	d.surv = d.surv[:0]
 	n := len(f.groups)
@@ -494,13 +495,13 @@ func (d *dpRun) merge(f, cf *frontier, edge int) (*frontier, error) {
 		for l := g.lo; l < g.hi; l++ {
 			sv := f.pts[l]
 			for k, cg := range cf.groups {
-				cj := d.closeJ[k]
+				cj := closeJ[k]
 				for r := cg.lo; r < cg.hi; r++ {
 					sc := cf.pts[r]
 					for t, ty := range p.types {
 						cands = append(cands, cand{
 							cost:     sv.cost + sc.cost + ty.Cost,
-							j:        sv.j + sc.j + cj + d.ins[t],
+							j:        sv.j + sc.j + cj + ins[t],
 							bypassed: int32(sv.bypassed + sc.bypassed),
 							l:        int32(l), r: int32(r), opt: int8(t),
 						})
@@ -544,8 +545,7 @@ func (d *dpRun) merge(f, cf *frontier, edge int) (*frontier, error) {
 // floor, and returns the 2D skyline. It exists as the DP's correctness
 // oracle and as the exhaustive screening path of the pricing benchmark.
 func (p *problem) bruteForce() (front []scored, priced, infeasible int) {
-	d := &dpRun{p: p, nb: len(p.bridges), edge: -1}
-	d.best = make([]float64, d.nb+1)
+	d := p.newRun(context.Background())
 	var all parts
 	var cands []cand
 	dec := make([]int8, len(p.bridges))
@@ -618,7 +618,7 @@ func (p *problem) totalJ(dec []int8) float64 {
 	for r := range comps {
 		reps = append(reps, r)
 	}
-	sort.Ints(reps)
+	slices.Sort(reps)
 	var j float64
 	for _, r := range reps {
 		j += p.closeJ(comps[r])
