@@ -120,19 +120,18 @@ func TestDPMatchesBruteForce(t *testing.T) {
 		if len(a.Bridges) > 12 {
 			t.Fatalf("%s/%d: %d candidates exceeds the small-tree gate bound", tc.kind, tc.buses, len(a.Bridges))
 		}
-		for _, types := range [][]BufferType{DefaultCatalogue(), twin} {
-			p := testProblem(t, a, 1000)
-			// Tight: every non-cut bridge inserted, and room for only half
-			// the cut edges — the capacity floor then cuts into the space.
-			cutEdges := 0
-			for _, c := range p.cut {
-				if c {
-					cutEdges++
-				}
+		// Generous: every placement is feasible, so the gate tests dominance
+		// pruning alone. Tight: every non-cut bridge inserted and room for
+		// only half the cut edges, so the capacity floor cuts into the space.
+		base := testProblem(t, a, 1000)
+		cutEdges := 0
+		for _, c := range base.cut {
+			if c {
+				cutEdges++
 			}
-			tight := p.numAttach + 2*(len(p.bridges)-cutEdges) + cutEdges
-			// Generous: every placement is feasible, so the gate tests
-			// dominance pruning alone.
+		}
+		tight := base.numAttach + 2*(len(base.bridges)-cutEdges) + cutEdges
+		for _, types := range [][]BufferType{DefaultCatalogue(), twin} {
 			for _, budget := range []int{1000, tight} {
 				name := fmt.Sprintf("%s/%d/seed %d/%s/budget %d", tc.kind, tc.buses, tc.seed, types[1].Name, budget)
 				p, err := newProblem(a, Config{Arch: a, Types: types, Budget: budget, LatencyWeight: 0.1})
