@@ -14,7 +14,6 @@ NEW ?= bench-results.txt
 # .github/workflows/bench.yml applies the same list nightly.
 BENCH_GATES = \
 	-gate 'BenchmarkSweep32' \
-	-gate 'BenchmarkSimplex=25' \
 	-gate 'BenchmarkSolveSingleModel=25' \
 	-gate 'BenchmarkSolveJointCapped=25' \
 	-gate 'BenchmarkCappedSolve/=25' \
@@ -163,7 +162,7 @@ fuzz-smoke:
 	done
 
 # Per-package coverage floors on the solver seam, the uncertainty model, the
-# solve cache, the engine, the LP stack under the exact backend, the
+# solve cache, the engine, the CTMDP solver under the exact backend, the
 # linear-algebra kernel, the closed-form queueing oracles, the paper's
 # methodology, the experiment runners, the scenario registry, the
 # simulator and the placement DP. Starting
@@ -171,22 +170,25 @@ fuzz-smoke:
 # (2026-08): internal/solver 80.3%, internal/uncertain 92.1%; (2026-10,
 # before the generic cache tier replaced cache rotation): internal/solvecache
 # 84.6%, internal/engine 88.1–88.5% (run to run); (2026-10, once the capped
-# LP had one warm-started solve path): internal/lp 87.0%, internal/ctmdp
-# 89.5%; (2026-10, once internal/linalg became the one home of stationary
-# solves): internal/linalg 92.6% (92.5% before that move); (2026-10, once
+# LP had one warm-started solve path): internal/ctmdp 89.5%; (2026-10, once
+# internal/linalg became the one home of stationary solves): internal/linalg
+# 92.6% (92.5% before that move); (2026-10, once
 # the code no entry point reached was deleted): internal/queueing 97.4%,
 # internal/core 82.6%; (2026-10, once every run took the one cached solve
 # path): internal/experiments 69.1% (67.6% before), internal/scenario 86.7%
 # (86.4% before); (2026-10, once a fixed slot set replaced the event heap):
 # internal/sim 96.1% (94.6% before); (2026-10, once the placement DP merged
 # one component group at a time): internal/placement 91.6% (91.4% before).
+# Re-measured (2026-10) once the LP referee, the CSR layer and linalg's
+# test-only helpers were deleted: internal/ctmdp 93.9% (93.9% before),
+# internal/linalg 97.2% (97.4% before); both floors kept.
 # The floors sit a few points below so honest
 # refactors don't trip them, but a test-free feature dump — or a refactor
 # that lands by deleting tests — does.
 cover:
 	@set -e; \
 	for spec in internal/solver:75 internal/uncertain:85 internal/solvecache:80 internal/engine:83 \
-		internal/lp:83 internal/ctmdp:85 internal/linalg:88 internal/queueing:93 internal/core:78 \
+		internal/ctmdp:85 internal/linalg:88 internal/queueing:93 internal/core:78 \
 		internal/experiments:65 internal/scenario:83 internal/sim:90 internal/placement:88; do \
 		pkg=$${spec%:*}; floor=$${spec#*:}; \
 		line=$$($(GO) test -cover ./$$pkg/ | tail -1); \

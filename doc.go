@@ -4,9 +4,8 @@
 //
 // The repository is organised bottom-up:
 //
-//   - internal/linalg, internal/lp        — dense LU, CSR generator
-//     assembly and the dense CTMC stationary solve, and a two-phase
-//     simplex solver that tests use as a referee;
+//   - internal/linalg                     — dense LU, linear solves and
+//     the dense CTMC stationary solve the tests use as a referee;
 //   - internal/queueing                   — M/M/1/K closed-form oracles;
 //   - internal/arch, internal/graph       — the SoC communication model
 //     (buses, processors, bridges, flows) and the bridge-buffer splitting
@@ -30,7 +29,7 @@
 //     one iteration at a time as core.Stepper) and the sizing policies the
 //     paper compares;
 //   - internal/solver                     — the pluggable solver backends
-//     every entry point dispatches through: "exact" (the CTMDP/LP path),
+//     every entry point dispatches through: "exact" (the CTMDP path),
 //     "analytic" (closed-form M/M/1/K blocking + marginal-allocation
 //     greedy, no LP, ~150× faster) and "hybrid" (analytic screening with
 //     gated exact refinement, same sizing as exact) — DESIGN.md §6
@@ -61,8 +60,7 @@
 // iteration's last policy evaluation and checked by the answer's dual
 // certificate (DESIGN.md §8); nothing recomputes it afterwards. The tests
 // referee it with a dense solve of the policy-induced chain
-// (ctmdp.PolicyChain, linalg.StationaryDense). No model exceeds
-// ctmdp.MaxStates = 81 states.
+// (linalg.StationaryDense). No model exceeds ctmdp.MaxStates = 81 states.
 //
 // See README.md for a tour (including "Choosing a solver method" and
 // "Buffer placement"), DESIGN.md for the system inventory and modelling

@@ -10,101 +10,57 @@ import (
 	"socbuf/internal/arch"
 	"socbuf/internal/core"
 	"socbuf/internal/ctmdp"
-	"socbuf/internal/lp"
 	"socbuf/internal/scenario"
 )
 
-// program is one model's occupation-measure LP, assembled here from the
-// model's exported description alone so it referees SolveJoint rather than
-// sharing its assembly: per-variable cost and occupancy, and the balance
-// rows (one per state) over the model's variables.
-type program struct {
-	cost, occ []float64
-	balance   [][]float64
-}
-
-func programOf(t *testing.T, m *ctmdp.Model) program {
+// leastOccupancy returns the least expected occupancy any measure of m
+// holds, by policy iteration on the cost occ(s) over the model's exported
+// description alone. It stops only when no action's reduced cost lies
+// below −1e-12 of its terms' magnitude — a tighter form of the check
+// certifyAnswer applies — so the gain it returns is a certified lower bound
+// on every measure's occupancy, not a trusted number.
+func leastOccupancy(t *testing.T, name string, m *ctmdp.Model) float64 {
 	t.Helper()
-	n := m.NumVars()
-	p := program{cost: make([]float64, n), occ: make([]float64, n), balance: make([][]float64, m.NumStates())}
-	for s := range p.balance {
-		p.balance[s] = make([]float64, n)
+	n := m.NumStates()
+	states := make([]int, n)
+	act := make([]int, n) // the action the policy plays in each state
+	for s := range states {
+		states[s] = s
+		_, act[s] = m.VarStateAction(m.StateVars(s)[0])
 	}
-	for v := 0; v < n; v++ {
-		s, a := m.VarStateAction(v)
-		p.cost[v] = m.CostRate(s, a)
-		p.occ[v] = m.OccupancyUnits(s)
-		targets, rates := moves(t, m, s, a)
-		var exit float64
-		for i, tg := range targets {
-			p.balance[tg][v] += rates[i]
-			exit += rates[i]
-		}
-		p.balance[s][v] -= exit
-	}
-	return p
-}
-
-// linked assembles the capped joint LP — every block's balance and
-// normalisation rows plus the occupancy row — and solves it cold.
-func linked(progs []program, cap float64) (*lp.Solution, error) {
-	total := 0
-	for _, p := range progs {
-		total += len(p.cost)
-	}
-	prob := lp.NewProblem(total)
-	capRow := make([]float64, total)
-	off := 0
-	for _, p := range progs {
-		n := len(p.cost)
-		copy(prob.Objective[off:], p.cost)
-		copy(capRow[off:], p.occ)
-		for _, bal := range p.balance {
-			row := make([]float64, total)
-			copy(row[off:], bal)
-			if err := prob.AddConstraint(row, lp.EQ, 0); err != nil {
-				return nil, err
+	one := []float64{1}
+	policy := func(s int) ([]int, []float64) { return act[s : s+1], one }
+	occ := func(s, _ int) float64 { return m.OccupancyUnits(s) }
+	for evals := 0; evals < 100; evals++ {
+		g, h := evaluate(t, name, m, states, policy, occ)
+		changed := false
+		for s := range act {
+			best, bestR := act[s], 0.0
+			for _, v := range m.StateVars(s) {
+				_, a := m.VarStateAction(v)
+				if r, mag := reducedCost(t, m, s, a, m.OccupancyUnits(s), g, h); r < bestR && r < -1e-12*mag {
+					best, bestR = a, r
+				}
 			}
+			changed = changed || best != act[s]
+			act[s] = best
 		}
-		norm := make([]float64, total)
-		for v := 0; v < n; v++ {
-			norm[off+v] = 1
+		if !changed {
+			return g
 		}
-		if err := prob.AddConstraint(norm, lp.EQ, 1); err != nil {
-			return nil, err
-		}
-		off += n
 	}
-	if err := prob.AddConstraint(capRow, lp.LE, cap); err != nil {
-		return nil, err
-	}
-	return lp.Solve(prob)
+	t.Fatalf("%s: least-occupancy policy iteration did not converge", name)
+	return 0
 }
 
-// alone solves one block with objective cost, returning the optimum.
-func alone(p program, cost []float64) (float64, error) {
-	prob := lp.NewProblem(len(cost))
-	copy(prob.Objective, cost)
-	for _, bal := range p.balance {
-		if err := prob.AddConstraint(bal, lp.EQ, 0); err != nil {
-			return 0, err
-		}
+// leastOccupancies sums leastOccupancy over models.
+func leastOccupancies(t *testing.T, name string, models []*ctmdp.Model) float64 {
+	t.Helper()
+	var least float64
+	for i, m := range models {
+		least += leastOccupancy(t, fmt.Sprintf("%s bus %d", name, i), m)
 	}
-	norm := make([]float64, len(cost))
-	for v := range norm {
-		norm[v] = 1
-	}
-	if err := prob.AddConstraint(norm, lp.EQ, 1); err != nil {
-		return 0, err
-	}
-	sol, err := lp.Solve(prob)
-	if err != nil {
-		return 0, err
-	}
-	if sol.Status != lp.Optimal {
-		return 0, fmt.Errorf("block solve %v", sol.Status)
-	}
-	return sol.Objective, nil
+	return least
 }
 
 func relClose(a, b, tol float64) bool {
@@ -195,56 +151,29 @@ func buildModelsAt(t *testing.T, a *arch.Architecture, budget int) []*ctmdp.Mode
 // on generated topologies — chain, star, tree and mesh, fan-out 1–2, 3–8
 // buses, models from core.BuildSubsystemModels at a uniform allocation —
 // at the caps core's ladder uses (0.92, 0.96, 0.97 × the cap-free
-// occupancy) and at half of it. Each answer must carry its own certificate:
-//
-//	(b) each bus's measure is optimal for cost + Price·occupancy, checked by
-//	    re-solving that bus alone with that cost;
-//	(c) when Price > 0, total occupancy equals the cap within 1e-9 relative;
-//	(d) at most one state is randomised.
-//
-// (b) and (c) make the answer optimal by Lagrangian duality. It must also
-// (a) match the objective of the linked joint LP assembled here to 1e-8
-// relative and agree with it on infeasibility. A referee that reaches a
-// lower objective fails the test; any other disagreement under a valid
-// certificate convicts the referee, not the answer: it is logged and
-// counted. An infeasible verdict is checked directly: the buses' minimum
-// occupancies must sum past the cap. Instances whose cap-free solve already
-// fails are skipped and counted.
+// occupancy) and at half of it. Each answer must pass certifyJoint: every
+// bus's measure optimal for cost + Price·occupancy by its reduced costs,
+// a priced cap met exactly and no cap exceeded, at most one randomised
+// state. Together these make the answer optimal by Lagrangian duality. An
+// infeasible verdict is checked directly: the buses' least occupancies,
+// each certified by leastOccupancy, must sum past the cap. Instances whose
+// cap-free solve already fails are skipped and counted.
 func TestCappedSweepCertificate(t *testing.T) {
 	instances, skipped := certificateInstances(t)
-	var solved, infeasible, refereeWrong int
+	var solved, infeasible int
 	for _, in := range instances {
-		topo, models, free := in.topo, in.models, in.free
-		progs := make([]program, len(models))
-		for i, m := range models {
-			progs[i] = programOf(t, m)
-		}
-		least := -1.0 // the buses' summed minimum occupancy, once needed
+		least := -1.0 // the buses' summed least occupancy, once needed
 		for _, f := range []float64{0.92, 0.96, 0.97, 0.5} {
-			name := fmt.Sprintf("%v cap %.2f", topo, f)
-			cap := f * free
-			got, err := ctmdp.SolveJoint(models, ctmdp.JointConfig{OccupancyCaps: []float64{cap}})
-			ref, refErr := linked(progs, cap)
-			refInfeasible := refErr == nil && ref.Status == lp.Infeasible
+			name := fmt.Sprintf("%v cap %.2f", in.topo, f)
+			cap := f * in.free
+			got, err := ctmdp.SolveJoint(in.models, ctmdp.JointConfig{OccupancyCaps: []float64{cap}})
 			if errors.Is(err, ctmdp.ErrInfeasible) {
 				infeasible++
 				if least < 0 {
-					least = 0
-					for _, p := range progs {
-						v, err := alone(p, p.occ)
-						if err != nil {
-							t.Fatalf("%s: minimum occupancy: %v", name, err)
-						}
-						least += v
-					}
+					least = leastOccupancies(t, name, in.models)
 				}
 				if least <= cap*(1-1e-9) {
 					t.Errorf("%s: reported infeasible, yet the buses can hold %g ≤ cap %g", name, least, cap)
-				}
-				if !refInfeasible {
-					refereeWrong++
-					t.Logf("%s: referee disagrees: it finds %v (%v) where the buses' minimum occupancy %g exceeds the cap %g",
-						name, statusOf(ref), refErr, least, cap)
 				}
 				continue
 			}
@@ -253,73 +182,12 @@ func TestCappedSweepCertificate(t *testing.T) {
 				continue
 			}
 			solved++
-
-			// (b) each bus optimal for cost + Price·occupancy alone.
-			for i, ms := range got.PerModel {
-				p := progs[i]
-				priced := make([]float64, len(p.cost))
-				var val float64
-				for v := range priced {
-					priced[v] = p.cost[v] + got.Price*p.occ[v]
-					val += priced[v] * ms.X[v]
-				}
-				best, err := alone(p, priced)
-				if err != nil {
-					t.Fatalf("%s: bus %d re-solve: %v", name, i, err)
-				}
-				if val > best+1e-8*math.Max(1, math.Abs(best)) {
-					t.Errorf("%s: bus %d measure costs %.12g at price %g, the bus alone reaches %.12g",
-						name, i, val, got.Price, best)
-				}
-			}
-			// (c) a priced cap binds.
-			if got.Price < 0 {
-				t.Errorf("%s: negative price %g", name, got.Price)
-			}
-			if got.Price > 0 && !relClose(got.OccupancyUsed, cap, 1e-9) {
-				t.Errorf("%s: price %g but occupancy %.12g ≠ cap %.12g", name, got.Price, got.OccupancyUsed, cap)
-			}
-			if got.OccupancyUsed > cap*(1+1e-9) {
-				t.Errorf("%s: occupancy %.12g over the cap %.12g", name, got.OccupancyUsed, cap)
-			}
-			// (d) at most one randomised state.
-			randomised := 0
-			for _, ms := range got.PerModel {
-				randomised += len(ms.Policy.KSwitching().Randomised)
-			}
-			if randomised > 1 {
-				t.Errorf("%s: %d randomised states", name, randomised)
-			}
-			// (a) the linked joint LP agrees. A referee point that costs less
-			// would contradict the certificate, so that disagreement fails.
-			switch {
-			case refErr == nil && ref.Status == lp.Optimal && relClose(ref.Objective, got.TotalLossRate, 1e-8):
-			case refErr == nil && ref.Status == lp.Optimal && ref.Objective < got.TotalLossRate:
-				t.Errorf("%s: referee reaches %.12g below the certified %.12g", name, ref.Objective, got.TotalLossRate)
-			default:
-				refereeWrong++
-				t.Logf("%s: referee disagrees: %v (%v), objective %.12g vs certified %.12g",
-					name, statusOf(ref), refErr, objectiveOf(ref), got.TotalLossRate)
-			}
+			certifyJoint(t, name, got, cap)
 		}
 	}
-	t.Logf("capped answers certified: %d, infeasible caps confirmed: %d, referee disagreements: %d, instances skipped: %d",
-		solved, infeasible, refereeWrong, skipped)
+	t.Logf("capped answers certified: %d, infeasible caps confirmed: %d, instances skipped: %d",
+		solved, infeasible, skipped)
 	if solved == 0 {
 		t.Fatal("no capped answer was certified")
 	}
-}
-
-func statusOf(s *lp.Solution) string {
-	if s == nil {
-		return "no solution"
-	}
-	return s.Status.String()
-}
-
-func objectiveOf(s *lp.Solution) float64 {
-	if s == nil || s.Status != lp.Optimal {
-		return math.NaN()
-	}
-	return s.Objective
 }

@@ -21,7 +21,6 @@ const certTol = 1e-8
 
 // neighbour returns the state client c's level moves to by delta from s.
 func neighbour(t *testing.T, m *ctmdp.Model, s, c, delta int) int {
-	t.Helper()
 	levels := make([]int, len(m.Clients))
 	for k := range levels {
 		levels[k] = m.Level(s, k)
@@ -37,7 +36,6 @@ func neighbour(t *testing.T, m *ctmdp.Model, s, c, delta int) int {
 // moves lists the transitions of (s, a) as target states and rates:
 // arrivals below capacity, then the transfer of client a (a ≥ 0).
 func moves(t *testing.T, m *ctmdp.Model, s, a int) (targets []int, rates []float64) {
-	t.Helper()
 	for c, cl := range m.Clients {
 		if cl.Lambda > 0 && m.Level(s, c) < cl.Levels {
 			targets = append(targets, neighbour(t, m, s, c, 1))
@@ -51,12 +49,84 @@ func moves(t *testing.T, m *ctmdp.Model, s, a int) (targets []int, rates []float
 	return targets, rates
 }
 
+// reducedCost returns the reduced cost of (s, a) at cost rate c under gain
+// g and biases h, c − g + Σ_t q(t|s,a)(h_t − h_s), and the sum of its
+// terms' magnitudes, the scale its tolerance is relative to.
+func reducedCost(t *testing.T, m *ctmdp.Model, s, a int, c, g float64, h func(int) float64) (r, mag float64) {
+	targets, rates := moves(t, m, s, a)
+	r, mag = c-g, math.Abs(c)+math.Abs(g)
+	for i, tg := range targets {
+		r += rates[i] * (h(tg) - h(s))
+		mag += rates[i] * (math.Abs(h(tg)) + math.Abs(h(s)))
+	}
+	return r, mag
+}
+
+// evaluate solves a policy's evaluation system over states, the all-empty
+// state first, with a dense solve:
+//
+//	g − Σ_a p(a|s) Σ_t q(t|s,a)(h_t − h_s) = Σ_a p(a|s)·cost(s, a),  h_0 = 0.
+//
+// policy(s) lists the actions played in s with their probabilities. It
+// returns the gain and the biases by state; the test fails if a transition
+// leaves states.
+func evaluate(t *testing.T, name string, m *ctmdp.Model, states []int,
+	policy func(s int) ([]int, []float64), cost func(s, a int) float64) (float64, func(int) float64) {
+	t.Helper()
+	if len(states) == 0 || states[0] != 0 {
+		t.Fatalf("%s: evaluation does not start at the all-empty state", name)
+	}
+	index := make(map[int]int, len(states))
+	for k, s := range states {
+		index[s] = k
+	}
+	col := func(s int) int {
+		k, ok := index[s]
+		if !ok {
+			t.Fatalf("%s: state %d leaves the policy's chain", name, s)
+		}
+		return k
+	}
+	n := len(states)
+	a := linalg.NewMatrix(n, n)
+	rhs := make([]float64, n)
+	for k, s := range states {
+		row := a.Row(k)
+		row[0] = 1
+		var exit float64
+		acts, probs := policy(s)
+		for ai, act := range acts {
+			p := probs[ai]
+			rhs[k] += p * cost(s, act)
+			targets, rates := moves(t, m, s, act)
+			for i, tg := range targets {
+				if j := col(tg); j != 0 {
+					row[j] -= p * rates[i]
+				}
+				exit += p * rates[i]
+			}
+		}
+		if k != 0 {
+			row[k] += exit
+		}
+	}
+	u, err := linalg.Solve(a, rhs)
+	if err != nil {
+		t.Fatalf("%s: evaluation: %v", name, err)
+	}
+	return u[0], func(s int) float64 {
+		if k := col(s); k != 0 {
+			return u[k]
+		}
+		return 0
+	}
+}
+
 // certifyAnswer referees one model's answer at the given occupancy price
 // from the model's exported description, sharing nothing with the solver
 // but the model. It evaluates the answer's policy over the states its
 // chain reaches — every measure lives there: states off it hold a client
-// that never receives traffic — with a dense solve of the evaluation
-// system (g, h; h_0 = 0) at the true costs, and requires
+// that never receives traffic — at the true costs, and requires
 //
 //   - every (state, action) there to have reduced cost
 //     c(s,a) + price·occ(s) − g + Σ_t q(t|s,a)(h_t − h_s) ≥ −certTol·scale,
@@ -72,75 +142,34 @@ func certifyAnswer(t *testing.T, name string, ms *ctmdp.ModelSolution, price flo
 	if err != nil {
 		t.Fatalf("%s: policy chain: %v", name, err)
 	}
-	index := map[int]int{}
-	for k, s := range chain.States {
-		index[s] = k
+	onChain := make(map[int]bool, len(chain.States))
+	for _, s := range chain.States {
+		onChain[s] = true
 	}
-	if len(chain.States) == 0 || chain.States[0] != 0 {
-		t.Fatalf("%s: chain does not start at the all-empty state", name)
-	}
-	n := len(chain.States)
-	a := linalg.NewMatrix(n, n)
-	rhs := make([]float64, n)
 	levels := make([]int, len(m.Clients))
-	col := func(s int) int {
-		k, ok := index[s]
-		if !ok {
-			t.Fatalf("%s: state %d leaves the policy's chain", name, s)
-		}
-		return k
-	}
-	for k, s := range chain.States {
+	var acts []int
+	var probs []float64
+	policy := func(s int) ([]int, []float64) {
 		for c := range levels {
 			levels[c] = m.Level(s, c)
 		}
-		probs, err := ms.Policy.Action(levels)
+		grant, err := ms.Policy.Action(levels)
 		if err != nil {
 			t.Fatal(err)
 		}
-		row := a.Row(k)
-		row[0] = 1
-		var exit float64
-		idle := true
-		for c, p := range probs {
-			if p <= 0 || levels[c] == 0 {
-				continue
-			}
-			idle = false
-			rhs[k] += p * (m.CostRate(s, c) + price*m.OccupancyUnits(s))
-			targets, rates := moves(t, m, s, c)
-			for i, tg := range targets {
-				if j := col(tg); j != 0 {
-					row[j] -= p * rates[i]
-				}
-				exit += p * rates[i]
+		acts, probs = acts[:0], probs[:0]
+		for c, p := range grant {
+			if p > 0 && levels[c] > 0 {
+				acts, probs = append(acts, c), append(probs, p)
 			}
 		}
-		if idle {
-			rhs[k] = m.CostRate(s, -1) + price*m.OccupancyUnits(s)
-			targets, rates := moves(t, m, s, -1)
-			for i, tg := range targets {
-				if j := col(tg); j != 0 {
-					row[j] -= rates[i]
-				}
-				exit += rates[i]
-			}
+		if len(acts) == 0 {
+			acts, probs = append(acts, -1), append(probs, 1)
 		}
-		if k != 0 {
-			row[k] += exit
-		}
+		return acts, probs
 	}
-	u, err := linalg.Solve(a, rhs)
-	if err != nil {
-		t.Fatalf("%s: evaluation: %v", name, err)
-	}
-	h := func(s int) float64 {
-		if k := col(s); k != 0 {
-			return u[k]
-		}
-		return 0
-	}
-	g := u[0]
+	priced := func(s, a int) float64 { return m.CostRate(s, a) + price*m.OccupancyUnits(s) }
+	g, h := evaluate(t, name, m, chain.States, policy, priced)
 
 	type reduced struct {
 		v    int
@@ -165,16 +194,11 @@ func certifyAnswer(t *testing.T, name string, ms *ctmdp.ModelSolution, price flo
 		}
 		balance[s] -= exit * x
 		maxExit = math.Max(maxExit, exit)
-		if _, ok := index[s]; !ok {
+		if !onChain[s] {
 			off += x
 			continue
 		}
-		c := m.CostRate(s, act) + price*m.OccupancyUnits(s)
-		r, mag := c-g, math.Abs(c)+math.Abs(g)
-		for i, tg := range targets {
-			r += rates[i] * (h(tg) - h(s))
-			mag += rates[i] * (math.Abs(h(tg)) + math.Abs(h(s)))
-		}
+		r, mag := reducedCost(t, m, s, act, priced(s, act), g, h)
 		scale = math.Max(scale, mag)
 		rs = append(rs, reduced{v, r, x})
 	}
@@ -309,34 +333,31 @@ func TestLPFailuresSolveAndCertify(t *testing.T) {
 }
 
 // TestPIBelowLPWhereLPStopsEarly pins the two bus models on which the
-// simplex stopped above the optimum in the canonical clone's client order:
-// seed 8057343451856234379 bus08 by 0.85% and seed 4237784468305597840
-// bus04 by 2.9%. The served answer must come out below that LP objective
-// and pass the certificate.
+// simplex that policy iteration replaced stopped above the optimum in the
+// canonical clone's client order: seed 8057343451856234379 bus08 by 0.85%
+// and seed 4237784468305597840 bus04 by 2.9%. The objectives it stopped at
+// are recorded below at full precision. The served answer must come out
+// below them and pass the certificate.
 func TestPIBelowLPWhereLPStopsEarly(t *testing.T) {
 	for _, c := range []struct {
-		seed int64
-		bus  string
+		seed  int64
+		bus   string
+		stuck float64 // the simplex's objective
 	}{
-		{8057343451856234379, "bus08"},
-		{4237784468305597840, "bus04"},
+		{8057343451856234379, "bus08", 3.2551946901247355},
+		{4237784468305597840, "bus04", 4.0764312384561512},
 	} {
 		name := fmt.Sprintf("seed %d %s", c.seed, c.bus)
 		m := chain12Bus(t, c.seed, c.bus)
-		p := programOf(t, byRate(t, m))
-		stuck, err := alone(p, p.cost)
-		if err != nil {
-			t.Fatalf("%s: LP referee: %v", name, err)
-		}
 		sol, err := solvecache.New().SolveJoint([]*ctmdp.Model{m}, ctmdp.JointConfig{})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		certifyJoint(t, name, sol, 0)
-		if sol.TotalLossRate >= stuck*(1-1e-3) {
-			t.Errorf("%s: served loss %.10g, the simplex stopped at %.10g", name, sol.TotalLossRate, stuck)
+		if sol.TotalLossRate >= c.stuck*(1-1e-3) {
+			t.Errorf("%s: served loss %.10g, the simplex stopped at %.10g", name, sol.TotalLossRate, c.stuck)
 		}
-		t.Logf("%s: served %.10g, simplex %.10g (%.2f%% above)", name, sol.TotalLossRate, stuck, 100*(stuck/sol.TotalLossRate-1))
+		t.Logf("%s: served %.10g, simplex %.10g (%.2f%% above)", name, sol.TotalLossRate, c.stuck, 100*(c.stuck/sol.TotalLossRate-1))
 	}
 }
 
@@ -345,7 +366,8 @@ func TestPIBelowLPWhereLPStopsEarly(t *testing.T) {
 // buses and 2–8 units per buffer, 30 seeds per family and fan-out. Each bus
 // is solved cap-free alone, as the methodology does, and the buses jointly
 // under core's cap ladder (0.92, 0.96, 0.97 × the cap-free occupancy). An
-// infeasible ladder is confirmed by the LP referee's minimum occupancies.
+// infeasible ladder is confirmed by the buses' least occupancies
+// (leastOccupancy).
 func TestCertificateProperty(t *testing.T) {
 	kinds := []string{scenario.KindChain, scenario.KindStar, scenario.KindTree, scenario.KindMesh}
 	rng := rand.New(rand.NewSource(20261018))
@@ -372,16 +394,7 @@ func TestCertificateProperty(t *testing.T) {
 				name := fmt.Sprintf("%v capped", topo)
 				if errors.Is(err, ctmdp.ErrInfeasible) {
 					infeasible++
-					var least float64
-					for _, m := range models {
-						p := programOf(t, m)
-						v, err := alone(p, p.occ)
-						if err != nil {
-							t.Fatalf("%s: minimum occupancy: %v", name, err)
-						}
-						least += v
-					}
-					if least <= caps[2]*(1-1e-9) {
+					if least := leastOccupancies(t, name, models); least <= caps[2]*(1-1e-9) {
 						t.Errorf("%s: reported infeasible, yet the buses can hold %g ≤ cap %g", name, least, caps[2])
 					}
 					continue
@@ -482,41 +495,42 @@ func sameSolution(t *testing.T, name string, a, b *ctmdp.JointSolution) {
 
 // policyValue evaluates a deterministic policy (one variable per state) of
 // m by its stationary distribution: its loss rate and expected occupancy.
-func policyValue(t *testing.T, m *ctmdp.Model, act []int) (loss, occ float64) {
+func policyValue(t *testing.T, m *ctmdp.Model, act []int) point {
 	t.Helper()
-	b := linalg.NewSparseBuilder(m.NumStates(), m.NumStates())
+	gen := linalg.NewMatrix(m.NumStates(), m.NumStates())
 	for s, v := range act {
 		_, a := m.VarStateAction(v)
 		targets, rates := moves(t, m, s, a)
 		var exit float64
 		for i, tg := range targets {
-			b.Add(s, tg, rates[i])
+			gen.Add(s, tg, rates[i])
 			exit += rates[i]
 		}
-		b.Add(s, s, -exit)
+		gen.Add(s, s, -exit)
 	}
-	pi, err := linalg.StationaryDense(b.Build())
+	pi, err := linalg.StationaryDense(gen)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var p point
 	for s, v := range act {
 		_, a := m.VarStateAction(v)
-		loss += pi[s] * m.CostRate(s, a)
-		occ += pi[s] * m.OccupancyUnits(s)
+		p.loss += pi[s] * m.CostRate(s, a)
+		p.occ += pi[s] * m.OccupancyUnits(s)
 	}
-	return loss, occ
+	return p
 }
 
-// TestBruteForceSmallModels enumerates every deterministic policy of small
-// random models — one to three clients, levels 1–2, all arrival rates
-// positive — and checks the solver against the enumeration: the cap-free
-// loss is the least any policy reaches, and the loss under a cap is the
-// lower convex envelope of the policies' (occupancy, loss) points at the
-// cap, infeasible exactly when every policy holds more than the cap.
-func TestBruteForceSmallModels(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	models := 0
-	for models < 40 {
+// point is a policy's expected occupancy and loss rate, or an envelope
+// edge's changes in both.
+type point struct{ occ, loss float64 }
+
+// smallModel draws models the way TestBruteForceSmallModels describes until
+// one has at most 4,096 deterministic policies, and returns it with every
+// policy's point.
+func smallModel(t *testing.T, rng *rand.Rand) (*ctmdp.Model, []point) {
+	t.Helper()
+	for {
 		nc := 1 + rng.Intn(3)
 		clients := make([]ctmdp.Client, nc)
 		for c := range clients {
@@ -542,16 +556,13 @@ func TestBruteForceSmallModels(t *testing.T) {
 		if count > 4096 {
 			continue
 		}
-		models++
-		type point struct{ occ, loss float64 }
 		var points []point
 		act := make([]int, m.NumStates())
 		for {
 			for s := range act {
 				act[s] = m.StateVars(s)[choice[s]]
 			}
-			loss, occ := policyValue(t, m, act)
-			points = append(points, point{occ, loss})
+			points = append(points, policyValue(t, m, act))
 			s := 0
 			for ; s < len(choice); s++ {
 				if choice[s]++; choice[s] < len(m.StateVars(s)) {
@@ -560,53 +571,148 @@ func TestBruteForceSmallModels(t *testing.T) {
 				choice[s] = 0
 			}
 			if s == len(choice) {
-				break
+				return m, points
 			}
 		}
-		best, least, most := math.Inf(1), math.Inf(1), 0.0
-		for _, p := range points {
-			best, least, most = math.Min(best, p.loss), math.Min(least, p.occ), math.Max(most, p.occ)
+	}
+}
+
+// envelope is the lower-left convex envelope of one bus's policy points:
+// its least-occupancy point, then edges of rising (negative) slope down to
+// its least loss. A bus's measures are the mixes of its deterministic
+// policies, so their (occupancy, loss) pairs fill the convex hull of the
+// policies' points, and the least loss at each occupancy lies on this
+// envelope.
+type envelope struct {
+	start point
+	edges []point
+}
+
+func envelopeOf(points []point) envelope {
+	sorted := append([]point(nil), points...)
+	sort.Slice(sorted, func(i, j int) bool {
+		if sorted[i].occ != sorted[j].occ {
+			return sorted[i].occ < sorted[j].occ
 		}
-		name := fmt.Sprintf("model %d (%d policies)", models, len(points))
-		free, err := ctmdp.SolveJoint([]*ctmdp.Model{m}, ctmdp.JointConfig{})
+		return sorted[i].loss < sorted[j].loss
+	})
+	// Monotone chain over the points that lower the loss: pop the last
+	// vertex while it does not lie strictly below the chord to p.
+	hull := sorted[:1]
+	for _, p := range sorted[1:] {
+		if p.loss >= hull[len(hull)-1].loss {
+			continue
+		}
+		for len(hull) >= 2 {
+			a, b := hull[len(hull)-2], hull[len(hull)-1]
+			if (b.occ-a.occ)*(p.loss-a.loss)-(b.loss-a.loss)*(p.occ-a.occ) > 0 {
+				break
+			}
+			hull = hull[:len(hull)-1]
+		}
+		hull = append(hull, p)
+	}
+	e := envelope{start: hull[0]}
+	for i := 1; i < len(hull); i++ {
+		e.edges = append(e.edges, point{hull[i].occ - hull[i-1].occ, hull[i].loss - hull[i-1].loss})
+	}
+	return e
+}
+
+// jointValue returns the least summed loss of buses whose summed occupancy
+// is at most cap: the infimal convolution of their envelopes, which starts
+// from the summed least-occupancy points and takes the buses' edges in
+// order of slope. It reports false when cap lies below the summed least
+// occupancies, where the program is infeasible.
+func jointValue(envs []envelope, cap float64) (float64, bool) {
+	var at point
+	var edges []point
+	for _, e := range envs {
+		at.occ += e.start.occ
+		at.loss += e.start.loss
+		edges = append(edges, e.edges...)
+	}
+	if cap < at.occ {
+		return 0, false
+	}
+	sort.SliceStable(edges, func(i, j int) bool {
+		return edges[i].loss/edges[i].occ < edges[j].loss/edges[j].occ
+	})
+	for _, e := range edges {
+		if at.occ+e.occ >= cap {
+			return at.loss + e.loss*(cap-at.occ)/e.occ, true
+		}
+		at.occ += e.occ
+		at.loss += e.loss
+	}
+	return at.loss, true
+}
+
+// TestBruteForceSmallModels enumerates every deterministic policy of small
+// random models — one to three clients, levels 1–2, all arrival rates
+// positive, at most 4,096 policies — and checks the solver against the
+// enumeration on 40 one-bus programs and 30 programs of two or three
+// buses. The cap-free loss is the summed least loss any policy reaches;
+// under one shared cap it is the infimal convolution of the buses'
+// envelopes at the cap (jointValue), infeasible exactly when the cap lies
+// below the summed least occupancies.
+func TestBruteForceSmallModels(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	var compared, infeasible [2]int // one-bus, multi-bus programs
+	worst := 0.0
+	for prog := 0; prog < 70; prog++ {
+		buses := 1
+		if prog >= 40 {
+			buses = 2 + rng.Intn(2)
+		}
+		models := make([]*ctmdp.Model, buses)
+		envs := make([]envelope, buses)
+		policies := 0
+		var best, least float64
+		for b := range models {
+			var points []point
+			models[b], points = smallModel(t, rng)
+			envs[b] = envelopeOf(points)
+			policies += len(points)
+			e := envs[b]
+			best += e.start.loss
+			for _, d := range e.edges {
+				best += d.loss
+			}
+			least += e.start.occ
+		}
+		name := fmt.Sprintf("program %d (%d buses, %d policies)", prog, buses, policies)
+		free, err := ctmdp.SolveJoint(models, ctmdp.JointConfig{})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if !relClose(free.TotalLossRate, best, 1e-8) {
-			t.Errorf("%s: cap-free loss %.12g, the best policy reaches %.12g", name, free.TotalLossRate, best)
+			t.Errorf("%s: cap-free loss %.12g, the best policies reach %.12g", name, free.TotalLossRate, best)
 		}
 		for _, f := range []float64{0.2, 0.5, 0.8, 0.95} {
 			cap := least + f*(free.OccupancyUsed-least) - 0.05*(1-f)*least
-			// The envelope at cap: the cheapest mix of two policies whose
-			// occupancies bracket it, or a policy already under it.
-			envelope := math.Inf(1)
-			for _, p := range points {
-				if p.occ <= cap {
-					envelope = math.Min(envelope, p.loss)
-					continue
-				}
-				for _, q := range points {
-					if q.occ < cap {
-						w := (cap - q.occ) / (p.occ - q.occ)
-						envelope = math.Min(envelope, w*p.loss+(1-w)*q.loss)
-					}
-				}
-			}
-			capped, err := ctmdp.SolveJoint([]*ctmdp.Model{m}, ctmdp.JointConfig{OccupancyCaps: []float64{cap}})
+			want, feasible := jointValue(envs, cap)
+			capped, err := ctmdp.SolveJoint(models, ctmdp.JointConfig{OccupancyCaps: []float64{cap}})
 			cname := fmt.Sprintf("%s cap %.4g (least %.4g)", name, cap, least)
-			if math.IsInf(envelope, 1) {
+			multi := min(buses-1, 1)
+			if !feasible {
 				if !errors.Is(err, ctmdp.ErrInfeasible) {
 					t.Errorf("%s: no policy mix meets the cap, solver gives %v", cname, err)
 				}
+				infeasible[multi]++
 				continue
 			}
 			if err != nil {
 				t.Errorf("%s: %v", cname, err)
 				continue
 			}
-			if !relClose(capped.TotalLossRate, envelope, 1e-8) {
-				t.Errorf("%s: capped loss %.12g, the envelope gives %.12g", cname, capped.TotalLossRate, envelope)
+			if !relClose(capped.TotalLossRate, want, 1e-8) {
+				t.Errorf("%s: capped loss %.12g, the envelopes give %.12g", cname, capped.TotalLossRate, want)
 			}
+			compared[multi]++
+			worst = math.Max(worst, math.Abs(capped.TotalLossRate-want)/want)
 		}
 	}
+	t.Logf("capped losses compared (one-bus, multi-bus): %v, infeasible verdicts agreed: %v, worst relative gap %.2g",
+		compared, infeasible, worst)
 }

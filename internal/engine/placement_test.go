@@ -114,6 +114,8 @@ func TestEnginePlacementValidation(t *testing.T) {
 		{"bad method", PlacementRequest{Scenario: "twobus", Method: "bogus"}},
 		{"scenario+arch", PlacementRequest{Scenario: "twobus", Arch: "twobus"}},
 		{"bad catalogue", PlacementRequest{Scenario: "twobus", Types: []placement.BufferType{{Name: "", Cost: 1}}}},
+		{"negative latency weight", PlacementRequest{Scenario: "twobus", LatencyWeight: -1}},
+		{"negative cost budget", PlacementRequest{Scenario: "twobus", CostBudget: -3}},
 	}
 	for _, c := range cases {
 		if _, err := eng.Placement(context.Background(), c.req); !errors.Is(err, ErrInvalidRequest) {

@@ -396,6 +396,7 @@ func TestPlacementEndpointBadRequest(t *testing.T) {
 		`{"scenario":"no-such"}`,
 		`{"arch":"twobus"}`, // missing budget
 		`{"scenario":"twobus","method":"bogus"}`,
+		`{"scenario":"twobus","latencyWeight":-1}`,
 	} {
 		resp := postJSON(t, ts.URL+"/v1/placement", body)
 		resp.Body.Close()

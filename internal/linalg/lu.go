@@ -176,21 +176,3 @@ func Solve(a *Matrix, b []float64) ([]float64, error) {
 	}
 	return f.Solve(b)
 }
-
-// Residual returns max_i |A·x − b|_i, a cheap solve-quality check.
-func Residual(a *Matrix, x, b []float64) (float64, error) {
-	ax, err := a.MatVec(x)
-	if err != nil {
-		return 0, err
-	}
-	if len(b) != len(ax) {
-		return 0, ErrShape
-	}
-	var mx float64
-	for i := range ax {
-		if d := math.Abs(ax[i] - b[i]); d > mx {
-			mx = d
-		}
-	}
-	return mx, nil
-}

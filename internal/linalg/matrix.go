@@ -1,24 +1,18 @@
 // Package linalg provides the linear-algebra kernel used by the CTMDP
-// solver and the nonlinear (quadratic) coupled-system solver:
-//
-//   - dense: row-major matrices, LU decomposition with partial pivoting,
-//     linear solves and vector helpers — policy iteration's evaluations
-//     (internal/ctmdp) factorise with them;
-//   - sparse: CSR matrices (SparseBuilder, CSR), the form CTMC generators
-//     are assembled in, and StationaryDense, the dense-LU stationary solve
-//     of such a generator. The served path never calls it: it is the
-//     tests' referee of policy iteration's distributions and the inner
-//     solve of nonlinear.Picard.
+// solver and the nonlinear (quadratic) coupled-system solver: row-major
+// dense matrices, LU decomposition with partial pivoting, linear solves and
+// vector helpers. Policy iteration's evaluations (internal/ctmdp)
+// factorise with them. StationaryDense, the dense-LU stationary solve of a
+// CTMC generator, is never called on the served path: it is the tests'
+// referee of policy iteration's distributions and the inner solve of
+// nonlinear.Picard.
 //
 // The package deliberately implements only what the buffer-sizing pipeline
 // needs. Everything is float64 and allocation patterns are predictable so
 // the CTMDP inner loop can reuse buffers.
 package linalg
 
-import (
-	"errors"
-	"fmt"
-)
+import "errors"
 
 // ErrSingular is returned when a factorisation or solve meets an (effectively)
 // singular matrix.
@@ -41,32 +35,6 @@ func NewMatrix(r, c int) *Matrix {
 	return &Matrix{Rows: r, Cols: c, Data: make([]float64, r*c)}
 }
 
-// FromRows builds a matrix from row slices. All rows must have equal length.
-func FromRows(rows [][]float64) (*Matrix, error) {
-	r := len(rows)
-	if r == 0 {
-		return NewMatrix(0, 0), nil
-	}
-	c := len(rows[0])
-	m := NewMatrix(r, c)
-	for i, row := range rows {
-		if len(row) != c {
-			return nil, fmt.Errorf("%w: row %d has %d cols, want %d", ErrShape, i, len(row), c)
-		}
-		copy(m.Data[i*c:(i+1)*c], row)
-	}
-	return m, nil
-}
-
-// Identity returns the n×n identity matrix.
-func Identity(n int) *Matrix {
-	m := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-	}
-	return m
-}
-
 // At returns element (i,j).
 func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 
@@ -84,32 +52,4 @@ func (m *Matrix) Clone() *Matrix {
 	out := NewMatrix(m.Rows, m.Cols)
 	copy(out.Data, m.Data)
 	return out
-}
-
-// T returns the transpose as a new matrix.
-func (m *Matrix) T() *Matrix {
-	out := NewMatrix(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			out.Set(j, i, m.At(i, j))
-		}
-	}
-	return out
-}
-
-// MatVec computes y = M·x. len(x) must equal m.Cols.
-func (m *Matrix) MatVec(x []float64) ([]float64, error) {
-	if len(x) != m.Cols {
-		return nil, fmt.Errorf("%w: matvec %dx%d by vec %d", ErrShape, m.Rows, m.Cols, len(x))
-	}
-	y := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		var s float64
-		for j, v := range row {
-			s += v * x[j]
-		}
-		y[i] = s
-	}
-	return y, nil
 }

@@ -28,47 +28,6 @@ func TestNewMatrixNegativePanics(t *testing.T) {
 	NewMatrix(-1, 2)
 }
 
-func TestFromRows(t *testing.T) {
-	m, err := FromRows([][]float64{{1, 2}, {3, 4}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.At(0, 1) != 2 || m.At(1, 0) != 3 {
-		t.Fatalf("wrong contents: %v", m.Data)
-	}
-}
-
-func TestFromRowsEmpty(t *testing.T) {
-	m, err := FromRows(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Rows != 0 || m.Cols != 0 {
-		t.Fatalf("dims = %dx%d, want 0x0", m.Rows, m.Cols)
-	}
-}
-
-func TestFromRowsRagged(t *testing.T) {
-	if _, err := FromRows([][]float64{{1, 2}, {3}}); err == nil {
-		t.Fatal("ragged rows accepted")
-	}
-}
-
-func TestIdentity(t *testing.T) {
-	m := Identity(3)
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 3; j++ {
-			want := 0.0
-			if i == j {
-				want = 1
-			}
-			if m.At(i, j) != want {
-				t.Fatalf("I(3)[%d,%d] = %v", i, j, m.At(i, j))
-			}
-		}
-	}
-}
-
 func TestSetAddRow(t *testing.T) {
 	m := NewMatrix(2, 2)
 	m.Set(0, 1, 5)
@@ -84,40 +43,11 @@ func TestSetAddRow(t *testing.T) {
 }
 
 func TestCloneIndependent(t *testing.T) {
-	m, _ := FromRows([][]float64{{1, 2}, {3, 4}})
+	m := matrixOf([]float64{1, 2}, []float64{3, 4})
 	c := m.Clone()
 	c.Set(0, 0, 42)
 	if m.At(0, 0) != 1 {
 		t.Fatal("Clone shares storage with original")
-	}
-}
-
-func TestTranspose(t *testing.T) {
-	m, _ := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
-	tr := m.T()
-	if tr.Rows != 3 || tr.Cols != 2 {
-		t.Fatalf("T dims = %dx%d", tr.Rows, tr.Cols)
-	}
-	if tr.At(2, 1) != 6 || tr.At(0, 1) != 4 {
-		t.Fatalf("T contents wrong: %v", tr.Data)
-	}
-}
-
-func TestMatVec(t *testing.T) {
-	m, _ := FromRows([][]float64{{1, 2}, {3, 4}})
-	y, err := m.MatVec([]float64{1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if y[0] != 3 || y[1] != 7 {
-		t.Fatalf("MatVec = %v, want [3 7]", y)
-	}
-}
-
-func TestMatVecShapeError(t *testing.T) {
-	m := NewMatrix(2, 2)
-	if _, err := m.MatVec([]float64{1}); err == nil {
-		t.Fatal("shape mismatch accepted")
 	}
 }
 

@@ -8,20 +8,19 @@ import (
 // StationaryDense computes the stationary distribution π of the CTMC with
 // generator q directly: it solves Qᵀπ = 0 with the last equation replaced by
 // Σπ = 1 by dense LU — exact up to roundoff, O(n³). Only q's off-diagonal
-// rates are read (in CSR order); each diagonal entry is rebuilt by
-// subtracting its row's rates. The chain must have a single recurrent class:
-// otherwise the solve is singular or the solution carries negative mass, and
-// both are errors.
-func StationaryDense(q *CSR) ([]float64, error) {
+// rates are read, row by row in column order; each diagonal entry is
+// rebuilt by subtracting its row's rates. The chain must have a single
+// recurrent class: otherwise the solve is singular or the solution carries
+// negative mass, and both are errors.
+func StationaryDense(q *Matrix) ([]float64, error) {
 	n := q.Rows
 	if n == 0 || q.Cols != n {
 		return nil, fmt.Errorf("%w: generator %dx%d", ErrShape, q.Rows, q.Cols)
 	}
 	a := NewMatrix(n, n) // Qᵀ
 	for i := 0; i < n; i++ {
-		for k := q.RowPtr[i]; k < q.RowPtr[i+1]; k++ {
-			j, rate := q.Col[k], q.Val[k]
-			if j == i {
+		for j, rate := range q.Row(i) {
+			if j == i || rate == 0 {
 				continue
 			}
 			if rate < 0 {

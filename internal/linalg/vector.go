@@ -19,12 +19,3 @@ func NormInf(x []float64) float64 {
 	}
 	return mx
 }
-
-// Sum returns Σ x_i.
-func Sum(x []float64) float64 {
-	var s float64
-	for _, v := range x {
-		s += v
-	}
-	return s
-}

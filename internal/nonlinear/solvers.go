@@ -43,7 +43,7 @@ func (cs *CoupledSystem) Picard(opt PicardOptions) ([]float64, *Diagnostics, err
 	for it := 0; it < opt.MaxIters; it++ {
 		next := make([]float64, cs.total)
 		for m := range cs.Buses {
-			pi, err := linalg.StationaryDense(linalg.FromDense(cs.generatorFor(v, m), 0))
+			pi, err := linalg.StationaryDense(cs.generatorFor(v, m))
 			if err != nil {
 				diag.Reason = fmt.Sprintf("bus %s stationary solve failed at iteration %d: %v", cs.Buses[m].ID, it, err)
 				diag.Iterations = it

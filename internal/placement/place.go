@@ -3,6 +3,7 @@ package placement
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -10,6 +11,22 @@ import (
 	"socbuf/internal/parallel"
 	"socbuf/internal/solver"
 )
+
+// validWeights refuses a latency weight or cost budget no placement can
+// honour, as a core.ErrInvalidConfig: a NaN, infinite or negative
+// LatencyWeight (a NaN makes every screened J NaN, so the DP prunes
+// nothing; a negative one rewards queueing), and a NaN or negative
+// CostBudget (which the filter below would read as unbounded). Zero means
+// the default for both.
+func (c Config) validWeights() error {
+	if !(c.LatencyWeight >= 0) || math.IsInf(c.LatencyWeight, 1) {
+		return fmt.Errorf("placement: %w: latency weight %v must be finite and non-negative", core.ErrInvalidConfig, c.LatencyWeight)
+	}
+	if !(c.CostBudget >= 0) {
+		return fmt.Errorf("placement: %w: cost budget %v must be non-negative", core.ErrInvalidConfig, c.CostBudget)
+	}
+	return nil
+}
 
 // Place runs one full placement: DP over the spanning tree, cost-budget
 // filtering, an analytic-backend screening evaluation of every frontier
@@ -27,6 +44,9 @@ func Place(ctx context.Context, cfg Config) (*Result, error) {
 	}
 	if cfg.Budget <= 0 {
 		return nil, fmt.Errorf("placement: budget %d must be positive", cfg.Budget)
+	}
+	if err := cfg.validWeights(); err != nil {
+		return nil, err
 	}
 	p, err := newProblem(cfg.Arch, cfg)
 	if err != nil {

@@ -3,11 +3,13 @@ package placement
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 	"time"
 
 	"socbuf/internal/arch"
+	"socbuf/internal/core"
 	"socbuf/internal/scenario"
 	"socbuf/internal/solver"
 )
@@ -146,6 +148,30 @@ func TestPlaceInvalidInputs(t *testing.T) {
 	cfg.Types = []BufferType{{Name: "", Cost: 1}}
 	if _, err := Place(context.Background(), cfg); err == nil {
 		t.Error("reserved empty type name accepted")
+	}
+}
+
+// TestPlaceRefusesInvalidWeights: a NaN, infinite or negative latency
+// weight and a NaN or negative cost budget are the caller's mistake, a
+// core.ErrInvalidConfig before the DP runs. Zero keeps meaning the default
+// (TestPlaceEndToEnd).
+func TestPlaceRefusesInvalidWeights(t *testing.T) {
+	for _, c := range []struct {
+		name                      string
+		latencyWeight, costBudget float64
+	}{
+		{"NaN latency weight", math.NaN(), 0},
+		{"+Inf latency weight", math.Inf(1), 0},
+		{"-Inf latency weight", math.Inf(-1), 0},
+		{"negative latency weight", -1, 0},
+		{"NaN cost budget", 0, math.NaN()},
+		{"negative cost budget", 0, -3},
+	} {
+		cfg := quickCfg(t, "chain6")
+		cfg.LatencyWeight, cfg.CostBudget = c.latencyWeight, c.costBudget
+		if _, err := Place(context.Background(), cfg); !errors.Is(err, core.ErrInvalidConfig) {
+			t.Errorf("%s: error %v, want core.ErrInvalidConfig", c.name, err)
+		}
 	}
 }
 

@@ -91,14 +91,14 @@ func TestMM1KMatchesCTMCProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		gen := linalg.NewSparseBuilder(k+1, k+1)
+		gen := linalg.NewMatrix(k+1, k+1)
 		for i := 0; i < k; i++ {
 			gen.Add(i, i+1, lambda)
 			gen.Add(i, i, -lambda)
 			gen.Add(i+1, i, mu)
 			gen.Add(i+1, i+1, -mu)
 		}
-		ctmc, err := linalg.StationaryDense(gen.Build())
+		ctmc, err := linalg.StationaryDense(gen)
 		if err != nil {
 			return false
 		}
