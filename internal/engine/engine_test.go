@@ -744,15 +744,27 @@ func TestEngineRejectsPoisonedPayloads(t *testing.T) {
 		req.UseCache = true
 		return e.Placement(ctx, req)
 	}
+	// A placement payload written behind by a peer's cache is deflated; this
+	// one inflates to a result for another budget, so the cache adopts it
+	// and only the engine's request check refuses it.
+	peer, store := solvecache.New(), solvecache.NewMemStore()
+	peer.SetRemote(store)
+	peer.PutPlacement(solvecache.Key{}, []byte(`{"budget":1}`))
+	otherBudget, ok := store.Get(ctx, solvecache.Key{})
+	if !ok {
+		t.Fatal("the peer wrote no placement payload behind")
+	}
 	for _, tc := range []struct {
 		name, payload string
 		run           func(*Engine) (any, error)
+		adopted       int64 // remote payloads the cache adopts and the engine refuses
 	}{
-		{"analytic/empty", `{"tier":"analytic","data":{"Alloc":{},"LossRate":0}}`, sizing("analytic")},
-		{"analytic/negative", `{"tier":"analytic","data":{"Alloc":{"cpu@ahb1":-5}}}`, sizing("analytic")},
-		{"robust/empty", `{"tier":"robust","data":{"Alloc":{},"LossRate":0}}`, sizing("robust")},
-		{"robust/negative", `{"tier":"robust","data":{"Alloc":{"cpu@ahb1":-5}}}`, sizing("robust")},
-		{"placement/budget", `{"tier":"placement","data":{"budget":1}}`, place},
+		{"analytic/empty", `{"tier":"analytic","data":{"Alloc":{},"LossRate":0}}`, sizing("analytic"), 0},
+		{"analytic/negative", `{"tier":"analytic","data":{"Alloc":{"cpu@ahb1":-5}}}`, sizing("analytic"), 0},
+		{"robust/empty", `{"tier":"robust","data":{"Alloc":{},"LossRate":0}}`, sizing("robust"), 0},
+		{"robust/negative", `{"tier":"robust","data":{"Alloc":{"cpu@ahb1":-5}}}`, sizing("robust"), 0},
+		{"placement/plain", `{"tier":"placement","data":{"budget":1}}`, place, 0},
+		{"placement/budget", string(otherBudget), place, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			clean := New(Config{})
@@ -770,8 +782,8 @@ func TestEngineRejectsPoisonedPayloads(t *testing.T) {
 			if !reflect.DeepEqual(want, got) {
 				t.Fatalf("poisoned peer changed the answer:\nwant %+v\ngot  %+v", want, got)
 			}
-			if s := poisoned.Stats().Cache; s.AnalyticHits+s.RobustHits != 0 {
-				t.Fatalf("a poisoned sizing was adopted: %+v", s)
+			if s := poisoned.Stats().Cache; s.AnalyticHits+s.RobustHits != 0 || s.RemoteHits != tc.adopted {
+				t.Fatalf("remote hits %d, want %d, and no poisoned sizing adopted: %+v", s.RemoteHits, tc.adopted, s)
 			}
 		})
 	}

@@ -32,7 +32,8 @@ func (c Config) validWeights() error {
 // filtering, an analytic-backend screening evaluation of every frontier
 // survivor on its real contracted architecture, and — unless the method is
 // "analytic" — a refinement pass that re-evaluates the best-screened
-// placements with the requested backend. Results are deterministic for
+// placements with the requested backend. Each pass runs the solver once
+// per distinct bypass set (bypassKey). Results are deterministic for
 // every worker count (evaluations fan out but aggregate in frontier order).
 func Place(ctx context.Context, cfg Config) (*Result, error) {
 	if ctx == nil {
@@ -80,13 +81,15 @@ func Place(ctx context.Context, cfg Config) (*Result, error) {
 	// Screening: evaluate every frontier placement with the analytic
 	// backend — full sizing on the contracted architecture, simulated with
 	// the same seeds the refinement will use, so screen and refined losses
-	// are directly comparable.
-	pts, err := parallel.MapCtx(ctx, len(front), cfg.Workers, func(i int) (Point, error) {
-		loss, imp, err := p.evaluate(ctx, cfg, solver.MethodAnalytic, front[i].dec)
-		if err != nil {
-			return Point{}, fmt.Errorf("placement %s: %w", p.signature(front[i].dec), err)
-		}
-		pt := Point{
+	// are directly comparable. Placements that bypass the same bridges share
+	// one contracted architecture, so each bypass set runs once.
+	pts := make([]Point, len(front))
+	all := make([]int, len(front))
+	for i := range all {
+		all[i] = i
+	}
+	err = p.evalGroups(ctx, cfg, solver.MethodAnalytic, front, all, func(i int, loss int64, imp float64) {
+		pts[i] = Point{
 			Decisions:   p.decisionsOf(front[i].dec),
 			Cost:        front[i].cost,
 			Buffers:     p.buffersOf(front[i].dec),
@@ -98,16 +101,16 @@ func Place(ctx context.Context, cfg Config) (*Result, error) {
 			Method:      solver.MethodAnalytic,
 		}
 		if cfg.OnEval != nil {
-			cfg.OnEval(pt)
+			cfg.OnEval(pts[i])
 		}
-		return pt, nil
 	})
 	if err != nil {
 		return nil, err
 	}
 
 	// Refinement: the RefineTop best-screened placements re-evaluate under
-	// the requested backend; "analytic" stops at the screen.
+	// the requested backend, once per bypass set among them; "analytic"
+	// stops at the screen.
 	method := solver.Canonical(cfg.Method)
 	if method != solver.MethodAnalytic {
 		order := make([]int, len(pts))
@@ -125,28 +128,15 @@ func Place(ctx context.Context, cfg Config) (*Result, error) {
 				return decLess(front[order[x]].dec, front[order[y]].dec)
 			}
 		})
-		top := cfg.RefineTop
-		if top > len(order) {
-			top = len(order)
-		}
-		refined, err := parallel.MapCtx(ctx, top, cfg.Workers, func(k int) (Point, error) {
-			i := order[k]
-			loss, imp, err := p.evaluate(ctx, cfg, cfg.Method, front[i].dec)
-			if err != nil {
-				return Point{}, fmt.Errorf("placement %s: %w", p.signature(front[i].dec), err)
-			}
-			pt := pts[i]
-			pt.Loss, pt.Improvement, pt.Method, pt.Refined = loss, imp, method, true
+		top := min(cfg.RefineTop, len(order))
+		err = p.evalGroups(ctx, cfg, cfg.Method, front, order[:top], func(i int, loss int64, imp float64) {
+			pts[i].Loss, pts[i].Improvement, pts[i].Method, pts[i].Refined = loss, imp, method, true
 			if cfg.OnEval != nil {
-				cfg.OnEval(pt)
+				cfg.OnEval(pts[i])
 			}
-			return pt, nil
 		})
 		if err != nil {
 			return nil, err
-		}
-		for k, pt := range refined {
-			pts[order[k]] = pt
 		}
 	}
 
@@ -177,10 +167,58 @@ func Place(ctx context.Context, cfg Config) (*Result, error) {
 	return res, nil
 }
 
+// bypassKey is the part of a decision vector that apply reads: one byte
+// per bridge, set where the bridge is bypassed. A buffer type reaches only
+// the contracted architecture's Name, which no sizing, simulation or cache
+// key reads, so placements with equal keys evaluate to the same loss and
+// improvement under every backend.
+func bypassKey(dec []int8) string {
+	k := make([]byte, len(dec))
+	for i, d := range dec {
+		if d == optBypass {
+			k[i] = 1
+		}
+	}
+	return string(k)
+}
+
+// evalGroups evaluates the placements front[i], i in idx, under method:
+// one solver run per distinct bypass set, on the set's first point in idx
+// order, fanned out over the worker pool. set receives every point's index
+// with its set's loss and improvement, from the worker that ran the set as
+// soon as the run completes; each index arrives once, so set may write the
+// point's own slot without locking.
+func (p *problem) evalGroups(ctx context.Context, cfg Config, method string, front []scored, idx []int, set func(i int, loss int64, imp float64)) error {
+	at := map[string]int{}
+	var groups [][]int
+	for _, i := range idx {
+		k := bypassKey(front[i].dec)
+		g, ok := at[k]
+		if !ok {
+			g = len(groups)
+			at[k] = g
+			groups = append(groups, nil)
+		}
+		groups[g] = append(groups[g], i)
+	}
+	return parallel.ForEachCtx(ctx, len(groups), cfg.Workers, func(g int) error {
+		dec := front[groups[g][0]].dec
+		loss, imp, err := p.evaluate(ctx, cfg, method, dec)
+		if err != nil {
+			return fmt.Errorf("placement %s: %w", p.signature(dec), err)
+		}
+		for _, i := range groups[g] {
+			set(i, loss, imp)
+		}
+		return nil
+	})
+}
+
 // evaluate sizes and simulates one placement's contracted architecture
 // through the solver registry, returning the evaluated loss and the sizing
-// improvement. Each evaluation runs its seeds serially — the outer fan-out
-// already saturates the worker pool.
+// improvement. Each evaluation runs its seeds serially: the fan-out over
+// bypass sets is the pass's only parallelism, so a pass with fewer sets
+// than workers (a mesh screens one) leaves the spare workers idle.
 func (p *problem) evaluate(ctx context.Context, cfg Config, method string, dec []int8) (int64, float64, error) {
 	contracted, err := p.apply(dec)
 	if err != nil {

@@ -3,8 +3,13 @@ package placement
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
+	"sort"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -108,8 +113,10 @@ func TestPlaceDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestPlaceObserverAndOnEval: the streaming hook sees every evaluation and
-// the backend observer attributes every solver run.
+// TestPlaceObserverAndOnEval: the streaming hook sees every point's
+// evaluation, and the backend observer attributes every solver run: one
+// per distinct bypass set among the screened points, plus one for the
+// refined point.
 func TestPlaceObserverAndOnEval(t *testing.T) {
 	cfg := quickCfg(t, "chain6")
 	cfg.Method = solver.MethodExact
@@ -122,12 +129,150 @@ func TestPlaceObserverAndOnEval(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := len(res.Frontier) + 1 // every screen + one refinement
-	if evals != want {
+	if want := len(res.Frontier) + 1; evals != want { // every screen + one refinement
 		t.Errorf("OnEval fired %d times, want %d", evals, want)
 	}
-	if runs != want {
+	if want := bypassSets(res.Frontier, false) + 1; runs != want {
 		t.Errorf("RunObserver fired %d times, want %d", runs, want)
+	}
+}
+
+// bypassSets counts the distinct bypass sets among pts (only the refined
+// ones when refined is set): the solver runs a pass over them needs.
+func bypassSets(pts []Point, refined bool) int {
+	sets := map[string]bool{}
+	for _, pt := range pts {
+		if refined && !pt.Refined {
+			continue
+		}
+		var sb strings.Builder
+		for _, d := range pt.Decisions {
+			if d.Type == "" {
+				sb.WriteString(d.Bridge + ",")
+			}
+		}
+		sets[sb.String()] = true
+	}
+	return len(sets)
+}
+
+// referencePlace is Place with one solver run per point: p.evaluate once
+// per frontier survivor, then once per refined point. Place groups the
+// points by bypass set instead, and must return the same Result.
+func referencePlace(t *testing.T, cfg Config) *Result {
+	t.Helper()
+	cfg = cfg.WithDefaults()
+	p, err := newProblem(cfg.Arch, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	front, st := runDP(t, p)
+	pts := make([]Point, len(front))
+	for i, s := range front {
+		loss, imp, err := p.evaluate(context.Background(), cfg, solver.MethodAnalytic, s.dec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pts[i] = Point{Decisions: p.decisionsOf(s.dec), Cost: s.cost, Buffers: p.buffersOf(s.dec), Bypassed: s.bypassed,
+			ScreenJ: s.j, ScreenLoss: loss, Loss: loss, Improvement: imp, Method: solver.MethodAnalytic}
+	}
+	method := solver.Canonical(cfg.Method)
+	if method != solver.MethodAnalytic {
+		order := make([]int, len(pts))
+		for i := range order {
+			order[i] = i
+		}
+		sort.Slice(order, func(x, y int) bool {
+			a, b := pts[order[x]], pts[order[y]]
+			if a.ScreenLoss != b.ScreenLoss {
+				return a.ScreenLoss < b.ScreenLoss
+			}
+			if a.Cost != b.Cost {
+				return a.Cost < b.Cost
+			}
+			return decLess(front[order[x]].dec, front[order[y]].dec)
+		})
+		for _, i := range order[:min(cfg.RefineTop, len(order))] {
+			loss, imp, err := p.evaluate(context.Background(), cfg, cfg.Method, front[i].dec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pts[i].Loss, pts[i].Improvement, pts[i].Method, pts[i].Refined = loss, imp, method, true
+		}
+	}
+	res := &Result{Arch: cfg.Arch.Name, Method: method, Candidates: len(p.bridges), Enumerated: p.enumerated,
+		Partials: st.partials, Pruned: st.pruned, Infeasible: st.infeasible, Frontier: pts}
+	for _, c := range p.cut {
+		if c {
+			res.Bypassable++
+		}
+	}
+	best := 0
+	for i, pt := range pts {
+		if pt.Loss < pts[best].Loss || (pt.Loss == pts[best].Loss && pt.Cost < pts[best].Cost) {
+			best = i
+		}
+	}
+	res.Chosen = pts[best]
+	return res
+}
+
+// TestPlaceEvaluatesEachBypassSetOnce: a buffer type changes a placement's
+// cost and screened latency but not its contracted architecture, so Place
+// runs the solver once per distinct bypass set in each pass and still
+// returns exactly referencePlace's Result. It covers the four registry
+// topologies under every placement backend, and the placement workload's
+// first four 14-bus topologies at the workload's knobs.
+func TestPlaceEvaluatesEachBypassSetOnce(t *testing.T) {
+	type tc struct {
+		name string
+		cfg  Config
+	}
+	var cases []tc
+	for _, sc := range []string{"chain6", "star6", "tree7", "mesh9"} {
+		for _, m := range []string{solver.MethodAnalytic, solver.MethodExact, solver.MethodHybrid} {
+			cfg := quickCfg(t, sc)
+			cfg.Method, cfg.RefineTop = m, 3
+			cases = append(cases, tc{sc + "/" + m, cfg})
+		}
+	}
+	for i := 16; i < 20; i++ {
+		a := placementWorkloadTopology(t, i)
+		cases = append(cases, tc{fmt.Sprintf("workload%d/analytic", i), Config{
+			Arch: a, Budget: 3 * (len(a.Processors) + 2*len(a.Bridges)), Method: solver.MethodAnalytic,
+			RefineTop: 1, Seeds: []int64{1}, Horizon: 100, WarmUp: 20,
+		}})
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			want := referencePlace(t, c.cfg)
+			cfg := c.cfg
+			cfg.Workers = 2
+			var mu sync.Mutex
+			evals, runs := 0, 0
+			cfg.OnEval = func(Point) { mu.Lock(); evals++; mu.Unlock() }
+			cfg.RunObserver = func(string, time.Duration) { mu.Lock(); runs++; mu.Unlock() }
+			got, err := Place(context.Background(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("grouped Place differs from one run per point:\n got %+v\nwant %+v", got, want)
+			}
+			refined := 0
+			for _, pt := range got.Frontier {
+				if pt.Refined {
+					refined++
+				}
+			}
+			if want := len(got.Frontier) + refined; evals != want {
+				t.Errorf("OnEval fired %d times, want %d (%d points, %d refined)", evals, want, len(got.Frontier), refined)
+			}
+			if want := bypassSets(got.Frontier, false) + bypassSets(got.Frontier, true); runs != want {
+				t.Errorf("RunObserver fired %d times, want %d", runs, want)
+			}
+			t.Logf("%d points (%d refined), %d solver runs", len(got.Frontier), refined, runs)
+		})
 	}
 }
 
@@ -367,6 +512,33 @@ func BenchmarkPlacementDP(b *testing.B) {
 					b.Fatal("empty frontier")
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkPlace times the whole placement — DP, screening and refinement —
+// on the placement workload's first 14-bus tree, star, mesh and chain
+// (placementWorkloadTopology 16–19) at the workload's knobs, and reports
+// the solver runs each placement executes (runs/op, from RunObserver).
+// BenchmarkPlacementDP times the DP alone.
+func BenchmarkPlace(b *testing.B) {
+	for i, name := range []string{"tree14", "star14", "mesh14", "chain14"} {
+		a := placementWorkloadTopology(b, 16+i)
+		var runs atomic.Int64
+		cfg := Config{
+			Arch: a, Budget: 3 * (len(a.Processors) + 2*len(a.Bridges)), Method: solver.MethodAnalytic,
+			RefineTop: 1, Seeds: []int64{1}, Horizon: 100, WarmUp: 20,
+			RunObserver: func(string, time.Duration) { runs.Add(1) },
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			runs.Store(0)
+			for n := 0; n < b.N; n++ {
+				if _, err := Place(context.Background(), cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(runs.Load())/float64(b.N), "runs/op")
 		})
 	}
 }

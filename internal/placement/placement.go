@@ -14,7 +14,10 @@
 // is then priced with the analytic (M/M/1/K) solver backend on its real
 // contracted architecture, and the best screened placements are refined with
 // the exact CTMDP/LP backend through the internal/solver registry — the same
-// screen-then-refine shape as the hybrid sizing backend, one level up.
+// screen-then-refine shape as the hybrid sizing backend, one level up. A
+// buffer type changes a placement's cost and screened latency but not its
+// contracted architecture, so survivors that bypass the same bridges share
+// one solver run per pass.
 //
 // Contraction semantics: a bridge left without buffers does not merely skip
 // two buffers — it stops decoupling its two buses. The placer models this by
@@ -168,16 +171,19 @@ type Config struct {
 	Workers    int
 	Cache      *solvecache.Cache
 
-	// OnEval, when non-nil, receives every per-placement solver evaluation
-	// as it completes — completion order, possibly from worker goroutines
+	// OnEval, when non-nil, receives every frontier point's evaluation, once
+	// per point in the screening pass and once per refined point, as its
+	// solver run completes: points sharing a bypass set share one run and
+	// arrive together. Completion order, possibly from worker goroutines
 	// (the callback must be safe for concurrent use). socbufd streams NDJSON
 	// through it. The final Result is unaffected (aggregation walks frontier
 	// order).
 	OnEval func(Point) `json:"-"`
 	// RunObserver, when non-nil, is invoked after every solver-backend run
-	// the placer executes, with the canonical backend name and wall time —
-	// the same contract as experiments.Options.Observer; internal/engine
-	// hangs its per-backend stats counters off this hook.
+	// the placer executes — one per distinct bypass set in each pass, not
+	// one per point — with the canonical backend name and wall time, the
+	// same contract as experiments.Options.Observer; internal/engine hangs
+	// its per-backend stats counters off this hook.
 	RunObserver func(method string, wall time.Duration) `json:"-"`
 }
 

@@ -403,7 +403,9 @@ func (p *problem) apply(dec []int8) (*arch.Architecture, error) {
 
 // signature renders a decision vector compactly and deterministically
 // ("br01-02=std,br03-04=~"; "~" marks bypass), in bridge-ID order. It names
-// contracted architectures, so it is part of every downstream cache key.
+// contracted architectures and failed evaluations. No sizing, simulation or
+// cache key reads an architecture's Name, so placements that differ only in
+// buffer types evaluate alike (bypassKey).
 func (p *problem) signature(dec []int8) string {
 	idx := make([]int, len(p.bridges))
 	for i := range idx {

@@ -69,8 +69,12 @@ type Cache struct {
 	// Hits and Misses of Stats.
 	exact     *tier[*entry] // local only: no remote tag
 	robust    *tier[*RobustSolution]
-	placement *tier[json.RawMessage]
+	placement *tier[[]byte]          // deflated JSON (zip)
 	result    *tier[json.RawMessage] // local only: no remote tag
+
+	// zip deflates placement payloads on the way in and inflates them on
+	// the way out (deflate.go).
+	zip deflateCodec
 
 	// capped counts capped programs solved (Stats.JointMisses).
 	capped atomic.Int64
@@ -99,11 +103,14 @@ func NewBounded(max int) *Cache {
 	r := &c.remote
 	c.exact = &tier[*entry]{max: max}
 	c.robust = &tier[*RobustSolution]{max: max, remote: r, tag: "robust", clone: (*RobustSolution).clone}
-	// Placement and result payloads are the engine's serialised results,
-	// carried verbatim.
-	cloneRaw := func(b json.RawMessage) json.RawMessage { return append(json.RawMessage(nil), b...) }
-	c.placement = &tier[json.RawMessage]{max: max, remote: r, tag: "placement", clone: cloneRaw}
-	c.result = &tier[json.RawMessage]{max: max, clone: cloneRaw}
+	// Placement and result payloads are the engine's serialised results.
+	// Placement payloads are stored deflated: each deflate and inflate
+	// makes a fresh slice, so the tier needs no clone. Result payloads are
+	// carried verbatim, because hot-fleet reads them on every request.
+	c.placement = &tier[[]byte]{max: max, remote: r, tag: "placement"}
+	c.result = &tier[json.RawMessage]{max: max, clone: func(b json.RawMessage) json.RawMessage {
+		return append(json.RawMessage(nil), b...)
+	}}
 	return c
 }
 
@@ -159,25 +166,33 @@ func (c *Cache) PutRobust(k Key, s *RobustSolution) {
 // PlacementFingerprint key. The payload is the engine's serialised
 // placement result — opaque to this package (placement results are
 // deterministic functions of the key, so byte-level storage is sound and
-// keeps the dependency arrow pointing the right way). Returned bytes are a
-// fresh copy. A remote payload is adopted when it is non-empty; the
+// keeps the dependency arrow pointing the right way). The tier holds it
+// deflated; the returned bytes are the plain payload, in a fresh slice. A
+// remote payload is adopted when it inflates to non-empty bytes; the
 // engine, which owns the payload's schema, checks the rest. A nil receiver
 // (caching disabled) always misses without counting.
 func (c *Cache) LookupPlacement(k Key) ([]byte, bool) {
 	if c == nil {
 		return nil, false
 	}
-	return c.placement.lookup(k, func(b json.RawMessage) bool { return len(b) > 0 })
+	z, ok := c.placement.lookup(k, func(z []byte) bool { return len(c.zip.inflate(z)) > 0 })
+	if !ok {
+		return nil, false
+	}
+	b := c.zip.inflate(z)
+	return b, b != nil
 }
 
 // PutPlacement stores one serialised placement result under its
-// PlacementFingerprint key. The payload is copied in; concurrent duplicate
-// stores are benign. A nil receiver or empty payload is a no-op.
+// PlacementFingerprint key, deflated. Concurrent duplicate stores are
+// benign. A nil receiver, an empty payload and one larger than a remote
+// store payload (maxStorePayload, far above any real placement result) are
+// no-ops.
 func (c *Cache) PutPlacement(k Key, b []byte) {
-	if c == nil || len(b) == 0 {
+	if c == nil || len(b) == 0 || len(b) > maxStorePayload {
 		return
 	}
-	c.placement.put(k, b)
+	c.placement.put(k, c.zip.deflate(b))
 }
 
 // LookupResult fetches a serialised request result by its key: the engine's

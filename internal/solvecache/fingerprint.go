@@ -112,7 +112,12 @@ func (h *hasher) sum() Key { return sha256.Sum256(h.buf) }
 // never mixes the two. Exact keys later lost their trailing refine byte
 // without a bump: that changes every exact key's bytes, so no new key can
 // equal an old one, and exact keys never leave the process anyway.
-const version = 6
+// Version 7 marks placement payloads stored and shared deflated: the keys
+// did not change, so without the bump an old shard would adopt a new
+// payload, fail to decode it and overwrite it, and the two versions would
+// keep overwriting each other in a mixed fleet; the store's version header
+// now keeps them apart.
+const version = 7
 
 // Backend domain-separation tags. Every fingerprint serialises the solver
 // backend that produced (or will produce) the payload immediately after the

@@ -53,6 +53,9 @@ func FuzzRemotePayload(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	for _, poison := range placementPoisons() {
+		f.Add(poison)
+	}
 	for _, poison := range []string{
 		`{"tier":"analytic","data":{"Alloc":{},"LossRate":0}}`,
 		`{"tier":"analytic","data":{"Alloc":{"cpu@ahb1":-5}}}`,

@@ -2,6 +2,10 @@ package solvecache
 
 import (
 	"bytes"
+	"context"
+	"encoding/base64"
+	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -137,5 +141,98 @@ func TestPlacementFingerprintSensitivity(t *testing.T) {
 	}
 	if PlacementFingerprint([]byte("other"), base) == k0 {
 		t.Error("changing the architecture bytes did not change the fingerprint")
+	}
+}
+
+// placementPayload is shaped like the engine's placement results: a
+// frontier of points, each with its decision vector and its numbers, about
+// 20 KB of repetitive JSON.
+func placementPayload() []byte {
+	types := []string{"lite", "std", "fast", ""}
+	var sb strings.Builder
+	sb.WriteString(`{"arch":"tree14","budget":159,"frontier":[`)
+	for p := 0; p < 40; p++ {
+		if p > 0 {
+			sb.WriteByte(',')
+		}
+		sb.WriteString(`{"decisions":[`)
+		for b := 0; b < 13; b++ {
+			if b > 0 {
+				sb.WriteByte(',')
+			}
+			fmt.Fprintf(&sb, `{"bridge":"br%02d-%02d","type":%q}`, b, b+1, types[(p*7+b*3)%4])
+		}
+		fmt.Fprintf(&sb, `],"cost":%d,"buffers":%d,"screenJ":%v,"screenLoss":%d,"improvement":%v}`,
+			p+9, 30+p%7, 0.1234567890123*float64(p+1), 1000+p*37, 0.01*float64(p%9))
+	}
+	sb.WriteString(`]}`)
+	return []byte(sb.String())
+}
+
+// TestPlacementTierDeflates: a placement payload round-trips byte for byte
+// through PutPlacement and LookupPlacement, from the local tier and from a
+// peer through a MemStore, while the tier and the store hold it deflated.
+func TestPlacementTierDeflates(t *testing.T) {
+	in := placementPayload()
+	store := NewMemStore()
+	w, r := New(), New()
+	w.SetRemote(store)
+	r.SetRemote(store)
+	k := PlacementFingerprint([]byte("arch"), PlacementMeta{Budget: 159})
+	w.PutPlacement(k, in)
+	if got, ok := w.LookupPlacement(k); !ok || !bytes.Equal(got, in) {
+		t.Fatalf("local lookup: ok=%v, %d bytes differ from the %d put", ok, len(got), len(in))
+	}
+	if got, ok := r.LookupPlacement(k); !ok || !bytes.Equal(got, in) {
+		t.Fatalf("peer lookup: ok=%v, %d bytes differ from the %d put", ok, len(got), len(in))
+	}
+	if s := r.Stats(); s.RemoteHits != 1 || s.PlacementHits != 1 {
+		t.Fatalf("peer stats after one adoption: %+v", s)
+	}
+	z, _ := w.placement.get(k)
+	env, _ := store.Get(context.Background(), k)
+	t.Logf("payload %d B, stored %d B, remote envelope %d B", len(in), len(z), len(env))
+	if len(z)*4 > len(in) {
+		t.Errorf("tier holds %d bytes for a %d-byte payload, want a quarter or less", len(z), len(in))
+	}
+	if len(env)*2 > len(in) {
+		t.Errorf("the remote envelope has %d bytes for a %d-byte payload, want half or less", len(env), len(in))
+	}
+}
+
+// placementPoisons are placement envelopes a peer may send that hold no
+// placement payload: base64 bytes that are no complete deflate stream, and
+// a stream that inflates to nothing.
+func placementPoisons() map[string][]byte {
+	var z deflateCodec
+	whole := z.deflate(placementPayload())
+	envelope := func(data []byte) []byte {
+		return []byte(fmt.Sprintf(`{"tier":"placement","data":%q}`, base64.StdEncoding.EncodeToString(data)))
+	}
+	return map[string][]byte{
+		"truncated stream": envelope(whole[:len(whole)/2]),
+		"plain JSON":       envelope([]byte(`{"budget":24,"frontier":[{}],"chosen":{}}`)),
+		"empty stream":     envelope(z.deflate(nil)),
+	}
+}
+
+// TestRemotePlacementMustInflate: a peer's placement payload that does not
+// inflate, inflates to nothing or inflates past a store payload's bound
+// (a deflate bomb) is a miss.
+func TestRemotePlacementMustInflate(t *testing.T) {
+	var z deflateCodec
+	poisons := placementPoisons()
+	poisons["bomb"] = []byte(fmt.Sprintf(`{"tier":"placement","data":%q}`,
+		base64.StdEncoding.EncodeToString(z.deflate(make([]byte, maxStorePayload+1)))))
+	k := PlacementFingerprint([]byte("arch"), PlacementMeta{Budget: 24})
+	for name, payload := range poisons {
+		c := New()
+		c.SetRemote(fixedStore(payload))
+		if b, ok := c.LookupPlacement(k); ok {
+			t.Errorf("%s: adopted %d bytes", name, len(b))
+		}
+		if s := c.Stats(); s.RemoteMisses != 1 || s.PlacementMisses != 1 || s.PlacementEntries != 0 {
+			t.Errorf("%s: stats %+v, want one remote and one placement miss", name, s)
+		}
 	}
 }

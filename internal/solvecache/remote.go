@@ -30,8 +30,10 @@ import (
 //     cost recomputes, not correctness.
 //   - Robust payloads must be sizings of the architecture and budget the
 //     lookup names (validRobust).
-//   - Placement payloads are the engine's serialised results, opaque here;
-//     the engine checks them against the request.
+//   - Placement payloads are the engine's serialised results, opaque here
+//     and deflated (deflate.go), so the envelope carries them as a base64
+//     JSON string. One is adopted only if it inflates to non-empty bytes;
+//     the engine checks those against the request.
 
 // remote is a cache's attachment point for the shared store: the store
 // itself (nil = none) and the adoption counters every remote-enabled tier
