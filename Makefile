@@ -27,7 +27,7 @@ BENCH_GATES = \
 	-gate 'BenchmarkPlacementDP/=25' \
 	-gate 'BenchmarkPlace/=25'
 
-.PHONY: build test race bench bench-test bench-compare profile lint fmt scenario-smoke serve-smoke placement-smoke robust-smoke fuzz-smoke fleet-smoke cover
+.PHONY: build test race bench bench-test bench-compare profile lint fma-check fmt scenario-smoke serve-smoke placement-smoke robust-smoke fuzz-smoke fleet-smoke cover
 
 build:
 	$(GO) build ./...
@@ -84,6 +84,22 @@ lint:
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
 	fi
 	$(GO) vet ./...
+
+# No implicit fused multiply-add in the placement price and the queueing
+# kernels it mirrors (ROADMAP item 12): Go may fuse x*y + z into one
+# instruction on arm64, which rounds once where amd64 rounds twice, so the
+# goldens recorded on amd64 would move there. Each product that feeds an
+# addition is written float64(x*y), which forces the rounding. The check
+# compiles both packages for arm64 (no arm64 host needed) and fails on any
+# fused instruction in the listing.
+FMA_PKGS = ./internal/placement ./internal/queueing
+fma-check:
+	@out=$$(GOARCH=arm64 $(GO) build -gcflags=-S $(FMA_PKGS) 2>&1) || { echo "$$out"; exit 1; }; \
+	fused=$$(echo "$$out" | grep -E 'FMADDD|FMSUBD|FNMADDD|FNMSUBD'); \
+	if [ -n "$$fused" ]; then \
+		echo "fma-check: fused multiply-add in $(FMA_PKGS) on arm64:"; echo "$$fused"; exit 1; \
+	fi; \
+	echo "fma-check: no fused multiply-add in $(FMA_PKGS) on arm64"
 
 fmt:
 	gofmt -w .

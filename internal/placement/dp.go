@@ -8,10 +8,11 @@ import (
 
 // part is one partial placement's dominance coordinates: the accumulated
 // (cost, screened J) of everything already closed, and how many bridges it
-// contracted. bypassed is the third dominance coordinate — partials that
-// contracted more bridges need fewer buffers, so a cheaper-and-better but
-// less-contracted partial must not evict one that alone can satisfy a tight
-// capacity budget (the budget-infeasible-subtree invariant, DESIGN.md §7).
+// contracted, clamped at dpRun.bmin. bypassed is the third dominance
+// coordinate — partials that contracted more bridges need fewer buffers, so
+// a cheaper-and-better but less-contracted partial must not evict one that
+// alone can satisfy a tight capacity budget (the budget-infeasible-subtree
+// invariant, DESIGN.md §7).
 type part struct {
 	cost     float64
 	j        float64
@@ -49,11 +50,13 @@ type scored struct {
 	bypassed int
 }
 
-// dpStats counts the DP's work for the result's transparency counters.
+// dpStats counts the DP's work: the first three are the result's
+// transparency counters.
 type dpStats struct {
 	partials   int // candidates covered across all merges, built or not
 	pruned     int // of those, discarded as dominated
 	infeasible int // complete placements dropped by the capacity floor
+	resorted   int // groups sorted because a run lost comparator order
 }
 
 // cand is one candidate of a merge: its dominance coordinates and
@@ -73,6 +76,23 @@ type cand struct {
 // at most cost.
 type stair struct{ cost, j float64 }
 
+// column is one way a child group attaches to a parent group: the child
+// partials [lo, hi) closed under catalogue type opt, or bypassed (opt =
+// optBypass, bump 1). A candidate adds the shifts in the order cost + type
+// cost and J + closing price + insertion term, the association of pricing it
+// inline, so every sum keeps its bits; a bypass adds zeros, which leave a
+// non-negative sum as it is.
+type column struct {
+	lo, hi        int
+	cost, cj, ins float64
+	bump          int
+	opt           int8
+}
+
+// span is one run of a group's candidates: the next candidate to merge and
+// the run's end.
+type span struct{ at, end int }
+
 const (
 	// checkEvery is how many candidates a merge builds between context
 	// checks.
@@ -84,6 +104,13 @@ const (
 	// noise.
 	filterMin   = 1024
 	probeStride = 16
+	// Groups of at most mergeMax runs, each in comparator order, are merged
+	// into the sweep instead of sorted; more runs are filtered and sorted.
+	// At 2 a star's closed groups (one run per default type) sort, and
+	// star14 keeps the sort's time; from 4 to 32 BenchmarkPlacementDP's
+	// cases moved by less than its run-to-run noise, and at 128 tree7 slowed
+	// by a third.
+	mergeMax = 8
 )
 
 // dpRun is one DP pass: the operands of the merge in progress and the
@@ -92,16 +119,25 @@ type dpRun struct {
 	p   *problem
 	ctx context.Context
 	nb  int // bridges: the length of every decision vector
-	st  dpStats
+	// bmin is the fewest bypasses with which a complete placement passes the
+	// capacity floor; bypass counts are stored clamped at it (clamp).
+	bmin int
+	// sortAll sorts every group instead of merging ordered runs: the
+	// reference the merge is tested against.
+	sortAll bool
+	st      dpStats
 
 	// The merge in progress: candidates combine left.pts[l] with
 	// right.pts[r] and decide edge (-1: no edge).
 	left, right *parts
 	edge        int
 
+	cols   []column  // one merge's columns: closed, then one bypassed
 	cands  []cand    // one group's candidates
+	ends   []int     // the end of each run of cands
+	heads  []span    // mergeSweep's runs
 	surv   []cand    // one merge's survivors
-	probe  []cand    // filter's sample
+	spare  []cand    // filter's sample, or mergeSweep's survivors
 	stairs []stair   // filter's staircases, one per bypass floor
 	floors []int     // start of each bypass floor's staircase in stairs
 	best   []float64 // best[b]: least J among a group's survivors with bypassed ≥ b
@@ -110,8 +146,22 @@ type dpRun struct {
 
 // newRun starts a DP pass over p that stops once ctx is done.
 func (p *problem) newRun(ctx context.Context) *dpRun {
-	return &dpRun{p: p, ctx: ctx, nb: len(p.bridges), edge: -1, best: make([]float64, len(p.bridges)+1)}
+	// A complete placement passes the capacity floor iff it bypasses at
+	// least nb − ⌊(budget − attachments)/2⌋ bridges. When the attachments
+	// alone overflow the budget nothing passes, and the coordinate stays
+	// unclamped.
+	nb, bmin := len(p.bridges), len(p.bridges)
+	if room := p.budget - p.numAttach; room >= 0 {
+		bmin = max(0, nb-room/2)
+	}
+	return &dpRun{p: p, ctx: ctx, nb: nb, bmin: bmin, edge: -1, best: make([]float64, bmin+1)}
 }
+
+// clamp stores bypass count b as min(b, bmin). Bypasses beyond bmin buy no
+// feasibility, so counts above it compare as equal. Since min(min(a, m) +
+// min(b, m), m) = min(a + b, m), clamped counts compose through merges and
+// folds, and the floor reads a clamped count with the same verdict.
+func (d *dpRun) clamp(b int) int32 { return int32(min(b, d.bmin)) }
 
 // decLess orders decision vectors lexicographically — the deterministic
 // tie-break whenever two placements tie on every dominance coordinate.
@@ -170,6 +220,15 @@ func (d *dpRun) compare(a, b cand) int {
 	return 0
 }
 
+// less reports whether a precedes b in comparator order, deciding by cost
+// alone when the costs differ.
+func (d *dpRun) less(a, b *cand) bool {
+	if a.cost != b.cost {
+		return a.cost < b.cost
+	}
+	return d.compare(*a, *b) < 0
+}
+
 // spent counts n candidates built and checks the context every checkEvery.
 func (d *dpRun) spent(n int) error {
 	if d.tick += n; d.tick < checkEvery {
@@ -188,39 +247,121 @@ func (d *dpRun) scratch(n int) []cand {
 }
 
 // prune removes the dominated candidates of one group and returns the
-// survivors, sorted, in place at the front of cands. Every candidate covered
-// counts: those the filter drops are pruned as surely as those the sweep
-// drops.
-func (d *dpRun) prune(cands []cand) []cand {
-	n := len(cands)
-	if n >= filterMin {
-		cands = d.filter(cands)
+// survivors in comparator order. cands is laid out as runs that ends closes
+// (nil: no known order). At most mergeMax runs, each in comparator order,
+// merge straight into the sweep; any other group is filtered when large,
+// sorted and swept in place. Every candidate covered counts: those the
+// filter drops are pruned as surely as those the sweep drops.
+func (d *dpRun) prune(cands []cand, ends []int) []cand {
+	var kept []cand
+	switch {
+	case d.sortAll || len(ends) == 0 || len(ends) > mergeMax:
+		kept = d.sortSweep(cands)
+	case d.ordered(cands, ends):
+		kept = d.mergeSweep(cands, ends)
+	default:
+		d.st.resorted++
+		kept = d.sortSweep(cands)
 	}
-	kept := d.sweep(cands)
-	d.st.pruned += n - len(kept)
+	d.st.pruned += len(cands) - len(kept)
 	return kept
 }
 
-// sweep sorts cands and keeps, in place, every candidate no earlier survivor
-// dominates: cost, J and bypass count no worse, exact ties falling to the
-// smaller decision vector. After the sort every earlier survivor costs at
-// most the candidate, so the test reduces to "the least J among survivors
-// bypassing at least as many bridges is ≤ the candidate's", which d.best
-// answers in O(1).
-func (d *dpRun) sweep(cands []cand) []cand {
-	slices.SortFunc(cands, d.compare)
-	best := d.best
-	for b := range best {
-		best[b] = math.Inf(1)
+// ordered reports whether every run of cands is in comparator order. A run
+// shifts sorted partials by constants, which keeps their order unless
+// rounding ties two shifted costs or Js that differed, or the clamp ties two
+// bypass counts: the comparator then falls to a key the shift did not order.
+func (d *dpRun) ordered(cands []cand, ends []int) bool {
+	start := 0
+	for _, end := range ends {
+		for i := start + 1; i < end; i++ {
+			if d.less(&cands[i], &cands[i-1]) {
+				return false
+			}
+		}
+		start = end
 	}
+	return true
+}
+
+// sortSweep filters a large group, sorts it and sweeps it in place.
+func (d *dpRun) sortSweep(cands []cand) []cand {
+	if len(cands) >= filterMin {
+		cands = d.filter(cands)
+	}
+	slices.SortFunc(cands, d.compare)
+	return d.sweep(cands)
+}
+
+// mergeSweep merges runs already in comparator order, taking the least head
+// each step, into the sweep: the sweep of the sorted group, without the
+// sort. The survivors of more than one run land in d.spare.
+func (d *dpRun) mergeSweep(cands []cand, ends []int) []cand {
+	if len(ends) == 1 {
+		return d.sweep(cands)
+	}
+	d.resetBest()
+	heads, start := d.heads[:0], 0
+	for _, end := range ends {
+		if start < end {
+			heads = append(heads, span{start, end})
+		}
+		start = end
+	}
+	d.heads = heads
+	kept := d.spare[:0]
+	for len(heads) > 0 {
+		m := 0
+		for i := 1; i < len(heads); i++ {
+			if d.less(&cands[heads[i].at], &cands[heads[m].at]) {
+				m = i
+			}
+		}
+		if c := cands[heads[m].at]; d.admit(c) {
+			kept = append(kept, c)
+		}
+		// Candidates are distinct, so the least head is unique and the
+		// heads' order does not matter.
+		if heads[m].at++; heads[m].at == heads[m].end {
+			heads[m] = heads[len(heads)-1]
+			heads = heads[:len(heads)-1]
+		}
+	}
+	d.spare = kept
+	return kept
+}
+
+// resetBest empties the sweep's table of least Js.
+func (d *dpRun) resetBest() {
+	for b := range d.best {
+		d.best[b] = math.Inf(1)
+	}
+}
+
+// admit reports whether no earlier survivor dominates c — cost, J and
+// bypass count no worse, exact ties falling to the smaller decision vector
+// — and records c as a survivor if none does. Candidates arrive in
+// comparator order, so every earlier survivor costs at most c, and the test
+// reduces to "the least J among survivors bypassing at least as many
+// bridges is ≤ c's", which d.best answers in O(1).
+func (d *dpRun) admit(c cand) bool {
+	if d.best[c.bypassed] <= c.j {
+		return false
+	}
+	for b := int(c.bypassed); b >= 0 && c.j < d.best[b]; b-- {
+		d.best[b] = c.j
+	}
+	return true
+}
+
+// sweep keeps, in place, every candidate of a sorted group that admit
+// admits.
+func (d *dpRun) sweep(cands []cand) []cand {
+	d.resetBest()
 	kept := cands[:0]
 	for _, c := range cands {
-		if best[c.bypassed] <= c.j {
-			continue
-		}
-		kept = append(kept, c)
-		for b := int(c.bypassed); b >= 0 && c.j < best[b]; b-- {
-			best[b] = c.j
+		if d.admit(c) {
+			kept = append(kept, c)
 		}
 	}
 	return kept
@@ -234,16 +375,17 @@ func (d *dpRun) sweep(cands []cand) []cand {
 // it dominates is dominated by the probe too. The survivors are therefore
 // exactly the sweep's over the whole group.
 func (d *dpRun) filter(cands []cand) []cand {
-	probe := d.probe[:0]
+	probe := d.spare[:0]
 	for i := 0; i < len(cands); i += probeStride {
 		probe = append(probe, cands[i])
 	}
+	d.spare = probe
+	slices.SortFunc(probe, d.compare)
 	probe = d.sweep(probe)
-	d.probe = probe
 	// One staircase per bypass floor b: the probes bypassing at least b
 	// bridges, in cost order, where each sets a new least J.
 	d.stairs, d.floors = d.stairs[:0], d.floors[:0]
-	for b := 0; b <= d.nb; b++ {
+	for b := 0; b <= d.bmin; b++ {
 		d.floors = append(d.floors, len(d.stairs))
 		least := math.Inf(1)
 		for _, q := range probe {
@@ -317,7 +459,7 @@ func (d *dpRun) skyline(cands []cand) []scored {
 	for k := range cands {
 		cands[k].bypassed = 0
 	}
-	kept := d.build(d.prune(cands))
+	kept := d.build(d.prune(cands, nil))
 	out := make([]scored, len(kept.pts))
 	for k, s := range kept.pts {
 		dec := kept.dec(k, d.nb)
@@ -346,7 +488,12 @@ func (d *dpRun) undecided() parts {
 // and every checkEvery candidates within one, and returns ctx.Err() once
 // the context is done.
 func (p *problem) runDP(ctx context.Context) ([]scored, dpStats, error) {
-	d := p.newRun(ctx)
+	return p.newRun(ctx).run()
+}
+
+// run is runDP's pass.
+func (d *dpRun) run() ([]scored, dpStats, error) {
+	p := d.p
 	complete := d.undecided()
 	// Prune between Minkowski folds but never after the last one, so the
 	// capacity filter below still sees — and counts — every complete
@@ -356,11 +503,12 @@ func (p *problem) runDP(ctx context.Context) ([]scored, dpStats, error) {
 	fold := func(cands []cand) []scored {
 		d.st.partials += len(cands)
 		if folded++; folded < totalFolds {
-			complete = d.build(d.prune(cands))
+			complete = d.build(d.prune(cands, nil))
 			return nil
 		}
 		// Capacity-floor feasibility: the sizing budget must give every
-		// buffer of the contracted architecture its one-unit floor.
+		// buffer of the contracted architecture its one-unit floor. The
+		// clamped bypass count gives the unclamped count's verdict.
 		feasible := cands[:0]
 		for _, c := range cands {
 			if p.numAttach+2*(d.nb-int(c.bypassed)) <= p.budget {
@@ -374,7 +522,8 @@ func (p *problem) runDP(ctx context.Context) ([]scored, dpStats, error) {
 	var front []scored
 	// Solve each spanning-forest tree independently and close its root's
 	// open component; fold the per-component frontiers by Minkowski sum
-	// (decision vectors are disjoint, and cost, J and bypassed all add).
+	// (decision vectors are disjoint, cost and J add, and bypassed adds
+	// under the clamp).
 	for _, root := range p.roots {
 		f, err := d.solveSubtree(root)
 		if err != nil {
@@ -392,7 +541,7 @@ func (p *problem) runDP(ctx context.Context) ([]scored, dpStats, error) {
 		for l, a := range complete.pts {
 			for r, b := range closed.pts {
 				cands = append(cands, cand{cost: a.cost + b.cost, j: a.j + b.j,
-					bypassed: int32(a.bypassed + b.bypassed), l: int32(l), r: int32(r)})
+					bypassed: d.clamp(a.bypassed + b.bypassed), l: int32(l), r: int32(r)})
 			}
 			if err := d.spent(len(closed.pts)); err != nil {
 				return nil, d.st, err
@@ -458,74 +607,104 @@ func (d *dpRun) merge(f, cf *frontier, edge int) (*frontier, error) {
 	d.st.partials += len(f.pts) * len(cf.pts) * options
 	d.left, d.right, d.edge = &f.parts, &cf.parts, edge
 	// Hoisted: each child group's closing price and each type's insertion
-	// term. The sums below keep the association (sv + sc) + closing price
-	// + insertion term, so every J is bit-identical to pricing it inline.
-	ins := make([]float64, len(p.types))
-	for t := range p.types {
-		ins[t] = p.insertTerm(edge, int8(t))
+	// term, one closed column per child group and type, and a last column
+	// for the bypassed child group in hand.
+	cols := d.cols[:0]
+	for _, cg := range cf.groups {
+		cj := p.closeJ(cg.comp)
+		for t, ty := range p.types {
+			cols = append(cols, column{lo: cg.lo, hi: cg.hi, cost: ty.Cost, cj: cj, ins: p.insertTerm(edge, int8(t)), opt: int8(t)})
+		}
 	}
-	closeJ := make([]float64, len(cf.groups))
-	for k, cg := range cf.groups {
-		closeJ[k] = p.closeJ(cg.comp)
-	}
+	cols = append(cols, column{})
+	d.cols = cols
+	closed, bypass := cols[:len(cols)-1], cols[len(cols)-1:]
 	d.surv = d.surv[:0]
 	n := len(f.groups)
 	if cut {
 		n *= 1 + len(cf.groups)
 	}
 	groups := make([]group, 0, n)
-	add := func(comp compKey, cands []cand) {
+	add := func(g group, comp compKey, cols []column) error {
+		if err := d.gather(g, cols); err != nil {
+			return err
+		}
 		lo := len(d.surv)
-		d.keep(d.prune(cands))
+		d.keep(d.prune(d.cands, d.ends))
 		groups = append(groups, group{comp: comp, lo: lo, hi: len(d.surv)})
+		return nil
 	}
 	for _, g := range f.groups {
-		cands := d.scratch((g.hi - g.lo) * len(cf.pts) * len(p.types))
-		for l := g.lo; l < g.hi; l++ {
-			sv := f.pts[l]
-			for k, cg := range cf.groups {
-				cj := closeJ[k]
-				for r := cg.lo; r < cg.hi; r++ {
-					sc := cf.pts[r]
-					for t, ty := range p.types {
-						cands = append(cands, cand{
-							cost:     sv.cost + sc.cost + ty.Cost,
-							j:        sv.j + sc.j + cj + ins[t],
-							bypassed: int32(sv.bypassed + sc.bypassed),
-							l:        int32(l), r: int32(r), opt: int8(t),
-						})
-					}
-				}
-			}
-			if err := d.spent(len(cf.pts) * len(p.types)); err != nil {
-				return nil, err
-			}
+		if err := add(g, g.comp, closed); err != nil {
+			return nil, err
 		}
-		add(g.comp, cands)
 		if !cut {
 			continue
 		}
 		for _, cg := range cf.groups {
-			cands := d.scratch((g.hi - g.lo) * (cg.hi - cg.lo))
-			for l := g.lo; l < g.hi; l++ {
-				sv := f.pts[l]
-				for r := cg.lo; r < cg.hi; r++ {
-					sc := cf.pts[r]
-					cands = append(cands, cand{
-						cost:     sv.cost + sc.cost,
-						j:        sv.j + sc.j,
-						bypassed: int32(sv.bypassed + sc.bypassed + 1),
-						l:        int32(l), r: int32(r), opt: optBypass,
-					})
-				}
-				if err := d.spent(cg.hi - cg.lo); err != nil {
-					return nil, err
-				}
+			bypass[0] = column{lo: cg.lo, hi: cg.hi, bump: 1, opt: optBypass}
+			if err := add(g, unionComp(g.comp, cg.comp), bypass); err != nil {
+				return nil, err
 			}
-			add(unionComp(g.comp, cg.comp), cands)
 		}
 	}
 	return &frontier{parts: d.build(d.surv), groups: groups}, nil
+}
+
+// gather builds into d.cands the candidates pairing parent group g's
+// partials with the child partials of cols, as runs that d.ends closes. A
+// run fixes one operand and varies the other over its sorted partials, so
+// it is in comparator order unless rounding or the clamp ties it (prune
+// checks). Fixing a child partial gives one run per child partial of each
+// column, fixing a parent partial one run per parent partial and column;
+// gather takes whichever gives fewer runs.
+func (d *dpRun) gather(g group, cols []column) error {
+	nl, nr := g.hi-g.lo, 0
+	for _, c := range cols {
+		nr += c.hi - c.lo
+	}
+	cands, ends := d.scratch(nl*nr), d.ends[:0]
+	if nr <= nl*len(cols) {
+		for k := range cols {
+			c := &cols[k]
+			for r := c.lo; r < c.hi; r++ {
+				for l := g.lo; l < g.hi; l++ {
+					cands = append(cands, d.pair(l, r, c))
+				}
+				ends = append(ends, len(cands))
+				if err := d.spent(nl); err != nil {
+					return err
+				}
+			}
+		}
+	} else {
+		for l := g.lo; l < g.hi; l++ {
+			for k := range cols {
+				c := &cols[k]
+				for r := c.lo; r < c.hi; r++ {
+					cands = append(cands, d.pair(l, r, c))
+				}
+				ends = append(ends, len(cands))
+			}
+			if err := d.spent(nr); err != nil {
+				return err
+			}
+		}
+	}
+	d.cands, d.ends = cands, ends
+	return nil
+}
+
+// pair is the candidate combining parent partial l with child partial r
+// under column c.
+func (d *dpRun) pair(l, r int, c *column) cand {
+	sv, sc := &d.left.pts[l], &d.right.pts[r]
+	return cand{
+		cost:     sv.cost + sc.cost + c.cost,
+		j:        sv.j + sc.j + c.cj + c.ins,
+		bypassed: d.clamp(sv.bypassed + sc.bypassed + c.bump),
+		l:        int32(l), r: int32(r), opt: c.opt,
+	}
 }
 
 // bruteForce enumerates every complete placement (the same option space as

@@ -40,6 +40,28 @@ func runDP(t testing.TB, p *problem) ([]scored, dpStats) {
 	return front, st
 }
 
+// runSorted runs the DP with every group sorted, never merged: the
+// reference the merge must reproduce bit for bit.
+func runSorted(t testing.TB, p *problem) ([]scored, dpStats) {
+	t.Helper()
+	d := p.newRun(context.Background())
+	d.sortAll = true
+	front, st, err := d.run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return front, st
+}
+
+// ulpCatalogue prices its two types at 1 and the next float above it, the
+// dearer type the faster. Two partials whose costs differ by that ulp cost
+// the same once another type's cost is added, and the faster one — later
+// by cost — now comes first by J, so runs of shifted partials lose
+// comparator order.
+func ulpCatalogue() []BufferType {
+	return []BufferType{{Name: "slow", Cost: 1, Delay: 0.5}, {Name: "fast", Cost: math.Nextafter(1, 2), Delay: 0.05}}
+}
+
 func testProblem(t *testing.T, a *arch.Architecture, budget int) *problem {
 	t.Helper()
 	cfg := Config{Arch: a, Types: DefaultCatalogue(), Budget: budget, LatencyWeight: 0.1}
@@ -161,6 +183,94 @@ func TestDPMatchesBruteForce(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestDPMatchesBruteForceEveryBudget sweeps the capacity budget from the
+// attachment floor, where only the all-bypass placement fits, to full
+// insertion, where every placement does, on a small chain, star and tree.
+// The bypass coordinate's clamp b_min then takes every value from the
+// bridge count down to 0, and at each budget the DP must match exhaustive
+// enumeration.
+func TestDPMatchesBruteForceEveryBudget(t *testing.T) {
+	for _, tc := range []struct {
+		kind  string
+		buses int
+		seed  int64
+	}{{"chain", 6, 7}, {"star", 5, 3}, {"tree", 7, 5}} {
+		a := buildTopology(t, tc.kind, tc.buses, tc.seed)
+		base := testProblem(t, a, 1000)
+		nb := len(base.bridges)
+		if nb > 12 {
+			t.Fatalf("%s/%d: %d candidates exceeds the small-tree gate bound", tc.kind, tc.buses, nb)
+		}
+		took := map[int]bool{}
+		for budget := base.numAttach; budget <= base.numAttach+2*nb; budget++ {
+			t.Run(fmt.Sprintf("%s/%d/budget %d", tc.kind, tc.buses, budget), func(t *testing.T) {
+				p := testProblem(t, a, budget)
+				took[p.newRun(context.Background()).bmin] = true
+				dp, _ := runDP(t, p)
+				bf, _, _ := p.bruteForce()
+				sameFrontier(t, dp, bf)
+				assertPareto(t, dp)
+			})
+		}
+		for b := 0; b <= nb; b++ {
+			if !took[b] {
+				t.Errorf("%s/%d: b_min never took %d of 0..%d", tc.kind, tc.buses, b, nb)
+			}
+		}
+	}
+}
+
+// TestDPRunOrderFallback: under ulpCatalogue some runs are out of
+// comparator order, so their groups must be sorted instead of merged, and
+// the frontier must still match exhaustive enumeration and, bit for bit
+// with the counters, the DP that sorts every group. The topologies are
+// stars: brute force adds a placement's costs in bridge order, as a star's
+// hub does, while on chains and trees the two orders can round a sum one
+// ulp apart at these costs and keep different points (chain6: 12 against
+// the DP's 11, with every group sorted too).
+func TestDPRunOrderFallback(t *testing.T) {
+	for _, tc := range []struct {
+		kind  string
+		buses int
+		seed  int64
+	}{{"star", 5, 3}, {"star", 8, 1}} {
+		a := buildTopology(t, tc.kind, tc.buses, tc.seed)
+		p, err := newProblem(a, Config{Arch: a, Types: ulpCatalogue(), Budget: 1000, LatencyWeight: 0.1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dp, st := runDP(t, p)
+		if st.resorted == 0 {
+			t.Errorf("%s/%d: no group fell back to the sort", tc.kind, tc.buses)
+		}
+		bf, _, _ := p.bruteForce()
+		sameFrontier(t, dp, bf)
+		assertPareto(t, dp)
+		sameRun(t, fmt.Sprintf("%s/%d", tc.kind, tc.buses), dp, st, p)
+	}
+}
+
+// sameRun asserts that the DP that sorts every group reproduces front and
+// st: every point's decisions, cost and J bits and bypass count, and the
+// Partials, Pruned and Infeasible counters.
+func sameRun(t *testing.T, name string, front []scored, st dpStats, p *problem) {
+	t.Helper()
+	ref, rs := runSorted(t, p)
+	if st.partials != rs.partials || st.pruned != rs.pruned || st.infeasible != rs.infeasible {
+		t.Errorf("%s: partials/pruned/infeasible %d/%d/%d, sorting every group %d/%d/%d",
+			name, st.partials, st.pruned, st.infeasible, rs.partials, rs.pruned, rs.infeasible)
+	}
+	if len(front) != len(ref) {
+		t.Errorf("%s: %d frontier points, sorting every group %d", name, len(front), len(ref))
+		return
+	}
+	for k := range front {
+		if got, want := encodePoint(front[k]), encodePoint(ref[k]); got != want {
+			t.Errorf("%s: frontier[%d] = %q, sorting every group %q", name, k, got, want)
 		}
 	}
 }

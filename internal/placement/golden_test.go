@@ -108,6 +108,34 @@ func frontierGoldenRuns(t *testing.T) []frontierCase {
 	return out
 }
 
+// TestDPMergeMatchesSort: merging a group's ordered runs must give what
+// sorting the group gives, bit for bit and counter for counter, on the
+// first 40 placement-workload topologies at both golden budgets, under the
+// default and twin catalogues (exact ties) and ulpCatalogue (runs out of
+// order, so some groups fall back to the sort).
+func TestDPMergeMatchesSort(t *testing.T) {
+	resorted := 0
+	for i := 0; i < 40; i++ {
+		a := placementWorkloadTopology(t, i)
+		buffers := len(a.Processors) + 2*len(a.Bridges)
+		for _, budget := range []int{3 * buffers, len(a.Processors) + len(a.Bridges)} {
+			for _, types := range [][]BufferType{DefaultCatalogue(), twinCatalogue(), ulpCatalogue()} {
+				name := fmt.Sprintf("workload%02d-%s%d-b%d-%s", i, a.Name, len(a.Buses), budget, types[1].Name)
+				p, err := newProblem(a, Config{Arch: a, Types: types, Budget: budget, LatencyWeight: 0.1})
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				front, st := runDP(t, p)
+				resorted += st.resorted
+				sameRun(t, name, front, st, p)
+			}
+		}
+	}
+	if resorted == 0 {
+		t.Error("no group fell back to the sort")
+	}
+}
+
 // TestPlacementFrontierGolden pins the DP's complete frontier — decisions,
 // cost and J bit for bit, bypass counts — and its Partials, Pruned and
 // Infeasible counters, on the registry and on placement-workload-shaped

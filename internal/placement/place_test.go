@@ -471,7 +471,9 @@ func TestHybridRefinementWithin5PercentOfBruteForce(t *testing.T) {
 // and pruning — no solver evaluations) on the chain6 and tree7 registry
 // topologies and on placement-workload-shaped ones: the first 14-bus star
 // and 14-bus tree the socbufbench placement workload draws at seed 1, and
-// a 17-bus tree built the same way. PERFORMANCE.md tracks these rows.
+// a 17-bus tree, a 17-bus star and a 22-bus tree built the same way at
+// seed 1 — the largest star and tree of 12–22 buses whose DP finishes
+// within a second. PERFORMANCE.md tracks these rows.
 func BenchmarkPlacementDP(b *testing.B) {
 	type bench struct {
 		name   string
@@ -487,14 +489,21 @@ func BenchmarkPlacementDP(b *testing.B) {
 		}
 		cases = append(cases, bench{name, a, sc.Budget})
 	}
-	tree17, err := scenario.Topology{Kind: scenario.KindTree, Buses: 17, FanOut: 1, Skew: 4, Seed: 1}.Build()
-	if err != nil {
-		b.Fatal(err)
+	generated := func(kind string, buses int) *arch.Architecture {
+		a, err := scenario.Topology{Kind: kind, Buses: buses, FanOut: 1, Skew: 4, Seed: 1}.Build()
+		if err != nil {
+			b.Fatal(err)
+		}
+		return a
 	}
 	for _, w := range []struct {
 		name string
 		a    *arch.Architecture
-	}{{"star14", placementWorkloadTopology(b, 17)}, {"tree14", placementWorkloadTopology(b, 16)}, {"tree17", tree17}} {
+	}{
+		{"star14", placementWorkloadTopology(b, 17)}, {"tree14", placementWorkloadTopology(b, 16)},
+		{"tree17", generated(scenario.KindTree, 17)}, {"star17", generated(scenario.KindStar, 17)},
+		{"tree22", generated(scenario.KindTree, 22)},
+	} {
 		// The workload's budget: three units per buffer of the fully
 		// buffered architecture.
 		cases = append(cases, bench{w.name, w.a, 3 * (len(w.a.Processors) + 2*len(w.a.Bridges))})

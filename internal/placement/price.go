@@ -37,9 +37,11 @@ func (k compKey) members(n int) []int {
 
 // insertTerm is the screened latency price of inserting type t on bridge i:
 // LatencyWeight × type delay × crossing rate — by Little's law, the mean
-// packet population held in the bridge's forwarding stage.
+// packet population held in the bridge's forwarding stage. The conversion
+// rounds the product before a caller adds it, so no platform fuses the
+// multiply into that addition (make fma-check).
 func (p *problem) insertTerm(i int, t int8) float64 {
-	return p.lw * p.types[t].Delay * p.brRate[i]
+	return float64(p.lw * p.types[t].Delay * p.brRate[i])
 }
 
 // closeJ prices one closed component: the merged bus (service rate = the
@@ -54,51 +56,31 @@ func (p *problem) insertTerm(i int, t int8) float64 {
 // makes the DP objective additive and the memo sound (DESIGN.md §7).
 //
 // The evaluation is allocation-free on the memo-miss path: clients gather
-// into a reusable scratch slice ordered by insertion sort, and each queue's
-// loss and mean population are computed inline by the same arithmetic
-// queueing.MM1K's Distribution performs (identical expressions in identical
-// order), so the memoised prices are bit-for-bit those of the array-built
-// stationary distribution.
+// into a reusable scratch slice, and each queue's loss and mean population
+// are computed inline by the same arithmetic queueing.MM1K's Distribution
+// performs (identical expressions in identical order), so the memoised
+// prices are bit-for-bit those of the array-built stationary distribution.
 func (p *problem) closeJ(key compKey) float64 {
 	if j, ok := p.fMemo[key]; ok {
 		return j
 	}
 	first := true
 	var mu float64
-	clients := p.clScratch[:0]
 	for m := range p.buses {
-		if !key.has(m) {
-			continue
-		}
-		if first || p.muBus[m] < mu {
+		if key.has(m) && (first || p.muBus[m] < mu) {
 			mu = p.muBus[m]
 			first = false
 		}
-		clients = append(clients, p.egress[m]...)
 	}
-	for i := range p.bridges {
-		a := key.has(p.busIdx[p.bridges[i].BusA])
-		b := key.has(p.busIdx[p.bridges[i].BusB])
-		if a == b {
-			continue // internal (bypassed) or unrelated bridge
+	// p.clients is in buffer-ID order, the canonical order that keeps the
+	// float sums deterministic. The component serves a client on one of its
+	// buses, unless the client is a bridge buffer fed from inside: a bridge
+	// with both endpoints inside is bypassed and has no buffers.
+	clients := p.clScratch[:0]
+	for _, cl := range p.clients {
+		if key.has(cl.bus) && (cl.from < 0 || !key.has(cl.from)) {
+			clients = append(clients, cl)
 		}
-		for _, cl := range p.brInto[i] {
-			if key.has(cl.bus) {
-				clients = append(clients, cl)
-			}
-		}
-	}
-	// Canonical client order keeps the float summation deterministic.
-	// Insertion sort: client sets are small and IDs unique, and it spares
-	// the sort.Slice closure allocation.
-	for x := 1; x < len(clients); x++ {
-		cl := clients[x]
-		y := x - 1
-		for y >= 0 && clients[y].id > cl.id {
-			clients[y+1] = clients[y]
-			y--
-		}
-		clients[y+1] = cl
 	}
 	var load float64
 	for _, cl := range clients {
@@ -129,7 +111,9 @@ func (p *problem) closeJ(key compKey) float64 {
 // MM1K's LossRate and MeanQueue evaluated without materialising the
 // stationary distribution. The branch structure, expressions and summation
 // order mirror queueing.MM1K.Distribution exactly so the price is
-// bit-identical to the array-built evaluation.
+// bit-identical to the array-built evaluation. Each product that feeds a
+// sum is rounded by an explicit conversion, as in queueing, so no platform
+// fuses it into a multiply-add.
 func (p *problem) queuePrice(lambda, share float64) float64 {
 	if lambda <= 0 || math.IsNaN(lambda) || math.IsInf(lambda, 0) ||
 		share <= 0 || math.IsNaN(share) || math.IsInf(share, 0) || p.k0 < 1 {
@@ -143,7 +127,7 @@ func (p *problem) queuePrice(lambda, share float64) float64 {
 		pk := 1 / float64(p.k0+1)
 		block = pk
 		for i := 0; i <= p.k0; i++ {
-			meanQ += float64(i) * pk
+			meanQ += float64(float64(i) * pk)
 		}
 	} else {
 		norm := (1 - math.Pow(rho, float64(p.k0+1))) / (1 - rho)
@@ -153,9 +137,9 @@ func (p *problem) queuePrice(lambda, share float64) float64 {
 			if i == p.k0 {
 				block = pi
 			}
-			meanQ += float64(i) * pi
+			meanQ += float64(float64(i) * pi)
 			pp *= rho
 		}
 	}
-	return lambda*block + p.lw*meanQ
+	return float64(lambda*block) + float64(p.lw*meanQ)
 }

@@ -50,10 +50,9 @@ type problem struct {
 
 	// Traffic, measured once on the fully-buffered original architecture
 	// (routes are placement-independent up to hop collapsing; see §7).
-	egress    [][]client // per bus index: λ>0 attachment buffers
-	brInto    [][]client // per bridge index: λ>0 directional buffers, keyed by destination bus index
-	brRate    []float64  // per bridge index: total crossing rate (both directions)
-	numAttach int        // total attachment buffers (traffic-free included)
+	clients   []client  // λ>0 attachment and bridge buffers, by buffer ID
+	brRate    []float64 // per bridge index: total crossing rate (both directions)
+	numAttach int       // total attachment buffers (traffic-free included)
 
 	enumerated int64 // Π per-bridge option counts, saturating
 
@@ -66,8 +65,8 @@ type problem struct {
 
 // client is one screened M/M/1/K queue: a buffer and its offered rate.
 type client struct {
-	id     string
-	bus    int // serving bus index (egress) or destination bus index (bridge)
+	bus    int // serving bus index (attachment) or destination bus index (bridge)
+	from   int // a bridge buffer's source bus index; -1 for an attachment buffer
 	lambda float64
 }
 
@@ -256,6 +255,8 @@ func (p *problem) markCutEdges() {
 // measureTraffic records the placement-independent rates: each attachment
 // buffer's offered rate and each bridge's directional crossing rates, taken
 // from the fully-buffered original architecture's raw (no-loss) route walk.
+// The buffers carrying traffic are kept in one list sorted by their unique
+// IDs, so the clients of any component, filtered from it, come in ID order.
 func (p *problem) measureTraffic() error {
 	buffered := p.a.Clone()
 	buffered.InsertBridgeBuffers()
@@ -263,33 +264,46 @@ func (p *problem) measureTraffic() error {
 	if err != nil {
 		return err
 	}
-	p.egress = make([][]client, len(p.buses))
+	ids := make([]string, 0, p.numAttach+2*len(p.bridges))
+	p.clients = make([]client, 0, cap(ids))
 	for _, pr := range p.a.Processors {
 		for _, bus := range pr.Buses {
 			id := arch.AttachmentBufferID(pr.ID, bus)
 			if lam := rates[id]; lam > 0 {
-				bi := p.busIdx[bus]
-				p.egress[bi] = append(p.egress[bi], client{id: id, bus: bi, lambda: lam})
+				ids = append(ids, id)
+				p.clients = append(p.clients, client{bus: p.busIdx[bus], from: -1, lambda: lam})
 			}
 		}
 	}
-	for i := range p.egress {
-		sort.Slice(p.egress[i], func(x, y int) bool { return p.egress[i][x].id < p.egress[i][y].id })
-	}
-	p.brInto = make([][]client, len(p.bridges))
 	p.brRate = make([]float64, len(p.bridges))
 	for i, br := range p.bridges {
-		for _, dir := range [2][2]string{{br.BusA, br.BusB}, {br.BusB, br.BusA}} {
+		a, b := p.busIdx[br.BusA], p.busIdx[br.BusB]
+		for _, dir := range [2][2]int{{a, b}, {b, a}} {
 			from, to := dir[0], dir[1]
-			id := arch.BridgeBufferID(br.ID, from)
+			id := arch.BridgeBufferID(br.ID, p.buses[from])
 			lam := rates[id]
 			p.brRate[i] += lam
 			if lam > 0 {
-				p.brInto[i] = append(p.brInto[i], client{id: id, bus: p.busIdx[to], lambda: lam})
+				ids = append(ids, id)
+				p.clients = append(p.clients, client{bus: to, from: from, lambda: lam})
 			}
 		}
 	}
+	sort.Sort(byID{ids, p.clients})
 	return nil
+}
+
+// byID sorts clients by their buffer IDs, held alongside.
+type byID struct {
+	ids     []string
+	clients []client
+}
+
+func (s byID) Len() int           { return len(s.ids) }
+func (s byID) Less(x, y int) bool { return s.ids[x] < s.ids[y] }
+func (s byID) Swap(x, y int) {
+	s.ids[x], s.ids[y] = s.ids[y], s.ids[x]
+	s.clients[x], s.clients[y] = s.clients[y], s.clients[x]
 }
 
 // Option encoding in decision vectors: one int8 per bridge index.

@@ -70,12 +70,14 @@ func (q *MM1K) LossRate() float64 { return q.Lambda * q.Blocking() }
 // Throughput returns the rate of completed services, λ·(1 − P(block)).
 func (q *MM1K) Throughput() float64 { return q.Lambda * (1 - q.Blocking()) }
 
-// MeanQueue returns E[N], the mean number in system.
+// MeanQueue returns E[N], the mean number in system. The conversion rounds
+// each product before the sum, so no platform fuses the two (make
+// fma-check) and the mean keeps its bits everywhere.
 func (q *MM1K) MeanQueue() float64 {
 	pi := q.Distribution()
 	var m float64
 	for i, p := range pi {
-		m += float64(i) * p
+		m += float64(float64(i) * p)
 	}
 	return m
 }

@@ -21,7 +21,9 @@ package queueing
 // numerically smooth through the |ρ−1| < 1e-12 window where the closed
 // form's numerator and denominator both vanish. k < 1 returns 1 (a queue
 // with no room loses every arrival), matching the NewMM1K(λ, μ, 0) failure
-// convention the solver's blocking helper maps to 1.
+// convention the solver's blocking helper maps to 1. ρ·B is rounded by an
+// explicit conversion before 1 + ρ·B, so no platform fuses the two (make
+// fma-check).
 func BlockingRecurrence(lambda, mu float64, k int) float64 {
 	if k < 1 {
 		return 1
@@ -29,7 +31,7 @@ func BlockingRecurrence(lambda, mu float64, k int) float64 {
 	rho := lambda / mu
 	b := 1.0
 	for i := 0; i < k; i++ {
-		rb := rho * b
+		rb := float64(rho * b)
 		b = rb / (1 + rb)
 	}
 	return b
@@ -40,6 +42,6 @@ func BlockingRecurrence(lambda, mu float64, k int) float64 {
 // loops keep per buffer — the whole gain update after spending one unit is
 // one call, instead of re-deriving two geometric sums.
 func BlockingStep(rho, b float64) float64 {
-	rb := rho * b
+	rb := float64(rho * b)
 	return rb / (1 + rb)
 }

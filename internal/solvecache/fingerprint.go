@@ -116,8 +116,11 @@ func (h *hasher) sum() Key { return sha256.Sum256(h.buf) }
 // did not change, so without the bump an old shard would adopt a new
 // payload, fail to decode it and overwrite it, and the two versions would
 // keep overwriting each other in a mixed fleet; the store's version header
-// now keeps them apart.
-const version = 7
+// now keeps them apart. Version 8 marks placement payloads whose DP
+// counters (partials, pruned) come from the clamped bypass coordinate:
+// the frontier is the same, but a payload's bytes under one key would
+// differ between an old and a new shard.
+const version = 8
 
 // Backend domain-separation tags. Every fingerprint serialises the solver
 // backend that produced (or will produce) the payload immediately after the
