@@ -625,8 +625,8 @@ func (d *dpRun) merge(f, cf *frontier, edge int) (*frontier, error) {
 		n *= 1 + len(cf.groups)
 	}
 	groups := make([]group, 0, n)
-	add := func(g group, comp compKey, cols []column) error {
-		if err := d.gather(g, cols); err != nil {
+	add := func(g group, comp compKey, with []column) error {
+		if err := d.gather(g, with); err != nil {
 			return err
 		}
 		lo := len(d.surv)
