@@ -107,9 +107,9 @@ const (
 	// Groups of at most mergeMax runs, each in comparator order, are merged
 	// into the sweep instead of sorted; more runs are filtered and sorted.
 	// At 2 a star's closed groups (one run per default type) sort, and
-	// star14 keeps the sort's time; from 4 to 32 BenchmarkPlacementDP's
-	// cases moved by less than its run-to-run noise, and at 128 tree7 slowed
-	// by a third.
+	// star14 kept the sort's time; from 4 to 32 BenchmarkPlacementDP's
+	// cases moved by less than its run-to-run noise, and at 128 tree7 read
+	// a third slower (one run per value).
 	mergeMax = 8
 )
 
