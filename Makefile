@@ -12,7 +12,8 @@ NEW ?= bench-results.txt
 # with its survivor evaluations among them) at a looser 25% —
 # micro-benchmarks in the microsecond range are noisier run-to-run than a
 # 9-second sweep, and a real kernel regression shows up well past 25%.
-# .github/workflows/bench.yml applies the same list nightly.
+# The list lives only here: .github/workflows/bench.yml runs `make bench`
+# and `make bench-compare` nightly.
 BENCH_GATES = \
 	-gate 'BenchmarkSweep32' \
 	-gate 'BenchmarkSolveSingleModel=25' \
@@ -50,8 +51,9 @@ bench:
 bench-test:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# Compare two bench runs and fail on gated regressions (BENCH_GATES above) —
-# the same list the nightly workflow applies. Produce the inputs with e.g.
+# Compare two bench runs and fail on gated regressions (BENCH_GATES above,
+# the one copy of the gate list; the nightly workflow calls this target).
+# Produce the inputs with e.g.
 #   make bench > bench-results.txt
 #   make bench-compare OLD=previous-results.txt NEW=bench-results.txt
 bench-compare:
@@ -85,14 +87,15 @@ lint:
 	fi
 	$(GO) vet ./...
 
-# No implicit fused multiply-add in the placement price and the queueing
-# kernels it mirrors (ROADMAP item 12): Go may fuse x*y + z into one
+# No implicit fused multiply-add in the placement price, the queueing
+# kernels it mirrors, the simulator, the methodology's boundary fixed point
+# and the solver backends (ROADMAP item 12): Go may fuse x*y + z into one
 # instruction on arm64, which rounds once where amd64 rounds twice, so the
 # goldens recorded on amd64 would move there. Each product that feeds an
 # addition is written float64(x*y), which forces the rounding. The check
-# compiles both packages for arm64 (no arm64 host needed) and fails on any
+# compiles these packages for arm64 (no arm64 host needed) and fails on any
 # fused instruction in the listing.
-FMA_PKGS = ./internal/placement ./internal/queueing
+FMA_PKGS = ./internal/placement ./internal/queueing ./internal/sim ./internal/core ./internal/solver
 fma-check:
 	@out=$$(GOARCH=arm64 $(GO) build -gcflags=-S $(FMA_PKGS) 2>&1) || { echo "$$out"; exit 1; }; \
 	fused=$$(echo "$$out" | grep -E 'FMADDD|FMSUBD|FNMADDD|FNMSUBD'); \
@@ -203,7 +206,12 @@ fuzz-smoke:
 # (2026-10) once placement ran one evaluation per bypass set and the
 # placement tier stored its payloads deflated: internal/placement 92.0%
 # (91.7% before), internal/solvecache 91.3% (90.3% before); both floors
-# kept.
+# kept. Re-measured (2026-10) once the solver and scenario registries
+# became fixed tables and the Sizer layer, scenario JSON and the test-only
+# arbiters were deleted: internal/scenario 88.7% (86.7% before; 84.6%
+# until Validate's rejection cases joined its test), internal/sim 96.0%
+# (96.4% before), internal/solver 87.9% (87.2% before), internal/engine
+# 88.1% (87.9% before); all four floors kept.
 # The floors sit a few points below so honest
 # refactors don't trip them, but a test-free feature dump — or a refactor
 # that lands by deleting tests — does.

@@ -116,7 +116,7 @@ func main() {
 		fatal(err)
 	}
 	if *list {
-		if err := engine.WriteScenarioList(os.Stdout); err != nil {
+		if err := experiments.WriteScenarioList(os.Stdout); err != nil {
 			fatal(err)
 		}
 		return

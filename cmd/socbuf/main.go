@@ -1,5 +1,5 @@
 // Command socbuf runs the buffer-insertion and sizing methodology on a named
-// preset architecture, a JSON architecture, or a registered scenario, and
+// preset architecture, a JSON architecture, or a built-in scenario, and
 // prints the resulting allocation and loss comparison.
 //
 //	socbuf -arch netproc -budget 160 -iters 10
@@ -86,7 +86,7 @@ func main() {
 	}
 
 	if *list {
-		if err := engine.WriteScenarioList(os.Stdout); err != nil {
+		if err := experiments.WriteScenarioList(os.Stdout); err != nil {
 			fatal(err)
 		}
 		return

@@ -26,9 +26,9 @@
 //   - internal/parallel                   — the deterministic worker pool
 //     behind every sweep fan-out;
 //   - internal/core, internal/policy      — the methodology loop (exposed
-//     one iteration at a time as core.Stepper) and the sizing policies the
-//     paper compares;
-//   - internal/solver                     — the pluggable solver backends
+//     one iteration at a time as core.Stepper) and the timeout baseline's
+//     threshold;
+//   - internal/solver                     — the table of solver backends
 //     every entry point dispatches through: "exact" (the CTMDP path),
 //     "analytic" (closed-form M/M/1/K blocking + marginal-allocation
 //     greedy, no LP, ~150× faster) and "hybrid" (analytic screening with

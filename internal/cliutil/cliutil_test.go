@@ -67,11 +67,11 @@ func TestAddMethodFlag(t *testing.T) {
 	if *m != "analytic" {
 		t.Fatalf("method = %q, want analytic", *m)
 	}
-	// The help text must enumerate the registry, so all three CLIs (and
+	// The help text must enumerate the backend table, so all three CLIs (and
 	// their docs) stay in sync with internal/solver automatically.
 	f := fs.Lookup("method")
 	if f == nil || !strings.Contains(f.Usage, "analytic | exact | hybrid | robust") {
-		t.Fatalf("method flag usage out of sync with the solver registry: %+v", f)
+		t.Fatalf("method flag usage out of sync with the solver table: %+v", f)
 	}
 	if f.DefValue != "" {
 		t.Fatalf("method default %q, want empty (exact fallback happens at dispatch)", f.DefValue)

@@ -42,7 +42,7 @@ func TestPolicyArbiterPickZeroAlloc(t *testing.T) {
 			t.Fatal(err)
 		}
 		rng := rand.New(rand.NewSource(1))
-		views := []sim.ClientView{{BufferID: "x", Cap: 6}, {BufferID: "y", Cap: 6}}
+		views := []sim.ClientView{{Cap: 6}, {Cap: 6}}
 		hits := 0
 		// Every non-empty backlog pair, 1 to 6 packets past the caps too, so
 		// the levels also clamp.

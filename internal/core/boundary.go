@@ -85,9 +85,9 @@ func (b *boundary) update(a *arch.Architecture, sols []*ctmdp.ModelSolution, dam
 		}
 	}
 	for id := range b.arrival {
-		b.arrival[id] = damp*newArrival[id] + (1-damp)*b.arrival[id]
+		b.arrival[id] = float64(damp*newArrival[id]) + float64((1-damp)*b.arrival[id])
 		if st, ok := stats[id]; ok {
-			b.fullProb[id] = damp*st.full + (1-damp)*b.fullProb[id]
+			b.fullProb[id] = float64(damp*st.full) + float64((1-damp)*b.fullProb[id])
 		}
 	}
 	return nil
@@ -134,9 +134,9 @@ func buildModels(a *arch.Architecture, alloc arch.Allocation, bnd *boundary, cfg
 		}
 		for _, h := range r.Hops {
 			downDen[h.Buffer] += r.Flow.Rate
-			wNum[h.Buffer] += r.Flow.Rate * w
+			wNum[h.Buffer] += float64(r.Flow.Rate * w)
 			if h.NextBuffer != "" {
-				downNum[h.Buffer] += r.Flow.Rate * bnd.fullProb[h.NextBuffer]
+				downNum[h.Buffer] += float64(r.Flow.Rate * bnd.fullProb[h.NextBuffer])
 			}
 		}
 	}

@@ -377,9 +377,8 @@ func buildArbiters(a *arch.Architecture, sol *ctmdp.JointSolution, alloc arch.Al
 // seed order, so the totals are identical for any worker count.
 //
 // makeArbiters (nil for the longest-queue default) is invoked once per seed:
-// arbiter implementations carry per-run scratch state (policyArbiter's level
-// buffer, RoundRobin's cursor), so concurrent simulations must not share
-// instances. cfg.Traffic, when set, is likewise invoked once per seed so
+// a policyArbiter carries per-run scratch state (its level buffer), so
+// concurrent simulations must not share instances. cfg.Traffic, when set, is likewise invoked once per seed so
 // every simulation gets fresh Source instances (trace.OnOff is stateful).
 func evaluate(ctx context.Context, a *arch.Architecture, alloc arch.Allocation, makeArbiters func() (map[string]sim.Arbiter, error), cfg Config) (int64, map[string]int64, error) {
 	perSeed, err := parallel.MapCtx(ctx, len(cfg.Seeds), cfg.Workers, func(i int) (*sim.Results, error) {

@@ -14,6 +14,7 @@ import (
 	"socbuf/internal/core"
 	"socbuf/internal/experiments"
 	"socbuf/internal/scenario"
+	"socbuf/internal/sim"
 	"socbuf/internal/solvecache"
 	"socbuf/internal/uncertain"
 )
@@ -994,6 +995,45 @@ func TestEngineSimulateMatchesDirect(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, again) {
 		t.Fatalf("simulate not deterministic:\n%+v\n%+v", got, again)
+	}
+}
+
+// TestEngineSimulateProportionalPolicy pins the traffic-proportional
+// baseline: the result is labelled "proportional", and its totals are those
+// of a direct simulation of arch.ProportionalAllocation — a valid
+// allocation spending exactly the budget — on the buffered architecture.
+func TestEngineSimulateProportionalPolicy(t *testing.T) {
+	e := New(Config{})
+	defer e.Close()
+	got, err := e.Simulate(context.Background(), SimulateRequest{
+		Arch: "twobus", Budget: 24, Policy: "proportional", Horizon: 600, WarmUp: 50, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Policy != "proportional" {
+		t.Fatalf("policy = %q, want proportional", got.Policy)
+	}
+	a := arch.TwoBusAMBA()
+	a.InsertBridgeBuffers()
+	alloc, err := arch.ProportionalAllocation(a, 24)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := alloc.Validate(a, 24); err != nil || alloc.Total() != 24 {
+		t.Fatalf("proportional allocation %v (total %d): %v", alloc, alloc.Total(), err)
+	}
+	s, err := sim.New(sim.Config{Arch: a, Alloc: alloc, Horizon: 600, WarmUp: 50, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Generated != r.TotalGenerated() || got.Delivered != r.TotalDelivered() || got.Lost != r.TotalLost() {
+		t.Fatalf("engine totals %d/%d/%d, direct run of the proportional allocation %d/%d/%d",
+			got.Generated, got.Delivered, got.Lost, r.TotalGenerated(), r.TotalDelivered(), r.TotalLost())
 	}
 }
 

@@ -89,16 +89,18 @@ func (e *Engine) Simulate(ctx context.Context, req SimulateRequest) (*SimulateRe
 	var alloc arch.Allocation
 	var polName string
 	switch req.Policy {
-	case "", "constant", "proportional":
+	case "", "constant":
 		a.InsertBridgeBuffers()
-		var sizer policy.Sizer = policy.Uniform{}
-		if req.Policy == "proportional" {
-			sizer = policy.Proportional{}
-		}
-		if alloc, err = sizer.Allocate(a, req.Budget); err != nil {
+		if alloc, err = arch.UniformAllocation(a, req.Budget); err != nil {
 			return nil, err
 		}
-		polName = sizer.Name()
+		polName = "constant"
+	case "proportional":
+		a.InsertBridgeBuffers()
+		if alloc, err = arch.ProportionalAllocation(a, req.Budget); err != nil {
+			return nil, err
+		}
+		polName = "proportional"
 	case "sized":
 		// Full methodology under the requested backend; the simulation then
 		// measures its chosen allocation on the buffered clone it sized.

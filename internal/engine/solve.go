@@ -141,16 +141,16 @@ func (e *Engine) solve(ctx context.Context, req SolveRequest) (*SolveResult, err
 	return newSolveResult(meta, solver.Canonical(cfg.Method), res), nil
 }
 
-// validMethod resolves a backend name, tagging failures as invalid
+// validMethod checks a backend name, tagging failures as invalid
 // requests so every layer reports them uniformly (CLI exit 2, HTTP 400).
 func validMethod(name string) error {
-	if _, err := solver.Resolve(name); err != nil {
+	if err := solver.CheckMethod(name); err != nil {
 		return invalidf("%v", err)
 	}
 	return nil
 }
 
-// runSolver executes one methodology run through the backend registry,
+// runSolver executes one methodology run through the backend table,
 // recording per-backend counters: one solve, its wall time, and — when the
 // run shares the engine cache — the cache-hit delta it observed.
 func (e *Engine) runSolver(ctx context.Context, cfg core.Config) (*core.Result, error) {
@@ -399,12 +399,6 @@ func (e *Engine) requestWorkers(n int) int {
 		return limit
 	}
 	return n
-}
-
-// WriteScenarioList renders the scenario registry — re-exported so clients
-// need no direct experiments dependency.
-func WriteScenarioList(w io.Writer) error {
-	return experiments.WriteScenarioList(w)
 }
 
 // WriteCacheStats renders the engine-owned cache's counters in the shared

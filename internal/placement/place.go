@@ -40,7 +40,7 @@ func Place(ctx context.Context, cfg Config) (*Result, error) {
 		ctx = context.Background()
 	}
 	cfg = cfg.WithDefaults()
-	if _, err := solver.Resolve(cfg.Method); err != nil {
+	if err := solver.CheckMethod(cfg.Method); err != nil {
 		return nil, err
 	}
 	if cfg.Budget <= 0 {

@@ -1,7 +1,9 @@
-// Package policy collects the baseline buffer-sizing policies the paper
-// compares the CTMDP methodology (internal/core) against: the constant
-// (uniform) baseline, the traffic-proportional division the introduction
-// dismisses, and the timeout drop policy of Figure 3's third bar.
+// Package policy derives the threshold of the timeout drop policy, the
+// third bar of the paper's Figure 3. The other baselines the paper compares
+// the CTMDP methodology (internal/core) against are plain allocations: the
+// constant (uniform) sizing and the traffic-proportional division the
+// introduction dismisses are arch.UniformAllocation and
+// arch.ProportionalAllocation.
 package policy
 
 import (
@@ -10,39 +12,8 @@ import (
 	"maps"
 	"slices"
 
-	"socbuf/internal/arch"
 	"socbuf/internal/sim"
 )
-
-// Sizer produces a buffer allocation for an architecture and budget.
-type Sizer interface {
-	Name() string
-	Allocate(a *arch.Architecture, budget int) (arch.Allocation, error)
-}
-
-// Uniform is the paper's "constant buffer sizing policy": equal division.
-type Uniform struct{}
-
-// Name implements Sizer.
-func (Uniform) Name() string { return "constant" }
-
-// Allocate implements Sizer.
-func (Uniform) Allocate(a *arch.Architecture, budget int) (arch.Allocation, error) {
-	return arch.UniformAllocation(a, budget)
-}
-
-// Proportional divides the budget by traffic ratios — the "simple division
-// of the space depending on traffic ratios" that §1 contrasts with the
-// CTMDP optimum.
-type Proportional struct{}
-
-// Name implements Sizer.
-func (Proportional) Name() string { return "proportional" }
-
-// Allocate implements Sizer.
-func (Proportional) Allocate(a *arch.Architecture, budget int) (arch.Allocation, error) {
-	return arch.ProportionalAllocation(a, budget)
-}
 
 // TimeoutThreshold derives the paper's timeout-policy threshold — "the
 // average time spent by a request in a buffer" — from a calibration

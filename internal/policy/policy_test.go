@@ -8,30 +8,6 @@ import (
 	"socbuf/internal/sim"
 )
 
-func TestSizersProduceValidAllocations(t *testing.T) {
-	a := arch.TwoBusAMBA()
-	a.InsertBridgeBuffers()
-	sizers := []Sizer{Uniform{}, Proportional{}}
-	for _, s := range sizers {
-		al, err := s.Allocate(a, 24)
-		if err != nil {
-			t.Fatalf("%s: %v", s.Name(), err)
-		}
-		if al.Total() != 24 {
-			t.Fatalf("%s: total %d", s.Name(), al.Total())
-		}
-		if err := al.Validate(a, 24); err != nil {
-			t.Fatalf("%s: %v", s.Name(), err)
-		}
-	}
-}
-
-func TestSizerNames(t *testing.T) {
-	if (Uniform{}).Name() != "constant" || (Proportional{}).Name() != "proportional" {
-		t.Fatal("sizer names changed; experiment labels depend on them")
-	}
-}
-
 func TestTimeoutThreshold(t *testing.T) {
 	a := arch.TwoBusAMBA()
 	a.InsertBridgeBuffers()

@@ -2,69 +2,30 @@ package scenario
 
 import (
 	"fmt"
-	"sort"
-	"sync"
+	"slices"
 )
 
-// The registry maps scenario names to their definitions. Built-ins register
-// at init (builtin.go); callers may add their own with Register.
-var registry = struct {
-	sync.Mutex
-	m map[string]Scenario
-}{m: map[string]Scenario{}}
-
-// Register validates the scenario and adds it to the registry. Duplicate
-// names are rejected.
-func Register(s Scenario) error {
-	if err := s.Validate(); err != nil {
-		return err
-	}
-	registry.Lock()
-	defer registry.Unlock()
-	if _, dup := registry.m[s.Name]; dup {
-		return fmt.Errorf("scenario: %q already registered", s.Name)
-	}
-	registry.m[s.Name] = s
-	return nil
-}
-
-// MustRegister is Register for init-time built-ins.
-func MustRegister(s Scenario) {
-	if err := Register(s); err != nil {
-		panic(err)
-	}
-}
-
-// Get returns the named scenario.
+// Get returns the named built-in scenario.
 func Get(name string) (Scenario, bool) {
-	registry.Lock()
-	defer registry.Unlock()
-	s, ok := registry.m[name]
-	return s, ok
+	for _, s := range builtins {
+		if s.Name == name {
+			return s, true
+		}
+	}
+	return Scenario{}, false
 }
 
-// Names returns every registered name, sorted.
+// Names returns every built-in name, sorted.
 func Names() []string {
-	registry.Lock()
-	defer registry.Unlock()
-	out := make([]string, 0, len(registry.m))
-	for n := range registry.m {
-		out = append(out, n)
+	out := make([]string, len(builtins))
+	for i, s := range builtins {
+		out[i] = s.Name
 	}
-	sort.Strings(out)
 	return out
 }
 
-// All returns every registered scenario, sorted by name.
-func All() []Scenario {
-	names := Names()
-	out := make([]Scenario, 0, len(names))
-	for _, n := range names {
-		s, _ := Get(n)
-		out = append(out, s)
-	}
-	return out
-}
+// All returns every built-in scenario, sorted by name.
+func All() []Scenario { return slices.Clone(builtins) }
 
 // Resolve maps names to scenarios; nil or empty means the whole registry.
 func Resolve(names []string) ([]Scenario, error) {

@@ -2,15 +2,13 @@
 // evaluation harness: a Scenario bundles an architecture (a preset or a
 // seeded parametric topology generator), a per-flow traffic model, and the
 // budget/solver configuration of one methodology run. Scenarios are
-// first-class values — they validate, round-trip through JSON, and live in
-// a process-wide registry the CLIs and the experiments sweep engine fan
-// out over.
+// first-class values that validate themselves; a fixed table of built-ins
+// (builtin.go) is the registry the CLIs, the service and the experiments
+// sweep engine fan out over.
 package scenario
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 
 	"socbuf/internal/arch"
 	"socbuf/internal/core"
@@ -21,32 +19,32 @@ import (
 // Scenario is one named evaluation configuration.
 type Scenario struct {
 	// Name identifies the scenario in the registry and in report rows.
-	Name string `json:"name"`
+	Name string
 	// Description is a one-line summary for listings.
-	Description string `json:"description,omitempty"`
+	Description string
 	// Topology builds the architecture.
-	Topology Topology `json:"topology"`
+	Topology Topology
 	// Traffic selects the per-flow arrival process of the evaluation
 	// simulations. Zero value = Poisson.
-	Traffic Traffic `json:"traffic,omitempty"`
+	Traffic Traffic
 	// Budget is the total buffer space in units. Must cover at least one
 	// unit per buffer of the buffered architecture.
-	Budget int `json:"budget"`
+	Budget int
 	// Solver / evaluation knobs. Zero values inherit the core defaults (or
 	// the sweep's Options, which take precedence over core defaults).
-	Iterations int     `json:"iterations,omitempty"`
-	Seeds      []int64 `json:"seeds,omitempty"`
-	Horizon    float64 `json:"horizon,omitempty"`
-	WarmUp     float64 `json:"warmUp,omitempty"`
+	Iterations int
+	Seeds      []int64
+	Horizon    float64
+	WarmUp     float64
 	// Method pins the scenario to a solver backend ("exact" | "analytic" |
 	// "hybrid" | "robust"); empty inherits the sweep's (or the exact)
 	// default. Name validation happens at dispatch (internal/solver), where
 	// the unknown-method message is uniform across every entry point.
-	Method string `json:"method,omitempty"`
+	Method string
 	// Uncertainty attaches a traffic-uncertainty spec for the robust
 	// backend (nil = that backend's defaults; other backends carry it
-	// untouched). It round-trips with the scenario.
-	Uncertainty *uncertain.Spec `json:"uncertainty,omitempty"`
+	// untouched).
+	Uncertainty *uncertain.Spec
 }
 
 // Validate checks the scenario end to end: fields, traffic parameters, and
@@ -85,7 +83,7 @@ func (s Scenario) Validate() error {
 		return fmt.Errorf("scenario %q: warm-up %v outside [0, horizon %v)", s.Name, s.WarmUp, s.Horizon)
 	}
 	if s.Method != "" {
-		if _, err := solver.Resolve(s.Method); err != nil {
+		if err := solver.CheckMethod(s.Method); err != nil {
 			return fmt.Errorf("scenario %q: %w", s.Name, err)
 		}
 	}
@@ -126,25 +124,4 @@ func (s Scenario) CoreConfig() (core.Config, error) {
 		Method:      s.Method,
 		Uncertainty: s.Uncertainty,
 	}, nil
-}
-
-// ReadJSON decodes and validates one scenario.
-func ReadJSON(r io.Reader) (Scenario, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	var s Scenario
-	if err := dec.Decode(&s); err != nil {
-		return Scenario{}, fmt.Errorf("scenario: decoding JSON: %w", err)
-	}
-	if err := s.Validate(); err != nil {
-		return Scenario{}, err
-	}
-	return s, nil
-}
-
-// WriteJSON encodes the scenario (indented, stable field order).
-func (s Scenario) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
 }

@@ -1,17 +1,28 @@
 package scenario
 
 import (
-	"bytes"
+	"errors"
 	"math/rand"
-	"reflect"
 	"strings"
 	"testing"
+
+	"socbuf/internal/solver"
+	"socbuf/internal/uncertain"
 )
 
+// TestRegistryBuiltins validates every built-in — the check registration
+// once made at every process start — and pins the table's shape: names
+// unique and sorted (Names and All return the table in its own order), the
+// paper's three presets and at least three generated families.
 func TestRegistryBuiltins(t *testing.T) {
 	names := Names()
 	if len(names) < 6 {
 		t.Fatalf("registry holds %d scenarios, want ≥ 6: %v", len(names), names)
+	}
+	for i := 1; i < len(names); i++ {
+		if names[i-1] >= names[i] {
+			t.Fatalf("built-in names not unique and sorted: %v", names)
+		}
 	}
 	presets, generated := 0, 0
 	for _, s := range All() {
@@ -37,19 +48,15 @@ func TestRegistryBuiltins(t *testing.T) {
 	}
 }
 
-func TestRegisterRejectsDuplicatesAndInvalid(t *testing.T) {
-	dup, _ := Get("twobus")
-	if err := Register(dup); err == nil {
-		t.Fatal("duplicate registration accepted")
-	}
-	if err := Register(Scenario{Name: "", Budget: 10}); err == nil {
+func TestValidateRejectsInvalid(t *testing.T) {
+	if err := (Scenario{Name: "", Budget: 10}).Validate(); err == nil {
 		t.Fatal("empty name accepted")
 	}
-	if err := Register(Scenario{
+	if err := (Scenario{
 		Name:     "starved",
 		Topology: Topology{Kind: KindPreset, Preset: "twobus"},
 		Budget:   3, // twobus has 6 buffers after insertion
-	}); err == nil || !strings.Contains(err.Error(), "below one unit per buffer") {
+	}).Validate(); err == nil || !strings.Contains(err.Error(), "below one unit per buffer") {
 		t.Fatalf("starved budget accepted (err=%v)", err)
 	}
 	base := Scenario{
@@ -66,6 +73,30 @@ func TestRegisterRejectsDuplicatesAndInvalid(t *testing.T) {
 	floating.WarmUp = 3000 // no horizon: would only fail inside core.Run
 	if err := floating.Validate(); err == nil {
 		t.Fatal("warm-up without horizon accepted")
+	}
+	for _, bad := range []func(*Scenario){
+		func(s *Scenario) { s.Budget = 0 },
+		func(s *Scenario) { s.Iterations = -1 },
+		func(s *Scenario) { s.Traffic = Traffic{Model: ModelOnOff, Burst: 1} },
+		func(s *Scenario) { s.Topology = Topology{Kind: KindPreset, Preset: "nope"} },
+		func(s *Scenario) { s.Uncertainty = &uncertain.Spec{Confidence: 1} },
+	} {
+		s := base
+		bad(&s)
+		if err := s.Validate(); err == nil {
+			t.Fatalf("invalid scenario accepted: %+v", s)
+		}
+	}
+	pinned := base
+	pinned.Method = solver.MethodRobust
+	if err := pinned.Validate(); err != nil {
+		t.Fatalf("robust-pinned scenario rejected: %v", err)
+	}
+	pinned.Method = "annealing"
+	err := pinned.Validate()
+	if !errors.Is(err, solver.ErrUnknownMethod) ||
+		!strings.Contains(err.Error(), "(valid methods: analytic | exact | hybrid | robust)") {
+		t.Fatalf("unknown method: err = %v, want the uniform unknown-method error", err)
 	}
 }
 
@@ -86,32 +117,6 @@ func TestResolve(t *testing.T) {
 	}
 	if _, err := Resolve([]string{"no-such"}); err == nil {
 		t.Fatal("unknown name accepted")
-	}
-}
-
-func TestScenarioJSONRoundTrip(t *testing.T) {
-	for _, s := range All() {
-		var buf bytes.Buffer
-		if err := s.WriteJSON(&buf); err != nil {
-			t.Fatalf("%s: encode: %v", s.Name, err)
-		}
-		back, err := ReadJSON(&buf)
-		if err != nil {
-			t.Fatalf("%s: decode: %v", s.Name, err)
-		}
-		if !reflect.DeepEqual(s, back) {
-			t.Fatalf("%s: JSON round trip changed the scenario:\n  in:  %+v\n  out: %+v", s.Name, s, back)
-		}
-	}
-}
-
-func TestReadJSONRejectsUnknownFieldsAndInvalid(t *testing.T) {
-	if _, err := ReadJSON(strings.NewReader(`{"name":"x","bogus":1}`)); err == nil {
-		t.Fatal("unknown field accepted")
-	}
-	if _, err := ReadJSON(strings.NewReader(
-		`{"name":"x","topology":{"kind":"preset","preset":"twobus"},"budget":0}`)); err == nil {
-		t.Fatal("zero budget accepted")
 	}
 }
 

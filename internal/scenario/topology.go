@@ -38,26 +38,26 @@ const MaxGeneratedBuses = 256
 // is by construction solvable by the paper's methodology.
 type Topology struct {
 	// Kind selects the generator: "preset", "chain", "star", "tree", "mesh".
-	Kind string `json:"kind"`
+	Kind string
 	// Preset names the built-in architecture when Kind == "preset":
 	// "figure1", "twobus" or "netproc".
-	Preset string `json:"preset,omitempty"`
+	Preset string
 	// Buses is the bus count of a generated topology (≥ 2).
-	Buses int `json:"buses,omitempty"`
+	Buses int
 	// FanOut is the number of processors attached to each bus (≥ 1).
-	FanOut int `json:"fanOut,omitempty"`
+	FanOut int
 	// Utilisation is the per-bus utilisation target in (0,1): after flows
 	// are generated, each bus's service rate is set to (offered load on the
 	// bus)/Utilisation, so losses come from finite buffers rather than raw
 	// overload. Default 0.8.
-	Utilisation float64 `json:"utilisation,omitempty"`
+	Utilisation float64
 	// Skew spreads flow rates: each flow draws its rate from [1, Skew) with
 	// a seeded log-uniform draw. 1 (the default) gives equal rates; larger
 	// values reproduce the skewed profiles of the paper's §3 testbed.
-	Skew float64 `json:"skew,omitempty"`
+	Skew float64
 	// Seed drives the generator's randomness (destination choice, rate
 	// skew). Equal specs build identical architectures.
-	Seed int64 `json:"seed,omitempty"`
+	Seed int64
 }
 
 // Build constructs the architecture (bridges un-buffered, exactly like the

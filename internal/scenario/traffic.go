@@ -23,12 +23,12 @@ const (
 // burstiness.
 type Traffic struct {
 	// Model is "poisson" (the default when empty) or "onoff".
-	Model string `json:"model,omitempty"`
+	Model string
 	// Burst is the ON-state rate multiplier of the OnOff model (> 1).
-	Burst float64 `json:"burst,omitempty"`
+	Burst float64
 	// MeanOn is the mean ON-sojourn duration of the OnOff model, in sim
 	// time units. Default 1.
-	MeanOn float64 `json:"meanOn,omitempty"`
+	MeanOn float64
 }
 
 // String renders a compact description for report rows.

@@ -5,12 +5,10 @@ import (
 )
 
 // ClientView is what an arbiter sees about one client buffer at decision
-// time.
+// time. A bus presents its clients' views in buffer-ID order.
 type ClientView struct {
-	BufferID string
-	Len      int     // current queue length
-	Cap      int     // allocated capacity
-	HeadWait float64 // how long the head packet has waited in this buffer
+	Len int // current queue length
+	Cap int // allocated capacity
 }
 
 // Arbiter decides which client a bus serves next. Pick receives the views of
@@ -36,64 +34,3 @@ func (LongestQueue) Pick(clients []ClientView, _ *rand.Rand) int {
 	}
 	return best
 }
-
-// RoundRobin cycles through clients, skipping empty ones.
-type RoundRobin struct {
-	next int
-}
-
-// Pick implements Arbiter.
-func (r *RoundRobin) Pick(clients []ClientView, _ *rand.Rand) int {
-	n := len(clients)
-	for k := 0; k < n; k++ {
-		i := (r.next + k) % n
-		if clients[i].Len > 0 {
-			r.next = i + 1
-			return i
-		}
-	}
-	return -1
-}
-
-// OldestHead grants the client whose head packet has waited longest
-// (global-FCFS approximation).
-type OldestHead struct{}
-
-// Pick implements Arbiter.
-func (OldestHead) Pick(clients []ClientView, _ *rand.Rand) int {
-	best := -1
-	bestWait := -1.0
-	for i, c := range clients {
-		if c.Len > 0 && c.HeadWait > bestWait {
-			best, bestWait = i, c.HeadWait
-		}
-	}
-	return best
-}
-
-// RandomNonEmpty grants a uniformly random non-empty client; a baseline used
-// in ablations.
-type RandomNonEmpty struct{}
-
-// Pick implements Arbiter.
-func (RandomNonEmpty) Pick(clients []ClientView, rng *rand.Rand) int {
-	idx := make([]int, 0, len(clients))
-	for i, c := range clients {
-		if c.Len > 0 {
-			idx = append(idx, i)
-		}
-	}
-	if len(idx) == 0 {
-		return -1
-	}
-	return idx[rng.Intn(len(idx))]
-}
-
-// PolicyFunc adapts a function to the Arbiter interface. The CTMDP pipeline
-// wraps its optimal (possibly randomised) stationary policy this way: the
-// function receives the client views and draws the grant from the policy's
-// action distribution at the corresponding quantised state.
-type PolicyFunc func(clients []ClientView, rng *rand.Rand) int
-
-// Pick implements Arbiter.
-func (f PolicyFunc) Pick(clients []ClientView, rng *rand.Rand) int { return f(clients, rng) }

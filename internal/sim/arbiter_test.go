@@ -5,10 +5,15 @@ import (
 	"testing"
 )
 
+// arbiterFunc adapts a function to Arbiter, for tests that need a fake.
+type arbiterFunc func(clients []ClientView, rng *rand.Rand) int
+
+func (f arbiterFunc) Pick(clients []ClientView, rng *rand.Rand) int { return f(clients, rng) }
+
 func views(lens ...int) []ClientView {
 	out := make([]ClientView, len(lens))
 	for i, l := range lens {
-		out[i] = ClientView{BufferID: string(rune('a' + i)), Len: l, Cap: 10}
+		out[i] = ClientView{Len: l, Cap: 10}
 	}
 	return out
 }
@@ -23,73 +28,5 @@ func TestLongestQueue(t *testing.T) {
 	}
 	if got := a.Pick(views(0, 0), nil); got != -1 {
 		t.Fatalf("empty pick = %d, want -1", got)
-	}
-}
-
-func TestRoundRobin(t *testing.T) {
-	a := &RoundRobin{}
-	seq := []int{}
-	for i := 0; i < 4; i++ {
-		seq = append(seq, a.Pick(views(1, 1, 1), nil))
-	}
-	want := []int{0, 1, 2, 0}
-	for i := range want {
-		if seq[i] != want[i] {
-			t.Fatalf("round robin seq = %v, want %v", seq, want)
-		}
-	}
-	// Skips empties.
-	if got := a.Pick(views(0, 1, 0), nil); got != 1 {
-		t.Fatalf("skip pick = %d, want 1", got)
-	}
-	if got := a.Pick(views(0, 0, 0), nil); got != -1 {
-		t.Fatalf("all-empty pick = %d", got)
-	}
-}
-
-func TestOldestHead(t *testing.T) {
-	a := OldestHead{}
-	vs := views(1, 1, 0)
-	vs[0].HeadWait = 0.5
-	vs[1].HeadWait = 2.0
-	if got := a.Pick(vs, nil); got != 1 {
-		t.Fatalf("pick = %d, want 1", got)
-	}
-	if got := a.Pick(views(0, 0), nil); got != -1 {
-		t.Fatalf("empty pick = %d", got)
-	}
-}
-
-func TestRandomNonEmpty(t *testing.T) {
-	a := RandomNonEmpty{}
-	rng := rand.New(rand.NewSource(1))
-	counts := map[int]int{}
-	for i := 0; i < 1000; i++ {
-		got := a.Pick(views(1, 0, 1), rng)
-		if got != 0 && got != 2 {
-			t.Fatalf("picked empty client %d", got)
-		}
-		counts[got]++
-	}
-	if counts[0] == 0 || counts[2] == 0 {
-		t.Fatalf("random arbiter not random: %v", counts)
-	}
-	if got := a.Pick(views(0, 0), rng); got != -1 {
-		t.Fatalf("all-empty pick = %d", got)
-	}
-}
-
-func TestPolicyFunc(t *testing.T) {
-	var seen []ClientView
-	f := PolicyFunc(func(clients []ClientView, _ *rand.Rand) int {
-		seen = clients
-		return 0
-	})
-	vs := views(1, 2)
-	if got := f.Pick(vs, nil); got != 0 {
-		t.Fatalf("pick = %d", got)
-	}
-	if len(seen) != 2 {
-		t.Fatal("policy func did not receive views")
 	}
 }

@@ -28,8 +28,10 @@ type goldenCase struct {
 
 // goldenRuns simulates the pinned inputs: the three presets and one
 // generated topology per family, each buffered and uniformly sized at its
-// registry budget, under both arbiters on every bus, without and with the
-// timeout policy, for seeds 1–3.
+// registry budget, under longest-queue arbitration, without and with the
+// timeout policy, for seeds 1–3. Runs under a policy arbiter, which takes
+// the simulator's other dispatch path, are pinned by the exact-answer
+// golden file, whose evaluations simulate under the solved CTMDP policies.
 func goldenRuns(t *testing.T) []goldenCase {
 	t.Helper()
 	var out []goldenCase
@@ -47,30 +49,21 @@ func goldenRuns(t *testing.T) []goldenCase {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, arb := range []struct {
-			name string
-			a    sim.Arbiter
-		}{{"longest-queue", sim.LongestQueue{}}, {"oldest-head", sim.OldestHead{}}} {
-			arbiters := map[string]sim.Arbiter{}
-			for _, b := range a.Buses {
-				arbiters[b.ID] = arb.a
-			}
-			for _, timeout := range []float64{0, 1.1} {
-				for seed := int64(1); seed <= 3; seed++ {
-					s, err := sim.New(sim.Config{Arch: a, Alloc: alloc, Horizon: 2000, WarmUp: 100,
-						Seed: seed, Timeout: timeout, Arbiters: arbiters})
-					if err != nil {
-						t.Fatal(err)
-					}
-					res, err := s.Run()
-					if err != nil {
-						t.Fatal(err)
-					}
-					out = append(out, goldenCase{
-						Name:    fmt.Sprintf("%s/%s/timeout=%g/seed=%d", name, arb.name, timeout, seed),
-						Results: res,
-					})
+		for _, timeout := range []float64{0, 1.1} {
+			for seed := int64(1); seed <= 3; seed++ {
+				s, err := sim.New(sim.Config{Arch: a, Alloc: alloc, Horizon: 2000, WarmUp: 100,
+					Seed: seed, Timeout: timeout})
+				if err != nil {
+					t.Fatal(err)
 				}
+				res, err := s.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				out = append(out, goldenCase{
+					Name:    fmt.Sprintf("%s/longest-queue/timeout=%g/seed=%d", name, timeout, seed),
+					Results: res,
+				})
 			}
 		}
 	}

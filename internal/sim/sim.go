@@ -140,7 +140,7 @@ func (q *queue) updateArea(now, warmUp float64) {
 			from = warmUp
 		}
 		if now > from {
-			q.area += float64(q.size()) * (now - from)
+			q.area += float64(float64(q.size()) * (now - from))
 		}
 		q.lastT = now
 	}
@@ -155,8 +155,8 @@ type busState struct {
 	qs      []*queue // the same clients, pointer-resolved for the dispatch loop
 	arbiter Arbiter
 	// fastLQ marks the default LongestQueue arbiter: its pick (longest
-	// backlog, ties to the lowest index, no RNG, no HeadWait) is computed
-	// straight off the queue sizes, skipping the view build entirely.
+	// backlog, ties to the lowest index, no RNG) is computed straight off
+	// the queue sizes, skipping the view build entirely.
 	fastLQ  bool
 	busy    bool
 	serving packet
@@ -299,10 +299,8 @@ func New(cfg Config) (*Simulator, error) {
 			st.qs[i] = s.queues[qi]
 		}
 		st.views = make([]ClientView, len(st.clients))
-		// BufferID and Cap never change after construction; dispatch only
-		// refreshes Len and HeadWait.
+		// Cap never changes after construction; dispatch only refreshes Len.
 		for i, qi := range st.clients {
-			st.views[i].BufferID = s.queues[qi].id
 			st.views[i].Cap = s.queues[qi].cap
 		}
 		st.slot = len(routes) + len(s.buses)
@@ -551,12 +549,7 @@ func (s *Simulator) dispatch(b *busState) error {
 		for i, q := range b.qs {
 			n := q.size()
 			views[i].Len = n
-			if n > 0 {
-				views[i].HeadWait = s.now - q.items[q.head].enqAt
-				any = true
-			} else {
-				views[i].HeadWait = 0
-			}
+			any = any || n > 0
 		}
 		if !any {
 			return nil

@@ -312,7 +312,7 @@ func TestSimRunTwiceFails(t *testing.T) {
 func TestSimInvalidArbiterPick(t *testing.T) {
 	a := singleQueueArch(2, 2)
 	alloc := arch.Allocation{"src@x": 2, "dst@x": 1}
-	bad := PolicyFunc(func(clients []ClientView, _ *rand.Rand) int { return 99 })
+	bad := arbiterFunc(func(clients []ClientView, _ *rand.Rand) int { return 99 })
 	s, err := New(Config{
 		Arch: a, Alloc: alloc, Horizon: 100, Seed: 1,
 		Arbiters: map[string]Arbiter{"x": bad},
@@ -330,7 +330,7 @@ func TestSimCustomArbiterUsed(t *testing.T) {
 	a.InsertBridgeBuffers()
 	alloc, _ := arch.UniformAllocation(a, 24)
 	calls := 0
-	counting := PolicyFunc(func(clients []ClientView, rng *rand.Rand) int {
+	counting := arbiterFunc(func(clients []ClientView, rng *rand.Rand) int {
 		calls++
 		return LongestQueue{}.Pick(clients, rng)
 	})

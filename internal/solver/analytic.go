@@ -13,7 +13,7 @@ import (
 	"socbuf/internal/queueing"
 )
 
-// analytic sizes buffers from closed-form M/M/1/K blocking probabilities
+// runAnalytic sizes buffers from closed-form M/M/1/K blocking probabilities
 // (internal/queueing) instead of the CTMDP/LP: each buffer is approximated
 // as an M/M/1/K queue at its boundary-estimated arrival rate and its share
 // of the bus's service capacity, and the budget is spent by a
@@ -43,13 +43,7 @@ import (
 // the default longest-queue arbitration (no CTMDP policy exists to drive
 // the simulator); Solution is nil and ModelLoss is the analytic weighted
 // loss-rate estimate.
-type analytic struct{}
-
-func init() { mustRegister(analytic{}) }
-
-func (analytic) Name() string { return MethodAnalytic }
-
-func (analytic) Run(ctx context.Context, cfg core.Config) (*core.Result, error) {
+func runAnalytic(ctx context.Context, cfg core.Config) (*core.Result, error) {
 	s, err := core.NewStepper(ctx, cfg)
 	if err != nil {
 		return nil, err
@@ -210,7 +204,7 @@ func (m *analyticModel) deriveRates() {
 		for h := m.hopStart[r]; h < m.hopStart[r+1]; h++ {
 			if i := m.hopBuf[h]; i >= 0 {
 				m.initArrival[i] += rate
-				wNum[i] += rate * w
+				wNum[i] += float64(rate * w)
 				wDen[i] += rate
 			}
 		}
@@ -307,7 +301,7 @@ func (m *analyticModel) converge(cfg core.Config) []float64 {
 			}
 		}
 		for i := range arrival {
-			arrival[i] = damp*next[i] + (1-damp)*arrival[i]
+			arrival[i] = float64(damp*next[i]) + float64((1-damp)*arrival[i])
 		}
 	}
 	return arrival
@@ -326,7 +320,7 @@ func analyticSolve(a *arch.Architecture, cfg core.Config) (*AnalyticSolution, er
 	alloc, _ := m.greedy(arrival, mu, cfg.Budget, nil)
 	var loss float64
 	for i := range m.buffers {
-		loss += m.weight[i] * arrival[i] * blocking(arrival[i], mu[i], alloc[i])
+		loss += float64(m.weight[i] * arrival[i] * blocking(arrival[i], mu[i], alloc[i]))
 	}
 	return &AnalyticSolution{Alloc: m.allocMap(alloc), LossRate: loss}, nil
 }

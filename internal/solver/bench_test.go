@@ -46,7 +46,7 @@ func backendSweep(tb testing.TB, method string, iters int) {
 
 // BenchmarkBackendSweep is the backend speed/accuracy measurement
 // PERFORMANCE.md records: the same 8-point chain6 budget sweep under each
-// registered solver backend, at 8 methodology iterations (near the
+// solver backend, at 8 methodology iterations (near the
 // paper's 10 — deep enough that hybrid's cycle cut fires). The acceptance
 // target is analytic ≥ 10× faster than exact; hybrid lands in between (it
 // runs exact iterations, just fewer of them).

@@ -67,7 +67,7 @@ func (s *Screen) TableLoss(alloc []int) float64 { return s.sc.loss(alloc) }
 func (s *Screen) DirectLoss(alloc []int) float64 {
 	var loss float64
 	for i, k := range alloc {
-		loss += s.sc.wl[i] * blocking(s.sc.arrival[i], s.sc.mu[i], k)
+		loss += float64(s.sc.wl[i] * blocking(s.sc.arrival[i], s.sc.mu[i], k))
 	}
 	return loss
 }

@@ -19,7 +19,7 @@ import (
 // exact refinement short on its word.
 const hybridAgreeFactor = 5.0
 
-// hybrid is the screen-then-refine backend. The analytic model screens the
+// runHybrid is the screen-then-refine backend. The analytic model screens the
 // allocation space — it prices any candidate sizing in closed form from
 // the converged boundary estimates — while the exact CTMDP/LP loop refines
 // candidates one iteration at a time, on the identical core.Stepper
@@ -43,13 +43,7 @@ const hybridAgreeFactor = 5.0
 // hybrid selects the same sizing as exact on every registry scenario (the
 // gated acceptance test) at a fraction of the iterations — typically 4–6
 // of 10 — while inheriting exact's evaluation semantics unchanged.
-type hybrid struct{}
-
-func init() { mustRegister(hybrid{}) }
-
-func (hybrid) Name() string { return MethodHybrid }
-
-func (hybrid) Run(ctx context.Context, cfg core.Config) (*core.Result, error) {
+func runHybrid(ctx context.Context, cfg core.Config) (*core.Result, error) {
 	s, err := core.NewStepper(ctx, cfg)
 	if err != nil {
 		return nil, err
@@ -101,7 +95,7 @@ func newScreen(a *arch.Architecture, cfg core.Config) (*screen, error) {
 func (sc *screen) loss(alloc map[string]int) float64 {
 	var total float64
 	for i, id := range sc.model.buffers {
-		total += sc.model.weight[i] * sc.arrival[i] * blocking(sc.arrival[i], sc.mu[i], alloc[id])
+		total += float64(sc.model.weight[i] * sc.arrival[i] * blocking(sc.arrival[i], sc.mu[i], alloc[id]))
 	}
 	return total
 }

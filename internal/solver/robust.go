@@ -15,7 +15,17 @@ import (
 	"socbuf/internal/uncertain"
 )
 
-// robust sizes buffers under traffic uncertainty with a chance constraint:
+// candidateSeedSizings bounds how many per-sample sizings seed the
+// candidate pool at each budget rung (the first indices of the CRN sample
+// set — a pure function of the spec seed, so worker-count invariant).
+const candidateSeedSizings = 6
+
+// budgetLadder is the descending fraction ladder the selection walks:
+// chance-constrained selection prefers the cheapest rung that clears the
+// confidence.
+var budgetLadder = []float64{0.6, 0.7, 0.8, 0.9, 1.0}
+
+// runRobust sizes buffers under traffic uncertainty with a chance constraint:
 // instead of optimising against the nominal point-estimate rates, it draws
 // N correlated traffic perturbations (internal/uncertain, common random
 // numbers), scores candidate sizings by their empirical yield — the
@@ -40,23 +50,7 @@ import (
 // holding the chance-constraint report. Whole decisions are cached under
 // solvecache's backend-tagged robust tier. DESIGN.md §9 records the
 // contract.
-type robust struct{}
-
-func init() { mustRegister(robust{}) }
-
-func (robust) Name() string { return MethodRobust }
-
-// candidateSeedSizings bounds how many per-sample sizings seed the
-// candidate pool at each budget rung (the first indices of the CRN sample
-// set — a pure function of the spec seed, so worker-count invariant).
-const candidateSeedSizings = 6
-
-// budgetLadder is the descending fraction ladder the selection walks:
-// chance-constrained selection prefers the cheapest rung that clears the
-// confidence.
-var budgetLadder = []float64{0.6, 0.7, 0.8, 0.9, 1.0}
-
-func (robust) Run(ctx context.Context, cfg core.Config) (*core.Result, error) {
+func runRobust(ctx context.Context, cfg core.Config) (*core.Result, error) {
 	s, err := core.NewStepper(ctx, cfg)
 	if err != nil {
 		return nil, err
@@ -241,7 +235,7 @@ func (sc *sampleScreen) size(budget int) []int {
 func (sc *sampleScreen) loss(alloc []int) float64 {
 	var loss float64
 	for i, k := range alloc {
-		loss += sc.wl[i] * sc.tab[i*sc.stride+k]
+		loss += float64(sc.wl[i] * sc.tab[i*sc.stride+k])
 	}
 	return loss
 }
@@ -252,7 +246,7 @@ func (sc *sampleScreen) loss(alloc []int) float64 {
 func (sc *sampleScreen) lossMap(alloc map[string]int) float64 {
 	var loss float64
 	for i, id := range sc.m.buffers {
-		loss += sc.wl[i] * blocking(sc.arrival[i], sc.mu[i], alloc[id])
+		loss += float64(sc.wl[i] * blocking(sc.arrival[i], sc.mu[i], alloc[id]))
 	}
 	return loss
 }

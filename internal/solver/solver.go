@@ -1,8 +1,8 @@
-// Package solver is the pluggable backend seam of the buffer-sizing
-// pipeline: every entry point (internal/engine, the experiments sweep
-// runners, and through them the CLIs and the socbufd HTTP service) resolves
-// a method name to a Solver and calls Run, instead of hard-wiring the exact
-// CTMDP/LP path. Four backends register at init:
+// Package solver is the backend seam of the buffer-sizing pipeline: every
+// entry point (internal/engine, the experiments sweep runners, and through
+// them the CLIs and the socbufd HTTP service) calls Run, which looks the
+// configuration's method name up in a fixed table of four backends instead
+// of hard-wiring the exact CTMDP/LP path:
 //
 //   - "exact" — the paper's CTMDP/LP methodology (core.RunCtx), unchanged:
 //     solver.Run with the exact method is byte-identical to calling core.Run
@@ -34,7 +34,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"socbuf/internal/core"
 )
@@ -52,58 +51,29 @@ const (
 // engine.ErrInvalidRequest wrapping.
 var ErrUnknownMethod = errors.New("unknown method")
 
-// Solver is one sizing backend: a pure function from a methodology
-// configuration to a result. Implementations must be safe for concurrent
-// use (sweeps fan points across workers) and must honour ctx cancellation
-// between major phases.
-type Solver interface {
-	// Name returns the registry method name.
-	Name() string
-	// Run executes the methodology with this backend. cfg.Method has been
-	// consumed by dispatch and arrives empty.
-	Run(ctx context.Context, cfg core.Config) (*core.Result, error)
+// backends maps each method name to its sizing function: a pure function
+// from a methodology configuration to a result, safe for concurrent use
+// (sweeps fan points across workers) and honouring ctx cancellation between
+// major phases. cfg.Method has been consumed by dispatch and arrives empty.
+var backends = map[string]func(context.Context, core.Config) (*core.Result, error){
+	MethodExact:    core.RunCtx,
+	MethodAnalytic: runAnalytic,
+	MethodHybrid:   runHybrid,
+	MethodRobust:   runRobust,
 }
 
-var registry = struct {
-	sync.Mutex
-	m map[string]Solver
-}{m: map[string]Solver{}}
-
-// Register adds a backend to the registry. Duplicate names are rejected —
-// a backend's identity is load-bearing (cache keys, stats attribution).
-func Register(s Solver) error {
-	if s == nil || s.Name() == "" {
-		return errors.New("solver: nil or unnamed backend")
-	}
-	registry.Lock()
-	defer registry.Unlock()
-	if _, dup := registry.m[s.Name()]; dup {
-		return fmt.Errorf("solver: %q already registered", s.Name())
-	}
-	registry.m[s.Name()] = s
-	return nil
-}
-
-func mustRegister(s Solver) {
-	if err := Register(s); err != nil {
-		panic(err)
-	}
-}
-
-// Methods returns every registered method name, sorted.
+// Methods returns every method name, sorted.
 func Methods() []string {
-	registry.Lock()
-	defer registry.Unlock()
-	out := make([]string, 0, len(registry.m))
-	for n := range registry.m {
+	out := make([]string, 0, len(backends))
+	for n := range backends {
 		out = append(out, n)
 	}
 	sort.Strings(out)
 	return out
 }
 
-// MethodList renders the registry for flag help strings and error messages
-// ("analytic | exact | hybrid | robust").
+// MethodList renders the method table for flag help strings and error
+// messages ("analytic | exact | hybrid | robust").
 func MethodList() string { return strings.Join(Methods(), " | ") }
 
 // Canonical normalises a method name for reporting and stats attribution:
@@ -115,30 +85,32 @@ func Canonical(name string) string {
 	return name
 }
 
-// Resolve maps a method name to its backend. The empty name is the exact
+// backend maps a method name to its function. The empty name is the exact
 // default. Unknown names fail with the repo-wide uniform message (wrapping
 // ErrUnknownMethod), which every CLI and the HTTP 400 path surface
 // verbatim.
-func Resolve(name string) (Solver, error) {
-	if name == "" {
-		name = MethodExact
-	}
-	registry.Lock()
-	s := registry.m[name]
-	registry.Unlock()
-	if s == nil {
+func backend(name string) (func(context.Context, core.Config) (*core.Result, error), error) {
+	run, ok := backends[Canonical(name)]
+	if !ok {
 		return nil, fmt.Errorf("solver: %w %q (valid methods: %s)", ErrUnknownMethod, name, MethodList())
 	}
-	return s, nil
+	return run, nil
+}
+
+// CheckMethod reports, with Run's error, whether name selects a backend —
+// for callers that validate a request before running it.
+func CheckMethod(name string) error {
+	_, err := backend(name)
+	return err
 }
 
 // Run dispatches cfg to the backend named by cfg.Method (empty = exact) —
 // the single funnel every sweep point and service request goes through.
 func Run(ctx context.Context, cfg core.Config) (*core.Result, error) {
-	s, err := Resolve(cfg.Method)
+	run, err := backend(cfg.Method)
 	if err != nil {
 		return nil, err
 	}
 	cfg.Method = "" // consumed by dispatch; core rejects foreign methods
-	return s.Run(ctx, cfg)
+	return run(ctx, cfg)
 }

@@ -42,7 +42,7 @@ func gateScenarios() []string {
 }
 
 // TestExactBackendMatchesCoreRun is the refactor's byte-identical gate: the
-// exact backend routed through the solver registry must reproduce the
+// exact backend routed through the solver table must reproduce the
 // pre-refactor direct core.Run output exactly, on every registry scenario.
 func TestExactBackendMatchesCoreRun(t *testing.T) {
 	if testing.Short() {
@@ -243,20 +243,17 @@ func TestUnknownMethodUniformError(t *testing.T) {
 	}
 }
 
-// TestRegistryComplete pins the built-in backend set.
+// TestRegistryComplete pins the backend table: its four methods, each (and
+// the empty default) accepted by CheckMethod.
 func TestRegistryComplete(t *testing.T) {
 	got := solver.Methods()
 	want := []string{solver.MethodAnalytic, solver.MethodExact, solver.MethodHybrid, solver.MethodRobust}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("methods = %v, want %v", got, want)
 	}
-	for _, m := range want {
-		s, err := solver.Resolve(m)
-		if err != nil || s.Name() != m {
-			t.Fatalf("resolve %q: %v (%v)", m, s, err)
+	for _, m := range append(want, "") {
+		if err := solver.CheckMethod(m); err != nil {
+			t.Fatalf("method %q: %v", m, err)
 		}
-	}
-	if s, err := solver.Resolve(""); err != nil || s.Name() != solver.MethodExact {
-		t.Fatalf("empty method resolves to %v (%v), want exact", s, err)
 	}
 }

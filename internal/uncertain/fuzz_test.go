@@ -7,8 +7,8 @@ import (
 
 // FuzzParseSpec drives the strict spec decoder with arbitrary bytes: it
 // must never panic, and any input it accepts must round-trip — encode then
-// re-parse to the identical spec (the JSON contract scenario files and
-// /v1/solve bodies rely on).
+// re-parse to the identical spec (the JSON contract /v1/solve bodies rely
+// on).
 func FuzzParseSpec(f *testing.F) {
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"rateSigma":0.2,"samples":64,"confidence":0.95,"seed":1}`))

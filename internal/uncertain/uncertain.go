@@ -42,8 +42,8 @@ const (
 
 // Spec describes one traffic-uncertainty model. The zero value means "all
 // defaults" (WithDefaults fills them); JSON round-trips through
-// ParseSpec/WriteJSON with unknown fields rejected. Attach a Spec to any
-// scenario or request — it travels core.Config → the robust backend.
+// ParseSpec/WriteJSON with unknown fields rejected. Attach a Spec to a
+// scenario or a request — it travels core.Config → the robust backend.
 type Spec struct {
 	// RateSigma is the lognormal σ of each flow's multiplicative rate
 	// factor: a sampled flow offers rate λ·exp(σ·Z), Z ~ N(0,1), drawn
@@ -118,7 +118,7 @@ func (s Spec) Validate() error {
 
 // ParseSpec decodes and validates one uncertainty spec from strict JSON:
 // unknown fields and trailing garbage are rejected, exactly like the
-// scenario and request decoders.
+// request decoders.
 func ParseSpec(data []byte) (Spec, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
