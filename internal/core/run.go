@@ -378,8 +378,9 @@ func buildArbiters(a *arch.Architecture, sol *ctmdp.JointSolution, alloc arch.Al
 //
 // makeArbiters (nil for the longest-queue default) is invoked once per seed:
 // a policyArbiter carries per-run scratch state (its level buffer), so
-// concurrent simulations must not share instances. cfg.Traffic, when set, is likewise invoked once per seed so
-// every simulation gets fresh Source instances (trace.OnOff is stateful).
+// concurrent simulations must not share instances. cfg.Traffic, when set,
+// is likewise invoked once per seed so every simulation gets fresh Source
+// instances (trace.OnOff is stateful).
 func evaluate(ctx context.Context, a *arch.Architecture, alloc arch.Allocation, makeArbiters func() (map[string]sim.Arbiter, error), cfg Config) (int64, map[string]int64, error) {
 	perSeed, err := parallel.MapCtx(ctx, len(cfg.Seeds), cfg.Workers, func(i int) (*sim.Results, error) {
 		var arbiters map[string]sim.Arbiter

@@ -10,10 +10,10 @@ import (
 	"socbuf/internal/uncertain"
 )
 
-// TestRegistryBuiltins validates every built-in — the check registration
-// once made at every process start — and pins the table's shape: names
-// unique and sorted (Names and All return the table in its own order), the
-// paper's three presets and at least three generated families.
+// TestRegistryBuiltins validates every built-in — nothing checks the table
+// at process start — and pins its shape: names unique and sorted (Names and
+// All return the table in its own order), the paper's three presets and at
+// least three generated families.
 func TestRegistryBuiltins(t *testing.T) {
 	names := Names()
 	if len(names) < 6 {

@@ -32,7 +32,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 
 	"socbuf/internal/core"
@@ -63,14 +64,7 @@ var backends = map[string]func(context.Context, core.Config) (*core.Result, erro
 }
 
 // Methods returns every method name, sorted.
-func Methods() []string {
-	out := make([]string, 0, len(backends))
-	for n := range backends {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
+func Methods() []string { return slices.Sorted(maps.Keys(backends)) }
 
 // MethodList renders the method table for flag help strings and error
 // messages ("analytic | exact | hybrid | robust").
