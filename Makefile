@@ -210,7 +210,7 @@ fuzz-smoke:
 # became fixed tables and the Sizer layer, scenario JSON and the test-only
 # arbiters were deleted: internal/scenario 88.7% (86.7% before; 84.6%
 # until Validate's rejection cases joined its test), internal/sim 96.0%
-# (96.4% before), internal/solver 87.9% (87.2% before), internal/engine
+# (96.4% before), internal/solver 87.8% (87.2% before), internal/engine
 # 88.1% (87.9% before); all four floors kept.
 # The floors sit a few points below so honest
 # refactors don't trip them, but a test-free feature dump — or a refactor
