@@ -34,7 +34,8 @@
 // Shutdown: SIGINT/SIGTERM flips readiness (so ring health checks route
 // around the backend), stops admission, cancels in-flight requests (the
 // cancellation threads down through the sweep workers, which finish their
-// current point and exit), drains, then closes the listener.
+// current point and exit), drains, then closes the listener. A repeated
+// SIGTERM during the drain is ignored; a second SIGINT exits at once.
 package main
 
 import (
@@ -44,9 +45,6 @@ import (
 	"fmt"
 	"log"
 	"net/http"
-	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"socbuf/internal/cliutil"
@@ -97,7 +95,7 @@ func main() {
 	}
 	cliutil.CloseSilentConnsOnShutdown(srv)
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	ctx, stop := cliutil.ShutdownOnSignal()
 	defer stop()
 
 	errc := make(chan error, 1)
@@ -109,7 +107,6 @@ func main() {
 		cliutil.Fatal("socbufd", err)
 	case <-ctx.Done():
 	}
-	stop() // a second signal kills the process the default way
 
 	log.Printf("socbufd: shutting down (drain timeout %v)", *drain)
 	// Readiness first, while the listener still answers: the router's health

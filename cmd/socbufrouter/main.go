@@ -39,10 +39,7 @@ import (
 	"fmt"
 	"log"
 	"net/http"
-	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"socbuf/internal/cliutil"
@@ -92,7 +89,7 @@ func main() {
 	}
 	cliutil.CloseSilentConnsOnShutdown(srv)
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	ctx, stop := cliutil.ShutdownOnSignal()
 	defer stop()
 
 	errc := make(chan error, 1)
@@ -104,7 +101,6 @@ func main() {
 		cliutil.Fatal("socbufrouter", err)
 	case <-ctx.Done():
 	}
-	stop() // a second signal kills the process the default way
 
 	log.Printf("socbufrouter: shutting down (drain timeout %v)", *drain)
 	dctx, cancel := context.WithTimeout(context.Background(), *drain)

@@ -238,6 +238,12 @@ func (a *Architecture) BufferArrivalRates() (map[string]float64, error) {
 	if err != nil {
 		return nil, err
 	}
+	return a.ArrivalRatesOf(routes), nil
+}
+
+// ArrivalRatesOf is BufferArrivalRates over routes a caller already holds
+// from Routes, so it does not route every flow again.
+func (a *Architecture) ArrivalRatesOf(routes []Route) map[string]float64 {
 	rates := map[string]float64{}
 	for _, id := range a.BufferIDs() {
 		rates[id] = 0
@@ -249,5 +255,5 @@ func (a *Architecture) BufferArrivalRates() (map[string]float64, error) {
 			rates[h.Buffer] += r.Flow.Rate
 		}
 	}
-	return rates, nil
+	return rates
 }

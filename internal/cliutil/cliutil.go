@@ -8,6 +8,7 @@
 package cliutil
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -16,7 +17,9 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"os/signal"
 	"sync"
+	"syscall"
 
 	"socbuf/internal/engine"
 	"socbuf/internal/solver"
@@ -196,4 +199,35 @@ func CloseSilentConnsOnShutdown(srv *http.Server) {
 			c.Close()
 		}
 	})
+}
+
+// ShutdownOnSignal returns a context that is done on the process's first
+// SIGINT or SIGTERM, and a stop function that releases both signals; the
+// two servers call stop only once their drain is complete. Until then
+// SIGTERM stays caught, because a supervisor that signals the whole
+// process group delivers it twice (GNU timeout signals the child, then its
+// group), and the duplicate must not kill a draining server. SIGINT takes
+// its default action again once the first signal has arrived, so an
+// operator's second Ctrl-C still ends the process at once. stop returns
+// once the goroutine watching the signals has exited; calling it again is
+// harmless.
+func ShutdownOnSignal() (ctx context.Context, stop func()) {
+	ctx, cancel := context.WithCancel(context.Background())
+	sigs := make(chan os.Signal, 1)
+	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
+	exited := make(chan struct{})
+	go func() {
+		defer close(exited)
+		select {
+		case <-sigs:
+			signal.Reset(os.Interrupt)
+			cancel()
+		case <-ctx.Done():
+		}
+	}()
+	return ctx, func() {
+		cancel()
+		<-exited
+		signal.Stop(sigs)
+	}
 }

@@ -11,20 +11,25 @@ import (
 // boundary holds the bridge-coupling scalars each subsystem model sees about
 // the rest of the system: per-buffer arrival rates (for bridge buffers these
 // are estimates of upstream throughput) and per-buffer full probabilities
-// (for the downstream-loss cost of feeding a full bridge buffer).
+// (for the downstream-loss cost of feeding a full bridge buffer). It also
+// keeps what the fixed point reads but never changes, the architecture's
+// routes and each bus's clients, so a run routes its flows once.
 type boundary struct {
-	arrival  map[string]float64 // offered rate into every buffer
-	fullProb map[string]float64 // P(buffer full)
+	routes   []arch.Route        // every flow's route (arch.Routes)
+	clients  map[string][]string // bus -> its client buffers (arch.ClientsOf)
+	arrival  map[string]float64  // offered rate into every buffer
+	fullProb map[string]float64  // P(buffer full)
 }
 
-// initialBoundary seeds the fixed point with loss-free arrival rates and
-// zero full probabilities.
+// initialBoundary routes a once and seeds the fixed point with loss-free
+// arrival rates and zero full probabilities.
 func initialBoundary(a *arch.Architecture) (*boundary, error) {
-	rates, err := a.BufferArrivalRates()
+	routes, err := a.Routes()
 	if err != nil {
 		return nil, err
 	}
-	b := &boundary{arrival: rates, fullProb: map[string]float64{}}
+	rates := a.ArrivalRatesOf(routes)
+	b := &boundary{routes: routes, clients: a.ClientsOf(routes), arrival: rates, fullProb: map[string]float64{}}
 	for id := range rates {
 		b.fullProb[id] = 0
 	}
@@ -35,7 +40,7 @@ func initialBoundary(a *arch.Architecture) (*boundary, error) {
 // new = damp·estimate + (1−damp)·old. Arrival rates into bridge buffers are
 // re-derived by walking every route and attenuating the carried rate by each
 // upstream buffer's acceptance and achieved service share.
-func (b *boundary) update(a *arch.Architecture, sols []*ctmdp.ModelSolution, damp float64) error {
+func (b *boundary) update(sols []*ctmdp.ModelSolution, damp float64) error {
 	// Per-buffer model statistics (aggregates spread to members).
 	type stat struct {
 		full    float64
@@ -64,15 +69,11 @@ func (b *boundary) update(a *arch.Architecture, sols []*ctmdp.ModelSolution, dam
 		}
 	}
 
-	routes, err := a.Routes()
-	if err != nil {
-		return err
-	}
 	newArrival := map[string]float64{}
 	for id := range b.arrival {
 		newArrival[id] = 0
 	}
-	for _, r := range routes {
+	for _, r := range b.routes {
 		carried := r.Flow.Rate
 		for _, h := range r.Hops {
 			newArrival[h.Buffer] += carried
@@ -111,23 +112,15 @@ func BuildSubsystemModels(a *arch.Architecture, alloc arch.Allocation, cfg Confi
 
 // buildModels constructs one CTMDP per bus subsystem from the architecture,
 // the current allocation (which fixes UnitsPerLevel) and the current
-// boundary scalars.
+// boundary: its scalars, routes and bus clients.
 func buildModels(a *arch.Architecture, alloc arch.Allocation, bnd *boundary, cfg Config) ([]*ctmdp.Model, error) {
-	clients, err := a.BusClients()
-	if err != nil {
-		return nil, err
-	}
-	routes, err := a.Routes()
-	if err != nil {
-		return nil, err
-	}
 	// Downstream full probability per buffer: rate-weighted average of the
 	// next-hop buffers of the traffic leaving it ("" = delivery, p=0).
 	downNum := map[string]float64{}
 	downDen := map[string]float64{}
 	// Loss weight per buffer: rate-weighted over source processors.
 	wNum := map[string]float64{}
-	for _, r := range routes {
+	for _, r := range bnd.routes {
 		w := 1.0
 		if lw, ok := cfg.LossWeights[r.Flow.From]; ok {
 			w = lw
@@ -149,7 +142,7 @@ func buildModels(a *arch.Architecture, alloc arch.Allocation, bnd *boundary, cfg
 
 	var models []*ctmdp.Model
 	for _, busID := range busIDs {
-		bufIDs := clients[busID]
+		bufIDs := bnd.clients[busID]
 		if len(bufIDs) == 0 {
 			continue // bus carries no traffic: nothing to model
 		}

@@ -111,8 +111,10 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 // single closed-form pass via Record) reuse the identical machinery, which
 // is what keeps the exact path's output byte-identical across entry points.
 type Stepper struct {
-	cfg   Config
-	a     *arch.Architecture
+	cfg Config
+	a   *arch.Architecture
+	// bnd is the bridge-boundary fixed point, built by the first Step:
+	// backends that never Step (analytic, robust) never route for it.
 	bnd   *boundary
 	alloc arch.Allocation
 	res   *Result
@@ -160,14 +162,9 @@ func NewStepper(ctx context.Context, cfg Config) (*Stepper, error) {
 		return nil, err
 	}
 
-	bnd, err := initialBoundary(a)
-	if err != nil {
-		return nil, err
-	}
 	return &Stepper{
 		cfg:   cfg,
 		a:     a,
-		bnd:   bnd,
 		alloc: res.BaselineAlloc.Clone(),
 		res:   res,
 	}, nil
@@ -194,6 +191,13 @@ func (s *Stepper) Step(ctx context.Context) (*Iteration, error) {
 	cfg, a := s.cfg, s.a
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: iteration %d: %w", it, err)
+	}
+	if s.bnd == nil {
+		bnd, err := initialBoundary(a)
+		if err != nil {
+			return nil, fmt.Errorf("core: iteration %d: %w", it, err)
+		}
+		s.bnd = bnd
 	}
 	sol, err := solveWithBoundary(ctx, a, s.alloc, s.bnd, cfg)
 	if err != nil {
@@ -230,7 +234,7 @@ func (s *Stepper) Step(ctx context.Context) (*Iteration, error) {
 	}
 
 	makeArbiters := func() (map[string]sim.Arbiter, error) {
-		return buildArbiters(a, sol, newAlloc)
+		return buildArbiters(s.bnd.clients, sol)
 	}
 	// Fail fast on wiring errors before fanning out the seeds.
 	if _, err := makeArbiters(); err != nil {
@@ -323,7 +327,7 @@ func solveWithBoundary(ctx context.Context, a *arch.Architecture, alloc arch.All
 		if err != nil {
 			return nil, err
 		}
-		if err := bnd.update(a, sol.PerModel, 0.7); err != nil {
+		if err := bnd.update(sol.PerModel, 0.7); err != nil {
 			return nil, err
 		}
 	}
@@ -351,15 +355,16 @@ func solveWithBoundary(ctx context.Context, a *arch.Architecture, alloc arch.All
 // for every concurrent simulation — exactly what the methodology's own
 // evaluations do.
 func Arbiters(a *arch.Architecture, sol *ctmdp.JointSolution, alloc arch.Allocation) (map[string]sim.Arbiter, error) {
-	return buildArbiters(a, sol, alloc)
-}
-
-// buildArbiters wires each bus's solved policy to the simulator.
-func buildArbiters(a *arch.Architecture, sol *ctmdp.JointSolution, alloc arch.Allocation) (map[string]sim.Arbiter, error) {
 	clients, err := a.BusClients()
 	if err != nil {
 		return nil, err
 	}
+	return buildArbiters(clients, sol)
+}
+
+// buildArbiters wires each bus's solved policy to the simulator, given each
+// bus's client buffers (arch.BusClients).
+func buildArbiters(clients map[string][]string, sol *ctmdp.JointSolution) (map[string]sim.Arbiter, error) {
 	out := map[string]sim.Arbiter{}
 	for _, ms := range sol.PerModel {
 		pa, err := newPolicyArbiter(ms, clients[ms.Model.Bus])

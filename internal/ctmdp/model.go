@@ -33,6 +33,7 @@ package ctmdp
 import (
 	"errors"
 	"fmt"
+	"sync"
 )
 
 // MaxStates bounds a single model's state space at the largest model the
@@ -74,6 +75,17 @@ type Model struct {
 	ServiceRate float64
 	Clients     []Client
 
+	// space is the state enumeration of the clients' level vector, shared
+	// with every model of that vector (spaceOf).
+	*space
+}
+
+// space is the state enumeration of one client level vector: it depends on
+// the clients' Levels alone, never on their rates. Every model of a vector
+// shares one space, which nothing writes after spaceOf builds it; each
+// slice's capacity is its length, so an append to one never reaches the
+// space's other slices.
+type space struct {
 	strides   []int
 	numStates int
 	// vars enumerates feasible (state, action) pairs; action == -1 is idle
@@ -91,7 +103,44 @@ type svar struct {
 	action int
 }
 
-// NewModel validates and precomputes the state enumeration.
+// spaces holds one space per level vector, filled on first use and never
+// emptied. MaxStates admits 651 level vectors, so the table stays small.
+var spaces struct {
+	sync.RWMutex
+	m map[uint64]*space
+}
+
+// spaceOf returns the shared space of the clients' level vector,
+// enumerating it on the vector's first use. The clients must have passed
+// NewModel's checks: at most six clients (each has two or more levels
+// within MaxStates), each with 1..80 levels, so seven bits per client and
+// the count in front make the key unique.
+func spaceOf(clients []Client) *space {
+	key := uint64(len(clients))
+	for _, c := range clients {
+		key = key<<7 | uint64(c.Levels)
+	}
+	spaces.RLock()
+	sp := spaces.m[key]
+	spaces.RUnlock()
+	if sp != nil {
+		return sp
+	}
+	sp = enumerate(clients)
+	spaces.Lock()
+	defer spaces.Unlock()
+	if prev := spaces.m[key]; prev != nil {
+		return prev // another goroutine enumerated the vector first
+	}
+	if spaces.m == nil {
+		spaces.m = map[uint64]*space{}
+	}
+	spaces.m[key] = sp
+	return sp
+}
+
+// NewModel validates the clients and attaches the shared state enumeration
+// of their level vector.
 func NewModel(bus string, serviceRate float64, clients []Client) (*Model, error) {
 	if bus == "" {
 		return nil, errors.New("ctmdp: empty bus ID")
@@ -102,8 +151,6 @@ func NewModel(bus string, serviceRate float64, clients []Client) (*Model, error)
 	if len(clients) == 0 {
 		return nil, fmt.Errorf("ctmdp: bus %q has no clients", bus)
 	}
-	m := &Model{Bus: bus, ServiceRate: serviceRate, Clients: clients}
-	m.strides = make([]int, len(clients))
 	n := 1
 	for i, c := range clients {
 		if c.BufferID == "" {
@@ -131,16 +178,9 @@ func NewModel(bus string, serviceRate float64, clients []Client) (*Model, error)
 		if c.Levels > MaxStates/n-1 {
 			return nil, fmt.Errorf("ctmdp: bus %q state space exceeds %d states", bus, MaxStates)
 		}
-		m.strides[i] = n
 		n *= c.Levels + 1
 	}
-	m.numStates = n
-	m.grants = make([]float64, len(clients)*(len(clients)+1))
-	for c := range clients {
-		m.grants[c*len(clients)+c] = 1
-	}
-	m.enumerate()
-	return m, nil
+	return &Model{Bus: bus, ServiceRate: serviceRate, Clients: clients, space: spaceOf(clients)}, nil
 }
 
 // NumStates returns the size of the state space.
@@ -202,23 +242,45 @@ func (m *Model) stateOf(levels []int) int {
 	return s
 }
 
-// enumerate builds the feasible (state, action) list.
-func (m *Model) enumerate() {
-	m.varsByState = make([][]int, m.numStates)
-	for s := 0; s < m.numStates; s++ {
+// enumerate builds the space of the clients' level vector: the strides
+// and the feasible (state, action) list, state by state, so each state's
+// variables are a contiguous run of indices.
+func enumerate(clients []Client) *space {
+	nc := len(clients)
+	sp := &space{strides: make([]int, nc), numStates: 1}
+	for c, cl := range clients {
+		sp.strides[c] = sp.numStates
+		sp.numStates *= cl.Levels + 1
+	}
+	level := func(s, c int) int { return (s / sp.strides[c]) % (clients[c].Levels + 1) }
+	bounds := make([]int, sp.numStates+1) // state s owns vars[bounds[s]:bounds[s+1]]
+	for s := 0; s < sp.numStates; s++ {
 		nonEmpty := false
-		for c := range m.Clients {
-			if m.Level(s, c) > 0 {
+		for c := range clients {
+			if level(s, c) > 0 {
 				nonEmpty = true
-				m.vars = append(m.vars, svar{state: s, action: c})
-				m.varsByState[s] = append(m.varsByState[s], len(m.vars)-1)
+				sp.vars = append(sp.vars, svar{state: s, action: c})
 			}
 		}
 		if !nonEmpty {
-			m.vars = append(m.vars, svar{state: s, action: -1})
-			m.varsByState[s] = append(m.varsByState[s], len(m.vars)-1)
+			sp.vars = append(sp.vars, svar{state: s, action: -1})
 		}
+		bounds[s+1] = len(sp.vars)
 	}
+	sp.vars = sp.vars[:len(sp.vars):len(sp.vars)]
+	index := make([]int, len(sp.vars))
+	for v := range index {
+		index[v] = v
+	}
+	sp.varsByState = make([][]int, sp.numStates)
+	for s := range sp.varsByState {
+		sp.varsByState[s] = index[bounds[s]:bounds[s+1]:bounds[s+1]]
+	}
+	sp.grants = make([]float64, nc*(nc+1))
+	for c := 0; c < nc; c++ {
+		sp.grants[c*nc+c] = 1
+	}
+	return sp
 }
 
 // CostRate returns the instantaneous cost rate of (state, action): weighted
@@ -228,12 +290,12 @@ func (m *Model) CostRate(s, action int) float64 {
 	var cost float64
 	for c, cl := range m.Clients {
 		if m.Level(s, c) == cl.Levels {
-			cost += cl.Lambda * cl.LossWeight
+			cost += float64(cl.Lambda * cl.LossWeight)
 		}
 	}
 	if action >= 0 {
 		cl := m.Clients[action]
-		cost += m.ServiceRate * cl.DownstreamFullProb * cl.LossWeight
+		cost += float64(m.ServiceRate * cl.DownstreamFullProb * cl.LossWeight)
 	}
 	return cost
 }
@@ -243,7 +305,7 @@ func (m *Model) CostRate(s, action int) float64 {
 func (m *Model) OccupancyUnits(s int) float64 {
 	var occ float64
 	for c, cl := range m.Clients {
-		occ += float64(m.Level(s, c)) * cl.UnitsPerLevel
+		occ += float64(float64(m.Level(s, c)) * cl.UnitsPerLevel)
 	}
 	return occ
 }

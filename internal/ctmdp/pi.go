@@ -60,7 +60,7 @@ func perturbedCosts(m *Model) []float64 {
 	}
 	perturb := objScale * 1e-9 / float64(n)
 	for v := range cost {
-		cost[v] += perturb * float64(v+1)
+		cost[v] += float64(perturb * float64(v+1))
 	}
 	return cost
 }
@@ -99,13 +99,15 @@ func (m *Model) evalRow(v int, row []float64) {
 	}
 }
 
-// evaluate factorises the evaluation matrix of policy act.
-func (m *Model) evaluate(act []int) (*linalg.LU, error) {
-	a := linalg.NewMatrix(m.numStates, m.numStates)
+// evaluate overwrites a with the evaluation matrix of policy act and
+// factorises it in place, so one n×n matrix serves a whole policy
+// iteration: the factors live in a until the next evaluation.
+func (m *Model) evaluate(a *linalg.Matrix, act []int) (*linalg.LU, error) {
+	clear(a.Data)
 	for s, v := range act {
 		m.evalRow(v, a.Row(s))
 	}
-	f, err := linalg.Factor(a)
+	f, err := linalg.FactorInPlace(a)
 	if err != nil {
 		return nil, fmt.Errorf("ctmdp: bus %q: policy evaluation: %w", m.Bus, err)
 	}
@@ -145,8 +147,8 @@ func (m *Model) improve(cost []float64, act []int, u []float64) bool {
 				continue
 			}
 			h := bias(u, m.served(s, v))
-			adv := (cost[v] - cost[d]) + mu*(h-hd)
-			tol := piTol * (math.Abs(cost[v]) + math.Abs(cost[d]) + mu*(math.Abs(h)+math.Abs(hd)))
+			adv := (cost[v] - cost[d]) + float64(mu*(h-hd))
+			tol := piTol * (math.Abs(cost[v]) + math.Abs(cost[d]) + float64(mu*(math.Abs(h)+math.Abs(hd))))
 			if adv < bestAdv && adv < -tol {
 				best, bestAdv = v, adv
 			}
@@ -174,12 +176,13 @@ type freeSolution struct {
 // factorisation.
 func (m *Model) solveFree() (*freeSolution, error) {
 	fs := &freeSolution{cost: perturbedCosts(m), act: longestQueue(m)}
+	a := linalg.NewMatrix(m.numStates, m.numStates)
 	rhs := make([]float64, m.numStates)
 	for {
 		if fs.evals == maxEvals {
 			return nil, fmt.Errorf("ctmdp: bus %q: policy iteration did not converge in %d evaluations", m.Bus, maxEvals)
 		}
-		f, err := m.evaluate(fs.act)
+		f, err := m.evaluate(a, fs.act)
 		if err != nil {
 			return nil, err
 		}
@@ -244,16 +247,16 @@ func (m *Model) certify(cost []float64, price float64, u, x []float64) error {
 	for v, sv := range m.vars {
 		s := sv.state
 		hs := bias(u, s)
-		c := cost[v] + price*m.OccupancyUnits(s)
+		c := cost[v] + float64(price*m.OccupancyUnits(s))
 		r, mag, exit := c-g, math.Abs(c)+math.Abs(g), 0.0
 		m.transitions(s, sv.action, func(t int, rate float64) {
 			ht := bias(u, t)
-			r += rate * (ht - hs)
-			mag += rate * (math.Abs(ht) + math.Abs(hs))
+			r += float64(rate * (ht - hs))
+			mag += float64(rate * (math.Abs(ht) + math.Abs(hs)))
 			exit += rate
-			balance[t] += rate * x[v]
+			balance[t] += float64(rate * x[v])
 		})
-		balance[s] -= exit * x[v]
+		balance[s] -= float64(exit * x[v])
 		reduced[v] = r
 		scale = math.Max(scale, mag)
 		maxExit = math.Max(maxExit, exit)

@@ -23,15 +23,11 @@ type Policy struct {
 }
 
 // extractPolicy converts an occupation measure into the conditional policy
-// φ(a|s) = x(s,a)/Σ_a' x(s,a').
+// φ(a|s) = x(s,a)/Σ_a' x(s,a'). The rows share one backing array, each
+// capped at its own length.
 func extractPolicy(m *Model, x []float64) *Policy {
-	p := &Policy{
-		Model:      m,
-		ActionProb: make([][]float64, m.numStates),
-		Visited:    make([]bool, m.numStates),
-	}
+	p := NewPolicy(m)
 	for s := 0; s < m.numStates; s++ {
-		p.ActionProb[s] = make([]float64, len(m.Clients))
 		var mass float64
 		for _, v := range m.varsByState[s] {
 			mass += x[v]
@@ -45,6 +41,20 @@ func extractPolicy(m *Model, x []float64) *Policy {
 				p.ActionProb[s][a] = x[v] / mass
 			}
 		}
+	}
+	return p
+}
+
+// NewPolicy returns an all-zero policy of m, every state unvisited: one
+// zeroed row of len(m.Clients) per state, all in one backing array and each
+// capped at its own length, so an append to one row never reaches the
+// next.
+func NewPolicy(m *Model) *Policy {
+	n, nc := m.numStates, len(m.Clients)
+	rows := make([]float64, n*nc)
+	p := &Policy{Model: m, ActionProb: make([][]float64, n), Visited: make([]bool, n)}
+	for s := range p.ActionProb {
+		p.ActionProb[s] = rows[s*nc : (s+1)*nc : (s+1)*nc]
 	}
 	return p
 }

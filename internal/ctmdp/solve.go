@@ -156,7 +156,7 @@ func newSweepBus(m *Model) (*sweepBus, int, error) {
 func (b *sweepBus) loadOf() float64 {
 	var l float64
 	for s, p := range b.pi {
-		l += b.occ[s] * p
+		l += float64(b.occ[s] * p)
 	}
 	return l
 }
@@ -183,7 +183,7 @@ func (b *sweepBus) breakpoint() {
 			if adv >= -breakTol {
 				continue
 			}
-			at := -((b.cost[v] - b.cost[d]) + mu*(bias(b.uc, t)-bias(b.uc, td))) / adv
+			at := -((b.cost[v] - b.cost[d]) + float64(mu*(bias(b.uc, t)-bias(b.uc, td)))) / adv
 			if at < b.price {
 				at = b.price // roundoff: the alternative is already as good
 			}
@@ -213,12 +213,12 @@ func (b *sweepBus) step() {
 	}
 	if told != 0 {
 		for j, x := range b.inv[told*n : (told+1)*n] {
-			b.w[j] += mu * x
+			b.w[j] += float64(mu * x)
 		}
 	}
 	if tnew != 0 {
 		for j, x := range b.inv[tnew*n : (tnew+1)*n] {
-			b.w[j] -= mu * x
+			b.w[j] -= float64(mu * x)
 		}
 	}
 	den := 1 + b.w[s]
@@ -231,15 +231,15 @@ func (b *sweepBus) step() {
 		}
 		row := b.inv[i*n : (i+1)*n]
 		for j, w := range b.w {
-			row[j] -= f * w
+			row[j] -= float64(f * w)
 		}
 	}
-	dc := mu * (bias(b.uc, told) - bias(b.uc, tnew))
+	dc := float64(mu * (bias(b.uc, told) - bias(b.uc, tnew)))
 	do := mu * (bias(b.uo, told) - bias(b.uo, tnew))
 	shift := b.cost[v] - b.cost[d]
 	for i, c := range b.col {
-		b.uc[i] += c * (shift - dc)
-		b.uo[i] -= c * do
+		b.uc[i] += float64(c * (shift - dc))
+		b.uo[i] -= float64(c * do)
 	}
 	b.act[s] = v
 	b.price = b.next
@@ -266,7 +266,7 @@ func snapshot(buses []*sweepBus, xs [][]float64, price float64, iters int) *rung
 	for i, b := range buses {
 		u := make([]float64, len(b.uc))
 		for j, c := range b.uc {
-			u[j] = c + price*b.uo[j]
+			u[j] = c + float64(price*b.uo[j])
 		}
 		r.us[i] = u
 	}
@@ -343,7 +343,7 @@ func sweepCaps(models []*Model, caps []float64, limit int) (*JointSolution, floa
 			w := (cap - rest - b.load) / (before - b.load)
 			mixed := make([]float64, len(after))
 			for j, v := range after {
-				mixed[j] = w*xs[k][j] + (1-w)*v
+				mixed[j] = float64(w*xs[k][j]) + float64((1-w)*v)
 			}
 			r := snapshot(buses, xs, price, iters)
 			r.xs[k] = mixed
@@ -372,27 +372,38 @@ func sweepLimit(models []*Model) int {
 }
 
 // newJointSolution wraps per-model occupation measures, each aligned with
-// its model's enumeration, as a JointSolution: state distributions, loss
-// rates, policies and the totals. The totals are running sums over every
-// variable in layout order, so TotalLossRate equals the block program's
-// objective to the bit.
+// its model's enumeration, as a JointSolution: a copy of each measure with
+// what NewModelSolution derives from it, and the totals. The totals are
+// running sums over every variable in layout order, so TotalLossRate
+// equals the block program's objective to the bit.
 func newJointSolution(models []*Model, xs [][]float64, iters int) *JointSolution {
 	out := &JointSolution{Iters: iters}
 	for i, m := range models {
-		ms := &ModelSolution{Model: m, X: make([]float64, m.NumVars())}
-		copy(ms.X, xs[i])
-		ms.StateProb = make([]float64, m.numStates)
+		x := make([]float64, m.NumVars())
+		copy(x, xs[i])
 		for v, sv := range m.vars {
-			cost := m.CostRate(sv.state, sv.action)
-			ms.StateProb[sv.state] += ms.X[v]
-			out.OccupancyUsed += m.OccupancyUnits(sv.state) * ms.X[v]
-			out.TotalLossRate += cost * ms.X[v]
-			ms.LossRate += cost * ms.X[v]
+			out.OccupancyUsed += float64(m.OccupancyUnits(sv.state) * x[v])
+			out.TotalLossRate += float64(m.CostRate(sv.state, sv.action) * x[v])
 		}
-		ms.Policy = extractPolicy(m, ms.X)
-		out.PerModel = append(out.PerModel, ms)
+		out.PerModel = append(out.PerModel, NewModelSolution(m, x))
 	}
 	return out
+}
+
+// NewModelSolution derives a model's solution from its occupation measure
+// x, aligned with m's enumeration: the state distribution, the loss rate
+// (a running sum over the variables in layout order) and the policy. It is
+// the one derivation of every solution SolveJoint returns, so a caller
+// that keeps only a measure gets back the same bits from it. The solution
+// keeps x as its X; NewModelSolution never writes to it.
+func NewModelSolution(m *Model, x []float64) *ModelSolution {
+	ms := &ModelSolution{Model: m, X: x, StateProb: make([]float64, m.numStates)}
+	for v, sv := range m.vars {
+		ms.StateProb[sv.state] += x[v]
+		ms.LossRate += float64(m.CostRate(sv.state, sv.action) * x[v])
+	}
+	ms.Policy = extractPolicy(m, x)
+	return ms
 }
 
 // OccupancyDistribution returns P(level_c = k) for k = 0..Levels of client c

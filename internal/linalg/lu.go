@@ -12,14 +12,18 @@ type LU struct {
 	pivot []int
 }
 
-// Factor computes the LU decomposition of a square matrix. It returns
-// ErrSingular if a pivot is (effectively) zero.
-func Factor(a *Matrix) (*LU, error) {
-	if a.Rows != a.Cols {
-		return nil, fmt.Errorf("%w: LU of %dx%d", ErrShape, a.Rows, a.Cols)
+// Factor computes the LU decomposition of a square matrix, leaving a as
+// it is. It returns ErrSingular if a pivot is (effectively) zero.
+func Factor(a *Matrix) (*LU, error) { return FactorInPlace(a.Clone()) }
+
+// FactorInPlace is Factor without the copy: it overwrites lu with the
+// factors, and the returned LU reads them from there, so lu must not
+// change while the LU is in use.
+func FactorInPlace(lu *Matrix) (*LU, error) {
+	if lu.Rows != lu.Cols {
+		return nil, fmt.Errorf("%w: LU of %dx%d", ErrShape, lu.Rows, lu.Cols)
 	}
-	n := a.Rows
-	lu := a.Clone()
+	n := lu.Rows
 	pivot := make([]int, n)
 	for i := range pivot {
 		pivot[i] = i
@@ -55,7 +59,7 @@ func Factor(a *Matrix) (*LU, error) {
 			ri = ri[k+1:]
 			ri = ri[:len(rk)]
 			for j, v := range rk {
-				ri[j] -= m * v
+				ri[j] -= float64(m * v)
 			}
 		}
 	}
@@ -85,7 +89,7 @@ func (f *LU) substitute(x []float64) {
 		row := f.lu.Row(i)
 		s := x[i]
 		for j := 0; j < i; j++ {
-			s -= row[j] * x[j]
+			s -= float64(row[j] * x[j])
 		}
 		x[i] = s
 	}
@@ -99,7 +103,7 @@ func (f *LU) backward(x []float64) {
 		row := f.lu.Row(i)
 		s := x[i]
 		for j := i + 1; j < n; j++ {
-			s -= row[j] * x[j]
+			s -= float64(row[j] * x[j])
 		}
 		x[i] = s / row[i]
 	}
@@ -123,7 +127,7 @@ func (f *LU) Inverse() *Matrix {
 		for i := first + 1; i < n; i++ {
 			s := 0.0
 			for k, v := range f.lu.Row(i)[first:i] {
-				s -= v * x[first+k]
+				s -= float64(v * x[first+k])
 			}
 			x[i] = s
 		}
@@ -151,14 +155,14 @@ func (f *LU) SolveT(b []float64) ([]float64, error) {
 		row := f.lu.Row(j)
 		y[j] /= row[j]
 		for i := j + 1; i < n; i++ {
-			y[i] -= row[i] * y[j]
+			y[i] -= float64(row[i] * y[j])
 		}
 	}
 	// Lᵀ·w = y (L is unit lower), from the last row of L up.
 	for j := n - 1; j > 0; j-- {
 		row := f.lu.Row(j)
 		for i := 0; i < j; i++ {
-			y[i] -= row[i] * y[j]
+			y[i] -= float64(row[i] * y[j])
 		}
 	}
 	x := make([]float64, n)

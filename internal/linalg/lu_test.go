@@ -134,6 +134,44 @@ func TestInverseIsInverse(t *testing.T) {
 	}
 }
 
+// TestFactorInPlace: FactorInPlace gives Factor's factors bit for bit,
+// writing them over its argument, while Factor leaves its argument as it
+// was.
+func TestFactorInPlace(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	a := NewMatrix(6, 6)
+	for i := range a.Data {
+		a.Data[i] = rng.NormFloat64()
+	}
+	orig := a.Clone()
+	f, err := Factor(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range a.Data {
+		if math.Float64bits(v) != math.Float64bits(orig.Data[i]) {
+			t.Fatal("Factor wrote to its argument")
+		}
+	}
+	g, err := FactorInPlace(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.lu != a {
+		t.Fatal("FactorInPlace did not factor in place")
+	}
+	for i, v := range f.lu.Data {
+		if math.Float64bits(v) != math.Float64bits(a.Data[i]) {
+			t.Fatalf("factor entry %d: in place %v, copied %v", i, a.Data[i], v)
+		}
+	}
+	for i, p := range f.pivot {
+		if g.pivot[i] != p {
+			t.Fatalf("pivot %d: in place %d, copied %d", i, g.pivot[i], p)
+		}
+	}
+}
+
 func TestSolveSingular(t *testing.T) {
 	a := matrixOf([]float64{1, 2}, []float64{2, 4})
 	if _, err := Solve(a, []float64{1, 2}); err == nil {

@@ -9,10 +9,11 @@
 // reads (Fingerprint) — client order, bus names and buffer IDs are
 // normalised away, and so are the capacity quanta, which neither the
 // occupation-measure LP nor the policy-induced chain reads — and returns a
-// stored solution rebound onto the requesting model. A hit is returned
-// outright; a miss solves the model's canonical clone cold and stores it.
-// Budget points of a sweep therefore share their sub-model solves: they
-// differ only in capacities.
+// stored solution rebound onto the requesting model. An entry keeps only
+// the canonical model and its occupation measure: a hit derives the rest
+// of the solution from the measure, and a miss solves the model's
+// canonical clone cold and stores its measure. Budget points of a sweep
+// therefore share their sub-model solves: they differ only in capacities.
 //
 // Capped programs (the occupancy cap links the blocks) are not cached: each
 // is solved fresh on the canonical clones of its models, bus by bus under an
@@ -43,11 +44,11 @@
 //
 // Memory: every tier (exact, robust, placement, result) is one generic
 // LRU-bounded store (tier.go). New builds an unbounded cache — a sweep's
-// distinct sub-models number in the hundreds and payloads are a few KB
-// each; NewBounded caps each tier at a fixed entry count for long-lived
-// processes, evicting the least recently used entry. Eviction costs a
-// recompute, never correctness, because payloads are pure functions of
-// their keys.
+// distinct sub-models number in the hundreds and an exact entry holds
+// about a KB; NewBounded caps each tier at a fixed entry count for
+// long-lived processes, evicting the least recently used entry. Eviction
+// costs a recompute, never correctness, because payloads are pure
+// functions of their keys.
 package solvecache
 
 import (
@@ -84,13 +85,15 @@ type Cache struct {
 	remote remote
 }
 
-// entry is one cached sub-model solution, aligned to its canonical model.
-// Entries are immutable after insertion; readers always rebind into freshly
-// allocated slices.
+// entry is one cached sub-model solution: the canonical model and its
+// occupation measure, nothing more. The rest of a solution is a function
+// of the two, so a hit derives it again with ctmdp.NewModelSolution, the
+// code every cold solve derives it with, and gets the cold solve's bits.
+// Entries are immutable after insertion; readers always rebind into
+// freshly allocated slices.
 type entry struct {
-	model *ctmdp.Model         // canonical clone (sorted clients, neutral names)
-	sol   *ctmdp.ModelSolution // payload aligned to model's enumeration
-	iters int                  // policy evaluations of the cold solve (informational)
+	model *ctmdp.Model // canonical clone (sorted clients, neutral names)
+	x     []float64    // occupation measure aligned to model's enumeration
 }
 
 // New returns an empty, unbounded cache.
@@ -373,11 +376,12 @@ func (e *entry) matches(m *ctmdp.Model, order []int) bool {
 	return true
 }
 
-// rebind maps the entry's canonical solution onto the requesting model:
+// rebind maps a solution of m's canonical clone (canonicalModel) onto m:
 // states, occupation variables and policy rows are permuted from canonical
-// client order back to the model's own order, into fresh allocations (cached
-// payloads are never aliased out). order is canonicalOrder(m).
-func (e *entry) rebind(m *ctmdp.Model, order []int) (*ctmdp.ModelSolution, error) {
+// client order back to the model's own order, into fresh allocations
+// (cached payloads are never aliased out). order is canonicalOrder(m).
+func rebind(cs *ctmdp.ModelSolution, m *ctmdp.Model, order []int) (*ctmdp.ModelSolution, error) {
+	cm := cs.Model
 	nc := len(m.Clients)
 	// cpos[c] = canonical position of the model's client c.
 	cpos := make([]int, nc)
@@ -389,42 +393,36 @@ func (e *entry) rebind(m *ctmdp.Model, order []int) (*ctmdp.ModelSolution, error
 		Model:     m,
 		X:         make([]float64, m.NumVars()),
 		StateProb: make([]float64, n),
-		LossRate:  e.sol.LossRate, // cost rates are capacity- and order-invariant
-	}
-	pol := &ctmdp.Policy{
-		Model:      m,
-		ActionProb: make([][]float64, n),
-		Visited:    make([]bool, n),
+		LossRate:  cs.LossRate, // cost rates are capacity- and order-invariant
+		Policy:    ctmdp.NewPolicy(m),
 	}
 	clevels := make([]int, nc)
 	for s := 0; s < n; s++ {
 		for c := 0; c < nc; c++ {
 			clevels[cpos[c]] = m.Level(s, c)
 		}
-		cs, err := e.model.StateOf(clevels)
+		cst, err := cm.StateOf(clevels)
 		if err != nil {
 			return nil, fmt.Errorf("solvecache: rebind state %d: %w", s, err)
 		}
-		ms.StateProb[s] = e.sol.StateProb[cs]
-		row := make([]float64, nc)
-		for c := 0; c < nc; c++ {
-			row[c] = e.sol.Policy.ActionProb[cs][cpos[c]]
+		ms.StateProb[s] = cs.StateProb[cst]
+		row := ms.Policy.ActionProb[s]
+		for c := range row {
+			row[c] = cs.Policy.ActionProb[cst][cpos[c]]
 		}
-		pol.ActionProb[s] = row
-		pol.Visited[s] = e.sol.Policy.Visited[cs]
+		ms.Policy.Visited[s] = cs.Policy.Visited[cst]
 		for _, v := range m.StateVars(s) {
 			_, a := m.VarStateAction(v)
 			ca := -1
 			if a >= 0 {
 				ca = cpos[a]
 			}
-			cv, ok := e.model.VarIndex(cs, ca)
+			cv, ok := cm.VarIndex(cst, ca)
 			if !ok {
-				return nil, fmt.Errorf("solvecache: rebind: canonical model lacks var (state %d, action %d)", cs, ca)
+				return nil, fmt.Errorf("solvecache: rebind: canonical model lacks var (state %d, action %d)", cst, ca)
 			}
-			ms.X[v] = e.sol.X[cv]
+			ms.X[v] = cs.X[cv]
 		}
 	}
-	ms.Policy = pol
 	return ms, nil
 }

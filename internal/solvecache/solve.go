@@ -40,7 +40,7 @@ func (c *Cache) SolveJoint(models []*ctmdp.Model, cfg ctmdp.JointConfig) (*ctmdp
 		out.TotalLossRate += ms.LossRate
 		out.Iters += iters
 		for s, p := range ms.StateProb {
-			out.OccupancyUsed += m.OccupancyUnits(s) * p
+			out.OccupancyUsed += float64(m.OccupancyUnits(s) * p)
 		}
 	}
 	return out, nil
@@ -49,6 +49,11 @@ func (c *Cache) SolveJoint(models []*ctmdp.Model, cfg ctmdp.JointConfig) (*ctmdp
 // solveOne answers one decoupled sub-model solve, returning the rebound
 // solution. The returned iteration count is the policy evaluations actually
 // performed (zero for hits).
+//
+// A miss solves the canonicalised clone of m, not m itself: that is what
+// makes the stored measure a pure function of the fingerprint, so every
+// requester of this key gets bit-identical numbers regardless of which
+// worker solved first.
 func (c *Cache) solveOne(m *ctmdp.Model) (*ctmdp.ModelSolution, int, error) {
 	order := canonicalOrder(m)
 	var k Key
@@ -56,36 +61,25 @@ func (c *Cache) solveOne(m *ctmdp.Model) (*ctmdp.ModelSolution, int, error) {
 		k = Fingerprint(m)
 		if e, ok := c.exact.get(k); ok && e.matches(m, order) {
 			c.exact.hits.Add(1)
-			ms, err := e.rebind(m, order)
+			ms, err := rebind(ctmdp.NewModelSolution(e.model, e.x), m, order)
 			return ms, 0, err
 		}
 		c.exact.misses.Add(1)
 	}
-	e, err := solveCold(m, order)
+	cm, err := canonicalModel(m, order)
 	if err != nil {
 		return nil, 0, err
 	}
-	if c != nil {
-		c.exact.add(k, e)
-	}
-	ms, err := e.rebind(m, order)
-	return ms, e.iters, err
-}
-
-// solveCold solves the canonicalised clone of m and wraps it as a cache
-// entry. Solving the canonical clone — not m itself — is what makes the
-// stored payload a pure function of the fingerprint: every requester of this
-// key gets bit-identical numbers regardless of which worker solved first.
-func solveCold(m *ctmdp.Model, order []int) (*entry, error) {
-	cm, err := canonicalModel(m, order)
-	if err != nil {
-		return nil, err
-	}
 	sol, err := ctmdp.SolveJoint([]*ctmdp.Model{cm}, ctmdp.JointConfig{})
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	return &entry{model: cm, sol: sol.PerModel[0], iters: sol.Iters}, nil
+	cs := sol.PerModel[0]
+	if c != nil {
+		c.exact.add(k, &entry{model: cm, x: cs.X})
+	}
+	ms, err := rebind(cs, m, order)
+	return ms, sol.Iters, err
 }
 
 // solveCapped handles the occupancy-cap linked program: it solves the
@@ -112,8 +106,7 @@ func (c *Cache) solveCapped(models []*ctmdp.Model, cfg ctmdp.JointConfig) (*ctmd
 		return nil, err
 	}
 	for i, m := range models {
-		e := &entry{model: cms[i], sol: sol.PerModel[i]}
-		ms, err := e.rebind(m, orders[i])
+		ms, err := rebind(sol.PerModel[i], m, orders[i])
 		if err != nil {
 			return nil, fmt.Errorf("solvecache: model %q: %w", m.Bus, err)
 		}
