@@ -89,15 +89,18 @@ lint:
 
 # No implicit fused multiply-add in the placement price, the queueing
 # kernels it mirrors, the simulator, the methodology's boundary fixed point,
-# the solver backends, the CTMDP solver, its linear algebra and the solve
-# cache's occupancy total (ROADMAP item 12): Go may fuse x*y + z into one
+# the solver backends, the CTMDP solver, its linear algebra, the solve
+# cache's occupancy total, the robust backend's yield bound (its Wilson
+# margin and normal quantile), the coupled nonlinear solvers and the
+# router's fleet mean (ROADMAP item 12): Go may fuse x*y + z into one
 # instruction on arm64, which rounds once where amd64 rounds twice, so the
 # goldens recorded on amd64 would move there. Each product that feeds an
 # addition is written float64(x*y), which forces the rounding. The check
 # compiles these packages for arm64 (no arm64 host needed) and fails on any
 # fused instruction in the listing.
 FMA_PKGS = ./internal/placement ./internal/queueing ./internal/sim ./internal/core ./internal/solver \
-	./internal/ctmdp ./internal/linalg ./internal/solvecache
+	./internal/ctmdp ./internal/linalg ./internal/solvecache ./internal/uncertain ./internal/nonlinear \
+	./internal/router
 fma-check:
 	@out=$$(GOARCH=arm64 $(GO) build -gcflags=-S $(FMA_PKGS) 2>&1) || { echo "$$out"; exit 1; }; \
 	fused=$$(echo "$$out" | grep -E 'FMADDD|FMSUBD|FNMADDD|FNMSUBD'); \
@@ -217,7 +220,9 @@ fuzz-smoke:
 # exact-tier entries kept only their measure and models shared their
 # state spaces: internal/ctmdp 94.3% (93.9% before), internal/linalg
 # 97.2% (97.2%), internal/solvecache 90.8% (90.7%), internal/core 82.3%
-# (82.3%); all four floors kept.
+# (82.3%); all four floors kept. Re-measured (2026-10) once the placement
+# DP ran on the request's workers: internal/placement 94.1% (92.4%
+# before); floor kept.
 # The floors sit a few points below so honest
 # refactors don't trip them, but a test-free feature dump — or a refactor
 # that lands by deleting tests — does.

@@ -317,7 +317,7 @@ func scenarioSweepRun(name string, args []string) error {
 // placement DP on every named registry scenario (all of them when
 // -scenarios is empty) and print one report row per scenario — frontier
 // size, DP pruning counters and the chosen insertion points. Scenarios run
-// sequentially; each placement's evaluations fan out across -parallel
+// sequentially; each placement's DP and evaluations spread over -parallel
 // workers internally. Partial failures follow the sweep contract: every
 // successful row prints, the error joins the per-scenario failures.
 func placementSweepCmd(args []string) error {

@@ -11,6 +11,10 @@
 // with convergence diagnostics. The experiments compare KKTNewton against
 // the split-linear method, which needs no nonlinear iteration at all; the
 // tests use Picard as the fixed-point referee of the coupled equations.
+//
+// Each product that feeds a sum is written float64(x*y), which rounds it
+// before the add, so no platform fuses the two into one multiply-add and
+// the diagnostics keep their bits everywhere (make fma-check).
 package nonlinear
 
 import (
@@ -181,7 +185,7 @@ func (cs *CoupledSystem) Residual(v []float64) ([]float64, error) {
 		for j := 0; j < n-1; j++ {
 			var bal float64
 			for i := 0; i < n; i++ {
-				bal += pi[i] * q.At(i, j)
+				bal += float64(pi[i] * q.At(i, j))
 			}
 			out[cs.offset[m]+j] = bal
 		}
@@ -207,7 +211,7 @@ func (cs *CoupledSystem) LossRate(v []float64) float64 {
 			}
 			for c, cl := range b.Clients {
 				if cs.level(m, s, c) == cl.Levels {
-					loss += p * cl.Lambda
+					loss += float64(p * cl.Lambda)
 				}
 			}
 		}

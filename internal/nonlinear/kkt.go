@@ -103,7 +103,7 @@ func (cs *CoupledSystem) kktConstraints(vars []kktVar, x []float64, fn func(row,
 	scatterBalance := func(m, j, col int, d float64) {
 		if j < cs.states[m]-1 { // last balance row dropped (redundant)
 			row := rowBase[m] + j
-			g[row] += d * x[col]
+			g[row] += float64(d * x[col])
 			if fn != nil {
 				fn(row, col, d)
 			}
@@ -233,7 +233,7 @@ func (cs *CoupledSystem) KKTNewton(opt NewtonOptions) (*KKTResult, error) {
 		for i := 0; i < nx; i++ {
 			f[i] = cost[i]
 			for r := 0; r < ng; r++ {
-				f[i] += jg.At(r, i) * nu[r]
+				f[i] += float64(jg.At(r, i) * nu[r])
 			}
 		}
 		copy(f[nx:], g)
@@ -280,7 +280,7 @@ func (cs *CoupledSystem) KKTNewton(opt NewtonOptions) (*KKTResult, error) {
 			break
 		}
 		for i := range z {
-			z[i] += opt.Damping * step[i]
+			z[i] += float64(opt.Damping * step[i])
 		}
 	}
 	if res.Diag.Reason == "" {
@@ -297,7 +297,7 @@ func (cs *CoupledSystem) KKTNewton(opt NewtonOptions) (*KKTResult, error) {
 	res.Valid = res.Diag.Converged && res.MinX >= -1e-6
 	if res.Valid {
 		for i, xi := range res.X {
-			res.LossRate += cost[i] * xi
+			res.LossRate += float64(cost[i] * xi)
 		}
 	}
 	return res, nil

@@ -52,7 +52,7 @@ func (cs *CoupledSystem) Picard(opt PicardOptions) ([]float64, *Diagnostics, err
 			copy(next[cs.offset[m]:cs.offset[m]+cs.states[m]], pi)
 		}
 		for i := range v {
-			v[i] = opt.Damping*next[i] + (1-opt.Damping)*v[i]
+			v[i] = float64(opt.Damping*next[i]) + float64((1-opt.Damping)*v[i])
 		}
 		res, err := cs.Residual(v)
 		if err != nil {

@@ -4,6 +4,9 @@ import (
 	"context"
 	"math"
 	"slices"
+	"sync"
+
+	"socbuf/internal/parallel"
 )
 
 // part is one partial placement's dominance coordinates: the accumulated
@@ -111,10 +114,26 @@ const (
 	// cases moved by less than its run-to-run noise, and at 128 tree7 read
 	// a third slower (one run per value).
 	mergeMax = 8
+	// A merge or fold covering fewer than parMin candidates runs on one
+	// lane, and so does the root close before a fold that small: below it,
+	// starting the lanes and joining their shares costs about what the split
+	// saves. PERFORMANCE.md "The parallel DP, measured" records the choice.
+	parMin = 1 << 14
+	// A lane keeps a merge's survivors in blocks of survMin candidates at
+	// first, each new block as large as all before it, up to survMax: a
+	// small DP allocates little, and a large one copies nothing as it grows
+	// and leaves at most one block part empty. Once a tree's merges are
+	// done, its fold builds its candidates in the same blocks (foldPrune).
+	survMin = 64
+	survMax = 8192
 )
 
 // dpRun is one DP pass: the operands of the merge in progress and the
-// buffers every merge reuses.
+// buffers every merge reuses. A pass runs on lanes, one per worker: lanes[0]
+// is the pass itself, and each further lane is a dpRun with its own buffers
+// and counters that shares the problem and, through lane, the operands.
+// Every split hands each lane a contiguous share and joins the shares in the
+// serial order (DESIGN.md §7), so no count of lanes moves a bit.
 type dpRun struct {
 	p   *problem
 	ctx context.Context
@@ -126,26 +145,71 @@ type dpRun struct {
 	// reference the merge is tested against.
 	sortAll bool
 	st      dpStats
+	// lanes holds one lane per worker, lanes[0] the pass itself and the
+	// rest made on first use. parMin is the fewest candidates a merge or
+	// fold spreads over them: the constant parMin, or 1 where a test drives
+	// every split.
+	lanes  []*dpRun
+	parMin int
 
 	// The merge in progress: candidates combine left.pts[l] with
 	// right.pts[r] and decide edge (-1: no edge).
 	left, right *parts
 	edge        int
 
-	cols   []column  // one merge's columns: closed, then one bypassed
-	cands  []cand    // one group's candidates
-	ends   []int     // the end of each run of cands
-	heads  []span    // mergeSweep's runs
-	surv   []cand    // one merge's survivors
-	spare  []cand    // filter's sample, or mergeSweep's survivors
-	stairs []stair   // filter's staircases, one per bypass floor
-	floors []int     // start of each bypass floor's staircase in stairs
-	best   []float64 // best[b]: least J among a group's survivors with bypassed ≥ b
-	tick   int       // candidates built since the last context check
+	cols    []column  // one merge's closed columns, one per child group and type
+	clients []client  // price's client list
+	bounds  []int     // the shares of the split in progress
+	cands   []cand    // one group's candidates
+	ends    []int     // the end of each run of cands
+	heads   []span    // mergeSweep's runs
+	surv    survivors // this lane's survivors of one merge
+	blocks  [][]cand  // the fold's candidate blocks (pool, foldPrune)
+	spare   []cand    // filter's sample, or mergeSweep's survivors
+	stairs  []stair   // filter's staircases, one per bypass floor
+	floors  []int     // start of each bypass floor's staircase in stairs
+	best    []float64 // best[b]: least J among a group's survivors with bypassed ≥ b
+	tick    int       // candidates built since the last context check
 }
 
-// newRun starts a DP pass over p that stops once ctx is done.
-func (p *problem) newRun(ctx context.Context) *dpRun {
+// survivors holds one lane's kept candidates in blocks that fill in turn and
+// are never copied or moved (survMin, survMax); the next merge refills them.
+type survivors struct {
+	blocks [][]cand
+	n      int // candidates held
+	at     int // the block being filled
+}
+
+func (s *survivors) reset() {
+	for i := range s.blocks {
+		s.blocks[i] = s.blocks[i][:0]
+	}
+	s.n, s.at = 0, 0
+}
+
+// add appends kept, opening a block whenever the last one is full.
+func (s *survivors) add(kept []cand) {
+	s.n += len(kept)
+	for len(kept) > 0 {
+		if s.at == len(s.blocks) {
+			held := 0
+			for _, b := range s.blocks {
+				held += cap(b)
+			}
+			s.blocks = append(s.blocks, make([]cand, 0, min(max(held, survMin), survMax)))
+		}
+		b := s.blocks[s.at]
+		n := min(len(kept), cap(b)-len(b))
+		s.blocks[s.at] = append(b, kept[:n]...)
+		if kept = kept[n:]; len(b)+n == cap(b) {
+			s.at++
+		}
+	}
+}
+
+// newRun starts a DP pass over p on up to workers lanes (GOMAXPROCS when
+// workers ≤ 0) that stops once ctx is done.
+func (p *problem) newRun(ctx context.Context, workers int) *dpRun {
 	// A complete placement passes the capacity floor iff it bypasses at
 	// least nb − ⌊(budget − attachments)/2⌋ bridges. When the attachments
 	// alone overflow the budget nothing passes, and the coordinate stays
@@ -154,7 +218,93 @@ func (p *problem) newRun(ctx context.Context) *dpRun {
 	if room := p.budget - p.numAttach; room >= 0 {
 		bmin = max(0, nb-room/2)
 	}
-	return &dpRun{p: p, ctx: ctx, nb: nb, bmin: bmin, edge: -1, best: make([]float64, bmin+1)}
+	d := &dpRun{p: p, ctx: ctx, nb: nb, bmin: bmin, edge: -1, best: make([]float64, bmin+1),
+		lanes: make([]*dpRun, parallel.Workers(workers)), parMin: parMin}
+	d.lanes[0] = d
+	return d
+}
+
+// lane returns lane k, made on first use, holding the operands of the merge
+// in progress.
+func (d *dpRun) lane(k int) *dpRun {
+	l := d.lanes[k]
+	if l == nil {
+		l = &dpRun{p: d.p, ctx: d.ctx, nb: d.nb, bmin: d.bmin, sortAll: d.sortAll, best: make([]float64, d.bmin+1)}
+		d.lanes[k] = l
+	}
+	l.left, l.right, l.edge, l.cols = d.left, d.right, d.edge, d.cols
+	return l
+}
+
+// width is how many lanes work covering n candidates spreads over.
+func (d *dpRun) width(n int) int {
+	if n < d.parMin {
+		return 1
+	}
+	return len(d.lanes)
+}
+
+// spread runs fn on lanes 0..n-1 at once, lane 0 on the calling goroutine,
+// and returns once every lane has, with the other lanes' counters added to
+// the pass's: the first lane's error, if any. A lane fails only when the
+// context is done, which every other lane sees at its next check, so none
+// runs on for long.
+func (d *dpRun) spread(n int, fn func(k int, l *dpRun) error) error {
+	if n == 1 {
+		return fn(0, d)
+	}
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for k := 1; k < n; k++ {
+		l := d.lane(k)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[k] = fn(k, l)
+		}()
+	}
+	errs[0] = fn(0, d)
+	wg.Wait()
+	for _, l := range d.lanes[1:n] {
+		d.st.pruned += l.st.pruned
+		d.st.infeasible += l.st.infeasible
+		d.st.resorted += l.st.resorted
+		l.st = dpStats{}
+	}
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// split cuts units 0..units-1, unit u covering weight(u) of total
+// candidates, into n contiguous shares of about equal weight, and returns
+// the n+1 share bounds in d.bounds: share k is units [bounds[k],
+// bounds[k+1]).
+func (d *dpRun) split(n, units, total int, weight func(u int) int) []int {
+	bounds := append(d.bounds[:0], 0)
+	k, acc := 1, 0
+	for u := 0; u < units && k < n; u++ {
+		for k < n && acc*n >= total*k {
+			bounds = append(bounds, u)
+			k++
+		}
+		acc += weight(u)
+	}
+	for ; k <= n; k++ {
+		bounds = append(bounds, units)
+	}
+	d.bounds = bounds
+	return bounds
+}
+
+// price is p.price with this lane's scratch.
+func (d *dpRun) price(key compKey) float64 {
+	j, clients := d.p.price(key, d.clients)
+	d.clients = clients
+	return j
 }
 
 // clamp stores bypass count b as min(b, bmin). Bypasses beyond bmin buy no
@@ -417,23 +567,13 @@ func (d *dpRun) filter(cands []cand) []cand {
 	return kept
 }
 
-// keep appends one group's survivors to the merge's, doubling the buffer
-// when it fills.
-func (d *dpRun) keep(kept []cand) {
-	if need := len(d.surv) + len(kept); need > cap(d.surv) {
-		d.surv = append(make([]cand, 0, max(need, 2*cap(d.surv))), d.surv...)
-	}
-	d.surv = append(d.surv, kept...)
-}
-
-// build materialises survivors — coordinates and decision vectors — in
-// storage sized to them.
-func (d *dpRun) build(surv []cand) parts {
-	out := parts{pts: make([]part, len(surv)), decs: make([]int8, len(surv)*d.nb)}
-	for k := range surv {
-		c := &surv[k]
-		out.pts[k] = part{cost: c.cost, j: c.j, bypassed: int(c.bypassed)}
-		dec := out.dec(k, d.nb)
+// fill materialises kept — coordinates and decision vectors — as partials
+// at, at+1, … of out.
+func (d *dpRun) fill(out parts, at int, kept []cand) {
+	for k := range kept {
+		c := &kept[k]
+		out.pts[at+k] = part{cost: c.cost, j: c.j, bypassed: int(c.bypassed)}
+		dec := out.dec(at+k, d.nb)
 		copy(dec, d.left.dec(int(c.l), d.nb))
 		if c.r >= 0 {
 			for i, x := range d.right.dec(int(c.r), d.nb) {
@@ -446,6 +586,12 @@ func (d *dpRun) build(surv []cand) parts {
 			dec[d.edge] = c.opt
 		}
 	}
+}
+
+// build materialises survivors in storage sized to them.
+func (d *dpRun) build(kept []cand) parts {
+	out := parts{pts: make([]part, len(kept)), decs: make([]int8, len(kept)*d.nb)}
+	d.fill(out, 0, kept)
 	return out
 }
 
@@ -453,16 +599,21 @@ func (d *dpRun) build(surv []cand) parts {
 // cost-ascending; exact (cost, J) ties keep the lexicographically smallest
 // decision vector, and the rest count as pruned. It is the 3D prune with the
 // bypass coordinate erased — once the capacity floor is applied, bypassing
-// more no longer helps — so each point's bypass count is recounted from its
-// decisions.
+// more no longer helps.
 func (d *dpRun) skyline(cands []cand) []scored {
 	for k := range cands {
 		cands[k].bypassed = 0
 	}
-	kept := d.build(d.prune(cands, nil))
-	out := make([]scored, len(kept.pts))
-	for k, s := range kept.pts {
-		dec := kept.dec(k, d.nb)
+	return d.scored(d.prune(cands, nil))
+}
+
+// scored materialises the skyline's survivors, recounting each point's
+// bypasses from its decisions.
+func (d *dpRun) scored(kept []cand) []scored {
+	built := d.build(kept)
+	out := make([]scored, len(built.pts))
+	for k, s := range built.pts {
+		dec := built.dec(k, d.nb)
 		out[k] = scored{dec: dec, cost: s.cost, j: s.j}
 		for _, x := range dec {
 			if x == optBypass {
@@ -483,12 +634,13 @@ func (d *dpRun) undecided() parts {
 	return parts{pts: []part{{}}, decs: decs}
 }
 
-// runDP executes the Van Ginneken-style bottom-up pass and returns the
-// feasible complete frontier, cost-ascending. It checks ctx between merges
-// and every checkEvery candidates within one, and returns ctx.Err() once
-// the context is done.
-func (p *problem) runDP(ctx context.Context) ([]scored, dpStats, error) {
-	return p.newRun(ctx).run()
+// runDP executes the Van Ginneken-style bottom-up pass on up to workers
+// lanes and returns the feasible complete frontier, cost-ascending, with the
+// same bits for every worker count. It checks ctx between merges and every
+// checkEvery candidates within one, and returns ctx.Err() once the context
+// is done.
+func (p *problem) runDP(ctx context.Context, workers int) ([]scored, dpStats, error) {
+	return p.newRun(ctx, workers).run()
 }
 
 // run is runDP's pass.
@@ -496,30 +648,26 @@ func (d *dpRun) run() ([]scored, dpStats, error) {
 	p := d.p
 	complete := d.undecided()
 	// Prune between Minkowski folds but never after the last one, so the
-	// capacity filter below still sees — and counts — every complete
-	// placement the final fold produced.
+	// capacity filter still sees — and counts — every complete placement
+	// the final fold produced.
 	totalFolds := len(p.roots) + len(p.nonTree)
 	folded := 0
-	fold := func(cands []cand) []scored {
-		d.st.partials += len(cands)
-		if folded++; folded < totalFolds {
-			complete = d.build(d.prune(cands, nil))
-			return nil
-		}
-		// Capacity-floor feasibility: the sizing budget must give every
-		// buffer of the contracted architecture its one-unit floor. The
-		// clamped bypass count gives the unclamped count's verdict.
-		feasible := cands[:0]
-		for _, c := range cands {
-			if p.numAttach+2*(d.nb-int(c.bypassed)) <= p.budget {
-				feasible = append(feasible, c)
-			} else {
-				d.st.infeasible++
-			}
-		}
-		return d.skyline(feasible)
-	}
 	var front []scored
+	fold := func(n int, sum func(l *dpRun, cands []cand, lo int) error) error {
+		d.st.partials += n
+		folded++
+		final := folded == totalFolds
+		kept, err := d.foldPrune(n, final, sum)
+		if err != nil {
+			return err
+		}
+		if final {
+			front = d.scored(kept)
+		} else {
+			complete = d.build(kept)
+		}
+		return nil
+	}
 	// Solve each spanning-forest tree independently and close its root's
 	// open component; fold the per-component frontiers by Minkowski sum
 	// (decision vectors are disjoint, cost and J add, and bypassed adds
@@ -529,44 +677,173 @@ func (d *dpRun) run() ([]scored, dpStats, error) {
 		if err != nil {
 			return nil, d.st, err
 		}
-		closed := f.parts
-		for _, g := range f.groups {
-			cj := p.closeJ(g.comp)
-			for k := g.lo; k < g.hi; k++ {
-				closed.pts[k].j += cj
-			}
+		d.pool()
+		d.close(f, len(complete.pts)*len(f.pts))
+		d.left, d.right, d.edge = &complete, &f.parts, -1
+		if err := fold(len(complete.pts)*len(f.pts), (*dpRun).sumClosed); err != nil {
+			return nil, d.st, err
 		}
-		d.left, d.right, d.edge = &complete, &closed, -1
-		cands := d.scratch(len(complete.pts) * len(closed.pts))
-		for l, a := range complete.pts {
-			for r, b := range closed.pts {
-				cands = append(cands, cand{cost: a.cost + b.cost, j: a.j + b.j,
-					bypassed: d.clamp(a.bypassed + b.bypassed), l: int32(l), r: int32(r)})
-			}
-			if err := d.spent(len(closed.pts)); err != nil {
-				return nil, d.st, err
-			}
-		}
-		front = fold(cands)
 	}
 	// Fold the non-tree bridges (cycle closers — always inserted, type
 	// still free): each is an independent (cost, delay) mini-frontier,
 	// composed by Minkowski sum with pruning after each fold.
 	for _, nb := range p.nonTree {
 		d.left, d.right, d.edge = &complete, nil, nb
-		cands := d.scratch(len(complete.pts) * len(p.types))
-		for l, s := range complete.pts {
-			for t := range p.types {
-				cands = append(cands, cand{cost: s.cost + p.types[t].Cost, j: s.j + p.insertTerm(nb, int8(t)),
-					bypassed: int32(s.bypassed), l: int32(l), r: -1, opt: int8(t)})
-			}
-			if err := d.spent(len(p.types)); err != nil {
-				return nil, d.st, err
-			}
+		if err := fold(len(complete.pts)*len(p.types), (*dpRun).sumEdge); err != nil {
+			return nil, d.st, err
 		}
-		front = fold(cands)
 	}
 	return front, d.st, nil
+}
+
+// pool moves every lane's survivor blocks, which a tree's merges are done
+// with, to the pass's fold blocks (foldPrune).
+func (d *dpRun) pool() {
+	for _, l := range d.lanes {
+		if l != nil {
+			d.blocks = append(d.blocks, l.surv.blocks...)
+			l.surv = survivors{}
+		}
+	}
+}
+
+// close adds to every partial of root frontier f the closing price of its
+// open component, spreading the groups over the lanes when the fold after
+// it covers at least parMin candidates. Each group is priced once, by the
+// lane whose share holds it, so the prices are the serial ones.
+func (d *dpRun) close(f *frontier, work int) {
+	n := min(d.width(work), len(f.groups))
+	bounds := d.split(n, len(f.groups), len(f.pts), func(u int) int { return f.groups[u].hi - f.groups[u].lo })
+	_ = d.spread(n, func(k int, l *dpRun) error {
+		for _, g := range f.groups[bounds[k]:bounds[k+1]] {
+			cj := l.price(g.comp)
+			for i := g.lo; i < g.hi; i++ {
+				f.pts[i].j += cj
+			}
+		}
+		return nil
+	})
+}
+
+// sumClosed builds fold candidates [lo, lo+len(cands)) of left ⊕ right —
+// candidate i pairs left partial i / |right| with right partial i % |right|
+// — and checks the context once per left partial.
+func (d *dpRun) sumClosed(cands []cand, lo int) error {
+	rs := d.right.pts
+	l, r := lo/len(rs), lo%len(rs)
+	for i := 0; i < len(cands); l, r = l+1, 0 {
+		a := d.left.pts[l]
+		row := cands[i:min(len(cands), i+len(rs)-r)]
+		for k, b := range rs[r : r+len(row)] {
+			row[k] = cand{cost: a.cost + b.cost, j: a.j + b.j,
+				bypassed: d.clamp(a.bypassed + b.bypassed), l: int32(l), r: int32(r + k)}
+		}
+		if err := d.spent(len(row)); err != nil {
+			return err
+		}
+		i += len(row)
+	}
+	return nil
+}
+
+// sumEdge builds fold candidates [lo, lo+len(cands)) of left ⊕ the
+// catalogue on non-tree edge d.edge — candidate i inserts type i % |types|
+// after left partial i / |types| — and checks the context once per left
+// partial.
+func (d *dpRun) sumEdge(cands []cand, lo int) error {
+	types := d.p.types
+	l, t := lo/len(types), lo%len(types)
+	for i := 0; i < len(cands); l, t = l+1, 0 {
+		s := d.left.pts[l]
+		row := cands[i:min(len(cands), i+len(types)-t)]
+		for k := range row {
+			row[k] = cand{cost: s.cost + types[t+k].Cost, j: s.j + d.p.insertTerm(d.edge, int8(t+k)),
+				bypassed: int32(s.bypassed), l: int32(l), r: -1, opt: int8(t + k)}
+		}
+		if err := d.spent(len(row)); err != nil {
+			return err
+		}
+		i += len(row)
+	}
+	return nil
+}
+
+// foldPrune builds a fold's n candidates, which sum writes, and prunes
+// them. Between folds the prune keeps all three coordinates. The last fold
+// first drops, and counts, the placements the capacity floor rejects, then
+// erases the bypass coordinate: the skyline.
+//
+// A fold below parMin candidates is one chunk in the candidate buffer.
+// From parMin on, the candidates go into the pass's fold blocks — the
+// merges' survivor blocks, topped up with blocks of survMax — one chunk per
+// block, and the chunks spread over the lanes in contiguous shares of
+// about equal size. Each chunk is filtered, sorted and swept on its own,
+// and the sorted chunk survivors merge into one sweep. A candidate is
+// dominated exactly when an earlier one in comparator order dominates it,
+// and then an earlier survivor does too, since dominance is transitive: so
+// the survivors are the serial prune's whatever the chunks, and so is the
+// pruned count.
+func (d *dpRun) foldPrune(n int, final bool, sum func(l *dpRun, cands []cand, lo int) error) ([]cand, error) {
+	var chunks [][]cand
+	if n < d.parMin {
+		chunks = [][]cand{d.scratch(n)[:n]}
+	} else {
+		for left := n; left > 0; left -= len(chunks[len(chunks)-1]) {
+			if len(chunks) == len(d.blocks) {
+				d.blocks = append(d.blocks, make([]cand, 0, min(left, survMax)))
+			}
+			b := d.blocks[len(chunks)]
+			chunks = append(chunks, b[:min(left, cap(b))])
+		}
+	}
+	at := make([]int, len(chunks)+1)
+	for c, chunk := range chunks {
+		at[c+1] = at[c] + len(chunk)
+	}
+	w := min(d.width(n), len(chunks))
+	bounds := d.split(w, len(chunks), n, func(c int) int { return len(chunks[c]) })
+	kept := make([][]cand, len(chunks))
+	err := d.spread(w, func(k int, l *dpRun) error {
+		for c := bounds[k]; c < bounds[k+1]; c++ {
+			if err := sum(l, chunks[c], at[c]); err != nil {
+				return err
+			}
+			kept[c] = l.pruneChunk(chunks[c], final)
+		}
+		return nil
+	})
+	if err != nil || len(chunks) == 1 {
+		return kept[0], err
+	}
+	runs, ends := d.cands[:0], d.ends[:0]
+	for _, run := range kept {
+		runs = append(runs, run...)
+		ends = append(ends, len(runs))
+	}
+	d.cands, d.ends = runs, ends
+	out := d.mergeSweep(runs, ends)
+	d.st.pruned += len(runs) - len(out)
+	return out, nil
+}
+
+// pruneChunk prunes one chunk of a fold in place. In the last fold it first
+// drops the placements the capacity floor rejects, counting them, and
+// erases the bypass coordinate of the rest; the clamped count gives the
+// unclamped count's verdict.
+func (d *dpRun) pruneChunk(cands []cand, final bool) []cand {
+	if final {
+		feasible := cands[:0]
+		for _, c := range cands {
+			if d.p.numAttach+2*(d.nb-int(c.bypassed)) <= d.p.budget {
+				c.bypassed = 0
+				feasible = append(feasible, c)
+			} else {
+				d.st.infeasible++
+			}
+		}
+		cands = feasible
+	}
+	return d.prune(cands, nil)
 }
 
 // solveSubtree returns the pruned partial frontier of bus v's subtree with
@@ -594,6 +871,12 @@ func (d *dpRun) solveSubtree(v int) (*frontier, error) {
 // bypassed child group cg (the open component becomes g ∪ cg). Child
 // components contain the child and parent components do not, so the output
 // components are pairwise distinct and each group prunes on its own.
+//
+// From parMin candidates on, the output groups split into contiguous shares
+// of about equal candidate count, one per lane. Each lane gathers and
+// prunes its share's groups into its own survivors; the shares then join in
+// group order, and each lane builds its survivors straight into the output
+// frontier at its share's offset.
 func (d *dpRun) merge(f, cf *frontier, edge int) (*frontier, error) {
 	p := d.p
 	if err := d.ctx.Err(); err != nil {
@@ -604,51 +887,76 @@ func (d *dpRun) merge(f, cf *frontier, edge int) (*frontier, error) {
 	if cut {
 		options++
 	}
-	d.st.partials += len(f.pts) * len(cf.pts) * options
+	work := len(f.pts) * len(cf.pts) * options
+	d.st.partials += work
 	d.left, d.right, d.edge = &f.parts, &cf.parts, edge
 	// Hoisted: each child group's closing price and each type's insertion
-	// term, one closed column per child group and type, and a last column
-	// for the bypassed child group in hand.
+	// term, one closed column per child group and type.
 	cols := d.cols[:0]
 	for _, cg := range cf.groups {
-		cj := p.closeJ(cg.comp)
+		cj := d.price(cg.comp)
 		for t, ty := range p.types {
 			cols = append(cols, column{lo: cg.lo, hi: cg.hi, cost: ty.Cost, cj: cj, ins: p.insertTerm(edge, int8(t)), opt: int8(t)})
 		}
 	}
-	cols = append(cols, column{})
 	d.cols = cols
-	closed, bypass := cols[:len(cols)-1], cols[len(cols)-1:]
-	d.surv = d.surv[:0]
-	n := len(f.groups)
+	// Output group u comes from parent group u / per: the child closed when
+	// u % per is 0, else child group u % per − 1 bypassed.
+	per := 1
 	if cut {
-		n *= 1 + len(cf.groups)
+		per += len(cf.groups)
 	}
-	groups := make([]group, 0, n)
-	add := func(g group, comp compKey, with []column) error {
-		if err := d.gather(g, with); err != nil {
-			return err
+	groups := make([]group, len(f.groups)*per)
+	n := min(d.width(work), len(groups))
+	bounds := d.split(n, len(groups), work, func(u int) int {
+		g, j := f.groups[u/per], u%per
+		if j == 0 {
+			return (g.hi - g.lo) * len(cf.pts) * len(p.types)
 		}
-		lo := len(d.surv)
-		d.keep(d.prune(d.cands, d.ends))
-		groups = append(groups, group{comp: comp, lo: lo, hi: len(d.surv)})
-		return nil
-	}
-	for _, g := range f.groups {
-		if err := add(g, g.comp, closed); err != nil {
-			return nil, err
-		}
-		if !cut {
-			continue
-		}
-		for _, cg := range cf.groups {
-			bypass[0] = column{lo: cg.lo, hi: cg.hi, bump: 1, opt: optBypass}
-			if err := add(g, unionComp(g.comp, cg.comp), bypass); err != nil {
-				return nil, err
+		return (g.hi - g.lo) * (cf.groups[j-1].hi - cf.groups[j-1].lo)
+	})
+	err := d.spread(n, func(k int, l *dpRun) error {
+		l.surv.reset()
+		var bypass [1]column
+		for u := bounds[k]; u < bounds[k+1]; u++ {
+			g, j := f.groups[u/per], u%per
+			with, comp := l.cols, g.comp
+			if j > 0 {
+				cg := cf.groups[j-1]
+				bypass[0] = column{lo: cg.lo, hi: cg.hi, bump: 1, opt: optBypass}
+				with, comp = bypass[:], unionComp(g.comp, cg.comp)
 			}
+			if err := l.gather(g, with); err != nil {
+				return err
+			}
+			lo := l.surv.n
+			l.surv.add(l.prune(l.cands, l.ends))
+			groups[u] = group{comp: comp, lo: lo, hi: l.surv.n}
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return &frontier{parts: d.build(d.surv), groups: groups}, nil
+	at, total := make([]int, n), 0
+	for k := range at {
+		at[k] = total
+		for u := bounds[k]; u < bounds[k+1]; u++ {
+			groups[u].lo += total
+			groups[u].hi += total
+		}
+		total += d.lanes[k].surv.n
+	}
+	out := parts{pts: make([]part, total), decs: make([]int8, total*d.nb)}
+	_ = d.spread(n, func(k int, l *dpRun) error {
+		i := at[k]
+		for _, b := range l.surv.blocks {
+			l.fill(out, i, b)
+			i += len(b)
+		}
+		return nil
+	})
+	return &frontier{parts: out, groups: groups}, nil
 }
 
 // gather builds into d.cands the candidates pairing parent group g's
@@ -713,7 +1021,7 @@ func (d *dpRun) pair(l, r int, c *column) cand {
 // floor, and returns the 2D skyline. It exists as the DP's correctness
 // oracle and as the exhaustive screening path of the pricing benchmark.
 func (p *problem) bruteForce() (front []scored, priced, infeasible int) {
-	d := p.newRun(context.Background())
+	d := p.newRun(context.Background(), 1)
 	var all parts
 	var cands []cand
 	dec := make([]int8, len(p.bridges))

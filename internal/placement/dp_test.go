@@ -2,10 +2,14 @@ package placement
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"socbuf/internal/arch"
 	"socbuf/internal/scenario"
@@ -30,10 +34,26 @@ func buildTopology(t *testing.T, kind string, buses int, seed int64) *arch.Archi
 	return a
 }
 
-// runDP runs the DP to completion under a context that never ends.
+// runDP runs the DP to completion on one lane under a context that never
+// ends.
 func runDP(t testing.TB, p *problem) ([]scored, dpStats) {
 	t.Helper()
-	front, st, err := p.runDP(context.Background())
+	return runDPOn(t, p, 1)
+}
+
+// laneCounts are the worker counts the DP's gates run at.
+var laneCounts = []int{1, 2, 4}
+
+// runDPOn runs the DP on workers lanes. Above one worker every merge, root
+// close and fold spreads over the lanes however few candidates it covers,
+// so the small gate topologies drive every split.
+func runDPOn(t testing.TB, p *problem, workers int) ([]scored, dpStats) {
+	t.Helper()
+	d := p.newRun(context.Background(), workers)
+	if workers > 1 {
+		d.parMin = 1
+	}
+	front, st, err := d.run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +64,7 @@ func runDP(t testing.TB, p *problem) ([]scored, dpStats) {
 // reference the merge must reproduce bit for bit.
 func runSorted(t testing.TB, p *problem) ([]scored, dpStats) {
 	t.Helper()
-	d := p.newRun(context.Background())
+	d := p.newRun(context.Background(), 1)
 	d.sortAll = true
 	front, st, err := d.run()
 	if err != nil {
@@ -114,8 +134,9 @@ func assertPareto(t *testing.T, front []scored) {
 // tight capacity budget and under the default catalogue and one whose second
 // entry twins the first (same cost and delay, so exact ties meet at every
 // merge), the pruned DP must return the same Pareto frontier as exhaustive
-// enumeration. Decision vectors are not compared: brute force sums J in
-// another order, so near-ties may legitimately keep different placements.
+// enumeration, on every count of lanes. Decision vectors are not compared:
+// brute force sums J in another order, so near-ties may legitimately keep
+// different placements.
 func TestDPMatchesBruteForce(t *testing.T) {
 	type topo struct {
 		kind  string
@@ -160,25 +181,27 @@ func TestDPMatchesBruteForce(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
-				dp, st := runDP(t, p)
 				bf, priced, _ := p.bruteForce()
 				if int64(priced) != p.enumerated {
 					t.Errorf("%s: brute force priced %d of %d placements", name, priced, p.enumerated)
 				}
-				sameFrontier(t, dp, bf)
-				assertPareto(t, dp)
-				if st.partials <= st.pruned {
-					t.Errorf("%s: %d partials, %d pruned — nothing survived?", name, st.partials, st.pruned)
-				}
-				if types[1].Name != "twin" {
-					continue
-				}
-				// Exact ties keep the lexicographically smallest vector, so
-				// the twin (index 1) never beats the entry it copies.
-				for _, s := range dp {
-					for i, d := range s.dec {
-						if d == 1 {
-							t.Errorf("%s: frontier point %s names the twin on bridge %d", name, p.signature(s.dec), i)
+				for _, workers := range laneCounts {
+					dp, st := runDPOn(t, p, workers)
+					sameFrontier(t, dp, bf)
+					assertPareto(t, dp)
+					if st.partials <= st.pruned {
+						t.Errorf("%s/%d workers: %d partials, %d pruned — nothing survived?", name, workers, st.partials, st.pruned)
+					}
+					if types[1].Name != "twin" {
+						continue
+					}
+					// Exact ties keep the lexicographically smallest vector,
+					// so the twin (index 1) never beats the entry it copies.
+					for _, s := range dp {
+						for i, d := range s.dec {
+							if d == 1 {
+								t.Errorf("%s/%d workers: frontier point %s names the twin on bridge %d", name, workers, p.signature(s.dec), i)
+							}
 						}
 					}
 				}
@@ -192,7 +215,7 @@ func TestDPMatchesBruteForce(t *testing.T) {
 // insertion, where every placement does, on a small chain, star and tree.
 // The bypass coordinate's clamp b_min then takes every value from the
 // bridge count down to 0, and at each budget the DP must match exhaustive
-// enumeration.
+// enumeration on every count of lanes.
 func TestDPMatchesBruteForceEveryBudget(t *testing.T) {
 	for _, tc := range []struct {
 		kind  string
@@ -209,16 +232,81 @@ func TestDPMatchesBruteForceEveryBudget(t *testing.T) {
 		for budget := base.numAttach; budget <= base.numAttach+2*nb; budget++ {
 			t.Run(fmt.Sprintf("%s/%d/budget %d", tc.kind, tc.buses, budget), func(t *testing.T) {
 				p := testProblem(t, a, budget)
-				took[p.newRun(context.Background()).bmin] = true
-				dp, _ := runDP(t, p)
+				took[p.newRun(context.Background(), 1).bmin] = true
 				bf, _, _ := p.bruteForce()
-				sameFrontier(t, dp, bf)
-				assertPareto(t, dp)
+				for _, workers := range laneCounts {
+					dp, _ := runDPOn(t, p, workers)
+					sameFrontier(t, dp, bf)
+					assertPareto(t, dp)
+				}
 			})
 		}
 		for b := 0; b <= nb; b++ {
 			if !took[b] {
 				t.Errorf("%s/%d: b_min never took %d of 0..%d", tc.kind, tc.buses, b, nb)
+			}
+		}
+	}
+}
+
+// cancelAfter is a context whose Err reports context.Canceled from its
+// (n+1)-th call on, n the value left starts at: it cancels a DP at a chosen
+// context check, in whichever merge, lane or fold makes it.
+type cancelAfter struct {
+	context.Context
+	left atomic.Int64
+}
+
+func (c *cancelAfter) Err() error {
+	if c.left.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// settle returns the goroutine count once it is back to at most n, or
+// after a second: a lane that has signalled its WaitGroup, and a context's
+// timer that has fired, may take a moment to exit.
+func settle(n int) int {
+	for wait := time.Now().Add(time.Second); runtime.NumGoroutine() > n && time.Now().Before(wait); {
+		runtime.Gosched()
+	}
+	return runtime.NumGoroutine()
+}
+
+// TestDPLanesStopOnCancel: a DP cancelled at any of its context checks,
+// with every merge, close and fold spread over 2 or 4 lanes, returns
+// context.Canceled — a lane that sees the cancellation stops its share, and
+// the others stop at their next check — and leaves no lane goroutine
+// behind.
+func TestDPLanesStopOnCancel(t *testing.T) {
+	a := placementWorkloadTopology(t, 16)
+	p := testProblem(t, a, 3*(len(a.Processors)+2*len(a.Bridges)))
+	for _, workers := range []int{2, 4} {
+		run := func(n int64) error {
+			ctx := &cancelAfter{Context: context.Background()}
+			ctx.left.Store(n)
+			d := p.newRun(ctx, workers)
+			d.parMin = 1
+			_, _, err := d.run()
+			return err
+		}
+		// An uncancelled run counts the checks.
+		ctx := &cancelAfter{Context: context.Background()}
+		ctx.left.Store(math.MaxInt64)
+		d := p.newRun(ctx, workers)
+		d.parMin = 1
+		if _, _, err := d.run(); err != nil {
+			t.Fatal(err)
+		}
+		checks := math.MaxInt64 - ctx.left.Load()
+		before := runtime.NumGoroutine()
+		for n := int64(0); n < checks; n += max(1, checks/16) {
+			if err := run(n); !errors.Is(err, context.Canceled) {
+				t.Errorf("%d workers, cancelled at check %d of %d: err %v, want context.Canceled", workers, n, checks, err)
+			}
+			if got := settle(before); got > before {
+				t.Errorf("%d workers, cancelled at check %d: %d goroutines after the DP returned, %d before", workers, n, got, before)
 			}
 		}
 	}

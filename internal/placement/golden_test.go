@@ -66,18 +66,19 @@ func placementWorkloadTopology(t testing.TB, i int) *arch.Architecture {
 	return a
 }
 
-// frontierGoldenRuns runs the DP on every registry scenario at its own
-// budget, and on the first 40 placement-workload topologies at a generous
-// budget (3× the fully-buffered count, as the workload sends) and a tight
-// one (processors + bridges), under the default and the twin catalogue.
-func frontierGoldenRuns(t *testing.T) []frontierCase {
+// frontierGoldenRuns runs the DP on workers lanes (runDPOn) on every
+// registry scenario at its own budget, and on the first 40
+// placement-workload topologies at a generous budget (3× the fully-buffered
+// count, as the workload sends) and a tight one (processors + bridges),
+// under the default and the twin catalogue.
+func frontierGoldenRuns(t *testing.T, workers int) []frontierCase {
 	t.Helper()
 	run := func(name string, a *arch.Architecture, budget int, types []BufferType) frontierCase {
 		p, err := newProblem(a, Config{Arch: a, Types: types, Budget: budget, LatencyWeight: 0.1})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		front, st := runDP(t, p)
+		front, st := runDPOn(t, p, workers)
 		c := frontierCase{Name: name, Partials: st.partials, Pruned: st.pruned, Infeasible: st.infeasible}
 		for _, s := range front {
 			c.Frontier = append(c.Frontier, encodePoint(s))
@@ -112,39 +113,41 @@ func frontierGoldenRuns(t *testing.T) []frontierCase {
 // sorting the group gives, bit for bit and counter for counter, on the
 // first 40 placement-workload topologies at both golden budgets, under the
 // default and twin catalogues (exact ties) and ulpCatalogue (runs out of
-// order, so some groups fall back to the sort).
+// order, so some groups fall back to the sort), on every count of lanes.
 func TestDPMergeMatchesSort(t *testing.T) {
-	resorted := 0
-	for i := 0; i < 40; i++ {
-		a := placementWorkloadTopology(t, i)
-		buffers := len(a.Processors) + 2*len(a.Bridges)
-		for _, budget := range []int{3 * buffers, len(a.Processors) + len(a.Bridges)} {
-			for _, types := range [][]BufferType{DefaultCatalogue(), twinCatalogue(), ulpCatalogue()} {
-				name := fmt.Sprintf("workload%02d-%s%d-b%d-%s", i, a.Name, len(a.Buses), budget, types[1].Name)
-				p, err := newProblem(a, Config{Arch: a, Types: types, Budget: budget, LatencyWeight: 0.1})
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
+	for _, workers := range laneCounts {
+		resorted := 0
+		for i := 0; i < 40; i++ {
+			a := placementWorkloadTopology(t, i)
+			buffers := len(a.Processors) + 2*len(a.Bridges)
+			for _, budget := range []int{3 * buffers, len(a.Processors) + len(a.Bridges)} {
+				for _, types := range [][]BufferType{DefaultCatalogue(), twinCatalogue(), ulpCatalogue()} {
+					name := fmt.Sprintf("workload%02d-%s%d-b%d-%s/%d workers", i, a.Name, len(a.Buses), budget, types[1].Name, workers)
+					p, err := newProblem(a, Config{Arch: a, Types: types, Budget: budget, LatencyWeight: 0.1})
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					front, st := runDPOn(t, p, workers)
+					resorted += st.resorted
+					sameRun(t, name, front, st, p)
 				}
-				front, st := runDP(t, p)
-				resorted += st.resorted
-				sameRun(t, name, front, st, p)
 			}
 		}
-	}
-	if resorted == 0 {
-		t.Error("no group fell back to the sort")
+		if resorted == 0 {
+			t.Errorf("%d workers: no group fell back to the sort", workers)
+		}
 	}
 }
 
 // TestPlacementFrontierGolden pins the DP's complete frontier — decisions,
 // cost and J bit for bit, bypass counts — and its Partials, Pruned and
 // Infeasible counters, on the registry and on placement-workload-shaped
-// topologies. A moved frontier is a defect to find, not a file to
-// regenerate; -update rewrites the file only after a deliberate change to
-// what the DP computes.
+// topologies, on every count of lanes. A moved frontier is a defect to
+// find, not a file to regenerate; -update rewrites the file from the
+// one-lane DP only after a deliberate change to what the DP computes.
 func TestPlacementFrontierGolden(t *testing.T) {
-	got := frontierGoldenRuns(t)
 	if *updateGolden {
+		got := frontierGoldenRuns(t, 1)
 		raw, err := json.MarshalIndent(got, "", " ")
 		if err != nil {
 			t.Fatal(err)
@@ -165,25 +168,28 @@ func TestPlacementFrontierGolden(t *testing.T) {
 	if err := json.NewDecoder(bytes.NewReader(raw)).Decode(&want); err != nil {
 		t.Fatal(err)
 	}
-	if len(want) != len(got) {
-		t.Fatalf("%s holds %d runs, the test makes %d", frontierGoldenPath, len(want), len(got))
-	}
-	for i := range got {
-		g, w := got[i], want[i]
-		if g.Name != w.Name {
-			t.Fatalf("run %d is %s, recorded as %s", i, g.Name, w.Name)
+	for _, workers := range laneCounts {
+		got := frontierGoldenRuns(t, workers)
+		if len(want) != len(got) {
+			t.Fatalf("%s holds %d runs, the test makes %d", frontierGoldenPath, len(want), len(got))
 		}
-		if g.Partials != w.Partials || g.Pruned != w.Pruned || g.Infeasible != w.Infeasible {
-			t.Errorf("%s: partials/pruned/infeasible %d/%d/%d, recorded %d/%d/%d",
-				g.Name, g.Partials, g.Pruned, g.Infeasible, w.Partials, w.Pruned, w.Infeasible)
-		}
-		if len(g.Frontier) != len(w.Frontier) {
-			t.Errorf("%s: %d frontier points, recorded %d", g.Name, len(g.Frontier), len(w.Frontier))
-			continue
-		}
-		for k := range g.Frontier {
-			if g.Frontier[k] != w.Frontier[k] {
-				t.Errorf("%s: frontier[%d] = %q, recorded %q", g.Name, k, g.Frontier[k], w.Frontier[k])
+		for i := range got {
+			g, w := got[i], want[i]
+			if g.Name != w.Name {
+				t.Fatalf("run %d is %s, recorded as %s", i, g.Name, w.Name)
+			}
+			if g.Partials != w.Partials || g.Pruned != w.Pruned || g.Infeasible != w.Infeasible {
+				t.Errorf("%s/%d workers: partials/pruned/infeasible %d/%d/%d, recorded %d/%d/%d",
+					g.Name, workers, g.Partials, g.Pruned, g.Infeasible, w.Partials, w.Pruned, w.Infeasible)
+			}
+			if len(g.Frontier) != len(w.Frontier) {
+				t.Errorf("%s/%d workers: %d frontier points, recorded %d", g.Name, workers, len(g.Frontier), len(w.Frontier))
+				continue
+			}
+			for k := range g.Frontier {
+				if g.Frontier[k] != w.Frontier[k] {
+					t.Errorf("%s/%d workers: frontier[%d] = %q, recorded %q", g.Name, workers, k, g.Frontier[k], w.Frontier[k])
+				}
 			}
 		}
 	}

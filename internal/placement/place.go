@@ -54,7 +54,7 @@ func Place(ctx context.Context, cfg Config) (*Result, error) {
 		return nil, err
 	}
 
-	front, st, err := p.runDP(ctx)
+	front, st, err := p.runDP(ctx, cfg.Workers)
 	if err != nil {
 		return nil, fmt.Errorf("placement: %w", err)
 	}
@@ -217,8 +217,9 @@ func (p *problem) evalGroups(ctx context.Context, cfg Config, method string, fro
 // evaluate sizes and simulates one placement's contracted architecture
 // through the solver registry, returning the evaluated loss and the sizing
 // improvement. Each evaluation runs its seeds serially: the fan-out over
-// bypass sets is the pass's only parallelism, so a pass with fewer sets
-// than workers (a mesh screens one) leaves the spare workers idle.
+// bypass sets is an evaluation pass's only parallelism, so a pass with
+// fewer sets than workers (a mesh screens one) leaves the spare workers
+// idle. The DP before the passes spreads over the same workers (runDP).
 func (p *problem) evaluate(ctx context.Context, cfg Config, method string, dec []int8) (int64, float64, error) {
 	contracted, err := p.apply(dec)
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -323,30 +324,40 @@ func TestPlaceRefusesInvalidWeights(t *testing.T) {
 // TestPlaceDPHonoursDeadline: the DP checks its context between merges and
 // every few thousand candidates within one, so a placement whose DP alone
 // runs for most of a second (a generated 21-bus tree) stops within 100 ms of
-// a 20 ms deadline and says why.
+// a 20 ms deadline and says why, on one worker and on two. On two the
+// deadline lands inside merges spread over lanes: each lane stops at its
+// next check, and Place returns only once every lane has, so no goroutine
+// outlives it.
 func TestPlaceDPHonoursDeadline(t *testing.T) {
 	a, err := scenario.Topology{Kind: scenario.KindTree, Buses: 21, FanOut: 1, Skew: 4, Seed: 1}.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{
-		Arch:    a,
-		Budget:  3 * (len(a.Processors) + 2*len(a.Bridges)),
-		Method:  solver.MethodAnalytic,
-		Seeds:   []int64{1},
-		Horizon: 100,
-	}
-	const deadline = 20 * time.Millisecond
-	ctx, cancel := context.WithTimeout(context.Background(), deadline)
-	defer cancel()
-	start := time.Now()
-	_, err = Place(ctx, cfg)
-	late := time.Since(start) - deadline
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("Place under a %v deadline: err %v, want context.DeadlineExceeded", deadline, err)
-	}
-	if late > 100*time.Millisecond {
-		t.Errorf("Place returned %v after its %v deadline, want within 100ms", late, deadline)
+	for _, workers := range []int{1, 2} {
+		cfg := Config{
+			Arch:    a,
+			Budget:  3 * (len(a.Processors) + 2*len(a.Bridges)),
+			Method:  solver.MethodAnalytic,
+			Seeds:   []int64{1},
+			Horizon: 100,
+			Workers: workers,
+		}
+		const deadline = 20 * time.Millisecond
+		ctx, cancel := context.WithTimeout(context.Background(), deadline)
+		before := runtime.NumGoroutine()
+		start := time.Now()
+		_, err = Place(ctx, cfg)
+		late := time.Since(start) - deadline
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("%d workers: Place under a %v deadline: err %v, want context.DeadlineExceeded", workers, deadline, err)
+		}
+		if late > 100*time.Millisecond {
+			t.Errorf("%d workers: Place returned %v after its %v deadline, want within 100ms", workers, late, deadline)
+		}
+		if n := settle(before); n > before {
+			t.Errorf("%d workers: %d goroutines after Place returned, %d before", workers, n, before)
+		}
 	}
 }
 
@@ -473,7 +484,8 @@ func TestHybridRefinementWithin5PercentOfBruteForce(t *testing.T) {
 // and 14-bus tree the socbufbench placement workload draws at seed 1, and
 // a 17-bus tree, a 17-bus star and a 22-bus tree built the same way at
 // seed 1 — the largest star and tree of 12–22 buses whose DP finishes
-// within a second. PERFORMANCE.md tracks these rows.
+// within a second. Each case runs on the default worker count (GOMAXPROCS
+// lanes), and as case/serial on one lane. PERFORMANCE.md tracks these rows.
 func BenchmarkPlacementDP(b *testing.B) {
 	type bench struct {
 		name   string
@@ -510,18 +522,27 @@ func BenchmarkPlacementDP(b *testing.B) {
 	}
 	for _, c := range cases {
 		cfg := Config{Arch: c.a, Types: DefaultCatalogue(), Budget: c.budget, LatencyWeight: 0.1}
-		b.Run(c.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				p, err := newProblem(c.a, cfg)
-				if err != nil {
-					b.Fatal(err)
+		for _, v := range []struct {
+			suffix  string
+			workers int
+		}{{"", 0}, {"/serial", 1}} {
+			b.Run(c.name+v.suffix, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					p, err := newProblem(c.a, cfg)
+					if err != nil {
+						b.Fatal(err)
+					}
+					front, _, err := p.runDP(context.Background(), v.workers)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if len(front) == 0 {
+						b.Fatal("empty frontier")
+					}
 				}
-				if front, _ := runDP(b, p); len(front) == 0 {
-					b.Fatal("empty frontier")
-				}
-			}
-		})
+			})
+		}
 	}
 }
 
@@ -529,25 +550,31 @@ func BenchmarkPlacementDP(b *testing.B) {
 // on the placement workload's first 14-bus tree, star, mesh and chain
 // (placementWorkloadTopology 16–19) at the workload's knobs, and reports
 // the solver runs each placement executes (runs/op, from RunObserver).
-// BenchmarkPlacementDP times the DP alone.
+// Each case runs on the default worker count, and as case/serial on one
+// worker. BenchmarkPlacementDP times the DP alone.
 func BenchmarkPlace(b *testing.B) {
 	for i, name := range []string{"tree14", "star14", "mesh14", "chain14"} {
 		a := placementWorkloadTopology(b, 16+i)
-		var runs atomic.Int64
-		cfg := Config{
-			Arch: a, Budget: 3 * (len(a.Processors) + 2*len(a.Bridges)), Method: solver.MethodAnalytic,
-			RefineTop: 1, Seeds: []int64{1}, Horizon: 100, WarmUp: 20,
-			RunObserver: func(string, time.Duration) { runs.Add(1) },
-		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			runs.Store(0)
-			for n := 0; n < b.N; n++ {
-				if _, err := Place(context.Background(), cfg); err != nil {
-					b.Fatal(err)
-				}
+		for _, v := range []struct {
+			suffix  string
+			workers int
+		}{{"", 0}, {"/serial", 1}} {
+			var runs atomic.Int64
+			cfg := Config{
+				Arch: a, Budget: 3 * (len(a.Processors) + 2*len(a.Bridges)), Method: solver.MethodAnalytic,
+				RefineTop: 1, Seeds: []int64{1}, Horizon: 100, WarmUp: 20, Workers: v.workers,
+				RunObserver: func(string, time.Duration) { runs.Add(1) },
 			}
-			b.ReportMetric(float64(runs.Load())/float64(b.N), "runs/op")
-		})
+			b.Run(name+v.suffix, func(b *testing.B) {
+				b.ReportAllocs()
+				runs.Store(0)
+				for n := 0; n < b.N; n++ {
+					if _, err := Place(context.Background(), cfg); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(runs.Load())/float64(b.N), "runs/op")
+			})
+		}
 	}
 }

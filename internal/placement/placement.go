@@ -168,8 +168,10 @@ type Config struct {
 	Seeds      []int64
 	Horizon    float64
 	WarmUp     float64
-	Workers    int
-	Cache      *solvecache.Cache
+	// Workers bounds both the DP's lanes and the evaluations' worker pool
+	// (0 = GOMAXPROCS, 1 = serial); no count moves a result bit.
+	Workers int
+	Cache   *solvecache.Cache
 
 	// OnEval, when non-nil, receives every frontier point's evaluation, once
 	// per point in the screening pass and once per refined point, as its

@@ -44,7 +44,24 @@ func (p *problem) insertTerm(i int, t int8) float64 {
 	return float64(p.lw * p.types[t].Delay * p.brRate[i])
 }
 
-// closeJ prices one closed component: the merged bus (service rate = the
+// closeJ is price memoised on the problem, for callers that price one
+// placement at a time from scratch (totalJ, the brute-force oracle), where
+// placements share components. The DP closes each component once, so it
+// calls price directly with its lane's scratch.
+func (p *problem) closeJ(key compKey) float64 {
+	if j, ok := p.fMemo[key]; ok {
+		return j
+	}
+	j, clients := p.price(key, p.clScratch)
+	p.clScratch = clients[:0]
+	if p.fMemo == nil {
+		p.fMemo = map[compKey]float64{}
+	}
+	p.fMemo[key] = j
+	return j
+}
+
+// price prices one closed component: the merged bus (service rate = the
 // members' minimum) serves the members' traffic-carrying attachment buffers
 // plus the directional buffer of every inserted bridge draining into the
 // component, each approximated as an M/M/1/K queue at the provisional
@@ -55,15 +72,13 @@ func (p *problem) insertTerm(i int, t int8) float64 {
 // is inserted in any placement that closes this component — which is what
 // makes the DP objective additive and the memo sound (DESIGN.md §7).
 //
-// The evaluation is allocation-free on the memo-miss path: clients gather
-// into a reusable scratch slice, and each queue's loss and mean population
-// are computed inline by the same arithmetic queueing.MM1K's Distribution
-// performs (identical expressions in identical order), so the memoised
-// prices are bit-for-bit those of the array-built stationary distribution.
-func (p *problem) closeJ(key compKey) float64 {
-	if j, ok := p.fMemo[key]; ok {
-		return j
-	}
+// price reads only the problem and writes only scratch, which gathers the
+// clients and comes back grown for the next call, so concurrent callers
+// each pass their own. Each queue's loss and mean population are computed
+// inline by the same arithmetic queueing.MM1K's Distribution performs
+// (identical expressions in identical order), so the prices are bit-for-bit
+// those of the array-built stationary distribution.
+func (p *problem) price(key compKey, scratch []client) (float64, []client) {
 	first := true
 	var mu float64
 	for m := range p.buses {
@@ -76,7 +91,7 @@ func (p *problem) closeJ(key compKey) float64 {
 	// float sums deterministic. The component serves a client on one of its
 	// buses, unless the client is a bridge buffer fed from inside: a bridge
 	// with both endpoints inside is bypassed and has no buffers.
-	clients := p.clScratch[:0]
+	clients := scratch[:0]
 	for _, cl := range p.clients {
 		if key.has(cl.bus) && (cl.from < 0 || !key.has(cl.from)) {
 			clients = append(clients, cl)
@@ -99,12 +114,7 @@ func (p *problem) closeJ(key compKey) float64 {
 		}
 		j += p.queuePrice(cl.lambda, share)
 	}
-	p.clScratch = clients[:0]
-	if p.fMemo == nil {
-		p.fMemo = map[compKey]float64{}
-	}
-	p.fMemo[key] = j
-	return j
+	return j, clients
 }
 
 // queuePrice is λ·B + lw·E[N] for one M/M/1/K client at capacity k0 —

@@ -58,8 +58,9 @@ type problem struct {
 
 	fMemo map[compKey]float64 // closeJ memo, keyed by component membership
 
-	// clScratch is closeJ's reusable client buffer: the DP is single-
-	// threaded, and pricing a component must not allocate per call.
+	// clScratch is closeJ's reusable client buffer, so pricing a component
+	// does not allocate per call. closeJ's callers are serial; the DP's
+	// lanes, which price concurrently, each keep their own (dpRun.clients).
 	clScratch []client
 }
 

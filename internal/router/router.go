@@ -1,6 +1,7 @@
 package router
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -10,6 +11,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -224,8 +226,10 @@ func fingerprintAs[R interface{ Fingerprint() string }](body []byte) string {
 }
 
 // proxy buffers the request body, fingerprints it, and forwards it to the
-// ring's backend for that key, streaming the response back flush-by-flush
-// (the sweeps are NDJSON; rows must reach the client as points complete). A
+// ring's backend for that key, relaying the response as the shard sent it
+// (forward): a sized answer keeps its Content-Length, and a streamed sweep
+// goes out flush by flush (NDJSON rows must reach the client as points
+// complete). A
 // backend that cannot be reached is marked unhealthy and the request retries
 // on the next ring walk — safe because nothing was forwarded — while an HTTP
 // error from a reachable backend (including 503 backpressure with its
@@ -262,11 +266,20 @@ func (rt *Router) proxy(fp fingerprinter) http.HandlerFunc {
 	}
 }
 
+// relayBufs holds forward's copy buffers, reused across requests.
+var relayBufs = sync.Pool{New: func() any {
+	b := make([]byte, 32<<10)
+	return &b
+}}
+
 // forward sends body to b and relays the response. It reports false only when
 // the backend could not be reached at all (retryable); once any response
-// arrives it is relayed verbatim and forward reports true.
+// arrives it is relayed verbatim and forward reports true. A response the
+// shard sized (a solve or placement answer) goes out with its Content-Length
+// and no flush; one it streams (the NDJSON sweeps) is flushed after every
+// read, so each row reaches the client as the shard writes it.
 func (rt *Router) forward(w http.ResponseWriter, r *http.Request, b *backend, body []byte) bool {
-	req, err := http.NewRequestWithContext(r.Context(), r.Method, b.base+r.URL.Path, strings.NewReader(string(body)))
+	req, err := http.NewRequestWithContext(r.Context(), r.Method, b.base+r.URL.Path, bytes.NewReader(body))
 	if err != nil {
 		return false
 	}
@@ -286,13 +299,19 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, b *backend, bo
 			w.Header().Set(h, v)
 		}
 	}
+	var flusher http.Flusher
+	if resp.ContentLength >= 0 {
+		w.Header().Set("Content-Length", strconv.FormatInt(resp.ContentLength, 10))
+	} else {
+		flusher, _ = w.(http.Flusher)
+	}
 	w.WriteHeader(resp.StatusCode)
-	flusher, _ := w.(http.Flusher)
-	buf := make([]byte, 32<<10)
+	buf := relayBufs.Get().(*[]byte)
+	defer relayBufs.Put(buf)
 	for {
-		n, err := resp.Body.Read(buf)
+		n, err := resp.Body.Read(*buf)
 		if n > 0 {
-			if _, werr := w.Write(buf[:n]); werr != nil {
+			if _, werr := w.Write((*buf)[:n]); werr != nil {
 				return true // client gone; stop relaying
 			}
 			if flusher != nil {
@@ -391,7 +410,9 @@ func addStats(dst *engine.Stats, s engine.Stats) {
 		acc := dst.Backends[name]
 		total := acc.Solves + bs.Solves
 		if total > 0 {
-			acc.MeanWallMS = (acc.MeanWallMS*float64(acc.Solves) + bs.MeanWallMS*float64(bs.Solves)) / float64(total)
+			// Each product is rounded before the add, so no platform fuses
+			// the two (make fma-check).
+			acc.MeanWallMS = (float64(acc.MeanWallMS*float64(acc.Solves)) + float64(bs.MeanWallMS*float64(bs.Solves))) / float64(total)
 		}
 		acc.Solves = total
 		acc.CacheHits += bs.CacheHits

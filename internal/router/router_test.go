@@ -1,9 +1,12 @@
 package router
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -338,6 +341,117 @@ func TestRouterErrorPassthrough(t *testing.T) {
 	// Both shards healthy: the bad request must not have tripped failover.
 	if got := f.rt.failovers.Load(); got != 0 {
 		t.Errorf("failovers = %d after a 400, want 0", got)
+	}
+}
+
+// TestRouterRelaysSizedAnswer: a solve answer the shard sends with a
+// Content-Length reaches the client with that length, not chunked, and
+// byte for byte as the shard sent it.
+func TestRouterRelaysSizedAnswer(t *testing.T) {
+	f := startFleet(t, 1, engine.Config{}, Options{})
+	direct := func() (*http.Response, []byte) {
+		resp, err := http.Post(f.backends[0].URL+"/v1/solve", "application/json", strings.NewReader(fastSolveBody))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp, body
+	}
+	// The first solve fills the shard's cache, so the relayed answer and the
+	// direct one after it are both cache hits, marked alike.
+	direct()
+	resp := f.postSolve(t, fastSolveBody)
+	got, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, got)
+	}
+	shard, want := direct()
+	if shard.ContentLength != int64(len(want)) {
+		t.Fatalf("the shard sent %d bytes with Content-Length %d; the test needs a sized answer", len(want), shard.ContentLength)
+	}
+	if len(resp.TransferEncoding) != 0 || resp.ContentLength != int64(len(got)) {
+		t.Errorf("relayed with transfer encoding %v and Content-Length %d for %d bytes, want sized",
+			resp.TransferEncoding, resp.ContentLength, len(got))
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("relayed body differs from the shard's:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestRouterStreamsSweepRows: a streamed sweep reaches the client row by
+// row — the first NDJSON row arrives while the shard still holds the
+// second back.
+func TestRouterStreamsSweepRows(t *testing.T) {
+	release := make(chan struct{})
+	shard := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		fmt.Fprintln(w, `{"point":1}`)
+		w.(http.Flusher).Flush()
+		select {
+		case <-release:
+		case <-r.Context().Done():
+			return
+		}
+		fmt.Fprintln(w, `{"summary":true}`)
+	}))
+	defer shard.Close()
+	rt, err := New(Options{Backends: []string{shard.URL}, HealthInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	front := httptest.NewServer(rt.Handler())
+	defer front.Close()
+
+	// The request runs on its own goroutine: a router that held the stream
+	// back would not even deliver the response headers.
+	type row struct {
+		resp *http.Response
+		rows *bufio.Reader
+		line string
+		err  error
+	}
+	got := make(chan row, 1)
+	go func() {
+		resp, err := http.Post(front.URL+"/v1/sweep/budget", "application/json", strings.NewReader(`{"arch":"twobus","budgets":[24,30]}`))
+		if err != nil {
+			got <- row{err: err}
+			return
+		}
+		rows := bufio.NewReader(resp.Body)
+		line, err := rows.ReadString('\n')
+		got <- row{resp, rows, line, err}
+	}()
+	var first row
+	select {
+	case first = <-got:
+		close(release)
+	case <-time.After(10 * time.Second):
+		close(release)
+		t.Fatal("no row relayed while the shard held the rest of the stream back")
+	}
+	if first.err != nil {
+		t.Fatal(first.err)
+	}
+	resp, rows := first.resp, first.rows
+	defer resp.Body.Close()
+	if first.line != `{"point":1}`+"\n" {
+		t.Fatalf("first row %q", first.line)
+	}
+	rest, err := io.ReadAll(rows)
+	if err != nil || string(rest) != `{"summary":true}`+"\n" {
+		t.Fatalf("rest of the stream %q, %v", rest, err)
+	}
+	if resp.ContentLength >= 0 {
+		t.Errorf("streamed sweep relayed with Content-Length %d", resp.ContentLength)
 	}
 }
 

@@ -263,7 +263,9 @@ func WilsonLower(successes, n int, confidence float64) float64 {
 	nn := float64(n)
 	denom := 1 + z*z/nn
 	centre := p + z*z/(2*nn)
-	margin := z * math.Sqrt(p*(1-p)/nn+z*z/(4*nn*nn))
+	// Rounded before the subtraction below, so no platform fuses the two
+	// (make fma-check).
+	margin := float64(z * math.Sqrt(p*(1-p)/nn+z*z/(4*nn*nn)))
 	low := (centre - margin) / denom
 	return math.Max(0, math.Min(1, low))
 }
@@ -271,7 +273,10 @@ func WilsonLower(successes, n int, confidence float64) float64 {
 // NormalQuantile is the standard normal inverse CDF Φ⁻¹(p), via the
 // Acklam rational approximation (relative error below 1.15e-9 — far inside
 // anything a 64-sample yield estimate can resolve). p outside (0,1) returns
-// ±Inf.
+// ±Inf. Each product in the Horner chains is rounded by an explicit
+// conversion before its add, as in the Wilson margin above, so no platform
+// fuses it into a multiply-add and the robust tier's yield bounds keep
+// their bits everywhere (make fma-check).
 func NormalQuantile(p float64) float64 {
 	switch {
 	case math.IsNaN(p) || p <= 0:
@@ -291,16 +296,16 @@ func NormalQuantile(p float64) float64 {
 	switch {
 	case p < pLow:
 		q := math.Sqrt(-2 * math.Log(p))
-		return (((((c[0]*q+c[1])*q+c[2])*q+c[3])*q+c[4])*q + c[5]) /
-			((((d[0]*q+d[1])*q+d[2])*q+d[3])*q + 1)
+		return (float64((float64((float64((float64((float64(c[0]*q)+c[1])*q)+c[2])*q)+c[3])*q)+c[4])*q) + c[5]) /
+			(float64((float64((float64((float64(d[0]*q)+d[1])*q)+d[2])*q)+d[3])*q) + 1)
 	case p > 1-pLow:
 		q := math.Sqrt(-2 * math.Log(1-p))
-		return -(((((c[0]*q+c[1])*q+c[2])*q+c[3])*q+c[4])*q + c[5]) /
-			((((d[0]*q+d[1])*q+d[2])*q+d[3])*q + 1)
+		return -(float64((float64((float64((float64((float64(c[0]*q)+c[1])*q)+c[2])*q)+c[3])*q)+c[4])*q) + c[5]) /
+			(float64((float64((float64((float64(d[0]*q)+d[1])*q)+d[2])*q)+d[3])*q) + 1)
 	default:
 		q := p - 0.5
 		r := q * q
-		return (((((a[0]*r+a[1])*r+a[2])*r+a[3])*r+a[4])*r + a[5]) * q /
-			(((((b[0]*r+b[1])*r+b[2])*r+b[3])*r+b[4])*r + 1)
+		return (float64((float64((float64((float64((float64(a[0]*r)+a[1])*r)+a[2])*r)+a[3])*r)+a[4])*r) + a[5]) * q /
+			(float64((float64((float64((float64((float64(b[0]*r)+b[1])*r)+b[2])*r)+b[3])*r)+b[4])*r) + 1)
 	}
 }
